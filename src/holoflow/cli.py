@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -68,11 +69,50 @@ def _orbit_spec(args, kind: str) -> OrbitSpec:
         raw = getattr(args, f"{name}0", None)
         if raw is None:
             continue
-        values[name] = Fraction(raw)
+        values[name] = raw
     try:
         return OrbitSpec(kind, args.orbit, values, negative_branch=args.negative_branch)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _check_args(args) -> None:
+    """Reject malformed numeric input before any model is built.
+
+    The exact initial values are parsed here, in place, so the commands
+    receive Fractions.
+    """
+    for name in ("a0", "b0", "c0", "f0"):
+        raw = getattr(args, name, None)
+        if raw is None:
+            continue
+        try:
+            setattr(args, name, Fraction(raw))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(
+                f"--{name} must be an exact number such as 3, 0.5 or 2/3, got {raw!r}"
+            ) from exc
+    checks = (
+        ("t_end", "--t-end", "> 0"),
+        ("rtol", "--rtol", "> 0"),
+        ("atol", "--atol", "> 0"),
+        ("eps", "--eps", "> 0"),
+        ("initial_step", "--initial-step", ">= 0"),
+    )
+    for attr, flag, rule in checks:
+        value = getattr(args, attr, None)
+        if value is None:
+            continue
+        in_range = value > 0 if rule == "> 0" else value >= 0
+        if not (math.isfinite(value) and in_range):
+            raise InputError(f"{flag} must be finite and {rule}, got {value}")
+
+
+def _read_traj(args, kind: str) -> Trajectory:
+    try:
+        return Trajectory.from_csv(args.traj, kind)
+    except OSError as exc:
+        raise InputError(f"cannot read --traj {args.traj}: {exc.strerror}") from exc
 
 
 def _config(args) -> IntegratorConfig:
@@ -208,7 +248,7 @@ def _bars_verdict(doc: dict, failures: list) -> int:
 def cmd_verify(args) -> int:
     model = get_model(args.model, (1, 1, 1) if args.model.upper() == "Q" else (1, 1))
     spec = _orbit_spec(args, model.kind)
-    traj = Trajectory.from_csv(args.traj, model.kind)
+    traj = _read_traj(args, model.kind)
     sys_ = derive_flow(model)
     struct = build_invariant_structure(model)
     cert = kaehler_search(model, sys_)
@@ -265,7 +305,7 @@ def cmd_verify(args) -> int:
 
 def cmd_cone(args) -> int:
     model = get_model(args.model, (1, 1, 1) if args.model.upper() == "Q" else (1, 1))
-    traj = Trajectory.from_csv(args.traj, model.kind)
+    traj = _read_traj(args, model.kind)
     cone = cone_fit(traj)
     doc = {
         "model": model.label,
@@ -341,6 +381,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_args(args)
         return COMMANDS[args.command](args)
     except (InputError, ModelError, VerifyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

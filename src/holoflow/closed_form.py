@@ -13,8 +13,10 @@ coefficients are affine in s.  Everything here is exact at rational s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .homogeneous import CosetModel
@@ -43,10 +45,12 @@ def _poly_antiderivative(p: List[Fraction]) -> List[Fraction]:
     return [Fraction(0)] + [c / (k + 1) for k, c in enumerate(p)]
 
 
-def _horner(p: Sequence[Fraction], s: Number) -> Number:
-    acc = p[-1] if isinstance(s, Fraction) else float(p[-1])
+def _horner(p: Sequence[Number], s: Number) -> Number:
+    """p(s) by Horner's rule; at a float s each Fraction coefficient is rounded
+    to float first, as Fraction-float arithmetic does."""
+    acc = p[-1]
     for c in reversed(p[:-1]):
-        acc = acc * s + (c if isinstance(s, Fraction) else float(c))
+        acc = acc * s + c
     return acc
 
 
@@ -74,20 +78,64 @@ class _Profile:
             if self.model_kind == "M" and s < p < 0:
                 raise DomainError(f"s = {s} beyond the pole {p}")
 
+    @cached_property
+    def _float_poles(self) -> Tuple[float, ...]:
+        """The poles the domain check guards, rounded to nearest (inf on overflow).
+
+        A float strictly on the near side of a rounded pole is strictly on the
+        near side of the exact pole, so only the rest needs the exact check.
+        """
+        out = []
+        for p in self.poles:
+            if (self.model_kind == "Q" and p > 0) or (self.model_kind == "M" and p < 0):
+                try:
+                    out.append(float(p))
+                except OverflowError:
+                    out.append(math.inf if p > 0 else -math.inf)
+        return tuple(out)
+
+    @cached_property
+    def _float_coeffs(self) -> Tuple[float, float, Tuple[float, ...], Tuple[float, ...]]:
+        return (
+            float(self.constant),
+            float(self.integral_factor),
+            tuple(float(c) for c in self.anti),
+            tuple(float(c) for c in self.denom),
+        )
+
+    def _value_squared_float(self, s: float) -> float:
+        if self.model_kind == "Q":
+            clear = all(s < p for p in self._float_poles)
+        else:
+            clear = all(s > p for p in self._float_poles)
+        if not clear:
+            self._check_domain(s)  # at or beyond a rounded pole: decide exactly
+        if s == 0:
+            return float(self.collapsing_square0)
+        const, factor, anti, denom = self._float_coeffs
+        num = const + factor * _horner(anti, s)
+        den = _horner(denom, s)
+        if den == 0:
+            raise DomainError(f"denominator vanishes at s = {s}")
+        return num / den
+
     def value_squared(self, s: Number) -> Number:
-        """The squared collapsing-profile value at the primitive s."""
+        """The squared collapsing-profile value at the primitive s.
+
+        Float input runs on float coefficients and gives the same bits as the
+        rational coefficients would, since Fraction-float arithmetic rounds
+        each Fraction to float first.
+        """
+        if not isinstance(s, Fraction):
+            return self._value_squared_float(float(s))
         self._check_domain(s)
         if s == 0:
-            return self.collapsing_square0 if isinstance(s, Fraction) else float(
-                self.collapsing_square0
-            )
+            return self.collapsing_square0
         num = self.constant + self.integral_factor * _horner(self.anti, s)
         den = _horner(self.denom, s)
         if den == 0:
             raise DomainError(f"denominator vanishes at s = {s}")
-        if isinstance(s, Fraction):
-            return num / den
-        return float(num) / float(den)
+        return num / den
 
     def value_squared_prime(self, s: Number) -> Number:
         """d/ds of the squared profile (exact at rational s)."""

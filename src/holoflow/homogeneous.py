@@ -1,9 +1,16 @@
 """Lie-algebra data for the two coset models and the invariant calculus.
 
-The bases are stored as tuples of complex matrices with exact Gaussian
-rational entries, so traces, commutators and the induced structure constants
-never round.  The Q model lives in three copies of su(2); the M model in
-su(3) + su(2).
+The bases are kept as tuples of complex matrices with exact Gaussian rational
+entries; the Q model lives in three copies of su(2), the M model in
+su(3) + su(2).  The structure constants are computed without rounding and
+without rational matrix arithmetic: each basis element X (a tuple of matrix
+blocks) is scaled by the lcm D of its entry denominators to a Gaussian-integer
+S = D X, and the q-products, brackets, projections and the realness,
+orthogonality, positivity and closure checks all run on these integers.
+Fractions appear only in the stored q-norms and structure constants.  The
+admissibility classification reads the isotropy action from the exact
+structure constants.  The Fraction matrix helpers q_inner and tuple_bracket
+stay as the reference the tests compare the integer path against.
 """
 
 from __future__ import annotations
@@ -102,8 +109,7 @@ def tuple_scale(x: MatrixTuple, s: Fraction) -> MatrixTuple:
     return tuple(_mscale(a, s) for a in x)
 
 
-def tuple_is_zero(x: MatrixTuple) -> bool:
-    return all(e == _ZERO for m in x for row in m for e in row)
+_NOT_REAL = "q(X,Y) is not real; basis matrices are not skew-hermitian"
 
 
 def q_inner(x: MatrixTuple, y: MatrixTuple) -> Fraction:
@@ -112,8 +118,63 @@ def q_inner(x: MatrixTuple, y: MatrixTuple) -> Fraction:
     for a, b in zip(x, y):
         acc = _cadd(acc, _mtrace(_mmul(a, b)))
     if acc[1] != 0:
-        raise ModelError("q(X,Y) is not real; basis matrices are not skew-hermitian")
+        raise ModelError(_NOT_REAL)
     return -acc[0]
+
+
+# ---------------------------------------------------------------------------
+# scaled Gaussian-integer form
+# ---------------------------------------------------------------------------
+
+# sparse nonzero entries {(block, row, col): (re, im)} with int parts
+GaussMatrix = Dict[Tuple[int, int, int], Tuple[int, int]]
+
+
+def _scaled(x: MatrixTuple) -> Tuple[int, GaussMatrix]:
+    """(D, S) with x = S / D and D the lcm of every entry denominator."""
+    d = 1
+    for m in x:
+        for row in m:
+            for re, im in row:
+                d = math.lcm(d, re.denominator, im.denominator)
+    s = {}
+    for b, m in enumerate(x):
+        for i, row in enumerate(m):
+            for j, (re, im) in enumerate(row):
+                if re or im:
+                    s[(b, i, j)] = (
+                        re.numerator * (d // re.denominator),
+                        im.numerator * (d // im.denominator),
+                    )
+    return d, s
+
+
+def _gq(x: GaussMatrix, y: GaussMatrix) -> int:
+    """-tr(XY) = -sum X_ij Y_ji over blocks; raises unless it is real."""
+    re = im = 0
+    for (b, i, j), (xr, xi) in x.items():
+        yv = y.get((b, j, i))
+        if yv is not None:
+            re += xr * yv[0] - xi * yv[1]
+            im += xr * yv[1] + xi * yv[0]
+    if im:
+        raise ModelError(_NOT_REAL)
+    return -re
+
+
+def _gbracket(x: GaussMatrix, y: GaussMatrix) -> GaussMatrix:
+    """XY - YX, blockwise."""
+    out: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
+    for a, c, sign in ((x, y, 1), (y, x, -1)):
+        for (b, i, k), (ar, ai) in a.items():
+            for (b2, k2, j), (cr, ci) in c.items():
+                if b2 == b and k2 == k:
+                    re, im = out.get((b, i, j), (0, 0))
+                    out[(b, i, j)] = (
+                        re + sign * (ar * cr - ai * ci),
+                        im + sign * (ar * ci + ai * cr),
+                    )
+    return {key: v for key, v in out.items() if v != (0, 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -295,41 +356,52 @@ class CosetModel:
         return ((0, 1, 2, 3), (4, 5), (6,))
 
 
-def _project(model_basis, q_norms, x: MatrixTuple) -> Dict[int, Fraction]:
-    out = {}
-    for idx, e in enumerate(model_basis):
-        c = q_inner(x, e) / q_norms[idx]
-        if c:
-            out[idx] = c
-    return out
-
-
 def _build_structure(basis: Tuple[MatrixTuple, ...]) -> Tuple[StructureTensor, Tuple[Fraction, ...]]:
+    """Structure constants and q-norms of a basis X_i = S_i / D_i.
+
+    With N_i = q(S_i, S_i) the norm is N_i / D_i^2, and the bracket
+    [X_i, X_j] = B / (D_i D_j) with B = [S_i, S_j] has the coefficient
+    t_k D_k / (D_i D_j N_k) on X_k, where t_k = q(B, S_k).
+    """
     n = len(basis)
-    # q must be diagonal and nonzero on the basis
-    norms = []
+    scaled = [_scaled(x) for x in basis]
+    mats = [s for _, s in scaled]
+    # q must be real, diagonal and positive on the basis (q is symmetric, so
+    # the upper triangle meets the first failure of a full row-major scan)
+    norms_int = []
     for i in range(n):
-        for j in range(n):
-            v = q_inner(basis[i], basis[j])
+        for j in range(i, n):
+            v = _gq(mats[i], mats[j])
             if i == j:
                 if v <= 0:
                     raise ModelError("basis vector with non-positive q-norm")
-                norms.append(v)
+                norms_int.append(v)
             elif v != 0:
                 raise ModelError(f"basis is not q-orthogonal at pair {(i + 1, j + 1)}")
+    norms = tuple(Fraction(v, d * d) for v, (d, _) in zip(norms_int, scaled))
+    lcm_norms = math.lcm(*norms_int)
     table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            br = tuple_bracket(basis[i], basis[j])
-            coeffs = _project(basis, norms, br)
-            # closure: the projection must reproduce the bracket exactly
-            recon = None
-            for k, c in coeffs.items():
-                piece = tuple_scale(basis[k], c)
-                recon = piece if recon is None else tuple_add(recon, piece)
-            residual = br if recon is None else tuple_add(br, tuple_scale(recon, Fraction(-1)))
-            if not tuple_is_zero(residual):
+            br = _gbracket(mats[i], mats[j])
+            t = [_gq(br, s) for s in mats]
+            # closure: lcm(N) B = sum_k t_k (lcm(N) / N_k) S_k exactly
+            residual = {key: (lcm_norms * re, lcm_norms * im) for key, (re, im) in br.items()}
+            for k, tk in enumerate(t):
+                if not tk:
+                    continue
+                w = tk * (lcm_norms // norms_int[k])
+                for key, (re, im) in mats[k].items():
+                    r0, i0 = residual.get(key, (0, 0))
+                    residual[key] = (r0 - w * re, i0 - w * im)
+            if any(v != (0, 0) for v in residual.values()):
                 raise ModelError("basis is not closed under brackets")
+            dij = scaled[i][0] * scaled[j][0]
+            coeffs = {
+                k: Fraction(tk * scaled[k][0], dij * norms_int[k])
+                for k, tk in enumerate(t)
+                if tk
+            }
             if coeffs:
                 table[(i, j)] = coeffs
     # Jacobi identity on the structure tensor (closure already ties it to
@@ -345,7 +417,7 @@ def _build_structure(basis: Tuple[MatrixTuple, ...]) -> Tuple[StructureTensor, T
                             acc[fin] = acc.get(fin, Fraction(0)) + cm * cf
                 if any(acc.values()):
                     raise ModelError("Jacobi identity failed")
-    return st, tuple(norms)
+    return st, norms
 
 
 def _normalize_q(k: int, l: int, m: int) -> Tuple[int, int, int]:
@@ -591,41 +663,68 @@ def _hnf_rows(rows: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
     return [tuple(r) for r in mat]
 
 
-def _plane_speed(model: CosetModel, x: MatrixTuple, plane: Tuple[int, int]) -> Fraction:
+# an element of the Lie algebra as exact coordinates {basis index: coefficient}
+Coords = Mapping[int, Fraction]
+
+
+def _ad(model: CosetModel, x: Coords, i: int, j: int) -> Fraction:
+    """Coefficient of e_j in [x, e_i], read from the structure constants."""
+    st = model.structure
+    return sum((xa * st.c(a, i, j) for a, xa in x.items()), Fraction(0))
+
+
+def _plane_speed(model: CosetModel, x: Coords, plane: Tuple[int, int]) -> Fraction:
     """Rotation speed of ad_x on one invariant 2-plane (must be skew there)."""
     i, j = plane
-    bi = tuple_bracket(x, model.basis[i])
-    bj = tuple_bracket(x, model.basis[j])
-    cji = q_inner(bi, model.basis[j]) / model.q_norms[j]
-    cij = q_inner(bj, model.basis[i]) / model.q_norms[i]
+    cji = _ad(model, x, i, j)
+    cij = _ad(model, x, j, i)
     if cij != -cji:
         raise ModelError("isotropy action is not skew on an invariant plane")
     # residual outside the plane would violate invariance
     for idx in range(model.TANGENT):
         if idx in plane:
             continue
-        if q_inner(bi, model.basis[idx]) != 0 or q_inner(bj, model.basis[idx]) != 0:
+        if _ad(model, x, i, idx) != 0 or _ad(model, x, j, idx) != 0:
             raise ModelError("isotropy action leaves an invariant plane")
     return cji
 
 
-def _cartan_elements(model: CosetModel) -> List[MatrixTuple]:
+def _isotropy_coords(model: CosetModel, x: MatrixTuple) -> Dict[int, Fraction]:
+    """Exact coordinates of x on the isotropy generators (q-orthogonal).
+
+    Raises unless x lies in their span.
+    """
+    dx, sx = _scaled(x)
+    coords = {}
+    residual = {key: (Fraction(re, dx), Fraction(im, dx)) for key, (re, im) in sx.items()}
+    for a in model.isotropy_indices:
+        da, sa = _scaled(model.basis[a])
+        c = Fraction(_gq(sx, sa), dx * da) / model.q_norms[a]
+        if not c:
+            continue
+        coords[a] = c
+        w = c / da
+        for key, (re, im) in sa.items():
+            r0, i0 = residual.get(key, (0, 0))
+            residual[key] = (r0 - w * re, i0 - w * im)
+    if any(re or im for re, im in residual.values()):
+        raise ModelError("Cartan element is not in the isotropy algebra")
+    return coords
+
+
+def _cartan_elements(model: CosetModel) -> List[Dict[int, Fraction]]:
     if model.kind == "Q":
         k, l, m = model.indices
         s3 = _sigma()[2]
-        z2 = _zeros(2)
-        out = []
-        for x, y, z in _kernel_basis_1x3(k, l, m):
-            out.append(
-                (
-                    _mscale(s3, Fraction(x)),
-                    _mscale(s3, Fraction(y)),
-                    _mscale(s3, Fraction(z)),
-                )
+        return [
+            _isotropy_coords(
+                model,
+                (_mscale(s3, Fraction(x)), _mscale(s3, Fraction(y)), _mscale(s3, Fraction(z))),
             )
-        return out
+            for x, y, z in _kernel_basis_1x3(k, l, m)
+        ]
     # M model: Cartan of su(2) + u(1) spanned by e10, e11
-    return [model.basis[9], model.basis[10]]
+    return [{9: Fraction(1)}, {10: Fraction(1)}]
 
 
 def isotropy_weights(model: CosetModel) -> WeightMultiset:
@@ -642,23 +741,16 @@ def isotropy_weights(model: CosetModel) -> WeightMultiset:
         weights.append(tuple(vec))
     for idx in model.FIXED:
         for x in cartan:
-            if not tuple_is_zero(tuple_bracket(x, model.basis[idx])):
+            if any(_ad(model, x, idx, k) for k in range(model.n)):
                 raise ModelError("expected fixed line is not fixed")
     return WeightMultiset(tuple(weights), trivial=len(model.FIXED))
 
 
 def _su2_commutant_dim(model: CosetModel) -> int:
     """Dimension of the commutant of the isotropy su(2) acting on V1 (M model)."""
-    mats = []
-    for x_idx in (7, 8, 9):
-        rows = []
-        for i in range(4):
-            br = tuple_bracket(model.basis[x_idx], model.basis[i])
-            rows.append(
-                [q_inner(br, model.basis[j]) / model.q_norms[j] for j in range(4)]
-            )
-        # column-action matrix: (ad x) e_i = sum_j rows[i][j] e_j
-        mats.append([[rows[i][j] for i in range(4)] for j in range(4)])
+    st = model.structure
+    # column-action matrices: (ad x) e_i = sum_j c(x, i, j) e_j
+    mats = [[[st.c(x, i, j) for i in range(4)] for j in range(4)] for x in (7, 8, 9)]
     # solve [M, A] = 0 for all A: 16 unknowns
     rowsys: List[List[Fraction]] = []
     for a in mats:
@@ -673,24 +765,28 @@ def _su2_commutant_dim(model: CosetModel) -> int:
 
 
 def _rank_fraction_matrix(rows: List[List[Fraction]]) -> int:
-    mat = [r[:] for r in rows if any(r)]
+    """Exact rank: fraction-free elimination on the rows scaled to integers."""
+    mat = []
+    for r in rows:
+        d = math.lcm(*(x.denominator for x in r))
+        ints = [x.numerator * (d // x.denominator) for x in r]
+        if any(ints):
+            mat.append(ints)
     rank = 0
     ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        prow = mat[rank]
+        a = prow[col]
+        for r in range(rank + 1, len(mat)):
+            b = mat[r][col]
+            if b:
+                row = [a * x - b * y for x, y in zip(mat[r], prow)]
+                g = math.gcd(*row)
+                mat[r] = [x // g for x in row] if g > 1 else row
         rank += 1
     return rank
 
@@ -738,7 +834,7 @@ def matches_u2_weights(model: CosetModel) -> bool:
                 return False
     if _su2_commutant_dim(model) != 4:
         return False
-    u1 = model.basis[10]
+    u1 = {10: Fraction(1)}
     s1 = abs(_plane_speed(model, u1, (0, 1)))
     s2 = abs(_plane_speed(model, u1, (2, 3)))
     s3 = abs(_plane_speed(model, u1, (4, 5)))

@@ -135,3 +135,55 @@ def test_missing_values_rejected(capsys, tmp_path):
         capsys,
     )
     assert code == 2
+
+
+def _one_line_error(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("raw", ["1/0", "abc"])
+def test_unparsable_initial_value_rejected(capsys, tmp_path, raw):
+    code, _, err = run(
+        ["report", "--model", "m", "--orbit", "cp2", "--a0", raw, "--out", str(tmp_path / "r.json")],
+        capsys,
+    )
+    assert code == 2
+    _one_line_error(err)
+    assert "--a0" in err
+
+
+# an initial step of 0 asks for the automatic choice, so only it may be 0
+BAD_NUMERIC_FLAGS = [
+    (flag, value)
+    for flag in ("--t-end", "--rtol", "--atol", "--eps", "--initial-step")
+    for value in ("nan", "inf", "0", "-5")
+    if (flag, value) != ("--initial-step", "0")
+]
+
+
+@pytest.mark.parametrize("flag,value", BAD_NUMERIC_FLAGS)
+def test_bad_numeric_flags_rejected_before_any_work(capsys, tmp_path, monkeypatch, flag, value):
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr("holoflow.cli.get_model", no_model)
+    code, _, err = run(
+        ["report", "--model", "q", "--orbit", "s2xs2", "--b0", "1", "--c0", "1",
+         flag, value, "--out", str(tmp_path / "r.json")],
+        capsys,
+    )
+    assert code == 2
+    _one_line_error(err)
+    assert flag in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "cone"])
+def test_missing_or_unreadable_traj_rejected(capsys, tmp_path, command):
+    extra = ["--orbit", "cp2", "--a0", "1"] if command == "verify" else []
+    for traj in (tmp_path / "missing.csv", tmp_path):
+        code, _, err = run([command, "--model", "m", *extra, "--traj", str(traj)], capsys)
+        assert code == 2
+        _one_line_error(err)
+        assert "--traj" in err

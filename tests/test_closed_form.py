@@ -154,3 +154,103 @@ def test_compare_model_mismatch_rejected(sysq):
     traj, _ = solve_orbit(sysq, OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1}), cfg)
     with pytest.raises(ProfileError):
         compare(traj, profile("M", OrbitSpec("M", "cp2", {"a": 1})))
+
+
+# ---------------------------------------------------------------------------
+# float evaluation against the Fraction coefficients
+# ---------------------------------------------------------------------------
+
+FLOAT_CASES = [
+    ("Q", "principal", {"a": 1, "b": 2, "c": 3, "f": -5}),
+    ("Q", "principal", {"a": Fraction(1, 3), "b": Fraction(1, 3), "c": Fraction(1, 3), "f": 1}),
+    ("Q", "s2xs2", {"b": 1, "c": 1}),
+    ("Q", "s2xs2xs2", {"a": Fraction(1, 3), "b": 1, "c": 2}),
+    ("M", "cp2", {"a": 1}),
+    ("M", "cp2xs2", {"a": Fraction(1, 3), "b": Fraction(1, 7)}),
+    ("M", "s2", {"b": 2}),
+    ("M", "principal", {"a": 1, "b": Fraction(2, 3), "c": 7}),
+]
+
+
+def _horner_through_fractions(coeffs, s):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * s + c  # Fraction op float rounds the Fraction to float first
+    return acc
+
+
+def _reference_value_squared(p, s):
+    """float(const + k A(s)) / float(D(s)) with the exact domain check."""
+    exact = Fraction(s)
+    for pole in p.poles:
+        if pole == 0:
+            continue
+        if exact == pole or (pole > 0 and exact > pole) or (pole < 0 and exact < pole):
+            raise DomainError("at or beyond a pole")
+    if s == 0:
+        return float(p.collapsing_square0)
+    num = p.constant + p.integral_factor * _horner_through_fractions(p.anti, s)
+    den = _horner_through_fractions(p.denom, s)
+    if den == 0:
+        raise DomainError("denominator vanishes")
+    return float(num) / float(den)
+
+
+def _float_points(p, rng):
+    pts = [0.0, -0.0, 1e-300, -1e-300, 1e6, -1e6, 1e300, -1e300]
+    pts += [rng.uniform(-50.0, 50.0) for _ in range(200)]
+    for pole in p.poles:
+        fp = float(pole)
+        pts += [fp, np.nextafter(fp, -np.inf), np.nextafter(fp, np.inf), 2 * fp, fp / 2]
+    return pts
+
+
+@pytest.mark.parametrize("kind,orbit,values", FLOAT_CASES)
+@pytest.mark.parametrize("as_type", [float, np.float64])
+def test_float_value_squared_matches_fraction_coefficients(kind, orbit, values, as_type):
+    p = profile(kind, OrbitSpec(kind, orbit, values))
+    rng = random.Random(5)
+    for x in _float_points(p, rng):
+        s = as_type(x)
+        try:
+            want = _reference_value_squared(p, float(x))
+        except DomainError:
+            with pytest.raises(DomainError):
+                p.value_squared(s)
+            continue
+        got = p.value_squared(s)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (s, got, want)
+
+
+@pytest.mark.parametrize("as_type", [float, np.float64])
+def test_float_domain_errors_at_and_beyond_poles(as_type):
+    """Every float on or beyond an exact pole is refused by the domain guard.
+
+    Where float(p) rounds inward (1/3 rounds down for Q, -2/49 rounds up for
+    M), the guard finds float(p) inside the domain; there the refusal comes
+    from the float denominator D(float(p)) rounding to exactly 0.
+    """
+    q = profile("Q", OrbitSpec("Q", "s2xs2xs2", {"a": Fraction(1, 3), "b": 1, "c": 2}))
+    m = profile("M", OrbitSpec("M", "cp2xs2", {"a": Fraction(1, 3), "b": Fraction(1, 7)}))
+    inward = []
+    for p, sign in ((q, 1), (m, -1)):
+        outward = sign * np.inf
+        guarded = [pole for pole in p.poles if sign * pole > 0]
+        for pole in guarded:
+            fp = float(pole)
+            on_or_beyond = sign * (Fraction(fp) - pole) >= 0
+            first = fp if on_or_beyond else float(np.nextafter(fp, outward))
+            assert sign * (Fraction(first) - pole) >= 0
+            for s in (first, 2 * fp, outward):
+                with pytest.raises(DomainError, match="pole"):
+                    p.value_squared(as_type(s))
+            if all(sign * (Fraction(fp) - other) < 0 for other in guarded):
+                inward.append((p, fp))
+    assert [(p.model_kind, fp) for p, fp in inward] == [
+        ("Q", float(Fraction(1, 3))),
+        ("M", float(Fraction(-2, 49))),
+    ]
+    for p, fp in inward:
+        with pytest.raises(DomainError, match="denominator vanishes"):
+            p.value_squared(as_type(fp))

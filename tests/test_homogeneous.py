@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,10 @@ import pytest
 from holoflow.algebra import LaurentPoly, Multivector
 from holoflow.homogeneous import (
     ModelError,
+    _build_structure,
+    _kernel_basis_1x3,
     classify_invariant_g2,
+    get_model,
     group_gens,
     invariant_d,
     is_basic,
@@ -271,3 +275,74 @@ def test_invalid_models_rejected():
         q_model(0, 0, 0)
     with pytest.raises(ModelError):
         m_model(0, 0)
+
+
+# ---------------------------------------------------------------------------
+# the integer arithmetic against the Fraction-matrix reference helpers
+# ---------------------------------------------------------------------------
+
+F0, HALF = Fraction(0), Fraction(1, 2)
+S1 = (((F0, F0), (F0, HALF)), ((F0, HALF), (F0, F0)))  # entries (re, im)
+S2 = (((F0, F0), (HALF, F0)), ((-HALF, F0), (F0, F0)))
+S3 = (((F0, HALF), (F0, F0)), ((F0, F0), (F0, -HALF)))
+SIGMA_X = (((F0, F0), (Fraction(1), F0)), ((Fraction(1), F0), (F0, F0)))  # hermitian
+S1_PLUS_S2 = tuple(
+    tuple((a[0] + b[0], a[1] + b[1]) for a, b in zip(r1, r2)) for r1, r2 in zip(S1, S2)
+)
+
+
+def _scaled_matrix(a, n):
+    return tuple(tuple((re * n, im * n) for re, im in row) for row in a)
+
+
+def _reference_cartan(model):
+    if model.kind == "Q":
+        return [
+            tuple(_scaled_matrix(S3, v) for v in kernel)
+            for kernel in _kernel_basis_1x3(*model.indices)
+        ]
+    return [model.basis[9], model.basis[10]]
+
+
+@pytest.mark.parametrize(
+    "kind,indices",
+    [("Q", (1, 1, 1)), ("Q", (1, 1, 0)), ("Q", (3, 2, 1)), ("M", (1, 1)), ("M", (2, 1)), ("M", (5, 3))],
+    ids=["Q111", "Q110", "Q321", "M11", "M21", "M53"],
+)
+def test_structure_and_weights_match_fraction_matrices(kind, indices):
+    model = get_model(kind, indices)
+    basis = model.basis
+    norms = tuple(q_inner(e, e) for e in basis)
+    assert model.q_norms == norms
+    table = {}
+    for i in range(model.n):
+        for j in range(i + 1, model.n):
+            br = tuple_bracket(basis[i], basis[j])
+            coeffs = {k: q_inner(br, e) / norms[k] for k, e in enumerate(basis)}
+            coeffs = {k: c for k, c in coeffs.items() if c}
+            if coeffs:
+                table[(i, j)] = coeffs
+    assert {key: dict(v) for key, v in model.structure.table.items()} == table
+    want = tuple(
+        tuple(
+            q_inner(tuple_bracket(x, basis[i]), basis[j]) / norms[j]
+            for x in _reference_cartan(model)
+        )
+        for i, j in model.PLANES
+    )
+    assert isotropy_weights(model).weights == want
+
+
+@pytest.mark.parametrize(
+    "basis,message",
+    [
+        (((S1,), (SIGMA_X,)), "not real"),
+        (((SIGMA_X,),), "non-positive"),
+        (((S1,), (S1_PLUS_S2,)), "not q-orthogonal at pair (1, 2)"),
+        (((S1,), (S2,)), "not closed"),
+    ],
+    ids=["non-real", "non-positive", "non-orthogonal", "non-closed"],
+)
+def test_build_structure_exact_checks(basis, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        _build_structure(basis)
