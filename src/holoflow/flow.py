@@ -141,6 +141,13 @@ def exterior_d_time(
     return spatial + wedge(dt, time_chain(form, metric_symbols))
 
 
+def under_system(form: Multivector, sys: ODESystem, table: SymbolTable) -> Multivector:
+    """Replace every derivative symbol in the coefficients by the system's
+    right-hand side, lifted to ``table``."""
+    subs = sys.rhs_substitution(table)
+    return coefficient_map(form, lambda p: p.subs_derivatives(subs))
+
+
 def split_dt(form: Multivector) -> Tuple[Multivector, Multivector]:
     """(spatial part, dt-part with the dt factor removed from the left)."""
     bit = 1 << form.dt_index
@@ -307,18 +314,26 @@ def _solve_linear(
     return {x: v.as_laurent() for x, v in values.items()}, rank
 
 
-def derive_flow(model: CosetModel, struct: Optional[Spin7Structure] = None) -> ODESystem:
-    """Derive the holonomy ODE system from d(Omega) = 0, exactly."""
+def derive_flow(
+    model: CosetModel,
+    struct: Optional[Spin7Structure] = None,
+    d_Omega: Optional[Multivector] = None,
+) -> ODESystem:
+    """Derive the holonomy ODE system from d(Omega) = 0, exactly.
+
+    ``d_Omega`` is d(Omega) of ``struct`` when the caller already has it.
+    """
     struct = struct or build_invariant_structure(model)
     table = struct.table
-    d_omega = exterior_d_time(struct.Omega, model, model.symbols.base)
+    if d_Omega is None:
+        d_Omega = exterior_d_time(struct.Omega, model, model.symbols.base)
     iso_mask = 0
     for i in model.isotropy_indices:
         iso_mask |= 1 << i
-    for mask in d_omega.terms:
+    for mask in d_Omega.terms:
         if mask & iso_mask:
             raise DerivationError("d(Omega) is not basic; bookkeeping error")
-    spatial, dt_part = split_dt(d_omega)
+    spatial, dt_part = split_dt(d_Omega)
     if not spatial.is_zero:
         raise DerivationError(
             f"spatial part of d(Omega) does not vanish identically: {spatial!r}"
@@ -334,8 +349,7 @@ def derive_flow(model: CosetModel, struct: Optional[Spin7Structure] = None) -> O
         rank=rank,
         n_equations=len(eqs),
     )
-    residual = closure_residual(struct, sys, model)
-    if not residual.is_zero:
+    if not under_system(d_Omega, sys, table).is_zero:
         raise DerivationError("back-substitution of the derived system fails")
     return sys
 
@@ -345,10 +359,7 @@ def closure_residual(
 ) -> Multivector:
     """d(Omega) with the derivative symbols replaced by the derived sides."""
     model = model or struct.model
-    table = struct.table
-    d_omega = exterior_d_time(struct.Omega, model, sys.state)
-    subs = sys.rhs_substitution(table)
-    return coefficient_map(d_omega, lambda p: p.subs_derivatives(subs))
+    return under_system(exterior_d_time(struct.Omega, model, sys.state), sys, struct.table)
 
 
 # ---------------------------------------------------------------------------
@@ -362,19 +373,15 @@ def cosymplectic_constraints(model: CosetModel) -> List[LaurentPoly]:
     An empty list means every structure in the invariant ansatz is
     cosymplectic.
     """
-    struct = build_invariant_structure(model)
+    struct = derivation(model).struct
     d_star = invariant_d(struct.star_omega, model)
     return [poly for _, poly in d_star.sorted_terms()]
 
 
 def hitchin_residual(model: CosetModel, sys: ODESystem) -> Multivector:
     """d/dt(*omega) - d_orbit(omega) under the derived system; contract: 0."""
-    struct = build_invariant_structure(model)
-    subs = sys.rhs_substitution(struct.table)
-    lhs = coefficient_map(
-        time_chain(struct.star_omega, sys.state),
-        lambda p: p.subs_derivatives(subs),
-    )
+    struct = derivation(model).struct
+    lhs = under_system(time_chain(struct.star_omega, sys.state), sys, struct.table)
     rhs = invariant_d(struct.omega, model)
     return lhs - rhs
 
@@ -395,12 +402,17 @@ def perturbed_system(sys: ODESystem, name: str, factor: Fraction = Fraction(2)) 
 
 @dataclass(frozen=True)
 class KaehlerCertificate:
-    """Unique closed invariant two-form, up to overall sign."""
+    """Unique closed invariant two-form, up to overall sign.
+
+    ``d_eta`` is d(eta) on the orbit x interval with the derivative symbols
+    still formal.
+    """
 
     model_kind: str
     signs: Tuple[int, ...]
     eta: Multivector
     all_solutions: Tuple[Tuple[int, ...], ...]
+    d_eta: Multivector
 
     @property
     def unique_up_to_sign(self) -> bool:
@@ -431,32 +443,78 @@ def invariant_two_form_terms(model: CosetModel, struct: Spin7Structure) -> List[
     ]
 
 
-def kaehler_search(model: CosetModel, sys: ODESystem) -> KaehlerCertificate:
-    """Enumerate sign vectors; keep those with d(eta) = 0 under the system."""
-    struct = build_invariant_structure(model)
+def _signed_sum(signs: Sequence[int], forms: Sequence[Multivector], zero: Multivector) -> Multivector:
+    out = zero
+    for sign, form in zip(signs, forms):
+        out = out + (form if sign == 1 else -form)
+    return out
+
+
+def kaehler_search(
+    model: CosetModel, sys: ODESystem, struct: Optional[Spin7Structure] = None
+) -> KaehlerCertificate:
+    """Enumerate sign vectors; keep those with d(eta) = 0 under the system.
+
+    d and the substitution of the derivative symbols are linear, so both are
+    applied once to each basis two-form and only the 2^k signed sums of the
+    images are tested.
+    """
+    struct = struct or build_invariant_structure(model)
     basis = invariant_two_form_terms(model, struct)
-    subs = sys.rhs_substitution(struct.table)
-    winners = []
-    for signs in product((1, -1), repeat=len(basis)):
-        eta = Multivector.zero(struct.gens, struct.dt_index)
-        for s, term in zip(signs, basis):
-            eta = eta + (term if s == 1 else -term)
-        d_eta = exterior_d_time(eta, model, sys.state)
-        d_eta = coefficient_map(d_eta, lambda p: p.subs_derivatives(subs))
-        if d_eta.is_zero:
-            winners.append(signs)
+    d_basis = [exterior_d_time(term, model, sys.state) for term in basis]
+    closed_basis = [under_system(d, sys, struct.table) for d in d_basis]
+    zero = Multivector.zero(struct.gens, struct.dt_index)
+    winners = [
+        signs
+        for signs in product((1, -1), repeat=len(basis))
+        if _signed_sum(signs, closed_basis, zero).is_zero
+    ]
     if not winners or len(winners) != 2:
         raise DerivationError(
             f"expected exactly one closed sign vector up to global sign, got {winners}"
         )
     signs = max(winners)  # representative with leading +1
-    eta = Multivector.zero(struct.gens, struct.dt_index)
-    for s, term in zip(signs, basis):
-        eta = eta + (term if s == 1 else -term)
+    eta = _signed_sum(signs, basis, zero)
     # eta^4 must be a nonzero multiple of the volume form
     power = eta
     for _ in range(3):
         power = wedge(power, eta)
     if len(power.terms) != 1 or next(iter(power.terms.values())).is_zero:
         raise DerivationError("eta^4 is not a volume multiple")
-    return KaehlerCertificate(model.kind, signs, eta, tuple(winners))
+    d_eta = _signed_sum(signs, d_basis, zero)
+    return KaehlerCertificate(model.kind, signs, eta, tuple(winners), d_eta)
+
+
+# ---------------------------------------------------------------------------
+# one derivation per model
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Derivation:
+    """A model's exact derived objects: the invariant structure, d(Omega)
+    with formal derivative symbols, the ODE system and the Kaehler
+    certificate (which carries d(eta))."""
+
+    model: CosetModel
+    struct: Spin7Structure
+    d_Omega: Multivector
+    sys: ODESystem
+    cert: KaehlerCertificate
+
+
+#: built on first use, keyed on (kind, indices): CosetModel is not hashable
+_DERIVATIONS: Dict[Tuple[str, Tuple[int, ...]], Derivation] = {}
+
+
+def derivation(model: CosetModel) -> Derivation:
+    """The model's :class:`Derivation`, built at most once per process."""
+    key = (model.kind, model.indices)
+    found = _DERIVATIONS.get(key)
+    if found is None:
+        struct = build_invariant_structure(model)
+        d_Omega = exterior_d_time(struct.Omega, model, model.symbols.base)
+        sys = derive_flow(model, struct, d_Omega)
+        cert = kaehler_search(model, sys, struct)
+        found = _DERIVATIONS[key] = Derivation(model, struct, d_Omega, sys, cert)
+    return found

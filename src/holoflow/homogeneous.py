@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .algebra import LaurentPoly, Multivector, SymbolTable
+from .algebra import Multivector, SymbolTable
 
 # complex entries are (real, imaginary) pairs of Fractions
 Entry = Tuple[Fraction, Fraction]
@@ -511,65 +511,69 @@ def group_gens(model: CosetModel) -> Tuple[str, ...]:
     return model.gen_names + ("dt",)
 
 
-def maurer_cartan(model: CosetModel, gens=None, dt_index=None, table=None) -> List[Multivector]:
-    """de^i = -(1/2) c^i_{jk} e^j ^ e^k for every group generator."""
+def maurer_cartan(model: CosetModel, gens=None, dt_index=None) -> List[Multivector]:
+    """de^i = -(1/2) c^i_{jk} e^j ^ e^k for every group generator.
+
+    The coefficients are the exact rational structure constants.
+    """
     gens = gens or group_gens(model)
     if dt_index is None:
         dt_index = len(gens) - 1 if gens[-1] == "dt" else None
-    table = table or model.symbols
-    st = model.structure
     out = []
     for i in range(model.n):
-        terms: Dict[int, LaurentPoly] = {}
-        for (j, k), coeffs in st.table.items():
+        terms: Dict[int, Fraction] = {}
+        for (j, k), coeffs in model.structure.table.items():
             c = coeffs.get(i)
-            if not c:
-                continue
-            mask = (1 << j) | (1 << k)
-            prev = terms.get(mask, LaurentPoly.zero(table))
-            terms[mask] = prev + LaurentPoly.const(table, -c)
-        out.append(Multivector(gens, {m: c for m, c in terms.items() if not c.is_zero}, dt_index))
+            if c:
+                terms[(1 << j) | (1 << k)] = -c
+        out.append(Multivector(gens, terms, dt_index))
     return out
+
+
+#: per model and coframe: the Maurer-Cartan forms and the images d(e^I) of
+#: the basis monomials met so far, as {mask: rational coefficient}
+_D_TABLES: Dict[tuple, Tuple[List[Multivector], Dict[int, Dict[int, Fraction]]]] = {}
+
+
+def _d_monomial(des: List[Multivector], mask: int, gens, dt_index) -> Dict[int, Fraction]:
+    """d(e^I) by the Leibniz rule; d(dt) = 0."""
+    idxs = [b for b in range(len(gens)) if mask >> b & 1]
+    one = Fraction(1)
+    out = Multivector.zero(gens, dt_index)
+    for pos, b in enumerate(idxs):
+        if b >= len(des):
+            continue
+        prefix = sum(1 << q for q in idxs[:pos])
+        suffix = sum(1 << q for q in idxs[pos + 1 :])
+        piece = Multivector(gens, {prefix: one}, dt_index).wedge(des[b])
+        piece = piece.wedge(Multivector(gens, {suffix: one}, dt_index))
+        out = out - piece if pos % 2 else out + piece
+    return out.terms
 
 
 def invariant_d(form: Multivector, model: CosetModel) -> Multivector:
     """Exterior derivative of an invariant form with constant coefficients.
 
-    Coefficients are treated as constants; any time dependence (chain rule
-    in dt) is the flow module's business.
+    d is linear over the coefficients: d(form) = sum of c_I d(e^I), with
+    each image d(e^I) computed once per model and coframe.  Coefficients are
+    treated as constants; any time dependence (chain rule in dt) is the flow
+    module's business.
     """
-    table = None
-    for c in form.terms.values():
-        if isinstance(c, LaurentPoly):
-            table = c.table
-        break
-    des = maurer_cartan(model, form.gens, form.dt_index, table)
-    n_group = model.n
-    out = Multivector.zero(form.gens, form.dt_index)
+    key = (model.kind, model.indices, form.gens, form.dt_index)
+    tables = _D_TABLES.get(key)
+    if tables is None:
+        tables = _D_TABLES[key] = (maurer_cartan(model, form.gens, form.dt_index), {})
+    des, images = tables
+    out: Dict[int, object] = {}
     for mask, coeff in form.terms.items():
-        idxs = list(form.indices_of(mask))
-        for pos, b in enumerate(idxs):
-            if b >= n_group:
-                continue  # d(dt) = 0
-            prefix = 0
-            for q in idxs[:pos]:
-                prefix |= 1 << q
-            suffix = 0
-            for q in idxs[pos + 1 :]:
-                suffix |= 1 << q
-            piece = Multivector(form.gens, {prefix: _const_like(coeff)}, form.dt_index)
-            piece = piece.wedge(des[b])
-            piece = piece.wedge(Multivector(form.gens, {suffix: _const_like(coeff)}, form.dt_index))
-            if pos % 2:
-                piece = -piece
-            out = out + piece.scaled(coeff)
-    return out
-
-
-def _const_like(coeff):
-    if isinstance(coeff, LaurentPoly):
-        return LaurentPoly.const(coeff.table, 1)
-    return 1.0
+        image = images.get(mask)
+        if image is None:
+            image = images[mask] = _d_monomial(des, mask, form.gens, form.dt_index)
+        for target, c in image.items():
+            term = coeff * c
+            prev = out.get(target)
+            out[target] = term if prev is None else prev + term
+    return Multivector(form.gens, out, form.dt_index)
 
 
 def is_basic(form: Multivector, model: CosetModel) -> bool:

@@ -39,6 +39,10 @@ class SeriesStartError(RuntimeError):
     """The degenerate-limit fixed-point system has no usable solution."""
 
 
+class CSVError(ValueError):
+    """A trajectory CSV file is malformed."""
+
+
 class IntegrationError(RuntimeError):
     def __init__(self, message: str, trajectory: Optional["Trajectory"] = None):
         super().__init__(message)
@@ -282,6 +286,14 @@ def _solve_slope_system(
     raise SeriesStartError("slope system is not reducible")
 
 
+def start_offset(spec: OrbitSpec, eps: Optional[float] = None) -> float:
+    """The series-start offset: ``eps`` if given, else 1e-6 times the
+    smallest initial value in absolute terms."""
+    if eps is None:
+        eps = 1e-6 * float(min(abs(v) for v in spec.values.values()))
+    return eps
+
+
 def series_start(
     sys: ODESystem, spec: OrbitSpec, eps: Optional[float] = None
 ) -> Tuple[State, Dict[str, Fraction]]:
@@ -338,8 +350,7 @@ def series_start(
             raise SeriesStartError("no solution on the requested sign branch")
     slopes = {x: pick["s_" + x] for x in collapsing}
 
-    if eps is None:
-        eps = 1e-6 * float(min(abs(v) for v in spec.values.values()))
+    eps = start_offset(spec, eps)
     values = {y: float(spec.values[y]) for y in surviving}
     for x in collapsing:
         values[x] = float(slopes[x]) * eps
@@ -405,6 +416,11 @@ class Trajectory:
         _kernel.dense_eval(self.dense, dim, k, theta, out)
         return np.asarray(out)
 
+    def require_done(self) -> None:
+        """Raise IntegrationError unless the run reached its end."""
+        if self.status != "done":
+            raise IntegrationError(f"integration stopped: {self.status}", self)
+
     def values_at(self, t: float) -> Dict[str, float]:
         row = self.interpolate(t)
         out = {n: float(row[j]) for j, n in enumerate(self.state_names)}
@@ -420,12 +436,39 @@ class Trajectory:
 
     @staticmethod
     def from_csv(path, model_kind: str) -> "Trajectory":
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            rows = [list(map(float, ln.split(","))) for ln in fh if ln.strip()]
+        """Read a file written by :meth:`to_csv`.
+
+        Raises CSVError unless the header matches the model, every row holds
+        one finite number per column, t increases strictly and there are at
+        least 3 rows.
+        """
         expected = ("t", "a", "b", "c", "f", "F") if model_kind == "Q" else ("t", "a", "b", "c", "C")
-        if tuple(header) != expected:
-            raise IntegrationError(f"unexpected CSV header {header}")
+        rows = []
+        with open(path) as fh:
+            header = tuple(fh.readline().strip().split(","))
+            if header != expected:
+                raise CSVError(
+                    f"header {','.join(header)!r} does not match {','.join(expected)!r}"
+                )
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                cells = line.split(",")
+                if len(cells) != len(expected):
+                    raise CSVError(
+                        f"line {lineno}: {len(cells)} values, expected {len(expected)}"
+                    )
+                try:
+                    row = [float(cell) for cell in cells]
+                except ValueError:
+                    raise CSVError(f"line {lineno}: not a number") from None
+                if not all(math.isfinite(v) for v in row):
+                    raise CSVError(f"line {lineno}: non-finite value")
+                if rows and not row[0] > rows[-1][0]:
+                    raise CSVError(f"line {lineno}: t does not increase")
+                rows.append(row)
+        if len(rows) < 3:
+            raise CSVError(f"{len(rows)} rows, at least 3 are needed")
         data = np.asarray(rows)
         return Trajectory(
             model_kind=model_kind,

@@ -181,8 +181,11 @@ def _multi_angle(c, s, n: int, one):
     return ck, sk
 
 
-def _fundamental_cs(struct: Spin7Structure, theta: AngleLike):
-    """Resolve an angle argument to exact (cos, sin) data and a table."""
+def _fundamental_cs(struct: Spin7Structure, theta: AngleLike, unit: Fraction):
+    """Resolve an angle argument to exact (cos, sin) data and a table.
+
+    A float angle is measured in multiples of ``unit``.
+    """
     table = struct.table
     if theta == "symbolic":
         ext = SymbolTable(table.base + ("C", "S"), table.derivative)
@@ -192,9 +195,9 @@ def _fundamental_cs(struct: Spin7Structure, theta: AngleLike):
         if c * c + s * s != 1:
             raise StructureError("exact rotation pair must satisfy c^2 + s^2 = 1")
         return LaurentPoly.const(table, c), LaurentPoly.const(table, s), table
-    unit = float(FUNDAMENTAL_UNIT[struct.model.kind])
-    c = Fraction(math.cos(unit * theta))
-    s = Fraction(math.sin(unit * theta))
+    angle = float(unit) * theta
+    c = Fraction(math.cos(angle))
+    s = Fraction(math.sin(angle))
     return LaurentPoly.const(table, c), LaurentPoly.const(table, s), table
 
 
@@ -221,6 +224,23 @@ def _rotate_form(form: Multivector, table: SymbolTable, cs_pairs) -> Multivector
     return form.substitute_generators(images)
 
 
+def _rotation(struct: Spin7Structure, theta: AngleLike, unit: Fraction, multiples):
+    """The rotated symbol table and the (cos, sin) pair of each plane."""
+    c, s, table = _fundamental_cs(struct, theta, unit)
+    one = LaurentPoly.const(table, 1)
+    return table, [_multi_angle(c, s, n, one) for n in multiples]
+
+
+def _rotate_all(struct: Spin7Structure, table: SymbolTable, cs_pairs) -> Spin7Structure:
+    return replace(
+        struct,
+        table=table,
+        Omega=_rotate_form(struct.Omega, table, cs_pairs),
+        omega=_rotate_form(struct.omega, table, cs_pairs),
+        star_omega=_rotate_form(struct.star_omega, table, cs_pairs),
+    )
+
+
 def rotate_structure(struct: Spin7Structure, theta: AngleLike) -> Spin7Structure:
     """Pull the structure back by the model's isometric rotation action.
 
@@ -228,44 +248,19 @@ def rotate_structure(struct: Spin7Structure, theta: AngleLike) -> Spin7Structure
     fundamental angle unit, or ``"symbolic"`` for formal C, S symbols with
     the circle relation left to the caller.
     """
-    c, s, table = _fundamental_cs(struct, theta)
-    one = LaurentPoly.const(table, 1)
-    cs_pairs = [
-        _multi_angle(c, s, n, one) for n in ROTATION_MULTIPLES[struct.model.kind]
-    ]
-    return replace(
-        struct,
-        table=table,
-        Omega=_rotate_form(struct.Omega, table, cs_pairs),
-        omega=_rotate_form(struct.omega, table, cs_pairs),
-        star_omega=_rotate_form(struct.star_omega, table, cs_pairs),
-    )
+    kind = struct.model.kind
+    table, cs_pairs = _rotation(struct, theta, FUNDAMENTAL_UNIT[kind], ROTATION_MULTIPLES[kind])
+    return _rotate_all(struct, table, cs_pairs)
+
+
+def rotate_four_form(struct: Spin7Structure, theta: AngleLike) -> Tuple[SymbolTable, Multivector]:
+    """Omega alone pulled back as in :func:`rotate_structure`, with its table."""
+    kind = struct.model.kind
+    table, cs_pairs = _rotation(struct, theta, FUNDAMENTAL_UNIT[kind], ROTATION_MULTIPLES[kind])
+    return table, _rotate_form(struct.Omega, table, cs_pairs)
 
 
 def rotate_structure_reference(struct: Spin7Structure, theta: AngleLike) -> Spin7Structure:
     """Pull back by the reference torus action with unit speeds."""
-    c, s, table = _fundamental_cs_reference(struct, theta)
-    one = LaurentPoly.const(table, 1)
-    cs_pairs = [_multi_angle(c, s, n, one) for n in REFERENCE_MULTIPLES]
-    return replace(
-        struct,
-        table=table,
-        Omega=_rotate_form(struct.Omega, table, cs_pairs),
-        omega=_rotate_form(struct.omega, table, cs_pairs),
-        star_omega=_rotate_form(struct.star_omega, table, cs_pairs),
-    )
-
-
-def _fundamental_cs_reference(struct: Spin7Structure, theta: AngleLike):
-    table = struct.table
-    if theta == "symbolic":
-        ext = SymbolTable(table.base + ("C", "S"), table.derivative)
-        return LaurentPoly.variable(ext, "C"), LaurentPoly.variable(ext, "S"), ext
-    if isinstance(theta, tuple):
-        c, s = theta
-        if c * c + s * s != 1:
-            raise StructureError("exact rotation pair must satisfy c^2 + s^2 = 1")
-        return LaurentPoly.const(table, c), LaurentPoly.const(table, s), table
-    c = Fraction(math.cos(theta))
-    s = Fraction(math.sin(theta))
-    return LaurentPoly.const(table, c), LaurentPoly.const(table, s), table
+    table, cs_pairs = _rotation(struct, theta, Fraction(1), REFERENCE_MULTIPLES)
+    return _rotate_all(struct, table, cs_pairs)

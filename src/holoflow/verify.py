@@ -18,12 +18,15 @@ import numpy as np
 from .algebra import LaurentPoly
 from .closed_form import ProfileM, ProfileQ, compare, profile
 from .flow import (
+    Derivation,
     KaehlerCertificate,
     ODESystem,
     coefficient_map,
-    derive_flow,
+    derivation,
+    derive_flow,  # noqa: F401  (kept importable; perfbench/test_recorder.py patches it here)
     exterior_d_time,
     kaehler_search,
+    under_system,
 )
 from .homogeneous import CosetModel
 from .integrate import (
@@ -32,8 +35,9 @@ from .integrate import (
     OrbitSpec,
     Trajectory,
     series_start,
+    start_offset,
 )
-from .structures import Spin7Structure, build_invariant_structure, rotate_structure
+from .structures import rotate_four_form
 
 
 class VerifyError(ValueError):
@@ -177,8 +181,7 @@ class ClosureReport:
 
 def check_closure(
     sampler,
-    struct: Spin7Structure,
-    cert: KaehlerCertificate,
+    deriv: Derivation,
     t_points: Optional[Sequence[float]] = None,
     fd_step: float = 1e-5,
     n_samples: int = 40,
@@ -189,10 +192,9 @@ def check_closure(
     derivative (with chain-rule slopes replaced by centered differences of
     the sampler), normalized by the largest coefficient of the form itself.
     """
-    model = struct.model
-    names = tuple(model.symbols.base)
-    d_omega = exterior_d_time(struct.Omega, model, names)
-    d_eta = exterior_d_time(cert.eta, model, names)
+    struct, cert = deriv.struct, deriv.cert
+    names = tuple(deriv.model.symbols.base)
+    d_omega, d_eta = deriv.d_Omega, cert.d_eta
     if t_points is None:
         t_points = sampler.sample_points(n_samples, margin=2 * fd_step * (1 + abs(sampler.t_max)))
     if len(t_points) < 3:
@@ -219,8 +221,7 @@ def check_closure(
 
 def check_closure_samples(
     traj: Trajectory,
-    struct: Spin7Structure,
-    cert: KaehlerCertificate,
+    deriv: Derivation,
     max_samples: int = 200,
 ) -> ClosureReport:
     """Closure residuals from raw accepted steps (non-uniform differences).
@@ -229,12 +230,11 @@ def check_closure_samples(
     limits the attainable residual, so the appropriate bar is looser than
     for the profile-backed check.
     """
-    model = struct.model
-    names = tuple(model.symbols.base)
+    struct, cert = deriv.struct, deriv.cert
+    names = tuple(deriv.model.symbols.base)
     if traj.n_samples < 3:
         raise VerifyError("need at least 3 samples for centered differences")
-    d_omega = exterior_d_time(struct.Omega, model, names)
-    d_eta = exterior_d_time(cert.eta, model, names)
+    d_omega, d_eta = deriv.d_Omega, cert.d_eta
     stride = max(1, (traj.n_samples - 2) // max_samples)
     worst_omega = 0.0
     worst_eta = 0.0
@@ -286,6 +286,18 @@ class ConeFit:
     @property
     def max_delta(self) -> float:
         return max(self.deltas.values())
+
+    def to_json_dict(self, with_corrections: bool = True) -> dict:
+        doc = {
+            "limits": self.limits,
+            "refs": self.refs,
+            "deltas": self.deltas,
+            "endpoint": self.endpoint,
+            "partial": self.partial,
+        }
+        if with_corrections:
+            doc["corrections"] = self.corrections
+        return doc
 
 
 def _cone_quantities(kind: str, t: np.ndarray, ys: np.ndarray) -> Dict[str, np.ndarray]:
@@ -426,7 +438,7 @@ def smoothness_report(
     key = (model.kind, orbit)
     if key not in REQUIRED_SLOPES:
         raise VerifyError(f"{orbit!r} is not a singular orbit of the {model.kind} model")
-    sys = sys or derive_flow(model)
+    sys = sys or derivation(model).sys
     state = sys.state
     collapsing = ORBIT_COLLAPSING[model.kind][orbit]
     values = {x: Fraction(1) for x in state if x not in collapsing}
@@ -487,27 +499,26 @@ def su4_family_check(
     cert: Optional[KaehlerCertificate] = None,
 ) -> SU4Certificate:
     """Certify the SU(4) evidence: a full circle of parallel structures,
-    a unique closed invariant two-form, and no invariant parallel vector."""
-    struct = build_invariant_structure(model)
+    a unique closed invariant two-form, and no invariant parallel vector.
+
+    ``sys`` may be any system for the model; the certificate judges it."""
+    struct = derivation(model).struct
 
     # (1) the whole rotation family stays parallel: symbolic in (C, S)
-    rotated = rotate_structure(struct, "symbolic")
-    table = rotated.table
-    d_rot = exterior_d_time(rotated.Omega, model, sys.state)
-    subs = sys.rhs_substitution(table)
-    d_rot = coefficient_map(d_rot, lambda p: p.subs_derivatives(subs))
+    table, rotated = rotate_four_form(struct, "symbolic")
+    d_rot = under_system(exterior_d_time(rotated, model, sys.state), sys, table)
     d_rot = coefficient_map(d_rot, lambda p: p.reduce_circle("C", "S"))
     family_parallel = d_rot.is_zero
 
     # (2) the family genuinely moves: an exact non-lattice angle changes Omega
-    moved = rotate_structure(struct, (Fraction(3, 5), Fraction(4, 5)))
-    family_moves = moved.Omega != struct.Omega
-    ident = rotate_structure(struct, (Fraction(1), Fraction(0)))
-    family_moves = family_moves and ident.Omega == struct.Omega
+    _, moved = rotate_four_form(struct, (Fraction(3, 5), Fraction(4, 5)))
+    family_moves = moved != struct.Omega
+    _, ident = rotate_four_form(struct, (Fraction(1), Fraction(0)))
+    family_moves = family_moves and ident == struct.Omega
 
     # (3) unique Kaehler candidate up to global sign
     try:
-        cert = cert or kaehler_search(model, sys)
+        cert = cert or kaehler_search(model, sys, struct)
         kaehler_unique = cert.unique_up_to_sign
     except Exception:
         kaehler_unique = False
@@ -633,14 +644,7 @@ class VerificationReport:
                 "fd_step": self.closure.fd_step,
                 "n_samples": self.closure.n_samples,
             },
-            "cone": {
-                "limits": self.cone.limits,
-                "refs": self.cone.refs,
-                "deltas": self.cone.deltas,
-                "endpoint": self.cone.endpoint,
-                "corrections": self.cone.corrections,
-                "partial": self.cone.partial,
-            },
+            "cone": self.cone.to_json_dict(),
             "kaehler": {
                 "signs": list(self.kaehler_signs),
                 "residual": 0.0 if self.kaehler_signs else None,
@@ -668,16 +672,19 @@ def run_report(
     cfg: IntegratorConfig,
     n_closure_samples: int = 40,
 ) -> Tuple[VerificationReport, Trajectory]:
-    """Full pipeline for one singular orbit: derive, solve, verify."""
+    """Full pipeline for one singular orbit: derive, solve, verify.
+
+    Raises IntegrationError when the run does not reach its end.
+    """
     from .integrate import solve_orbit
 
-    sys = derive_flow(model)
+    deriv = derivation(model)
+    sys, cert = deriv.sys, deriv.cert
     traj, _ = solve_orbit(sys, spec, cfg)
-    struct = build_invariant_structure(model)
-    cert = kaehler_search(model, sys)
+    traj.require_done()
     prof = profile(model, spec)
     sampler = ProfileSampler(prof, traj)
-    closure = check_closure(sampler, struct, cert, n_samples=n_closure_samples)
+    closure = check_closure(sampler, deriv, n_samples=n_closure_samples)
     cone = cone_fit(traj)
     smooth = smoothness_report(model, spec.orbit, sys)
     su4 = su4_family_check(model, sys, cert)
@@ -695,7 +702,7 @@ def run_report(
             "rtol": cfg.rtol,
             "atol": cfg.atol,
             "t_end": cfg.t_end,
-            "eps": cfg.eps if cfg.eps is not None else float("nan"),
+            "eps": start_offset(spec, cfg.eps),
             "fd_step": closure.fd_step,
         },
     )

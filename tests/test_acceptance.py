@@ -14,7 +14,7 @@ import pytest
 
 from holoflow.algebra import LaurentPoly, Multivector, wedge
 from holoflow.closed_form import compare, profile
-from holoflow.flow import derive_flow, kaehler_search, perturbed_system
+from holoflow.flow import derivation, derive_flow, kaehler_search, perturbed_system
 from holoflow.homogeneous import (
     classify_invariant_g2,
     invariant_d,
@@ -278,8 +278,7 @@ def test_criterion_9_kaehler_certificates(models, systems, cone_runs):
         and certm.unique_up_to_sign
     )
     worst = 0.0
-    structs = {"Q": build_invariant_structure(Q), "M": build_invariant_structure(M)}
-    certs = {"Q": certq, "M": certm}
+    derivs = {"Q": derivation(Q), "M": derivation(M)}
     specs = {
         ("Q", "s2xs2xs2"): {"a": 1, "b": 1, "c": 1},
         ("Q", "s2xs2"): {"b": 1, "c": 1},
@@ -291,7 +290,7 @@ def test_criterion_9_kaehler_certificates(models, systems, cone_runs):
         traj, _ = cone_runs[(kind, orbit, tuple(sorted(vals.items())))]
         prof = profile(kind, OrbitSpec(kind, orbit, vals))
         sampler = ProfileSampler(prof, traj)
-        rep = check_closure(sampler, structs[kind], certs[kind])
+        rep = check_closure(sampler, derivs[kind])
         worst = max(worst, rep.d_eta_residual)
     ok = signs_ok and worst <= 1e-9
     criterion(

@@ -1,9 +1,11 @@
 """End-to-end command-line runs with exit-code + artifact checks."""
 
 import json
+import math
 
 import pytest
 
+from holoflow import flow, structures
 from holoflow.cli import main
 
 
@@ -187,3 +189,159 @@ def test_missing_or_unreadable_traj_rejected(capsys, tmp_path, command):
         assert code == 2
         _one_line_error(err)
         assert "--traj" in err
+
+
+UNIT_ORBITS = [
+    ("q", "s2xs2", ["--b0", "1", "--c0", "1"]),
+    ("q", "s2xs2xs2", ["--a0", "1", "--b0", "1", "--c0", "1"]),
+    ("m", "cp2", ["--a0", "1"]),
+    ("m", "cp2xs2", ["--a0", "1", "--b0", "1"]),
+    ("m", "s2", ["--b0", "1"]),
+]
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("model,orbit,values", UNIT_ORBITS)
+def test_report_is_strict_json_with_the_eps_used(capsys, tmp_path, model, orbit, values):
+    out = tmp_path / "r.json"
+    code = main(["report", "--model", model, "--orbit", orbit, *values, "--out", str(out)])
+    capsys.readouterr()
+    assert code in (0, 1)
+    doc = _strict_json(out.read_text())
+    assert doc["provenance"]["eps"] == 1e-6
+
+
+def test_report_records_a_given_eps(capsys, tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["report", "--model", "m", "--orbit", "cp2", "--a0", "3", "--t-end", "50"]
+    assert main(argv + ["--out", str(out)]) in (0, 1)
+    assert _strict_json(out.read_text())["provenance"]["eps"] == 3e-6
+    assert main(argv + ["--eps", "2e-7", "--out", str(out)]) in (0, 1)
+    assert _strict_json(out.read_text())["provenance"]["eps"] == 2e-7
+    capsys.readouterr()
+
+
+def test_solve_exits_1_when_the_run_stops_early(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    code, _, err = run(
+        ["solve", "--model", "q", "--orbit", "principal",
+         "--a0", "1", "--b0", "1", "--c0", "1", "--f0", "1", "--out", str(out)],
+        capsys,
+    )
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "sign_change" in lines[0], err
+    assert not out.exists()
+
+
+def test_report_exits_1_when_the_run_stops_early(capsys, tmp_path, monkeypatch):
+    import holoflow.integrate as integrate
+
+    real = integrate.solve_orbit
+
+    def stopped(*args, **kwargs):
+        traj, slopes = real(*args, **kwargs)
+        traj.status = "sign_change"
+        return traj, slopes
+
+    monkeypatch.setattr(integrate, "solve_orbit", stopped)
+    out = tmp_path / "r.json"
+    code, _, err = run(
+        ["report", "--model", "m", "--orbit", "cp2", "--a0", "1", "--t-end", "50", "--out", str(out)],
+        capsys,
+    )
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "sign_change" in lines[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["report", "verify"])
+def test_principal_orbit_rejected_before_integration(capsys, tmp_path, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr("holoflow.integrate.solve_orbit", no_work)
+    monkeypatch.setattr("holoflow.cli.Trajectory.from_csv", no_work)
+    extra = ["--traj", str(tmp_path / "t.csv")] if command == "verify" else []
+    code, _, err = run(
+        [command, "--model", "q", "--orbit", "principal",
+         "--a0", "1", "--b0", "1", "--c0", "1", "--f0", "1", *extra],
+        capsys,
+    )
+    assert code == 2
+    _one_line_error(err)
+    assert "principal" in err
+
+
+GOOD_ROWS = ["0.1,1,1,0.1,0.01", "0.2,1,1,0.2,0.04", "0.3,1,1,0.3,0.09"]
+
+BAD_CSVS = {
+    "header": ["t,a,b,c,f,F"] + GOOD_ROWS,
+    "short-row": ["t,a,b,c,C", GOOD_ROWS[0], "0.2,1,1,0.2", GOOD_ROWS[2]],
+    "long-row": ["t,a,b,c,C", GOOD_ROWS[0], GOOD_ROWS[1] + ",1", GOOD_ROWS[2]],
+    "not-a-number": ["t,a,b,c,C", GOOD_ROWS[0], "0.2,1,x,0.2,0.04", GOOD_ROWS[2]],
+    "non-finite": ["t,a,b,c,C", GOOD_ROWS[0], "0.2,1,nan,0.2,0.04", GOOD_ROWS[2]],
+    "infinite": ["t,a,b,c,C", GOOD_ROWS[0], "0.2,1,inf,0.2,0.04", GOOD_ROWS[2]],
+    "t-repeats": ["t,a,b,c,C", GOOD_ROWS[0], GOOD_ROWS[0], GOOD_ROWS[2]],
+    "t-decreases": ["t,a,b,c,C", GOOD_ROWS[1], GOOD_ROWS[0], GOOD_ROWS[2]],
+    "two-rows": ["t,a,b,c,C"] + GOOD_ROWS[:2],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "cone"])
+@pytest.mark.parametrize("case", sorted(BAD_CSVS))
+def test_malformed_traj_rejected(capsys, tmp_path, command, case):
+    path = tmp_path / "t.csv"
+    path.write_text("".join(line + "\n" for line in BAD_CSVS[case]))
+    extra = ["--orbit", "cp2", "--a0", "1"] if command == "verify" else []
+    code, _, err = run([command, "--model", "m", *extra, "--traj", str(path)], capsys)
+    assert code == 2
+    _one_line_error(err)
+    assert "--traj" in err
+
+
+def test_well_formed_traj_accepted(capsys, tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("".join(line + "\n" for line in ["t,a,b,c,C"] + GOOD_ROWS + [""]))
+    code, out, _ = run(["cone", "--model", "m", "--traj", str(path)], capsys)
+    assert code in (0, 1)
+    assert all(math.isfinite(v) for v in _strict_json(out)["cone"]["endpoint"].values())
+
+
+def test_internal_value_error_is_not_reported_as_input(capsys, tmp_path, monkeypatch):
+    def broken(traj):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr("holoflow.cli.cone_fit", broken)
+    path = tmp_path / "t.csv"
+    path.write_text("".join(line + "\n" for line in ["t,a,b,c,C"] + GOOD_ROWS))
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["cone", "--model", "m", "--traj", str(path)])
+
+
+def test_one_process_builds_each_structure_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    real = structures.build_invariant_structure
+
+    def counted(model, *args, **kwargs):
+        calls.append(model.kind)
+        return real(model, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "_DERIVATIONS", {})
+    monkeypatch.setattr(flow, "build_invariant_structure", counted)
+    monkeypatch.setattr(structures, "build_invariant_structure", counted)
+    for model, orbit, values in UNIT_ORBITS:
+        traj = tmp_path / f"{orbit}.csv"
+        common = ["--model", model, "--orbit", orbit, *values]
+        assert main(["report", *common, "--out", str(tmp_path / "r.json"), "--traj-out", str(traj)]) in (0, 1)
+        assert main(["verify", *common, "--traj", str(traj), "--out", str(tmp_path / "v.json")]) in (0, 1)
+    capsys.readouterr()
+    assert sorted(calls) == ["M", "Q"]

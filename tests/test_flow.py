@@ -1,6 +1,7 @@
 """Symbolic derivation of the holonomy systems and the Kaehler search."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,9 +9,13 @@ from holoflow.algebra import LaurentPoly, Multivector, wedge
 from holoflow.flow import (
     DerivationError,
     closure_residual,
+    coefficient_map,
     cosymplectic_constraints,
+    derivation,
     derive_flow,
+    exterior_d_time,
     hitchin_residual,
+    invariant_two_form_terms,
     kaehler_search,
     perturbed_system,
 )
@@ -126,6 +131,54 @@ def test_kaehler_search_m():
     cert = kaehler_search(model, derive_flow(model))
     assert cert.signs == (1, -1, 1)
     assert cert.all_solutions == ((1, -1, 1), (-1, 1, -1))
+
+
+def _kaehler_brute_force(model, sys, struct):
+    """Reference search: the full d(eta) of every signed sum, under the system."""
+    basis = invariant_two_form_terms(model, struct)
+    subs = sys.rhs_substitution(struct.table)
+    winners = []
+    for signs in product((1, -1), repeat=len(basis)):
+        eta = Multivector.zero(struct.gens, struct.dt_index)
+        for s, term in zip(signs, basis):
+            eta = eta + (term if s == 1 else -term)
+        d_eta = exterior_d_time(eta, model, sys.state)
+        if coefficient_map(d_eta, lambda p: p.subs_derivatives(subs)).is_zero:
+            winners.append((signs, eta, d_eta))
+    return winners
+
+
+@pytest.mark.parametrize(
+    "model,perturb",
+    [(q_model(1, 1, 1), None), (m_model(1, 1), None), (q_model(1, 1, 1), "a")],
+    ids=["Q", "M", "Q-perturbed"],
+)
+def test_linear_kaehler_search_matches_brute_force(model, perturb):
+    struct = build_invariant_structure(model)
+    sys = derive_flow(model, struct)
+    if perturb:
+        sys = perturbed_system(sys, perturb)
+    winners = _kaehler_brute_force(model, sys, struct)
+    if len(winners) != 2:
+        assert perturb  # the derived systems have a unique closed eta up to sign
+        with pytest.raises(DerivationError):
+            kaehler_search(model, sys, struct)
+        return
+    cert = kaehler_search(model, sys, struct)
+    assert cert.all_solutions == tuple(signs for signs, _, _ in winners)
+    signs, eta, d_eta = max(winners, key=lambda w: w[0])
+    assert cert.signs == signs
+    assert cert.eta == eta
+    assert cert.d_eta == d_eta
+
+
+def test_derivation_is_built_once_and_matches_the_builders():
+    model = m_model(1, 1)
+    deriv = derivation(model)
+    assert derivation(m_model(1, 1)) is deriv
+    assert deriv.sys.rhs == derive_flow(model).rhs
+    assert deriv.d_Omega == exterior_d_time(deriv.struct.Omega, model)
+    assert deriv.cert.signs == kaehler_search(model, deriv.sys).signs
 
 
 def test_eta_fourth_power_is_volume_multiple():

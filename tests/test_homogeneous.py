@@ -154,6 +154,55 @@ def test_d_squared_on_random_invariant_forms():
         assert invariant_d(invariant_d(form, model), model).is_zero
 
 
+def _invariant_d_by_wedges(form, model):
+    """Reference d: expand each term by wedges against Maurer-Cartan forms
+    with constant polynomial coefficients, on every call."""
+    table = next(iter(form.terms.values())).table
+    one = LaurentPoly.const(table, 1)
+    des = []
+    for i in range(model.n):
+        terms = {}
+        for (j, k), coeffs in model.structure.table.items():
+            if coeffs.get(i):
+                terms[(1 << j) | (1 << k)] = LaurentPoly.const(table, -coeffs[i])
+        des.append(Multivector(form.gens, terms, form.dt_index))
+    out = Multivector.zero(form.gens, form.dt_index)
+    for mask, coeff in form.terms.items():
+        idxs = list(form.indices_of(mask))
+        for pos, b in enumerate(idxs):
+            if b >= model.n:
+                continue
+            prefix = sum(1 << q for q in idxs[:pos])
+            suffix = sum(1 << q for q in idxs[pos + 1 :])
+            piece = Multivector(form.gens, {prefix: one}, form.dt_index).wedge(des[b])
+            piece = piece.wedge(Multivector(form.gens, {suffix: one}, form.dt_index))
+            if pos % 2:
+                piece = -piece
+            out = out + piece.scaled(coeff)
+    return out
+
+
+@pytest.mark.parametrize("model", [q_model(1, 1, 1), m_model(1, 1)], ids=["Q", "M"])
+def test_invariant_d_matches_wedge_expansion_on_random_forms(model):
+    rng = random.Random(11)
+    gens = group_gens(model)
+    table = model.symbols
+    for _ in range(25):
+        form = Multivector.zero(gens, len(gens) - 1)
+        for _ in range(rng.randint(1, 6)):
+            idx = rng.sample(range(1, len(gens) + 1), rng.randint(0, 5))
+            coeff = LaurentPoly.zero(table)
+            for _ in range(rng.randint(1, 3)):
+                exps = {x: rng.randint(-2, 2) for x in table.base}
+                coeff = coeff + LaurentPoly.monomial(
+                    table, Fraction(rng.randint(-9, 9), rng.randint(1, 5)), exps
+                )
+            form = form + mv(model, idx, coeff)
+        if form.is_zero:
+            continue
+        assert invariant_d(form, model) == _invariant_d_by_wedges(form, model)
+
+
 # ---------------------------------------------------------------------------
 # basic forms
 # ---------------------------------------------------------------------------

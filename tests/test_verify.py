@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from holoflow.closed_form import profile
-from holoflow.flow import derive_flow, kaehler_search, perturbed_system
+from holoflow.flow import derivation, derive_flow, perturbed_system
 from holoflow.homogeneous import m_model, q_model
 from holoflow.integrate import IntegratorConfig, OrbitSpec, Trajectory, solve_orbit
-from holoflow.structures import build_invariant_structure
 from holoflow.verify import (
     ProfileSampler,
     TrajectorySampler,
@@ -29,13 +28,11 @@ from holoflow.verify import (
 @pytest.fixture(scope="module")
 def q_setup():
     model = q_model(1, 1, 1)
-    sys = derive_flow(model)
-    struct = build_invariant_structure(model)
-    cert = kaehler_search(model, sys)
+    deriv = derivation(model)
     spec = OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1})
-    traj, _ = solve_orbit(sys, spec, IntegratorConfig(t_end=50.0))
+    traj, _ = solve_orbit(deriv.sys, spec, IntegratorConfig(t_end=50.0))
     sampler = ProfileSampler(profile(model, spec), traj)
-    return model, sys, struct, cert, spec, traj, sampler
+    return model, deriv, spec, traj, sampler
 
 
 # ---------------------------------------------------------------------------
@@ -44,19 +41,19 @@ def q_setup():
 
 
 def test_closure_residual_meets_bar(q_setup):
-    model, sys, struct, cert, spec, traj, sampler = q_setup
-    rep = check_closure(sampler, struct, cert)
+    model, deriv, spec, traj, sampler = q_setup
+    rep = check_closure(sampler, deriv)
     assert rep.d_omega_residual <= 1e-9
     assert rep.d_eta_residual <= 1e-9
 
 
 def test_closure_refinement_order(q_setup):
     """Centered differences: halving the step divides the residual by ~4."""
-    model, sys, struct, cert, spec, traj, sampler = q_setup
+    model, deriv, spec, traj, sampler = q_setup
     pts = [2.0, 5.0, 11.0]
-    r1 = check_closure(sampler, struct, cert, t_points=pts, fd_step=2e-2)
-    r2 = check_closure(sampler, struct, cert, t_points=pts, fd_step=1e-2)
-    r4 = check_closure(sampler, struct, cert, t_points=pts, fd_step=5e-3)
+    r1 = check_closure(sampler, deriv, t_points=pts, fd_step=2e-2)
+    r2 = check_closure(sampler, deriv, t_points=pts, fd_step=1e-2)
+    r4 = check_closure(sampler, deriv, t_points=pts, fd_step=5e-3)
     ratio1 = r1.max_residual / r2.max_residual
     ratio2 = r2.max_residual / r4.max_residual
     assert 3.0 < ratio1 < 5.0
@@ -65,7 +62,7 @@ def test_closure_refinement_order(q_setup):
 
 def test_closure_detects_sign_tampering(q_setup):
     """Negating f only in the eta check leaves an O(1) residual."""
-    model, sys, struct, cert, spec, traj, sampler = q_setup
+    model, deriv, spec, traj, sampler = q_setup
 
     class Tampered:
         t_min = sampler.t_min
@@ -79,19 +76,31 @@ def test_closure_detects_sign_tampering(q_setup):
         def sample_points(self, n, margin):
             return sampler.sample_points(n, margin)
 
-    rep = check_closure(Tampered(), struct, cert, t_points=[2.0, 5.0, 9.0])
+    rep = check_closure(Tampered(), deriv, t_points=[2.0, 5.0, 9.0])
     assert rep.d_eta_residual > 0.05
 
 
 def test_closure_requires_three_samples(q_setup):
-    model, sys, struct, cert, spec, traj, sampler = q_setup
+    model, deriv, spec, traj, sampler = q_setup
     with pytest.raises(VerifyError):
-        check_closure(sampler, struct, cert, t_points=[1.0, 2.0])
+        check_closure(sampler, deriv, t_points=[1.0, 2.0])
+
+
+def test_closure_checks_reuse_the_derived_forms(q_setup, monkeypatch):
+    model, deriv, spec, traj, sampler = q_setup
+
+    def no_derivative(*args, **kwargs):
+        raise AssertionError("d recomputed")
+
+    monkeypatch.setattr("holoflow.flow.exterior_d_time", no_derivative)
+    monkeypatch.setattr("holoflow.verify.exterior_d_time", no_derivative)
+    assert check_closure(sampler, deriv, t_points=[2.0, 5.0, 9.0]).max_residual < 1e-6
+    assert check_closure_samples(traj, deriv).max_residual < 1e-3
 
 
 def test_closure_raw_samples(q_setup):
-    model, sys, struct, cert, spec, traj, sampler = q_setup
-    rep = check_closure_samples(traj, struct, cert)
+    model, deriv, spec, traj, sampler = q_setup
+    rep = check_closure_samples(traj, deriv)
     assert rep.max_residual < 1e-3
 
 
