@@ -1,21 +1,6 @@
-"""Stepper backend selection: compiled extension with pure-Python fallback.
+"""The pure-Python DOPRI5 stepper (``_stepper_py``), bound under one name."""
 
-Set ``HOLOFLOW_PURE_PYTHON=1`` to force the fallback (used by the benchmark
-to compare both backends).
-"""
+from . import _stepper_py as _impl
 
-import os
-
-from . import _stepper_py
-
-if os.environ.get("HOLOFLOW_PURE_PYTHON"):
-    _impl = _stepper_py
-else:
-    try:
-        from . import _stepper as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _stepper_py
-
-BACKEND = _impl.BACKEND
 solve = _impl.solve
-dense_eval = _stepper_py.dense_eval
+dense_eval = _impl.dense_eval

@@ -1,7 +1,6 @@
 """Pure-Python Dormand-Prince 5(4) stepper on term-list right-hand sides.
 
-Mirror image of the compiled extension in ``_stepper.pyx``; keep the two in
-sync.  The right-hand side is a flat list of power-product terms
+The right-hand side is a flat list of power-product terms
 ``deriv[owner[k]] += coeff[k] * prod(y_j ** exps[k, j])``.
 """
 
@@ -44,7 +43,10 @@ D5 = 701980252875.0 / 199316789632.0
 D6 = -1453857185.0 / 822651844.0
 D7 = 69997945.0 / 29380423.0
 
-BACKEND = "python"
+# step-size control: safety factor and the bounds on one step's growth
+SAFETY = 0.9
+MIN_SCALE = 0.2
+MAX_SCALE = 5.0
 
 
 def _rhs(coeffs, exps, owner, nstate, y, out):
@@ -66,25 +68,12 @@ def _rhs(coeffs, exps, owner, nstate, y, out):
     return all(math.isfinite(v) for v in out)
 
 
-def solve(
-    coeffs,
-    exps,
-    owner,
-    nstate,
-    y0,
-    t0,
-    t_end,
-    rtol,
-    atol,
-    h0,
-    hmax,
-    safety,
-    min_scale,
-    max_scale,
-    watch,
-    max_steps,
-):
+def solve(coeffs, exps, owner, nstate, y0, t0, t_end, rtol, atol, h0, watch, max_steps):
     """Adaptive DOPRI5 loop with Hairer dense-output coefficients.
+
+    ``h0 <= 0`` picks the first step automatically; no step is longer than
+    ``|t_end - t0|``.  Components flagged in ``watch`` stop the run with
+    status ``sign_change`` when they cross zero.
 
     Returns (status, ts, ys, dense, naccept, nreject, nfev, max_err) where
     ``ys`` is flat row-major and ``dense`` holds 5*nstate continuous-extension
@@ -113,12 +102,10 @@ def solve(
         return ("blowup", ts, ys, dense, naccept, nreject, 1, max_err)
     nfev = 1
 
-    span = t_end - t
-    if hmax <= 0.0:
-        hmax = abs(span)
+    hmax = abs(t_end - t)
     h = h0 if h0 > 0.0 else _initial_step(coeffs, exps, owner, n, t, y, k1, rtol, atol, hmax)
     nfev += 2
-    h = min(h, hmax, abs(span))
+    h = min(h, hmax)
 
     sign0 = [0.0] * n
     for i in range(n):
@@ -217,12 +204,12 @@ def solve(
             elif t >= t_end:
                 status = "done"
             else:
-                fac = safety * err ** (-0.2) if err > 0.0 else max_scale
-                h = min(h * min(max_scale, max(min_scale, fac)), hmax)
+                fac = SAFETY * err ** (-0.2) if err > 0.0 else MAX_SCALE
+                h = min(h * min(MAX_SCALE, max(MIN_SCALE, fac)), hmax)
         else:
             nreject += 1
-            fac = safety * err ** (-0.2)
-            h *= max(min_scale, min(1.0, fac))
+            fac = SAFETY * err ** (-0.2)
+            h *= max(MIN_SCALE, min(1.0, fac))
 
     return (status, ts, ys, dense, naccept, nreject, nfev, max_err)
 

@@ -79,10 +79,6 @@ class SymbolTable:
         """Table with a derivative symbol for every base symbol."""
         return SymbolTable(self.base, tuple(b + "'" for b in self.base))
 
-    def extended(self, extra_base: Sequence[str]) -> "SymbolTable":
-        """Table with additional base symbols appended after the current ones."""
-        return SymbolTable(self.base + tuple(extra_base), self.derivative)
-
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials
@@ -149,10 +145,6 @@ class LaurentPoly:
     def sorted_terms(self) -> Iterable[Tuple[Tuple[int, ...], Fraction]]:
         return sorted(self.terms.items())
 
-    @property
-    def support_size(self) -> int:
-        return len(self.terms)
-
     def constant_value(self) -> Fraction:
         """The rational value of a constant polynomial."""
         if not self.terms:
@@ -161,9 +153,6 @@ class LaurentPoly:
         if any(vec):
             raise AlgebraError("polynomial is not constant")
         return c
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) <= 1
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -519,16 +508,6 @@ class Multivector:
         for c in self.terms.values():
             return not isinstance(c, LaurentPoly)
         return False
-
-    def grades(self) -> Tuple[int, ...]:
-        return tuple(sorted({_popcount(m) for m in self.terms}))
-
-    def grade_part(self, k: int) -> "Multivector":
-        return Multivector(
-            self.gens,
-            {m: c for m, c in self.terms.items() if _popcount(m) == k},
-            self.dt_index,
-        )
 
     def coefficient(self, indices: Sequence[int]):
         mask = 0

@@ -20,12 +20,12 @@ from .flow import derivation
 from .flow import derive_flow  # noqa: F401  (kept importable; perfbench/test_recorder.py patches it here)
 from .homogeneous import ModelError, get_model
 from .integrate import (
-    ORBIT_COLLAPSING,
     CSVError,
     IntegrationError,
     IntegratorConfig,
     OrbitError,
     OrbitSpec,
+    STATE_NAMES,
     SeriesStartError,
     Trajectory,
     solve_orbit,
@@ -69,16 +69,11 @@ def _unit_model(args):
 
 
 def _orbit_spec(args, kind: str) -> OrbitSpec:
-    collapsing = ORBIT_COLLAPSING[kind].get(args.orbit)
-    if collapsing is None:
-        raise InputError(f"unknown orbit {args.orbit!r} for model {kind}")
-    state = ("a", "b", "c", "f") if kind == "Q" else ("a", "b", "c")
     values = {}
-    for name in state:
+    for name in STATE_NAMES[kind]:
         raw = getattr(args, f"{name}0", None)
-        if raw is None:
-            continue
-        values[name] = raw
+        if raw is not None:
+            values[name] = raw
     try:
         return OrbitSpec(kind, args.orbit, values, negative_branch=args.negative_branch)
     except ValueError as exc:
@@ -114,6 +109,9 @@ def _check_args(args) -> None:
         ("atol", "--atol", "> 0"),
         ("eps", "--eps", "> 0"),
         ("initial_step", "--initial-step", ">= 0"),
+        ("cone_bar", "--cone-bar", "> 0"),
+        ("closure_bar", "--closure-bar", "> 0"),
+        ("closed_form_bar", "--closed-form-bar", "> 0"),
     )
     for attr, flag, rule in checks:
         value = getattr(args, attr, None)
@@ -144,7 +142,7 @@ def _config(args) -> IntegratorConfig:
 
 
 def _emit(doc: dict, path) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path in (None, "-"):
         sys.stdout.write(text)
     else:

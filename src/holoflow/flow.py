@@ -9,7 +9,6 @@ Gaussian elimination over the fraction field of the Laurent ring.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -220,9 +219,6 @@ class ODESystem:
             "rank": self.rank,
             "n_equations": self.n_equations,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
 
 
 def _linear_system(

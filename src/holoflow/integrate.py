@@ -27,6 +27,9 @@ ORBIT_COLLAPSING: Dict[str, Dict[str, Tuple[str, ...]]] = {
     "M": {"principal": (), "cp2xs2": ("c",), "cp2": ("b", "c"), "s2": ("a", "c")},
 }
 
+#: metric coefficients per model, in state order
+STATE_NAMES = {"Q": ("a", "b", "c", "f"), "M": ("a", "b", "c")}
+
 #: the primitive integrates the last state symbol
 PRIMITIVE_NAME = {"Q": "F", "M": "C"}
 
@@ -66,8 +69,7 @@ class OrbitSpec:
         orbits = ORBIT_COLLAPSING[kind]
         if self.orbit not in orbits:
             raise OrbitError(f"unknown orbit {self.orbit!r} for model {kind}")
-        state = ("a", "b", "c", "f") if kind == "Q" else ("a", "b", "c")
-        expected = tuple(s for s in state if s not in orbits[self.orbit])
+        expected = tuple(s for s in STATE_NAMES[kind] if s not in orbits[self.orbit])
         vals = {k: Fraction(v) for k, v in self.values.items()}
         if set(vals) != set(expected):
             raise OrbitError(
@@ -96,12 +98,8 @@ class IntegratorConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
     t_end: float = 1e4
-    initial_step: float = 0.0
-    max_step: float = 0.0  # 0 means unrestricted
+    initial_step: float = 0.0  # 0 means chosen by the stepper
     eps: Optional[float] = None  # series-start offset; default 1e-6 * min value
-    safety: float = 0.9
-    min_scale: float = 0.2
-    max_scale: float = 5.0
     max_steps: int = 2_000_000
 
     def __post_init__(self):
@@ -439,10 +437,10 @@ class Trajectory:
         """Read a file written by :meth:`to_csv`.
 
         Raises CSVError unless the header matches the model, every row holds
-        one finite number per column, t increases strictly and there are at
-        least 3 rows.
+        one finite number per column, t is non-negative (arclength from the
+        singular orbit) and increases strictly, and there are at least 3 rows.
         """
-        expected = ("t", "a", "b", "c", "f", "F") if model_kind == "Q" else ("t", "a", "b", "c", "C")
+        expected = ("t",) + STATE_NAMES[model_kind] + (PRIMITIVE_NAME[model_kind],)
         rows = []
         with open(path) as fh:
             header = tuple(fh.readline().strip().split(","))
@@ -464,6 +462,8 @@ class Trajectory:
                     raise CSVError(f"line {lineno}: not a number") from None
                 if not all(math.isfinite(v) for v in row):
                     raise CSVError(f"line {lineno}: non-finite value")
+                if row[0] < 0:
+                    raise CSVError(f"line {lineno}: t is negative")
                 if rows and not row[0] > rows[-1][0]:
                     raise CSVError(f"line {lineno}: t does not increase")
                 rows.append(row)
@@ -472,7 +472,7 @@ class Trajectory:
         data = np.asarray(rows)
         return Trajectory(
             model_kind=model_kind,
-            state_names=tuple(expected[1:-1]),
+            state_names=STATE_NAMES[model_kind],
             ts=data[:, 0],
             ys=data[:, 1:],
             dense=None,
@@ -529,10 +529,6 @@ def integrate(sys: ODESystem, start: State, cfg: IntegratorConfig) -> Trajectory
         cfg.rtol,
         cfg.atol,
         cfg.initial_step,
-        cfg.max_step,
-        cfg.safety,
-        cfg.min_scale,
-        cfg.max_scale,
         watch,
         cfg.max_steps,
     )
@@ -550,7 +546,6 @@ def integrate(sys: ODESystem, start: State, cfg: IntegratorConfig) -> Trajectory
             "max_error_estimate": max_err,
             "rtol": cfg.rtol,
             "atol": cfg.atol,
-            "backend": _kernel.BACKEND,
         },
     )
     # a nonfinite right-hand side (blow-up) is reported, not fatal; a step

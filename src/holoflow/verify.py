@@ -49,7 +49,19 @@ class VerifyError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class TrajectorySampler:
+class _SpanSampler:
+    """Coefficient values on the arclength span [t_min, t_max]."""
+
+    t_min: float
+    t_max: float
+
+    def sample_points(self, n: int, margin: float) -> List[float]:
+        lo = self.t_min + margin
+        hi = self.t_max - margin
+        return list(np.linspace(lo, hi, n))
+
+
+class TrajectorySampler(_SpanSampler):
     """Dense-output backed coefficient values along an integrated run."""
 
     def __init__(self, traj: Trajectory):
@@ -62,13 +74,8 @@ class TrajectorySampler:
         row = self.traj.interpolate(t)
         return {n: float(row[j]) for j, n in enumerate(self.names)}
 
-    def sample_points(self, n: int, margin: float) -> List[float]:
-        lo = self.t_min + margin
-        hi = self.t_max - margin
-        return list(np.linspace(lo, hi, n))
 
-
-class ProfileSampler:
+class ProfileSampler(_SpanSampler):
     """Closed-form coefficient values as a function of arclength.
 
     Inverts t(s) locally by Newton iteration anchored on an integrated
@@ -156,11 +163,6 @@ class ProfileSampler:
             for n in self.names
         }
 
-    def sample_points(self, n: int, margin: float) -> List[float]:
-        lo = self.t_min + margin
-        hi = self.t_max - margin
-        return list(np.linspace(lo, hi, n))
-
 
 # ---------------------------------------------------------------------------
 # closure residuals
@@ -179,6 +181,17 @@ class ClosureReport:
         return max(self.d_omega_residual, self.d_eta_residual)
 
 
+def _residuals(deriv: Derivation, assign: Dict[str, float]) -> Tuple[float, float]:
+    """d(Omega) and d(eta) at one sample, each over the largest coefficient
+    of its form; ``assign`` holds the coefficients and their slopes."""
+    mid = {n: assign[n] for n in deriv.model.symbols.base}
+    omega_scale = deriv.struct.Omega.eval_numeric(mid).max_abs_coefficient()
+    eta_scale = deriv.cert.eta.eval_numeric(mid).max_abs_coefficient()
+    r_omega = deriv.d_Omega.eval_numeric(assign).max_abs_coefficient() / omega_scale
+    r_eta = deriv.cert.d_eta.eval_numeric(assign).max_abs_coefficient() / eta_scale
+    return r_omega, r_eta
+
+
 def check_closure(
     sampler,
     deriv: Derivation,
@@ -192,9 +205,7 @@ def check_closure(
     derivative (with chain-rule slopes replaced by centered differences of
     the sampler), normalized by the largest coefficient of the form itself.
     """
-    struct, cert = deriv.struct, deriv.cert
     names = tuple(deriv.model.symbols.base)
-    d_omega, d_eta = deriv.d_Omega, cert.d_eta
     if t_points is None:
         t_points = sampler.sample_points(n_samples, margin=2 * fd_step * (1 + abs(sampler.t_max)))
     if len(t_points) < 3:
@@ -210,10 +221,7 @@ def check_closure(
         assign = dict(mid)
         for n in names:
             assign[n + "'"] = (hi[n] - lo[n]) / (2 * h)
-        omega_scale = struct.Omega.eval_numeric(mid).max_abs_coefficient()
-        eta_scale = cert.eta.eval_numeric(mid).max_abs_coefficient()
-        r_omega = d_omega.eval_numeric(assign).max_abs_coefficient() / omega_scale
-        r_eta = d_eta.eval_numeric(assign).max_abs_coefficient() / eta_scale
+        r_omega, r_eta = _residuals(deriv, assign)
         worst_omega = max(worst_omega, r_omega)
         worst_eta = max(worst_eta, r_eta)
     return ClosureReport(worst_omega, worst_eta, len(t_points), fd_step)
@@ -230,11 +238,9 @@ def check_closure_samples(
     limits the attainable residual, so the appropriate bar is looser than
     for the profile-backed check.
     """
-    struct, cert = deriv.struct, deriv.cert
     names = tuple(deriv.model.symbols.base)
     if traj.n_samples < 3:
         raise VerifyError("need at least 3 samples for centered differences")
-    d_omega, d_eta = deriv.d_Omega, cert.d_eta
     stride = max(1, (traj.n_samples - 2) // max_samples)
     worst_omega = 0.0
     worst_eta = 0.0
@@ -250,15 +256,9 @@ def check_closure_samples(
                 + (hp - hm) / (hm * hp) * f0
                 + hm / (hp * (hm + hp)) * fp
             )
-        mid = {n: assign[n] for n in names}
-        omega_scale = struct.Omega.eval_numeric(mid).max_abs_coefficient()
-        eta_scale = cert.eta.eval_numeric(mid).max_abs_coefficient()
-        worst_omega = max(
-            worst_omega, d_omega.eval_numeric(assign).max_abs_coefficient() / omega_scale
-        )
-        worst_eta = max(
-            worst_eta, d_eta.eval_numeric(assign).max_abs_coefficient() / eta_scale
-        )
+        r_omega, r_eta = _residuals(deriv, assign)
+        worst_omega = max(worst_omega, r_omega)
+        worst_eta = max(worst_eta, r_eta)
         count += 1
     return ClosureReport(worst_omega, worst_eta, count, 0.0)
 
@@ -324,7 +324,7 @@ def cone_fit(traj: Trajectory, min_span_ratio: float = 1e3) -> ConeFit:
     )
     sel = t >= t[-1] / 10.0
     tt = t[sel]
-    quantities = _cone_quantities(traj.model_kind, t, traj.ys)
+    quantities = _cone_quantities(traj.model_kind, tt, traj.ys[sel])
     refs = CONE_REFS[traj.model_kind]
     design = np.vstack([np.ones_like(tt), 1.0 / tt]).T
     limits = {}
@@ -333,7 +333,7 @@ def cone_fit(traj: Trajectory, min_span_ratio: float = 1e3) -> ConeFit:
     deltas = {}
     residual = 0.0
     for name, series in quantities.items():
-        sol, res, *_ = np.linalg.lstsq(design, series[sel], rcond=None)
+        sol, res, *_ = np.linalg.lstsq(design, series, rcond=None)
         limits[name] = float(sol[0])
         corrections[name] = float(sol[1])
         endpoint[name] = float(series[-1])

@@ -1,12 +1,19 @@
 """End-to-end command-line runs with exit-code + artifact checks."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoflow import flow, structures
 from holoflow.cli import main
+from holoflow.integrate import ORBIT_COLLAPSING, STATE_NAMES
 
 
 def run(argv, capsys):
@@ -158,7 +165,10 @@ def test_unparsable_initial_value_rejected(capsys, tmp_path, raw):
 # an initial step of 0 asks for the automatic choice, so only it may be 0
 BAD_NUMERIC_FLAGS = [
     (flag, value)
-    for flag in ("--t-end", "--rtol", "--atol", "--eps", "--initial-step")
+    for flag in (
+        "--t-end", "--rtol", "--atol", "--eps", "--initial-step",
+        "--cone-bar", "--closure-bar", "--closed-form-bar",
+    )
     for value in ("nan", "inf", "0", "-5")
     if (flag, value) != ("--initial-step", "0")
 ]
@@ -291,6 +301,7 @@ BAD_CSVS = {
     "infinite": ["t,a,b,c,C", GOOD_ROWS[0], "0.2,1,inf,0.2,0.04", GOOD_ROWS[2]],
     "t-repeats": ["t,a,b,c,C", GOOD_ROWS[0], GOOD_ROWS[0], GOOD_ROWS[2]],
     "t-decreases": ["t,a,b,c,C", GOOD_ROWS[1], GOOD_ROWS[0], GOOD_ROWS[2]],
+    "t-negative": ["t,a,b,c,C", "-2,1,1,0.1,0.01", "-1,1,1,0.2,0.04", "0,1,1,0.3,0.09"],
     "two-rows": ["t,a,b,c,C"] + GOOD_ROWS[:2],
     "empty": [],
 }
@@ -345,3 +356,142 @@ def test_one_process_builds_each_structure_once(capsys, tmp_path, monkeypatch):
         assert main(["verify", *common, "--traj", str(traj), "--out", str(tmp_path / "v.json")]) in (0, 1)
     capsys.readouterr()
     assert sorted(calls) == ["M", "Q"]
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_cone_bar_rejected_before_the_traj_is_read(capsys, tmp_path, monkeypatch, value):
+    def no_read(*args, **kwargs):
+        raise AssertionError("the trajectory was read")
+
+    monkeypatch.setattr("holoflow.cli.Trajectory.from_csv", no_read)
+    out = tmp_path / "c.json"
+    code, _, err = run(
+        ["cone", "--model", "q", "--traj", str(tmp_path / "t.csv"), "--cone-bar", value,
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    _one_line_error(err)
+    assert "--cone-bar" in err
+    assert not out.exists()
+
+
+def test_emit_refuses_non_finite_numbers(tmp_path):
+    from holoflow.cli import _emit
+
+    with pytest.raises(ValueError):
+        _emit({"cone": float("nan")}, tmp_path / "x.json")
+
+
+# ---------------------------------------------------------------------------
+# property: every invocation ends with exit 0, 1 or 2 and strict JSON
+# ---------------------------------------------------------------------------
+
+ODD_NUMBERS = ("nan", "inf", "-1", "0", "1/0", "abc")
+ORBITS = {
+    "q": ("s2xs2xs2", "s2xs2", "principal", "cp2"),
+    "m": ("cp2xs2", "cp2", "s2", "principal", "s2xs2"),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """Argv for one command; ``@traj/`` and ``@out/`` name the input and
+    output directories.  A clean draw uses valid numbers and exactly the
+    initial values its orbit needs, so that most runs get past the checks."""
+    command = draw(
+        st.sampled_from(("classify", "derive", "smoothness", "cone", "solve", "report", "verify"))
+    )
+    model = draw(st.sampled_from(("q", "m")))
+    clean = draw(st.booleans())
+    argv = [command, "--model", model]
+
+    def number(*valid):
+        return draw(st.sampled_from(valid if clean else valid + ODD_NUMBERS))
+
+    def maybe(flag, *valid):
+        if draw(st.booleans()):
+            argv.extend([flag, number(*valid)])
+
+    def maybe_out(name):
+        if draw(st.booleans()):
+            argv.extend(["--out", "@out/" + name])
+
+    def traj():
+        return draw(st.sampled_from(("@traj/q.csv", "@traj/m.csv", "@traj/missing.csv")))
+
+    if command == "classify":
+        for flag in ("--k", "--l", "--m"):
+            maybe(flag, "1", "2", "3")
+    elif command == "derive":
+        if draw(st.booleans()):
+            argv.extend(["--json", draw(st.sampled_from(("-", "@out/sys.json")))])
+    elif command == "smoothness":
+        argv.extend(["--orbit", draw(st.sampled_from(ORBITS[model]))])
+        maybe_out("smooth.json")
+    elif command == "cone":
+        argv.extend(["--traj", traj()])
+        maybe("--cone-bar", "1e-3", "1")
+        maybe_out("cone.json")
+    else:
+        orbit = draw(st.sampled_from(ORBITS[model]))
+        argv.extend(["--orbit", orbit])
+        kind = model.upper()
+        needed = [
+            s for s in STATE_NAMES[kind] if s not in ORBIT_COLLAPSING[kind].get(orbit, ())
+        ]
+        for name in STATE_NAMES["Q"]:
+            if (name in needed) if clean else draw(st.booleans()):
+                argv.extend([f"--{name}0", number("1", "2/3", "-1/2")])
+        argv.extend(["--t-end", number("0.5", "5", "50")])
+        maybe("--rtol", "1e-6", "1e-10")
+        maybe("--atol", "1e-8", "1e-12")
+        maybe("--eps", "1e-6", "1e-3")
+        maybe("--initial-step", "1e-3")
+        if draw(st.booleans()):
+            argv.append("--negative-branch")
+        if command == "solve":
+            argv.extend(["--out", "@out/traj.csv"])
+        else:
+            if command == "verify":
+                argv.extend(["--traj", traj()])
+            elif draw(st.booleans()):
+                argv.extend(["--traj-out", "@out/traj.csv"])
+            for flag in ("--cone-bar", "--closure-bar", "--closed-form-bar"):
+                maybe(flag, "1e-9", "1e-3", "1")
+            maybe_out("doc.json")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def traj_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("traj")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for model, orbit, values in (UNIT_ORBITS[0], UNIT_ORBITS[2]):
+            argv = ["solve", "--model", model, "--orbit", orbit, *values]
+            assert main(argv + ["--t-end", "50", "--out", str(path / f"{model}.csv")]) == 0
+    return path
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(argv=cli_argv())
+def test_cli_exits_0_1_or_2_and_writes_strict_json(traj_dir, argv):
+    with tempfile.TemporaryDirectory() as out_dir:
+        argv = [
+            a.replace("@traj/", f"{traj_dir}/").replace("@out/", f"{out_dir}/") for a in argv
+        ]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects its input this way
+                code = exc.code
+        err = stderr.getvalue()
+        assert code in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err
+        if code == 2:  # one line of ours, or argparse's usage and error lines
+            assert "error: " in err.splitlines()[-1], err
+        docs = [stdout.getvalue()] if stdout.getvalue().startswith("{") else []
+        docs += [p.read_text() for p in Path(out_dir).glob("*.json")]
+        for text in docs:
+            _strict_json(text)

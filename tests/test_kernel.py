@@ -1,16 +1,8 @@
-"""Stepper backends: parity between compiled and pure-Python kernels."""
-
-import math
+"""The DOPRI5 stepper kernel on a flat term-list right-hand side."""
 
 import numpy as np
-import pytest
 
 from holoflow._kernel import _stepper_py
-
-try:
-    from holoflow._kernel import _stepper as _compiled
-except ImportError:
-    _compiled = None
 
 # Q holonomy system as flat term lists: state (a, b, c, f, F)
 COEFFS = [-1 / 6, -1 / 6, -1 / 6, 1 / 6, 1 / 6, 1 / 6, -3.0, 1.0]
@@ -29,15 +21,14 @@ Y0 = [0.5e-6, 1.0, 1.0, -1.5e-6, -0.75e-12]
 WATCH = [True, True, True, True, False]
 
 
-def run(mod, t_end=50.0, rtol=1e-10):
-    return mod.solve(
-        COEFFS, EXPS, OWNER, 5, Y0, 1e-6, t_end, rtol, 1e-12, 0.0, 0.0,
-        0.9, 0.2, 5.0, WATCH, 100000,
+def run(t_end=50.0, rtol=1e-10):
+    return _stepper_py.solve(
+        COEFFS, EXPS, OWNER, 5, Y0, 1e-6, t_end, rtol, 1e-12, 0.0, WATCH, 100000,
     )
 
 
 def test_pure_backend_completes():
-    status, ts, ys, dense, na, nr, nfev, maxerr = run(_stepper_py)
+    status, ts, ys, dense, na, nr, nfev, maxerr = run()
     assert status == "done"
     assert ts[-1] == 50.0
     assert maxerr <= 1.0
@@ -45,33 +36,8 @@ def test_pure_backend_completes():
     assert len(dense) == (len(ts) - 1) * 25
 
 
-@pytest.mark.skipif(_compiled is None, reason="compiled stepper not built")
-def test_backends_agree():
-    r1 = run(_stepper_py)
-    r2 = run(_compiled)
-    assert r1[0] == r2[0]
-    assert len(r1[1]) == len(r2[1])  # identical step sequence
-    y1 = np.asarray(r1[2])
-    y2 = np.asarray(r2[2])
-    assert np.allclose(y1, y2, rtol=1e-12, atol=1e-14)
-    d1 = np.asarray(r1[3])
-    d2 = np.asarray(r2[3])
-    assert np.allclose(d1, d2, rtol=1e-9, atol=1e-12)
-
-
-@pytest.mark.skipif(_compiled is None, reason="compiled stepper not built")
-def test_backends_agree_on_sign_change():
-    y0 = [10.0, 10.0, 10.0, 0.5, 0.0]
-    args = (COEFFS, EXPS, OWNER, 5, y0, 0.0, 100.0, 1e-10, 1e-12, 0.0, 0.0,
-            0.9, 0.2, 5.0, WATCH, 100000)
-    r1 = _stepper_py.solve(*args)
-    r2 = _compiled.solve(*args)
-    assert r1[0] == r2[0] == "sign_change"
-    assert len(r1[1]) == len(r2[1])
-
-
 def test_dense_eval_reproduces_endpoints():
-    status, ts, ys, dense, *_ = run(_stepper_py, t_end=5.0)
+    status, ts, ys, dense, *_ = run(t_end=5.0)
     n = 5
     out = [0.0] * n
     for step in (0, len(ts) // 2, len(ts) - 2):
@@ -86,7 +52,6 @@ def test_dense_eval_reproduces_endpoints():
 def test_zero_base_negative_exponent_flags_blowup():
     y0 = [0.0, 1.0, 1.0, 1.0, 0.0]  # a = 0 with a^-1 in the rhs
     status, *_ = _stepper_py.solve(
-        COEFFS, EXPS, OWNER, 5, y0, 0.0, 1.0, 1e-8, 1e-10, 0.0, 0.0,
-        0.9, 0.2, 5.0, WATCH, 1000,
+        COEFFS, EXPS, OWNER, 5, y0, 0.0, 1.0, 1e-8, 1e-10, 0.0, WATCH, 1000,
     )
     assert status == "blowup"

@@ -1,6 +1,7 @@
 """Closure residuals, cone fits, smoothness verdicts, SU(4) certificate."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -138,6 +139,18 @@ def test_cone_fit_flags_short_runs():
     sys = derive_flow(model)
     traj, _ = solve_orbit(sys, OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1}), IntegratorConfig(t_end=50.0))
     assert cone_fit(traj).partial
+
+
+def test_cone_fit_on_principal_run_starting_at_t0_is_warning_free():
+    sys = derivation(q_model(1, 1, 1)).sys
+    spec = OrbitSpec("Q", "principal", {"a": 1, "b": 1, "c": 1, "f": -1})
+    traj, _ = solve_orbit(sys, spec, IntegratorConfig(t_end=5.0))
+    assert traj.ts[0] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = cone_fit(traj)
+    assert fit.partial
+    assert all(math.isfinite(v) for v in (*fit.limits.values(), *fit.endpoint.values()))
 
 
 # ---------------------------------------------------------------------------
