@@ -1,7 +1,8 @@
-"""Pure-Python Dormand-Prince 5(4) stepper on term-list right-hand sides.
+"""Pure-Python Dormand-Prince 5(4) stepper on generated right-hand sides.
 
-The right-hand side is a flat list of power-product terms
-``deriv[owner[k]] += coeff[k] * prod(y_j ** exps[k, j])``.
+A right-hand side is a flat list of power-product terms
+``deriv[owner[k]] += coeff[k] * prod(y_j ** exps[k, j])``; ``make_rhs`` turns
+it into one straight-line function, once per term list.
 """
 
 from __future__ import annotations
@@ -49,31 +50,74 @@ MIN_SCALE = 0.2
 MAX_SCALE = 5.0
 
 
-def _rhs(coeffs, exps, owner, nstate, y, out):
-    for i in range(nstate):
-        out[i] = 0.0
-    nterms = len(coeffs)
-    for k in range(nterms):
-        term = coeffs[k]
-        base = k * nstate
-        for j in range(nstate):
-            e = exps[base + j]
-            if e == 0:
-                continue
-            yj = y[j]
-            if yj == 0.0 and e < 0:
-                return False
-            term *= yj**e
-        out[owner[k]] += term
-    return all(math.isfinite(v) for v in out)
+#: generated right-hand sides, keyed on (coeffs, exps, owner, nstate)
+_RHS_CACHE = {}
 
 
-def solve(coeffs, exps, owner, nstate, y0, t0, t_end, rtol, atol, h0, watch, max_steps):
+def make_rhs(coeffs, exps, owner, nstate):
+    """The right-hand side ``rhs(y, out) -> bool`` of one term list.
+
+    Term ``k`` adds ``coeffs[k] * y[0] ** exps[k * nstate] * ...`` (zero
+    exponents left out) to ``out[owner[k]]``.  The function is straight-line
+    code generated once per term list; it computes the same floats, in the
+    same order, as a loop over the terms and their factors.  It writes
+    ``out`` and returns whether every entry is finite, or returns False
+    without writing ``out`` when a zero base meets a negative exponent.
+    """
+    key = (tuple(coeffs), tuple(exps), tuple(owner), nstate)
+    rhs = _RHS_CACHE.get(key)
+    if rhs is None:
+        rhs = _RHS_CACHE[key] = _generate(*key)
+    return rhs
+
+
+def _generate(coeffs, exps, owner, nstate):
+    # the source holds only float reprs, int exponents and y{j}/o{i} names
+    if type(nstate) is not int or nstate < 1:
+        raise ValueError("nstate must be a positive int")
+    if len(owner) != len(coeffs) or len(exps) != len(coeffs) * nstate:
+        raise ValueError("term lists of mismatched lengths")
+    if not all(type(c) is float and math.isfinite(c) for c in coeffs):
+        raise TypeError("coefficients must be finite floats")
+    if not all(type(e) is int for e in exps):
+        raise TypeError("exponents must be ints")
+    if not all(type(i) is int and 0 <= i < nstate for i in owner):
+        raise ValueError("owners must be state indices")
+    ys = ", ".join(f"y{j}" for j in range(nstate))
+    outs = [f"o{i}" for i in range(nstate)]
+    lines = [
+        "def rhs(y, out):",
+        f"    {ys}, = y",
+        f"    {' = '.join(outs)} = 0.0",
+        "    try:",
+    ]
+    for k, c in enumerate(coeffs):
+        # y ** 1 is y exactly, so a unit exponent is left out
+        factors = "".join(
+            f" * y{j}" if e == 1 else f" * y{j} ** {e}"
+            for j, e in enumerate(exps[k * nstate : (k + 1) * nstate])
+            if e
+        )
+        lines.append(f"        o{owner[k]} += {c!r}{factors}")
+    if not coeffs:
+        lines.append("        pass")
+    lines.append("    except ZeroDivisionError:")
+    lines.append("        return False")
+    lines.extend(f"    out[{i}] = o{i}" for i in range(nstate))
+    lines.append("    return " + " and ".join(f"isfinite({o})" for o in outs))
+    namespace = {"isfinite": math.isfinite}
+    exec(compile("\n".join(lines), "<holoflow rhs>", "exec"), namespace)
+    return namespace["rhs"]
+
+
+def solve(rhs, nstate, y0, t0, t_end, rtol, atol, h0, watch, max_steps):
     """Adaptive DOPRI5 loop with Hairer dense-output coefficients.
 
-    ``h0 <= 0`` picks the first step automatically; no step is longer than
-    ``|t_end - t0|``.  Components flagged in ``watch`` stop the run with
-    status ``sign_change`` when they cross zero.
+    ``rhs(y, out)`` writes the derivative of the ``nstate`` components of
+    ``y`` into ``out`` and returns False on a non-finite value (see
+    ``make_rhs``).  ``h0 <= 0`` picks the first step automatically; no step
+    is longer than ``|t_end - t0|``.  Components flagged in ``watch`` stop
+    the run with status ``sign_change`` when they cross zero.
 
     Returns (status, ts, ys, dense, naccept, nreject, nfev, max_err) where
     ``ys`` is flat row-major and ``dense`` holds 5*nstate continuous-extension
@@ -98,12 +142,12 @@ def solve(coeffs, exps, owner, nstate, y0, t0, t_end, rtol, atol, h0, watch, max
     naccept = nreject = nfev = 0
     max_err = 0.0
 
-    if not _rhs(coeffs, exps, owner, n, y, k1):
+    if not rhs(y, k1):
         return ("blowup", ts, ys, dense, naccept, nreject, 1, max_err)
     nfev = 1
 
     hmax = abs(t_end - t)
-    h = h0 if h0 > 0.0 else _initial_step(coeffs, exps, owner, n, t, y, k1, rtol, atol, hmax)
+    h = h0 if h0 > 0.0 else _initial_step(rhs, n, t, y, k1, rtol, atol, hmax)
     nfev += 2
     h = min(h, hmax)
 
@@ -127,26 +171,26 @@ def solve(coeffs, exps, owner, nstate, y0, t0, t_end, rtol, atol, h0, watch, max
 
         for i in range(n):
             ytmp[i] = y[i] + h * A21 * k1[i]
-        ok = _rhs(coeffs, exps, owner, n, ytmp, k2)
+        ok = rhs(ytmp, k2)
         for i in range(n):
             ytmp[i] = y[i] + h * (A31 * k1[i] + A32 * k2[i])
-        ok = ok and _rhs(coeffs, exps, owner, n, ytmp, k3)
+        ok = ok and rhs(ytmp, k3)
         for i in range(n):
             ytmp[i] = y[i] + h * (A41 * k1[i] + A42 * k2[i] + A43 * k3[i])
-        ok = ok and _rhs(coeffs, exps, owner, n, ytmp, k4)
+        ok = ok and rhs(ytmp, k4)
         for i in range(n):
             ytmp[i] = y[i] + h * (A51 * k1[i] + A52 * k2[i] + A53 * k3[i] + A54 * k4[i])
-        ok = ok and _rhs(coeffs, exps, owner, n, ytmp, k5)
+        ok = ok and rhs(ytmp, k5)
         for i in range(n):
             ytmp[i] = y[i] + h * (
                 A61 * k1[i] + A62 * k2[i] + A63 * k3[i] + A64 * k4[i] + A65 * k5[i]
             )
-        ok = ok and _rhs(coeffs, exps, owner, n, ytmp, k6)
+        ok = ok and rhs(ytmp, k6)
         for i in range(n):
             y1[i] = y[i] + h * (
                 A71 * k1[i] + A73 * k3[i] + A74 * k4[i] + A75 * k5[i] + A76 * k6[i]
             )
-        ok = ok and _rhs(coeffs, exps, owner, n, y1, k7)
+        ok = ok and rhs(y1, k7)
         nfev += 6
 
         if not ok:
@@ -214,7 +258,7 @@ def solve(coeffs, exps, owner, nstate, y0, t0, t_end, rtol, atol, h0, watch, max
     return (status, ts, ys, dense, naccept, nreject, nfev, max_err)
 
 
-def _initial_step(coeffs, exps, owner, n, t, y, f0, rtol, atol, hmax):
+def _initial_step(rhs, n, t, y, f0, rtol, atol, hmax):
     d0 = 0.0
     d1 = 0.0
     for i in range(n):
@@ -227,7 +271,7 @@ def _initial_step(coeffs, exps, owner, n, t, y, f0, rtol, atol, hmax):
     h0 = min(h0, hmax)
     y1 = [y[i] + h0 * f0[i] for i in range(n)]
     f1 = [0.0] * n
-    if not _rhs(coeffs, exps, owner, n, y1, f1):
+    if not rhs(y1, f1):
         return max(1e-12, h0 * 1e-3)
     d2 = 0.0
     for i in range(n):

@@ -29,6 +29,7 @@ from .integrate import (
     SeriesStartError,
     Trajectory,
     solve_orbit,
+    start_offset,
 )
 from .verify import (
     DEFAULT_BARS,
@@ -85,6 +86,16 @@ def _singular_spec(args, kind: str) -> OrbitSpec:
     if not spec.collapsing:
         raise InputError(f"{spec.orbit!r} is not a singular orbit of the {kind} model")
     return spec
+
+
+def _check_start(args, spec: OrbitSpec) -> None:
+    """Reject a series start at or past ``--t-end`` before any model is built."""
+    if spec.collapsing:
+        offset = start_offset(spec, args.eps)
+        if offset >= args.t_end:
+            raise InputError(
+                f"the series starts at t={offset:g}, not before --t-end {args.t_end:g}"
+            )
 
 
 def _check_args(args) -> None:
@@ -244,8 +255,9 @@ def cmd_derive(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    spec = _orbit_spec(args, args.model.upper())
+    _check_start(args, spec)
     model = _unit_model(args)
-    spec = _orbit_spec(args, model.kind)
     cfg = _config(args)
     traj, _ = solve_orbit(derivation(model).sys, spec, cfg)
     traj.require_done()
@@ -331,8 +343,9 @@ def cmd_smoothness(args) -> int:
 
 
 def cmd_report(args) -> int:
+    spec = _singular_spec(args, args.model.upper())
+    _check_start(args, spec)
     model = _unit_model(args)
-    spec = _singular_spec(args, model.kind)
     cfg = _config(args)
     report, traj = run_report(model, spec, cfg)
     if args.traj_out:

@@ -515,13 +515,12 @@ def integrate(sys: ODESystem, start: State, cfg: IntegratorConfig) -> Trajectory
     partial trajectory attached.
     """
     coeffs, exps, owner, nstate = _compile_terms(sys)
+    rhs = _kernel.make_rhs(coeffs, exps, owner, nstate)
     names = sys.state
     y0 = [start.values[n] for n in names] + [start.primitive]
     watch = [True] * len(names) + [False]
     status, ts, ys, dense, naccept, nreject, nfev, max_err = _kernel.solve(
-        coeffs,
-        exps,
-        owner,
+        rhs,
         nstate,
         y0,
         start.t,

@@ -319,8 +319,10 @@ def cone_fit(traj: Trajectory, min_span_ratio: float = 1e3) -> ConeFit:
     """Fit coefficient/t against a constant plus 1/t on the final decade."""
     t = np.asarray(traj.ts, dtype=float)
     initial_scale = float(np.max(np.abs(traj.ys[0, :-1])))
+    # a stored trajectory ("loaded") is judged by its span alone
     partial = bool(
-        traj.status != "done" or t[-1] < min_span_ratio * max(initial_scale, 1e-300)
+        traj.status not in ("done", "loaded")
+        or t[-1] < min_span_ratio * max(initial_scale, 1e-300)
     )
     sel = t >= t[-1] / 10.0
     tt = t[sel]

@@ -91,6 +91,26 @@ def test_solve_verify_cone_smoothness_pipeline(capsys, tmp_path):
     assert doc["smoothness"]["computed"]["c"] == "8/3"
 
 
+def test_verify_holds_a_long_stored_run_to_the_cone_bar(capsys, tmp_path):
+    traj = tmp_path / "traj.csv"
+    values = ["--orbit", "s2xs2", "--b0", "1", "--c0", "1"]
+    assert main(["solve", "--model", "q", *values, "--t-end", "1e4", "--out", str(traj)]) == 0
+    report = tmp_path / "verify.json"
+    code = main(["verify", "--model", "q", *values, "--traj", str(traj), "--out", str(report)])
+    capsys.readouterr()
+    assert code == 0
+    doc = json.loads(report.read_text())
+    assert doc["cone"]["partial"] is False
+    assert max(doc["cone"]["deltas"].values()) <= doc["bars"]["cone"]
+    # the same file fails a cone bar below its largest delta
+    tight = max(doc["cone"]["deltas"].values()) / 2
+    argv = ["verify", "--model", "q", *values, "--traj", str(traj), "--cone-bar", str(tight)]
+    code = main(argv + ["--out", str(report)])
+    capsys.readouterr()
+    assert code == 1
+    assert "cone" in json.loads(report.read_text())["bars_failed"]
+
+
 def test_report_full_pipeline(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _, _ = run(
@@ -189,6 +209,29 @@ def test_bad_numeric_flags_rejected_before_any_work(capsys, tmp_path, monkeypatc
     _one_line_error(err)
     assert flag in err
     assert not (tmp_path / "r.json").exists()
+
+
+# a series start at or past --t-end: an explicit --eps, and the default
+# offset of 1e-6 times the smallest initial value
+BAD_START_ARGV = [
+    ["--orbit", "cp2", "--a0", "1", "--eps", "10", "--t-end", "5"],
+    ["--orbit", "cp2", "--a0", "1", "--t-end", "1e-7"],
+]
+
+
+@pytest.mark.parametrize("command", ["solve", "report"])
+@pytest.mark.parametrize("argv", BAD_START_ARGV)
+def test_start_past_t_end_rejected_before_any_work(capsys, tmp_path, monkeypatch, command, argv):
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr("holoflow.cli.get_model", no_model)
+    out = tmp_path / "out"
+    code, _, err = run([command, "--model", "m", *argv, "--out", str(out)], capsys)
+    assert code == 2
+    _one_line_error(err)
+    assert "--t-end" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "cone"])

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from holoflow.flow import derive_flow
+from holoflow.algebra import LaurentPoly, SymbolTable
+from holoflow.flow import ODESystem, derive_flow
 from holoflow.homogeneous import m_model, q_model
 from holoflow.integrate import (
     IntegrationError,
@@ -240,6 +241,24 @@ def test_max_steps_raises_with_partial_trajectory(sysq):
         solve_orbit(sysq, spec, cfg)
     assert err.value.trajectory is not None
     assert err.value.trajectory.n_samples >= 1
+
+
+def _hand_made_system(table, rhs_c):
+    """M-shaped system a' = 1, b' = 1, c' = rhs_c over ``table``."""
+    one = LaurentPoly.const(table, 1)
+    return ODESystem("M", (1, 1), ("a", "b", "c"), {"a": one, "b": one, "c": rhs_c}, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "symbol,message",
+    [("a'", "contains derivative symbols"), ("u", "uses a non-state symbol")],
+)
+def test_rhs_outside_the_state_is_rejected(symbol, message):
+    table = SymbolTable(("a", "b", "c", "u"), ("a'",))
+    sys_ = _hand_made_system(table, LaurentPoly.monomial(table, 2, {symbol: 1}))
+    start = State(t=0.0, values={"a": 1.0, "b": 1.0, "c": 1.0})
+    with pytest.raises(IntegrationError, match=message):
+        integrate(sys_, start, IntegratorConfig(t_end=1.0))
 
 
 def test_csv_round_trip(tmp_path, sysm):
