@@ -169,16 +169,19 @@ def _add_model_flags(p, with_indices=True):
         p.add_argument("--m", type=int, default=None)
 
 
-def _add_solve_flags(p):
+def _add_orbit_flags(p):
     p.add_argument("--orbit", required=True)
     for name in ("a0", "b0", "c0", "f0"):
         p.add_argument(f"--{name}", default=None, help="exact initial value (fraction ok)")
+    p.add_argument("--negative-branch", action="store_true")
+
+
+def _add_integrator_flags(p):
     p.add_argument("--rtol", type=float, default=1e-10)
     p.add_argument("--atol", type=float, default=1e-12)
     p.add_argument("--t-end", dest="t_end", type=float, default=1e4)
     p.add_argument("--eps", type=float, default=None, help="series-start offset")
     p.add_argument("--initial-step", dest="initial_step", type=float, default=0.0)
-    p.add_argument("--negative-branch", action="store_true")
 
 
 def _add_bar_flags(p):
@@ -203,12 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="integrate from a singular orbit, write CSV")
     _add_model_flags(p, with_indices=False)
-    _add_solve_flags(p)
+    _add_orbit_flags(p)
+    _add_integrator_flags(p)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("verify", help="verify a stored trajectory CSV")
     _add_model_flags(p, with_indices=False)
-    _add_solve_flags(p)
+    _add_orbit_flags(p)
     p.add_argument("--traj", required=True)
     p.add_argument("--out", default=None)
     _add_bar_flags(p)
@@ -226,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full pipeline for one orbit spec")
     _add_model_flags(p, with_indices=False)
-    _add_solve_flags(p)
+    _add_orbit_flags(p)
+    _add_integrator_flags(p)
     p.add_argument("--out", default=None)
     p.add_argument("--traj-out", default=None, help="also write the trajectory CSV")
     _add_bar_flags(p)

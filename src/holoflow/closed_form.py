@@ -257,12 +257,12 @@ def compare(traj: Trajectory, prof: Union[ProfileQ, ProfileM]) -> float:
     names = traj.state_names
     worst = 0.0
     for i in range(traj.n_samples):
-        s = float(traj.ys[i, -1])
+        s = traj.ys[i][-1]
         want = prof.coefficient_squares(s)
         scale = max(abs(v) for v in want.values())
         scale = max(scale, 1e-300)
         for j, n in enumerate(names):
-            have = float(traj.ys[i, j]) ** 2
+            have = traj.ys[i][j] ** 2
             dev = abs(have - float(want[n])) / max(abs(float(want[n])), scale * 1e-6)
             worst = max(worst, dev)
     return worst

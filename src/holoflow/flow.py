@@ -382,15 +382,6 @@ def hitchin_residual(model: CosetModel, sys: ODESystem) -> Multivector:
     return lhs - rhs
 
 
-def perturbed_system(sys: ODESystem, name: str, factor: Fraction = Fraction(2)) -> ODESystem:
-    """Scale one right-hand side; used by the mutation checks."""
-    rhs = dict(sys.rhs)
-    rhs[name] = rhs[name] * factor
-    return ODESystem(
-        sys.model_kind, sys.indices, sys.state, rhs, sys.rank, sys.n_equations
-    )
-
-
 # ---------------------------------------------------------------------------
 # the Kaehler certificate
 # ---------------------------------------------------------------------------

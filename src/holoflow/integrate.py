@@ -11,11 +11,10 @@ component.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
-
-import numpy as np
 
 from . import _kernel
 from .algebra import LaurentPoly, SymbolTable
@@ -377,9 +376,9 @@ class Trajectory:
 
     model_kind: str
     state_names: Tuple[str, ...]
-    ts: np.ndarray
-    ys: np.ndarray  # shape (n, nstate + 1); last column is the primitive
-    dense: Optional[np.ndarray]
+    ts: List[float]
+    ys: List[List[float]]  # one row of nstate + 1 per sample; the primitive last
+    dense: Optional[List[float]]  # flat continuous-extension coefficients
     status: str = "done"
     stats: Dict[str, float] = field(default_factory=dict)
 
@@ -395,24 +394,20 @@ class Trajectory:
     def n_samples(self) -> int:
         return len(self.ts)
 
-    def state_at(self, i: int) -> State:
-        vals = {n: float(self.ys[i, j]) for j, n in enumerate(self.state_names)}
-        return State(float(self.ts[i]), vals, float(self.ys[i, -1]))
-
-    def interpolate(self, t: float) -> np.ndarray:
+    def interpolate(self, t: float) -> List[float]:
         """Dense-output evaluation anywhere inside the integration span."""
         if self.dense is None:
             raise IntegrationError("trajectory carries no dense output")
         if not (self.ts[0] <= t <= self.ts[-1]):
             raise IntegrationError(f"t={t} outside the integration span")
-        k = int(np.searchsorted(self.ts, t, side="right") - 1)
+        k = bisect_right(self.ts, t) - 1
         k = min(max(k, 0), len(self.ts) - 2)
         h = self.ts[k + 1] - self.ts[k]
         theta = (t - self.ts[k]) / h
-        dim = self.ys.shape[1]
+        dim = len(self.ys[0])
         out = [0.0] * dim
         _kernel.dense_eval(self.dense, dim, k, theta, out)
-        return np.asarray(out)
+        return out
 
     def require_done(self) -> None:
         """Raise IntegrationError unless the run reached its end."""
@@ -421,15 +416,15 @@ class Trajectory:
 
     def values_at(self, t: float) -> Dict[str, float]:
         row = self.interpolate(t)
-        out = {n: float(row[j]) for j, n in enumerate(self.state_names)}
-        out[self.primitive_name] = float(row[-1])
+        out = dict(zip(self.state_names, row))
+        out[self.primitive_name] = row[-1]
         return out
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(",".join(self.columns) + "\n")
             for i in range(self.n_samples):
-                row = [self.ts[i]] + list(self.ys[i])
+                row = [self.ts[i]] + self.ys[i]
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
     @staticmethod
@@ -469,12 +464,11 @@ class Trajectory:
                 rows.append(row)
         if len(rows) < 3:
             raise CSVError(f"{len(rows)} rows, at least 3 are needed")
-        data = np.asarray(rows)
         return Trajectory(
             model_kind=model_kind,
             state_names=STATE_NAMES[model_kind],
-            ts=data[:, 0],
-            ys=data[:, 1:],
+            ts=[row[0] for row in rows],
+            ys=[row[1:] for row in rows],
             dense=None,
             status="loaded",
         )
@@ -534,9 +528,9 @@ def integrate(sys: ODESystem, start: State, cfg: IntegratorConfig) -> Trajectory
     traj = Trajectory(
         model_kind=sys.model_kind,
         state_names=names,
-        ts=np.asarray(ts),
-        ys=np.asarray(ys).reshape(len(ts), nstate),
-        dense=np.asarray(dense) if dense else None,
+        ts=ts,
+        ys=[ys[i : i + nstate] for i in range(0, len(ys), nstate)],
+        dense=dense or None,
         status=status,
         stats={
             "naccept": naccept,

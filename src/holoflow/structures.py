@@ -59,8 +59,6 @@ FRAME_MAP = {
 ROTATION_PLANES = ((0, 1), (2, 3), (4, 5))
 ROTATION_MULTIPLES = {"Q": (1, 1, 1), "M": (3, 3, -2)}
 FUNDAMENTAL_UNIT = {"Q": Fraction(1), "M": Fraction(1, 2)}
-#: reference torus action (speeds 1, 1, 1) used for family-equality checks
-REFERENCE_MULTIPLES = (1, 1, 1)
 
 
 class StructureError(ValueError):
@@ -258,9 +256,3 @@ def rotate_four_form(struct: Spin7Structure, theta: AngleLike) -> Tuple[SymbolTa
     kind = struct.model.kind
     table, cs_pairs = _rotation(struct, theta, FUNDAMENTAL_UNIT[kind], ROTATION_MULTIPLES[kind])
     return table, _rotate_form(struct.Omega, table, cs_pairs)
-
-
-def rotate_structure_reference(struct: Spin7Structure, theta: AngleLike) -> Spin7Structure:
-    """Pull back by the reference torus action with unit speeds."""
-    table, cs_pairs = _rotation(struct, theta, Fraction(1), REFERENCE_MULTIPLES)
-    return _rotate_all(struct, table, cs_pairs)

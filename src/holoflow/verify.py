@@ -9,11 +9,10 @@ the derived systems rather than restating them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from .algebra import LaurentPoly
 from .closed_form import ProfileM, ProfileQ, compare, profile
@@ -56,9 +55,18 @@ class _SpanSampler:
     t_max: float
 
     def sample_points(self, n: int, margin: float) -> List[float]:
+        """``n`` evenly spaced points, bit for bit as ``numpy.linspace``."""
         lo = self.t_min + margin
         hi = self.t_max - margin
-        return list(np.linspace(lo, hi, n))
+        if n < 2:
+            return [lo] * n
+        step = (hi - lo) / (n - 1)
+        if step == 0:
+            points = [i / (n - 1) * (hi - lo) + lo for i in range(n)]
+        else:
+            points = [i * step + lo for i in range(n)]
+        points[-1] = hi
+        return points
 
 
 class TrajectorySampler(_SpanSampler):
@@ -67,12 +75,11 @@ class TrajectorySampler(_SpanSampler):
     def __init__(self, traj: Trajectory):
         self.traj = traj
         self.names = traj.state_names
-        self.t_min = float(traj.ts[0])
-        self.t_max = float(traj.ts[-1])
+        self.t_min = traj.ts[0]
+        self.t_max = traj.ts[-1]
 
     def __call__(self, t: float) -> Dict[str, float]:
-        row = self.traj.interpolate(t)
-        return {n: float(row[j]) for j, n in enumerate(self.names)}
+        return dict(zip(self.names, self.traj.interpolate(t)))
 
 
 class ProfileSampler(_SpanSampler):
@@ -105,11 +112,11 @@ class ProfileSampler(_SpanSampler):
         self.collapsing_name = self.names[-1]  # f or c
         i0 = min(2, anchors.n_samples - 1)
         self.sign = {
-            n: (1.0 if anchors.ys[i0, j] >= 0 else -1.0)
+            n: (1.0 if anchors.ys[i0][j] >= 0 else -1.0)
             for j, n in enumerate(self.names)
         }
-        self.t_min = float(anchors.ts[0])
-        self.t_max = float(anchors.ts[-1])
+        self.t_min = anchors.ts[0]
+        self.t_max = anchors.ts[-1]
 
     def _speed(self, s: float) -> float:
         g = self.prof.value_squared(s)
@@ -143,12 +150,12 @@ class ProfileSampler(_SpanSampler):
 
     def s_of_t(self, t: float) -> float:
         ts = self.anchors.ts
-        k = int(np.searchsorted(ts, t))
+        k = bisect_left(ts, t)
         k = min(max(k, 1), len(ts) - 1)
-        if abs(float(ts[k - 1]) - t) < abs(float(ts[k]) - t):
+        if abs(ts[k - 1] - t) < abs(ts[k] - t):
             k -= 1
-        t_k = float(ts[k])
-        s_k = float(self.anchors.ys[k, -1])
+        t_k = ts[k]
+        s_k = self.anchors.ys[k][-1]
         s = s_k
         for _ in range(4):
             resid = t_k + self._dt_integral(s_k, s) - t
@@ -227,6 +234,35 @@ def check_closure(
     return ClosureReport(worst_omega, worst_eta, len(t_points), fd_step)
 
 
+def fd_weights(x0: float, xs: Sequence[float]) -> List[float]:
+    """First-derivative weights at ``x0`` on the distinct nodes ``xs``.
+
+    Fornberg's recursion (B. Fornberg, "Generation of finite difference
+    formulas on arbitrarily spaced grids", Math. Comp. 51 (1988) 699-706):
+    ``sum(w * f(x))`` is exact for polynomials of degree below ``len(xs)``.
+    Exact ``Fraction`` nodes give exact weights.
+    """
+    # c[j] holds the weights of node j for the value and the first derivative
+    c = [[0, 0] for _ in xs]
+    c[0][0] = 1
+    c1 = 1
+    c4 = xs[0] - x0
+    for i in range(1, len(xs)):
+        c2 = 1
+        c5 = c4
+        c4 = xs[i] - x0
+        for j in range(i):
+            c3 = xs[i] - xs[j]
+            c2 *= c3
+            if j == i - 1:
+                c[i][1] = c1 * (c[i - 1][0] - c5 * c[i - 1][1]) / c2
+                c[i][0] = -c1 * c5 * c[i - 1][0] / c2
+            c[j][1] = (c4 * c[j][1] - c[j][0]) / c3
+            c[j][0] = c4 * c[j][0] / c3
+        c1 = c2
+    return [w for _, w in c]
+
+
 def check_closure_samples(
     traj: Trajectory,
     deriv: Derivation,
@@ -234,28 +270,29 @@ def check_closure_samples(
 ) -> ClosureReport:
     """Closure residuals from raw accepted steps (non-uniform differences).
 
-    Used when only a stored trajectory is available; the sample spacing
-    limits the attainable residual, so the appropriate bar is looser than
-    for the profile-backed check.
+    Used when only a stored trajectory is available.  Slopes come from
+    five-point Fornberg weights on the accepted steps, centred where the
+    rows allow and offset next to the ends; the sample spacing still limits
+    the attainable residual, so the appropriate bar is looser than for the
+    profile-backed check.
     """
     names = tuple(deriv.model.symbols.base)
-    if traj.n_samples < 3:
+    n = traj.n_samples
+    if n < 3:
         raise VerifyError("need at least 3 samples for centered differences")
-    stride = max(1, (traj.n_samples - 2) // max_samples)
+    width = min(5, n)
+    stride = max(1, (n - 2) // max_samples)
+    ts, ys = traj.ts, traj.ys
     worst_omega = 0.0
     worst_eta = 0.0
     count = 0
-    for i in range(1, traj.n_samples - 1, stride):
-        hm = float(traj.ts[i] - traj.ts[i - 1])
-        hp = float(traj.ts[i + 1] - traj.ts[i])
-        assign = {n: float(traj.ys[i, j]) for j, n in enumerate(names)}
-        for j, n in enumerate(names):
-            fm, f0, fp = (float(traj.ys[k, j]) for k in (i - 1, i, i + 1))
-            assign[n + "'"] = (
-                -hp / (hm * (hm + hp)) * fm
-                + (hp - hm) / (hm * hp) * f0
-                + hm / (hp * (hm + hp)) * fp
-            )
+    for i in range(1, n - 1, stride):
+        first = min(max(i - width // 2, 0), n - width)
+        weights = fd_weights(ts[i], ts[first : first + width])
+        window = ys[first : first + width]
+        assign = dict(zip(names, ys[i]))
+        for j, name in enumerate(names):
+            assign[name + "'"] = sum(w * row[j] for w, row in zip(weights, window))
         r_omega, r_eta = _residuals(deriv, assign)
         worst_omega = max(worst_omega, r_omega)
         worst_eta = max(worst_eta, r_eta)
@@ -300,33 +337,39 @@ class ConeFit:
         return doc
 
 
-def _cone_quantities(kind: str, t: np.ndarray, ys: np.ndarray) -> Dict[str, np.ndarray]:
+def _cone_quantities(kind: str, t, ys) -> dict:
+    """The cone quantities of numpy rows ``ys`` at arclengths ``t``."""
     if kind == "Q":
         return {
             "a^2/t^2": ys[:, 0] ** 2 / t**2,
             "b^2/t^2": ys[:, 1] ** 2 / t**2,
             "c^2/t^2": ys[:, 2] ** 2 / t**2,
-            "|f|/t": np.abs(ys[:, 3]) / t,
+            "|f|/t": abs(ys[:, 3]) / t,
         }
     return {
         "a^2/t^2": ys[:, 0] ** 2 / t**2,
         "b^2/t^2": ys[:, 1] ** 2 / t**2,
-        "c/t": np.abs(ys[:, 2]) / t,
+        "c/t": abs(ys[:, 2]) / t,
     }
 
 
 def cone_fit(traj: Trajectory, min_span_ratio: float = 1e3) -> ConeFit:
-    """Fit coefficient/t against a constant plus 1/t on the final decade."""
-    t = np.asarray(traj.ts, dtype=float)
-    initial_scale = float(np.max(np.abs(traj.ys[0, :-1])))
+    """Fit coefficient/t against a constant plus 1/t on the final decade.
+
+    The only numpy user in the package, so it is imported here.
+    """
+    import numpy as np
+
+    t_last = traj.ts[-1]
+    initial_scale = max(abs(v) for v in traj.ys[0][:-1])
     # a stored trajectory ("loaded") is judged by its span alone
     partial = bool(
         traj.status not in ("done", "loaded")
-        or t[-1] < min_span_ratio * max(initial_scale, 1e-300)
+        or t_last < min_span_ratio * max(initial_scale, 1e-300)
     )
-    sel = t >= t[-1] / 10.0
-    tt = t[sel]
-    quantities = _cone_quantities(traj.model_kind, tt, traj.ys[sel])
+    first = bisect_left(traj.ts, t_last / 10.0)
+    tt = np.asarray(traj.ts[first:])
+    quantities = _cone_quantities(traj.model_kind, tt, np.asarray(traj.ys[first:]))
     refs = CONE_REFS[traj.model_kind]
     design = np.vstack([np.ones_like(tt), 1.0 / tt]).T
     limits = {}
@@ -341,7 +384,7 @@ def cone_fit(traj: Trajectory, min_span_ratio: float = 1e3) -> ConeFit:
         endpoint[name] = float(series[-1])
         deltas[name] = abs(endpoint[name] - refs[name])
         if len(res):
-            residual = max(residual, float(np.sqrt(res[0] / sel.sum())))
+            residual = max(residual, float(np.sqrt(res[0] / len(tt))))
     return ConeFit(limits, endpoint, refs, deltas, corrections, residual, partial)
 
 

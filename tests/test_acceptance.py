@@ -14,7 +14,7 @@ import pytest
 
 from holoflow.algebra import LaurentPoly, Multivector, wedge
 from holoflow.closed_form import compare, profile
-from holoflow.flow import derivation, derive_flow, kaehler_search, perturbed_system
+from holoflow.flow import derivation, derive_flow, kaehler_search
 from holoflow.homogeneous import (
     classify_invariant_g2,
     invariant_d,
@@ -28,6 +28,7 @@ from holoflow.verify import (
     check_closure,
     su4_family_check,
 )
+from mutations import perturbed_system
 
 
 def criterion(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -188,7 +189,7 @@ def test_criterion_6_cone_limits_q(cone_runs):
             continue
         count += 1
         t = traj.ts[-1]
-        a, b, c, f = traj.ys[-1, :4]
+        a, b, c, f = np.asarray(traj.ys)[-1, :4]
         deltas = [
             abs(a * a / t / t - 0.125),
             abs(b * b / t / t - 0.125),
@@ -208,7 +209,7 @@ def test_criterion_7_cone_limits_m(cone_runs):
             continue
         orbits.add(orbit)
         t = traj.ts[-1]
-        a, b, c = traj.ys[-1, :3]
+        a, b, c = np.asarray(traj.ys)[-1, :3]
         deltas = [
             abs(a * a / t / t - 0.75),
             abs(b * b / t / t - 0.5),
@@ -340,14 +341,14 @@ def test_criterion_11_property_suites(models, systems, cone_runs):
     # first-integral drift within 10 * rtol (relative) on the cone runs
     worst = 0.0
     for (kind, orbit, vals), (traj, _) in cone_runs.items():
-        prim = traj.ys[:, -1]
+        prim = np.asarray(traj.ys)[:, -1]
         if kind == "Q":
             a0sq = float(dict(vals).get("a", 0)) ** 2
-            a2 = traj.ys[:, 0] ** 2
+            a2 = np.asarray(traj.ys)[:, 0] ** 2
             drift = np.max(np.abs(a2 + prim / 3 - a0sq) / np.maximum(a2, 1.0))
         else:
             a0sq = float(dict(vals).get("a", 0)) ** 2
-            a2 = traj.ys[:, 0] ** 2
+            a2 = np.asarray(traj.ys)[:, 0] ** 2
             drift = np.max(np.abs(a2 - 0.75 * prim - a0sq) / np.maximum(a2, 1.0))
         worst = max(worst, float(drift))
     ok = ok and worst <= 10 * 1e-10

@@ -4,16 +4,29 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import holoflow
 from holoflow import flow, structures
 from holoflow.cli import main
-from holoflow.integrate import ORBIT_COLLAPSING, STATE_NAMES
+from holoflow.homogeneous import m_model
+from holoflow.integrate import (
+    ORBIT_COLLAPSING,
+    STATE_NAMES,
+    IntegratorConfig,
+    OrbitSpec,
+    solve_orbit,
+)
+from mutations import perturbed_system
 
 
 def run(argv, capsys):
@@ -280,6 +293,83 @@ def test_report_records_a_given_eps(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("model,orbit,values", UNIT_ORBITS)
+def test_verify_passes_each_unit_orbit_at_the_default_bars(capsys, tmp_path, model, orbit, values):
+    traj = tmp_path / "traj.csv"
+    argv = ["--model", model, "--orbit", orbit, *values]
+    assert main(["solve", *argv, "--out", str(traj)]) == 0
+    capsys.readouterr()
+    code, out, _ = run(["verify", *argv, "--traj", str(traj)], capsys)
+    doc = json.loads(out)
+    assert code == 0, doc["bars_failed"]
+    assert doc["closure_residual"]["d_omega"] <= 1e-3
+
+
+def test_verify_fails_a_run_of_a_slightly_wrong_system(capsys, tmp_path):
+    """A run of M cp2xs2 whose a' is 0.1% too large misses the closure bar."""
+    sys_ = perturbed_system(flow.derivation(m_model(1, 1)).sys, "a", Fraction(1001, 1000))
+    spec = OrbitSpec("M", "cp2xs2", {"a": 1, "b": 1})
+    traj, _ = solve_orbit(sys_, spec, IntegratorConfig())
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    code, out, _ = run(
+        ["verify", "--model", "m", "--orbit", "cp2xs2", "--a0", "1", "--b0", "1",
+         "--traj", str(path)],
+        capsys,
+    )
+    assert code == 1
+    assert "closure" in json.loads(out)["bars_failed"]
+
+
+INTEGRATOR_FLAGS = [
+    ("--rtol", "0.5"), ("--atol", "0.5"), ("--t-end", "3"), ("--eps", "2"),
+    ("--initial-step", "1"),
+]
+
+
+@pytest.mark.parametrize("flag,value", INTEGRATOR_FLAGS)
+def test_verify_rejects_integrator_flags(capsys, tmp_path, flag, value):
+    argv = ["verify", "--model", "m", "--orbit", "cp2", "--a0", "1",
+            "--traj", str(tmp_path / "t.csv"), flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+NUMPY_FREE_RUN = """
+import sys
+import holoflow.cli
+
+out = sys.argv[1]
+for argv in (
+    ["classify", "--model", "q", "--k", "1", "--l", "1", "--m", "1"],
+    ["classify", "--model", "m", "--k", "2", "--l", "1"],
+    ["derive", "--model", "q", "--json", out + "/sys.json"],
+    ["derive", "--model", "m"],
+    ["smoothness", "--model", "m", "--orbit", "cp2", "--out", out + "/smooth.json"],
+    ["solve", "--model", "m", "--orbit", "cp2xs2", "--a0", "1", "--b0", "1",
+     "--t-end", "20", "--out", out + "/traj.csv"],
+):
+    assert holoflow.cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+def test_start_up_paths_never_import_numpy(tmp_path):
+    """Only the cone fit needs numpy; classify, derive, smoothness and solve
+    run without importing it."""
+    src = str(Path(holoflow.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_RUN, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "traj.csv").read_text().startswith("t,a,b,c,C\n")
+
+
 def test_solve_exits_1_when_the_run_stops_early(capsys, tmp_path):
     out = tmp_path / "x.csv"
     code, _, err = run(
@@ -486,11 +576,12 @@ def cli_argv(draw):
         for name in STATE_NAMES["Q"]:
             if (name in needed) if clean else draw(st.booleans()):
                 argv.extend([f"--{name}0", number("1", "2/3", "-1/2")])
-        argv.extend(["--t-end", number("0.5", "5", "50")])
-        maybe("--rtol", "1e-6", "1e-10")
-        maybe("--atol", "1e-8", "1e-12")
-        maybe("--eps", "1e-6", "1e-3")
-        maybe("--initial-step", "1e-3")
+        if command != "verify":  # verify integrates nothing and takes no integrator flags
+            argv.extend(["--t-end", number("0.5", "5", "50")])
+            maybe("--rtol", "1e-6", "1e-10")
+            maybe("--atol", "1e-8", "1e-12")
+            maybe("--eps", "1e-6", "1e-3")
+            maybe("--initial-step", "1e-3")
         if draw(st.booleans()):
             argv.append("--negative-branch")
         if command == "solve":

@@ -142,11 +142,11 @@ def test_compare_symmetric_under_sign_branch(sysq):
 def test_primitive_direction_conventions(sysq, sysm):
     cfg = IntegratorConfig(t_end=30.0)
     traj, _ = solve_orbit(sysq, OrbitSpec("Q", "s2xs2xs2", {"a": 1, "b": 1, "c": 1}), cfg)
-    assert np.all(traj.ys[:, -1] <= 0)
+    assert np.all(np.asarray(traj.ys)[:, -1] <= 0)
     for j in range(3):
-        assert np.all(np.diff(traj.ys[:, j] ** 2) >= 0)
+        assert np.all(np.diff(np.asarray(traj.ys)[:, j] ** 2) >= 0)
     trajm, _ = solve_orbit(sysm, OrbitSpec("M", "s2", {"b": 1}), cfg)
-    assert np.all(trajm.ys[:, -1] >= 0)
+    assert np.all(np.asarray(trajm.ys)[:, -1] >= 0)
 
 
 def test_compare_model_mismatch_rejected(sysq):

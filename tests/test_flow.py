@@ -17,10 +17,10 @@ from holoflow.flow import (
     hitchin_residual,
     invariant_two_form_terms,
     kaehler_search,
-    perturbed_system,
 )
 from holoflow.homogeneous import m_model, q_model
 from holoflow.structures import build_invariant_structure
+from mutations import perturbed_system
 
 
 def mono(table, coeff, exps):

@@ -111,8 +111,8 @@ def test_series_start_matches_half_eps_shooting(sysq):
     cfg = IntegratorConfig(t_end=1.0)
     t1 = integrate(sysq, st, cfg)
     t2 = integrate(sysq, half, cfg)
-    v1 = t1.ys[-1, :4]
-    v2 = t2.ys[-1, :4]
+    v1 = np.asarray(t1.ys)[-1, :4]
+    v2 = np.asarray(t2.ys)[-1, :4]
     assert np.allclose(v1, v2, rtol=1e-8, atol=1e-12)
 
 
@@ -122,8 +122,8 @@ def test_series_start_matches_half_eps_shooting(sysq):
 
 
 def _relative_drift_q(traj, a0sq):
-    a2 = traj.ys[:, 0] ** 2
-    F = traj.ys[:, -1]
+    a2 = np.asarray(traj.ys)[:, 0] ** 2
+    F = np.asarray(traj.ys)[:, -1]
     scale = np.maximum(np.abs(a2), 1.0)
     return float(np.max(np.abs(a2 + F / 3 - a0sq) / scale))
 
@@ -132,17 +132,17 @@ def test_first_integral_drift_q(sysq):
     cfg = IntegratorConfig(t_end=200.0)
     traj, _ = solve_orbit(sysq, OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1}), cfg)
     assert _relative_drift_q(traj, 0.0) <= 10 * cfg.rtol
-    b2 = traj.ys[:, 1] ** 2
-    F = traj.ys[:, -1]
+    b2 = np.asarray(traj.ys)[:, 1] ** 2
+    F = np.asarray(traj.ys)[:, -1]
     assert np.max(np.abs(b2 - 1 + F / 3) / np.maximum(b2, 1)) <= 10 * cfg.rtol
 
 
 def test_first_integral_drift_m(sysm):
     cfg = IntegratorConfig(t_end=200.0)
     traj, _ = solve_orbit(sysm, OrbitSpec("M", "cp2", {"a": 1}), cfg)
-    a2 = traj.ys[:, 0] ** 2
-    b2 = traj.ys[:, 1] ** 2
-    C = traj.ys[:, -1]
+    a2 = np.asarray(traj.ys)[:, 0] ** 2
+    b2 = np.asarray(traj.ys)[:, 1] ** 2
+    C = np.asarray(traj.ys)[:, -1]
     scale = np.maximum(a2, 1.0)
     assert np.max(np.abs(a2 - 0.75 * C - 1.0) / scale) <= 10 * cfg.rtol
     assert np.max(np.abs(b2 - 0.5 * C) / scale) <= 10 * cfg.rtol
@@ -152,11 +152,11 @@ def test_monotone_directions(sysq, sysm):
     cfg = IntegratorConfig(t_end=100.0)
     traj, _ = solve_orbit(sysq, OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1}), cfg)
     assert np.all(np.diff(traj.ts) > 0)
-    assert np.all(traj.ys[:, 3] < 0)  # f stays negative
-    assert np.all(np.diff(traj.ys[:, -1]) < 0)  # F decreasing
-    assert np.all(np.diff(traj.ys[:, 0] ** 2) > 0)  # a^2 nondecreasing
+    assert np.all(np.asarray(traj.ys)[:, 3] < 0)  # f stays negative
+    assert np.all(np.diff(np.asarray(traj.ys)[:, -1]) < 0)  # F decreasing
+    assert np.all(np.diff(np.asarray(traj.ys)[:, 0] ** 2) > 0)  # a^2 nondecreasing
     trajm, _ = solve_orbit(sysm, OrbitSpec("M", "cp2", {"a": 1}), cfg)
-    assert np.all(np.diff(trajm.ys[:, -1]) > 0)  # C increasing
+    assert np.all(np.diff(np.asarray(trajm.ys)[:, -1]) > 0)  # C increasing
 
 
 def test_parity_reintegration_q(sysq):
@@ -164,7 +164,8 @@ def test_parity_reintegration_q(sysq):
     integrating forward from the mapped endpoint retraces the run."""
     cfg = IntegratorConfig(t_end=10.0)
     traj, _ = solve_orbit(sysq, OrbitSpec("Q", "s2xs2xs2", {"a": 1, "b": 1, "c": 1}), cfg)
-    end = traj.state_at(traj.n_samples - 1)
+    *values, primitive = traj.ys[-1]
+    end = State(traj.ts[-1], dict(zip(traj.state_names, values)), primitive)
     mapped = State(
         t=-end.t,
         values={"a": end.values["a"], "b": end.values["b"], "c": end.values["c"],
@@ -221,7 +222,7 @@ def test_sign_change_stops_and_reports(sysq):
     traj = integrate(sysq, start, IntegratorConfig(t_end=100.0))
     assert traj.status == "sign_change"
     assert traj.ts[-1] < 1.0
-    assert traj.ys[-1, 3] <= 0.0
+    assert np.asarray(traj.ys)[-1, 3] <= 0.0
 
 
 def test_collapse_underflow_raises_with_state(sysq):

@@ -12,8 +12,9 @@ from holoflow.structures import (
     StructureError,
     build_invariant_structure,
     canonical_forms,
+    _rotate_all,
+    _rotation,
     rotate_structure,
-    rotate_structure_reference,
 )
 
 UNIT_Q = {"a": 1.0, "b": 1.0, "c": 1.0, "f": 1.0}
@@ -200,6 +201,12 @@ def test_family_periods():
     for theta, same in ((period_m, True), (period_m / 3, False)):
         rot = rotate_structure(m, theta)
         assert (_coeff_distance(rot, m, vals_m) < 1e-12) == same
+
+
+def rotate_structure_reference(struct, theta):
+    """Pull back by the reference torus action with unit speeds (1, 1, 1)."""
+    table, cs_pairs = _rotation(struct, theta, Fraction(1), (1, 1, 1))
+    return _rotate_all(struct, table, cs_pairs)
 
 
 def test_m_action_generates_reference_family():

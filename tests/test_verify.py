@@ -2,28 +2,35 @@
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from holoflow import _kernel
 from holoflow.closed_form import profile
-from holoflow.flow import derivation, derive_flow, perturbed_system
+from holoflow.flow import derivation, derive_flow
 from holoflow.homogeneous import m_model, q_model
 from holoflow.integrate import IntegratorConfig, OrbitSpec, Trajectory, solve_orbit
 from holoflow.verify import (
     ProfileSampler,
     TrajectorySampler,
     VerifyError,
+    _SpanSampler,
     catalog_row,
     check_closure,
     check_closure_samples,
     cone_fit,
+    fd_weights,
     orbit_catalog,
     s_action_circle,
     smoothness_report,
     su4_family_check,
 )
+from mutations import perturbed_system
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +110,91 @@ def test_closure_raw_samples(q_setup):
     model, deriv, spec, traj, sampler = q_setup
     rep = check_closure_samples(traj, deriv)
     assert rep.max_residual < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the plain-list replacements of numpy's linspace and searchsorted
+# ---------------------------------------------------------------------------
+
+BOUNDED = st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(t_min=BOUNDED, t_max=BOUNDED, margin=BOUNDED, n=st.integers(0, 60))
+@example(t_min=0.0, t_max=5e-324, margin=0.0, n=4)  # the step underflows to 0
+@example(t_min=-0.0, t_max=-0.0, margin=0.0, n=3)
+def test_sample_points_are_bit_identical_to_linspace(t_min, t_max, margin, n):
+    sampler = _SpanSampler()
+    sampler.t_min, sampler.t_max = t_min, t_max
+    points = sampler.sample_points(n, margin)
+    want = np.linspace(t_min + margin, t_max - margin, n)
+    assert np.array(points, dtype=float).tobytes() == want.tobytes()
+
+
+increasing = st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30, unique=True).map(sorted)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ts=increasing, data=st.data())
+def test_bisect_matches_searchsorted_on_increasing_times(ts, data):
+    t = data.draw(st.one_of(st.sampled_from(ts), st.floats(-2e6, 2e6)))
+    assert bisect_left(ts, t) == np.searchsorted(ts, t)
+    assert bisect_right(ts, t) == np.searchsorted(ts, t, side="right")
+    # dense output at t, against the array-based evaluation
+    t = min(max(t, ts[0]), ts[-1])
+    dim = 4
+    dense = data.draw(
+        st.lists(st.floats(-1e3, 1e3), min_size=5 * dim * (len(ts) - 1),
+                 max_size=5 * dim * (len(ts) - 1))
+    )
+    traj = Trajectory("M", ("a", "b", "c"), ts, [[0.0] * dim for _ in ts], dense)
+    k = int(np.searchsorted(np.asarray(ts), t, side="right") - 1)
+    k = min(max(k, 0), len(ts) - 2)
+    ts_arr = np.asarray(ts)
+    theta = (t - ts_arr[k]) / (ts_arr[k + 1] - ts_arr[k])
+    want = [0.0] * dim
+    _kernel.dense_eval(np.asarray(dense), dim, k, theta, want)
+    assert np.array(traj.interpolate(t)).tobytes() == np.array(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# finite-difference weights on stored samples
+# ---------------------------------------------------------------------------
+
+spacing = st.fractions(min_value=Fraction(1, 64), max_value=10, max_denominator=64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    gaps=st.lists(spacing, min_size=4, max_size=4),
+    start=st.fractions(-10, 10, max_denominator=64),
+    at=st.integers(0, 4),
+    coeffs=st.lists(st.fractions(-100, 100, max_denominator=64), min_size=5, max_size=5),
+)
+def test_fd_weights_differentiate_quartics_exactly(gaps, start, at, coeffs):
+    nodes = [start]
+    for gap in gaps:
+        nodes.append(nodes[-1] + gap)
+    x0 = nodes[at]
+
+    def poly(x):
+        return sum(c * x**k for k, c in enumerate(coeffs))
+
+    slope = sum(k * c * x0 ** (k - 1) for k, c in enumerate(coeffs) if k)
+    weights = fd_weights(x0, nodes)
+    assert sum(w * poly(x) for w, x in zip(weights, nodes)) == slope
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(hm=spacing, hp=spacing)
+def test_three_rows_keep_the_three_point_stencil(hm, hp):
+    """With three nodes the weights are the classic non-uniform formula."""
+    weights = fd_weights(Fraction(0), [-hm, Fraction(0), hp])
+    assert weights == [
+        -hp / (hm * (hm + hp)),
+        (hp - hm) / (hm * hp),
+        hm / (hp * (hm + hp)),
+    ]
 
 
 # ---------------------------------------------------------------------------
