@@ -115,9 +115,10 @@ def solve(rhs, nstate, y0, t0, t_end, rtol, atol, h0, watch, max_steps):
 
     ``rhs(y, out)`` writes the derivative of the ``nstate`` components of
     ``y`` into ``out`` and returns False on a non-finite value (see
-    ``make_rhs``).  ``h0 <= 0`` picks the first step automatically; no step
-    is longer than ``|t_end - t0|``.  Components flagged in ``watch`` stop
-    the run with status ``sign_change`` when they cross zero.
+    ``make_rhs``); an OverflowError it raises counts as a False return, so
+    the step is rejected.  ``h0 <= 0`` picks the first step automatically;
+    no step is longer than ``|t_end - t0|``.  Components flagged in
+    ``watch`` stop the run with status ``sign_change`` when they cross zero.
 
     Returns (status, ts, ys, dense, naccept, nreject, nfev, max_err) where
     ``ys`` is flat row-major and ``dense`` holds 5*nstate continuous-extension
@@ -142,7 +143,7 @@ def solve(rhs, nstate, y0, t0, t_end, rtol, atol, h0, watch, max_steps):
     naccept = nreject = nfev = 0
     max_err = 0.0
 
-    if not rhs(y, k1):
+    if not _finite_rhs(rhs, y, k1):
         return ("blowup", ts, ys, dense, naccept, nreject, 1, max_err)
     nfev = 1
 
@@ -169,28 +170,31 @@ def solve(rhs, nstate, y0, t0, t_end, rtol, atol, h0, watch, max_steps):
             status = "underflow"
             break
 
-        for i in range(n):
-            ytmp[i] = y[i] + h * A21 * k1[i]
-        ok = rhs(ytmp, k2)
-        for i in range(n):
-            ytmp[i] = y[i] + h * (A31 * k1[i] + A32 * k2[i])
-        ok = ok and rhs(ytmp, k3)
-        for i in range(n):
-            ytmp[i] = y[i] + h * (A41 * k1[i] + A42 * k2[i] + A43 * k3[i])
-        ok = ok and rhs(ytmp, k4)
-        for i in range(n):
-            ytmp[i] = y[i] + h * (A51 * k1[i] + A52 * k2[i] + A53 * k3[i] + A54 * k4[i])
-        ok = ok and rhs(ytmp, k5)
-        for i in range(n):
-            ytmp[i] = y[i] + h * (
-                A61 * k1[i] + A62 * k2[i] + A63 * k3[i] + A64 * k4[i] + A65 * k5[i]
-            )
-        ok = ok and rhs(ytmp, k6)
-        for i in range(n):
-            y1[i] = y[i] + h * (
-                A71 * k1[i] + A73 * k3[i] + A74 * k4[i] + A75 * k5[i] + A76 * k6[i]
-            )
-        ok = ok and rhs(y1, k7)
+        try:
+            for i in range(n):
+                ytmp[i] = y[i] + h * A21 * k1[i]
+            ok = rhs(ytmp, k2)
+            for i in range(n):
+                ytmp[i] = y[i] + h * (A31 * k1[i] + A32 * k2[i])
+            ok = ok and rhs(ytmp, k3)
+            for i in range(n):
+                ytmp[i] = y[i] + h * (A41 * k1[i] + A42 * k2[i] + A43 * k3[i])
+            ok = ok and rhs(ytmp, k4)
+            for i in range(n):
+                ytmp[i] = y[i] + h * (A51 * k1[i] + A52 * k2[i] + A53 * k3[i] + A54 * k4[i])
+            ok = ok and rhs(ytmp, k5)
+            for i in range(n):
+                ytmp[i] = y[i] + h * (
+                    A61 * k1[i] + A62 * k2[i] + A63 * k3[i] + A64 * k4[i] + A65 * k5[i]
+                )
+            ok = ok and rhs(ytmp, k6)
+            for i in range(n):
+                y1[i] = y[i] + h * (
+                    A71 * k1[i] + A73 * k3[i] + A74 * k4[i] + A75 * k5[i] + A76 * k6[i]
+                )
+            ok = ok and rhs(y1, k7)
+        except OverflowError:
+            ok = False  # a power beyond float range, as a non-finite value
         nfev += 6
 
         if not ok:
@@ -258,6 +262,15 @@ def solve(rhs, nstate, y0, t0, t_end, rtol, atol, h0, watch, max_steps):
     return (status, ts, ys, dense, naccept, nreject, nfev, max_err)
 
 
+def _finite_rhs(rhs, y, out):
+    """``rhs(y, out)``, reading an OverflowError (a float ``**`` beyond
+    float range) as a non-finite value."""
+    try:
+        return rhs(y, out)
+    except OverflowError:
+        return False
+
+
 def _initial_step(rhs, n, t, y, f0, rtol, atol, hmax):
     d0 = 0.0
     d1 = 0.0
@@ -271,7 +284,7 @@ def _initial_step(rhs, n, t, y, f0, rtol, atol, hmax):
     h0 = min(h0, hmax)
     y1 = [y[i] + h0 * f0[i] for i in range(n)]
     f1 = [0.0] * n
-    if not rhs(y1, f1):
+    if not _finite_rhs(rhs, y1, f1):
         return max(1e-12, h0 * 1e-3)
     d2 = 0.0
     for i in range(n):

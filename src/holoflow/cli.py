@@ -15,7 +15,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .closed_form import ProfileError, compare, profile
+from .closed_form import ProfileError
 from .flow import derivation
 from .flow import derive_flow  # noqa: F401  (kept importable; perfbench/test_recorder.py patches it here)
 from .homogeneous import ModelError, get_model
@@ -34,11 +34,11 @@ from .integrate import (
 from .verify import (
     DEFAULT_BARS,
     VerifyError,
-    check_closure_samples,
     cone_fit,
+    evaluate_bars,
     run_report,
     smoothness_report,
-    su4_family_check,
+    verify_trajectory,
 )
 
 
@@ -109,11 +109,15 @@ def _check_args(args) -> None:
         if raw is None:
             continue
         try:
-            setattr(args, name, Fraction(raw))
+            value = Fraction(raw)
+            float(value)  # OverflowError beyond float range
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(
                 f"--{name} must be an exact number such as 3, 0.5 or 2/3, got {raw!r}"
             ) from exc
+        except OverflowError as exc:
+            raise InputError(f"--{name} must lie within float range, got {raw!r}") from exc
+        setattr(args, name, value)
     checks = (
         ("t_end", "--t-end", "> 0"),
         ("rtol", "--rtol", "> 0"),
@@ -271,57 +275,14 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _bars(args, closure_default: str) -> dict:
-    closure = args.closure_bar if args.closure_bar is not None else DEFAULT_BARS[closure_default]
-    return {"closure": closure, "cone": args.cone_bar, "closed_form": args.closed_form_bar}
-
-
-def evaluate_bars(doc: dict, bars: dict, cone, closure=None, deviation=None, su4=None) -> int:
-    """Record the bars and the checks that miss them in ``doc``; the exit
-    code is 1 when any check misses its bar.  A partial cone fit is never
-    held to the cone bar."""
-    failures = []
-    if closure is not None and closure.max_residual > bars["closure"]:
-        failures.append("closure")
-    if cone.max_delta > bars["cone"] and not cone.partial:
-        failures.append("cone")
-    if deviation is not None and deviation > bars["closed_form"]:
-        failures.append("closed_form")
-    if su4 is not None and not su4.passed:
-        failures.append("su4")
-    doc["bars"] = bars
-    doc["bars_failed"] = failures
-    doc["passed"] = not failures
-    return 1 if failures else 0
+def _bars(args) -> dict:
+    return {"closure": args.closure_bar, "cone": args.cone_bar, "closed_form": args.closed_form_bar}
 
 
 def cmd_verify(args) -> int:
     model = _unit_model(args)
     spec = _singular_spec(args, model.kind)
-    traj = _read_traj(args, model.kind)
-    deriv = derivation(model)
-    prof = profile(model, spec)
-    closure = check_closure_samples(traj, deriv)
-    cone = cone_fit(traj)
-    smooth = smoothness_report(model, spec.orbit, deriv.sys)
-    su4 = su4_family_check(model, deriv.sys, deriv.cert)
-    deviation = compare(traj, prof)
-    doc = {
-        "model": model.label,
-        "orbit": spec.orbit,
-        "closure_residual": {
-            "d_omega": closure.d_omega_residual,
-            "d_eta": closure.d_eta_residual,
-            "n_samples": closure.n_samples,
-            "mode": "raw-samples",
-        },
-        "cone": cone.to_json_dict(with_corrections=False),
-        "kaehler": {"signs": list(deriv.cert.signs)},
-        "smoothness": smooth.to_json_dict(),
-        "su4_certificate": su4.passed,
-        "closed_form_deviation": deviation,
-    }
-    code = evaluate_bars(doc, _bars(args, "closure_trajectory"), cone, closure, deviation, su4)
+    doc, code = verify_trajectory(model, spec, _read_traj(args, model.kind), _bars(args))
     _emit(doc, args.out)
     return code
 
@@ -350,20 +311,9 @@ def cmd_smoothness(args) -> int:
 def cmd_report(args) -> int:
     spec = _singular_spec(args, args.model.upper())
     _check_start(args, spec)
-    model = _unit_model(args)
-    cfg = _config(args)
-    report, traj = run_report(model, spec, cfg)
+    doc, code, traj = run_report(_unit_model(args), spec, _config(args), _bars(args))
     if args.traj_out:
         traj.to_csv(args.traj_out)
-    doc = report.to_json_dict()
-    code = evaluate_bars(
-        doc,
-        _bars(args, "closure"),
-        report.cone,
-        report.closure,
-        report.closed_form_deviation,
-        report.su4,
-    )
     _emit(doc, args.out)
     return code
 

@@ -4,7 +4,7 @@ The exterior derivative on the product of the orbit with a time interval
 splits into the invariant orbit derivative plus a dt wedge chain-rule term
 with formal derivative symbols.  Collecting coefficients of d(Omega) = 0
 yields an exact linear system in the derivative symbols, solved here by
-Gaussian elimination over the fraction field of the Laurent ring.
+Gaussian elimination in the Laurent ring, pivoting on monomials.
 """
 
 from __future__ import annotations
@@ -21,88 +21,6 @@ from .structures import Spin7Structure, build_invariant_structure
 
 class DerivationError(RuntimeError):
     """The linear system extracted from d(Omega) = 0 is not well-posed."""
-
-
-# ---------------------------------------------------------------------------
-# exact rational functions (only used inside the linear solve)
-# ---------------------------------------------------------------------------
-
-
-def try_divide(num: LaurentPoly, den: LaurentPoly) -> Optional[LaurentPoly]:
-    """Exact division in the Laurent ring, or None if it does not divide."""
-    if den.is_zero:
-        raise ZeroDivisionError
-    if num.is_zero:
-        return LaurentPoly.zero(num.table)
-    rem = num
-    q_terms: Dict[Tuple[int, ...], Fraction] = {}
-    lead_key = max(den.terms)
-    lead_c = den.terms[lead_key]
-    guard = 4 * (len(num.terms) + 1) * (len(den.terms) + 1) + 50
-    while not rem.is_zero:
-        guard -= 1
-        if guard < 0:
-            return None
-        rk = max(rem.terms)
-        qvec = tuple(a - b for a, b in zip(rk, lead_key))
-        if any(qvec[i] < 0 for i in range(num.table.nbase, len(qvec))):
-            return None
-        qc = rem.terms[rk] / lead_c
-        q_terms[qvec] = q_terms.get(qvec, Fraction(0)) + qc
-        rem = rem - den * LaurentPoly(num.table, {qvec: qc})
-    return LaurentPoly(num.table, {v: c for v, c in q_terms.items() if c})
-
-
-class RatFunc:
-    """Numerator/denominator pair over the Laurent ring, exact arithmetic."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: Optional[LaurentPoly] = None):
-        if den is None:
-            den = LaurentPoly.const(num.table, 1)
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            den = LaurentPoly.const(num.table, 1)
-        elif len(den.terms) == 1:
-            num = num * den**-1
-            den = LaurentPoly.const(num.table, 1)
-        else:
-            q = try_divide(num, den)
-            if q is not None:
-                num, den = q, LaurentPoly.const(num.table, 1)
-        self.num = num
-        self.den = den
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero:
-            raise ZeroDivisionError
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def as_laurent(self) -> LaurentPoly:
-        if len(self.den.terms) == 1:
-            return self.num * self.den**-1
-        q = try_divide(self.num, self.den)
-        if q is None:
-            raise DerivationError("solution is not a Laurent polynomial")
-        return q
 
 
 # ---------------------------------------------------------------------------
@@ -260,54 +178,57 @@ def _solve_linear(
     unknowns: Sequence[str],
     table: SymbolTable,
 ) -> Tuple[Dict[str, LaurentPoly], int]:
-    """Exact Gaussian elimination; pivots chosen by smallest support."""
-    work = [
-        ({x: RatFunc(p) for x, p in a.items()}, RatFunc(b)) for a, b in eqs
-    ]
-    solved: Dict[str, Tuple[Dict[str, RatFunc], RatFunc]] = {}
-    rank = 0
+    """Exact Gaussian elimination in the Laurent ring.
+
+    Pivots are chosen by smallest support and must be monomials, the units
+    of the ring, so every row stays a Laurent polynomial.
+    """
+    work = [(dict(a), b) for a, b in eqs]
+    solved: Dict[str, Tuple[Dict[str, LaurentPoly], LaurentPoly]] = {}
+    zero = LaurentPoly.zero(table)
     for x in unknowns:
         best = None
-        for i, (a, b) in enumerate(work):
+        for i, (a, _) in enumerate(work):
             if x in a and not a[x].is_zero:
-                key = (len(a[x].num.terms) + len(a[x].den.terms), len(a), i)
+                key = (len(a[x].terms), len(a), i)
                 if best is None or key < best[0]:
                     best = (key, i)
         if best is None:
             continue
-        _, i = best
+        support, _, i = best[0]
+        if support != 1:
+            raise DerivationError(f"no monomial pivot for {x}'")
         a, b = work.pop(i)
-        pivot = a.pop(x)
-        row = {y: c / pivot for y, c in a.items()}
-        const = b / pivot
+        inv = a.pop(x) ** -1
+        row = {y: c * inv for y, c in a.items()}
+        const = b * inv
         # substitute into the remaining equations
         new_work = []
         for a2, b2 in work:
             if x in a2:
                 coeff = a2.pop(x)
                 for y, c in row.items():
-                    a2[y] = (a2.get(y, RatFunc(LaurentPoly.zero(table)))) - coeff * c
+                    a2[y] = a2.get(y, zero) - coeff * c
                 b2 = b2 - coeff * const
                 a2 = {y: c for y, c in a2.items() if not c.is_zero}
             new_work.append((a2, b2))
         work = new_work
         solved[x] = (row, const)
-        rank += 1
     for a, b in work:
         if any(not c.is_zero for c in a.values()) or not b.is_zero:
             raise DerivationError("inconsistent closure equations")
-    if rank != len(unknowns):
+    if len(solved) != len(unknowns):
         missing = [x for x in unknowns if x not in solved]
         raise DerivationError(f"underdetermined system; no pivot for {missing}")
     # back substitution: x + sum(row_y * y) + const = 0
-    values: Dict[str, RatFunc] = {}
+    values: Dict[str, LaurentPoly] = {}
     for x in reversed(list(solved)):
         row, const = solved[x]
         acc = const
         for y, c in row.items():
             acc = acc + c * values[y]
         values[x] = -acc
-    return {x: v.as_laurent() for x, v in values.items()}, rank
+    return values, len(solved)
 
 
 def derive_flow(

@@ -663,42 +663,8 @@ def catalog_row(model: Union[CosetModel, str], orbit: str) -> CatalogRow:
 
 
 # ---------------------------------------------------------------------------
-# the full verification report
+# the verification report
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    model: str
-    orbit: str
-    closure: ClosureReport
-    cone: ConeFit
-    kaehler_signs: Tuple[int, ...]
-    smoothness: SmoothnessReport
-    su4: SU4Certificate
-    closed_form_deviation: float
-    provenance: Dict[str, float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "orbit": self.orbit,
-            "closure_residual": {
-                "d_omega": self.closure.d_omega_residual,
-                "d_eta": self.closure.d_eta_residual,
-                "fd_step": self.closure.fd_step,
-                "n_samples": self.closure.n_samples,
-            },
-            "cone": self.cone.to_json_dict(),
-            "kaehler": {
-                "signs": list(self.kaehler_signs),
-                "residual": 0.0 if self.kaehler_signs else None,
-            },
-            "smoothness": self.smoothness.to_json_dict(),
-            "su4_certificate": self.su4.passed,
-            "closed_form_deviation": self.closed_form_deviation,
-            "provenance": self.provenance,
-        }
 
 
 #: default pass/fail bars; the raw-sample closure check is limited by the
@@ -711,44 +677,96 @@ DEFAULT_BARS = {
 }
 
 
+def evaluate_bars(doc: dict, bars: dict, cone, closure=None, deviation=None, su4=None) -> int:
+    """Record the bars and the checks that miss them in ``doc``; the exit
+    code is 1 when any check misses its bar.  A partial cone fit is never
+    held to the cone bar."""
+    failures = []
+    if closure is not None and closure.max_residual > bars["closure"]:
+        failures.append("closure")
+    if cone.max_delta > bars["cone"] and not cone.partial:
+        failures.append("cone")
+    if deviation is not None and deviation > bars["closed_form"]:
+        failures.append("closed_form")
+    if su4 is not None and not su4.passed:
+        failures.append("su4")
+    doc["bars"] = bars
+    doc["bars_failed"] = failures
+    doc["passed"] = not failures
+    return 1 if failures else 0
+
+
+def verify_trajectory(
+    model: CosetModel, spec: OrbitSpec, traj: Trajectory, bars: Dict[str, Optional[float]]
+) -> Tuple[dict, int]:
+    """Every check of one run of a singular orbit, as a report document and
+    an exit code (1 when a check misses its bar).
+
+    A stored trajectory (status ``loaded``) gets the raw-sample closure
+    check; an integrated one gets the profile-backed check.  ``bars`` holds
+    the closure, cone and closed-form bars; a closure bar of None takes the
+    default of the closure check used.
+    """
+    loaded = traj.status == "loaded"
+    deriv = derivation(model)
+    prof = profile(model, spec)
+    if loaded:
+        closure = check_closure_samples(traj, deriv)
+    else:
+        closure = check_closure(ProfileSampler(prof, traj), deriv)
+    cone = cone_fit(traj)
+    smooth = smoothness_report(model, spec.orbit, deriv.sys)
+    su4 = su4_family_check(model, deriv.sys, deriv.cert)
+    deviation = compare(traj, prof)
+    residual = {
+        "d_omega": closure.d_omega_residual,
+        "d_eta": closure.d_eta_residual,
+        "n_samples": closure.n_samples,
+    }
+    kaehler = {"signs": list(deriv.cert.signs)}
+    if loaded:
+        residual["mode"] = "raw-samples"
+    else:
+        residual["fd_step"] = closure.fd_step
+        kaehler["residual"] = 0.0
+    doc = {
+        "model": model.label,
+        "orbit": spec.orbit,
+        "closure_residual": residual,
+        "cone": cone.to_json_dict(with_corrections=not loaded),
+        "kaehler": kaehler,
+        "smoothness": smooth.to_json_dict(),
+        "su4_certificate": su4.passed,
+        "closed_form_deviation": deviation,
+    }
+    if bars["closure"] is None:
+        bars = {**bars, "closure": DEFAULT_BARS["closure_trajectory" if loaded else "closure"]}
+    code = evaluate_bars(doc, bars, cone, closure, deviation, su4)
+    return doc, code
+
+
 def run_report(
     model: CosetModel,
     spec: OrbitSpec,
     cfg: IntegratorConfig,
-    n_closure_samples: int = 40,
-) -> Tuple[VerificationReport, Trajectory]:
+    bars: Dict[str, Optional[float]],
+) -> Tuple[dict, int, Trajectory]:
     """Full pipeline for one singular orbit: derive, solve, verify.
 
-    Raises IntegrationError when the run does not reach its end.
+    Returns the report document with its provenance, the exit code of
+    :func:`verify_trajectory` and the trajectory.  Raises IntegrationError
+    when the run does not reach its end.
     """
-    from .integrate import solve_orbit
+    from .integrate import solve_orbit  # looked up per call, as the module holds it now
 
-    deriv = derivation(model)
-    sys, cert = deriv.sys, deriv.cert
-    traj, _ = solve_orbit(sys, spec, cfg)
+    traj, _ = solve_orbit(derivation(model).sys, spec, cfg)
     traj.require_done()
-    prof = profile(model, spec)
-    sampler = ProfileSampler(prof, traj)
-    closure = check_closure(sampler, deriv, n_samples=n_closure_samples)
-    cone = cone_fit(traj)
-    smooth = smoothness_report(model, spec.orbit, sys)
-    su4 = su4_family_check(model, sys, cert)
-    dev = compare(traj, prof)
-    report = VerificationReport(
-        model=model.label,
-        orbit=spec.orbit,
-        closure=closure,
-        cone=cone,
-        kaehler_signs=cert.signs,
-        smoothness=smooth,
-        su4=su4,
-        closed_form_deviation=dev,
-        provenance={
-            "rtol": cfg.rtol,
-            "atol": cfg.atol,
-            "t_end": cfg.t_end,
-            "eps": start_offset(spec, cfg.eps),
-            "fd_step": closure.fd_step,
-        },
-    )
-    return report, traj
+    doc, code = verify_trajectory(model, spec, traj, bars)
+    doc["provenance"] = {
+        "rtol": cfg.rtol,
+        "atol": cfg.atol,
+        "t_end": cfg.t_end,
+        "eps": start_offset(spec, cfg.eps),
+        "fd_step": doc["closure_residual"]["fd_step"],
+    }
+    return doc, code, traj

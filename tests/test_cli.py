@@ -204,7 +204,7 @@ BAD_NUMERIC_FLAGS = [
     )
     for value in ("nan", "inf", "0", "-5")
     if (flag, value) != ("--initial-step", "0")
-]
+] + [("--b0", "1e400")]
 
 
 @pytest.mark.parametrize("flag,value", BAD_NUMERIC_FLAGS)
@@ -293,6 +293,13 @@ def test_report_records_a_given_eps(capsys, tmp_path):
     capsys.readouterr()
 
 
+#: the keys of a report and a verify of one run that depend on the closure
+#: check: profile-backed for report, raw samples for verify
+DIFFERS_BY_CLOSURE_CHECK = (
+    "closure_residual", "bars.closure", "cone.corrections", "kaehler.residual", "provenance",
+)
+
+
 @pytest.mark.parametrize("model,orbit,values", UNIT_ORBITS)
 def test_verify_passes_each_unit_orbit_at_the_default_bars(capsys, tmp_path, model, orbit, values):
     traj = tmp_path / "traj.csv"
@@ -303,6 +310,18 @@ def test_verify_passes_each_unit_orbit_at_the_default_bars(capsys, tmp_path, mod
     doc = json.loads(out)
     assert code == 0, doc["bars_failed"]
     assert doc["closure_residual"]["d_omega"] <= 1e-3
+    # report integrates the same run; only its closure check and the keys
+    # that come with it differ
+    code, out, _ = run(["report", *argv], capsys)
+    report = json.loads(out)
+    assert code == 0, report["bars_failed"]
+    for path in DIFFERS_BY_CLOSURE_CHECK:
+        for tree in (doc, report):
+            *parents, last = path.split(".")
+            for key in parents:
+                tree = tree[key]
+            tree.pop(last, None)
+    assert report == doc
 
 
 def test_verify_fails_a_run_of_a_slightly_wrong_system(capsys, tmp_path):
@@ -319,6 +338,25 @@ def test_verify_fails_a_run_of_a_slightly_wrong_system(capsys, tmp_path):
     )
     assert code == 1
     assert "closure" in json.loads(out)["bars_failed"]
+
+
+# a float ``**`` beyond float range raises OverflowError in the right-hand
+# side: at the series start of a tiny a0, and late in a run to t = 1e300
+OVERFLOW_ARGV = [
+    ["report", "--model", "m", "--orbit", "cp2", "--a0", "1e-200"],
+    ["solve", "--model", "q", "--orbit", "s2xs2", "--b0", "1", "--c0", "1", "--t-end", "1e300"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERFLOW_ARGV)
+def test_overflowing_right_hand_side_exits_1_with_one_line(capsys, tmp_path, argv):
+    out = tmp_path / "out"
+    code, _, err = run([*argv, "--out", str(out)], capsys)
+    assert code == 1
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("integration error: "), err
+    assert not out.exists()
 
 
 INTEGRATOR_FLAGS = [

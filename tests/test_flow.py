@@ -5,9 +5,10 @@ from itertools import product
 
 import pytest
 
-from holoflow.algebra import LaurentPoly, Multivector, wedge
+from holoflow.algebra import LaurentPoly, Multivector, SymbolTable, wedge
 from holoflow.flow import (
     DerivationError,
+    _solve_linear,
     closure_residual,
     coefficient_map,
     cosymplectic_constraints,
@@ -223,3 +224,33 @@ def test_json_serialization_has_monomial_denominators():
     assert len(a_rhs["denominator"]) == 1
     coeffs = {t["coeff"] for t in a_rhs["numerator"]}
     assert "3/8" in coeffs
+
+
+# ---------------------------------------------------------------------------
+# elimination in the Laurent ring
+# ---------------------------------------------------------------------------
+
+AB = SymbolTable(("a", "b"))
+
+
+def test_solve_linear_with_monomial_pivots_is_exact():
+    # a a' + b' - b - 3a = 0 and b^2 b' - 3a b^2 = 0: a' = b/a, b' = 3a
+    a, b = LaurentPoly.variable(AB, "a"), LaurentPoly.variable(AB, "b")
+    eqs = [
+        ({"a": a, "b": LaurentPoly.const(AB, 1)}, -b - 3 * a),
+        ({"b": b**2}, -3 * a * b**2),
+    ]
+    values, rank = _solve_linear(eqs, ("a", "b"), AB)
+    assert rank == 2
+    assert values == {"a": b * a**-1, "b": 3 * a}
+
+
+def test_solve_linear_rejects_a_non_monomial_pivot():
+    # a' appears only with the coefficient a + b, which is not a unit
+    a, b = LaurentPoly.variable(AB, "a"), LaurentPoly.variable(AB, "b")
+    eqs = [
+        ({"a": a + b}, LaurentPoly.const(AB, -1)),
+        ({"b": LaurentPoly.const(AB, 1)}, -a),
+    ]
+    with pytest.raises(DerivationError, match="monomial pivot"):
+        _solve_linear(eqs, ("a", "b"), AB)

@@ -98,6 +98,18 @@ def test_zero_base_negative_exponent_flags_blowup():
     assert status == "blowup"
 
 
+def test_power_beyond_float_range_flags_blowup():
+    # a^-2 at a = 1e-200 overflows in the first evaluation; f^2 overflows
+    # once f passes 1e154 on the way to t = 1e300
+    rhs = _stepper_py.make_rhs(COEFFS, EXPS, OWNER, 5)
+    y0 = [1e-200, 1.0, 1.0, 1.0, 0.0]
+    status, *_ = _stepper_py.solve(rhs, 5, y0, 0.0, 1.0, 1e-8, 1e-10, 0.0, WATCH, 1000)
+    assert status == "blowup"
+    status, ts, *_ = run(t_end=1e300)
+    assert status == "blowup"
+    assert 1e150 < ts[-1] < 1e300
+
+
 # ---------------------------------------------------------------------------
 # generated right-hand sides against the reference interpreter
 # ---------------------------------------------------------------------------
