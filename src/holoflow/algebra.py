@@ -221,14 +221,15 @@ class LaurentPoly:
                 raise ZeroDivisionError
             inv = LaurentPoly(self.table, {tuple(-e for e in vec): 1 / c})
             return inv ** (-n)
-        out = LaurentPoly.const(self.table, 1)
+        out = None
         p = self
         while n:
             if n & 1:
-                out = out * p
-            p = p * p if n > 1 else p
+                out = p if out is None else out * p
             n >>= 1
-        return out
+            if n:
+                p = p * p
+        return LaurentPoly.const(self.table, 1) if out is None else out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -262,81 +263,54 @@ class LaurentPoly:
                 out.pop(key, None)
         return LaurentPoly(self.table, out)
 
-    def subs_derivatives(self, rhs: Mapping[str, "LaurentPoly"]) -> "LaurentPoly":
-        """Replace every derivative symbol by the given polynomial."""
-        nb = self.table.nbase
-        names = self.table.names
-        out = LaurentPoly.zero(self.table)
-        for vec, c in self.terms.items():
-            piece = LaurentPoly(
-                self.table, {vec[:nb] + (0,) * (len(vec) - nb): c}
-            )
-            for j in range(nb, len(vec)):
-                e = vec[j]
-                if e == 0:
-                    continue
-                name = names[j]
-                if name not in rhs:
-                    raise AlgebraError(f"no substitution supplied for {name!r}")
-                piece = piece * rhs[name] ** e
-            out = out + piece
-        return out
-
-    def compose_base(
-        self, target: SymbolTable, images: Mapping[str, "LaurentPoly"]
+    def subs(
+        self, images: Mapping[str, "LaurentPoly"], table: Optional[SymbolTable] = None
     ) -> "LaurentPoly":
-        """Substitute a monomial image for every base symbol.
+        """Replace each named symbol by a polynomial on ``table``.
 
-        Monomial images keep negative exponents meaningful.  Derivative
-        symbols must not occur in the source polynomial.
+        ``table`` defaults to this polynomial's own.  Every other symbol that
+        occurs is carried over by name; one without a slot in ``table``
+        raises.  A negative power needs a monomial image.
         """
-        nb = self.table.nbase
-        for vec in self.terms:
-            if any(vec[nb:]):
-                raise AlgebraError("compose_base is defined for derivative-free polynomials")
-        mono: Dict[int, Tuple[Tuple[int, ...], Fraction]] = {}
-        for i, name in enumerate(self.table.base):
-            img = images[name]
-            if img.table != target:
-                raise AlgebraError("image polynomial on wrong symbol table")
-            if len(img.terms) != 1:
-                raise AlgebraError("base-symbol images must be monomials")
-            ((ivec, ic),) = img.terms.items()
-            mono[i] = (ivec, ic)
-        width = len(target.names)
+        table = table or self.table
+        width = len(table.names)
+        carried = []
+        replaced = []
+        for i, name in enumerate(self.table.names):
+            if name in images:
+                replaced.append((i, images[name]))
+            elif any(vec[i] for vec in self.terms):
+                carried.append((i, table.index(name)))
+        powers: Dict[Tuple[int, int], LaurentPoly] = {}
         out: Dict[Tuple[int, ...], Fraction] = {}
         for vec, c in self.terms.items():
-            acc = [0] * width
-            coeff = c
-            for i in range(nb):
+            nv = [0] * width
+            for i, j in carried:
+                nv[j] = vec[i]
+            piece = LaurentPoly(table, {tuple(nv): c})
+            for i, image in replaced:
                 e = vec[i]
-                if e == 0:
-                    continue
-                ivec, ic = mono[i]
-                coeff *= ic**e
-                for k in range(width):
-                    acc[k] += e * ivec[k]
-            key = tuple(acc)
-            s = out.get(key, Fraction(0)) + coeff
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return LaurentPoly(target, out)
+                if e:
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[i, e] = image**e
+                    piece = piece * power
+            for key, q in piece.terms.items():
+                s = out.get(key, Fraction(0)) + q
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+        return LaurentPoly(table, out)
 
-    def scale_symbols(self, signs: Mapping[str, int]) -> "LaurentPoly":
-        """Substitute ``sym -> sign*sym`` for the given symbols (sign = +-1)."""
-        idx = {self.table.index(n): s for n, s in signs.items()}
-        out: Dict[Tuple[int, ...], Fraction] = {}
-        for vec, c in self.terms.items():
-            f = c
-            for i, s in idx.items():
-                if s == -1 and vec[i] % 2:
-                    f = -f
-                elif s not in (1, -1):
-                    raise AlgebraError("scale_symbols expects signs +-1")
-            out[vec] = out.get(vec, Fraction(0)) + f
-        return LaurentPoly(self.table, {v: c for v, c in out.items() if c})
+    def cleared(self) -> Tuple["LaurentPoly", "LaurentPoly"]:
+        """``(numerator, denominator)``: negative exponents cleared into a
+        monomial denominator, so the numerator is a polynomial."""
+        mins = [0] * len(self.table.names)
+        for vec in self.terms:
+            mins = [min(m, e) for m, e in zip(mins, vec)]
+        den = LaurentPoly(self.table, {tuple(-m for m in mins): Fraction(1)})
+        return self * den, den
 
     def reduce_circle(self, cos_name: str, sin_name: str) -> "LaurentPoly":
         """Normal form modulo ``cos**2 + sin**2 = 1`` (sin-degree <= 1)."""
@@ -358,20 +332,6 @@ class LaurentPoly:
                 piece = piece * one_minus_c2**q
             out = out + piece
         return out
-
-    def lift(self, target: SymbolTable) -> "LaurentPoly":
-        """Re-express on a larger table containing all current symbols."""
-        if target == self.table:
-            return self
-        pos = [target.index(n) for n in self.table.names]
-        width = len(target.names)
-        out: Dict[Tuple[int, ...], Fraction] = {}
-        for vec, c in self.terms.items():
-            nv = [0] * width
-            for p, e in zip(pos, vec):
-                nv[p] = e
-            out[tuple(nv)] = c
-        return LaurentPoly(target, out)
 
     def eval(self, assignment: Mapping[str, float]) -> float:
         """Evaluate in floating point; summation order is canonical."""
@@ -595,28 +555,6 @@ class Multivector:
             out[comp] = -c if sign < 0 else c
         return Multivector(self.gens, out, self.dt_index)
 
-    def rescale_coframe(self, scales: Sequence[Optional[LaurentPoly]]) -> "Multivector":
-        """Multiply each e^I by the product of per-generator monomial scales."""
-        if len(scales) != len(self.gens):
-            raise AlgebraError("one scale per generator required")
-        for s in scales:
-            if s is None:
-                continue
-            if len(s.terms) != 1:
-                raise AlgebraError("coframe scales must be monomials")
-            ((vec, _),) = s.terms.items()
-            if any(vec[s.table.nbase:]):
-                raise AlgebraError("coframe scales cannot involve derivative symbols")
-        out: Dict[int, object] = {}
-        for m, c in self.terms.items():
-            coeff = c
-            for b in _bits(m):
-                s = scales[b]
-                if s is not None:
-                    coeff = coeff * s
-            out[m] = coeff
-        return Multivector(self.gens, out, self.dt_index)
-
     def contract(self, gen_index: int) -> "Multivector":
         """Interior product against the vector dual to one coframe generator."""
         bit = 1 << gen_index
@@ -633,63 +571,50 @@ class Multivector:
                 out[key] = coeff
         return Multivector(self.gens, out, self.dt_index)
 
-    # -- coframe substitutions -----------------------------------------------------------
+    # -- coframe substitution ------------------------------------------------------------
 
-    def pushforward(
+    def substitute(
         self,
-        target_gens: Sequence[str],
-        mapping: Mapping[int, Tuple[int, object]],
-        target_dt: Optional[int] = None,
+        images: Mapping[int, Sequence[Tuple[int, object]]],
+        gens: Optional[Sequence[str]] = None,
+        dt_index: Optional[int] = None,
     ) -> "Multivector":
-        """Substitute ``e^old = scale * e^new`` with an injective index map."""
+        """Replace each ``e^i`` by the linear combination ``sum(w * e^j)`` of
+        ``images[i] = [(j, w), ...]``, with ``j`` indexing ``gens``.
+
+        ``gens`` and ``dt_index`` default to this form's own.  A generator
+        without an image is kept, which needs the generators unchanged.
+        Each term is expanded directly, with the sign of the permutation
+        that sorts its new indices.
+        """
+        if gens is None:
+            gens, dt_index = self.gens, self.dt_index
+        keep = tuple(gens) == self.gens
         out: Dict[int, object] = {}
         for m, c in self.terms.items():
-            coeff = c
-            new_idx = []
-            for b in _bits(m):
-                if b not in mapping:
-                    raise AlgebraError(f"no image for generator index {b}")
-                tgt, scale = mapping[b]
-                new_idx.append(tgt)
-                if scale is not None and scale != 1:
-                    coeff = coeff * scale
-            if len(set(new_idx)) != len(new_idx):
-                raise AlgebraError("pushforward index map is not injective on this term")
-            sign = _perm_sign_sort(new_idx)
-            if sign < 0:
-                coeff = -coeff
-            mask = 0
-            for i in new_idx:
-                mask |= 1 << i
-            if mask in out:
-                out[mask] = out[mask] + coeff
-            else:
-                out[mask] = coeff
-        return Multivector(target_gens, out, target_dt)
-
-    def substitute_generators(
-        self, images: Mapping[int, Sequence[Tuple[int, object]]]
-    ) -> "Multivector":
-        """Replace ``e^i`` by a linear combination ``sum(coeff * e^j)``.
-
-        Generators absent from ``images`` are kept.  Used for coframe
-        rotations; coefficients multiply the existing ones.
-        """
-        out = Multivector.zero(self.gens, self.dt_index)
-        for m, c in self.terms.items():
-            pieces = [Multivector(self.gens, {0: c}, self.dt_index)]
+            partial = [((), c)]  # (new indices so far, coefficient)
             for b in _bits(m):
                 if b in images:
-                    one = Multivector(
-                        self.gens,
-                        {1 << j: w for j, w in images[b]},
-                        self.dt_index,
-                    )
+                    image = images[b]
+                elif keep:
+                    image = ((b, None),)
                 else:
-                    one = Multivector(self.gens, {1 << b: _one_like(c)}, self.dt_index)
-                pieces = [p.wedge(one) for p in pieces]
-            out = out + pieces[0]
-        return out
+                    raise AlgebraError(f"no image for generator index {b}")
+                # a repeated generator wedges to zero
+                partial = [
+                    (idx + (j,), coeff if w is None else coeff * w)
+                    for idx, coeff in partial
+                    for j, w in image
+                    if j not in idx
+                ]
+            for idx, coeff in partial:
+                mask = 0
+                for j in idx:
+                    mask |= 1 << j
+                if _perm_sign_sort(idx) < 0:
+                    coeff = -coeff
+                out[mask] = out[mask] + coeff if mask in out else coeff
+        return Multivector(gens, out, dt_index)
 
     # -- evaluation ----------------------------------------------------------------------
 
@@ -717,12 +642,6 @@ class Multivector:
         return " + ".join(bits)
 
 
-def _one_like(coeff):
-    if isinstance(coeff, LaurentPoly):
-        return LaurentPoly.const(coeff.table, 1)
-    return 1.0
-
-
 def _perm_sign_sort(seq: Sequence[int]) -> int:
     """Sign of the permutation sorting ``seq`` ascending (counts inversions)."""
     inv = 0
@@ -745,10 +664,6 @@ def wedge(u: Multivector, v: Multivector) -> Multivector:
 
 def hodge_star(u: Multivector, orientation: int = 1) -> Multivector:
     return u.hodge_star(orientation)
-
-
-def rescale_coframe(u: Multivector, scales: Sequence[Optional[LaurentPoly]]) -> Multivector:
-    return u.rescale_coframe(scales)
 
 
 def eval_numeric(x, assignment: Mapping[str, float]):

@@ -110,7 +110,8 @@ def _check_args(args) -> None:
             continue
         try:
             value = Fraction(raw)
-            float(value)  # OverflowError beyond float range
+            if value and float(value) == 0.0:  # below float range; above it, float() overflows
+                raise OverflowError
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(
                 f"--{name} must be an exact number such as 3, 0.5 or 2/3, got {raw!r}"

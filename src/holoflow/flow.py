@@ -62,7 +62,7 @@ def under_system(form: Multivector, sys: ODESystem, table: SymbolTable) -> Multi
     """Replace every derivative symbol in the coefficients by the system's
     right-hand side, lifted to ``table``."""
     subs = sys.rhs_substitution(table)
-    return coefficient_map(form, lambda p: p.subs_derivatives(subs))
+    return coefficient_map(form, lambda p: p.subs(subs))
 
 
 def split_dt(form: Multivector) -> Tuple[Multivector, Multivector]:
@@ -98,22 +98,8 @@ class ODESystem:
         return self.rhs[self.state[0]].table
 
     def rhs_substitution(self, table: Optional[SymbolTable] = None) -> Dict[str, LaurentPoly]:
-        """Derivative-symbol substitution map, optionally lifted to a table."""
-        if table is None:
-            return {x + "'": p for x, p in self.rhs.items()}
-        return {x + "'": p.lift(table) for x, p in self.rhs.items()}
-
-    def numerator_denominator(self, name: str) -> Tuple[LaurentPoly, LaurentPoly]:
-        """Clear negative exponents into a monomial denominator."""
-        poly = self.rhs[name]
-        width = len(poly.table.names)
-        mins = [0] * width
-        for vec in poly.terms:
-            for i, e in enumerate(vec):
-                mins[i] = min(mins[i], e)
-        den_vec = tuple(-m for m in mins)
-        den = LaurentPoly(poly.table, {den_vec: Fraction(1)})
-        return poly * den, den
+        """Derivative-symbol substitution map, optionally moved to a larger table."""
+        return {x + "'": p.subs({}, table) for x, p in self.rhs.items()}
 
     def to_json_dict(self) -> dict:
         names = self.table.names
@@ -127,7 +113,7 @@ class ODESystem:
 
         rhs = {}
         for x in self.state:
-            num, den = self.numerator_denominator(x)
+            num, den = self.rhs[x].cleared()
             rhs[x] = {"numerator": poly_terms(num), "denominator": poly_terms(den)}
         return {
             "model": self.model_kind,

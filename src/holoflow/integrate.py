@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import _kernel
-from .algebra import LaurentPoly, SymbolTable
+from .algebra import AlgebraError, LaurentPoly, SymbolTable
 from .flow import ODESystem
 
 #: collapsing coefficient pattern per model and singular orbit
@@ -111,49 +111,6 @@ class IntegratorConfig:
 # ---------------------------------------------------------------------------
 
 
-def _limit_t0(poly: LaurentPoly, t_index: int) -> LaurentPoly:
-    """Terms of t-degree zero; error on poles, drop positive powers."""
-    out = {}
-    for vec, c in poly.terms.items():
-        e = vec[t_index]
-        if e < 0:
-            raise SeriesStartError("right-hand side has a pole at the singular orbit")
-        if e == 0:
-            out[vec[:t_index] + vec[t_index + 1 :]] = c
-    reduced_table = SymbolTable(
-        poly.table.base[:t_index] + poly.table.base[t_index + 1 :]
-    )
-    return LaurentPoly(reduced_table, out)
-
-
-def _clear_negative(poly: LaurentPoly) -> LaurentPoly:
-    width = len(poly.table.names)
-    mins = [0] * width
-    for vec in poly.terms:
-        for i, e in enumerate(vec):
-            mins[i] = min(mins[i], e)
-    shift = tuple(-m for m in mins)
-    if not any(shift):
-        return poly
-    return poly * LaurentPoly(poly.table, {shift: Fraction(1)})
-
-
-def _subs_poly(poly: LaurentPoly, name: str, image: LaurentPoly) -> LaurentPoly:
-    idx = poly.table.index(name)
-    out = LaurentPoly.zero(poly.table)
-    for vec, c in poly.terms.items():
-        e = vec[idx]
-        if e < 0:
-            raise SeriesStartError("negative exponent during slope substitution")
-        nv = list(vec)
-        nv[idx] = 0
-        piece = LaurentPoly(poly.table, {tuple(nv): c})
-        if e:
-            piece = piece * image**e
-        out = out + piece
-    return out
-
-
 def _univariate_coeffs(poly: LaurentPoly, name: str) -> List[Fraction]:
     idx = poly.table.index(name)
     deg = 0
@@ -212,7 +169,7 @@ def _solve_slope_system(
     eqs: List[LaurentPoly], unknowns: List[str]
 ) -> List[Dict[str, Fraction]]:
     """All assignments with every slope a nonzero rational."""
-    eqs = [_clear_negative(e) for e in eqs if not e.is_zero]
+    eqs = [e.cleared()[0] for e in eqs if not e.is_zero]
     if not unknowns:
         if any(not e.is_zero for e in eqs):
             return []
@@ -239,7 +196,7 @@ def _solve_slope_system(
             (name,) = present
             sols = []
             for root in _rational_roots(_univariate_coeffs(e, name)):
-                rest = [_subs_poly(q, name, LaurentPoly.const(table, root)) for q in eqs]
+                rest = [q.subs({name: LaurentPoly.const(table, root)}) for q in eqs]
                 for tail in _solve_slope_system(rest, [u for u in unknowns if u != name]):
                     tail = dict(tail)
                     tail[name] = root
@@ -263,17 +220,13 @@ def _solve_slope_system(
                     linear = False
             if linear and coeff != 0:
                 image = LaurentPoly(table, rest_terms) * Fraction(-1, 1) * (1 / coeff)
-                rest = [
-                    _subs_poly(q, name, image) for q in eqs if q is not e
-                ]
+                rest = [q.subs({name: image}) for q in eqs if q is not e]
                 sols = []
                 for tail in _solve_slope_system(
                     rest, [u for u in unknowns if u != name]
                 ):
-                    value = image
-                    for u, v in tail.items():
-                        value = _subs_poly(value, u, LaurentPoly.const(table, v))
-                    root = value.constant_value()
+                    values = {u: LaurentPoly.const(table, v) for u, v in tail.items()}
+                    root = image.subs(values).constant_value()
                     if root == 0:
                         continue
                     out = dict(tail)
@@ -307,24 +260,23 @@ def series_start(
         raise OrbitError("series_start needs at least one collapsing coefficient")
     surviving = [s for s in sys.state if s not in collapsing]
 
+    # x = s_x t for each collapsing x, then t -> 0
     slope_table = SymbolTable(tuple("s_" + x for x in collapsing) + ("t",))
-    t_index = len(collapsing)
-    images = {}
-    for x in collapsing:
-        images[x] = LaurentPoly.monomial(slope_table, 1, {"s_" + x: 1, "t": 1})
+    limit_table = SymbolTable(slope_table.base[:-1])
+    images = {x: LaurentPoly.monomial(slope_table, 1, {"s_" + x: 1, "t": 1}) for x in collapsing}
     for y in surviving:
         images[y] = LaurentPoly.const(slope_table, spec.values[y])
+    at_t0 = {"t": LaurentPoly.zero(limit_table)}
 
-    eqs = []
-    for x in collapsing:
-        sub = sys.rhs[x].compose_base(slope_table, images)
-        lim = _limit_t0(sub, t_index)
-        slope = LaurentPoly.variable(lim.table, "s_" + x)
-        eqs.append(lim - slope)
+    def limit(name: str) -> LaurentPoly:
+        try:
+            return sys.rhs[name].subs(images, slope_table).subs(at_t0, limit_table)
+        except AlgebraError as exc:
+            raise SeriesStartError("right-hand side has a pole at the singular orbit") from exc
+
+    eqs = [limit(x) - LaurentPoly.variable(limit_table, "s_" + x) for x in collapsing]
     for y in surviving:
-        sub = sys.rhs[y].compose_base(slope_table, images)
-        lim = _limit_t0(sub, t_index)
-        if not lim.is_zero:
+        if not limit(y).is_zero:
             raise SeriesStartError(
                 f"surviving coefficient {y!r} has a nonzero first derivative"
             )

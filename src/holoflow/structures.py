@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Tuple, Union
+from typing import Tuple, Union
 
 from .algebra import LaurentPoly, Multivector, SymbolTable, wedge
 from .homogeneous import CosetModel, classify_invariant_g2, group_gens, is_basic
@@ -81,10 +81,9 @@ def canonical_forms() -> CanonicalForms:
     for idx, sign in OMEGA4_TERMS:
         Omega = Omega + Multivector.basis(CANON8, list(idx), Fraction(sign), dt_index=0)
     # self-check: Omega = *omega + dx0 ^ omega, exactly
-    star = omega.hodge_star()
-    embed = {i: (i + 1, None) for i in range(7)}
-    star8 = star.pushforward(CANON8, embed, target_dt=0)
-    omega8 = omega.pushforward(CANON8, embed, target_dt=0)
+    embed = {i: ((i + 1, 1),) for i in range(7)}
+    star8 = omega.hodge_star().substitute(embed, CANON8, dt_index=0)
+    omega8 = omega.substitute(embed, CANON8, dt_index=0)
     dx0 = Multivector.basis(CANON8, [0], Fraction(1), dt_index=0)
     if Omega != star8 + wedge(dx0, omega8):
         raise StructureError("canonical forms fail Omega = *omega + dx0 ^ omega")
@@ -134,17 +133,15 @@ def build_invariant_structure(model: CosetModel, time_reversed: bool = False) ->
     fmap = FRAME_MAP[model.kind]
 
     dt_scale = LaurentPoly.const(table, -1 if time_reversed else 1)
-    map8: Dict[int, Tuple[int, LaurentPoly]] = {0: (dt_index, dt_scale)}
-    map7: Dict[int, Tuple[int, LaurentPoly]] = {}
+    map8 = {0: ((dt_index, dt_scale),)}
     for slot in range(1, 8):
         target, sym = fmap[slot]
-        scale = LaurentPoly.variable(table, sym)
-        map8[slot] = (target - 1, scale)
-        map7[slot - 1] = (target - 1, scale)
+        map8[slot] = ((target - 1, LaurentPoly.variable(table, sym)),)
+    map7 = {slot - 1: image for slot, image in map8.items() if slot}
 
-    Omega = can.Omega.pushforward(gens, map8, target_dt=dt_index)
-    omega = can.omega.pushforward(gens, map7, target_dt=dt_index)
-    star_omega = can.omega.hodge_star().pushforward(gens, map7, target_dt=dt_index)
+    Omega = can.Omega.substitute(map8, gens, dt_index)
+    omega = can.omega.substitute(map7, gens, dt_index)
+    star_omega = can.omega.hodge_star().substitute(map7, gens, dt_index)
 
     struct = Spin7Structure(model, table, Omega, omega, star_omega, time_reversed)
     dt = struct.dt_form()
@@ -199,27 +196,14 @@ def _fundamental_cs(struct: Spin7Structure, theta: AngleLike, unit: Fraction):
     return LaurentPoly.const(table, c), LaurentPoly.const(table, s), table
 
 
-def _retable(mv: Multivector, table: SymbolTable) -> Multivector:
-    if not mv.terms:
-        return Multivector.zero(mv.gens, mv.dt_index)
-    any_coeff = next(iter(mv.terms.values()))
-    if isinstance(any_coeff, LaurentPoly) and any_coeff.table == table:
-        return mv
-    out = {}
-    pad = len(table.names) - len(next(iter(mv.terms.values())).table.names)
-    for m, c in mv.terms.items():
-        out[m] = LaurentPoly(table, {vec + (0,) * pad: q for vec, q in c.terms.items()})
-    return Multivector(mv.gens, out, mv.dt_index)
-
-
 def _rotate_form(form: Multivector, table: SymbolTable, cs_pairs) -> Multivector:
     """Pull a form back by simultaneous plane rotations of the coframe."""
-    form = _retable(form, table)
     images = {}
     for (i, j), (c, s) in zip(ROTATION_PLANES, cs_pairs):
         images[i] = ((i, c), (j, -s))
         images[j] = ((i, s), (j, c))
-    return form.substitute_generators(images)
+    moved = {m: p.subs({}, table) for m, p in form.terms.items()}
+    return Multivector(form.gens, moved, form.dt_index).substitute(images)
 
 
 def _rotation(struct: Spin7Structure, theta: AngleLike, unit: Fraction, multiples):

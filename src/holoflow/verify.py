@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .algebra import LaurentPoly
+from .algebra import AlgebraError, LaurentPoly
 from .closed_form import ProfileM, ProfileQ, compare, profile
 from .flow import (
     Derivation,
+    DerivationError,
     KaehlerCertificate,
     ODESystem,
     coefficient_map,
@@ -565,28 +566,20 @@ def su4_family_check(
     try:
         cert = cert or kaehler_search(model, sys, struct)
         kaehler_unique = cert.unique_up_to_sign
-    except Exception:
+    except DerivationError:
         kaehler_unique = False
 
     # (4) no invariant parallel vector field: the vertical coefficient cannot
     # be constant (its derivative is forced nonzero at the collapsing locus),
     # and a pure d/dt field would freeze every coefficient
     last = sys.state[-1]
-    collapsed = _substitute_zero(sys.rhs[last], last)
+    try:
+        collapsed = sys.rhs[last].subs({last: LaurentPoly.zero(sys.table)})
+    except AlgebraError as exc:
+        raise VerifyError("cannot evaluate a pole at the collapsing locus") from exc
     no_parallel_vector = (not collapsed.is_zero) and (not sys.rhs[sys.state[0]].is_zero)
 
     return SU4Certificate(family_parallel, family_moves, kaehler_unique, no_parallel_vector)
-
-
-def _substitute_zero(poly: LaurentPoly, name: str) -> LaurentPoly:
-    idx = poly.table.index(name)
-    out = {}
-    for vec, c in poly.terms.items():
-        if vec[idx] == 0:
-            out[vec] = c
-        elif vec[idx] < 0:
-            raise VerifyError("cannot evaluate a pole at the collapsing locus")
-    return LaurentPoly(poly.table, out)
 
 
 # ---------------------------------------------------------------------------

@@ -118,19 +118,13 @@ def test_star_square_sign_dim8():
 
 
 # ---------------------------------------------------------------------------
-# rescaling
+# coframe substitution
 # ---------------------------------------------------------------------------
 
 
-def scales_for(names):
-    out = []
-    for n in names:
-        if n is None:
-            out.append(None)
-        else:
-            sym, e = n
-            out.append(LaurentPoly.monomial(TAB, 1, {sym: e}))
-    return out
+def rescaled(u, scales):
+    """Each generator e^i times ``scales[i]``; ``None`` keeps it."""
+    return u.substitute({i: ((i, s),) for i, s in enumerate(scales) if s is not None})
 
 
 def sym_mv(indices, coeff):
@@ -140,23 +134,16 @@ def sym_mv(indices, coeff):
 
 def test_rescale_identity():
     u = sym_mv([1, 3], LaurentPoly.const(TAB, 7))
-    assert u.rescale_coframe([None] * 7) == u
+    assert rescaled(u, [None] * 7) == u
 
 
 def test_rescale_multiplicative_on_single_generator():
     u = sym_mv([2], LaurentPoly.const(TAB, 1))
     s = [None] * 7
     s[1] = LaurentPoly.monomial(TAB, 1, {"a": -1})
-    once = u.rescale_coframe(s)
-    twice = once.rescale_coframe(s)
+    once = rescaled(u, s)
+    twice = rescaled(once, s)
     assert twice.coefficient([1]) == LaurentPoly.monomial(TAB, 1, {"a": -2})
-
-
-def test_rescale_rejects_derivative_scales():
-    u = sym_mv([1], LaurentPoly.const(TAB, 1))
-    s = [LaurentPoly.monomial(TAB, 1, {"a'": 1})] + [None] * 6
-    with pytest.raises(AlgebraError):
-        u.rescale_coframe(s)
 
 
 @settings(max_examples=40, deadline=None)
@@ -168,13 +155,41 @@ def test_rescale_distributes_over_wedge(data):
     scales = [LaurentPoly.monomial(table, 1, {"a": e}) for e in exps]
     i = data.draw(st.integers(0, 6))
     j = data.draw(st.integers(0, 6))
-    if i == j:
-        return
-    u = Multivector.basis(gens, [i], LaurentPoly.const(table, 2))
-    v = Multivector.basis(gens, [j], LaurentPoly.const(table, 3))
-    assert wedge(u, v).rescale_coframe(scales) == wedge(
-        u.rescale_coframe(scales), v.rescale_coframe(scales)
-    )
+    if i != j:
+        u = Multivector.basis(gens, [i], LaurentPoly.const(table, 2))
+        v = Multivector.basis(gens, [j], LaurentPoly.const(table, 3))
+        assert rescaled(wedge(u, v), scales) == wedge(rescaled(u, scales), rescaled(v, scales))
+
+    # random linear images; generators without one are kept
+    images = {}
+    for k in range(7):
+        if data.draw(st.booleans()):
+            continue
+        targets = data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True))
+        images[k] = tuple(
+            (
+                t,
+                LaurentPoly.monomial(
+                    table,
+                    Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3))),
+                    {"a": data.draw(st.integers(-2, 2)), "b": data.draw(st.integers(-2, 2))},
+                ),
+            )
+            for t in targets
+        )
+    one = LaurentPoly.const(table, 1)
+    u = data.draw(homogeneous_mv()).scaled(one)
+    v = data.draw(homogeneous_mv()).scaled(one)
+    assert wedge(u, v).substitute(images) == wedge(u.substitute(images), v.substitute(images))
+
+
+def test_substitute_onto_new_generators_needs_every_image():
+    u = mv7([1, 2])
+    target = ("dt",) + GENS7
+    moved = u.substitute({0: ((1, 1),), 1: ((2, 1),)}, target, dt_index=0)
+    assert moved == Multivector.basis(target, [1, 2], Fraction(1), dt_index=0)
+    with pytest.raises(AlgebraError):
+        u.substitute({0: ((1, 1),)}, target, dt_index=0)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +240,72 @@ def test_diff_is_formal_partial():
 def test_subs_derivatives():
     p = LaurentPoly.monomial(TAB, 2, {"a'": 1, "b": 1})
     rhs = {"a'": LaurentPoly.monomial(TAB, Fraction(-1, 6), {"f": 1, "a": -1})}
-    assert p.subs_derivatives(rhs) == LaurentPoly.monomial(
+    assert p.subs(rhs) == LaurentPoly.monomial(
         TAB, Fraction(-1, 3), {"f": 1, "a": -1, "b": 1}
     )
+
+
+@st.composite
+def laurent_monomial(draw):
+    c = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+    exps = {n: draw(st.integers(-2, 2)) for n in TAB.base}
+    exps.update({n: draw(st.integers(0, 1)) for n in TAB.derivative})
+    return LaurentPoly.monomial(TAB, c, exps)
+
+
+@st.composite
+def laurent_images(draw):
+    """Images for some symbols of TAB: monomials for the base symbols, which
+    carry negative exponents, and binomials for two derivative symbols."""
+    images = {}
+    for name in TAB.base:
+        if draw(st.booleans()):
+            c = Fraction(draw(st.sampled_from((-3, -1, 1, 2))), draw(st.integers(1, 3)))
+            exps = {n: draw(st.integers(-2, 2)) for n in TAB.base}
+            images[name] = LaurentPoly.monomial(TAB, c, exps)
+    for name in draw(st.lists(st.sampled_from(TAB.derivative), max_size=2, unique=True)):
+        images[name] = sum(
+            (draw(laurent_monomial()) for _ in range(2)), LaurentPoly.zero(TAB)
+        )
+    return images
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent(), laurent(), laurent_images())
+def test_subs_is_a_ring_homomorphism(p, q, images):
+    assert (p + q).subs(images) == p.subs(images) + q.subs(images)
+    assert (p * q).subs(images) == p.subs(images) * q.subs(images)
+    assert LaurentPoly.const(TAB, Fraction(2, 3)).subs(images) == Fraction(2, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(laurent())
+def test_subs_moves_to_a_larger_table_and_back_by_name(p):
+    assert p.subs({}) == p
+    big = SymbolTable(("S",) + TAB.base + ("C",), TAB.derivative)
+    moved = p.subs({}, big)
+    assert moved.table == big
+    assert moved.subs({}, TAB) == p
+
+
+def test_subs_rejects_an_unplaced_symbol_and_a_non_monomial_pole():
+    big = SymbolTable(TAB.base + ("C",), TAB.derivative)
+    with pytest.raises(AlgebraError):
+        LaurentPoly.variable(big, "C").subs({}, TAB)
+    a, b = LaurentPoly.variable(TAB, "a"), LaurentPoly.variable(TAB, "b")
+    with pytest.raises(AlgebraError):
+        (a**-1).subs({"a": a + b})
+    with pytest.raises(AlgebraError):
+        (a**-1).subs({"a": LaurentPoly.zero(TAB)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(laurent())
+def test_cleared_splits_off_a_monomial_denominator(p):
+    num, den = p.cleared()
+    assert list(den.terms.values()) == [1]
+    assert all(e >= 0 for vec in num.terms for e in vec)
+    assert num * den**-1 == p
 
 
 def test_negative_power_of_monomial():

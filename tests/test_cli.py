@@ -204,7 +204,7 @@ BAD_NUMERIC_FLAGS = [
     )
     for value in ("nan", "inf", "0", "-5")
     if (flag, value) != ("--initial-step", "0")
-] + [("--b0", "1e400")]
+] + [("--b0", "1e400"), ("--b0", "1e-400")]
 
 
 @pytest.mark.parametrize("flag,value", BAD_NUMERIC_FLAGS)
@@ -264,6 +264,25 @@ UNIT_ORBITS = [
     ("m", "cp2xs2", ["--a0", "1", "--b0", "1"]),
     ("m", "s2", ["--b0", "1"]),
 ]
+
+GOLDEN = Path(__file__).parent / "golden"
+
+#: exact outputs, pinned byte for byte; no libm or LAPACK float enters them
+GOLDEN_RUNS = [
+    (f"derive_{model}.{ext}", ["derive", "--model", model, *flags])
+    for model in ("q", "m")
+    for ext, flags in (("json", ["--json"]), ("txt", []))
+] + [
+    (f"smoothness_{model}_{orbit}.json", ["smoothness", "--model", model, "--orbit", orbit])
+    for model, orbit, _ in UNIT_ORBITS
+]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_RUNS, ids=[name for name, _ in GOLDEN_RUNS])
+def test_exact_outputs_match_the_golden_files(capsys, name, argv):
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / name).read_bytes()
 
 
 def _strict_json(text):

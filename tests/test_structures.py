@@ -1,10 +1,13 @@
 """Canonical forms, invariant structures and the rotation family."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoflow.algebra import LaurentPoly, Multivector, wedge
 from holoflow.homogeneous import m_model, q_model
@@ -76,11 +79,11 @@ def test_unit_frame_reproduces_canonical_coefficients():
     for model in (q_model(1, 1, 1), m_model(1, 1)):
         s = build_invariant_structure(model)
         ev = s.Omega.eval_numeric(UNIT_Q)
-        inverse = {s.dt_index: (0, None)}
+        inverse = {s.dt_index: ((0, 1),)}
         for slot in range(1, 8):
             target, _ = FRAME_MAP[model.kind][slot]
-            inverse[target - 1] = (slot, None)
-        back = ev.pushforward(CANON8, inverse, target_dt=0)
+            inverse[target - 1] = ((slot, 1),)
+        back = ev.substitute(inverse, CANON8, dt_index=0)
         assert back.terms == {m: float(c) for m, c in can.Omega.terms.items()}
 
 
@@ -123,6 +126,31 @@ def test_time_reversal_flips_dt_terms():
 def test_rotation_identity():
     s = build_invariant_structure(q_model(1, 1, 1))
     assert rotate_structure(s, (Fraction(1), Fraction(0))).Omega == s.Omega
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.fractions(-3, 3, max_denominator=7))
+def test_rotation_back_by_the_conjugate_pair_is_the_identity(u):
+    # (c, s) on the unit circle from the rational parametrisation
+    c, s = (1 - u * u) / (1 + u * u), 2 * u / (1 + u * u)
+    for model in (q_model(1, 1, 1), m_model(1, 1)):
+        struct = build_invariant_structure(model)
+        back = rotate_structure(rotate_structure(struct, (c, s)), (c, -s))
+        assert (back.Omega, back.omega, back.star_omega) == (
+            struct.Omega,
+            struct.omega,
+            struct.star_omega,
+        )
+
+
+def test_symbolic_rotation_keeps_derivative_symbols():
+    for model in (q_model(1, 1, 1), m_model(1, 1)):
+        s = build_invariant_structure(model)
+        carried = LaurentPoly.monomial(s.table, 1, {"a": 2, "b'": 1})
+        form = Multivector.basis(s.gens, [6, s.dt_index], carried, dt_index=s.dt_index)
+        rot = rotate_structure(replace(s, Omega=form), "symbolic")
+        expect = LaurentPoly.monomial(rot.table, 1, {"a": 2, "b'": 1})
+        assert rot.Omega.terms == {m: expect for m in form.terms}
 
 
 def test_rotation_group_law_exact():

@@ -327,6 +327,16 @@ def test_su4_certificate_fails_on_mutated_rhs():
     assert not cert.family_parallel
 
 
+def test_su4_certificate_lets_a_bug_in_the_kaehler_search_propagate(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a failed certificate")
+
+    monkeypatch.setattr("holoflow.verify.kaehler_search", broken)
+    model = q_model(1, 1, 1)
+    with pytest.raises(TypeError):
+        su4_family_check(model, derive_flow(model))
+
+
 # ---------------------------------------------------------------------------
 # orbit catalog
 # ---------------------------------------------------------------------------
