@@ -5,7 +5,7 @@ four-form, numerical integration from singular-orbit data, closed-form
 profiles, and quantitative verification reports.
 """
 
-from .algebra import LaurentPoly, Multivector, Rational, SymbolTable
+from .algebra import LaurentPoly, Multivector, SymbolTable
 from .closed_form import compare, profile
 from .flow import ODESystem, derive_flow, kaehler_search
 from .homogeneous import classify_invariant_g2, get_model, m_model, q_model
@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "LaurentPoly",
     "Multivector",
-    "Rational",
     "SymbolTable",
     "ODESystem",
     "IntegratorConfig",

@@ -13,10 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-#: Exact rational scalar type used everywhere in the package.  Always stored
-#: in lowest terms with a positive denominator; arithmetic never rounds.
-Rational = Fraction
-
 ScalarLike = Union[int, Fraction]
 
 

@@ -1,16 +1,14 @@
 """Lie-algebra data for the two coset models and the invariant calculus.
 
-The bases are kept as tuples of complex matrices with exact Gaussian rational
-entries; the Q model lives in three copies of su(2), the M model in
-su(3) + su(2).  The structure constants are computed without rounding and
-without rational matrix arithmetic: each basis element X (a tuple of matrix
-blocks) is scaled by the lcm D of its entry denominators to a Gaussian-integer
-S = D X, and the q-products, brackets, projections and the realness,
-orthogonality, positivity and closure checks all run on these integers.
-Fractions appear only in the stored q-norms and structure constants.  The
-admissibility classification reads the isotropy action from the exact
-structure constants.  The Fraction matrix helpers q_inner and tuple_bracket
-stay as the reference the tests compare the integer path against.
+The Q model lives in three copies of su(2), the M model in su(3) + su(2).
+Each basis element X, a tuple of complex matrix blocks, is written once as a
+pair (D, S): a positive integer D and a sparse Gaussian-integer matrix S with
+X = S / D.  The q-products, brackets, projections and the realness,
+orthogonality, positivity and closure checks all run on these integers, so
+the structure constants are computed without rounding and without rational
+matrix arithmetic.  Fractions appear only in the stored q-norms and
+structure constants.  The admissibility classification reads the isotropy
+action from the exact structure constants.
 """
 
 from __future__ import annotations
@@ -23,130 +21,47 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .algebra import Multivector, SymbolTable
 
-# complex entries are (real, imaginary) pairs of Fractions
-Entry = Tuple[Fraction, Fraction]
-Matrix = Tuple[Tuple[Entry, ...], ...]
-MatrixTuple = Tuple[Matrix, ...]
-
-_ZERO = (Fraction(0), Fraction(0))
-
 
 class ModelError(ValueError):
     """Raised for invalid coset-model input."""
 
 
 # ---------------------------------------------------------------------------
-# exact complex matrix helpers
-# ---------------------------------------------------------------------------
-
-
-def _c(re=0, im=0) -> Entry:
-    return (Fraction(re), Fraction(im))
-
-
-def _cadd(x: Entry, y: Entry) -> Entry:
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _cmul(x: Entry, y: Entry) -> Entry:
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _cneg(x: Entry) -> Entry:
-    return (-x[0], -x[1])
-
-
-def _zeros(n: int) -> Matrix:
-    return tuple(tuple(_ZERO for _ in range(n)) for _ in range(n))
-
-
-def _madd(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(_cadd(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def _mneg(a: Matrix) -> Matrix:
-    return tuple(tuple(_cneg(x) for x in row) for row in a)
-
-
-def _mscale(a: Matrix, s: Fraction) -> Matrix:
-    return tuple(tuple((x[0] * s, x[1] * s) for x in row) for row in a)
-
-
-def _mmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = _ZERO
-            for k in range(n):
-                acc = _cadd(acc, _cmul(a[i][k], b[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _mtrace(a: Matrix) -> Entry:
-    acc = _ZERO
-    for i in range(len(a)):
-        acc = _cadd(acc, a[i][i])
-    return acc
-
-
-def tuple_bracket(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:
-    return tuple(
-        _madd(_mmul(a, b), _mneg(_mmul(b, a))) for a, b in zip(x, y)
-    )
-
-
-def tuple_add(x: MatrixTuple, y: MatrixTuple) -> MatrixTuple:
-    return tuple(_madd(a, b) for a, b in zip(x, y))
-
-
-def tuple_scale(x: MatrixTuple, s: Fraction) -> MatrixTuple:
-    return tuple(_mscale(a, s) for a in x)
-
-
-_NOT_REAL = "q(X,Y) is not real; basis matrices are not skew-hermitian"
-
-
-def q_inner(x: MatrixTuple, y: MatrixTuple) -> Fraction:
-    """Biinvariant metric q(X,Y) = -tr(XY), summed over matrix blocks."""
-    acc = _ZERO
-    for a, b in zip(x, y):
-        acc = _cadd(acc, _mtrace(_mmul(a, b)))
-    if acc[1] != 0:
-        raise ModelError(_NOT_REAL)
-    return -acc[0]
-
-
-# ---------------------------------------------------------------------------
-# scaled Gaussian-integer form
+# scaled Gaussian-integer matrices
 # ---------------------------------------------------------------------------
 
 # sparse nonzero entries {(block, row, col): (re, im)} with int parts
 GaussMatrix = Dict[Tuple[int, int, int], Tuple[int, int]]
+# a Lie-algebra element X = S / D as the pair (D, S)
+Scaled = Tuple[int, GaussMatrix]
+
+# entry patterns {(row, col): (re, im)} within one block
+Pattern = Mapping[Tuple[int, int], Tuple[int, int]]
 
 
-def _scaled(x: MatrixTuple) -> Tuple[int, GaussMatrix]:
-    """(D, S) with x = S / D and D the lcm of every entry denominator."""
-    d = 1
-    for m in x:
-        for row in m:
-            for re, im in row:
-                d = math.lcm(d, re.denominator, im.denominator)
-    s = {}
-    for b, m in enumerate(x):
-        for i, row in enumerate(m):
-            for j, (re, im) in enumerate(row):
-                if re or im:
-                    s[(b, i, j)] = (
-                        re.numerator * (d // re.denominator),
-                        im.numerator * (d // im.denominator),
-                    )
-    return d, s
+def _real(i: int, j: int) -> Pattern:
+    """E_ij - E_ji."""
+    return {(i, j): (1, 0), (j, i): (-1, 0)}
+
+
+def _imag(i: int, j: int) -> Pattern:
+    """i (E_ij + E_ji)."""
+    return {(i, j): (0, 1), (j, i): (0, 1)}
+
+
+def _diag(*d: int) -> Pattern:
+    """i diag(d)."""
+    return {(p, p): (0, x) for p, x in enumerate(d)}
+
+
+def _place(d: int, *pieces: Tuple[int, int, Pattern]) -> Scaled:
+    """(D, S) with S the sum of c * P placed on block b, over pieces (b, c, P)."""
+    s: GaussMatrix = {}
+    for b, c, pattern in pieces:
+        for (i, j), (re, im) in pattern.items():
+            r0, i0 = s.get((b, i, j), (0, 0))
+            s[(b, i, j)] = (r0 + c * re, i0 + c * im)
+    return d, {key: v for key, v in s.items() if v != (0, 0)}
 
 
 def _gq(x: GaussMatrix, y: GaussMatrix) -> int:
@@ -158,7 +73,7 @@ def _gq(x: GaussMatrix, y: GaussMatrix) -> int:
             re += xr * yv[0] - xi * yv[1]
             im += xr * yv[1] + xi * yv[0]
     if im:
-        raise ModelError(_NOT_REAL)
+        raise ModelError("q(X,Y) is not real; basis matrices are not skew-hermitian")
     return -re
 
 
@@ -181,104 +96,43 @@ def _gbracket(x: GaussMatrix, y: GaussMatrix) -> GaussMatrix:
 # model bases
 # ---------------------------------------------------------------------------
 
-
-def _sigma() -> Tuple[Matrix, Matrix, Matrix]:
-    h = Fraction(1, 2)
-    s1 = ((_c(0, 0), _c(0, h)), (_c(0, h), _c(0, 0)))
-    s2 = ((_c(0, 0), _c(h, 0)), (_c(-h, 0), _c(0, 0)))
-    s3 = ((_c(0, h), _c(0, 0)), (_c(0, 0), _c(0, -h)))
-    return s1, s2, s3
+# 2 sigma_1, 2 sigma_2, 2 sigma_3: the su(2) basis sigma_a of q-norm 1/2,
+# scaled to integers
+_S1, _S2, _S3 = _imag(0, 1), _real(0, 1), _diag(1, -1)
 
 
-def _eij(n: int, i: int, j: int, re=0, im=0) -> Matrix:
-    rows = [[_ZERO for _ in range(n)] for _ in range(n)]
-    rows[i][j] = _c(re, im)
-    return tuple(tuple(r) for r in rows)
+def _q_basis(k: int, l: int, m: int) -> Tuple[Scaled, ...]:
+    return (
+        _place(2, (0, 1, _S1)),
+        _place(2, (0, 1, _S2)),
+        _place(2, (1, 1, _S1)),
+        _place(2, (1, 1, _S2)),
+        _place(2, (2, 1, _S1)),
+        _place(2, (2, 1, _S2)),
+        _place(2, (0, k, _S3), (1, l, _S3), (2, m, _S3)),
+        _place(2, (0, l, _S3), (1, -k, _S3)),
+        _place(2, (0, m * k, _S3), (1, m * l, _S3), (2, -(k * k + l * l), _S3)),
+    )
 
 
-def _m3(*pieces: Matrix) -> Matrix:
-    out = _zeros(3)
-    for p in pieces:
-        out = _madd(out, p)
-    return out
-
-
-def _q_basis(k: int, l: int, m: int) -> Tuple[MatrixTuple, ...]:
-    s1, s2, s3 = _sigma()
-    z2 = _zeros(2)
-
-    def trip(a, b, c):
-        return (a, b, c)
-
-    e = [
-        trip(s1, z2, z2),
-        trip(s2, z2, z2),
-        trip(z2, s1, z2),
-        trip(z2, s2, z2),
-        trip(z2, z2, s1),
-        trip(z2, z2, s2),
-        trip(_mscale(s3, Fraction(k)), _mscale(s3, Fraction(l)), _mscale(s3, Fraction(m))),
-        trip(_mscale(s3, Fraction(l)), _mscale(s3, Fraction(-k)), z2),
-        trip(
-            _mscale(s3, Fraction(m * k)),
-            _mscale(s3, Fraction(m * l)),
-            _mscale(s3, Fraction(-(k * k + l * l))),
-        ),
-    ]
-    return tuple(e)
-
-
-def _m_basis(k: int, l: int) -> Tuple[MatrixTuple, ...]:
-    z2 = _zeros(2)
-    z3 = _zeros(3)
-
-    # su(3) block pieces
-    e13 = lambda re, im: _m3(_eij(3, 0, 2, re, im))
-    e31 = lambda re, im: _m3(_eij(3, 2, 0, re, im))
-    e23 = lambda re, im: _m3(_eij(3, 1, 2, re, im))
-    e32 = lambda re, im: _m3(_eij(3, 2, 1, re, im))
-    e12 = lambda re, im: _m3(_eij(3, 0, 1, re, im))
-    e21 = lambda re, im: _m3(_eij(3, 1, 0, re, im))
-
-    def diag3(d1: Fraction, d2: Fraction, d3: Fraction) -> Matrix:
-        out = _zeros(3)
-        out = _madd(out, _mscale(_eij(3, 0, 0, 0, 1), d1))
-        out = _madd(out, _mscale(_eij(3, 1, 1, 0, 1), d2))
-        out = _madd(out, _mscale(_eij(3, 2, 2, 0, 1), d3))
-        return out
-
-    def diag2(d1: Fraction, d2: Fraction) -> Matrix:
-        out = _zeros(2)
-        out = _madd(out, _mscale(_eij(2, 0, 0, 0, 1), d1))
-        out = _madd(out, _mscale(_eij(2, 1, 1, 0, 1), d2))
-        return out
-
-    # t1 = i diag(1/2, 1/2, -1) in su(3); t2 = i diag(-1/2, 1/2) in su(2)
-    t1 = (diag3(Fraction(1, 2), Fraction(1, 2), Fraction(-1)), z2)
-    t2 = (z3, diag2(Fraction(-1, 2), Fraction(1, 2)))
-
-    su2_12 = lambda re, im: (_zeros(3), _madd(_eij(2, 0, 1, re, im), _zeros(2)))
-    su2_21 = lambda re, im: (_zeros(3), _madd(_eij(2, 1, 0, re, im), _zeros(2)))
-
-    def pair(a: Matrix, b: Matrix) -> MatrixTuple:
-        return (a, b)
-
+def _m_basis(k: int, l: int) -> Tuple[Scaled, ...]:
+    # block 0 is su(3), block 1 is su(2); with t1 = i diag(1/2, 1/2, -1) and
+    # t2 = i diag(-1/2, 1/2), e7 = 2k t1 + 2l t2 and e11 = (2l/3) t1 - 2k t2.
     # e7 carries twice the central direction so that the metric coefficient c
     # matches the normalization of the holonomy ODE system and its solutions
-    e = [
-        pair(_madd(e13(1, 0), e31(-1, 0)), z2),
-        pair(_madd(e13(0, 1), e31(0, 1)), z2),
-        pair(_madd(e23(1, 0), e32(-1, 0)), z2),
-        pair(_madd(e23(0, 1), e32(0, 1)), z2),
-        tuple_add(su2_12(1, 0), su2_21(-1, 0)),
-        tuple_add(su2_12(0, 1), su2_21(0, 1)),
-        tuple_add(tuple_scale(t1, Fraction(2 * k)), tuple_scale(t2, Fraction(2 * l))),
-        pair(_madd(e12(1, 0), e21(-1, 0)), z2),
-        pair(_madd(e12(0, 1), e21(0, 1)), z2),
-        pair(diag3(Fraction(1), Fraction(-1), Fraction(0)), z2),
-        tuple_add(tuple_scale(t1, Fraction(2 * l, 3)), tuple_scale(t2, Fraction(-2 * k))),
-    ]
-    return tuple(e)
+    return (
+        _place(1, (0, 1, _real(0, 2))),
+        _place(1, (0, 1, _imag(0, 2))),
+        _place(1, (0, 1, _real(1, 2))),
+        _place(1, (0, 1, _imag(1, 2))),
+        _place(1, (1, 1, _real(0, 1))),
+        _place(1, (1, 1, _imag(0, 1))),
+        _place(1, (0, k, _diag(1, 1, -2)), (1, l, _diag(-1, 1))),
+        _place(1, (0, 1, _real(0, 1))),
+        _place(1, (0, 1, _imag(0, 1))),
+        _place(1, (0, 1, _diag(1, -1))),
+        _place(3, (0, l, _diag(1, 1, -2)), (1, 3 * k, _diag(1, -1))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +164,7 @@ class StructureTensor:
 
 @dataclass(frozen=True)
 class CosetModel:
-    """One of Q(k,l,m) or M(k,l) with its exact matrix basis.
+    """One of Q(k,l,m) or M(k,l) with its exact basis of (D, S) pairs.
 
     Indices 0..6 span the tangent space; the rest span the isotropy algebra.
     The metric q(X,Y) = -tr(XY) is diagonal on the basis (verified at build
@@ -319,7 +173,7 @@ class CosetModel:
 
     kind: str
     indices: Tuple[int, ...]
-    basis: Tuple[MatrixTuple, ...]
+    basis: Tuple[Scaled, ...]
     gen_names: Tuple[str, ...]
     q_norms: Tuple[Fraction, ...]
     structure: StructureTensor
@@ -356,7 +210,7 @@ class CosetModel:
         return ((0, 1, 2, 3), (4, 5), (6,))
 
 
-def _build_structure(basis: Tuple[MatrixTuple, ...]) -> Tuple[StructureTensor, Tuple[Fraction, ...]]:
+def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[Fraction, ...]]:
     """Structure constants and q-norms of a basis X_i = S_i / D_i.
 
     With N_i = q(S_i, S_i) the norm is N_i / D_i^2, and the bracket
@@ -364,8 +218,7 @@ def _build_structure(basis: Tuple[MatrixTuple, ...]) -> Tuple[StructureTensor, T
     t_k D_k / (D_i D_j N_k) on X_k, where t_k = q(B, S_k).
     """
     n = len(basis)
-    scaled = [_scaled(x) for x in basis]
-    mats = [s for _, s in scaled]
+    mats = [s for _, s in basis]
     # q must be real, diagonal and positive on the basis (q is symmetric, so
     # the upper triangle meets the first failure of a full row-major scan)
     norms_int = []
@@ -378,7 +231,7 @@ def _build_structure(basis: Tuple[MatrixTuple, ...]) -> Tuple[StructureTensor, T
                 norms_int.append(v)
             elif v != 0:
                 raise ModelError(f"basis is not q-orthogonal at pair {(i + 1, j + 1)}")
-    norms = tuple(Fraction(v, d * d) for v, (d, _) in zip(norms_int, scaled))
+    norms = tuple(Fraction(v, d * d) for v, (d, _) in zip(norms_int, basis))
     lcm_norms = math.lcm(*norms_int)
     table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
     for i in range(n):
@@ -396,9 +249,9 @@ def _build_structure(basis: Tuple[MatrixTuple, ...]) -> Tuple[StructureTensor, T
                     residual[key] = (r0 - w * re, i0 - w * im)
             if any(v != (0, 0) for v in residual.values()):
                 raise ModelError("basis is not closed under brackets")
-            dij = scaled[i][0] * scaled[j][0]
+            dij = basis[i][0] * basis[j][0]
             coeffs = {
-                k: Fraction(tk * scaled[k][0], dij * norms_int[k])
+                k: Fraction(tk * basis[k][0], dij * norms_int[k])
                 for k, tk in enumerate(t)
                 if tk
             }
@@ -693,16 +546,16 @@ def _plane_speed(model: CosetModel, x: Coords, plane: Tuple[int, int]) -> Fracti
     return cji
 
 
-def _isotropy_coords(model: CosetModel, x: MatrixTuple) -> Dict[int, Fraction]:
+def _isotropy_coords(model: CosetModel, x: Scaled) -> Dict[int, Fraction]:
     """Exact coordinates of x on the isotropy generators (q-orthogonal).
 
     Raises unless x lies in their span.
     """
-    dx, sx = _scaled(x)
+    dx, sx = x
     coords = {}
     residual = {key: (Fraction(re, dx), Fraction(im, dx)) for key, (re, im) in sx.items()}
     for a in model.isotropy_indices:
-        da, sa = _scaled(model.basis[a])
+        da, sa = model.basis[a]
         c = Fraction(_gq(sx, sa), dx * da) / model.q_norms[a]
         if not c:
             continue
@@ -718,14 +571,9 @@ def _isotropy_coords(model: CosetModel, x: MatrixTuple) -> Dict[int, Fraction]:
 
 def _cartan_elements(model: CosetModel) -> List[Dict[int, Fraction]]:
     if model.kind == "Q":
-        k, l, m = model.indices
-        s3 = _sigma()[2]
         return [
-            _isotropy_coords(
-                model,
-                (_mscale(s3, Fraction(x)), _mscale(s3, Fraction(y)), _mscale(s3, Fraction(z))),
-            )
-            for x, y, z in _kernel_basis_1x3(k, l, m)
+            _isotropy_coords(model, _place(2, (0, x, _S3), (1, y, _S3), (2, z, _S3)))
+            for x, y, z in _kernel_basis_1x3(*model.indices)
         ]
     # M model: Cartan of su(2) + u(1) spanned by e10, e11
     return [{9: Fraction(1)}, {10: Fraction(1)}]
@@ -854,7 +702,3 @@ def classify_invariant_g2(model: CosetModel) -> bool:
     if model.kind == "Q":
         return matches_g2_cartan_weights(model)
     return matches_u2_weights(model)
-
-
-def structure_constants(model: CosetModel) -> StructureTensor:
-    return model.structure

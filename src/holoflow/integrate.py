@@ -366,12 +366,6 @@ class Trajectory:
         if self.status != "done":
             raise IntegrationError(f"integration stopped: {self.status}", self)
 
-    def values_at(self, t: float) -> Dict[str, float]:
-        row = self.interpolate(t)
-        out = dict(zip(self.state_names, row))
-        out[self.primitive_name] = row[-1]
-        return out
-
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(",".join(self.columns) + "\n")

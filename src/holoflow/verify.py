@@ -464,10 +464,6 @@ class SmoothnessReport:
     verdict: str  # "smooth" | "non-smooth"
     note: str
 
-    @property
-    def smooth(self) -> bool:
-        return self.verdict == "smooth"
-
     def to_json_dict(self) -> dict:
         return {
             "computed": {k: str(v) for k, v in self.computed.items()},
@@ -528,15 +524,6 @@ class SU4Certificate:
             and self.kaehler_unique
             and self.no_parallel_vector
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family_parallel": self.family_parallel,
-            "family_moves": self.family_moves,
-            "kaehler_unique": self.kaehler_unique,
-            "no_parallel_vector": self.no_parallel_vector,
-            "passed": self.passed,
-        }
 
 
 def su4_family_check(

@@ -1,9 +1,11 @@
 """Structure constants, invariant derivative, weights and classification."""
 
+import json
 import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +25,6 @@ from holoflow.homogeneous import (
     matches_g2_cartan_weights,
     matches_u2_weights,
     q_model,
-    structure_constants,
-    q_inner,
-    tuple_bracket,
 )
 
 
@@ -69,13 +68,13 @@ def test_q_bracket_e1_e2_matches_matrix_oracle():
     expect = [0, 0, 0, 0, 0, 0, -1 / 3, -1 / 2, -1 / 6]
     assert np.allclose(coeffs, expect, atol=1e-12)
 
-    st = structure_constants(q_model(1, 1, 1))
+    st = q_model(1, 1, 1).structure
     got = st.bracket_coeffs(0, 1)
     assert got == {6: Fraction(-1, 3), 7: Fraction(-1, 2), 8: Fraction(-1, 6)}
 
 
 def test_m_bracket_e5_e6_lands_in_e7_e11_span():
-    st = structure_constants(m_model(1, 1))
+    st = m_model(1, 1).structure
     got = st.bracket_coeffs(4, 5)
     assert set(got) == {6, 10}
     assert got[6] == Fraction(-1, 2)
@@ -101,9 +100,10 @@ def test_q_metric_is_diagonal_with_expected_norms():
     model = q_model(1, 1, 1)
     assert model.q_norms[:6] == (Fraction(1, 2),) * 6
     assert model.q_norms[6] == Fraction(3, 2)
+    basis = dense_basis(model)
     for i in range(model.n):
         for j in range(i + 1, model.n):
-            assert q_inner(model.basis[i], model.basis[j]) == 0
+            assert q_inner(basis[i], basis[j]) == 0
 
 
 def test_isotropy_brackets_preserve_modules():
@@ -319,6 +319,55 @@ def test_classify_agrees_with_index_criterion_m():
             assert classify_invariant_g2(model) == expect
 
 
+# ---------------------------------------------------------------------------
+# every model of the classification sweep, pinned by a golden file
+# ---------------------------------------------------------------------------
+
+GOLDEN_MODELS = Path(__file__).parent / "golden" / "models.json"
+
+
+def sweep_tuples():
+    """Every normalized coprime index tuple up to 5: 40 Q and 21 M models."""
+    for k in range(6):
+        for l in range(k + 1):
+            for m in range(l + 1):
+                if (k, l, m) != (0, 0, 0) and math.gcd(math.gcd(k, l), m) == 1:
+                    yield "Q", (k, l, m)
+    for k in range(6):
+        for l in range(6):
+            if (k, l) != (0, 0) and math.gcd(k, l) == 1:
+                yield "M", (k, l)
+
+
+def model_record(kind, indices):
+    """The exact data of one model, with every Fraction written as a string."""
+    model = get_model(kind, indices)
+    return {
+        "kind": kind,
+        "indices": list(indices),
+        "normalized": list(model.indices),
+        "q_norms": [str(v) for v in model.q_norms],
+        "structure": [
+            [i, j, [[k, str(c)] for k, c in sorted(coeffs.items())]]
+            for (i, j), coeffs in sorted(model.structure.table.items())
+        ],
+        "weights": [list(w) for w in isotropy_weights(model).weights] if kind == "Q" else None,
+        "admissible": classify_invariant_g2(model),
+    }
+
+
+def golden_models_text():
+    """The golden file's text: a JSON list with one model record per line."""
+    records = [json.dumps(model_record(kind, indices)) for kind, indices in sweep_tuples()]
+    return "[\n" + ",\n".join(records) + "\n]\n"
+
+
+def test_sweep_models_match_the_golden_file():
+    text = GOLDEN_MODELS.read_text()
+    assert len(json.loads(text)) == 61
+    assert golden_models_text() == text
+
+
 def test_invalid_models_rejected():
     with pytest.raises(ModelError):
         q_model(0, 0, 0)
@@ -327,17 +376,69 @@ def test_invalid_models_rejected():
 
 
 # ---------------------------------------------------------------------------
-# the integer arithmetic against the Fraction-matrix reference helpers
+# the integer arithmetic against Fraction-matrix reference helpers
 # ---------------------------------------------------------------------------
 
+# matrix entries are (re, im) pairs of Fractions
 F0, HALF = Fraction(0), Fraction(1, 2)
-S1 = (((F0, F0), (F0, HALF)), ((F0, HALF), (F0, F0)))  # entries (re, im)
-S2 = (((F0, F0), (HALF, F0)), ((-HALF, F0), (F0, F0)))
 S3 = (((F0, HALF), (F0, F0)), ((F0, F0), (F0, -HALF)))
-SIGMA_X = (((F0, F0), (Fraction(1), F0)), ((Fraction(1), F0), (F0, F0)))  # hermitian
-S1_PLUS_S2 = tuple(
-    tuple((a[0] + b[0], a[1] + b[1]) for a, b in zip(r1, r2)) for r1, r2 in zip(S1, S2)
-)
+
+BLOCK_SIZES = {"Q": (2, 2, 2), "M": (3, 2)}
+
+
+def dense(x, sizes):
+    """The basis element x = (D, S) as a tuple of dense Fraction matrix blocks."""
+    d, s = x
+    return tuple(
+        tuple(
+            tuple(tuple(Fraction(v, d) for v in s.get((b, i, j), (0, 0))) for j in range(n))
+            for i in range(n)
+        )
+        for b, n in enumerate(sizes)
+    )
+
+
+def dense_basis(model):
+    return [dense(x, BLOCK_SIZES[model.kind]) for x in model.basis]
+
+
+def _mmul(a, b):
+    n = len(a)
+    return tuple(
+        tuple(
+            (
+                sum(a[i][k][0] * b[k][j][0] - a[i][k][1] * b[k][j][1] for k in range(n)),
+                sum(a[i][k][0] * b[k][j][1] + a[i][k][1] * b[k][j][0] for k in range(n)),
+            )
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def tuple_bracket(x, y):
+    """XY - YX, blockwise."""
+    out = []
+    for a, b in zip(x, y):
+        ab, ba = _mmul(a, b), _mmul(b, a)
+        out.append(
+            tuple(
+                tuple((p[0] - q[0], p[1] - q[1]) for p, q in zip(r1, r2))
+                for r1, r2 in zip(ab, ba)
+            )
+        )
+    return tuple(out)
+
+
+def q_inner(x, y):
+    """Biinvariant metric q(X,Y) = -tr(XY), summed over matrix blocks."""
+    re = im = Fraction(0)
+    for a, b in zip(x, y):
+        ab = _mmul(a, b)
+        re += sum(ab[i][i][0] for i in range(len(ab)))
+        im += sum(ab[i][i][1] for i in range(len(ab)))
+    assert im == 0
+    return -re
 
 
 def _scaled_matrix(a, n):
@@ -350,7 +451,7 @@ def _reference_cartan(model):
             tuple(_scaled_matrix(S3, v) for v in kernel)
             for kernel in _kernel_basis_1x3(*model.indices)
         ]
-    return [model.basis[9], model.basis[10]]
+    return dense_basis(model)[9:11]
 
 
 @pytest.mark.parametrize(
@@ -360,7 +461,7 @@ def _reference_cartan(model):
 )
 def test_structure_and_weights_match_fraction_matrices(kind, indices):
     model = get_model(kind, indices)
-    basis = model.basis
+    basis = dense_basis(model)
     norms = tuple(q_inner(e, e) for e in basis)
     assert model.q_norms == norms
     table = {}
@@ -382,13 +483,20 @@ def test_structure_and_weights_match_fraction_matrices(kind, indices):
     assert isotropy_weights(model).weights == want
 
 
+# one-block (D, S) pairs {(block, row, col): (re, im)}
+S1 = (2, {(0, 0, 1): (0, 1), (0, 1, 0): (0, 1)})
+S2 = (2, {(0, 0, 1): (1, 0), (0, 1, 0): (-1, 0)})
+SIGMA_X = (1, {(0, 0, 1): (1, 0), (0, 1, 0): (1, 0)})  # hermitian
+S1_PLUS_S2 = (2, {(0, 0, 1): (1, 1), (0, 1, 0): (-1, 1)})
+
+
 @pytest.mark.parametrize(
     "basis,message",
     [
-        (((S1,), (SIGMA_X,)), "not real"),
-        (((SIGMA_X,),), "non-positive"),
-        (((S1,), (S1_PLUS_S2,)), "not q-orthogonal at pair (1, 2)"),
-        (((S1,), (S2,)), "not closed"),
+        ((S1, SIGMA_X), "not real"),
+        ((SIGMA_X,), "non-positive"),
+        ((S1, S1_PLUS_S2), "not q-orthogonal at pair (1, 2)"),
+        ((S1, S2), "not closed"),
     ],
     ids=["non-real", "non-positive", "non-orthogonal", "non-closed"],
 )
