@@ -536,15 +536,13 @@ class Multivector:
                     out[key] = coeff
         return Multivector(self.gens, out, self.dt_index)
 
-    def hodge_star(self, orientation: int = 1) -> "Multivector":
+    def hodge_star(self) -> "Multivector":
         """Hodge star in an orthonormal coframe over all ``n`` generators."""
-        if orientation not in (1, -1):
-            raise AlgebraError("orientation must be +-1")
         full = (1 << len(self.gens)) - 1
         out: Dict[int, object] = {}
         for m, c in self.terms.items():
             comp = full ^ m
-            sign = orientation
+            sign = 1
             for b in _bits(comp):
                 if _popcount(m >> (b + 1)) % 2:
                     sign = -sign
@@ -658,8 +656,8 @@ def wedge(u: Multivector, v: Multivector) -> Multivector:
     return u.wedge(v)
 
 
-def hodge_star(u: Multivector, orientation: int = 1) -> Multivector:
-    return u.hodge_star(orientation)
+def hodge_star(u: Multivector) -> Multivector:
+    return u.hodge_star()
 
 
 def eval_numeric(x, assignment: Mapping[str, float]):

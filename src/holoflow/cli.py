@@ -55,6 +55,8 @@ def _model_from_args(args):
             args.m if args.m is not None else 1,
         )
     elif kind == "M":
+        if args.m is not None:
+            raise InputError("--m applies only to the Q model; M(k, l) takes --k and --l")
         indices = (
             args.k if args.k is not None else 1,
             args.l if args.l is not None else 1,

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .homogeneous import CosetModel
-from .integrate import OrbitSpec, Trajectory
+from .integrate import STATE_NAMES, OrbitSpec, Trajectory
 
 Number = Union[Fraction, float]
 
@@ -204,8 +204,7 @@ def profile(model: Union[CosetModel, str], init: OrbitSpec) -> Union[ProfileQ, P
     if kind != init.model_kind:
         raise ProfileError("orbit spec does not match the model")
     vals = {k: Fraction(v) for k, v in init.values.items()}
-    state = ("a", "b", "c", "f") if kind == "Q" else ("a", "b", "c")
-    full = {x: vals.get(x, Fraction(0)) for x in state}
+    full = {x: vals.get(x, Fraction(0)) for x in STATE_NAMES[kind]}
 
     if kind == "Q":
         roots = [3 * full[x] ** 2 for x in ("a", "b", "c")]

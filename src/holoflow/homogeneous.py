@@ -8,7 +8,7 @@ orthogonality, positivity and closure checks all run on these integers, so
 the structure constants are computed without rounding and without rational
 matrix arithmetic.  Fractions appear only in the stored q-norms and
 structure constants.  The admissibility classification reads the isotropy
-action from the exact structure constants.
+action as sparse rows of ad_x, from the exact structure constants.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .algebra import Multivector, SymbolTable
@@ -147,19 +147,16 @@ class StructureTensor:
     n: int
     table: Mapping[Tuple[int, int], Mapping[int, Fraction]]
 
-    def c(self, i: int, j: int, k: int) -> Fraction:
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self.table.get((i, j), {}).get(k, Fraction(0))
-        return -self.table.get((j, i), {}).get(k, Fraction(0))
+    @cached_property
+    def _both_orders(self) -> Dict[Tuple[int, int], Mapping[int, Fraction]]:
+        both = dict(self.table)
+        for (i, j), coeffs in self.table.items():
+            both[(j, i)] = {k: -v for k, v in coeffs.items()}
+        return both
 
-    def bracket_coeffs(self, i: int, j: int) -> Dict[int, Fraction]:
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.table.get((i, j), {}))
-        return {k: -v for k, v in self.table.get((j, i), {}).items()}
+    def bracket_coeffs(self, i: int, j: int) -> Mapping[int, Fraction]:
+        """{k: c^k_ij} for either order of i, j; shared, so not to be mutated."""
+        return self._both_orders.get((i, j), {})
 
 
 @dataclass(frozen=True)
@@ -334,24 +331,36 @@ def get_model(kind: str, indices: Sequence[int]) -> CosetModel:
     raise ModelError(f"unknown model kind {kind!r}")
 
 
+# an element of the Lie algebra as exact coordinates {basis index: coefficient}
+Coords = Mapping[int, Fraction]
+# ad_x as sparse rows: [x, e_i] = sum_j rows[i][j] e_j
+AdRows = List[Dict[int, Fraction]]
+
+
+def _ad(model: CosetModel, x: Coords) -> AdRows:
+    """ad_x from the structure constants, zeros dropped."""
+    st = model.structure
+    rows: AdRows = [{} for _ in range(model.n)]
+    for a, xa in x.items():
+        for i, row in enumerate(rows):
+            for j, c in st.bracket_coeffs(a, i).items():
+                row[j] = row.get(j, 0) + xa * c
+    return [{j: c for j, c in row.items() if c} for row in rows]
+
+
 def _check_isotropy_action(model: CosetModel) -> None:
     """Isotropy ad-action must be q-skew and block-diagonal on the planes."""
-    st = model.structure
     blocks = [set(p) for p in model.modules]
     for x in model.isotropy_indices:
+        rows = _ad(model, {x: Fraction(1)})
         for i in range(model.TANGENT):
-            for j in range(model.TANGENT):
-                cij = st.c(x, i, j)
-                cji = st.c(x, j, i)
-                if model.q_norms[j] * cij != -model.q_norms[i] * cji:
-                    raise ModelError("isotropy action is not q-skew")
-                if cij:
-                    if not any(i in b and j in b for b in blocks):
-                        raise ModelError("isotropy action does not preserve the modules")
-        for i in range(model.TANGENT):
-            for k, c in st.bracket_coeffs(x, i).items():
-                if c and k >= model.TANGENT:
+            for j, cij in rows[i].items():
+                if j >= model.TANGENT:
                     raise ModelError("isotropy bracket leaves the tangent space")
+                if model.q_norms[j] * cij != -model.q_norms[i] * rows[j].get(i, 0):
+                    raise ModelError("isotropy action is not q-skew")
+                if not any(i in b and j in b for b in blocks):
+                    raise ModelError("isotropy action does not preserve the modules")
 
 
 # ---------------------------------------------------------------------------
@@ -520,29 +529,15 @@ def _hnf_rows(rows: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
     return [tuple(r) for r in mat]
 
 
-# an element of the Lie algebra as exact coordinates {basis index: coefficient}
-Coords = Mapping[int, Fraction]
-
-
-def _ad(model: CosetModel, x: Coords, i: int, j: int) -> Fraction:
-    """Coefficient of e_j in [x, e_i], read from the structure constants."""
-    st = model.structure
-    return sum((xa * st.c(a, i, j) for a, xa in x.items()), Fraction(0))
-
-
-def _plane_speed(model: CosetModel, x: Coords, plane: Tuple[int, int]) -> Fraction:
-    """Rotation speed of ad_x on one invariant 2-plane (must be skew there)."""
+def _plane_speed(model: CosetModel, rows: AdRows, plane: Tuple[int, int]) -> Fraction:
+    """Rotation speed of ad_x (as rows) on one invariant 2-plane (must be skew there)."""
     i, j = plane
-    cji = _ad(model, x, i, j)
-    cij = _ad(model, x, j, i)
-    if cij != -cji:
+    cji = rows[i].get(j, Fraction(0))
+    if rows[j].get(i, 0) != -cji:
         raise ModelError("isotropy action is not skew on an invariant plane")
     # residual outside the plane would violate invariance
-    for idx in range(model.TANGENT):
-        if idx in plane:
-            continue
-        if _ad(model, x, i, idx) != 0 or _ad(model, x, j, idx) != 0:
-            raise ModelError("isotropy action leaves an invariant plane")
+    if any(k < model.TANGENT and k not in plane for k in (*rows[i], *rows[j])):
+        raise ModelError("isotropy action leaves an invariant plane")
     return cji
 
 
@@ -581,28 +576,28 @@ def _cartan_elements(model: CosetModel) -> List[Dict[int, Fraction]]:
 
 def isotropy_weights(model: CosetModel) -> WeightMultiset:
     """Weights of the isotropy Cartan on the invariant tangent 2-planes."""
-    cartan = _cartan_elements(model)
+    cartan = [_ad(model, x) for x in _cartan_elements(model)]
     weights = []
     for plane in model.PLANES:
         vec = []
-        for x in cartan:
-            s = _plane_speed(model, x, plane)
+        for rows in cartan:
+            s = _plane_speed(model, rows, plane)
             if s.denominator != 1:
                 raise ModelError("non-integer weight on the chosen Cartan basis")
             vec.append(int(s))
         weights.append(tuple(vec))
     for idx in model.FIXED:
-        for x in cartan:
-            if any(_ad(model, x, idx, k) for k in range(model.n)):
+        for rows in cartan:
+            if rows[idx]:
                 raise ModelError("expected fixed line is not fixed")
     return WeightMultiset(tuple(weights), trivial=len(model.FIXED))
 
 
 def _su2_commutant_dim(model: CosetModel) -> int:
     """Dimension of the commutant of the isotropy su(2) acting on V1 (M model)."""
-    st = model.structure
-    # column-action matrices: (ad x) e_i = sum_j c(x, i, j) e_j
-    mats = [[[st.c(x, i, j) for i in range(4)] for j in range(4)] for x in (7, 8, 9)]
+    # column-action matrices: (ad x) e_i = sum_j a[j][i] e_j
+    ads = [_ad(model, {x: Fraction(1)}) for x in (7, 8, 9)]
+    mats = [[[rows[i].get(j, 0) for i in range(4)] for j in range(4)] for rows in ads]
     # solve [M, A] = 0 for all A: 16 unknowns
     rowsys: List[List[Fraction]] = []
     for a in mats:
@@ -679,14 +674,13 @@ def matches_u2_weights(model: CosetModel) -> bool:
     """
     if model.kind != "M":
         raise ModelError("matches_u2_weights applies to the M model")
-    st = model.structure
     for x in (7, 8, 9):
-        for i in (4, 5, 6):
-            if st.bracket_coeffs(x, i):
-                return False
+        rows = _ad(model, {x: Fraction(1)})
+        if any(rows[i] for i in (4, 5, 6)):
+            return False
     if _su2_commutant_dim(model) != 4:
         return False
-    u1 = {10: Fraction(1)}
+    u1 = _ad(model, {10: Fraction(1)})
     s1 = abs(_plane_speed(model, u1, (0, 1)))
     s2 = abs(_plane_speed(model, u1, (2, 3)))
     s3 = abs(_plane_speed(model, u1, (4, 5)))

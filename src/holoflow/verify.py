@@ -200,12 +200,17 @@ def _residuals(deriv: Derivation, assign: Dict[str, float]) -> Tuple[float, floa
     return r_omega, r_eta
 
 
+#: points of the profile-backed closure check
+CLOSURE_POINTS = 40
+#: most rows the raw-sample closure check reads
+CLOSURE_MAX_ROWS = 200
+
+
 def check_closure(
     sampler,
     deriv: Derivation,
     t_points: Optional[Sequence[float]] = None,
     fd_step: float = 1e-5,
-    n_samples: int = 40,
 ) -> ClosureReport:
     """Finite-difference closure residuals of Omega and eta along a run.
 
@@ -215,7 +220,8 @@ def check_closure(
     """
     names = tuple(deriv.model.symbols.base)
     if t_points is None:
-        t_points = sampler.sample_points(n_samples, margin=2 * fd_step * (1 + abs(sampler.t_max)))
+        margin = 2 * fd_step * (1 + abs(sampler.t_max))
+        t_points = sampler.sample_points(CLOSURE_POINTS, margin=margin)
     if len(t_points) < 3:
         raise VerifyError("need at least 3 samples for centered differences")
 
@@ -264,11 +270,7 @@ def fd_weights(x0: float, xs: Sequence[float]) -> List[float]:
     return [w for _, w in c]
 
 
-def check_closure_samples(
-    traj: Trajectory,
-    deriv: Derivation,
-    max_samples: int = 200,
-) -> ClosureReport:
+def check_closure_samples(traj: Trajectory, deriv: Derivation) -> ClosureReport:
     """Closure residuals from raw accepted steps (non-uniform differences).
 
     Used when only a stored trajectory is available.  Slopes come from
@@ -282,7 +284,7 @@ def check_closure_samples(
     if n < 3:
         raise VerifyError("need at least 3 samples for centered differences")
     width = min(5, n)
-    stride = max(1, (n - 2) // max_samples)
+    stride = max(1, (n - 2) // CLOSURE_MAX_ROWS)
     ts, ys = traj.ts, traj.ys
     worst_omega = 0.0
     worst_eta = 0.0
@@ -309,6 +311,8 @@ CONE_REFS = {
     "Q": {"a^2/t^2": 0.125, "b^2/t^2": 0.125, "c^2/t^2": 0.125, "|f|/t": 0.75},
     "M": {"a^2/t^2": 0.75, "b^2/t^2": 0.5, "c/t": 2.0},
 }
+#: a run reaches the cone regime once t_end is this many initial scales
+CONE_SPAN_RATIO = 1e3
 
 
 @dataclass(frozen=True)
@@ -354,7 +358,7 @@ def _cone_quantities(kind: str, t, ys) -> dict:
     }
 
 
-def cone_fit(traj: Trajectory, min_span_ratio: float = 1e3) -> ConeFit:
+def cone_fit(traj: Trajectory) -> ConeFit:
     """Fit coefficient/t against a constant plus 1/t on the final decade.
 
     The only numpy user in the package, so it is imported here.
@@ -366,7 +370,7 @@ def cone_fit(traj: Trajectory, min_span_ratio: float = 1e3) -> ConeFit:
     # a stored trajectory ("loaded") is judged by its span alone
     partial = bool(
         traj.status not in ("done", "loaded")
-        or t_last < min_span_ratio * max(initial_scale, 1e-300)
+        or t_last < CONE_SPAN_RATIO * max(initial_scale, 1e-300)
     )
     first = bisect_left(traj.ts, t_last / 10.0)
     tt = np.asarray(traj.ts[first:])

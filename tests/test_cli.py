@@ -55,6 +55,18 @@ def test_classify_invalid_input(capsys):
     assert "error" in err
 
 
+def test_classify_rejects_m_for_the_m_model(capsys, monkeypatch):
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr("holoflow.cli.get_model", no_model)
+    code, out, err = run(["classify", "--model", "m", "--k", "1", "--l", "1", "--m", "7"], capsys)
+    assert code == 2
+    assert out == ""
+    _one_line_error(err)
+    assert "--m" in err
+
+
 def test_derive_json_contains_exact_fractions(capsys, tmp_path):
     path = tmp_path / "sys.json"
     code, _, _ = run(["derive", "--model", "m", "--json", str(path)], capsys)

@@ -1,5 +1,6 @@
 """Structure constants, invariant derivative, weights and classification."""
 
+import dataclasses
 import json
 import math
 import random
@@ -13,7 +14,9 @@ import pytest
 from holoflow.algebra import LaurentPoly, Multivector
 from holoflow.homogeneous import (
     ModelError,
+    StructureTensor,
     _build_structure,
+    _check_isotropy_action,
     _kernel_basis_1x3,
     classify_invariant_g2,
     get_model,
@@ -114,6 +117,36 @@ def test_isotropy_brackets_preserve_modules():
             for i in range(model.TANGENT):
                 for k, c in st.bracket_coeffs(x, i).items():
                     assert c == 0 or any(i in b and k in b for b in blocks)
+
+
+def tampered_q111(edits):
+    """Q(1,1,1) with the structure-table entries in {(i, j): {k: c}} overwritten."""
+    model = q_model(1, 1, 1)
+    table = {key: dict(v) for key, v in model.structure.table.items()}
+    for key, coeffs in edits.items():
+        table.setdefault(key, {}).update(coeffs)
+    return dataclasses.replace(model, structure=StructureTensor(model.n, table))
+
+
+# at Q(1,1,1), [e8, e1] = -e2 and [e8, e2] = e1; the Cartan element read on
+# the plane (e1, e2) first is (e8 + e9) / 2, of speed -1 there
+@pytest.mark.parametrize(
+    "edits,check,message",
+    [
+        ({(0, 7): {1: 2}}, _check_isotropy_action, "not q-skew"),
+        ({(0, 7): {2: 1}, (2, 7): {0: -1}}, _check_isotropy_action, "does not preserve the modules"),
+        ({(0, 7): {8: 1}}, _check_isotropy_action, "leaves the tangent space"),
+        ({(0, 7): {1: 2}}, isotropy_weights, "not skew on an invariant plane"),
+        ({(0, 7): {2: 1}}, isotropy_weights, "leaves an invariant plane"),
+        ({(6, 7): {0: 1}}, isotropy_weights, "expected fixed line is not fixed"),
+        ({(0, 7): {1: 2}, (1, 7): {0: -2}}, isotropy_weights, "non-integer weight"),
+    ],
+    ids=["q-skew", "modules", "tangent", "plane-skew", "plane-leak", "fixed-line", "weight"],
+)
+def test_isotropy_checks_reject_tampered_structure(edits, check, message):
+    check(q_model(1, 1, 1))
+    with pytest.raises(ModelError, match=re.escape(message)):
+        check(tampered_q111(edits))
 
 
 # ---------------------------------------------------------------------------
