@@ -2,7 +2,8 @@
 
 A right-hand side is a flat list of power-product terms
 ``deriv[owner[k]] += coeff[k] * prod(y_j ** exps[k, j])``; ``make_rhs`` turns
-it into one straight-line function, once per term list.
+it into one straight-line function, once per term list.  The same generator
+compiles the closure check's forms, whose outputs outnumber their inputs.
 """
 
 from __future__ import annotations
@@ -50,41 +51,43 @@ MIN_SCALE = 0.2
 MAX_SCALE = 5.0
 
 
-#: generated right-hand sides, keyed on (coeffs, exps, owner, nstate)
+#: generated right-hand sides, keyed on (coeffs, exps, owner, nin, nout)
 _RHS_CACHE = {}
 
 
-def make_rhs(coeffs, exps, owner, nstate):
-    """The right-hand side ``rhs(y, out) -> bool`` of one term list.
+def make_rhs(coeffs, exps, owner, nin, nout=None):
+    """The function ``rhs(y, out) -> bool`` of one term list.
 
-    Term ``k`` adds ``coeffs[k] * y[0] ** exps[k * nstate] * ...`` (zero
-    exponents left out) to ``out[owner[k]]``.  The function is straight-line
-    code generated once per term list; it computes the same floats, in the
-    same order, as a loop over the terms and their factors.  It writes
-    ``out`` and returns whether every entry is finite, or returns False
-    without writing ``out`` when a zero base meets a negative exponent.
+    Term ``k`` adds ``coeffs[k] * y[0] ** exps[k * nin] * ...`` (zero
+    exponents left out) to ``out[owner[k]]``; ``y`` holds ``nin`` values and
+    ``out`` receives ``nout`` (by default ``nin``, as for a right-hand side).
+    The function is straight-line code generated once per term list; it
+    computes the same floats, in the same order, as a loop over the terms
+    and their factors.  It writes ``out`` and returns whether every entry is
+    finite, or returns False without writing ``out`` when a zero base meets
+    a negative exponent.
     """
-    key = (tuple(coeffs), tuple(exps), tuple(owner), nstate)
+    key = (tuple(coeffs), tuple(exps), tuple(owner), nin, nin if nout is None else nout)
     rhs = _RHS_CACHE.get(key)
     if rhs is None:
         rhs = _RHS_CACHE[key] = _generate(*key)
     return rhs
 
 
-def _generate(coeffs, exps, owner, nstate):
+def _generate(coeffs, exps, owner, nin, nout):
     # the source holds only float reprs, int exponents and y{j}/o{i} names
-    if type(nstate) is not int or nstate < 1:
-        raise ValueError("nstate must be a positive int")
-    if len(owner) != len(coeffs) or len(exps) != len(coeffs) * nstate:
+    if not all(type(n) is int and n >= 1 for n in (nin, nout)):
+        raise ValueError("nin and nout must be positive ints")
+    if len(owner) != len(coeffs) or len(exps) != len(coeffs) * nin:
         raise ValueError("term lists of mismatched lengths")
     if not all(type(c) is float and math.isfinite(c) for c in coeffs):
         raise TypeError("coefficients must be finite floats")
     if not all(type(e) is int for e in exps):
         raise TypeError("exponents must be ints")
-    if not all(type(i) is int and 0 <= i < nstate for i in owner):
-        raise ValueError("owners must be state indices")
-    ys = ", ".join(f"y{j}" for j in range(nstate))
-    outs = [f"o{i}" for i in range(nstate)]
+    if not all(type(i) is int and 0 <= i < nout for i in owner):
+        raise ValueError("owners must be output indices")
+    ys = ", ".join(f"y{j}" for j in range(nin))
+    outs = [f"o{i}" for i in range(nout)]
     lines = [
         "def rhs(y, out):",
         f"    {ys}, = y",
@@ -95,7 +98,7 @@ def _generate(coeffs, exps, owner, nstate):
         # y ** 1 is y exactly, so a unit exponent is left out
         factors = "".join(
             f" * y{j}" if e == 1 else f" * y{j} ** {e}"
-            for j, e in enumerate(exps[k * nstate : (k + 1) * nstate])
+            for j, e in enumerate(exps[k * nin : (k + 1) * nin])
             if e
         )
         lines.append(f"        o{owner[k]} += {c!r}{factors}")
@@ -103,7 +106,7 @@ def _generate(coeffs, exps, owner, nstate):
         lines.append("        pass")
     lines.append("    except ZeroDivisionError:")
     lines.append("        return False")
-    lines.extend(f"    out[{i}] = o{i}" for i in range(nstate))
+    lines.extend(f"    out[{i}] = o{i}" for i in range(nout))
     lines.append("    return " + " and ".join(f"isfinite({o})" for o in outs))
     namespace = {"isfinite": math.isfinite}
     exec(compile("\n".join(lines), "<holoflow rhs>", "exec"), namespace)

@@ -622,7 +622,8 @@ class Multivector:
         return Multivector(self.gens, out, self.dt_index)
 
     def max_abs_coefficient(self) -> float:
-        if not self.is_numeric:
+        """The largest |coefficient| of a numeric form; 0.0 for the zero form."""
+        if self.terms and not self.is_numeric:
             raise AlgebraError("max_abs_coefficient needs a numeric multivector")
         return max((abs(c) for c in self.terms.values()), default=0.0)
 

@@ -103,6 +103,37 @@ class _Profile:
             tuple(float(c) for c in self.denom),
         )
 
+    @cached_property
+    def float_value_squared(self):
+        """``value_squared`` at a float ``s``, as one function of ``s``.
+
+        The same rounded coefficients, Horner steps and domain checks as
+        ``value_squared``, written out straight (D is a cubic, so A is a
+        quartic), give the same bits without the per-call dispatch.
+        """
+        const, factor, (a0, a1, a2, a3, a4), (d0, d1, d2, d3) = self._float_coeffs
+        at_zero = float(self.collapsing_square0)
+        check = self._check_domain
+        if self.model_kind == "Q":
+            below = min(self._float_poles, default=math.inf)
+            above = -math.inf
+        else:
+            below = math.inf
+            above = max(self._float_poles, default=-math.inf)
+
+        def value_squared(s: float) -> float:
+            if not above < s < below:
+                check(s)  # at or beyond a rounded pole: decide exactly
+            if s == 0:
+                return at_zero
+            num = const + factor * ((((a4 * s + a3) * s + a2) * s + a1) * s + a0)
+            den = ((d3 * s + d2) * s + d1) * s + d0
+            if den == 0:
+                raise DomainError(f"denominator vanishes at s = {s}")
+            return num / den
+
+        return value_squared
+
     def _value_squared_float(self, s: float) -> float:
         if self.model_kind == "Q":
             clear = all(s < p for p in self._float_poles)
@@ -148,6 +179,20 @@ class _Profile:
         dp = _horner(dprime, s)
         return self.integral_factor - num * dp / (den * den)
 
+    #: (name, slope) of each squared coefficient affine in s; not a field
+    _SLOPES = ()
+
+    @cached_property
+    def _float_lines(self) -> Tuple[Tuple[str, float, float], ...]:
+        return tuple((x, float(self.initial[x] ** 2), float(m)) for x, m in self._SLOPES)
+
+    def _affine_squares(self, s: Number) -> Dict[str, Number]:
+        """The squared coefficients affine in s; at a float s from the
+        coefficients rounded once, as Fraction-float arithmetic rounds them."""
+        if isinstance(s, Fraction):
+            return {x: self.initial[x] ** 2 + m * s for x, m in self._SLOPES}
+        return {x: x0 + m * s for x, x0, m in self._float_lines}
+
     def coefficient_squares(self, s: Number) -> Dict[str, Number]:
         raise NotImplementedError
 
@@ -155,18 +200,12 @@ class _Profile:
         raise NotImplementedError
 
 
-def _affine(c0: Fraction, slope: Fraction, s: Number) -> Number:
-    if isinstance(s, Fraction):
-        return c0 + slope * s
-    return float(c0) + float(slope) * s
-
-
 @dataclass(frozen=True)
 class ProfileQ(_Profile):
+    _SLOPES = (("a", Fraction(-1, 3)), ("b", Fraction(-1, 3)), ("c", Fraction(-1, 3)))
+
     def coefficient_squares(self, s: Number) -> Dict[str, Number]:
-        out = {
-            x: _affine(self.initial[x] ** 2, Fraction(-1, 3), s) for x in ("a", "b", "c")
-        }
+        out = self._affine_squares(s)
         out["f"] = self.value_squared(s)
         return out
 
@@ -182,12 +221,12 @@ class ProfileQ(_Profile):
 
 @dataclass(frozen=True)
 class ProfileM(_Profile):
+    _SLOPES = (("a", Fraction(3, 4)), ("b", Fraction(1, 2)))
+
     def coefficient_squares(self, s: Number) -> Dict[str, Number]:
-        return {
-            "a": _affine(self.initial["a"] ** 2, Fraction(3, 4), s),
-            "b": _affine(self.initial["b"] ** 2, Fraction(1, 2), s),
-            "c": self.value_squared(s),
-        }
+        out = self._affine_squares(s)
+        out["c"] = self.value_squared(s)
+        return out
 
     def ode_residual(self, s: Fraction) -> Fraction:
         """(1/2) G' + (1/4) G / b^2 + (3/4) G / a^2 - 8, identically zero."""
@@ -255,13 +294,11 @@ def compare(traj: Trajectory, prof: Union[ProfileQ, ProfileM]) -> float:
         raise ProfileError("trajectory and profile belong to different models")
     names = traj.state_names
     worst = 0.0
-    for i in range(traj.n_samples):
-        s = traj.ys[i][-1]
-        want = prof.coefficient_squares(s)
-        scale = max(abs(v) for v in want.values())
-        scale = max(scale, 1e-300)
+    for row in traj.ys:
+        want = prof.coefficient_squares(row[-1])
+        floor = max(max(abs(v) for v in want.values()), 1e-300) * 1e-6
         for j, n in enumerate(names):
-            have = traj.ys[i][j] ** 2
-            dev = abs(have - float(want[n])) / max(abs(float(want[n])), scale * 1e-6)
+            w = want[n]
+            dev = abs(row[j] ** 2 - w) / max(abs(w), floor)
             worst = max(worst, dev)
     return worst

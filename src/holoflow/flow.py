@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from . import _kernel
 from .algebra import LaurentPoly, Multivector, SymbolTable, wedge
 from .homogeneous import CosetModel, invariant_d
 from .structures import Spin7Structure, build_invariant_structure
@@ -395,6 +397,41 @@ class Derivation:
     d_Omega: Multivector
     sys: ODESystem
     cert: KaehlerCertificate
+
+    @cached_property
+    def closure_forms(self) -> Tuple[Callable[[List[float], List[float]], bool], Tuple[int, ...]]:
+        """Omega, eta, d(Omega) and d(eta), compiled once for float values.
+
+        Returns ``(evaluate, ends)``.  ``evaluate(y, out)`` is the
+        :func:`_kernel.make_rhs` function of the four forms' coefficients:
+        ``y`` holds a value for every symbol of ``struct.table``, in table
+        order, and ``out`` receives each form's coefficients in mask order,
+        the forms one after another, ``ends`` marking where each stops.  Each
+        coefficient is summed over its ``sorted_terms`` in the float
+        operations of ``LaurentPoly.eval``, so it carries the bits
+        ``eval_numeric`` gives.  ``evaluate`` returns False, writing
+        nothing, when a zero meets a negative power, and False when a
+        coefficient is not finite; a power beyond float range raises
+        OverflowError.
+        """
+        table = self.struct.table
+        coeffs: List[float] = []
+        exps: List[int] = []
+        owner: List[int] = []
+        ends = []
+        n = 0
+        for form in (self.struct.Omega, self.cert.eta, self.d_Omega, self.cert.d_eta):
+            for _, poly in form.sorted_terms():
+                if poly.table != table:
+                    raise DerivationError("a closure form leaves the structure's symbol table")
+                for vec, c in poly.sorted_terms():
+                    coeffs.append(float(c))
+                    exps.extend(vec)
+                    owner.append(n)
+                n += 1
+            ends.append(n)
+        evaluate = _kernel.make_rhs(coeffs, exps, owner, len(table.names), n)
+        return evaluate, tuple(ends)
 
 
 #: built on first use, keyed on (kind, indices): CosetModel is not hashable

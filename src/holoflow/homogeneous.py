@@ -593,34 +593,30 @@ def isotropy_weights(model: CosetModel) -> WeightMultiset:
     return WeightMultiset(tuple(weights), trivial=len(model.FIXED))
 
 
-def _su2_commutant_dim(model: CosetModel) -> int:
-    """Dimension of the commutant of the isotropy su(2) acting on V1 (M model)."""
-    # column-action matrices: (ad x) e_i = sum_j a[j][i] e_j
-    ads = [_ad(model, {x: Fraction(1)}) for x in (7, 8, 9)]
-    mats = [[[rows[i].get(j, 0) for i in range(4)] for j in range(4)] for rows in ads]
-    # solve [M, A] = 0 for all A: 16 unknowns
-    rowsys: List[List[Fraction]] = []
-    for a in mats:
-        for p in range(4):
-            for q in range(4):
-                row = [Fraction(0)] * 16
-                for r in range(4):
-                    row[4 * r + q] += a[p][r]
-                    row[4 * p + r] -= a[r][q]
-                rowsys.append(row)
-    return 16 - _rank_fraction_matrix(rowsys)
+def _su2_commutant_dim(ads: Sequence[AdRows]) -> int:
+    """Dimension of the commutant on V1 = span(e1..e4) of the isotropy su(2),
+    given the ad rows of its three generators (M model)."""
+    # [X, A] = 0 for the 4 x 4 matrix A of 16 unknowns, A[r][q] in column
+    # 4r + q, one integer row per entry of the commutator and generator X
+    # (X e_v = sum_u X[u][v] e_u, scaled to integers; scaling X keeps [X, A] = 0)
+    system = []
+    for rows in ads:
+        entries = [(u, v, c) for v in range(4) for u, c in rows[v].items() if u < 4]
+        scale = math.lcm(*(c.denominator for _, _, c in entries))
+        block = [[0] * 16 for _ in range(16)]  # the row of commutator entry (p, q) is 4p + q
+        for u, v, c in entries:
+            k = c.numerator * (scale // c.denominator)
+            for w in range(4):
+                block[4 * u + w][4 * v + w] += k  # (X A)[u][w] has X[u][v] A[v][w]
+                block[4 * w + v][4 * w + u] -= k  # (A X)[w][v] has A[w][u] X[u][v]
+        system.extend(row for row in block if any(row))
+    return 16 - _rank_int_matrix(system)
 
 
-def _rank_fraction_matrix(rows: List[List[Fraction]]) -> int:
-    """Exact rank: fraction-free elimination on the rows scaled to integers."""
-    mat = []
-    for r in rows:
-        d = math.lcm(*(x.denominator for x in r))
-        ints = [x.numerator * (d // x.denominator) for x in r]
-        if any(ints):
-            mat.append(ints)
+def _rank_int_matrix(mat: List[List[int]]) -> int:
+    """Exact rank of integer rows by fraction-free elimination, in place."""
     rank = 0
-    ncols = len(rows[0]) if rows else 0
+    ncols = len(mat[0]) if mat else 0
     for col in range(ncols):
         piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if piv is None:
@@ -674,11 +670,10 @@ def matches_u2_weights(model: CosetModel) -> bool:
     """
     if model.kind != "M":
         raise ModelError("matches_u2_weights applies to the M model")
-    for x in (7, 8, 9):
-        rows = _ad(model, {x: Fraction(1)})
-        if any(rows[i] for i in (4, 5, 6)):
-            return False
-    if _su2_commutant_dim(model) != 4:
+    su2 = [_ad(model, {x: Fraction(1)}) for x in (7, 8, 9)]
+    if any(rows[i] for rows in su2 for i in (4, 5, 6)):
+        return False
+    if _su2_commutant_dim(su2) != 4:
         return False
     u1 = _ad(model, {10: Fraction(1)})
     s1 = abs(_plane_speed(model, u1, (0, 1)))

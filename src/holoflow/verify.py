@@ -118,12 +118,14 @@ class ProfileSampler(_SpanSampler):
         }
         self.t_min = anchors.ts[0]
         self.t_max = anchors.ts[-1]
+        self._value_squared = prof.float_value_squared
+        self._speed_sign = self.sign[self.collapsing_name]
 
     def _speed(self, s: float) -> float:
-        g = self.prof.value_squared(s)
+        g = self._value_squared(s)
         if g <= 0:
             raise VerifyError("profile speed vanished during inversion")
-        return self.sign[self.collapsing_name] * math.sqrt(g)
+        return self._speed_sign * math.sqrt(g)
 
     def _gauss_panel(self, s0: float, s1: float) -> float:
         mid = 0.5 * (s0 + s1)
@@ -166,10 +168,7 @@ class ProfileSampler(_SpanSampler):
     def __call__(self, t: float) -> Dict[str, float]:
         s = self.s_of_t(t)
         squares = self.prof.coefficient_squares(s)
-        return {
-            n: self.sign[n] * math.sqrt(max(float(squares[n]), 0.0))
-            for n in self.names
-        }
+        return {n: self.sign[n] * math.sqrt(max(squares[n], 0.0)) for n in self.names}
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +190,34 @@ class ClosureReport:
 
 def _residuals(deriv: Derivation, assign: Dict[str, float]) -> Tuple[float, float]:
     """d(Omega) and d(eta) at one sample, each over the largest coefficient
-    of its form; ``assign`` holds the coefficients and their slopes."""
-    mid = {n: assign[n] for n in deriv.model.symbols.base}
-    omega_scale = deriv.struct.Omega.eval_numeric(mid).max_abs_coefficient()
-    eta_scale = deriv.cert.eta.eval_numeric(mid).max_abs_coefficient()
-    r_omega = deriv.d_Omega.eval_numeric(assign).max_abs_coefficient() / omega_scale
-    r_eta = deriv.cert.d_eta.eval_numeric(assign).max_abs_coefficient() / eta_scale
+    of its form; ``assign`` holds the coefficients and their slopes.
+
+    One call of the compiled forms (``Derivation.closure_forms``) gives the
+    bits of ``eval_numeric(...).max_abs_coefficient()``.  A sample where a
+    zero meets a negative power, a value leaves float range, Omega or eta
+    vanishes, or a residual is not finite is bad input, not a residual.
+    """
+    evaluate, ends = deriv.closure_forms
+    values = [float(assign[n]) for n in deriv.struct.table.names]
+    out = [0.0] * ends[-1]
+    try:
+        finite = evaluate(values, out)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise VerifyError(
+            "closure check: the forms are not finite at a sample"
+            " (a zero to a negative power, or beyond float range)"
+        )
+    omega, eta, d_omega, d_eta = (
+        max(map(abs, out[lo:hi]), default=0.0) for lo, hi in zip((0,) + ends, ends)
+    )
+    if omega == 0.0 or eta == 0.0:
+        raise VerifyError("closure check: Omega or eta vanishes at a sample")
+    r_omega = d_omega / omega
+    r_eta = d_eta / eta
+    if not (math.isfinite(r_omega) and math.isfinite(r_eta)):
+        raise VerifyError("closure check: a residual is beyond float range")
     return r_omega, r_eta
 
 

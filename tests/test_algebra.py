@@ -231,6 +231,16 @@ def test_eval_zero_with_negative_exponent_raises():
         p.eval({"a": 0.0})
 
 
+def test_max_abs_coefficient_of_numeric_forms():
+    a = LaurentPoly.variable(TAB, "a")
+    form = Multivector.basis(GENS7, [0], a) + Multivector.basis(GENS7, [1], a * -3)
+    assert form.eval_numeric({"a": 0.5}).max_abs_coefficient() == 1.5
+    assert form.eval_numeric({"a": 0.0}).max_abs_coefficient() == 0.0  # no terms left
+    assert Multivector.zero(GENS7).max_abs_coefficient() == 0.0
+    with pytest.raises(AlgebraError, match="numeric"):
+        form.max_abs_coefficient()
+
+
 def test_diff_is_formal_partial():
     p = LaurentPoly.monomial(TAB, Fraction(1, 2), {"a": -2, "f": 1})
     assert p.diff("a") == LaurentPoly.monomial(TAB, -1, {"a": -3, "f": 1})

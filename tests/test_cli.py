@@ -297,6 +297,26 @@ def test_exact_outputs_match_the_golden_files(capsys, name, argv):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
+#: the closure_residual blocks of report and verify for the unit-data orbits,
+#: floats as reprs; the closure check is pure Python, so no libm or LAPACK
+#: difference enters them
+GOLDEN_CLOSURE = json.loads((GOLDEN / "closure.json").read_text())
+
+
+@pytest.mark.parametrize("model,orbit,values", UNIT_ORBITS)
+def test_closure_residuals_match_the_golden_file(capsys, tmp_path, model, orbit, values):
+    traj = tmp_path / "traj.csv"
+    common = ["--model", model, "--orbit", orbit, *values]
+    blocks = {}
+    runs = (("report", ["--traj-out", str(traj)]), ("verify", ["--traj", str(traj)]))
+    for command, extra in runs:
+        code, out, err = run([command, *common, *extra], capsys)
+        assert (code, err) == (0, "")
+        block = json.loads(out)["closure_residual"]
+        blocks[command] = {k: repr(v) if isinstance(v, float) else v for k, v in block.items()}
+    assert blocks == GOLDEN_CLOSURE[f"{model}_{orbit}"]
+
+
 def _strict_json(text):
     def reject(token):
         raise ValueError(f"{token} is not strict JSON")
@@ -519,6 +539,27 @@ def test_malformed_traj_rejected(capsys, tmp_path, command, case):
     assert code == 2
     _one_line_error(err)
     assert "--traj" in err
+
+
+#: well-formed files on which the closure check cannot evaluate the forms:
+#: Omega vanishes on every row, or a^2 leaves float range
+UNEVALUABLE_CSVS = {
+    "all-zero": ["t,a,b,c,C"] + [f"{t},0,0,0,0" for t in range(4)],
+    "beyond-float-range": ["t,a,b,c,C"] + [f"{t},1e300,0,0,0" for t in range(4)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNEVALUABLE_CSVS))
+def test_verify_rejects_a_traj_the_closure_check_cannot_evaluate(capsys, tmp_path, case):
+    path = tmp_path / "t.csv"
+    path.write_text("".join(line + "\n" for line in UNEVALUABLE_CSVS[case]))
+    out = tmp_path / "v.json"
+    argv = ["verify", "--model", "m", "--orbit", "cp2", "--a0", "1", "--traj", str(path)]
+    code, _, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 2
+    _one_line_error(err)
+    assert "closure check" in err
+    assert not out.exists()
 
 
 def test_well_formed_traj_accepted(capsys, tmp_path):

@@ -1,10 +1,14 @@
 """Closed-form profiles: exactness, ODE identity, trajectory agreement."""
 
+import math
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoflow.closed_form import DomainError, ProfileError, compare, profile
 from holoflow.flow import derive_flow
@@ -254,3 +258,62 @@ def test_float_domain_errors_at_and_beyond_poles(as_type):
     for p, fp in inward:
         with pytest.raises(DomainError, match="denominator vanishes"):
             p.value_squared(as_type(fp))
+
+
+# ---------------------------------------------------------------------------
+# the straight-line float profile against value_squared
+# ---------------------------------------------------------------------------
+
+#: the squared coefficients affine in s, as the float branch of
+#: coefficient_squares wrote them before it rounded its constants once
+AFFINE_SLOPES = {
+    "Q": {"a": Fraction(-1, 3), "b": Fraction(-1, 3), "c": Fraction(-1, 3)},
+    "M": {"a": Fraction(3, 4), "b": Fraction(1, 2)},
+}
+
+
+def _reference_float_squares(p, s):
+    out = {
+        x: float(p.initial[x] ** 2) + float(m) * s for x, m in AFFINE_SLOPES[p.model_kind].items()
+    }
+    out["f" if p.model_kind == "Q" else "c"] = p.value_squared(s)
+    return out
+
+
+def _outcome(fn, s):
+    """The bits of ``fn(s)``, or the type of the error it raises."""
+    try:
+        result = fn(s)
+    except DomainError:
+        return DomainError
+    if isinstance(result, dict):
+        return [(k, struct.pack("<d", v)) for k, v in result.items()]
+    return struct.pack("<d", result)
+
+
+VALUE = st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool)
+
+
+@st.composite
+def profile_points(draw):
+    """A profile of random initial data and a float s near one of its poles,
+    on either side, or anywhere in float range."""
+    kind, orbit, values = draw(st.sampled_from(FLOAT_CASES))
+    p = profile(kind, OrbitSpec(kind, orbit, {x: draw(VALUE, label=x) for x in values}))
+    pole = float(draw(st.sampled_from(p.poles)))
+    near = st.floats(pole - 2 * abs(pole) - 1, pole + 2 * abs(pole) + 1)
+    edges = st.sampled_from(
+        [pole, math.nextafter(pole, -math.inf), math.nextafter(pole, math.inf), 0.0, -0.0]
+    )
+    s = draw(st.one_of(near, edges, st.floats(allow_nan=False, allow_infinity=False)))
+    return p, s
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(profile_points())
+def test_straight_line_profile_is_bit_identical_to_value_squared(case):
+    p, s = case
+    assert _outcome(p.float_value_squared, s) == _outcome(p.value_squared, s)
+    assert _outcome(p.coefficient_squares, s) == _outcome(
+        lambda x: _reference_float_squares(p, x), s
+    )

@@ -37,11 +37,12 @@ Y0 = [0.5e-6, 1.0, 1.0, -1.5e-6, -0.75e-12]
 WATCH = [True, True, True, True, False]
 
 
-def reference_rhs(coeffs, exps, owner, nstate):
+def reference_rhs(coeffs, exps, owner, nstate, nout=None):
     """The term-list interpreter the generated right-hand sides replace."""
+    nout = nstate if nout is None else nout
 
     def rhs(y, out):
-        for i in range(nstate):
+        for i in range(nout):
             out[i] = 0.0
         for k in range(len(coeffs)):
             term = coeffs[k]
@@ -119,8 +120,8 @@ def _bits(values):
     return [struct.pack("<d", v) for v in values]
 
 
-def _call(rhs, y, nstate):
-    out = [0.0] * nstate
+def _call(rhs, y, nout):
+    out = [0.0] * nout
     try:
         return rhs(y, out), out
     except OverflowError:
@@ -141,24 +142,27 @@ STATE = st.one_of(
 
 @st.composite
 def term_lists(draw):
+    """A term list of ``nstate`` inputs and ``nout`` outputs: as many as the
+    inputs (a right-hand side) or fewer or more (the closure forms)."""
     nstate = draw(st.integers(1, 5))
+    nout = draw(st.one_of(st.just(nstate), st.integers(1, 8)))
     nterms = draw(st.integers(0, 8))
     coeffs = draw(st.lists(COEFF, min_size=nterms, max_size=nterms))
     exps = draw(st.lists(st.integers(-3, 3), min_size=nterms * nstate, max_size=nterms * nstate))
-    owner = draw(st.lists(st.integers(0, nstate - 1), min_size=nterms, max_size=nterms))
+    owner = draw(st.lists(st.integers(0, nout - 1), min_size=nterms, max_size=nterms))
     ys = draw(st.lists(st.lists(STATE, min_size=nstate, max_size=nstate), min_size=1, max_size=4))
-    return coeffs, exps, owner, nstate, ys
+    return coeffs, exps, owner, nstate, nout, ys
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(term_lists())
 def test_generated_rhs_is_bit_identical_to_the_interpreter(case):
-    coeffs, exps, owner, nstate, ys = case
-    generated = _stepper_py.make_rhs(coeffs, exps, owner, nstate)
-    reference = reference_rhs(coeffs, exps, owner, nstate)
+    coeffs, exps, owner, nstate, nout, ys = case
+    generated = _stepper_py.make_rhs(coeffs, exps, owner, nstate, nout)
+    reference = reference_rhs(coeffs, exps, owner, nstate, nout)
     for y in ys:
-        ok_gen, out_gen = _call(generated, y, nstate)
-        ok_ref, out_ref = _call(reference, y, nstate)
+        ok_gen, out_gen = _call(generated, y, nout)
+        ok_ref, out_ref = _call(reference, y, nout)
         assert ok_gen is ok_ref
         if ok_ref is True:
             assert _bits(out_gen) == _bits(out_ref)
@@ -175,6 +179,10 @@ def test_generator_accepts_only_numbers():
         _stepper_py.make_rhs([1.0], [1.0], [0], 1)
     with pytest.raises(ValueError):
         _stepper_py.make_rhs([1.0], [1], [1], 1)  # owner out of range
+    with pytest.raises(ValueError):
+        _stepper_py.make_rhs([1.0], [1], [2], 1, 2)
+    with pytest.raises(ValueError):
+        _stepper_py.make_rhs([1.0], [1], [0], 1, 0)
     with pytest.raises(ValueError):
         _stepper_py.make_rhs([1.0], [1, 0], [0], 1)
 

@@ -1,6 +1,7 @@
 """Closure residuals, cone fits, smoothness verdicts, SU(4) certificate."""
 
 import math
+import struct
 import warnings
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -13,12 +14,13 @@ from hypothesis import strategies as st
 from holoflow import _kernel
 from holoflow.closed_form import profile
 from holoflow.flow import derivation, derive_flow
-from holoflow.homogeneous import m_model, q_model
+from holoflow.homogeneous import get_model, m_model, q_model
 from holoflow.integrate import IntegratorConfig, OrbitSpec, Trajectory, solve_orbit
 from holoflow.verify import (
     ProfileSampler,
     TrajectorySampler,
     VerifyError,
+    _residuals,
     _SpanSampler,
     catalog_row,
     check_closure,
@@ -110,6 +112,47 @@ def test_closure_raw_samples(q_setup):
     model, deriv, spec, traj, sampler = q_setup
     rep = check_closure_samples(traj, deriv)
     assert rep.max_residual < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the compiled closure forms against eval_numeric
+# ---------------------------------------------------------------------------
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def _reference_residuals(deriv, assign):
+    """The closure residuals from ``eval_numeric``, form by form."""
+    mid = {n: assign[n] for n in deriv.model.symbols.base}
+    omega_scale = deriv.struct.Omega.eval_numeric(mid).max_abs_coefficient()
+    eta_scale = deriv.cert.eta.eval_numeric(mid).max_abs_coefficient()
+    r_omega = deriv.d_Omega.eval_numeric(assign).max_abs_coefficient() / omega_scale
+    r_eta = deriv.cert.d_eta.eval_numeric(assign).max_abs_coefficient() / eta_scale
+    return r_omega, r_eta
+
+
+SIGNED = st.builds(lambda m, neg: -m if neg else m, st.floats(1e-8, 1e8), st.booleans())
+
+
+@pytest.mark.parametrize("kind,indices", [("Q", (1, 1, 1)), ("M", (1, 1))])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_compiled_closure_forms_are_bit_identical_to_eval_numeric(kind, indices, data):
+    deriv = derivation(get_model(kind, indices))
+    names = deriv.struct.table.names
+    assign = {n: data.draw(SIGNED, label=n) for n in names}
+    evaluate, ends = deriv.closure_forms
+    out = [0.0] * ends[-1]
+    assert evaluate([assign[n] for n in names], out) is True
+    forms = (deriv.struct.Omega, deriv.cert.eta, deriv.d_Omega, deriv.cert.d_eta)
+    for form, lo, hi in zip(forms, (0,) + ends, ends):
+        want = form.eval_numeric(assign).terms
+        got = {m: c for (m, _), c in zip(form.sorted_terms(), out[lo:hi]) if c}
+        assert list(got) == list(want)
+        assert _bits(got.values()) == _bits(want.values())
+    assert _bits(_residuals(deriv, assign)) == _bits(_reference_residuals(deriv, assign))
 
 
 # ---------------------------------------------------------------------------
