@@ -1,9 +1,13 @@
-"""Pure-Python Dormand-Prince 5(4) stepper on generated right-hand sides.
+"""Pure-Python Dormand-Prince 5(4) stepper, generated per right-hand side.
 
 A right-hand side is a flat list of power-product terms
 ``deriv[owner[k]] += coeff[k] * prod(y_j ** exps[k, j])``; ``make_rhs`` turns
-it into one straight-line function, once per term list.  The same generator
-compiles the closure check's forms, whose outputs outnumber their inputs.
+it into one straight-line function, once per term list.  The same term
+emission writes the solve loop of each list: the state, the stage slopes,
+the error norm and the dense-output coefficients are local scalars, and the
+six stage evaluations are the right-hand side's terms inlined.  The same
+generator compiles the closure check's forms, whose outputs outnumber their
+inputs.
 """
 
 from __future__ import annotations
@@ -50,9 +54,23 @@ SAFETY = 0.9
 MIN_SCALE = 0.2
 MAX_SCALE = 5.0
 
+# the stage, error and dense weights as (stage, weight) pairs; stage 2's
+# argument y + h * A21 * k1 has its own form
+STAGE_WEIGHTS = (
+    ((1, A31), (2, A32)),
+    ((1, A41), (2, A42), (3, A43)),
+    ((1, A51), (2, A52), (3, A53), (4, A54)),
+    ((1, A61), (2, A62), (3, A63), (4, A64), (5, A65)),
+    ((1, A71), (3, A73), (4, A74), (5, A75), (6, A76)),
+)
+ERROR_WEIGHTS = ((1, E1), (3, E3), (4, E4), (5, E5), (6, E6), (7, E7))
+DENSE_WEIGHTS = ((1, D1), (3, D3), (4, D4), (5, D5), (6, D6), (7, D7))
+
 
 #: generated right-hand sides, keyed on (coeffs, exps, owner, nin, nout)
 _RHS_CACHE = {}
+#: generated solve loops, keyed on (coeffs, exps, owner, nstate)
+_LOOP_CACHE = {}
 
 
 def make_rhs(coeffs, exps, owner, nin, nout=None):
@@ -74,8 +92,8 @@ def make_rhs(coeffs, exps, owner, nin, nout=None):
     return rhs
 
 
-def _generate(coeffs, exps, owner, nin, nout):
-    # the source holds only float reprs, int exponents and y{j}/o{i} names
+def _check_terms(coeffs, exps, owner, nin, nout):
+    # the source holds only float reprs, int exponents and generated names
     if not all(type(n) is int and n >= 1 for n in (nin, nout)):
         raise ValueError("nin and nout must be positive ints")
     if len(owner) != len(coeffs) or len(exps) != len(coeffs) * nin:
@@ -86,183 +104,219 @@ def _generate(coeffs, exps, owner, nin, nout):
         raise TypeError("exponents must be ints")
     if not all(type(i) is int and 0 <= i < nout for i in owner):
         raise ValueError("owners must be output indices")
-    ys = ", ".join(f"y{j}" for j in range(nin))
-    outs = [f"o{i}" for i in range(nout)]
-    lines = [
-        "def rhs(y, out):",
-        f"    {ys}, = y",
-        f"    {' = '.join(outs)} = 0.0",
-        "    try:",
-    ]
+
+
+def _term_lines(coeffs, exps, owner, nin, ins, outs, indent):
+    """One ``out += coeff * in ** e * ...`` line per term, in term order;
+    ``ins`` and ``outs`` name the input and output locals."""
     for k, c in enumerate(coeffs):
         # y ** 1 is y exactly, so a unit exponent is left out
         factors = "".join(
-            f" * y{j}" if e == 1 else f" * y{j} ** {e}"
+            f" * {ins[j]}" if e == 1 else f" * {ins[j]} ** {e}"
             for j, e in enumerate(exps[k * nin : (k + 1) * nin])
             if e
         )
-        lines.append(f"        o{owner[k]} += {c!r}{factors}")
+        yield f"{indent}{outs[owner[k]]} += {c!r}{factors}"
+
+
+def _compile(lines, filename, name, namespace):
+    exec(compile("\n".join(lines), filename, "exec"), namespace)
+    return namespace[name]
+
+
+def _generate(coeffs, exps, owner, nin, nout):
+    _check_terms(coeffs, exps, owner, nin, nout)
+    ins = [f"y{j}" for j in range(nin)]
+    outs = [f"o{i}" for i in range(nout)]
+    lines = [
+        "def rhs(y, out):",
+        f"    {', '.join(ins)}, = y",
+        f"    {' = '.join(outs)} = 0.0",
+        "    try:",
+    ]
+    lines.extend(_term_lines(coeffs, exps, owner, nin, ins, outs, " " * 8))
     if not coeffs:
         lines.append("        pass")
     lines.append("    except ZeroDivisionError:")
     lines.append("        return False")
     lines.extend(f"    out[{i}] = o{i}" for i in range(nout))
     lines.append("    return " + " and ".join(f"isfinite({o})" for o in outs))
-    namespace = {"isfinite": math.isfinite}
-    exec(compile("\n".join(lines), "<holoflow rhs>", "exec"), namespace)
-    return namespace["rhs"]
+    return _compile(lines, "<holoflow rhs>", "rhs", {"isfinite": math.isfinite})
 
 
-def solve(rhs, nstate, y0, t0, t_end, rtol, atol, h0, watch, max_steps):
-    """Adaptive DOPRI5 loop with Hairer dense-output coefficients.
+def solve(terms, y0, t0, t_end, rtol, atol, h0, watch, max_steps):
+    """Adaptive DOPRI5 run of one term list, with Hairer dense output.
 
-    ``rhs(y, out)`` writes the derivative of the ``nstate`` components of
-    ``y`` into ``out`` and returns False on a non-finite value (see
-    ``make_rhs``); an OverflowError it raises counts as a False return, so
-    the step is rejected.  ``h0 <= 0`` picks the first step automatically;
-    no step is longer than ``|t_end - t0|``.  Components flagged in
-    ``watch`` stop the run with status ``sign_change`` when they cross zero.
+    ``terms`` is ``(coeffs, exps, owner, nstate)``, a right-hand side as
+    ``make_rhs`` reads it; its solve loop is generated on first use and
+    cached.  A step whose stages meet a non-finite value, a zero base with
+    a negative exponent or a power beyond float range is rejected and the
+    step halved; the run ends as ``blowup`` once the step underflows that
+    way.  ``h0 <= 0`` picks the first step automatically; no step is longer
+    than ``|t_end - t0|``.  Components flagged in ``watch`` stop the run
+    with status ``sign_change`` when they cross zero.
 
     Returns (status, ts, ys, dense, naccept, nreject, nfev, max_err) where
-    ``ys`` is flat row-major and ``dense`` holds 5*nstate continuous-extension
-    coefficients per accepted step.
+    ``ys`` holds one list of ``nstate`` values per sample and ``dense``
+    holds 5*nstate continuous-extension coefficients per accepted step.
     """
-    n = nstate
-    y = list(map(float, y0))
-    t = float(t0)
-    k1 = [0.0] * n
-    k2 = [0.0] * n
-    k3 = [0.0] * n
-    k4 = [0.0] * n
-    k5 = [0.0] * n
-    k6 = [0.0] * n
-    k7 = [0.0] * n
-    ytmp = [0.0] * n
-    y1 = [0.0] * n
+    coeffs, exps, owner, nstate = terms
+    key = (tuple(coeffs), tuple(exps), tuple(owner), nstate)
+    loop = _LOOP_CACHE.get(key)
+    if loop is None:
+        loop = _LOOP_CACHE[key] = _generate_loop(*key)
+    return loop(y0, t0, t_end, rtol, atol, h0, watch, max_steps)
 
-    ts = [t]
-    ys = list(y)
-    dense = []
-    naccept = nreject = nfev = 0
-    max_err = 0.0
 
-    if not _finite_rhs(rhs, y, k1):
-        return ("blowup", ts, ys, dense, naccept, nreject, 1, max_err)
-    nfev = 1
+def _generate_loop(coeffs, exps, owner, n):
+    """The source of one term list's solve loop, compiled.
 
-    hmax = abs(t_end - t)
-    h = h0 if h0 > 0.0 else _initial_step(rhs, n, t, y, k1, rtol, atol, hmax)
-    nfev += 2
-    h = min(h, hmax)
+    Every float is computed as the interpreted loop over components
+    (``reference_solve`` in ``tests/test_kernel.py``) computes it: the same
+    operations in the same order, with ``max``/``min`` of two
+    floats written as the comparisons CPython makes.
+    """
+    _check_terms(coeffs, exps, owner, n, n)
+    idx = range(n)
 
-    sign0 = [0.0] * n
-    for i in range(n):
-        if watch[i]:
-            sign0[i] = 1.0 if y[i] > 0 else (-1.0 if y[i] < 0 else 0.0)
+    def row(prefix):
+        return ", ".join(f"{prefix}{i}" for i in idx)
 
-    status = "running"
-    steps = 0
-    while status == "running":
-        steps += 1
-        if steps > max_steps:
-            status = "max_steps"
-            break
-        if t + h >= t_end:
-            h = t_end - t
-        if h <= abs(t) * 1e-16 + 1e-300:
-            status = "underflow"
-            break
+    def weighted(weights, i):
+        return " + ".join(f"{w!r} * k{s}_{i}" for s, w in weights)
 
-        try:
-            for i in range(n):
-                ytmp[i] = y[i] + h * A21 * k1[i]
-            ok = rhs(ytmp, k2)
-            for i in range(n):
-                ytmp[i] = y[i] + h * (A31 * k1[i] + A32 * k2[i])
-            ok = ok and rhs(ytmp, k3)
-            for i in range(n):
-                ytmp[i] = y[i] + h * (A41 * k1[i] + A42 * k2[i] + A43 * k3[i])
-            ok = ok and rhs(ytmp, k4)
-            for i in range(n):
-                ytmp[i] = y[i] + h * (A51 * k1[i] + A52 * k2[i] + A53 * k3[i] + A54 * k4[i])
-            ok = ok and rhs(ytmp, k5)
-            for i in range(n):
-                ytmp[i] = y[i] + h * (
-                    A61 * k1[i] + A62 * k2[i] + A63 * k3[i] + A64 * k4[i] + A65 * k5[i]
-                )
-            ok = ok and rhs(ytmp, k6)
-            for i in range(n):
-                y1[i] = y[i] + h * (
-                    A71 * k1[i] + A73 * k3[i] + A74 * k4[i] + A75 * k5[i] + A76 * k6[i]
-                )
-            ok = ok and rhs(y1, k7)
-        except OverflowError:
-            ok = False  # a power beyond float range, as a non-finite value
-        nfev += 6
+    def finite(s):
+        return " and ".join(f"isfinite(k{s}_{i})" for i in idx)
 
-        if not ok:
-            nreject += 1
-            h *= 0.5
-            if h <= abs(t) * 1e-16 + 1e-300:
-                status = "blowup"
-            continue
-
-        err = 0.0
-        for i in range(n):
-            e = h * (
-                E1 * k1[i] + E3 * k3[i] + E4 * k4[i] + E5 * k5[i] + E6 * k6[i] + E7 * k7[i]
+    used = sorted({j for k in range(len(coeffs)) for j in idx if exps[k * n + j]})
+    lines = [
+        "def solve(y_start, t0, t_end, rtol, atol, h0, watch, max_steps):",
+        "    y = list(map(float, y_start))",
+        "    t = float(t0)",
+        f"    k1 = [0.0] * {n}",
+        "    ts = [t]",
+        "    ys = [list(y)]",
+        "    dense = []",
+        "    if not _finite_rhs(rhs, y, k1):",
+        '        return ("blowup", ts, ys, dense, 0, 0, 1, 0.0)',
+        "    naccept = nreject = 0",
+        "    nfev = 3",
+        "    max_err = 0.0",
+        "    hmax = abs(t_end - t)",
+        f"    h = h0 if h0 > 0.0 else _initial_step(rhs, {n}, t, y, k1, rtol, atol, hmax)",
+        "    h = min(h, hmax)",
+        f"    {row('y')}, = y",
+        f"    {row('k1_')}, = k1",
+    ]
+    lines.extend(
+        f"    s{i} = (1.0 if y{i} > 0 else (-1.0 if y{i} < 0 else 0.0)) if watch[{i}] else 0.0"
+        for i in idx
+    )
+    lines += [
+        "    steps = 0",
+        "    while True:",
+        "        steps += 1",
+        "        if steps > max_steps:",
+        '            status = "max_steps"',
+        "            break",
+        "        if t + h >= t_end:",
+        "            h = t_end - t",
+        "        if h <= abs(t) * 1e-16 + 1e-300:",
+        '            status = "underflow"',
+        "            break",
+        "        ok = False",
+        "        try:",
+        f"            a21 = h * {A21!r}",
+    ]
+    # stages 2..7: each argument, then the inlined terms, then the finite
+    # test that guards the next stage; stage 7's argument is the new state
+    indent = " " * 12
+    ins = [f"z{j}" for j in idx]
+    lines.extend(f"{indent}z{j} = y{j} + a21 * k1_{j}" for j in used)
+    for s, weights in enumerate((None,) + STAGE_WEIGHTS, start=2):
+        if weights is not None:
+            if s == 7:
+                ins = [f"yn{j}" for j in idx]
+            lines.extend(
+                f"{indent}{ins[j]} = y{j} + h * ({weighted(weights, j)})"
+                for j in (idx if s == 7 else used)
             )
-            sc = atol + rtol * max(abs(y[i]), abs(y1[i]))
-            r = e / sc
-            err += r * r
-        err = math.sqrt(err / n)
-
-        if err <= 1.0:
-            # accepted; store Hairer continuous-extension coefficients
-            for i in range(n):
-                ydiff = y1[i] - y[i]
-                bspl = h * k1[i] - ydiff
-                dense.append(y[i])
-                dense.append(ydiff)
-                dense.append(bspl)
-                dense.append(ydiff - h * k7[i] - bspl)
-                dense.append(
-                    h
-                    * (
-                        D1 * k1[i]
-                        + D3 * k3[i]
-                        + D4 * k4[i]
-                        + D5 * k5[i]
-                        + D6 * k6[i]
-                        + D7 * k7[i]
-                    )
-                )
-            t += h
-            naccept += 1
-            if err > max_err:
-                max_err = err
-            y, y1 = y1, y
-            k1, k7 = k7, k1  # FSAL
-            ts.append(t)
-            ys.extend(y)
-
-            crossed = False
-            for i in range(n):
-                if watch[i] and sign0[i] != 0.0 and y[i] * sign0[i] <= 0.0:
-                    crossed = True
-            if crossed:
-                status = "sign_change"
-            elif t >= t_end:
-                status = "done"
-            else:
-                fac = SAFETY * err ** (-0.2) if err > 0.0 else MAX_SCALE
-                h = min(h * min(MAX_SCALE, max(MIN_SCALE, fac)), hmax)
-        else:
-            nreject += 1
-            fac = SAFETY * err ** (-0.2)
-            h *= max(MIN_SCALE, min(1.0, fac))
-
-    return (status, ts, ys, dense, naccept, nreject, nfev, max_err)
+        outs = [f"k{s}_{i}" for i in idx]
+        lines.append(f"{indent}{' = '.join(outs)} = 0.0")
+        lines.extend(_term_lines(coeffs, exps, owner, n, ins, outs, indent))
+        if s < 7:
+            lines.append(f"{indent}if {finite(s)}:")
+            indent += "    "
+    lines += [
+        f"{indent}ok = {finite(7)}",
+        "        except (ZeroDivisionError, OverflowError):",
+        "            pass  # a zero to a negative power or a power beyond float range",
+        "        nfev += 6",
+        "        if not ok:",
+        "            nreject += 1",
+        "            h *= 0.5",
+        "            if h <= abs(t) * 1e-16 + 1e-300:",
+        '                status = "blowup"',
+        "                break",
+        "            continue",
+        "        err = 0.0",
+    ]
+    for i in idx:
+        lines += [
+            f"        e = h * ({weighted(ERROR_WEIGHTS, i)})",
+            f"        a = abs(y{i})",
+            f"        b = abs(yn{i})",
+            "        r = e / (atol + rtol * (b if b > a else a))",
+            "        err += r * r",
+        ]
+    lines += [
+        f"        err = sqrt(err / {n})",
+        "        if err <= 1.0:",
+    ]
+    for i in idx:
+        lines += [f"            d{i} = yn{i} - y{i}", f"            b{i} = h * k1_{i} - d{i}"]
+    coefficients = ", ".join(
+        f"y{i}, d{i}, b{i}, d{i} - h * k7_{i} - b{i}, h * ({weighted(DENSE_WEIGHTS, i)})"
+        for i in idx
+    )
+    crossed = " or ".join(f"s{i} != 0.0 and y{i} * s{i} <= 0.0" for i in idx)
+    lines += [
+        f"            dense += ({coefficients})",
+        "            t += h",
+        "            naccept += 1",
+        "            if err > max_err:",
+        "                max_err = err",
+        f"            {row('y')} = {row('yn')}",
+        f"            {row('k1_')} = {row('k7_')}",  # FSAL
+        "            ts.append(t)",
+        f"            ys.append([{row('y')}])",
+        f"            if {crossed}:",
+        '                status = "sign_change"',
+        "                break",
+        "            if t >= t_end:",
+        '                status = "done"',
+        "                break",
+        f"            fac = {SAFETY!r} * err ** -0.2 if err > 0.0 else {MAX_SCALE!r}",
+        f"            fac = fac if fac > {MIN_SCALE!r} else {MIN_SCALE!r}",
+        f"            fac = fac if fac < {MAX_SCALE!r} else {MAX_SCALE!r}",
+        "            h *= fac",
+        "            if hmax < h:",
+        "                h = hmax",
+        "        else:",
+        "            nreject += 1",
+        f"            fac = {SAFETY!r} * err ** -0.2",
+        "            fac = fac if fac < 1.0 else 1.0",
+        f"            h *= fac if fac > {MIN_SCALE!r} else {MIN_SCALE!r}",
+        "    return (status, ts, ys, dense, naccept, nreject, nfev, max_err)",
+    ]
+    namespace = {
+        "isfinite": math.isfinite,
+        "sqrt": math.sqrt,
+        "rhs": make_rhs(coeffs, exps, owner, n),
+        "_finite_rhs": _finite_rhs,
+        "_initial_step": _initial_step,
+    }
+    return _compile(lines, "<holoflow solve>", "solve", namespace)
 
 
 def _finite_rhs(rhs, y, out):

@@ -294,11 +294,23 @@ def compare(traj: Trajectory, prof: Union[ProfileQ, ProfileM]) -> float:
         raise ProfileError("trajectory and profile belong to different models")
     names = traj.state_names
     worst = 0.0
-    for row in traj.ys:
-        want = prof.coefficient_squares(row[-1])
-        floor = max(max(abs(v) for v in want.values()), 1e-300) * 1e-6
-        for j, n in enumerate(names):
-            w = want[n]
-            dev = abs(row[j] ** 2 - w) / max(abs(w), floor)
-            worst = max(worst, dev)
+    try:
+        for row in traj.ys:
+            want = prof.coefficient_squares(row[-1])
+            floor = max(max(abs(v) for v in want.values()), 1e-300) * 1e-6
+            for j, n in enumerate(names):
+                w = want[n]
+                dev = abs(row[j] ** 2 - w) / max(abs(w), floor)
+                if dev > worst:
+                    worst = dev
+                elif not dev <= worst:  # NaN: the closed form is not finite here
+                    raise ProfileError(
+                        f"closed-form comparison: the closed form is not finite at s = {row[-1]!r}"
+                    )
+    except OverflowError:
+        raise ProfileError(
+            "closed-form comparison: a squared coefficient is beyond float range"
+        ) from None
+    if worst == math.inf:
+        raise ProfileError("closed-form comparison: a deviation is beyond float range")
     return worst

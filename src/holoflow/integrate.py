@@ -454,14 +454,12 @@ def integrate(sys: ODESystem, start: State, cfg: IntegratorConfig) -> Trajectory
     zero; that is reported, not fatal.  Step-size underflow raises with the
     partial trajectory attached.
     """
-    coeffs, exps, owner, nstate = _compile_terms(sys)
-    rhs = _kernel.make_rhs(coeffs, exps, owner, nstate)
+    terms = _compile_terms(sys)
     names = sys.state
     y0 = [start.values[n] for n in names] + [start.primitive]
     watch = [True] * len(names) + [False]
     status, ts, ys, dense, naccept, nreject, nfev, max_err = _kernel.solve(
-        rhs,
-        nstate,
+        terms,
         y0,
         start.t,
         cfg.t_end,
@@ -475,7 +473,7 @@ def integrate(sys: ODESystem, start: State, cfg: IntegratorConfig) -> Trajectory
         model_kind=sys.model_kind,
         state_names=names,
         ts=ts,
-        ys=[ys[i : i + nstate] for i in range(0, len(ys), nstate)],
+        ys=ys,
         dense=dense or None,
         status=status,
         stats={

@@ -312,7 +312,12 @@ def check_closure_samples(traj: Trajectory, deriv: Derivation) -> ClosureReport:
     count = 0
     for i in range(1, n - 1, stride):
         first = min(max(i - width // 2, 0), n - width)
-        weights = fd_weights(ts[i], ts[first : first + width])
+        try:
+            weights = fd_weights(ts[i], ts[first : first + width])
+        except ZeroDivisionError:  # node gaps whose product underflows to 0.0
+            raise VerifyError(
+                "closure check: the samples are too close together for finite differences"
+            ) from None
         window = ys[first : first + width]
         assign = dict(zip(names, ys[i]))
         for j, name in enumerate(names):
@@ -395,22 +400,29 @@ def cone_fit(traj: Trajectory) -> ConeFit:
     )
     first = bisect_left(traj.ts, t_last / 10.0)
     tt = np.asarray(traj.ts[first:])
-    quantities = _cone_quantities(traj.model_kind, tt, np.asarray(traj.ys[first:]))
     refs = CONE_REFS[traj.model_kind]
-    design = np.vstack([np.ones_like(tt), 1.0 / tt]).T
     limits = {}
     corrections = {}
     endpoint = {}
     deltas = {}
     residual = 0.0
-    for name, series in quantities.items():
-        sol, res, *_ = np.linalg.lstsq(design, series, rcond=None)
-        limits[name] = float(sol[0])
-        corrections[name] = float(sol[1])
-        endpoint[name] = float(series[-1])
-        deltas[name] = abs(endpoint[name] - refs[name])
-        if len(res):
-            residual = max(residual, float(np.sqrt(res[0] / len(tt))))
+    # a stored run may square or divide past float range: numpy's warnings
+    # are silenced and any value that is not finite is bad input
+    with np.errstate(all="ignore"):
+        quantities = _cone_quantities(traj.model_kind, tt, np.asarray(traj.ys[first:]))
+        design = np.vstack([np.ones_like(tt), 1.0 / tt]).T
+        if not (np.isfinite(design).all() and all(np.isfinite(q).all() for q in quantities.values())):
+            raise VerifyError("cone fit: a cone quantity is beyond float range")
+        for name, series in quantities.items():
+            sol, res, *_ = np.linalg.lstsq(design, series, rcond=None)
+            limits[name] = float(sol[0])
+            corrections[name] = float(sol[1])
+            if not (math.isfinite(limits[name]) and math.isfinite(corrections[name])):
+                raise VerifyError(f"cone fit: the fitted limit or correction of {name} is not finite")
+            endpoint[name] = float(series[-1])
+            deltas[name] = abs(endpoint[name] - refs[name])
+            if len(res):
+                residual = max(residual, float(np.sqrt(res[0] / len(tt))))
     return ConeFit(limits, endpoint, refs, deltas, corrections, residual, partial)
 
 

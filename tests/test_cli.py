@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -317,6 +318,31 @@ def test_closure_residuals_match_the_golden_file(capsys, tmp_path, model, orbit,
     assert blocks == GOLDEN_CLOSURE[f"{model}_{orbit}"]
 
 
+#: trajectories pinned byte for byte: the --traj-out CSV of each unit-data
+#: report, and one solve at the solve-scan tolerances.  The stepper's floats
+#: pass through libm's pow (err ** -0.2), so the files hold on a platform
+#: whose pow rounds as glibc's does
+GOLDEN_TRAJ_RUNS = [
+    (f"traj_{model}_{orbit}.csv", ["report", "--model", model, "--orbit", orbit, *values], "--traj-out")
+    for model, orbit, values in UNIT_ORBITS
+] + [
+    (
+        "traj_m_cp2xs2_scan.csv",
+        ["solve", "--model", "m", "--orbit", "cp2xs2", "--a0", "1", "--b0", "1",
+         "--rtol", "1e-12", "--atol", "1e-14", "--t-end", "1e8"],
+        "--out",
+    )
+]
+
+
+@pytest.mark.parametrize("name,argv,flag", GOLDEN_TRAJ_RUNS, ids=[r[0] for r in GOLDEN_TRAJ_RUNS])
+def test_trajectories_match_the_golden_files(capsys, tmp_path, name, argv, flag):
+    path = tmp_path / name
+    code, _, err = run(argv + [flag, str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert path.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def _strict_json(text):
     def reject(token):
         raise ValueError(f"{token} is not strict JSON")
@@ -546,6 +572,8 @@ def test_malformed_traj_rejected(capsys, tmp_path, command, case):
 UNEVALUABLE_CSVS = {
     "all-zero": ["t,a,b,c,C"] + [f"{t},0,0,0,0" for t in range(4)],
     "beyond-float-range": ["t,a,b,c,C"] + [f"{t},1e300,0,0,0" for t in range(4)],
+    # node gaps of 5e-324 multiply to 0.0 in the finite-difference weights
+    "samples-too-close": ["t,a,b,c,C"] + [f"{t!r},1,1,1,1" for t in (0.0, 5e-324, 1e-323, 1.5e-323)],
 }
 
 
@@ -559,6 +587,41 @@ def test_verify_rejects_a_traj_the_closure_check_cannot_evaluate(capsys, tmp_pat
     assert code == 2
     _one_line_error(err)
     assert "closure check" in err
+    assert not out.exists()
+
+
+#: well-formed files beyond float range: cone quantities that square past it,
+#: a cone fit that overflows, and coefficients whose squares pass it (the cone
+#: fit rejects that last file before the closed-form comparison reads it)
+BIG_ROWS = ["0,1e300,1,1,1", "1,-1e300,1,1,1", "2,1e300,1,1,1", "3,1e300,1,1,1"]
+FIT_OVERFLOW_ROWS = ["1,1,1,1.7e308,1", "2,1,1,2e300,1", "3,1,1,1,1"]
+OVERFLOW_ROWS = [
+    "1.0,2.0,1e+300,1e+300,0.0",
+    "1.5,0.5,1e8,-1.0,-1.0",
+    "2.0,5e-324,-1.0,5e-324,1e8",
+    "4.0,1e-08,1e-300,0.0,-1.0",
+    "5.0,0.0,-1.0,1e-300,-1.0",
+    "6.0,0.5,1e-300,-1.0,-1.0",
+]
+M_ORBIT_ARGV = [orbit_argv for model, *orbit_argv in UNIT_ORBITS if model == "m"]
+
+
+@pytest.mark.parametrize(
+    "rows,argv",
+    [(rows, ["cone", "--model", "m"]) for rows in (BIG_ROWS, FIT_OVERFLOW_ROWS)]
+    + [(rows, ["verify", "--model", "m", "--orbit", orbit, *values])
+       for rows in (FIT_OVERFLOW_ROWS, OVERFLOW_ROWS) for orbit, values in M_ORBIT_ARGV],
+)
+def test_a_traj_beyond_float_range_exits_2_with_one_line(capsys, tmp_path, rows, argv):
+    path = tmp_path / "big.csv"
+    path.write_text("".join(line + "\n" for line in ["t,a,b,c,C"] + rows))
+    out = tmp_path / "doc.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a second stderr line
+        code, _, err = run(argv + ["--traj", str(path), "--out", str(out)], capsys)
+    assert code == 2
+    _one_line_error(err)
+    assert "cone fit" in err
     assert not out.exists()
 
 
@@ -739,3 +802,71 @@ def test_cli_exits_0_1_or_2_and_writes_strict_json(traj_dir, argv):
         docs += [p.read_text() for p in Path(out_dir).glob("*.json")]
         for text in docs:
             _strict_json(text)
+
+
+# ---------------------------------------------------------------------------
+# property: a stored run with extreme values never ends in a traceback
+# ---------------------------------------------------------------------------
+
+#: the coefficients and primitives the stored-run fuzz draws from; its
+#: arclengths are the non-negative ones, so t increases strictly
+FUZZ_VALUES = (0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 1e8, 1e-8, 1e300, -1e300, 1e-300, 5e-324)
+FUZZ_TIMES = tuple(v for v in FUZZ_VALUES if v >= 0)
+
+
+@st.composite
+def stored_runs(draw):
+    """A well-formed ``--traj`` file of 3 to 8 rows for a drawn model."""
+    model = draw(st.sampled_from(("q", "m")))
+    nrows = draw(st.integers(3, 8))
+    ts = sorted(draw(st.lists(st.sampled_from(FUZZ_TIMES), min_size=nrows, max_size=nrows, unique=True)))
+    width = len(STATE_NAMES[model.upper()]) + 1
+    values = st.lists(st.sampled_from(FUZZ_VALUES), min_size=width, max_size=width)
+    return model, [[t] + draw(values) for t in ts]
+
+
+def _quiet_main(argv):
+    """``main(argv)`` with its exit code and every stderr line, warnings
+    counted as lines, as a fresh process would print them."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    return code, stderr.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(stored=stored_runs())
+def test_verify_and_cone_on_extreme_stored_runs_end_cleanly(stored):
+    model, rows = stored
+    kind = model.upper()
+    with tempfile.TemporaryDirectory() as tmp:
+        traj = Path(tmp) / "traj.csv"
+        header = ",".join(("t",) + STATE_NAMES[kind] + (holoflow.integrate.PRIMITIVE_NAME[kind],))
+        traj.write_text(header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+        calls = [("cone", ["cone", "--model", model])]
+        for orbit, collapsing in ORBIT_COLLAPSING[kind].items():
+            if orbit != "principal":
+                values = [a for s in STATE_NAMES[kind] if s not in collapsing for a in (f"--{s}0", "1")]
+                calls.append(("verify", ["verify", "--model", model, "--orbit", orbit, *values]))
+        for command, argv in calls:
+            out = Path(tmp) / f"{command}.json"
+            code, lines = _quiet_main(argv + ["--traj", str(traj), "--out", str(out)])
+            assert code in (0, 1, 2), (argv, lines)
+            assert len(lines) <= 1, (argv, lines)
+            if code == 2:
+                assert lines and lines[0].startswith("error: "), (argv, lines)
+                assert not out.exists()
+                continue
+            doc = _strict_json(out.read_text())
+            out.unlink()
+            assert (code == 0) == doc["passed"] == (not doc["bars_failed"])
+            if code == 0:  # every bar met, read from the document itself
+                bars = doc["bars"]
+                assert doc["cone"]["partial"] or max(doc["cone"]["deltas"].values()) <= bars["cone"]
+                if command == "verify":
+                    res = doc["closure_residual"]
+                    assert max(res["d_omega"], res["d_eta"]) <= bars["closure"]
+                    assert doc["closed_form_deviation"] <= bars["closed_form"]
+                    assert doc["su4_certificate"]

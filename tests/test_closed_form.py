@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import struct
 from fractions import Fraction
 
@@ -159,6 +160,30 @@ def test_compare_model_mismatch_rejected(sysq):
     with pytest.raises(ProfileError):
         compare(traj, profile("M", OrbitSpec("M", "cp2", {"a": 1})))
 
+
+
+#: stored M cp2 rows (a, b, c, C) that compare cannot measure: a^2 beyond
+#: float range, the closed form c^2 not finite at s = 1e300, and a deviation
+#: past float range (c^2 = 1e308 against a closed form of 0 at s = 0)
+UNMEASURABLE_ROWS = {
+    "square-overflows": ([1e200, 1.0, 1.0, 1.0], "a squared coefficient is beyond float range"),
+    "closed-form-not-finite": ([1.0, 1.0, 1.0, 1e300], "not finite at s = 1e+300"),
+    "deviation-overflows": ([1.0, 1.0, 1e154, 0.0], "a deviation is beyond float range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNMEASURABLE_ROWS))
+def test_compare_rejects_a_row_it_cannot_measure(case):
+    row, message = UNMEASURABLE_ROWS[case]
+    prof = profile("M", OrbitSpec("M", "cp2", {"a": 1}))
+
+    def stored(ys):
+        return Trajectory("M", ("a", "b", "c"), [0.0, 1.0, 2.0], ys, None, "loaded")
+
+    good = [1.0, 0.0, 0.0, 0.0]  # the closed form at s = 0
+    assert compare(stored([good] * 3), prof) == 0.0
+    with pytest.raises(ProfileError, match=re.escape(message)):
+        compare(stored([good, row, good]), prof)
 
 # ---------------------------------------------------------------------------
 # float evaluation against the Fraction coefficients

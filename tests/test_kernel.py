@@ -10,6 +10,11 @@ from hypothesis import strategies as st
 
 from holoflow import _kernel
 from holoflow._kernel import _stepper_py
+from holoflow._kernel._stepper_py import (
+    A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64, A65,
+    A71, A73, A74, A75, A76, D1, D3, D4, D5, D6, D7, E1, E3, E4, E5, E6, E7,
+    MAX_SCALE, MIN_SCALE, SAFETY, _finite_rhs, _initial_step,
+)
 from holoflow.flow import derivation
 from holoflow.homogeneous import get_model
 from holoflow.integrate import (
@@ -61,11 +66,158 @@ def reference_rhs(coeffs, exps, owner, nstate, nout=None):
     return rhs
 
 
+def reference_solve(rhs, nstate, y0, t0, t_end, rtol, atol, h0, watch, max_steps):
+    """The interpreted DOPRI5 loop the generated solve loops replace: one
+    ``rhs(y, out)`` call per stage and a loop over components for every
+    stage argument, the error norm and the dense coefficients.  Returns
+    ``ys`` flat, row after row."""
+    n = nstate
+    y = list(map(float, y0))
+    t = float(t0)
+    k1 = [0.0] * n
+    k2 = [0.0] * n
+    k3 = [0.0] * n
+    k4 = [0.0] * n
+    k5 = [0.0] * n
+    k6 = [0.0] * n
+    k7 = [0.0] * n
+    ytmp = [0.0] * n
+    y1 = [0.0] * n
+
+    ts = [t]
+    ys = list(y)
+    dense = []
+    naccept = nreject = nfev = 0
+    max_err = 0.0
+
+    if not _finite_rhs(rhs, y, k1):
+        return ("blowup", ts, ys, dense, naccept, nreject, 1, max_err)
+    nfev = 1
+
+    hmax = abs(t_end - t)
+    h = h0 if h0 > 0.0 else _initial_step(rhs, n, t, y, k1, rtol, atol, hmax)
+    nfev += 2
+    h = min(h, hmax)
+
+    sign0 = [0.0] * n
+    for i in range(n):
+        if watch[i]:
+            sign0[i] = 1.0 if y[i] > 0 else (-1.0 if y[i] < 0 else 0.0)
+
+    status = "running"
+    steps = 0
+    while status == "running":
+        steps += 1
+        if steps > max_steps:
+            status = "max_steps"
+            break
+        if t + h >= t_end:
+            h = t_end - t
+        if h <= abs(t) * 1e-16 + 1e-300:
+            status = "underflow"
+            break
+
+        try:
+            for i in range(n):
+                ytmp[i] = y[i] + h * A21 * k1[i]
+            ok = rhs(ytmp, k2)
+            for i in range(n):
+                ytmp[i] = y[i] + h * (A31 * k1[i] + A32 * k2[i])
+            ok = ok and rhs(ytmp, k3)
+            for i in range(n):
+                ytmp[i] = y[i] + h * (A41 * k1[i] + A42 * k2[i] + A43 * k3[i])
+            ok = ok and rhs(ytmp, k4)
+            for i in range(n):
+                ytmp[i] = y[i] + h * (A51 * k1[i] + A52 * k2[i] + A53 * k3[i] + A54 * k4[i])
+            ok = ok and rhs(ytmp, k5)
+            for i in range(n):
+                ytmp[i] = y[i] + h * (
+                    A61 * k1[i] + A62 * k2[i] + A63 * k3[i] + A64 * k4[i] + A65 * k5[i]
+                )
+            ok = ok and rhs(ytmp, k6)
+            for i in range(n):
+                y1[i] = y[i] + h * (
+                    A71 * k1[i] + A73 * k3[i] + A74 * k4[i] + A75 * k5[i] + A76 * k6[i]
+                )
+            ok = ok and rhs(y1, k7)
+        except OverflowError:
+            ok = False  # a power beyond float range, as a non-finite value
+        nfev += 6
+
+        if not ok:
+            nreject += 1
+            h *= 0.5
+            if h <= abs(t) * 1e-16 + 1e-300:
+                status = "blowup"
+            continue
+
+        err = 0.0
+        for i in range(n):
+            e = h * (
+                E1 * k1[i] + E3 * k3[i] + E4 * k4[i] + E5 * k5[i] + E6 * k6[i] + E7 * k7[i]
+            )
+            sc = atol + rtol * max(abs(y[i]), abs(y1[i]))
+            r = e / sc
+            err += r * r
+        err = math.sqrt(err / n)
+
+        if err <= 1.0:
+            # accepted; store Hairer continuous-extension coefficients
+            for i in range(n):
+                ydiff = y1[i] - y[i]
+                bspl = h * k1[i] - ydiff
+                dense.append(y[i])
+                dense.append(ydiff)
+                dense.append(bspl)
+                dense.append(ydiff - h * k7[i] - bspl)
+                dense.append(
+                    h
+                    * (
+                        D1 * k1[i]
+                        + D3 * k3[i]
+                        + D4 * k4[i]
+                        + D5 * k5[i]
+                        + D6 * k6[i]
+                        + D7 * k7[i]
+                    )
+                )
+            t += h
+            naccept += 1
+            if err > max_err:
+                max_err = err
+            y, y1 = y1, y
+            k1, k7 = k7, k1  # FSAL
+            ts.append(t)
+            ys.extend(y)
+
+            crossed = False
+            for i in range(n):
+                if watch[i] and sign0[i] != 0.0 and y[i] * sign0[i] <= 0.0:
+                    crossed = True
+            if crossed:
+                status = "sign_change"
+            elif t >= t_end:
+                status = "done"
+            else:
+                fac = SAFETY * err ** (-0.2) if err > 0.0 else MAX_SCALE
+                h = min(h * min(MAX_SCALE, max(MIN_SCALE, fac)), hmax)
+        else:
+            nreject += 1
+            fac = SAFETY * err ** (-0.2)
+            h *= max(MIN_SCALE, min(1.0, fac))
+
+    return (status, ts, ys, dense, naccept, nreject, nfev, max_err)
+
+
+def flat(rows):
+    return [v for row in rows for v in row]
+
+
 def run(t_end=50.0, rtol=1e-10):
-    return _stepper_py.solve(
-        _stepper_py.make_rhs(COEFFS, EXPS, OWNER, 5),
-        5, Y0, 1e-6, t_end, rtol, 1e-12, 0.0, WATCH, 100000,
+    status, ts, ys, *rest = _stepper_py.solve(
+        (COEFFS, EXPS, OWNER, 5), Y0, 1e-6, t_end, rtol, 1e-12, 0.0, WATCH, 100000,
     )
+    return (status, ts, flat(ys), *rest)
 
 
 def test_pure_backend_completes():
@@ -93,8 +245,7 @@ def test_dense_eval_reproduces_endpoints():
 def test_zero_base_negative_exponent_flags_blowup():
     y0 = [0.0, 1.0, 1.0, 1.0, 0.0]  # a = 0 with a^-1 in the rhs
     status, *_ = _stepper_py.solve(
-        _stepper_py.make_rhs(COEFFS, EXPS, OWNER, 5),
-        5, y0, 0.0, 1.0, 1e-8, 1e-10, 0.0, WATCH, 1000,
+        (COEFFS, EXPS, OWNER, 5), y0, 0.0, 1.0, 1e-8, 1e-10, 0.0, WATCH, 1000,
     )
     assert status == "blowup"
 
@@ -102,9 +253,10 @@ def test_zero_base_negative_exponent_flags_blowup():
 def test_power_beyond_float_range_flags_blowup():
     # a^-2 at a = 1e-200 overflows in the first evaluation; f^2 overflows
     # once f passes 1e154 on the way to t = 1e300
-    rhs = _stepper_py.make_rhs(COEFFS, EXPS, OWNER, 5)
     y0 = [1e-200, 1.0, 1.0, 1.0, 0.0]
-    status, *_ = _stepper_py.solve(rhs, 5, y0, 0.0, 1.0, 1e-8, 1e-10, 0.0, WATCH, 1000)
+    status, *_ = _stepper_py.solve(
+        (COEFFS, EXPS, OWNER, 5), y0, 0.0, 1.0, 1e-8, 1e-10, 0.0, WATCH, 1000,
+    )
     assert status == "blowup"
     status, ts, *_ = run(t_end=1e300)
     assert status == "blowup"
@@ -185,6 +337,8 @@ def test_generator_accepts_only_numbers():
         _stepper_py.make_rhs([1.0], [1], [0], 1, 0)
     with pytest.raises(ValueError):
         _stepper_py.make_rhs([1.0], [1, 0], [0], 1)
+    with pytest.raises(TypeError):  # the solve loop's generator checks its terms too
+        _stepper_py.solve((["__import__('os')"], [1], [0], 1), [1.0], 0.0, 1.0, 1e-6, 1e-9, 0.0, [True], 10)
 
 
 UNIT_ORBITS = [
@@ -204,17 +358,10 @@ def test_solve_is_bit_identical_with_the_interpreter(kind, orbit, values):
     cfg = IntegratorConfig()
     y0 = [start.values[n] for n in sys_.state] + [start.primitive]
     watch = [True] * len(sys_.state) + [False]
-    runs = [
-        _stepper_py.solve(
-            rhs, nstate, y0, start.t, cfg.t_end, cfg.rtol, cfg.atol,
-            cfg.initial_step, watch, cfg.max_steps,
-        )
-        for rhs in (
-            reference_rhs(coeffs, exps, owner, nstate),
-            _stepper_py.make_rhs(coeffs, exps, owner, nstate),
-        )
-    ]
-    ref, gen = runs
+    args = (y0, start.t, cfg.t_end, cfg.rtol, cfg.atol, cfg.initial_step, watch, cfg.max_steps)
+    ref = reference_solve(reference_rhs(coeffs, exps, owner, nstate), nstate, *args)
+    gen = _stepper_py.solve((coeffs, exps, owner, nstate), *args)
+    gen = (gen[0], gen[1], flat(gen[2]), *gen[3:])
     assert ref[0] == gen[0] == "done"
     for a, b in zip(ref[1:4], gen[1:4]):  # ts, ys, dense
         assert _bits(a) == _bits(b)
@@ -223,20 +370,113 @@ def test_solve_is_bit_identical_with_the_interpreter(kind, orbit, values):
 
 def test_one_generation_per_term_list(monkeypatch):
     monkeypatch.setattr(_stepper_py, "_RHS_CACHE", {})
-    calls = []
-    real = _stepper_py._generate
+    monkeypatch.setattr(_stepper_py, "_LOOP_CACHE", {})
+    calls = {"_generate": [], "_generate_loop": []}
+    for name, log in calls.items():
+        real = getattr(_stepper_py, name)
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+        def counted(*args, real=real, log=log):
+            log.append(args)
+            return real(*args)
 
-    monkeypatch.setattr(_stepper_py, "_generate", counted)
+        monkeypatch.setattr(_stepper_py, name, counted)
     sys_ = derivation(get_model("M", (1, 1))).sys
     start, _ = series_start(sys_, OrbitSpec("M", "cp2", {"a": 1}))
     cfg = IntegratorConfig(t_end=10.0)
     first = integrate(sys_, start, cfg)
     second = integrate(sys_, start, cfg)
-    assert len(calls) == 1
+    assert len(calls["_generate"]) == 1
+    assert len(calls["_generate_loop"]) == 1
     assert len(_stepper_py._RHS_CACHE) == 1
+    assert len(_stepper_py._LOOP_CACHE) == 1
     assert np.array_equal(first.ys, second.ys)
     assert _kernel.make_rhs is _stepper_py.make_rhs
+    assert _kernel.solve is _stepper_py.solve
+
+
+# ---------------------------------------------------------------------------
+# generated solve loops against the reference loop
+# ---------------------------------------------------------------------------
+
+
+def _both_solves(coeffs, exps, owner, nstate, *args):
+    """The generated loop and the reference loop on the reference rhs, each
+    as its result with ``ys`` flat, or the type of the error it raised."""
+    try:
+        gen = _stepper_py.solve((coeffs, exps, owner, nstate), *args)
+        gen = (gen[0], gen[1], flat(gen[2]), *gen[3:])
+    except (OverflowError, ZeroDivisionError) as exc:
+        gen = type(exc)
+    try:
+        ref = reference_solve(reference_rhs(coeffs, exps, owner, nstate), nstate, *args)
+    except (OverflowError, ZeroDivisionError) as exc:
+        ref = type(exc)
+    return gen, ref
+
+
+def _assert_same_run(gen, ref):
+    if isinstance(ref, type):
+        assert gen is ref
+        return
+    assert gen[0] == ref[0]  # status
+    for a, b in zip(gen[1:4], ref[1:4]):  # ts, ys, dense
+        assert _bits(a) == _bits(b)
+    assert gen[4:7] == ref[4:7]  # naccept, nreject, nfev
+    assert _bits(gen[7:]) == _bits(ref[7:])  # max_err
+
+
+# (coeffs, exps, owner, nstate, y0, t0, t_end, rtol, atol, h0, watch, max_steps)
+STATUS_CASES = {
+    # f^2 overflows once f passes 1e154 on the way to t = 1e300
+    "blowup": (COEFFS, EXPS, OWNER, 5, Y0, 1e-6, 1e300, 1e-10, 1e-12, 0.0, WATCH, 100000),
+    # y' = -1 from y = 1 crosses zero at t = 1
+    "sign_change": ([-1.0], [0], [0], 1, [1.0], 0.0, 10.0, 1e-6, 1e-9, 0.0, [True], 1000),
+    # a first step of 1 is below the resolution of t = 1e17
+    "underflow": ([1.0], [1], [0], 1, [1.0], 1e17, 2e17, 1e-6, 1e-9, 1.0, [True], 1000),
+    "max_steps": (COEFFS, EXPS, OWNER, 5, Y0, 1e-6, 50.0, 1e-10, 1e-12, 0.0, WATCH, 7),
+    "done": (COEFFS, EXPS, OWNER, 5, Y0, 1e-6, 50.0, 1e-8, 1e-10, 1e-3, WATCH, 1000),
+}
+
+
+@pytest.mark.parametrize("status", sorted(STATUS_CASES))
+def test_generated_loop_is_bit_identical_on_every_status(status):
+    gen, ref = _both_solves(*STATUS_CASES[status])
+    assert ref[0] == status
+    _assert_same_run(gen, ref)
+
+
+def _mostly(values, special):
+    """Draws from ``values`` about seven times in eight, else from ``special``."""
+    return st.integers(0, 7).flatmap(lambda k: st.sampled_from(special) if k == 7 else values)
+
+
+@st.composite
+def solve_cases(draw):
+    """A right-hand side, its start, tolerances and a step budget.  Moderate
+    values with a share of extreme ones give runs that end in every status,
+    with rejected steps and with errors raised by the first step's choice."""
+    nstate = draw(st.integers(1, 4))
+    nterms = draw(st.integers(0, 6))
+    coeff = _mostly(st.floats(-3.0, 3.0, allow_nan=False), [0.0, -0.0, 1e-8, 1e8, -1e150])
+    coeffs = draw(st.lists(coeff, min_size=nterms, max_size=nterms))
+    exponent = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3])
+    exps = draw(st.lists(exponent, min_size=nterms * nstate, max_size=nterms * nstate))
+    owner = draw(st.lists(st.integers(0, nstate - 1), min_size=nterms, max_size=nterms))
+    # nonzero start values, so a negative exponent does not end most runs at once
+    signed = st.builds(math.copysign, st.floats(0.1, 10.0), st.sampled_from([1.0, -1.0]))
+    value = _mostly(signed, [0.0, -0.0, 1e-200, 1e100, -1e160, 5e-324])
+    y0 = draw(st.lists(value, min_size=nstate, max_size=nstate))
+    t0 = draw(st.sampled_from([0.0, 1e-6, 1.0, 1e17]))
+    t_end = t0 + draw(st.sampled_from([1e-3, 1.0, 10.0, 1e4]))
+    rtol = draw(st.sampled_from([1e-3, 1e-6, 1e-10, 1e-13]))
+    atol = draw(st.sampled_from([1e-6, 1e-12, 1e-300]))
+    h0 = draw(st.sampled_from([0.0, 0.0, 1e-4, 0.5, 1e6]))
+    watch = draw(st.lists(st.booleans(), min_size=nstate, max_size=nstate))
+    max_steps = draw(st.integers(1, 300))
+    return (coeffs, exps, owner, nstate, y0, t0, t_end, rtol, atol, h0, watch, max_steps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(solve_cases())
+def test_generated_loop_is_bit_identical_to_the_reference_loop(case):
+    _assert_same_run(*_both_solves(*case))
