@@ -328,17 +328,30 @@ def _finite_rhs(rhs, y, out):
         return False
 
 
+def _square(x):
+    """x ** 2, or inf where it is beyond float range."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _initial_step(rhs, n, t, y, f0, rtol, atol, hmax):
+    """Hairer's first-step estimate, at most ``hmax``.  It is 0 (the loop
+    then stops as ``underflow``, as after a too-small explicit step) when
+    the span is empty or the slopes are too steep for any float step."""
     d0 = 0.0
     d1 = 0.0
     for i in range(n):
         sc = atol + rtol * abs(y[i])
-        d0 += (y[i] / sc) ** 2
-        d1 += (f0[i] / sc) ** 2
+        d0 += _square(y[i] / sc)
+        d1 += _square(f0[i] / sc)
     d0 = math.sqrt(d0 / n)
     d1 = math.sqrt(d1 / n)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, hmax)
+    if h0 == 0.0:
+        return 0.0
     y1 = [y[i] + h0 * f0[i] for i in range(n)]
     f1 = [0.0] * n
     if not _finite_rhs(rhs, y1, f1):
@@ -346,7 +359,7 @@ def _initial_step(rhs, n, t, y, f0, rtol, atol, hmax):
     d2 = 0.0
     for i in range(n):
         sc = atol + rtol * abs(y[i])
-        d2 += ((f1[i] - f0[i]) / sc) ** 2
+        d2 += _square((f1[i] - f0[i]) / sc)
     d2 = math.sqrt(d2 / n) / h0
     dm = max(d1, d2)
     h1 = (0.01 / dm) ** 0.2 if dm > 1e-15 else max(1e-6, h0 * 1e-3)

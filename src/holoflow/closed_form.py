@@ -2,13 +2,18 @@
 
 Both holonomy systems linearize in the squared collapsing coefficient once
 time is traded for the integrated primitive s (s = F for the Q model, s = C
-for the M model).  Variation of constants then gives
+for the M model).  The other squared coefficients are affine in s,
+x^2 = x0^2 + m_x s, and variation of constants gives for both models
 
-    Q:  f(s)^2 = (f0^2 D(0) - 6 A(s)) / D(s),   D(s) = (s-3a0^2)(s-3b0^2)(s-3c0^2)
-    M:  c(s)^2 = (c0^2 D(0) + 16 B(s)) / D(s),  D(s) = (s+2b0^2)(s+4a0^2/3)^2
+    G(s) = (x0^2 D(0) + k A(s)) / D(s),   D(s) = prod_x (s - r_x)^(p_x),
 
-with A, B the antiderivatives of D vanishing at 0.  The remaining squared
-coefficients are affine in s.  Everything here is exact at rational s.
+with r_x = -x0^2 / m_x the zero of x^2 and A the antiderivative of D
+vanishing at 0.  Each model is a table of slopes m_x, powers p_x and k:
+
+    Q:  G = f^2;  a, b, c: m = -1/3, p = 1;             k = -6
+    M:  G = c^2;  a: m = 3/4, p = 2;  b: m = 1/2, p = 1;  k = 16
+
+Everything here is exact at rational s.
 """
 
 from __future__ import annotations
@@ -54,78 +59,70 @@ def _horner(p: Sequence[Number], s: Number) -> Number:
     return acc
 
 
+def _rounded(p: Fraction) -> float:
+    """float(p), or an infinity of p's sign where p is beyond float range."""
+    try:
+        return float(p)
+    except OverflowError:
+        return math.inf if p > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class _Profile:
-    """Shared closed-form evaluator; subclasses fix the model data."""
+    """The closed form of one orbit's data; subclasses hold the model table."""
 
     initial: Dict[str, Fraction]
     denom: Tuple[Fraction, ...]  # coefficients of D(s), ascending
     anti: Tuple[Fraction, ...]  # antiderivative of D, A(0) = 0
     constant: Fraction  # x0^2 * D(0)
-    integral_factor: Fraction  # -6 for Q, +16 for M
+    integral_factor: Fraction  # k
     poles: Tuple[Fraction, ...]
     model_kind: str = ""
     collapsing_square0: Fraction = Fraction(0)  # f0^2 or c0^2
 
+    #: (name, slope m, power of the zero -x0^2/m in D) of each squared
+    #: coefficient affine in s, and the factor k of A; not fields
+    _AFFINE = ()
+    _FACTOR = Fraction(0)
+
     def _check_domain(self, s: Number) -> None:
+        """A nonzero pole is hit at s = p and passed beyond it, away from 0."""
         for p in self.poles:
             if p == 0:
                 continue  # removable when the orbit collapses there
             if s == p:
                 raise DomainError(f"evaluation at the pole s = {p}")
-            if self.model_kind == "Q" and s > p > 0:
+            if s > p > 0 or s < p < 0:
                 raise DomainError(f"s = {s} beyond the pole {p}")
-            if self.model_kind == "M" and s < p < 0:
-                raise DomainError(f"s = {s} beyond the pole {p}")
-
-    @cached_property
-    def _float_poles(self) -> Tuple[float, ...]:
-        """The poles the domain check guards, rounded to nearest (inf on overflow).
-
-        A float strictly on the near side of a rounded pole is strictly on the
-        near side of the exact pole, so only the rest needs the exact check.
-        """
-        out = []
-        for p in self.poles:
-            if (self.model_kind == "Q" and p > 0) or (self.model_kind == "M" and p < 0):
-                try:
-                    out.append(float(p))
-                except OverflowError:
-                    out.append(math.inf if p > 0 else -math.inf)
-        return tuple(out)
-
-    @cached_property
-    def _float_coeffs(self) -> Tuple[float, float, Tuple[float, ...], Tuple[float, ...]]:
-        return (
-            float(self.constant),
-            float(self.integral_factor),
-            tuple(float(c) for c in self.anti),
-            tuple(float(c) for c in self.denom),
-        )
 
     @cached_property
     def float_value_squared(self):
         """``value_squared`` at a float ``s``, as one function of ``s``.
 
-        The same rounded coefficients, Horner steps and domain checks as
-        ``value_squared``, written out straight (D is a cubic, so A is a
-        quartic), give the same bits without the per-call dispatch.
+        The coefficients are rounded to float once, as Fraction-float
+        arithmetic rounds them, and D is a cubic in both models, so A is a
+        quartic written out by Horner's rule.  A float strictly between the
+        rounded poles nearest 0 is strictly inside the exact domain, so only
+        the rest needs the exact check.
         """
-        const, factor, (a0, a1, a2, a3, a4), (d0, d1, d2, d3) = self._float_coeffs
-        at_zero = float(self.collapsing_square0)
+        try:
+            const, factor, a0, a1, a2, a3, a4, d0, d1, d2, d3 = map(
+                float, (self.constant, self.integral_factor, *self.anti, *self.denom)
+            )
+        except OverflowError:
+            const = None  # a coefficient beyond float range: only s = 0 has a value
+        square0 = self.collapsing_square0
         check = self._check_domain
-        if self.model_kind == "Q":
-            below = min(self._float_poles, default=math.inf)
-            above = -math.inf
-        else:
-            below = math.inf
-            above = max(self._float_poles, default=-math.inf)
+        below = min((_rounded(p) for p in self.poles if p > 0), default=math.inf)
+        above = max((_rounded(p) for p in self.poles if p < 0), default=-math.inf)
 
         def value_squared(s: float) -> float:
             if not above < s < below:
                 check(s)  # at or beyond a rounded pole: decide exactly
             if s == 0:
-                return at_zero
+                return float(square0)
+            if const is None:
+                raise OverflowError("a closed-form coefficient is beyond float range")
             num = const + factor * ((((a4 * s + a3) * s + a2) * s + a1) * s + a0)
             den = ((d3 * s + d2) * s + d1) * s + d0
             if den == 0:
@@ -134,31 +131,11 @@ class _Profile:
 
         return value_squared
 
-    def _value_squared_float(self, s: float) -> float:
-        if self.model_kind == "Q":
-            clear = all(s < p for p in self._float_poles)
-        else:
-            clear = all(s > p for p in self._float_poles)
-        if not clear:
-            self._check_domain(s)  # at or beyond a rounded pole: decide exactly
-        if s == 0:
-            return float(self.collapsing_square0)
-        const, factor, anti, denom = self._float_coeffs
-        num = const + factor * _horner(anti, s)
-        den = _horner(denom, s)
-        if den == 0:
-            raise DomainError(f"denominator vanishes at s = {s}")
-        return num / den
-
     def value_squared(self, s: Number) -> Number:
-        """The squared collapsing-profile value at the primitive s.
-
-        Float input runs on float coefficients and gives the same bits as the
-        rational coefficients would, since Fraction-float arithmetic rounds
-        each Fraction to float first.
-        """
+        """The squared collapsing-profile value at the primitive s: exact at a
+        Fraction, ``float_value_squared(float(s))`` at anything else."""
         if not isinstance(s, Fraction):
-            return self._value_squared_float(float(s))
+            return self.float_value_squared(float(s))
         self._check_domain(s)
         if s == 0:
             return self.collapsing_square0
@@ -179,35 +156,27 @@ class _Profile:
         dp = _horner(dprime, s)
         return self.integral_factor - num * dp / (den * den)
 
-    #: (name, slope) of each squared coefficient affine in s; not a field
-    _SLOPES = ()
-
     @cached_property
     def _float_lines(self) -> Tuple[Tuple[str, float, float], ...]:
-        return tuple((x, float(self.initial[x] ** 2), float(m)) for x, m in self._SLOPES)
-
-    def _affine_squares(self, s: Number) -> Dict[str, Number]:
-        """The squared coefficients affine in s; at a float s from the
-        coefficients rounded once, as Fraction-float arithmetic rounds them."""
-        if isinstance(s, Fraction):
-            return {x: self.initial[x] ** 2 + m * s for x, m in self._SLOPES}
-        return {x: x0 + m * s for x, x0, m in self._float_lines}
+        return tuple((x, float(self.initial[x] ** 2), float(m)) for x, m, _ in self._AFFINE)
 
     def coefficient_squares(self, s: Number) -> Dict[str, Number]:
-        raise NotImplementedError
-
-    def ode_residual(self, s: Fraction) -> Fraction:
-        raise NotImplementedError
+        """Every squared coefficient at s; the affine ones at a float s from
+        the coefficients rounded once, as Fraction-float arithmetic rounds them."""
+        if isinstance(s, Fraction):
+            out = {x: self.initial[x] ** 2 + m * s for x, m, _ in self._AFFINE}
+        else:
+            out = {x: x0 + m * s for x, x0, m in self._float_lines}
+        out[STATE_NAMES[self.model_kind][-1]] = self.value_squared(s)
+        return out
 
 
 @dataclass(frozen=True)
 class ProfileQ(_Profile):
-    _SLOPES = (("a", Fraction(-1, 3)), ("b", Fraction(-1, 3)), ("c", Fraction(-1, 3)))
-
-    def coefficient_squares(self, s: Number) -> Dict[str, Number]:
-        out = self._affine_squares(s)
-        out["f"] = self.value_squared(s)
-        return out
+    _AFFINE = (("a", Fraction(-1, 3), 1), ("b", Fraction(-1, 3), 1), ("c", Fraction(-1, 3), 1))
+    _FACTOR = Fraction(-6)
+    # an entry of its own, so that per-class instrumentation can wrap it
+    coefficient_squares = _Profile.coefficient_squares
 
     def ode_residual(self, s: Fraction) -> Fraction:
         """(1/2) G' + G * sum(1/(2s - 6 x0^2)) + 3, identically zero."""
@@ -221,12 +190,10 @@ class ProfileQ(_Profile):
 
 @dataclass(frozen=True)
 class ProfileM(_Profile):
-    _SLOPES = (("a", Fraction(3, 4)), ("b", Fraction(1, 2)))
-
-    def coefficient_squares(self, s: Number) -> Dict[str, Number]:
-        out = self._affine_squares(s)
-        out["c"] = self.value_squared(s)
-        return out
+    _AFFINE = (("a", Fraction(3, 4), 2), ("b", Fraction(1, 2), 1))
+    _FACTOR = Fraction(16)
+    # an entry of its own, so that per-class instrumentation can wrap it
+    coefficient_squares = _Profile.coefficient_squares
 
     def ode_residual(self, s: Fraction) -> Fraction:
         """(1/2) G' + (1/4) G / b^2 + (3/4) G / a^2 - 8, identically zero."""
@@ -237,6 +204,9 @@ class ProfileM(_Profile):
         return Fraction(1, 2) * gp + Fraction(1, 4) * g / b2 + Fraction(3, 4) * g / a2 - 8
 
 
+_PROFILES = {"Q": ProfileQ, "M": ProfileM}
+
+
 def profile(model: Union[CosetModel, str], init: OrbitSpec) -> Union[ProfileQ, ProfileM]:
     """Closed-form profile evaluator for one orbit's initial data."""
     kind = model.kind if isinstance(model, CosetModel) else str(model).upper()
@@ -244,42 +214,23 @@ def profile(model: Union[CosetModel, str], init: OrbitSpec) -> Union[ProfileQ, P
         raise ProfileError("orbit spec does not match the model")
     vals = {k: Fraction(v) for k, v in init.values.items()}
     full = {x: vals.get(x, Fraction(0)) for x in STATE_NAMES[kind]}
-
-    if kind == "Q":
-        roots = [3 * full[x] ** 2 for x in ("a", "b", "c")]
-        den = [Fraction(1)]
-        for r in roots:
-            den = _poly_mul(den, [-r, Fraction(1)])
-        anti = _poly_antiderivative(den)
-        constant = full["f"] ** 2 * _horner(tuple(den), Fraction(0))
-        return ProfileQ(
-            initial=full,
-            denom=tuple(den),
-            anti=tuple(anti),
-            constant=constant,
-            integral_factor=Fraction(-6),
-            poles=tuple(sorted(set(roots))),
-            model_kind="Q",
-            collapsing_square0=full["f"] ** 2,
-        )
-
-    # D(s) = (s - p0)(s - p1)^2 with p0 = -2 b0^2, p1 = -4/3 a0^2
-    poles = [Fraction(-2) * full["b"] ** 2, Fraction(-4, 3) * full["a"] ** 2]
-    den = _poly_mul(
-        [-poles[0], Fraction(1)],
-        _poly_mul([-poles[1], Fraction(1)], [-poles[1], Fraction(1)]),
-    )
-    anti = _poly_antiderivative(den)
-    constant = full["c"] ** 2 * _horner(tuple(den), Fraction(0))
-    return ProfileM(
+    cls = _PROFILES[kind]
+    roots = []
+    den = [Fraction(1)]
+    for x, m, power in cls._AFFINE:
+        roots.append(-full[x] ** 2 / m)
+        for _ in range(power):
+            den = _poly_mul(den, [-roots[-1], Fraction(1)])
+    square0 = full[STATE_NAMES[kind][-1]] ** 2
+    return cls(
         initial=full,
         denom=tuple(den),
-        anti=tuple(anti),
-        constant=constant,
-        integral_factor=Fraction(16),
-        poles=tuple(sorted(set(poles))),
-        model_kind="M",
-        collapsing_square0=full["c"] ** 2,
+        anti=tuple(_poly_antiderivative(den)),
+        constant=square0 * den[0],
+        integral_factor=cls._FACTOR,
+        poles=tuple(sorted(set(roots))),
+        model_kind=kind,
+        collapsing_square0=square0,
     )
 
 

@@ -36,28 +36,28 @@ def coefficient_map(form: Multivector, fn) -> Multivector:
     )
 
 
-def time_chain(form: Multivector, metric_symbols: Sequence[str]) -> Multivector:
-    """Coefficient-wise d/dt via the chain rule with derivative symbols."""
+def time_chain(form: Multivector) -> Multivector:
+    """Coefficient-wise d/dt via the chain rule: every base symbol with a
+    derivative symbol in the coefficients' table moves."""
 
     def ddt(poly: LaurentPoly) -> LaurentPoly:
-        out = LaurentPoly.zero(poly.table)
-        for x in metric_symbols:
-            out = out + poly.diff(x) * LaurentPoly.variable(poly.table, x + "'")
+        table = poly.table
+        out = LaurentPoly.zero(table)
+        for x in table.base:
+            if x + "'" in table.derivative:
+                out = out + poly.diff(x) * LaurentPoly.variable(table, x + "'")
         return out
 
     return coefficient_map(form, ddt)
 
 
-def exterior_d_time(
-    form: Multivector, model: CosetModel, metric_symbols: Optional[Sequence[str]] = None
-) -> Multivector:
+def exterior_d_time(form: Multivector, model: CosetModel) -> Multivector:
     """d on G/H x I: invariant orbit derivative plus dt wedge chain rule."""
-    metric_symbols = tuple(metric_symbols or model.symbols.base)
     spatial = invariant_d(form, model)
     table = next(iter(form.terms.values())).table if form.terms else model.symbols
     one = LaurentPoly.const(table, 1)
     dt = Multivector.basis(form.gens, [form.dt_index], one, dt_index=form.dt_index)
-    return spatial + wedge(dt, time_chain(form, metric_symbols))
+    return spatial + wedge(dt, time_chain(form))
 
 
 def under_system(form: Multivector, sys: ODESystem, table: SymbolTable) -> Multivector:
@@ -231,7 +231,7 @@ def derive_flow(
     struct = struct or build_invariant_structure(model)
     table = struct.table
     if d_Omega is None:
-        d_Omega = exterior_d_time(struct.Omega, model, model.symbols.base)
+        d_Omega = exterior_d_time(struct.Omega, model)
     iso_mask = 0
     for i in model.isotropy_indices:
         iso_mask |= 1 << i
@@ -259,12 +259,9 @@ def derive_flow(
     return sys
 
 
-def closure_residual(
-    struct: Spin7Structure, sys: ODESystem, model: Optional[CosetModel] = None
-) -> Multivector:
+def closure_residual(struct: Spin7Structure, sys: ODESystem) -> Multivector:
     """d(Omega) with the derivative symbols replaced by the derived sides."""
-    model = model or struct.model
-    return under_system(exterior_d_time(struct.Omega, model, sys.state), sys, struct.table)
+    return under_system(exterior_d_time(struct.Omega, struct.model), sys, struct.table)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +283,7 @@ def cosymplectic_constraints(model: CosetModel) -> List[LaurentPoly]:
 def hitchin_residual(model: CosetModel, sys: ODESystem) -> Multivector:
     """d/dt(*omega) - d_orbit(omega) under the derived system; contract: 0."""
     struct = derivation(model).struct
-    lhs = under_system(time_chain(struct.star_omega, sys.state), sys, struct.table)
+    lhs = under_system(time_chain(struct.star_omega), sys, struct.table)
     rhs = invariant_d(struct.omega, model)
     return lhs - rhs
 
@@ -357,7 +354,7 @@ def kaehler_search(
     """
     struct = struct or build_invariant_structure(model)
     basis = invariant_two_form_terms(model, struct)
-    d_basis = [exterior_d_time(term, model, sys.state) for term in basis]
+    d_basis = [exterior_d_time(term, model) for term in basis]
     closed_basis = [under_system(d, sys, struct.table) for d in d_basis]
     zero = Multivector.zero(struct.gens, struct.dt_index)
     winners = [
@@ -444,7 +441,7 @@ def derivation(model: CosetModel) -> Derivation:
     found = _DERIVATIONS.get(key)
     if found is None:
         struct = build_invariant_structure(model)
-        d_Omega = exterior_d_time(struct.Omega, model, model.symbols.base)
+        d_Omega = exterior_d_time(struct.Omega, model)
         sys = derive_flow(model, struct, d_Omega)
         cert = kaehler_search(model, sys, struct)
         found = _DERIVATIONS[key] = Derivation(model, struct, d_Omega, sys, cert)

@@ -373,14 +373,12 @@ def group_gens(model: CosetModel) -> Tuple[str, ...]:
     return model.gen_names + ("dt",)
 
 
-def maurer_cartan(model: CosetModel, gens=None, dt_index=None) -> List[Multivector]:
-    """de^i = -(1/2) c^i_{jk} e^j ^ e^k for every group generator.
+def maurer_cartan(model: CosetModel, gens, dt_index) -> List[Multivector]:
+    """de^i = -(1/2) c^i_{jk} e^j ^ e^k for every group generator, as forms
+    on the coframe ``gens`` with its dt slot at ``dt_index``.
 
     The coefficients are the exact rational structure constants.
     """
-    gens = gens or group_gens(model)
-    if dt_index is None:
-        dt_index = len(gens) - 1 if gens[-1] == "dt" else None
     out = []
     for i in range(model.n):
         terms: Dict[int, Fraction] = {}

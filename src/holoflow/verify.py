@@ -510,14 +510,12 @@ class SmoothnessReport:
         }
 
 
-def smoothness_report(
-    model: CosetModel, orbit: str, sys: Optional[ODESystem] = None
-) -> SmoothnessReport:
+def smoothness_report(model: CosetModel, orbit: str) -> SmoothnessReport:
     """Exact limiting derivatives against the hardcoded requirements."""
     key = (model.kind, orbit)
     if key not in REQUIRED_SLOPES:
         raise VerifyError(f"{orbit!r} is not a singular orbit of the {model.kind} model")
-    sys = sys or derivation(model).sys
+    sys = derivation(model).sys
     state = sys.state
     collapsing = ORBIT_COLLAPSING[model.kind][orbit]
     values = {x: Fraction(1) for x in state if x not in collapsing}
@@ -576,7 +574,7 @@ def su4_family_check(
 
     # (1) the whole rotation family stays parallel: symbolic in (C, S)
     table, rotated = rotate_four_form(struct, "symbolic")
-    d_rot = under_system(exterior_d_time(rotated, model, sys.state), sys, table)
+    d_rot = under_system(exterior_d_time(rotated, model), sys, table)
     d_rot = coefficient_map(d_rot, lambda p: p.reduce_circle("C", "S"))
     family_parallel = d_rot.is_zero
 
@@ -732,7 +730,7 @@ def verify_trajectory(
     else:
         closure = check_closure(ProfileSampler(prof, traj), deriv)
     cone = cone_fit(traj)
-    smooth = smoothness_report(model, spec.orbit, deriv.sys)
+    smooth = smoothness_report(model, spec.orbit)
     su4 = su4_family_check(model, deriv.sys, deriv.cert)
     deviation = compare(traj, prof)
     residual = {

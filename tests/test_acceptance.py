@@ -256,7 +256,7 @@ def test_criterion_8_smoothness_verdicts(models, systems):
     ok = True
     details = []
     for model, sys, orbit, verdict, computed, required in expect:
-        rep = smoothness_report(model, orbit, sys)
+        rep = smoothness_report(model, orbit)
         good = (
             rep.verdict == verdict
             and rep.computed == computed

@@ -298,24 +298,37 @@ def test_exact_outputs_match_the_golden_files(capsys, name, argv):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
-#: the closure_residual blocks of report and verify for the unit-data orbits,
-#: floats as reprs; the closure check is pure Python, so no libm or LAPACK
-#: difference enters them
+#: the closure_residual blocks and the closed_form_deviation of report and
+#: verify for the unit-data orbits and three runs with a0 = 3/7, floats as
+#: reprs; the closure check and the closed form are pure Python, so no libm
+#: or LAPACK difference enters them
 GOLDEN_CLOSURE = json.loads((GOLDEN / "closure.json").read_text())
+GOLDEN_CLOSED_FORM = json.loads((GOLDEN / "closed_form.json").read_text())
+
+A0_3_7_ORBITS = [
+    ("q", "s2xs2xs2", ["--a0", "3/7", "--b0", "1", "--c0", "1"]),
+    ("m", "cp2", ["--a0", "3/7"]),
+    ("m", "cp2xs2", ["--a0", "3/7", "--b0", "1"]),
+]
 
 
-@pytest.mark.parametrize("model,orbit,values", UNIT_ORBITS)
+@pytest.mark.parametrize("model,orbit,values", UNIT_ORBITS + A0_3_7_ORBITS)
 def test_closure_residuals_match_the_golden_file(capsys, tmp_path, model, orbit, values):
     traj = tmp_path / "traj.csv"
     common = ["--model", model, "--orbit", orbit, *values]
     blocks = {}
+    deviations = {}
     runs = (("report", ["--traj-out", str(traj)]), ("verify", ["--traj", str(traj)]))
     for command, extra in runs:
         code, out, err = run([command, *common, *extra], capsys)
         assert (code, err) == (0, "")
-        block = json.loads(out)["closure_residual"]
+        doc = json.loads(out)
+        block = doc["closure_residual"]
         blocks[command] = {k: repr(v) if isinstance(v, float) else v for k, v in block.items()}
-    assert blocks == GOLDEN_CLOSURE[f"{model}_{orbit}"]
+        deviations[command] = repr(doc["closed_form_deviation"])
+    key = f"{model}_{orbit}" + ("_a0_3_7" if "3/7" in values else "")
+    assert blocks == GOLDEN_CLOSURE[key]
+    assert deviations == GOLDEN_CLOSED_FORM[key]
 
 
 #: trajectories pinned byte for byte: the --traj-out CSV of each unit-data
@@ -433,6 +446,23 @@ def test_overflowing_right_hand_side_exits_1_with_one_line(capsys, tmp_path, arg
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("integration error: "), err
+    assert not out.exists()
+
+
+# a principal M start with a0 = 1e-150: its slope over the error scale
+# squares beyond float range, so no float step is small enough; the run
+# stops as underflow whether the first step is automatic or given
+STEEP_START_ARGV = [
+    "solve", "--model", "m", "--orbit", "principal", "--a0", "1e-150", "--b0", "1", "--c0", "1",
+]
+
+
+@pytest.mark.parametrize("extra", [[], ["--initial-step", "1e-3"]], ids=["automatic", "explicit"])
+def test_a_start_too_steep_for_any_step_exits_1_with_one_line(capsys, tmp_path, extra):
+    out = tmp_path / "p.csv"
+    code, _, err = run([*STEEP_START_ARGV, *extra, "--out", str(out)], capsys)
+    assert code == 1
+    assert err == "integration error: integration stopped: underflow\n"
     assert not out.exists()
 
 

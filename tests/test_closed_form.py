@@ -286,7 +286,7 @@ def test_float_domain_errors_at_and_beyond_poles(as_type):
 
 
 # ---------------------------------------------------------------------------
-# the straight-line float profile against value_squared
+# the straight-line float profile against the Fraction coefficients
 # ---------------------------------------------------------------------------
 
 #: the squared coefficients affine in s, as the float branch of
@@ -301,7 +301,7 @@ def _reference_float_squares(p, s):
     out = {
         x: float(p.initial[x] ** 2) + float(m) * s for x, m in AFFINE_SLOPES[p.model_kind].items()
     }
-    out["f" if p.model_kind == "Q" else "c"] = p.value_squared(s)
+    out["f" if p.model_kind == "Q" else "c"] = _reference_value_squared(p, s)
     return out
 
 
@@ -338,7 +338,9 @@ def profile_points(draw):
 @given(profile_points())
 def test_straight_line_profile_is_bit_identical_to_value_squared(case):
     p, s = case
-    assert _outcome(p.float_value_squared, s) == _outcome(p.value_squared, s)
+    assert _outcome(p.float_value_squared, s) == _outcome(
+        lambda x: _reference_value_squared(p, x), s
+    )
     assert _outcome(p.coefficient_squares, s) == _outcome(
         lambda x: _reference_float_squares(p, x), s
     )

@@ -76,7 +76,7 @@ def test_back_substitution_annihilates_closure():
     for model in (q_model(1, 1, 1), m_model(1, 1)):
         struct = build_invariant_structure(model)
         sys = derive_flow(model, struct)
-        assert closure_residual(struct, sys, model).is_zero
+        assert closure_residual(struct, sys).is_zero
 
 
 def test_time_reversed_structure_flips_rhs_signs():
@@ -115,7 +115,7 @@ def test_hitchin_residual_detects_perturbation():
     offending = {res.indices_of(m) for m in res.terms}
     assert (0, 2, 4, 6) in offending and (0, 1, 2, 3) in offending
     struct = build_invariant_structure(model)
-    closure = closure_residual(struct, sys, model)
+    closure = closure_residual(struct, sys)
     assert not closure.is_zero
 
 
@@ -143,7 +143,7 @@ def _kaehler_brute_force(model, sys, struct):
         eta = Multivector.zero(struct.gens, struct.dt_index)
         for s, term in zip(signs, basis):
             eta = eta + (term if s == 1 else -term)
-        d_eta = exterior_d_time(eta, model, sys.state)
+        d_eta = exterior_d_time(eta, model)
         if coefficient_map(d_eta, lambda p: p.subs(subs)).is_zero:
             winners.append((signs, eta, d_eta))
     return winners

@@ -445,6 +445,22 @@ def test_generated_loop_is_bit_identical_on_every_status(status):
     _assert_same_run(gen, ref)
 
 
+#: runs whose first step is chosen automatically but no float step fits:
+#: an empty span, and a slope whose square over its error scale is beyond
+#: float range
+NO_FIRST_STEP_CASES = {
+    "empty-span": ([1.0], [0], [0], 1, [1.0], 1.0, 1.0, 1e-6, 1e-9, 0.0, [False], 1000),
+    "steep-slope": ([1e200], [0], [0], 1, [1.0], 0.0, 1.0, 1e-10, 1e-12, 0.0, [False], 1000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_FIRST_STEP_CASES))
+def test_no_first_step_stops_as_underflow(case):
+    gen, ref = _both_solves(*NO_FIRST_STEP_CASES[case])
+    assert ref[0] == "underflow"
+    _assert_same_run(gen, ref)
+
+
 def _mostly(values, special):
     """Draws from ``values`` about seven times in eight, else from ``special``."""
     return st.integers(0, 7).flatmap(lambda k: st.sampled_from(special) if k == 7 else values)
