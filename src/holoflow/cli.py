@@ -4,7 +4,7 @@ report.
 Outputs are deterministic: fixed float formatting, sorted JSON keys, and all
 tolerance defaults embedded in every report.  Exit status 0 on success, 1
 when a verification check misses its bar or an integration stops before its
-end, 2 on invalid input.
+end, 2 on invalid input or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ from fractions import Fraction
 from .closed_form import ProfileError
 from .flow import derivation
 from .flow import derive_flow  # noqa: F401  (kept importable; perfbench/test_recorder.py patches it here)
-from .homogeneous import ModelError, get_model
+from .homogeneous import INDEX_NAMES, STATE_NAMES, ModelError, get_model
 from .integrate import (
     CSVError,
     IntegrationError,
     IntegratorConfig,
     OrbitError,
     OrbitSpec,
-    STATE_NAMES,
     SeriesStartError,
     Trajectory,
     solve_orbit,
@@ -48,27 +47,16 @@ class InputError(ValueError):
 
 def _model_from_args(args):
     kind = args.model.upper()
-    if kind == "Q":
-        indices = (
-            args.k if args.k is not None else 1,
-            args.l if args.l is not None else 1,
-            args.m if args.m is not None else 1,
-        )
-    elif kind == "M":
-        if args.m is not None:
-            raise InputError("--m applies only to the Q model; M(k, l) takes --k and --l")
-        indices = (
-            args.k if args.k is not None else 1,
-            args.l if args.l is not None else 1,
-        )
-    else:
-        raise InputError(f"unknown model {args.model!r}")
-    return get_model(kind, indices)
+    names = INDEX_NAMES[kind]
+    if args.m is not None and "m" not in names:
+        raise InputError("--m applies only to the Q model; M(k, l) takes --k and --l")
+    indices = (1 if getattr(args, n) is None else getattr(args, n) for n in names)
+    return get_model(kind, tuple(indices))
 
 
 def _unit_model(args):
     """Q(1,1,1) or M(1,1), the models of every command but classify."""
-    return get_model(args.model, (1, 1, 1) if args.model.upper() == "Q" else (1, 1))
+    return get_model(args.model, (1,) * len(INDEX_NAMES[args.model.upper()]))
 
 
 def _orbit_spec(args, kind: str) -> OrbitSpec:
@@ -348,6 +336,9 @@ def main(argv=None) -> int:
     except IntegrationError as exc:
         print(f"integration error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an output that cannot be written; --traj reads raise InputError
+        print(f"error: cannot write {exc.filename or 'the output'}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

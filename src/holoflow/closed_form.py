@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .homogeneous import CosetModel
-from .integrate import STATE_NAMES, OrbitSpec, Trajectory
+from .homogeneous import STATE_NAMES, CosetModel
+from .integrate import OrbitSpec, Trajectory
 
 Number = Union[Fraction, float]
 
@@ -122,7 +122,7 @@ class _Profile:
             if s == 0:
                 return float(square0)
             if const is None:
-                raise OverflowError("a closed-form coefficient is beyond float range")
+                raise ProfileError("a closed-form coefficient is beyond float range")
             num = const + factor * ((((a4 * s + a3) * s + a2) * s + a1) * s + a0)
             den = ((d3 * s + d2) * s + d1) * s + d0
             if den == 0:

@@ -313,27 +313,20 @@ class KaehlerCertificate:
 
 
 def invariant_two_form_terms(model: CosetModel, struct: Spin7Structure) -> List[Multivector]:
-    """Basis of invariant two-forms paired with their metric coefficients."""
-    table = struct.table
-    gens = struct.gens
-    dt = struct.dt_index
-
-    def term(sym_exps, idx):
-        coeff = LaurentPoly.monomial(table, 1, sym_exps)
-        return Multivector.basis(gens, [i - 1 if i > 0 else dt for i in idx], coeff, dt_index=dt)
-
-    if model.kind == "Q":
-        return [
-            term({"a": 2}, (1, 2)),
-            term({"b": 2}, (3, 4)),
-            term({"c": 2}, (5, 6)),
-            term({"f": 1}, (7, 0)),  # f e7 ^ dt
-        ]
-    return [
-        term({"a": 2}, (1, 2)) + term({"a": 2}, (3, 4)),
-        term({"b": 2}, (5, 6)),
-        term({"c": 1}, (7, 0)),
-    ]
+    """Basis of invariant two-forms, one per isotropy module, paired in order
+    with the state symbols: x^2 times the sum of a module's planes, and
+    x e7 ^ dt on the fixed line."""
+    table, gens, dt = struct.table, struct.gens, struct.dt_index
+    out = []
+    for x, module in zip(table.base, model.modules):
+        if len(module) == 1:
+            pieces, power = [(module[0], dt)], 1
+        else:
+            pieces, power = list(zip(module[::2], module[1::2])), 2
+        coeff = LaurentPoly.monomial(table, 1, {x: power})
+        forms = [Multivector.basis(gens, list(p), coeff, dt_index=dt) for p in pieces]
+        out.append(sum(forms[1:], forms[0]))
+    return out
 
 
 def _signed_sum(signs: Sequence[int], forms: Sequence[Multivector], zero: Multivector) -> Multivector:

@@ -26,6 +26,17 @@ class ModelError(ValueError):
     """Raised for invalid coset-model input."""
 
 
+#: metric coefficients per model, in state order
+STATE_NAMES = {"Q": ("a", "b", "c", "f"), "M": ("a", "b", "c")}
+
+#: embedding indices per model
+INDEX_NAMES = {"Q": ("k", "l", "m"), "M": ("k", "l")}
+
+#: irreducible isotropy submodules of the tangent space per model, each
+#: paired with the state symbol of the same position
+MODULES = {"Q": ((0, 1), (2, 3), (4, 5), (6,)), "M": ((0, 1, 2, 3), (4, 5), (6,))}
+
+
 # ---------------------------------------------------------------------------
 # scaled Gaussian-integer matrices
 # ---------------------------------------------------------------------------
@@ -191,9 +202,7 @@ class CosetModel:
 
     @property
     def symbols(self) -> SymbolTable:
-        if self.kind == "Q":
-            return SymbolTable(("a", "b", "c", "f")).with_derivatives()
-        return SymbolTable(("a", "b", "c")).with_derivatives()
+        return SymbolTable(STATE_NAMES[self.kind]).with_derivatives()
 
     #: Cartan-invariant two-plane index pairs of the tangent space + fixed line
     PLANES = ((0, 1), (2, 3), (4, 5))
@@ -202,9 +211,7 @@ class CosetModel:
     @property
     def modules(self) -> Tuple[Tuple[int, ...], ...]:
         """Irreducible isotropy submodules of the tangent space."""
-        if self.kind == "Q":
-            return ((0, 1), (2, 3), (4, 5), (6,))
-        return ((0, 1, 2, 3), (4, 5), (6,))
+        return MODULES[self.kind]
 
 
 def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[Fraction, ...]]:
@@ -324,11 +331,10 @@ def m_model(k: int, l: int) -> CosetModel:
 
 def get_model(kind: str, indices: Sequence[int]) -> CosetModel:
     kind = kind.upper()
-    if kind == "Q":
-        return q_model(*indices)
-    if kind == "M":
-        return m_model(*indices)
-    raise ModelError(f"unknown model kind {kind!r}")
+    build = {"Q": q_model, "M": m_model}.get(kind)
+    if build is None:
+        raise ModelError(f"unknown model kind {kind!r}")
+    return build(*indices)
 
 
 # an element of the Lie algebra as exact coordinates {basis index: coefficient}

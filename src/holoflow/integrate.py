@@ -5,7 +5,8 @@ state is produced by an exact first-order series solve (the l'Hopital limit
 of the right-hand sides under odd/even parity), after which an adaptive
 embedded Runge-Kutta pair with dense output takes over.  The integrated
 primitive (F with F' = f, or C with C' = c) rides along as an extra state
-component.
+component.  The singular-orbit catalog, which fixes the collapsing
+coefficients of each orbit, lives here.
 """
 
 from __future__ import annotations
@@ -19,15 +20,67 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from . import _kernel
 from .algebra import AlgebraError, LaurentPoly, SymbolTable
 from .flow import ODESystem
+from .homogeneous import STATE_NAMES
 
-#: collapsing coefficient pattern per model and singular orbit
-ORBIT_COLLAPSING: Dict[str, Dict[str, Tuple[str, ...]]] = {
-    "Q": {"principal": (), "s2xs2xs2": ("f",), "s2xs2": ("a", "f")},
-    "M": {"principal": (), "cp2xs2": ("c",), "cp2": ("b", "c"), "s2": ("a", "c")},
+
+@dataclass(frozen=True)
+class CatalogRow:
+    """One singular orbit, by isotropy group.  An admissible row names its
+    orbit, the coefficients that collapse there, the slopes that smoothness
+    requires of them and the geometry behind those slopes; the other rows
+    give no cohomogeneity-one space."""
+
+    isotropy: str
+    collapsing_sphere: str
+    singular_orbit: str
+    orbit_key: Optional[str] = None  # None for excluded rows
+    collapsing: Tuple[str, ...] = ()
+    required: Mapping[str, Fraction] = field(default_factory=dict)
+    geometry: str = ""
+    note: str = ""
+
+
+_NO_SPACE = "no cohomogeneity-one space"
+
+#: the singular orbits of each model, with the isotropy group of each
+ORBIT_CATALOG: Dict[str, Tuple[CatalogRow, ...]] = {
+    "Q": (
+        CatalogRow(
+            "U(1)^3", "S^1", "S^2 x S^2 x S^2", "s2xs2xs2", ("f",), {"f": Fraction(3, 2)},
+            "collapsing circle of length (4 pi / 3) |f|",
+        ),
+        CatalogRow(
+            "U(1)^2 x SU(2)", "S^3", "S^2 x S^2", "s2xs2", ("a", "f"),
+            {"a": Fraction(1, 2), "f": Fraction(3, 2)},
+            "collapsing 3-sphere; great circles along e1 and e7",
+        ),
+        CatalogRow("U(1) x SU(2)^2", "not a sphere quotient", "S^2", note=_NO_SPACE),
+        CatalogRow("SU(2)^3", "not a sphere quotient", "point", note=_NO_SPACE),
+    ),
+    "M": (
+        CatalogRow(
+            "U(2) x U(1)", "S^1", "CP^2 x S^2", "cp2xs2", ("c",), {"c": Fraction(4)},
+            "collapsing circle of length (pi / 2) |c| in display units",
+        ),
+        CatalogRow(
+            "U(2) x SU(2)", "S^3", "CP^2", "cp2", ("b", "c"), {"b": Fraction(1), "c": Fraction(4)},
+            "collapsing 3-sphere; sectional curvature 1/t^2 condition",
+        ),
+        CatalogRow(
+            "SU(3) x U(1)", "S^5/Z_3", "S^2", "s2", ("a", "c"),
+            {"a": Fraction(1), "c": Fraction(4)},
+            "collapsing S^5/Z_3; orbifold smoothness condition",
+            note="orbifold, not a manifold",
+        ),
+        CatalogRow("SU(3) x SU(2)", "not a sphere quotient", "point", note=_NO_SPACE),
+    ),
 }
 
-#: metric coefficients per model, in state order
-STATE_NAMES = {"Q": ("a", "b", "c", "f"), "M": ("a", "b", "c")}
+#: collapsing coefficient pattern per model and orbit, the principal one first
+ORBIT_COLLAPSING: Dict[str, Dict[str, Tuple[str, ...]]] = {
+    kind: {"principal": (), **{row.orbit_key: row.collapsing for row in rows if row.orbit_key}}
+    for kind, rows in ORBIT_CATALOG.items()
+}
 
 #: the primitive integrates the last state symbol
 PRIMITIVE_NAME = {"Q": "F", "M": "C"}

@@ -54,9 +54,8 @@ FRAME_MAP = {
     "M": {1: (7, "c"), 2: (6, "b"), 3: (5, "b"), 4: (1, "a"), 5: (2, "a"), 6: (4, "a"), 7: (3, "a")},
 }
 
-#: coframe rotation data: plane index pairs and integer multiples of the
+#: coframe rotation data on the model's planes: integer multiples of the
 #: fundamental angle unit (theta for Q, theta/2 for the M ad-action)
-ROTATION_PLANES = ((0, 1), (2, 3), (4, 5))
 ROTATION_MULTIPLES = {"Q": (1, 1, 1), "M": (3, 3, -2)}
 FUNDAMENTAL_UNIT = {"Q": Fraction(1), "M": Fraction(1, 2)}
 
@@ -199,7 +198,7 @@ def _fundamental_cs(struct: Spin7Structure, theta: AngleLike, unit: Fraction):
 def _rotate_form(form: Multivector, table: SymbolTable, cs_pairs) -> Multivector:
     """Pull a form back by simultaneous plane rotations of the coframe."""
     images = {}
-    for (i, j), (c, s) in zip(ROTATION_PLANES, cs_pairs):
+    for (i, j), (c, s) in zip(CosetModel.PLANES, cs_pairs):
         images[i] = ((i, c), (j, -s))
         images[j] = ((i, s), (j, c))
     moved = {m: p.subs({}, table) for m, p in form.terms.items()}

@@ -30,7 +30,8 @@ from .flow import (
 )
 from .homogeneous import CosetModel
 from .integrate import (
-    ORBIT_COLLAPSING,
+    ORBIT_CATALOG,
+    CatalogRow,
     IntegratorConfig,
     OrbitSpec,
     Trajectory,
@@ -369,19 +370,12 @@ class ConeFit:
 
 
 def _cone_quantities(kind: str, t, ys) -> dict:
-    """The cone quantities of numpy rows ``ys`` at arclengths ``t``."""
-    if kind == "Q":
-        return {
-            "a^2/t^2": ys[:, 0] ** 2 / t**2,
-            "b^2/t^2": ys[:, 1] ** 2 / t**2,
-            "c^2/t^2": ys[:, 2] ** 2 / t**2,
-            "|f|/t": abs(ys[:, 3]) / t,
-        }
-    return {
-        "a^2/t^2": ys[:, 0] ** 2 / t**2,
-        "b^2/t^2": ys[:, 1] ** 2 / t**2,
-        "c/t": abs(ys[:, 2]) / t,
-    }
+    """The cone quantities of numpy rows ``ys`` at arclengths ``t``, one per
+    ``CONE_REFS`` column in order: x^2/t^2, and |x|/t for the last."""
+    *squares, last = CONE_REFS[kind]
+    out = {name: ys[:, j] ** 2 / t**2 for j, name in enumerate(squares)}
+    out[last] = abs(ys[:, len(squares)]) / t
+    return out
 
 
 def cone_fit(traj: Trajectory) -> ConeFit:
@@ -475,23 +469,6 @@ def s_action_circle(kind: str) -> Dict[str, object]:
     }
 
 
-REQUIRED_SLOPES: Dict[Tuple[str, str], Dict[str, Fraction]] = {
-    ("Q", "s2xs2xs2"): {"f": Fraction(3, 2)},
-    ("Q", "s2xs2"): {"a": Fraction(1, 2), "f": Fraction(3, 2)},
-    ("M", "cp2xs2"): {"c": Fraction(4)},
-    ("M", "cp2"): {"b": Fraction(1), "c": Fraction(4)},
-    ("M", "s2"): {"a": Fraction(1), "c": Fraction(4)},
-}
-
-GEOMETRY_NOTES: Dict[Tuple[str, str], str] = {
-    ("Q", "s2xs2xs2"): "collapsing circle of length (4 pi / 3) |f|",
-    ("Q", "s2xs2"): "collapsing 3-sphere; great circles along e1 and e7",
-    ("M", "cp2xs2"): "collapsing circle of length (pi / 2) |c| in display units",
-    ("M", "cp2"): "collapsing 3-sphere; sectional curvature 1/t^2 condition",
-    ("M", "s2"): "collapsing S^5/Z_3; orbifold smoothness condition",
-}
-
-
 @dataclass(frozen=True)
 class SmoothnessReport:
     model_kind: str
@@ -511,22 +488,19 @@ class SmoothnessReport:
 
 
 def smoothness_report(model: CosetModel, orbit: str) -> SmoothnessReport:
-    """Exact limiting derivatives against the hardcoded requirements."""
-    key = (model.kind, orbit)
-    if key not in REQUIRED_SLOPES:
+    """Exact limiting derivatives against the catalog's requirements."""
+    row = next((r for r in ORBIT_CATALOG[model.kind] if r.orbit_key == orbit), None)
+    if row is None:
         raise VerifyError(f"{orbit!r} is not a singular orbit of the {model.kind} model")
     sys = derivation(model).sys
-    state = sys.state
-    collapsing = ORBIT_COLLAPSING[model.kind][orbit]
-    values = {x: Fraction(1) for x in state if x not in collapsing}
-    spec = OrbitSpec(model.kind, orbit, values)
-    _, slopes = series_start(sys, spec)
-    required = REQUIRED_SLOPES[key]
+    values = {x: Fraction(1) for x in sys.state if x not in row.collapsing}
+    _, slopes = series_start(sys, OrbitSpec(model.kind, orbit, values))
+    required = row.required
     computed = {k: slopes[k] for k in required}
     smooth = all(abs(computed[k]) == required[k] for k in required)
     circle = s_action_circle(model.kind)
     note = (
-        f"{GEOMETRY_NOTES[key]}; vertical circle: period {circle['period_over_pi']} pi,"
+        f"{row.geometry}; vertical circle: period {circle['period_over_pi']} pi,"
         f" isotropy intersection of order {circle['intersection_order']}"
     )
     return SmoothnessReport(
@@ -607,60 +581,6 @@ def su4_family_check(
 # ---------------------------------------------------------------------------
 # singular-orbit catalog
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CatalogRow:
-    isotropy: str
-    collapsing_sphere: str
-    singular_orbit: str
-    orbit_key: Optional[str]  # None for excluded rows
-    collapsing: Tuple[str, ...]
-    note: str = ""
-
-
-ORBIT_CATALOG: Dict[str, Tuple[CatalogRow, ...]] = {
-    "Q": (
-        CatalogRow("U(1)^3", "S^1", "S^2 x S^2 x S^2", "s2xs2xs2", ("f",)),
-        CatalogRow("U(1)^2 x SU(2)", "S^3", "S^2 x S^2", "s2xs2", ("a", "f")),
-        CatalogRow(
-            "U(1) x SU(2)^2",
-            "not a sphere quotient",
-            "S^2",
-            None,
-            (),
-            "no cohomogeneity-one space",
-        ),
-        CatalogRow(
-            "SU(2)^3",
-            "not a sphere quotient",
-            "point",
-            None,
-            (),
-            "no cohomogeneity-one space",
-        ),
-    ),
-    "M": (
-        CatalogRow("U(2) x U(1)", "S^1", "CP^2 x S^2", "cp2xs2", ("c",)),
-        CatalogRow("U(2) x SU(2)", "S^3", "CP^2", "cp2", ("b", "c")),
-        CatalogRow(
-            "SU(3) x U(1)",
-            "S^5/Z_3",
-            "S^2",
-            "s2",
-            ("a", "c"),
-            "orbifold, not a manifold",
-        ),
-        CatalogRow(
-            "SU(3) x SU(2)",
-            "not a sphere quotient",
-            "point",
-            None,
-            (),
-            "no cohomogeneity-one space",
-        ),
-    ),
-}
 
 
 def orbit_catalog(model: Union[CosetModel, str]) -> Tuple[CatalogRow, ...]:

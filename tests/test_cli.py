@@ -1,6 +1,7 @@
 """End-to-end command-line runs with exit-code + artifact checks."""
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -464,6 +465,52 @@ def test_a_start_too_steep_for_any_step_exits_1_with_one_line(capsys, tmp_path, 
     assert code == 1
     assert err == "integration error: integration stopped: underflow\n"
     assert not out.exists()
+
+
+def test_a_closed_form_beyond_float_range_exits_2_with_one_line(capsys, tmp_path):
+    # a0 = 1e80: the closed form's denominator has coefficients near 1e480
+    out = tmp_path / "r.json"
+    argv = ["report", "--model", "m", "--orbit", "cp2", "--a0", "1e80", "--eps", "1",
+            "--t-end", "1e85", "--out", str(out)]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err == "error: a closed-form coefficient is beyond float range\n"
+    assert not out.exists()
+
+
+TRAJ = str(GOLDEN / "traj_m_cp2.csv")
+
+#: every command that writes a file, with the flag that names it
+WRITERS = {
+    "report --out": ["report", "--model", "m", "--orbit", "cp2", "--a0", "1", "--out"],
+    "report --traj-out": ["report", "--model", "m", "--orbit", "cp2", "--a0", "1", "--traj-out"],
+    "solve --out": ["solve", "--model", "m", "--orbit", "cp2", "--a0", "1", "--t-end", "5", "--out"],
+    "verify --out": ["verify", "--model", "m", "--orbit", "cp2", "--a0", "1", "--traj", TRAJ, "--out"],
+    "cone --out": ["cone", "--model", "m", "--traj", TRAJ, "--out"],
+    "smoothness --out": ["smoothness", "--model", "m", "--orbit", "cp2", "--out"],
+    "derive --json": ["derive", "--model", "m", "--json"],
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+@pytest.mark.parametrize("unwritable", ["missing-dir", "directory"])
+def test_an_unwritable_output_path_exits_2_with_one_line(capsys, tmp_path, writer, unwritable):
+    path = tmp_path / "missing" / "x" if unwritable == "missing-dir" else tmp_path
+    strerror = "No such file or directory" if unwritable == "missing-dir" else "Is a directory"
+    code, _, err = run([*WRITERS[writer], str(path)], capsys)
+    assert code == 2
+    assert err == f"error: cannot write {path}: {strerror}\n"
+
+
+def test_a_full_output_device_exits_2_with_one_line(capsys, monkeypatch):
+    class Full:
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    code, _, err = run(["derive", "--model", "m", "--json", "-"], capsys)
+    assert code == 2
+    assert err == f"error: cannot write the output: {os.strerror(errno.ENOSPC)}\n"
 
 
 INTEGRATOR_FLAGS = [

@@ -252,6 +252,14 @@ def test_float_value_squared_matches_fraction_coefficients(kind, orbit, values, 
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), (s, got, want)
 
 
+def test_a_coefficient_beyond_float_range_is_a_profile_error():
+    # a0 = 1e120: D(s) = (s + 4 a0^2 / 3)^2 (s + 2) has coefficients near 1e480
+    p = profile("M", OrbitSpec("M", "principal", {"a": 10**120, "b": 1, "c": 1}))
+    assert p.value_squared(0.0) == 1.0
+    with pytest.raises(ProfileError, match="a closed-form coefficient is beyond float range"):
+        p.value_squared(1.0)
+
+
 @pytest.mark.parametrize("as_type", [float, np.float64])
 def test_float_domain_errors_at_and_beyond_poles(as_type):
     """Every float on or beyond an exact pole is refused by the domain guard.

@@ -173,6 +173,37 @@ def test_linear_kaehler_search_matches_brute_force(model, perturb):
     assert cert.d_eta == d_eta
 
 
+def hand_written_two_forms(model, struct):
+    """The invariant two-forms of each model, written out term by term."""
+    table, gens, dt = struct.table, struct.gens, struct.dt_index
+
+    def term(sym_exps, idx):
+        coeff = LaurentPoly.monomial(table, 1, sym_exps)
+        return Multivector.basis(gens, [i - 1 if i > 0 else dt for i in idx], coeff, dt_index=dt)
+
+    if model.kind == "Q":
+        return [
+            term({"a": 2}, (1, 2)),
+            term({"b": 2}, (3, 4)),
+            term({"c": 2}, (5, 6)),
+            term({"f": 1}, (7, 0)),  # f e7 ^ dt
+        ]
+    return [
+        term({"a": 2}, (1, 2)) + term({"a": 2}, (3, 4)),
+        term({"b": 2}, (5, 6)),
+        term({"c": 1}, (7, 0)),
+    ]
+
+
+@pytest.mark.parametrize("model", [q_model(1, 1, 1), m_model(1, 1)], ids=["Q", "M"])
+def test_invariant_two_forms_match_the_hand_written_lists(model):
+    struct = build_invariant_structure(model)
+    derived = invariant_two_form_terms(model, struct)
+    expected = hand_written_two_forms(model, struct)
+    assert derived == expected
+    assert [list(f.terms) for f in derived] == [list(f.terms) for f in expected]
+
+
 def test_derivation_is_built_once_and_matches_the_builders():
     model = m_model(1, 1)
     deriv = derivation(model)

@@ -5,6 +5,7 @@ import struct
 import warnings
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from holoflow.verify import (
     TrajectorySampler,
     VerifyError,
     _residuals,
+    _cone_quantities,
     _SpanSampler,
     catalog_row,
     check_closure,
@@ -286,6 +288,32 @@ def test_cone_fit_on_principal_run_starting_at_t0_is_warning_free():
         fit = cone_fit(traj)
     assert fit.partial
     assert all(math.isfinite(v) for v in (*fit.limits.values(), *fit.endpoint.values()))
+
+
+def hand_written_cone_quantities(kind, t, ys):
+    """The cone quantities of each model, written out column by column."""
+    if kind == "Q":
+        return {
+            "a^2/t^2": ys[:, 0] ** 2 / t**2,
+            "b^2/t^2": ys[:, 1] ** 2 / t**2,
+            "c^2/t^2": ys[:, 2] ** 2 / t**2,
+            "|f|/t": abs(ys[:, 3]) / t,
+        }
+    return {
+        "a^2/t^2": ys[:, 0] ** 2 / t**2,
+        "b^2/t^2": ys[:, 1] ** 2 / t**2,
+        "c/t": abs(ys[:, 2]) / t,
+    }
+
+
+@pytest.mark.parametrize("kind,name", [("Q", "traj_q_s2xs2.csv"), ("M", "traj_m_cp2.csv")])
+def test_cone_quantities_match_the_hand_written_formulas(kind, name):
+    traj = Trajectory.from_csv(Path(__file__).parent / "golden" / name, kind)
+    t, ys = np.asarray(traj.ts), np.asarray(traj.ys)
+    derived = _cone_quantities(kind, t, ys)
+    expected = hand_written_cone_quantities(kind, t, ys)
+    assert list(derived) == list(expected)
+    assert all(derived[q].tobytes() == expected[q].tobytes() for q in expected)
 
 
 # ---------------------------------------------------------------------------
