@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 ScalarLike = Union[int, Fraction]
 
@@ -140,6 +140,51 @@ class LaurentPoly:
 
     def sorted_terms(self) -> Iterable[Tuple[Tuple[int, ...], Fraction]]:
         return sorted(self.terms.items())
+
+    def named_terms(self) -> List[Tuple[Fraction, Dict[str, int]]]:
+        """``(coefficient, {symbol: nonzero exponent})`` per term, in
+        ``sorted_terms`` order, each term's symbols in table order."""
+        names = self.table.names
+        return [(c, {n: e for n, e in zip(names, vec) if e}) for vec, c in self.sorted_terms()]
+
+    def symbols(self) -> Tuple[str, ...]:
+        """The symbols that occur, in table order."""
+        return tuple(n for n, col in zip(self.table.names, zip(*self.terms)) if any(col))
+
+    def linear_in(self, names: Sequence[str]) -> Tuple[Dict[str, "LaurentPoly"], "LaurentPoly"]:
+        """``({x: A_x}, B)`` with ``self = sum(A_x * x) + B`` and no named
+        symbol in any A_x or B; only nonzero A_x, in ``names`` order.
+
+        Raises AlgebraError on a term of degree 2 or more in the names
+        together, or with a negative power of one of them.
+        """
+        slots = [self.table.index(x) for x in names]
+        parts: Dict[int, Dict[Tuple[int, ...], Fraction]] = {i: {} for i in slots}
+        rest = {}
+        for vec, c in self.terms.items():
+            hit = [i for i in slots if vec[i]]
+            if not hit:
+                rest[vec] = c
+            elif len(hit) == 1 and vec[hit[0]] == 1:
+                i = hit[0]
+                parts[i][vec[:i] + (0,) + vec[i + 1 :]] = c
+            else:
+                raise AlgebraError(f"polynomial is not linear in {', '.join(names)}")
+        linear = {x: LaurentPoly(self.table, parts[i]) for x, i in zip(names, slots) if parts[i]}
+        return linear, LaurentPoly(self.table, rest)
+
+    def coefficients_in(self, name: str) -> List[Fraction]:
+        """Ascending coefficients of a polynomial in the one symbol ``name``.
+
+        Raises AlgebraError when another symbol or a negative power occurs.
+        """
+        i = self.table.index(name)
+        coeffs = [Fraction(0)] * (1 + max((vec[i] for vec in self.terms), default=0))
+        for vec, c in self.terms.items():
+            if vec[i] < 0 or any(vec[:i]) or any(vec[i + 1 :]):
+                raise AlgebraError(f"polynomial is not a polynomial in {name!r} alone")
+            coeffs[vec[i]] += c
+        return coeffs
 
     def constant_value(self) -> Fraction:
         """The rational value of a constant polynomial."""
@@ -356,16 +401,38 @@ class LaurentPoly:
     def __repr__(self):
         if not self.terms:
             return "0"
-        bits = []
-        for vec, c in self.sorted_terms():
-            factors = [str(c)]
-            for name, e in zip(self.table.names, vec):
-                if e == 1:
-                    factors.append(name)
-                elif e != 0:
-                    factors.append(f"{name}^{e}")
-            bits.append("*".join(factors))
-        return " + ".join(bits)
+        return " + ".join(
+            "*".join([str(c)] + [n if e == 1 else f"{n}^{e}" for n, e in exps.items()])
+            for c, exps in self.named_terms()
+        )
+
+
+def term_list(
+    polys: Sequence[LaurentPoly], names: Sequence[str]
+) -> Tuple[List[float], List[int], List[int]]:
+    """``(coeffs, exps, owner)``, the term lists ``_kernel.make_rhs`` reads.
+
+    Each term of ``polys[k]``, in ``sorted_terms`` order, gives its float
+    coefficient, its exponent of each of the distinct ``names`` (0 for a
+    name outside the polynomial's table) and the owner ``k``.  Raises
+    AlgebraError when a symbol outside ``names`` occurs.
+    """
+    coeffs: List[float] = []
+    exps, owner, table = [], [], None
+    for k, poly in enumerate(polys):
+        if poly.table is not table:
+            table = poly.table
+            where = {n: i for i, n in enumerate(table.names)}
+            slots = [where.get(n) for n in names]
+        for vec, c in poly.sorted_terms():
+            row = [0 if i is None else vec[i] for i in slots]
+            # every nonzero exponent must land in a column of ``names``
+            if row.count(0) + len(vec) - len(row) != vec.count(0):
+                raise AlgebraError(f"a symbol outside {', '.join(names)} occurs")
+            coeffs.append(float(c))
+            exps.extend(row)
+            owner.append(k)
+    return coeffs, exps, owner
 
 
 # ---------------------------------------------------------------------------

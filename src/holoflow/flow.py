@@ -10,13 +10,12 @@ Gaussian elimination in the Laurent ring, pivoting on monomials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import _kernel
-from .algebra import LaurentPoly, Multivector, SymbolTable, wedge
+from .algebra import AlgebraError, LaurentPoly, Multivector, SymbolTable, term_list, wedge
 from .homogeneous import CosetModel, invariant_d
 from .structures import Spin7Structure, build_invariant_structure
 
@@ -104,14 +103,8 @@ class ODESystem:
         return {x + "'": p.subs({}, table) for x, p in self.rhs.items()}
 
     def to_json_dict(self) -> dict:
-        names = self.table.names
-
         def poly_terms(p: LaurentPoly) -> list:
-            out = []
-            for vec, c in p.sorted_terms():
-                exps = {n: e for n, e in zip(names, vec) if e}
-                out.append({"coeff": str(c), "exponents": exps})
-            return out
+            return [{"coeff": str(c), "exponents": exps} for c, exps in p.named_terms()]
 
         rhs = {}
         for x in self.state:
@@ -128,36 +121,17 @@ class ODESystem:
 
 
 def _linear_system(
-    dt_part: Multivector, unknowns: Sequence[str], table: SymbolTable
+    dt_part: Multivector, unknowns: Sequence[str]
 ) -> List[Tuple[Dict[str, LaurentPoly], LaurentPoly]]:
     """Decompose each coefficient as sum(A_x * x') + B, exactly."""
-    idx = {x: table.index(x + "'") for x in unknowns}
-    base_width = len(table.names)
+    primes = [x + "'" for x in unknowns]
     eqs = []
-    for mask, poly in dt_part.sorted_terms():
-        a: Dict[str, Dict] = {x: {} for x in unknowns}
-        b: Dict[Tuple[int, ...], Fraction] = {}
-        for vec, c in poly.terms.items():
-            deg = sum(vec[table.nbase :])
-            if deg == 0:
-                b[vec] = c
-            elif deg == 1:
-                for x, j in idx.items():
-                    if vec[j] == 1:
-                        nv = list(vec)
-                        nv[j] = 0
-                        a[x][tuple(nv)] = c
-                        break
-                else:
-                    raise DerivationError("unexpected derivative symbol in equation")
-            else:
-                raise DerivationError("equation is nonlinear in the derivative symbols")
-        eqs.append(
-            (
-                {x: LaurentPoly(table, t) for x, t in a.items() if t},
-                LaurentPoly(table, b),
-            )
-        )
+    for _, poly in dt_part.sorted_terms():
+        try:
+            a, b = poly.linear_in(primes)
+        except AlgebraError:
+            raise DerivationError("equation is nonlinear in the derivative symbols") from None
+        eqs.append(({x[:-1]: c for x, c in a.items()}, b))
     return eqs
 
 
@@ -244,7 +218,7 @@ def derive_flow(
             f"spatial part of d(Omega) does not vanish identically: {spatial!r}"
         )
     unknowns = tuple(model.symbols.base)
-    eqs = _linear_system(dt_part, unknowns, table)
+    eqs = _linear_system(dt_part, unknowns)
     rhs, rank = _solve_linear(eqs, unknowns, table)
     sys = ODESystem(
         model_kind=model.kind,
@@ -405,22 +379,13 @@ class Derivation:
         OverflowError.
         """
         table = self.struct.table
-        coeffs: List[float] = []
-        exps: List[int] = []
-        owner: List[int] = []
+        polys: List[LaurentPoly] = []
         ends = []
-        n = 0
         for form in (self.struct.Omega, self.cert.eta, self.d_Omega, self.cert.d_eta):
-            for _, poly in form.sorted_terms():
-                if poly.table != table:
-                    raise DerivationError("a closure form leaves the structure's symbol table")
-                for vec, c in poly.sorted_terms():
-                    coeffs.append(float(c))
-                    exps.extend(vec)
-                    owner.append(n)
-                n += 1
-            ends.append(n)
-        evaluate = _kernel.make_rhs(coeffs, exps, owner, len(table.names), n)
+            polys.extend(poly for _, poly in form.sorted_terms())
+            ends.append(len(polys))
+        coeffs, exps, owner = term_list(polys, table.names)
+        evaluate = _kernel.make_rhs(coeffs, exps, owner, len(table.names), len(polys))
         return evaluate, tuple(ends)
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import _kernel
-from .algebra import AlgebraError, LaurentPoly, SymbolTable
+from .algebra import AlgebraError, LaurentPoly, SymbolTable, term_list
 from .flow import ODESystem
 from .homogeneous import STATE_NAMES
 
@@ -164,20 +164,6 @@ class IntegratorConfig:
 # ---------------------------------------------------------------------------
 
 
-def _univariate_coeffs(poly: LaurentPoly, name: str) -> List[Fraction]:
-    idx = poly.table.index(name)
-    deg = 0
-    for vec, _ in poly.terms.items():
-        for i, e in enumerate(vec):
-            if i != idx and e != 0:
-                raise SeriesStartError("expected a univariate slope equation")
-        deg = max(deg, vec[idx])
-    coeffs = [Fraction(0)] * (deg + 1)
-    for vec, c in poly.terms.items():
-        coeffs[vec[idx]] += c
-    return coeffs
-
-
 def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
     """Nonzero rational roots of a rational-coefficient polynomial."""
     while coeffs and coeffs[-1] == 0:
@@ -224,32 +210,17 @@ def _solve_slope_system(
     """All assignments with every slope a nonzero rational."""
     eqs = [e.cleared()[0] for e in eqs if not e.is_zero]
     if not unknowns:
-        if any(not e.is_zero for e in eqs):
-            return []
-        return [{}]
-    table = None
-    for e in eqs:
-        table = e.table
-        break
-    if table is None:
+        return [] if eqs else [{}]
+    if not eqs:
         raise SeriesStartError("slope system is underdetermined")
-
-    def unknowns_in(e):
-        present = set()
-        for vec in e.terms:
-            for name in unknowns:
-                if vec[e.table.index(name)] != 0:
-                    present.add(name)
-        return present
-
     # univariate equation first
     for e in eqs:
-        present = unknowns_in(e)
+        present = e.symbols()
         if len(present) == 1:
             (name,) = present
             sols = []
-            for root in _rational_roots(_univariate_coeffs(e, name)):
-                rest = [q.subs({name: LaurentPoly.const(table, root)}) for q in eqs]
+            for root in _rational_roots(e.coefficients_in(name)):
+                rest = [q.subs({name: LaurentPoly.const(e.table, root)}) for q in eqs]
                 for tail in _solve_slope_system(rest, [u for u in unknowns if u != name]):
                     tail = dict(tail)
                     tail[name] = root
@@ -257,35 +228,24 @@ def _solve_slope_system(
             return sols
     # otherwise eliminate a slope appearing linearly with constant coefficient
     for e in eqs:
-        for name in unknowns_in(e):
-            idx = table.index(name)
-            coeff = Fraction(0)
-            rest_terms = {}
-            linear = True
-            for vec, c in e.terms.items():
-                if vec[idx] == 0:
-                    rest_terms[vec] = c
-                elif vec[idx] == 1 and not any(
-                    vec[table.index(u)] for u in unknowns if u != name
-                ):
-                    coeff += c
-                else:
-                    linear = False
-            if linear and coeff != 0:
-                image = LaurentPoly(table, rest_terms) * Fraction(-1, 1) * (1 / coeff)
-                rest = [q.subs({name: image}) for q in eqs if q is not e]
-                sols = []
-                for tail in _solve_slope_system(
-                    rest, [u for u in unknowns if u != name]
-                ):
-                    values = {u: LaurentPoly.const(table, v) for u, v in tail.items()}
-                    root = image.subs(values).constant_value()
-                    if root == 0:
-                        continue
-                    out = dict(tail)
-                    out[name] = root
-                    sols.append(out)
-                return sols
+        for name in e.symbols():
+            try:
+                linear, rest_poly = e.linear_in([name])
+                coeff = linear[name].constant_value()
+            except AlgebraError:
+                continue
+            image = rest_poly * (-1 / coeff)
+            rest = [q.subs({name: image}) for q in eqs if q is not e]
+            sols = []
+            for tail in _solve_slope_system(rest, [u for u in unknowns if u != name]):
+                values = {u: LaurentPoly.const(e.table, v) for u, v in tail.items()}
+                root = image.subs(values).constant_value()
+                if root == 0:
+                    continue
+                out = dict(tail)
+                out[name] = root
+                sols.append(out)
+            return sols
     raise SeriesStartError("slope system is not reducible")
 
 
@@ -475,29 +435,15 @@ class Trajectory:
 
 def _compile_terms(sys: ODESystem) -> Tuple[List[float], List[int], List[int], int]:
     names = sys.state
-    nstate = len(names) + 1  # plus primitive
-    coeffs: List[float] = []
-    exps: List[int] = []
-    owner: List[int] = []
-    col = {n: sys.table.index(n) for n in names}
-    for i, n in enumerate(names):
-        poly = sys.rhs[n]
-        for vec, c in poly.sorted_terms():
-            if any(vec[sys.table.nbase :]):
-                raise IntegrationError("right-hand side contains derivative symbols")
-            for j, e in enumerate(vec[: sys.table.nbase]):
-                if e and sys.table.base[j] not in names:
-                    raise IntegrationError("right-hand side uses a non-state symbol")
-            coeffs.append(float(c))
-            owner.append(i)
-            exps.extend(int(vec[col[m]]) for m in names)
-            exps.append(0)  # primitive never feeds back
-    # primitive' = last state symbol
-    coeffs.append(1.0)
-    owner.append(nstate - 1)
-    exps.extend(1 if m == names[-1] else 0 for m in names)
-    exps.append(0)
-    return coeffs, exps, owner, nstate
+    # the primitive' = last state symbol; the primitive never feeds back
+    polys = [sys.rhs[n] for n in names] + [LaurentPoly.variable(sys.table, names[-1])]
+    try:
+        coeffs, exps, owner = term_list(polys, names + (PRIMITIVE_NAME[sys.model_kind],))
+    except AlgebraError:
+        if any(set(sys.table.derivative).intersection(p.symbols()) for p in polys):
+            raise IntegrationError("right-hand side contains derivative symbols") from None
+        raise IntegrationError("right-hand side uses a non-state symbol") from None
+    return coeffs, exps, owner, len(names) + 1
 
 
 def integrate(sys: ODESystem, start: State, cfg: IntegratorConfig) -> Trajectory:

@@ -243,6 +243,11 @@ def check_closure(
     names = tuple(deriv.model.symbols.base)
     if t_points is None:
         margin = 2 * fd_step * (1 + abs(sampler.t_max))
+        span = sampler.t_max - sampler.t_min
+        if span <= 2 * margin:  # the sample points would leave the run
+            raise VerifyError(
+                f"closure check: the run spans {span:.3g} in t, at most twice its margin {margin:.3g}"
+            )
         t_points = sampler.sample_points(CLOSURE_POINTS, margin=margin)
     if len(t_points) < 3:
         raise VerifyError("need at least 3 samples for centered differences")

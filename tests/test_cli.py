@@ -467,6 +467,20 @@ def test_a_start_too_steep_for_any_step_exits_1_with_one_line(capsys, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t_end", ["2e-6", "1e-5", "3e-5"])
+def test_a_run_shorter_than_the_closure_margins_exits_2_with_one_line(capsys, tmp_path, t_end):
+    # the profile-backed closure check keeps 2e-5 * (1 + t_end) from each end
+    # of the run; with eps = 1e-6 these spans leave no room for its points
+    argv = ["report", "--model", "q", "--orbit", "s2xs2", "--b0", "1", "--c0", "1"]
+    out = tmp_path / "r.json"
+    code, _, err = run([*argv, "--t-end", t_end, "--out", str(out)], capsys)
+    assert code == 2
+    _one_line_error(err)
+    span = float(t_end) - 1e-6
+    assert f"closure check: the run spans {span:.3g} in t, at most twice its margin" in err
+    assert not out.exists()
+
+
 def test_a_closed_form_beyond_float_range_exits_2_with_one_line(capsys, tmp_path):
     # a0 = 1e80: the closed form's denominator has coefficients near 1e480
     out = tmp_path / "r.json"

@@ -98,6 +98,30 @@ def test_closure_requires_three_samples(q_setup):
         check_closure(sampler, deriv, t_points=[1.0, 2.0])
 
 
+@pytest.mark.parametrize("t_max", [2e-6, 1e-5, 3e-5, 1.5e-4])
+def test_closure_refuses_a_span_within_twice_the_margin_before_sampling(q_setup, t_max):
+    # margin = 2 * fd_step * (1 + t_max); a span of at most twice it leaves no
+    # point inside the run, so no sampler method may be reached
+    model, deriv, spec, traj, sampler = q_setup
+
+    class Untouchable:
+        t_min = 1e-6
+
+        def __getattr__(self, name):
+            raise AssertionError(f"sampler.{name} read")
+
+        def __call__(self, t):
+            raise AssertionError("sampler called")
+
+    short = Untouchable()
+    short.t_max = t_max
+    fd_step = 1e-5 if t_max < 1e-4 else 4e-5
+    margin = 2 * fd_step * (1 + t_max)
+    message = f"spans {t_max - 1e-6:.3g} in t, at most twice its margin {margin:.3g}"
+    with pytest.raises(VerifyError, match=message):
+        check_closure(short, deriv, fd_step=fd_step)
+
+
 def test_closure_checks_reuse_the_derived_forms(q_setup, monkeypatch):
     model, deriv, spec, traj, sampler = q_setup
 
