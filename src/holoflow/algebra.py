@@ -9,9 +9,10 @@ is mutated after construction, so values can be shared freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+
+from ._record import record
 
 ScalarLike = Union[int, Fraction]
 
@@ -33,7 +34,7 @@ def _as_fraction(x: ScalarLike) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SymbolTable:
     """Ordered base symbols plus their formal derivative symbols.
 

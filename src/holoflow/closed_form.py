@@ -19,11 +19,11 @@ Everything here is exact at rational s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple, Union
 
+from ._record import record
 from .homogeneous import STATE_NAMES, CosetModel
 from .integrate import OrbitSpec, Trajectory
 
@@ -67,7 +67,7 @@ def _rounded(p: Fraction) -> float:
         return math.inf if p > 0 else -math.inf
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Profile:
     """The closed form of one orbit's data; subclasses hold the model table."""
 
@@ -171,7 +171,7 @@ class _Profile:
         return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProfileQ(_Profile):
     _AFFINE = (("a", Fraction(-1, 3), 1), ("b", Fraction(-1, 3), 1), ("c", Fraction(-1, 3), 1))
     _FACTOR = Fraction(-6)
@@ -188,7 +188,7 @@ class ProfileQ(_Profile):
         return acc
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProfileM(_Profile):
     _AFFINE = (("a", Fraction(3, 4), 2), ("b", Fraction(1, 2), 1))
     _FACTOR = Fraction(16)

@@ -9,12 +9,12 @@ Gaussian elimination in the Laurent ring, pivoting on monomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import _kernel
+from ._record import record
 from .algebra import AlgebraError, LaurentPoly, Multivector, SymbolTable, term_list, wedge
 from .homogeneous import CosetModel, invariant_d
 from .structures import Spin7Structure, build_invariant_structure
@@ -83,7 +83,7 @@ def split_dt(form: Multivector) -> Tuple[Multivector, Multivector]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ODESystem:
     """State symbols with exact Laurent right-hand sides."""
 
@@ -267,7 +267,7 @@ def hitchin_residual(model: CosetModel, sys: ODESystem) -> Multivector:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class KaehlerCertificate:
     """Unique closed invariant two-form, up to overall sign.
 
@@ -350,7 +350,7 @@ def kaehler_search(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Derivation:
     """A model's exact derived objects: the invariant structure, d(Omega)
     with formal derivative symbols, the ODE system and the Kaehler

@@ -14,11 +14,11 @@ action as sparse rows of ad_x, from the exact structure constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+from ._record import record
 from .algebra import Multivector, SymbolTable
 
 
@@ -151,7 +151,7 @@ def _m_basis(k: int, l: int) -> Tuple[Scaled, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StructureTensor:
     """Exact c^k_{ij} for i < j, stored sparsely."""
 
@@ -170,7 +170,7 @@ class StructureTensor:
         return self._both_orders.get((i, j), {})
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CosetModel:
     """One of Q(k,l,m) or M(k,l) with its exact basis of (D, S) pairs.
 
@@ -468,7 +468,7 @@ def is_basic(form: Multivector, model: CosetModel) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WeightMultiset:
     """Integer weight vectors of the isotropy Cartan on the tangent planes."""
 

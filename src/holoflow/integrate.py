@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import _kernel
+from ._record import field, record
 from .algebra import AlgebraError, LaurentPoly, SymbolTable, term_list
 from .flow import ODESystem
 from .homogeneous import STATE_NAMES
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CatalogRow:
     """One singular orbit, by isotropy group.  An admissible row names its
     orbit, the coefficients that collapse there, the slopes that smoothness
@@ -104,7 +104,7 @@ class IntegrationError(RuntimeError):
         self.trajectory = trajectory
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OrbitSpec:
     """Singular-orbit (or principal) initial data for one model."""
 
@@ -136,7 +136,7 @@ class OrbitSpec:
         return ORBIT_COLLAPSING[self.model_kind][self.orbit]
 
 
-@dataclass
+@record
 class State:
     """One integrator state: arclength, coefficients, running primitive."""
 
@@ -145,7 +145,7 @@ class State:
     primitive: float = 0.0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IntegratorConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
@@ -335,7 +335,7 @@ def principal_start(sys: ODESystem, spec: OrbitSpec) -> State:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Trajectory:
     """Accepted integrator steps plus a dense continuous extension."""
 

@@ -9,10 +9,10 @@ coefficients.  A one-parameter rotation family acts on every structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Tuple, Union
 
+from ._record import record, replace
 from .algebra import LaurentPoly, Multivector, SymbolTable, wedge
 from .homogeneous import CosetModel, classify_invariant_g2, group_gens, is_basic
 
@@ -64,7 +64,7 @@ class StructureError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CanonicalForms:
     """The canonical three-form and four-form with integer coefficients."""
 
@@ -89,7 +89,7 @@ def canonical_forms() -> CanonicalForms:
     return CanonicalForms(omega, Omega)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Spin7Structure:
     """Invariant Spin(7) four-form and its induced G2 data on one orbit.
 

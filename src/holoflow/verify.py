@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ._record import record
 from .algebra import AlgebraError, LaurentPoly
 from .closed_form import ProfileM, ProfileQ, compare, profile
 from .flow import (
@@ -177,7 +177,7 @@ class ProfileSampler(_SpanSampler):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClosureReport:
     d_omega_residual: float
     d_eta_residual: float
@@ -347,7 +347,7 @@ CONE_REFS = {
 CONE_SPAN_RATIO = 1e3
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ConeFit:
     limits: Dict[str, float]  # fitted constants over the final decade
     endpoint: Dict[str, float]  # quantities at the final sample
@@ -474,7 +474,7 @@ def s_action_circle(kind: str) -> Dict[str, object]:
     }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SmoothnessReport:
     model_kind: str
     orbit: str
@@ -523,7 +523,7 @@ def smoothness_report(model: CosetModel, orbit: str) -> SmoothnessReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SU4Certificate:
     family_parallel: bool  # d Omega_theta = 0 for all theta, symbolically
     family_moves: bool  # Omega_theta differs from Omega off the period

@@ -562,18 +562,32 @@ assert "numpy" not in sys.modules, "numpy was imported"
 """
 
 
-def test_start_up_paths_never_import_numpy(tmp_path):
-    """Only the cone fit needs numpy; classify, derive, smoothness and solve
-    run without importing it."""
+def fresh_python(*argv):
+    """``python -c`` in a fresh interpreter that imports this holoflow."""
     src = str(Path(holoflow.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_FREE_RUN, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-c", *argv], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def test_start_up_paths_never_import_numpy(tmp_path):
+    """Only the cone fit needs numpy; classify, derive, smoothness and solve
+    run without importing it."""
+    proc = fresh_python(NUMPY_FREE_RUN, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "traj.csv").read_text().startswith("t,a,b,c,C\n")
+
+
+def test_importing_the_cli_generates_no_record_code():
+    """Records are built without ``dataclasses``, whose per-class code
+    generation (and its ``inspect`` import) every cold process would pay."""
+    proc = fresh_python(
+        "import sys, holoflow.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_solve_exits_1_when_the_run_stops_early(capsys, tmp_path):

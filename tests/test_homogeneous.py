@@ -1,6 +1,5 @@
 """Structure constants, invariant derivative, weights and classification."""
 
-import dataclasses
 import json
 import math
 import random
@@ -11,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from holoflow._record import replace
 from holoflow.algebra import LaurentPoly, Multivector
 from holoflow.homogeneous import (
     ModelError,
@@ -125,7 +125,7 @@ def tampered_q111(edits):
     table = {key: dict(v) for key, v in model.structure.table.items()}
     for key, coeffs in edits.items():
         table.setdefault(key, {}).update(coeffs)
-    return dataclasses.replace(model, structure=StructureTensor(model.n, table))
+    return replace(model, structure=StructureTensor(model.n, table))
 
 
 # at Q(1,1,1), [e8, e1] = -e2 and [e8, e2] = e1; the Cartan element read on

@@ -1,7 +1,6 @@
 """Canonical forms, invariant structures and the rotation family."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holoflow._record import replace
 from holoflow.algebra import LaurentPoly, Multivector, wedge
 from holoflow.homogeneous import m_model, q_model
 from holoflow.structures import (
