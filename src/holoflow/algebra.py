@@ -354,27 +354,6 @@ class LaurentPoly:
         den = LaurentPoly(self.table, {tuple(-m for m in mins): Fraction(1)})
         return self * den, den
 
-    def reduce_circle(self, cos_name: str, sin_name: str) -> "LaurentPoly":
-        """Normal form modulo ``cos**2 + sin**2 = 1`` (sin-degree <= 1)."""
-        ci = self.table.index(cos_name)
-        si = self.table.index(sin_name)
-        out = LaurentPoly.zero(self.table)
-        one_minus_c2 = LaurentPoly.const(self.table, 1) - LaurentPoly.monomial(
-            self.table, 1, {cos_name: 2}
-        )
-        for vec, c in self.terms.items():
-            e = vec[si]
-            if e < 0:
-                raise AlgebraError("negative sine exponent cannot be reduced")
-            q, r = divmod(e, 2)
-            nv = list(vec)
-            nv[si] = r
-            piece = LaurentPoly(self.table, {tuple(nv): c})
-            if q:
-                piece = piece * one_minus_c2**q
-            out = out + piece
-        return out
-
     def eval(self, assignment: Mapping[str, float]) -> float:
         """Evaluate in floating point; summation order is canonical."""
         vals = []

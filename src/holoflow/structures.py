@@ -3,7 +3,10 @@
 The canonical three-form and four-form are hardcoded with their textbook
 signs; the invariant structures are obtained by substituting each model's
 orthonormal frame and carrying the metric coefficients a, b, c, f into the
-coefficients.  A one-parameter rotation family acts on every structure.
+coefficients.  A one-parameter rotation family acts on every structure;
+its exact generator L gives the whole family in closed form, Omega plus
+the multiples sin(k phi)/k and (1 - cos(k phi))/k^2 of L(Omega) and
+L(L(Omega)), so three exact forms certify every angle at once.
 """
 
 from __future__ import annotations
@@ -58,6 +61,8 @@ FRAME_MAP = {
 #: fundamental angle unit (theta for Q, theta/2 for the M ad-action)
 ROTATION_MULTIPLES = {"Q": (1, 1, 1), "M": (3, 3, -2)}
 FUNDAMENTAL_UNIT = {"Q": Fraction(1), "M": Fraction(1, 2)}
+#: the family's one moving Fourier weight, in units of the fundamental angle
+FAMILY_WEIGHT = {"Q": 3, "M": 8}
 
 
 class StructureError(ValueError):
@@ -158,84 +163,73 @@ def build_invariant_structure(model: CosetModel, time_reversed: bool = False) ->
 # the rotation family
 # ---------------------------------------------------------------------------
 
-AngleLike = Union[float, Tuple[Fraction, Fraction], str]
+AngleLike = Union[float, Tuple[Fraction, Fraction]]
 
 
-def _multi_angle(c, s, n: int, one):
+def _multi_angle(c: Fraction, s: Fraction, n: int) -> Tuple[Fraction, Fraction]:
     """(cos, sin) of n times the fundamental angle from (cos, sin) of it."""
-    if n == 0:
-        return one, one - one
-    neg = n < 0
-    n = abs(n)
-    ck, sk = c, s
-    for _ in range(n - 1):
+    ck, sk = Fraction(1), Fraction(0)
+    for _ in range(abs(n)):
         ck, sk = c * ck - s * sk, s * ck + c * sk
-    if neg:
-        sk = -sk
-    return ck, sk
+    return ck, (sk if n >= 0 else -sk)
 
 
-def _fundamental_cs(struct: Spin7Structure, theta: AngleLike, unit: Fraction):
-    """Resolve an angle argument to exact (cos, sin) data and a table.
+def _rotation(theta: AngleLike, unit: Fraction, multiples):
+    """The exact (cos, sin) pair of each plane.
 
     A float angle is measured in multiples of ``unit``.
     """
-    table = struct.table
-    if theta == "symbolic":
-        ext = SymbolTable(table.base + ("C", "S"), table.derivative)
-        return LaurentPoly.variable(ext, "C"), LaurentPoly.variable(ext, "S"), ext
     if isinstance(theta, tuple):
         c, s = theta
         if c * c + s * s != 1:
             raise StructureError("exact rotation pair must satisfy c^2 + s^2 = 1")
-        return LaurentPoly.const(table, c), LaurentPoly.const(table, s), table
-    angle = float(unit) * theta
-    c = Fraction(math.cos(angle))
-    s = Fraction(math.sin(angle))
-    return LaurentPoly.const(table, c), LaurentPoly.const(table, s), table
+    else:
+        angle = float(unit) * theta
+        c, s = Fraction(math.cos(angle)), Fraction(math.sin(angle))
+    return [_multi_angle(c, s, n) for n in multiples]
 
 
-def _rotate_form(form: Multivector, table: SymbolTable, cs_pairs) -> Multivector:
+def _rotate_form(form: Multivector, cs_pairs) -> Multivector:
     """Pull a form back by simultaneous plane rotations of the coframe."""
     images = {}
     for (i, j), (c, s) in zip(CosetModel.PLANES, cs_pairs):
         images[i] = ((i, c), (j, -s))
         images[j] = ((i, s), (j, c))
-    moved = {m: p.subs({}, table) for m, p in form.terms.items()}
-    return Multivector(form.gens, moved, form.dt_index).substitute(images)
+    return form.substitute(images)
 
 
-def _rotation(struct: Spin7Structure, theta: AngleLike, unit: Fraction, multiples):
-    """The rotated symbol table and the (cos, sin) pair of each plane."""
-    c, s, table = _fundamental_cs(struct, theta, unit)
-    one = LaurentPoly.const(table, 1)
-    return table, [_multi_angle(c, s, n, one) for n in multiples]
-
-
-def _rotate_all(struct: Spin7Structure, table: SymbolTable, cs_pairs) -> Spin7Structure:
+def _rotate_all(struct: Spin7Structure, cs_pairs) -> Spin7Structure:
     return replace(
         struct,
-        table=table,
-        Omega=_rotate_form(struct.Omega, table, cs_pairs),
-        omega=_rotate_form(struct.omega, table, cs_pairs),
-        star_omega=_rotate_form(struct.star_omega, table, cs_pairs),
+        Omega=_rotate_form(struct.Omega, cs_pairs),
+        omega=_rotate_form(struct.omega, cs_pairs),
+        star_omega=_rotate_form(struct.star_omega, cs_pairs),
     )
 
 
 def rotate_structure(struct: Spin7Structure, theta: AngleLike) -> Spin7Structure:
     """Pull the structure back by the model's isometric rotation action.
 
-    ``theta`` is a float angle, an exact ``(cos, sin)`` pair of the model's
-    fundamental angle unit, or ``"symbolic"`` for formal C, S symbols with
-    the circle relation left to the caller.
+    ``theta`` is a float angle or an exact ``(cos, sin)`` pair of the
+    model's fundamental angle unit.
     """
     kind = struct.model.kind
-    table, cs_pairs = _rotation(struct, theta, FUNDAMENTAL_UNIT[kind], ROTATION_MULTIPLES[kind])
-    return _rotate_all(struct, table, cs_pairs)
+    cs_pairs = _rotation(theta, FUNDAMENTAL_UNIT[kind], ROTATION_MULTIPLES[kind])
+    return _rotate_all(struct, cs_pairs)
 
 
-def rotate_four_form(struct: Spin7Structure, theta: AngleLike) -> Tuple[SymbolTable, Multivector]:
-    """Omega alone pulled back as in :func:`rotate_structure`, with its table."""
-    kind = struct.model.kind
-    table, cs_pairs = _rotation(struct, theta, FUNDAMENTAL_UNIT[kind], ROTATION_MULTIPLES[kind])
-    return table, _rotate_form(struct.Omega, table, cs_pairs)
+def rotation_generator(struct: Spin7Structure, form: Multivector) -> Multivector:
+    """L(form), for L the derivative at angle 0 of :func:`rotate_structure`.
+
+    L is the derivation with L(e^i) = -n e^j and L(e^j) = n e^i on each
+    plane (i, j) of multiple n, so L(form) = sum_a L(e^a) ^ i_a(form).
+    When V = L(Omega) and W = L(V) satisfy L(W) = -k^2 V, the family at
+    fundamental angle phi is exp(phi L) Omega
+    = Omega + (sin k phi / k) V + ((1 - cos k phi) / k^2) W.
+    """
+    gens, dt = form.gens, form.dt_index
+    out = Multivector.zero(gens, dt)
+    for (i, j), n in zip(CosetModel.PLANES, ROTATION_MULTIPLES[struct.model.kind]):
+        out = out + wedge(Multivector.basis(gens, [j], Fraction(-n), dt), form.contract(i))
+        out = out + wedge(Multivector.basis(gens, [i], Fraction(n), dt), form.contract(j))
+    return out

@@ -21,7 +21,6 @@ from .flow import (
     DerivationError,
     KaehlerCertificate,
     ODESystem,
-    coefficient_map,
     derivation,
     derive_flow,  # noqa: F401  (kept importable; perfbench/test_recorder.py patches it here)
     exterior_d_time,
@@ -38,7 +37,7 @@ from .integrate import (
     series_start,
     start_offset,
 )
-from .structures import rotate_four_form
+from .structures import FAMILY_WEIGHT, rotation_generator
 
 
 class VerifyError(ValueError):
@@ -525,8 +524,8 @@ def smoothness_report(model: CosetModel, orbit: str) -> SmoothnessReport:
 
 @record(frozen=True)
 class SU4Certificate:
-    family_parallel: bool  # d Omega_theta = 0 for all theta, symbolically
-    family_moves: bool  # Omega_theta differs from Omega off the period
+    family_parallel: bool  # d Omega_phi = 0 for every phi, exactly
+    family_moves: bool  # Omega_phi differs from Omega off the period
     kaehler_unique: bool
     no_parallel_vector: bool
 
@@ -549,19 +548,23 @@ def su4_family_check(
     a unique closed invariant two-form, and no invariant parallel vector.
 
     ``sys`` may be any system for the model; the certificate judges it."""
-    struct = derivation(model).struct
+    deriv = derivation(model)
+    struct = deriv.struct
 
-    # (1) the whole rotation family stays parallel: symbolic in (C, S)
-    table, rotated = rotate_four_form(struct, "symbolic")
-    d_rot = under_system(exterior_d_time(rotated, model), sys, table)
-    d_rot = coefficient_map(d_rot, lambda p: p.reduce_circle("C", "S"))
-    family_parallel = d_rot.is_zero
+    # (1) the whole rotation family stays parallel.  With the generator L,
+    # V = L Omega, W = L V and L W = -k^2 V, the family is
+    # Omega + (sin k phi / k) V + ((1 - cos k phi) / k^2) W for every phi,
+    # so it is parallel exactly when Omega, V and W are closed
+    V = rotation_generator(struct, struct.Omega)
+    W = rotation_generator(struct, V)
+    k = FAMILY_WEIGHT[model.kind]
+    family_parallel = rotation_generator(struct, W) == V.scaled(-k * k) and all(
+        under_system(d, sys, struct.table).is_zero
+        for d in (deriv.d_Omega, exterior_d_time(V, model), exterior_d_time(W, model))
+    )
 
-    # (2) the family genuinely moves: an exact non-lattice angle changes Omega
-    _, moved = rotate_four_form(struct, (Fraction(3, 5), Fraction(4, 5)))
-    family_moves = moved != struct.Omega
-    _, ident = rotate_four_form(struct, (Fraction(1), Fraction(0)))
-    family_moves = family_moves and ident == struct.Omega
+    # (2) the family genuinely moves
+    family_moves = not V.is_zero
 
     # (3) unique Kaehler candidate up to global sign
     try:

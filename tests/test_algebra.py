@@ -323,20 +323,6 @@ def test_negative_power_of_monomial():
     assert p**-2 == LaurentPoly.monomial(TAB, Fraction(1, 4), {"a": -2})
 
 
-def test_reduce_circle():
-    tab = SymbolTable(("C", "S"))
-    s2 = LaurentPoly.monomial(tab, 1, {"S": 2})
-    reduced = s2.reduce_circle("C", "S")
-    expect = LaurentPoly.const(tab, 1) - LaurentPoly.monomial(tab, 1, {"C": 2})
-    assert reduced == expect
-    mixed = LaurentPoly.monomial(tab, 1, {"S": 3, "C": 1})
-    red = mixed.reduce_circle("C", "S")
-    want = LaurentPoly.monomial(tab, 1, {"S": 1, "C": 1}) - LaurentPoly.monomial(
-        tab, 1, {"S": 1, "C": 3}
-    )
-    assert red == want
-
-
 # ---------------------------------------------------------------------------
 # contraction (used by the basic-form test)
 # ---------------------------------------------------------------------------

@@ -8,16 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoflow._record import replace
-from holoflow.algebra import LaurentPoly, Multivector, wedge
+from holoflow.algebra import LaurentPoly, wedge
+from holoflow.flow import derivation
 from holoflow.homogeneous import m_model, q_model
 from holoflow.structures import (
+    FAMILY_WEIGHT,
     StructureError,
     build_invariant_structure,
     canonical_forms,
     _rotate_all,
     _rotation,
     rotate_structure,
+    rotation_generator,
 )
 
 UNIT_Q = {"a": 1.0, "b": 1.0, "c": 1.0, "f": 1.0}
@@ -143,14 +145,28 @@ def test_rotation_back_by_the_conjugate_pair_is_the_identity(u):
         )
 
 
-def test_symbolic_rotation_keeps_derivative_symbols():
+@pytest.mark.parametrize("u", [Fraction(1, 2), Fraction(-2, 3), Fraction(3), Fraction(5, 7)])
+def test_generator_gives_the_family_in_closed_form(u):
+    """rotate_structure is Omega + V sin(k phi)/k + W (1 - cos(k phi))/k^2."""
+    c, s = (1 - u * u) / (1 + u * u), 2 * u / (1 + u * u)
     for model in (q_model(1, 1, 1), m_model(1, 1)):
-        s = build_invariant_structure(model)
-        carried = LaurentPoly.monomial(s.table, 1, {"a": 2, "b'": 1})
-        form = Multivector.basis(s.gens, [6, s.dt_index], carried, dt_index=s.dt_index)
-        rot = rotate_structure(replace(s, Omega=form), "symbolic")
-        expect = LaurentPoly.monomial(rot.table, 1, {"a": 2, "b'": 1})
-        assert rot.Omega.terms == {m: expect for m in form.terms}
+        deriv = derivation(model)
+        struct = deriv.struct
+        k = FAMILY_WEIGHT[model.kind]
+        V = rotation_generator(struct, struct.Omega)
+        W = rotation_generator(struct, V)
+        assert not V.is_zero
+        assert rotation_generator(struct, W) == V.scaled(-k * k)
+        ck, sk = Fraction(1), Fraction(0)
+        for _ in range(k):
+            ck, sk = c * ck - s * sk, s * ck + c * sk
+        closed = struct.Omega + V.scaled(sk / k) + W.scaled((1 - ck) / (k * k))
+        assert rotate_structure(struct, (c, s)).Omega == closed
+        # the weight-0 part is the Kaehler square, the paper's omega^2/2 in
+        # Omega = omega^2/2 + Re Psi, with this package's sign convention
+        eta = deriv.cert.eta
+        weight_zero = struct.Omega + W.scaled(Fraction(1, k * k))
+        assert weight_zero == wedge(eta, eta).scaled(Fraction(-1, 2))
 
 
 def test_rotation_group_law_exact():
@@ -233,8 +249,7 @@ def test_family_periods():
 
 def rotate_structure_reference(struct, theta):
     """Pull back by the reference torus action with unit speeds (1, 1, 1)."""
-    table, cs_pairs = _rotation(struct, theta, Fraction(1), (1, 1, 1))
-    return _rotate_all(struct, table, cs_pairs)
+    return _rotate_all(struct, _rotation(theta, Fraction(1), (1, 1, 1)))
 
 
 def test_m_action_generates_reference_family():

@@ -17,6 +17,7 @@ from holoflow.closed_form import profile
 from holoflow.flow import derivation, derive_flow
 from holoflow.homogeneous import get_model, m_model, q_model
 from holoflow.integrate import IntegratorConfig, OrbitSpec, Trajectory, solve_orbit
+from holoflow.structures import FAMILY_WEIGHT
 from holoflow.verify import (
     ProfileSampler,
     TrajectorySampler,
@@ -415,11 +416,22 @@ def test_su4_certificate_passes_on_derived_systems():
 
 
 def test_su4_certificate_fails_on_mutated_rhs():
-    model = q_model(1, 1, 1)
-    sys = perturbed_system(derive_flow(model), "a")
-    cert = su4_family_check(model, sys)
-    assert not cert.passed
-    assert not cert.family_parallel
+    for model in (q_model(1, 1, 1), m_model(1, 1)):
+        sys = derivation(model).sys
+        for name in sys.state:
+            for factor in (Fraction(2), Fraction(1001, 1000)):
+                cert = su4_family_check(model, perturbed_system(sys, name, factor))
+                assert not cert.passed, (model.kind, name, factor)
+                assert not cert.family_parallel, (model.kind, name, factor)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+@pytest.mark.parametrize("model", [q_model(1, 1, 1), m_model(1, 1)], ids=["Q", "M"])
+def test_su4_certificate_fails_with_a_wrong_family_weight(monkeypatch, model, shift):
+    sys = derivation(model).sys
+    assert su4_family_check(model, sys).family_parallel
+    monkeypatch.setitem(FAMILY_WEIGHT, model.kind, FAMILY_WEIGHT[model.kind] + shift)
+    assert not su4_family_check(model, sys).family_parallel
 
 
 def test_su4_certificate_lets_a_bug_in_the_kaehler_search_propagate(monkeypatch):
