@@ -6,13 +6,14 @@ pair (D, S): a positive integer D and a sparse Gaussian-integer matrix S with
 X = S / D.  The q-products, brackets, projections and the realness,
 orthogonality, positivity and closure checks all run on these integers, so
 the structure constants are computed without rounding and without rational
-matrix arithmetic.  Fractions appear only in the stored q-norms and
-structure constants.  The admissibility classification reads the isotropy
-action as sparse rows of ad_x, from the exact structure constants.
+matrix arithmetic.  Fractions appear only in the q-norms, the structure
+constants and the Cartan coordinates; the Jacobi and isotropy checks read
+the constants as integers, times the lcm of their denominators.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -75,31 +76,51 @@ def _place(d: int, *pieces: Tuple[int, int, Pattern]) -> Scaled:
     return d, {key: v for key, v in s.items() if v != (0, 0)}
 
 
-def _gq(x: GaussMatrix, y: GaussMatrix) -> int:
-    """-tr(XY) = -sum X_ij Y_ji over blocks; raises unless it is real."""
-    re = im = 0
-    for (b, i, j), (xr, xi) in x.items():
-        yv = y.get((b, j, i))
-        if yv is not None:
-            re += xr * yv[0] - xi * yv[1]
-            im += xr * yv[1] + xi * yv[0]
-    if im:
+def _transposed(mats: Sequence[GaussMatrix]) -> Dict[Tuple[int, int, int], List[Tuple[int, int, int]]]:
+    """The entries S_k[b, j, i] of every S_k, listed as (k, re, im) under (b, i, j)."""
+    index: Dict[Tuple[int, int, int], List[Tuple[int, int, int]]] = {}
+    for k, s in enumerate(mats):
+        for (b, i, j), (re, im) in s.items():
+            index.setdefault((b, j, i), []).append((k, re, im))
+    return index
+
+
+def _gq_all(x: GaussMatrix, transposed: Mapping, n: int) -> List[int]:
+    """[q(X, S_k) for k < n] with q(X,Y) = -tr(XY) over blocks, in one pass
+    over X and the transposed S_k; raises unless real."""
+    re, im = [0] * n, [0] * n
+    for key, (xr, xi) in x.items():
+        for k, sr, si in transposed.get(key, ()):
+            re[k] -= xr * sr - xi * si
+            im[k] += xr * si + xi * sr
+    if any(im):
         raise ModelError("q(X,Y) is not real; basis matrices are not skew-hermitian")
-    return -re
+    return re
 
 
-def _gbracket(x: GaussMatrix, y: GaussMatrix) -> GaussMatrix:
-    """XY - YX, blockwise."""
+def _in_span(x: GaussMatrix, t: Sequence[int], mats: Sequence[GaussMatrix], norms: Sequence[int]) -> bool:
+    """Whether X = sum_k t_k S_k / N_k, checked on integers as
+    lcm(N) X = sum_k t_k (lcm(N) / N_k) S_k."""
+    lcm_norms = math.lcm(*norms)
+    residual = {key: (lcm_norms * re, lcm_norms * im) for key, (re, im) in x.items()}
+    for tk, s, nk in zip(t, mats, norms):
+        w = tk * (lcm_norms // nk)
+        for key, (re, im) in s.items() if tk else ():
+            r0, i0 = residual.get(key, (0, 0))
+            residual[key] = (r0 - w * re, i0 - w * im)
+    return not any(v != (0, 0) for v in residual.values())
+
+
+def _gbracket(x: Mapping, y: Mapping) -> GaussMatrix:
+    """XY - YX, blockwise, from X and Y by rows {(block, row): [(col, (re, im))]}:
+    each entry A_ik meets the row k of the other factor."""
     out: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
     for a, c, sign in ((x, y, 1), (y, x, -1)):
-        for (b, i, k), (ar, ai) in a.items():
-            for (b2, k2, j), (cr, ci) in c.items():
-                if b2 == b and k2 == k:
+        for (b, i), row in a.items():
+            for k, (ar, ai) in row:
+                for j, (cr, ci) in c.get((b, k), ()):
                     re, im = out.get((b, i, j), (0, 0))
-                    out[(b, i, j)] = (
-                        re + sign * (ar * cr - ai * ci),
-                        im + sign * (ar * ci + ai * cr),
-                    )
+                    out[(b, i, j)] = (re + sign * (ar * cr - ai * ci), im + sign * (ar * ci + ai * cr))
     return {key: v for key, v in out.items() if v != (0, 0)}
 
 
@@ -159,15 +180,20 @@ class StructureTensor:
     table: Mapping[Tuple[int, int], Mapping[int, Fraction]]
 
     @cached_property
-    def _both_orders(self) -> Dict[Tuple[int, int], Mapping[int, Fraction]]:
-        both = dict(self.table)
+    def integer_table(self) -> Tuple[int, List[List[Sequence[Tuple[int, int]]]]]:
+        """(L, rows): L the lcm of the denominators of the c^k_ij, and
+        rows[i][j] the pairs (k, L c^k_ij) for either order of i, j."""
+        scale = math.lcm(*(c.denominator for cs in self.table.values() for c in cs.values()))
+        rows: List[List[Sequence[Tuple[int, int]]]] = [[()] * self.n for _ in range(self.n)]
         for (i, j), coeffs in self.table.items():
-            both[(j, i)] = {k: -v for k, v in coeffs.items()}
-        return both
+            rows[i][j] = [(k, c.numerator * (scale // c.denominator)) for k, c in coeffs.items()]
+            rows[j][i] = [(k, -v) for k, v in rows[i][j]]
+        return scale, rows
 
-    def bracket_coeffs(self, i: int, j: int) -> Mapping[int, Fraction]:
-        """{k: c^k_ij} for either order of i, j; shared, so not to be mutated."""
-        return self._both_orders.get((i, j), {})
+    def bracket_coeffs(self, i: int, j: int) -> Dict[int, Fraction]:
+        """{k: c^k_ij} for either order of i, j."""
+        scale, rows = self.integer_table
+        return {k: Fraction(v, scale) for k, v in rows[i][j]}
 
 
 @record(frozen=True)
@@ -223,12 +249,17 @@ def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[
     """
     n = len(basis)
     mats = [s for _, s in basis]
+    rows: List[Dict[Tuple[int, int], List[Tuple[int, Tuple[int, int]]]]] = [{} for _ in mats]
+    for r, s in zip(rows, mats):
+        for (b, i, j), v in s.items():
+            r.setdefault((b, i), []).append((j, v))
+    index, singles = _transposed(mats), [_transposed([s]) for s in mats]
     # q must be real, diagonal and positive on the basis (q is symmetric, so
     # the upper triangle meets the first failure of a full row-major scan)
     norms_int = []
     for i in range(n):
         for j in range(i, n):
-            v = _gq(mats[i], mats[j])
+            v = _gq_all(mats[i], singles[j], 1)[0]
             if i == j:
                 if v <= 0:
                     raise ModelError("basis vector with non-positive q-norm")
@@ -236,45 +267,33 @@ def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[
             elif v != 0:
                 raise ModelError(f"basis is not q-orthogonal at pair {(i + 1, j + 1)}")
     norms = tuple(Fraction(v, d * d) for v, (d, _) in zip(norms_int, basis))
-    lcm_norms = math.lcm(*norms_int)
     table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            br = _gbracket(mats[i], mats[j])
-            t = [_gq(br, s) for s in mats]
-            # closure: lcm(N) B = sum_k t_k (lcm(N) / N_k) S_k exactly
-            residual = {key: (lcm_norms * re, lcm_norms * im) for key, (re, im) in br.items()}
-            for k, tk in enumerate(t):
-                if not tk:
-                    continue
-                w = tk * (lcm_norms // norms_int[k])
-                for key, (re, im) in mats[k].items():
-                    r0, i0 = residual.get(key, (0, 0))
-                    residual[key] = (r0 - w * re, i0 - w * im)
-            if any(v != (0, 0) for v in residual.values()):
+            br = _gbracket(rows[i], rows[j])
+            t = _gq_all(br, index, n)
+            if not _in_span(br, t, mats, norms_int):
                 raise ModelError("basis is not closed under brackets")
             dij = basis[i][0] * basis[j][0]
-            coeffs = {
-                k: Fraction(tk * basis[k][0], dij * norms_int[k])
-                for k, tk in enumerate(t)
-                if tk
-            }
+            coeffs = {k: Fraction(tk * basis[k][0], dij * norms_int[k]) for k, tk in enumerate(t) if tk}
             if coeffs:
                 table[(i, j)] = coeffs
-    # Jacobi identity on the structure tensor (closure already ties it to
-    # the matrices exactly)
-    st = StructureTensor(n, table)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                acc: Dict[int, Fraction] = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for mid, cm in st.bracket_coeffs(a, b).items():
-                        for fin, cf in st.bracket_coeffs(mid, c).items():
-                            acc[fin] = acc.get(fin, Fraction(0)) + cm * cf
-                if any(acc.values()):
-                    raise ModelError("Jacobi identity failed")
-    return st, norms
+    structure = StructureTensor(n, table)
+    _check_jacobi(structure)
+    return structure, norms
+
+
+def _check_jacobi(structure: StructureTensor) -> None:
+    """Jacobi identity on the integer table; closure implies it, so this guards the table."""
+    n, (_, rows) = structure.n, structure.integer_table
+    for i, j, k in itertools.combinations(range(n), 3):
+        acc = [0] * n
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for mid, cm in rows[a][b]:
+                for fin, cf in rows[mid][c]:
+                    acc[fin] += cm * cf
+        if any(acc):
+            raise ModelError("Jacobi identity failed")
 
 
 def _normalize_q(k: int, l: int, m: int) -> Tuple[int, int, int]:
@@ -339,31 +358,35 @@ def get_model(kind: str, indices: Sequence[int]) -> CosetModel:
 
 # an element of the Lie algebra as exact coordinates {basis index: coefficient}
 Coords = Mapping[int, Fraction]
-# ad_x as sparse rows: [x, e_i] = sum_j rows[i][j] e_j
-AdRows = List[Dict[int, Fraction]]
+# L ad_x as sparse integer rows for a denominator L: L [x, e_i] = sum_j rows[i][j] e_j
+AdRows = List[Dict[int, int]]
 
 
-def _ad(model: CosetModel, x: Coords) -> AdRows:
-    """ad_x from the structure constants, zeros dropped."""
-    st = model.structure
+def _ad(model: CosetModel, x: Coords) -> Tuple[AdRows, int]:
+    """(rows, L) for ad_x, from the integer structure table, zeros dropped."""
+    scale, table = model.structure.integer_table
+    den = math.lcm(*(xa.denominator for xa in x.values()))
     rows: AdRows = [{} for _ in range(model.n)]
     for a, xa in x.items():
-        for i, row in enumerate(rows):
-            for j, c in st.bracket_coeffs(a, i).items():
-                row[j] = row.get(j, 0) + xa * c
-    return [{j: c for j, c in row.items() if c} for row in rows]
+        w = xa.numerator * (den // xa.denominator)
+        for row, pairs in zip(rows, table[a]):
+            for j, c in pairs:
+                row[j] = row.get(j, 0) + w * c
+    return [{j: c for j, c in row.items() if c} for row in rows], scale * den
 
 
 def _check_isotropy_action(model: CosetModel) -> None:
     """Isotropy ad-action must be q-skew and block-diagonal on the planes."""
     blocks = [set(p) for p in model.modules]
+    scale = math.lcm(*(q.denominator for q in model.q_norms))
+    norms = [q.numerator * (scale // q.denominator) for q in model.q_norms]
     for x in model.isotropy_indices:
-        rows = _ad(model, {x: Fraction(1)})
+        rows, _ = _ad(model, {x: 1})
         for i in range(model.TANGENT):
             for j, cij in rows[i].items():
                 if j >= model.TANGENT:
                     raise ModelError("isotropy bracket leaves the tangent space")
-                if model.q_norms[j] * cij != -model.q_norms[i] * rows[j].get(i, 0):
+                if norms[j] * cij != -norms[i] * rows[j].get(i, 0):
                     raise ModelError("isotropy action is not q-skew")
                 if not any(i in b and j in b for b in blocks):
                     raise ModelError("isotropy action does not preserve the modules")
@@ -533,10 +556,10 @@ def _hnf_rows(rows: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
     return [tuple(r) for r in mat]
 
 
-def _plane_speed(model: CosetModel, rows: AdRows, plane: Tuple[int, int]) -> Fraction:
-    """Rotation speed of ad_x (as rows) on one invariant 2-plane (must be skew there)."""
+def _plane_speed(model: CosetModel, rows: AdRows, plane: Tuple[int, int]) -> int:
+    """Rotation speed of L ad_x (as rows) on one invariant 2-plane (must be skew there)."""
     i, j = plane
-    cji = rows[i].get(j, Fraction(0))
+    cji = rows[i].get(j, 0)
     if rows[j].get(i, 0) != -cji:
         raise ModelError("isotropy action is not skew on an invariant plane")
     # residual outside the plane would violate invariance
@@ -551,21 +574,14 @@ def _isotropy_coords(model: CosetModel, x: Scaled) -> Dict[int, Fraction]:
     Raises unless x lies in their span.
     """
     dx, sx = x
-    coords = {}
-    residual = {key: (Fraction(re, dx), Fraction(im, dx)) for key, (re, im) in sx.items()}
-    for a in model.isotropy_indices:
-        da, sa = model.basis[a]
-        c = Fraction(_gq(sx, sa), dx * da) / model.q_norms[a]
-        if not c:
-            continue
-        coords[a] = c
-        w = c / da
-        for key, (re, im) in sa.items():
-            r0, i0 = residual.get(key, (0, 0))
-            residual[key] = (r0 - w * re, i0 - w * im)
-    if any(re or im for re, im in residual.values()):
+    iso = model.isotropy_indices
+    mats = [model.basis[a][1] for a in iso]
+    norms = [int(model.q_norms[a] * model.basis[a][0] ** 2) for a in iso]
+    t = _gq_all(sx, _transposed(mats), len(iso))
+    if not _in_span(sx, t, mats, norms):
         raise ModelError("Cartan element is not in the isotropy algebra")
-    return coords
+    # S / D_x = sum_k t_k S_k / (D_x N_k) and S_k = D_k X_k
+    return {a: Fraction(tk * model.basis[a][0], dx * nk) for a, tk, nk in zip(iso, t, norms) if tk}
 
 
 def _cartan_elements(model: CosetModel) -> List[Dict[int, Fraction]]:
@@ -584,14 +600,14 @@ def isotropy_weights(model: CosetModel) -> WeightMultiset:
     weights = []
     for plane in model.PLANES:
         vec = []
-        for rows in cartan:
+        for rows, den in cartan:
             s = _plane_speed(model, rows, plane)
-            if s.denominator != 1:
+            if s % den:
                 raise ModelError("non-integer weight on the chosen Cartan basis")
-            vec.append(int(s))
+            vec.append(s // den)
         weights.append(tuple(vec))
     for idx in model.FIXED:
-        for rows in cartan:
+        for rows, _ in cartan:
             if rows[idx]:
                 raise ModelError("expected fixed line is not fixed")
     return WeightMultiset(tuple(weights), trivial=len(model.FIXED))
@@ -602,14 +618,12 @@ def _su2_commutant_dim(ads: Sequence[AdRows]) -> int:
     given the ad rows of its three generators (M model)."""
     # [X, A] = 0 for the 4 x 4 matrix A of 16 unknowns, A[r][q] in column
     # 4r + q, one integer row per entry of the commutator and generator X
-    # (X e_v = sum_u X[u][v] e_u, scaled to integers; scaling X keeps [X, A] = 0)
+    # (X e_v = sum_u X[u][v] e_u, the integer rows of L ad; scaling X keeps [X, A] = 0)
     system = []
     for rows in ads:
         entries = [(u, v, c) for v in range(4) for u, c in rows[v].items() if u < 4]
-        scale = math.lcm(*(c.denominator for _, _, c in entries))
         block = [[0] * 16 for _ in range(16)]  # the row of commutator entry (p, q) is 4p + q
-        for u, v, c in entries:
-            k = c.numerator * (scale // c.denominator)
+        for u, v, k in entries:
             for w in range(4):
                 block[4 * u + w][4 * v + w] += k  # (X A)[u][w] has X[u][v] A[v][w]
                 block[4 * w + v][4 * w + u] -= k  # (A X)[w][v] has A[w][u] X[u][v]
@@ -674,12 +688,12 @@ def matches_u2_weights(model: CosetModel) -> bool:
     """
     if model.kind != "M":
         raise ModelError("matches_u2_weights applies to the M model")
-    su2 = [_ad(model, {x: Fraction(1)}) for x in (7, 8, 9)]
+    su2 = [_ad(model, {x: 1})[0] for x in (7, 8, 9)]
     if any(rows[i] for rows in su2 for i in (4, 5, 6)):
         return False
     if _su2_commutant_dim(su2) != 4:
         return False
-    u1 = _ad(model, {10: Fraction(1)})
+    u1, _ = _ad(model, {10: 1})
     s1 = abs(_plane_speed(model, u1, (0, 1)))
     s2 = abs(_plane_speed(model, u1, (2, 3)))
     s3 = abs(_plane_speed(model, u1, (4, 5)))

@@ -1,5 +1,6 @@
 """Structure constants, invariant derivative, weights and classification."""
 
+import itertools
 import json
 import math
 import random
@@ -17,7 +18,15 @@ from holoflow.homogeneous import (
     StructureTensor,
     _build_structure,
     _check_isotropy_action,
+    _check_jacobi,
+    _gq_all,
+    _isotropy_coords,
     _kernel_basis_1x3,
+    _m_basis,
+    _place,
+    _q_basis,
+    _S3,
+    _transposed,
     classify_invariant_g2,
     get_model,
     group_gens,
@@ -536,3 +545,279 @@ S1_PLUS_S2 = (2, {(0, 0, 1): (1, 1), (0, 1, 0): (-1, 1)})
 def test_build_structure_exact_checks(basis, message):
     with pytest.raises(ModelError, match=re.escape(message)):
         _build_structure(basis)
+
+
+# ---------------------------------------------------------------------------
+# the integer build, Jacobi check and Cartan coordinates against the
+# Fraction code they replaced
+# ---------------------------------------------------------------------------
+
+
+def gq_reference(x, y):
+    """-tr(XY) = -sum X_ij Y_ji over blocks, one pair at a time; raises unless real."""
+    re = im = 0
+    for (b, i, j), (xr, xi) in x.items():
+        yv = y.get((b, j, i))
+        if yv is not None:
+            re += xr * yv[0] - xi * yv[1]
+            im += xr * yv[1] + xi * yv[0]
+    if im:
+        raise ModelError("q(X,Y) is not real; basis matrices are not skew-hermitian")
+    return -re
+
+
+def gbracket_reference(x, y):
+    """XY - YX, blockwise, by scanning every pair of entries."""
+    out = {}
+    for a, c, sign in ((x, y, 1), (y, x, -1)):
+        for (b, i, k), (ar, ai) in a.items():
+            for (b2, k2, j), (cr, ci) in c.items():
+                if b2 == b and k2 == k:
+                    re, im = out.get((b, i, j), (0, 0))
+                    out[(b, i, j)] = (
+                        re + sign * (ar * cr - ai * ci),
+                        im + sign * (ar * ci + ai * cr),
+                    )
+    return {key: v for key, v in out.items() if v != (0, 0)}
+
+
+def jacobi_holds_reference(structure):
+    """The Jacobi identity on every triple, in Fraction arithmetic."""
+    both = dict(structure.table)
+    for (i, j), coeffs in structure.table.items():
+        both[(j, i)] = {k: -v for k, v in coeffs.items()}
+    n = structure.n
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for mid, cm in both.get((a, b), {}).items():
+                        for fin, cf in both.get((mid, c), {}).items():
+                            acc[fin] = acc.get(fin, Fraction(0)) + cm * cf
+                if any(acc.values()):
+                    return False
+    return True
+
+
+def build_structure_reference(basis):
+    """Structure constants and q-norms with one q-product per bracket and
+    basis vector, and the Jacobi identity in Fraction arithmetic."""
+    n = len(basis)
+    mats = [s for _, s in basis]
+    norms_int = []
+    for i in range(n):
+        for j in range(i, n):
+            v = gq_reference(mats[i], mats[j])
+            if i == j:
+                if v <= 0:
+                    raise ModelError("basis vector with non-positive q-norm")
+                norms_int.append(v)
+            elif v != 0:
+                raise ModelError(f"basis is not q-orthogonal at pair {(i + 1, j + 1)}")
+    norms = tuple(Fraction(v, d * d) for v, (d, _) in zip(norms_int, basis))
+    lcm_norms = math.lcm(*norms_int)
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = gbracket_reference(mats[i], mats[j])
+            t = [gq_reference(br, s) for s in mats]
+            residual = {key: (lcm_norms * re, lcm_norms * im) for key, (re, im) in br.items()}
+            for k, tk in enumerate(t):
+                if not tk:
+                    continue
+                w = tk * (lcm_norms // norms_int[k])
+                for key, (re, im) in mats[k].items():
+                    r0, i0 = residual.get(key, (0, 0))
+                    residual[key] = (r0 - w * re, i0 - w * im)
+            if any(v != (0, 0) for v in residual.values()):
+                raise ModelError("basis is not closed under brackets")
+            dij = basis[i][0] * basis[j][0]
+            coeffs = {
+                k: Fraction(tk * basis[k][0], dij * norms_int[k])
+                for k, tk in enumerate(t)
+                if tk
+            }
+            if coeffs:
+                table[(i, j)] = coeffs
+    structure = StructureTensor(n, table)
+    if not jacobi_holds_reference(structure):
+        raise ModelError("Jacobi identity failed")
+    return structure, norms
+
+
+def isotropy_coords_reference(model, x):
+    """Coordinates of x = (D, S) on the isotropy generators, with a Fraction residual."""
+    dx, sx = x
+    coords = {}
+    residual = {key: (Fraction(re, dx), Fraction(im, dx)) for key, (re, im) in sx.items()}
+    for a in model.isotropy_indices:
+        da, sa = model.basis[a]
+        c = Fraction(gq_reference(sx, sa), dx * da) / model.q_norms[a]
+        if not c:
+            continue
+        coords[a] = c
+        w = c / da
+        for key, (re, im) in sa.items():
+            r0, i0 = residual.get(key, (0, 0))
+            residual[key] = (r0 - w * re, i0 - w * im)
+    if any(re or im for re, im in residual.values()):
+        raise ModelError("Cartan element is not in the isotropy algebra")
+    return coords
+
+
+def weights_reference(model, cartan):
+    """Weights of the Cartan elements on the planes, read off the Fraction table."""
+
+    def c(a, i, j):  # the e_j-coefficient of [e_a, e_i]
+        if a < i:
+            return model.structure.table.get((a, i), {}).get(j, 0)
+        return -model.structure.table.get((i, a), {}).get(j, 0)
+
+    return tuple(
+        tuple(sum(xa * c(a, i, j) for a, xa in x.items()) for x in cartan)
+        for i, j in model.PLANES
+    )
+
+
+def index_tuples(top):
+    """Every normalized coprime index tuple with entries up to ``top``."""
+    for k in range(top + 1):
+        for l in range(k + 1):
+            for m in range(l + 1):
+                if (k, l, m) != (0, 0, 0) and math.gcd(math.gcd(k, l), m) == 1:
+                    yield "Q", (k, l, m)
+    for k in range(top + 1):
+        for l in range(top + 1):
+            if (k, l) != (0, 0) and math.gcd(k, l) == 1:
+                yield "M", (k, l)
+
+
+BASES = {"Q": _q_basis, "M": _m_basis}
+HUGE = 10**20
+TUPLE_SETS = {
+    "sweep": list(sweep_tuples()),
+    "up-to-12": [t for t in index_tuples(12) if max(t[1]) > 5],
+    "huge": [("Q", (HUGE, 1, 1)), ("M", (HUGE, 1))],
+}
+
+
+def test_the_tuple_sets_cover_every_index_tuple_up_to_12():
+    sweep, rest = TUPLE_SETS["sweep"], TUPLE_SETS["up-to-12"]
+    assert len(sweep) == 61 and len(rest) == 334 + 93 - 61
+    assert set(sweep) | set(rest) == set(index_tuples(12))
+
+
+@pytest.mark.parametrize("name", TUPLE_SETS)
+def test_integer_build_matches_the_fraction_build(name):
+    for kind, indices in TUPLE_SETS[name]:
+        basis = BASES[kind](*indices)
+        structure, norms = _build_structure(basis)
+        want_structure, want_norms = build_structure_reference(basis)
+        assert repr(structure.table) == repr(want_structure.table), (kind, indices)
+        assert norms == want_norms
+        assert _check_jacobi(structure) is None
+
+
+@pytest.mark.parametrize("name", TUPLE_SETS)
+def test_one_pass_projections_match_the_per_k_products(name):
+    for kind, indices in TUPLE_SETS[name]:
+        mats = [s for _, s in BASES[kind](*indices)]
+        index = _transposed(mats)
+        for x, y in itertools.combinations(mats, 2):
+            br = gbracket_reference(x, y)
+            assert _gq_all(br, index, len(mats)) == [gq_reference(br, s) for s in mats]
+            assert _gq_all(x, _transposed([y]), 1) == [gq_reference(x, y)]
+        for x in mats:
+            assert _gq_all(x, index, len(mats)) == [gq_reference(x, s) for s in mats]
+
+
+def test_one_pass_projection_rejects_a_non_real_product():
+    for x, y in ((S1, SIGMA_X), (SIGMA_X, S1_PLUS_S2)):
+        with pytest.raises(ModelError, match="not real"):
+            gq_reference(x[1], y[1])
+        with pytest.raises(ModelError, match="not real"):
+            _gq_all(x[1], _transposed([S1[1], y[1]]), 2)
+
+
+def cartan_candidates(indices):
+    """Elements (D, S) of the Q Cartan: the kernel basis of k x + l y + m z = 0
+    at two scales and one integer combination, all in the isotropy algebra,
+    and two elements outside it."""
+    kernel = _kernel_basis_1x3(*indices)
+    combo = tuple(3 * u - 2 * v for u, v in zip(*kernel))
+    inside = [(d, w) for w in (*kernel, combo) for d in (2, 6)]
+    outside = [(2, (1, 0, 0)), (5, tuple(indices))]
+    return [
+        (_place(d, (0, x, _S3), (1, y, _S3), (2, z, _S3)), member)
+        for group, member in ((inside, True), (outside, False))
+        for d, (x, y, z) in group
+    ]
+
+
+@pytest.mark.parametrize("name", TUPLE_SETS)
+def test_integer_cartan_coordinates_match_the_fraction_residual(name):
+    for kind, indices in TUPLE_SETS[name]:
+        if kind != "Q":
+            continue
+        model = q_model(*indices)
+        for element, member in cartan_candidates(model.indices):
+            if member:
+                want = isotropy_coords_reference(model, element)
+                assert repr(_isotropy_coords(model, element)) == repr(want)
+            else:
+                for coords in (_isotropy_coords, isotropy_coords_reference):
+                    with pytest.raises(ModelError, match="not in the isotropy algebra"):
+                        coords(model, element)
+
+
+@pytest.mark.parametrize("name", TUPLE_SETS)
+def test_integer_weights_and_verdicts_match_the_fraction_table(name):
+    for kind, indices in TUPLE_SETS[name]:
+        model = get_model(kind, indices)
+        if kind == "Q":
+            cartan = [
+                isotropy_coords_reference(model, _place(2, (0, x, _S3), (1, y, _S3), (2, z, _S3)))
+                for x, y, z in _kernel_basis_1x3(*model.indices)
+            ]
+        else:
+            cartan = [{9: Fraction(1)}, {10: Fraction(1)}]
+        assert isotropy_weights(model).weights == weights_reference(model, cartan)
+        assert classify_invariant_g2(model) == (set(model.indices) == {1})
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [{(0, 1): {6: Fraction(-2, 3)}}, {(0, 1): {2: Fraction(1, 7)}}, {(6, 7): {0: Fraction(1)}}],
+    ids=["scaled", "new-entry", "isotropy-entry"],
+)
+def test_jacobi_check_rejects_a_tampered_table(edits):
+    _check_jacobi(q_model(1, 1, 1).structure)
+    tampered = tampered_q111(edits).structure
+    assert not jacobi_holds_reference(tampered)
+    with pytest.raises(ModelError, match="Jacobi identity failed"):
+        _check_jacobi(tampered)
+
+
+@pytest.mark.parametrize(
+    "kind,indices",
+    [("Q", (1, 1, 1)), ("M", (1, 1)), ("Q", (3, 2, 1)), ("M", (5, 3))],
+    ids=["Q111", "M11", "Q321", "M53"],
+)
+def test_integer_jacobi_agrees_with_the_fraction_loop_on_random_edits(kind, indices):
+    rng = random.Random(18)
+    model = get_model(kind, indices)
+    keys = sorted(model.structure.table)
+    for _ in range(60):
+        table = {key: dict(v) for key, v in model.structure.table.items()}
+        for _ in range(rng.randint(1, 3)):
+            i, j = sorted(rng.sample(range(model.n), 2)) if rng.random() < 0.3 else rng.choice(keys)
+            k = rng.randrange(model.n)
+            table.setdefault((i, j), {})[k] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+            table = {key: {k: c for k, c in v.items() if c} for key, v in table.items()}
+        structure = StructureTensor(model.n, {key: v for key, v in table.items() if v})
+        if jacobi_holds_reference(structure):
+            _check_jacobi(structure)
+        else:
+            with pytest.raises(ModelError, match="Jacobi identity failed"):
+                _check_jacobi(structure)
