@@ -191,10 +191,9 @@ class LaurentPoly:
         """The rational value of a constant polynomial."""
         if not self.terms:
             return Fraction(0)
-        ((vec, c),) = self.terms.items()
-        if any(vec):
+        if len(self.terms) > 1 or any(next(iter(self.terms))):
             raise AlgebraError("polynomial is not constant")
-        return c
+        return next(iter(self.terms.values()))
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -13,7 +13,7 @@ vanishing at 0.  Each model is a table of slopes m_x, powers p_x and k:
     Q:  G = f^2;  a, b, c: m = -1/3, p = 1;             k = -6
     M:  G = c^2;  a: m = 3/4, p = 2;  b: m = 1/2, p = 1;  k = 16
 
-Everything here is exact at rational s.
+Everything here is exact at rational s; :func:`s_form` reads the table from a system.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from functools import cached_property
 from typing import Dict, List, Sequence, Tuple, Union
 
 from ._record import record
+from .algebra import AlgebraError, LaurentPoly
+from .flow import DerivationError, ODESystem
 from .homogeneous import STATE_NAMES, CosetModel
 from .integrate import OrbitSpec, Trajectory
 
@@ -145,17 +147,6 @@ class _Profile:
             raise DomainError(f"denominator vanishes at s = {s}")
         return num / den
 
-    def value_squared_prime(self, s: Number) -> Number:
-        """d/ds of the squared profile (exact at rational s)."""
-        self._check_domain(s)
-        den = _horner(self.denom, s)
-        if den == 0:
-            raise DomainError(f"denominator vanishes at s = {s}")
-        num = self.constant + self.integral_factor * _horner(self.anti, s)
-        dprime = tuple(Fraction(k) * c for k, c in enumerate(self.denom) if k > 0)
-        dp = _horner(dprime, s)
-        return self.integral_factor - num * dp / (den * den)
-
     @cached_property
     def _float_lines(self) -> Tuple[Tuple[str, float, float], ...]:
         return tuple((x, float(self.initial[x] ** 2), float(m)) for x, m, _ in self._AFFINE)
@@ -178,15 +169,6 @@ class ProfileQ(_Profile):
     # an entry of its own, so that per-class instrumentation can wrap it
     coefficient_squares = _Profile.coefficient_squares
 
-    def ode_residual(self, s: Fraction) -> Fraction:
-        """(1/2) G' + G * sum(1/(2s - 6 x0^2)) + 3, identically zero."""
-        g = self.value_squared(s)
-        gp = self.value_squared_prime(s)
-        acc = Fraction(1, 2) * gp + 3
-        for x in ("a", "b", "c"):
-            acc += g / (2 * s - 6 * self.initial[x] ** 2)
-        return acc
-
 
 @record(frozen=True)
 class ProfileM(_Profile):
@@ -195,16 +177,32 @@ class ProfileM(_Profile):
     # an entry of its own, so that per-class instrumentation can wrap it
     coefficient_squares = _Profile.coefficient_squares
 
-    def ode_residual(self, s: Fraction) -> Fraction:
-        """(1/2) G' + (1/4) G / b^2 + (3/4) G / a^2 - 8, identically zero."""
-        g = self.value_squared(s)
-        gp = self.value_squared_prime(s)
-        a2 = self.initial["a"] ** 2 + Fraction(3, 4) * s
-        b2 = self.initial["b"] ** 2 + Fraction(1, 2) * s
-        return Fraction(1, 2) * gp + Fraction(1, 4) * g / b2 + Fraction(3, 4) * g / a2 - 8
-
 
 _PROFILES = {"Q": ProfileQ, "M": ProfileM}
+
+
+def s_form(sys: ODESystem) -> Tuple[Tuple[Tuple[str, Fraction, int], ...], Fraction]:
+    """``(((x, m_x, p_x), ...), k)``, the profile table read exactly from ``sys``: with
+    x_coll its last symbol, m_x = 2 x x'/x_coll is constant, 2 x_coll' = k + sum(c_x
+    x_coll^2/x^2) and p_x = -c_x/m_x is a positive integer, or DerivationError."""
+    *affine, last = sys.state
+    try:
+        slopes = {
+            x: (LaurentPoly.monomial(sys.table, 2, {x: 1, last: -1}) * sys.rhs[x]).constant_value()
+            for x in affine
+        }
+    except AlgebraError:
+        raise DerivationError(f"some 2 x x'/{last} is not constant") from None
+    weights = {}
+    for coeff, exps in (2 * sys.rhs[last]).named_terms():
+        x = next((y for y in affine if exps == {y: -2, last: 2}), None)
+        if x is None and exps:
+            raise DerivationError(f"2 {last}' has a term {exps} besides k and c_x {last}^2/x^2")
+        weights[x] = coeff  # x is None for the constant k
+    powers = {x: -weights.get(x, 0) / m if m else Fraction(0) for x, m in slopes.items()}
+    if any(p <= 0 or p.denominator != 1 for p in powers.values()):
+        raise DerivationError(f"the powers of the zeros in D are not positive integers: {powers}")
+    return tuple((x, m, int(powers[x])) for x, m in slopes.items()), weights.get(None, Fraction(0))
 
 
 def profile(model: Union[CosetModel, str], init: OrbitSpec) -> Union[ProfileQ, ProfileM]:

@@ -318,6 +318,22 @@ def test_cleared_splits_off_a_monomial_denominator(p):
     assert num * den**-1 == p
 
 
+@pytest.mark.parametrize(
+    "poly",
+    [
+        LaurentPoly.monomial(TAB, 3, {"a": -1}),
+        LaurentPoly.const(TAB, 3) + LaurentPoly.variable(TAB, "b"),
+        LaurentPoly.variable(TAB, "a") + LaurentPoly.variable(TAB, "b"),
+    ],
+    ids=["monomial", "constant-plus-term", "two-terms"],
+)
+def test_constant_value_refuses_every_non_constant_polynomial(poly):
+    assert LaurentPoly.const(TAB, Fraction(-2, 3)).constant_value() == Fraction(-2, 3)
+    assert LaurentPoly.zero(TAB).constant_value() == 0
+    with pytest.raises(AlgebraError, match="not constant"):
+        poly.constant_value()
+
+
 def test_negative_power_of_monomial():
     p = LaurentPoly.monomial(TAB, Fraction(2), {"a": 1})
     assert p**-2 == LaurentPoly.monomial(TAB, Fraction(1, 4), {"a": -2})

@@ -1,4 +1,5 @@
-"""Closed-form profiles: exactness, ODE identity, trajectory agreement."""
+"""Closed-form profiles: exactness, ODE identity, the table read from the
+derived systems, trajectory agreement."""
 
 import math
 import random
@@ -11,10 +12,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoflow.closed_form import DomainError, ProfileError, compare, profile
-from holoflow.flow import derive_flow
-from holoflow.homogeneous import m_model, q_model
+from holoflow.algebra import LaurentPoly, SymbolTable
+from holoflow.cli import INPUT_ERRORS
+from holoflow.closed_form import (
+    DomainError,
+    ProfileError,
+    ProfileM,
+    ProfileQ,
+    _horner,
+    compare,
+    profile,
+    s_form,
+)
+from holoflow.flow import DerivationError, ODESystem, derivation, derive_flow
+from holoflow.homogeneous import STATE_NAMES, m_model, q_model
 from holoflow.integrate import IntegratorConfig, OrbitSpec, Trajectory, solve_orbit
+from holoflow.verify import DEFAULT_BARS, verify_trajectory
+from mutations import perturbed_system
+
+TABLES = {"Q": ProfileQ, "M": ProfileM}
+UNIT_MODELS = {"Q": q_model(1, 1, 1), "M": m_model(1, 1)}
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +80,45 @@ def test_profile_asymptotic_cone_ratio():
     assert abs(ratio_m - 4) < Fraction(1, 10**8)  # c = 2t, C = t^2: c^2/C = 4
 
 
+# ---------------------------------------------------------------------------
+# the ODE the closed form solves
+# ---------------------------------------------------------------------------
+
+
+def value_squared_prime(p, s):
+    """d/ds of the squared profile, exact at rational s: G' = k - N D'/D^2
+    with N = x0^2 D(0) + k A, since A' = D."""
+    p._check_domain(s)
+    den = _horner(p.denom, s)
+    if den == 0:
+        raise DomainError(f"denominator vanishes at s = {s}")
+    num = p.constant + p.integral_factor * _horner(p.anti, s)
+    dprime = tuple(Fraction(k) * c for k, c in enumerate(p.denom) if k > 0)
+    return p.integral_factor - num * _horner(dprime, s) / (den * den)
+
+
+def hand_written_residual(kind, initial, s, g, gp):
+    """The s-form of each system written out by hand, zero on a solution:
+
+    Q: (1/2) G' + G * sum(1/(2s - 6 x0^2)) + 3
+    M: (1/2) G' + (1/4) G / b^2 + (3/4) G / a^2 - 8
+    """
+    if kind == "Q":
+        acc = Fraction(1, 2) * gp + 3
+        for x in ("a", "b", "c"):
+            acc += g / (2 * s - 6 * initial[x] ** 2)
+        return acc
+    a2 = initial["a"] ** 2 + Fraction(3, 4) * s
+    b2 = initial["b"] ** 2 + Fraction(1, 2) * s
+    return Fraction(1, 2) * gp + Fraction(1, 4) * g / b2 + Fraction(3, 4) * g / a2 - 8
+
+
+def ode_residual(p, s):
+    return hand_written_residual(
+        p.model_kind, p.initial, s, p.value_squared(s), value_squared_prime(p, s)
+    )
+
+
 def test_ode_identity_exact_at_random_rationals():
     rng = random.Random(11)
     cases = [
@@ -73,7 +129,7 @@ def test_ode_identity_exact_at_random_rationals():
     for p in cases:
         for _ in range(20):
             s = Fraction(-rng.randint(1, 10**6), rng.randint(1, 997))
-            assert p.ode_residual(s) == 0
+            assert ode_residual(p, s) == 0
     cases_m = [
         profile("M", OrbitSpec("M", "cp2", {"a": 1})),
         profile("M", OrbitSpec("M", "cp2xs2", {"a": 2, "b": 1})),
@@ -82,7 +138,130 @@ def test_ode_identity_exact_at_random_rationals():
     for p in cases_m:
         for _ in range(20):
             s = Fraction(rng.randint(1, 10**6), rng.randint(1, 997))
-            assert p.ode_residual(s) == 0
+            assert ode_residual(p, s) == 0
+
+
+def _table_residual(affine, k, initial, s, g, gp):
+    """G' - k - sum(c_x G / (x0^2 + m_x s)), c_x = -p_x m_x."""
+    return gp - k - sum(-p * m * g / (initial[x] ** 2 + m * s) for x, m, p in affine)
+
+
+@pytest.mark.parametrize("kind", ["Q", "M"])
+def test_hand_written_residuals_are_the_table_s_form(kind):
+    """At arbitrary rational (s, G, G', x0) the hand-written system is half
+    of the one read from the derived system, so both state the same ODE."""
+    affine, k = s_form(derivation(UNIT_MODELS[kind]).sys)
+    rng = random.Random(7)
+
+    def rational():
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 997))
+
+    for _ in range(50):
+        initial = {x: rational() for x in STATE_NAMES[kind]}
+        s, g, gp = rational(), rational(), rational()
+        assert hand_written_residual(kind, initial, s, g, gp) == _table_residual(
+            affine, k, initial, s, g, gp
+        ) / 2
+
+
+def _antiderivative(poly, name):
+    """The antiderivative in ``name`` vanishing at ``name`` = 0."""
+    out = LaurentPoly.zero(poly.table)
+    for c, exps in poly.named_terms():
+        e = exps.get(name, 0)
+        out = out + LaurentPoly.monomial(poly.table, c / (e + 1), {**exps, name: e + 1})
+    return out
+
+
+@pytest.mark.parametrize("kind", ["Q", "M"])
+def test_closed_form_solves_the_derived_s_form_identically(kind):
+    """G' = k + sum(c_x G / (x0^2 + m_x s)) for G = (x0^2 D(0) + k A) / D, as
+    one polynomial identity in s and symbolic initial data, both sides
+    multiplied by D^2; the table is the one read from the derived system,
+    and D is built as ``profile`` builds it."""
+    affine, k = s_form(derivation(UNIT_MODELS[kind]).sys)
+    last = STATE_NAMES[kind][-1]
+    table = SymbolTable(("s",) + tuple(x + "0" for x in STATE_NAMES[kind]))
+    s = LaurentPoly.variable(table, "s")
+    one = LaurentPoly.const(table, 1)
+    factor = {x: s + LaurentPoly.monomial(table, 1 / m, {x + "0": 2}) for x, m, _ in affine}
+
+    def product(powers):
+        out = one
+        for x, power in powers.items():
+            out = out * factor[x] ** power
+        return out
+
+    powers = {x: p for x, _, p in affine}
+    den = product(powers)
+    num = LaurentPoly.monomial(table, 1, {last + "0": 2}) * den.subs(
+        {"s": LaurentPoly.zero(table)}
+    ) + k * _antiderivative(den, "s")
+    # D / (x0^2 + m_x s) = D / (m_x (s - r_x)), a polynomial since p_x >= 1
+    den_over = {x: product({**powers, x: p - 1}) * (1 / m) for x, m, p in affine}
+    lhs = k * den * den - num * den.diff("s")  # D^2 G'
+    rhs = k * den * den + sum((-p * m * num * den_over[x] for x, m, p in affine), 0 * one)
+    assert lhs == rhs
+    assert not num.is_zero and not den.diff("s").is_zero
+
+
+@pytest.mark.parametrize("kind", ["Q", "M"])
+def test_s_form_of_the_derived_system_is_the_profile_table(kind):
+    assert s_form(derivation(UNIT_MODELS[kind]).sys) == (TABLES[kind]._AFFINE, TABLES[kind]._FACTOR)
+    assert s_form(derive_flow(UNIT_MODELS[kind])) == s_form(derivation(UNIT_MODELS[kind]).sys)
+
+
+MUTATIONS = [
+    (kind, name, factor)
+    for kind in ("Q", "M")
+    for name in STATE_NAMES[kind]
+    for factor in (Fraction(2), Fraction(1001, 1000))
+]
+
+
+@pytest.mark.parametrize("kind,name,factor", MUTATIONS, ids=lambda v: str(v))
+def test_every_perturbed_system_fails_the_table_check(kind, name, factor):
+    sys = perturbed_system(derivation(UNIT_MODELS[kind]).sys, name, factor)
+    try:
+        form = s_form(sys)
+    except DerivationError:
+        return
+    assert form != (TABLES[kind]._AFFINE, TABLES[kind]._FACTOR)
+
+
+def _with_rhs(sys, name, poly):
+    return ODESystem(
+        sys.model_kind, sys.indices, sys.state, {**sys.rhs, name: poly}, sys.rank, sys.n_equations
+    )
+
+
+@pytest.mark.parametrize(
+    "name,extra,message",
+    [
+        ("a", {"b": 1}, "is not constant"),
+        ("f", {"f": 1}, "has a term"),
+        ("f", {"a": -2}, "has a term"),
+        ("f", {"a": -2, "f": 3}, "has a term"),
+        ("f", {"a": -2, "f": 2}, "not positive integers"),
+    ],
+)
+def test_s_form_names_a_system_of_another_shape(name, extra, message):
+    sys = derivation(UNIT_MODELS["Q"]).sys
+    poly = sys.rhs[name] + LaurentPoly.monomial(sys.table, Fraction(1, 7), extra)
+    with pytest.raises(DerivationError, match=message):
+        s_form(_with_rhs(sys, name, poly))
+
+
+def test_a_table_that_disagrees_with_the_derived_system_is_a_bug(monkeypatch):
+    model = UNIT_MODELS["M"]
+    spec = OrbitSpec("M", "cp2", {"a": 1})
+    traj, _ = solve_orbit(derivation(model).sys, spec, IntegratorConfig(t_end=50.0))
+    bars = {**DEFAULT_BARS, "closure": None}
+    assert verify_trajectory(model, spec, traj, bars)[1] == 0
+    monkeypatch.setattr(ProfileM, "_AFFINE", (("a", Fraction(3, 4), 2), ("b", Fraction(1, 2), 2)))
+    with pytest.raises(DerivationError, match="s-form differs") as err:
+        verify_trajectory(model, spec, traj, bars)
+    assert not isinstance(err.value, INPUT_ERRORS)
 
 
 def test_domain_errors_at_poles():

@@ -13,12 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holoflow import _kernel
-from holoflow.closed_form import profile
-from holoflow.flow import derivation, derive_flow
-from holoflow.homogeneous import get_model, m_model, q_model
-from holoflow.integrate import IntegratorConfig, OrbitSpec, Trajectory, solve_orbit
-from holoflow.structures import FAMILY_WEIGHT
+from holoflow.algebra import LaurentPoly, Multivector
+from holoflow.closed_form import ProfileM, ProfileQ, profile
+from holoflow.flow import derivation, derive_flow, exterior_d_time
+from holoflow.homogeneous import STATE_NAMES, get_model, invariant_d, m_model, q_model
+from holoflow.integrate import ORBIT_CATALOG, IntegratorConfig, OrbitSpec, Trajectory, solve_orbit
+from holoflow.structures import FAMILY_WEIGHT, rotation_generator
 from holoflow.verify import (
+    CONE_REFS,
     ProfileSampler,
     TrajectorySampler,
     VerifyError,
@@ -130,7 +132,6 @@ def test_closure_checks_reuse_the_derived_forms(q_setup, monkeypatch):
         raise AssertionError("d recomputed")
 
     monkeypatch.setattr("holoflow.flow.exterior_d_time", no_derivative)
-    monkeypatch.setattr("holoflow.verify.exterior_d_time", no_derivative)
     assert check_closure(sampler, deriv, t_points=[2.0, 5.0, 9.0]).max_residual < 1e-6
     assert check_closure_samples(traj, deriv).max_residual < 1e-3
 
@@ -331,6 +332,18 @@ def hand_written_cone_quantities(kind, t, ys):
     }
 
 
+@pytest.mark.parametrize("kind,table", [("Q", ProfileQ), ("M", ProfileM)])
+def test_cone_refs_follow_the_profile_table(kind, table):
+    """For large |s|, G ~ g s with g = k / (1 + sum p_x), so t ~ 2 sqrt(s/g)
+    and x^2/t^2 -> m_x g / 4, |x_coll|/t -> |g| / 2."""
+    g = table._FACTOR / (1 + sum(p for _, _, p in table._AFFINE))
+    *squares, last = CONE_REFS[kind]
+    assert squares == [f"{x}^2/t^2" for x, _, _ in table._AFFINE]
+    assert [CONE_REFS[kind][q] for q in squares] == [float(m * g / 4) for _, m, _ in table._AFFINE]
+    assert last in (f"|{STATE_NAMES[kind][-1]}|/t", f"{STATE_NAMES[kind][-1]}/t")
+    assert CONE_REFS[kind][last] == float(abs(g) / 2)
+
+
 @pytest.mark.parametrize("kind,name", [("Q", "traj_q_s2xs2.csv"), ("M", "traj_m_cp2.csv")])
 def test_cone_quantities_match_the_hand_written_formulas(kind, name):
     traj = Trajectory.from_csv(Path(__file__).parent / "golden" / name, kind)
@@ -359,6 +372,14 @@ def test_s_action_circle_m():
     assert data["period_over_pi"] == Fraction(4)
     assert data["intersection_order"] == 8
     assert data["required_slope"] == Fraction(4)
+
+
+def test_catalog_vertical_slopes_are_the_circle_action_slopes():
+    rows = [(kind, r) for kind, rows in ORBIT_CATALOG.items() for r in rows if r.orbit_key]
+    assert len(rows) == 5
+    for kind, row in rows:
+        vertical = STATE_NAMES[kind][-1]
+        assert row.required[vertical] == s_action_circle(kind)["required_slope"], row.orbit_key
 
 
 def test_smoothness_verdicts_all_five():
@@ -423,6 +444,30 @@ def test_su4_certificate_fails_on_mutated_rhs():
                 cert = su4_family_check(model, perturbed_system(sys, name, factor))
                 assert not cert.passed, (model.kind, name, factor)
                 assert not cert.family_parallel, (model.kind, name, factor)
+
+
+@pytest.mark.parametrize("model", [q_model(1, 1, 1), m_model(1, 1)], ids=["Q", "M"])
+def test_rotation_generator_commutes_with_d(model):
+    """L and d commute on every coframe generator, and L kills the
+    coefficients and dt, so d(L Omega) = L d(Omega): once d(Omega) vanishes
+    under a system, so do d(V) and d(W), and the certificate checks only
+    d(Omega)."""
+    deriv = derivation(model)
+    struct = deriv.struct
+    gens, dt = struct.Omega.gens, struct.Omega.dt_index
+    one = LaurentPoly.const(struct.table, 1)
+    for i in range(len(gens)):
+        e = Multivector.basis(gens, [i], one, dt)
+        assert rotation_generator(struct, invariant_d(e, model)) == invariant_d(
+            rotation_generator(struct, e), model
+        ), gens[i]
+    V = rotation_generator(struct, struct.Omega)
+    W = rotation_generator(struct, V)
+    assert not V.is_zero
+    assert exterior_d_time(V, model) == rotation_generator(struct, deriv.d_Omega)
+    assert exterior_d_time(W, model) == rotation_generator(
+        struct, rotation_generator(struct, deriv.d_Omega)
+    )
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
