@@ -77,7 +77,6 @@ class _Profile:
     denom: Tuple[Fraction, ...]  # coefficients of D(s), ascending
     anti: Tuple[Fraction, ...]  # antiderivative of D, A(0) = 0
     constant: Fraction  # x0^2 * D(0)
-    integral_factor: Fraction  # k
     poles: Tuple[Fraction, ...]
     model_kind: str = ""
     collapsing_square0: Fraction = Fraction(0)  # f0^2 or c0^2
@@ -109,7 +108,7 @@ class _Profile:
         """
         try:
             const, factor, a0, a1, a2, a3, a4, d0, d1, d2, d3 = map(
-                float, (self.constant, self.integral_factor, *self.anti, *self.denom)
+                float, (self.constant, self._FACTOR, *self.anti, *self.denom)
             )
         except OverflowError:
             const = None  # a coefficient beyond float range: only s = 0 has a value
@@ -141,7 +140,7 @@ class _Profile:
         self._check_domain(s)
         if s == 0:
             return self.collapsing_square0
-        num = self.constant + self.integral_factor * _horner(self.anti, s)
+        num = self.constant + self._FACTOR * _horner(self.anti, s)
         den = _horner(self.denom, s)
         if den == 0:
             raise DomainError(f"denominator vanishes at s = {s}")
@@ -225,7 +224,6 @@ def profile(model: Union[CosetModel, str], init: OrbitSpec) -> Union[ProfileQ, P
         denom=tuple(den),
         anti=tuple(_poly_antiderivative(den)),
         constant=square0 * den[0],
-        integral_factor=cls._FACTOR,
         poles=tuple(sorted(set(roots))),
         model_kind=kind,
         collapsing_square0=square0,

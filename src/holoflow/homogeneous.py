@@ -296,56 +296,42 @@ def _check_jacobi(structure: StructureTensor) -> None:
             raise ModelError("Jacobi identity failed")
 
 
-def _normalize_q(k: int, l: int, m: int) -> Tuple[int, int, int]:
-    t = sorted((abs(k), abs(l), abs(m)), reverse=True)
-    if t == [0, 0, 0]:
-        raise ModelError("(k,l,m) must not all vanish")
-    g = math.gcd(math.gcd(t[0], t[1]), t[2])
-    return (t[0] // g, t[1] // g, t[2] // g)
+def _normalized(indices: Sequence[int], message: str) -> Tuple[int, ...]:
+    """The absolute indices divided by their gcd; raises ``message`` if all vanish."""
+    t = tuple(abs(x) for x in indices)
+    g = math.gcd(*t)
+    if g == 0:
+        raise ModelError(message)
+    return tuple(x // g for x in t)
 
 
-def _normalize_m(k: int, l: int) -> Tuple[int, int]:
-    a, b = abs(k), abs(l)
-    if (a, b) == (0, 0):
-        raise ModelError("(k,l) must not both vanish")
-    g = math.gcd(a, b)
-    return (a // g, b // g)
+def _model(kind: str, indices: Tuple[int, ...], basis: Tuple[Scaled, ...]) -> CosetModel:
+    """The checked model of ``kind`` on the basis of its normalized indices."""
+    structure, norms = _build_structure(basis)
+    model = CosetModel(
+        kind=kind,
+        indices=indices,
+        basis=basis,
+        gen_names=tuple(f"e{i}" for i in range(1, len(basis) + 1)),
+        q_norms=norms,
+        structure=structure,
+    )
+    _check_isotropy_action(model)
+    return model
 
 
 @lru_cache(maxsize=None)
 def q_model(k: int, l: int, m: int) -> CosetModel:
     """SU(2)^3 / U(1)^2 with embedding indices (k,l,m), normalized."""
-    nk, nl, nm = _normalize_q(k, l, m)
-    basis = _q_basis(nk, nl, nm)
-    structure, norms = _build_structure(basis)
-    model = CosetModel(
-        kind="Q",
-        indices=(nk, nl, nm),
-        basis=basis,
-        gen_names=tuple(f"e{i}" for i in range(1, 10)),
-        q_norms=norms,
-        structure=structure,
-    )
-    _check_isotropy_action(model)
-    return model
+    indices = tuple(sorted(_normalized((k, l, m), "(k,l,m) must not all vanish"), reverse=True))
+    return _model("Q", indices, _q_basis(*indices))
 
 
 @lru_cache(maxsize=None)
 def m_model(k: int, l: int) -> CosetModel:
     """(SU(3) x SU(2)) / (SU(2) x U(1)) with embedding indices (k,l)."""
-    nk, nl = _normalize_m(k, l)
-    basis = _m_basis(nk, nl)
-    structure, norms = _build_structure(basis)
-    model = CosetModel(
-        kind="M",
-        indices=(nk, nl),
-        basis=basis,
-        gen_names=tuple(f"e{i}" for i in range(1, 12)),
-        q_norms=norms,
-        structure=structure,
-    )
-    _check_isotropy_action(model)
-    return model
+    indices = _normalized((k, l), "(k,l) must not both vanish")
+    return _model("M", indices, _m_basis(*indices))
 
 
 def get_model(kind: str, indices: Sequence[int]) -> CosetModel:
@@ -613,99 +599,18 @@ def isotropy_weights(model: CosetModel) -> WeightMultiset:
     return WeightMultiset(tuple(weights), trivial=len(model.FIXED))
 
 
-def _su2_commutant_dim(ads: Sequence[AdRows]) -> int:
-    """Dimension of the commutant on V1 = span(e1..e4) of the isotropy su(2),
-    given the ad rows of its three generators (M model)."""
-    # [X, A] = 0 for the 4 x 4 matrix A of 16 unknowns, A[r][q] in column
-    # 4r + q, one integer row per entry of the commutator and generator X
-    # (X e_v = sum_u X[u][v] e_u, the integer rows of L ad; scaling X keeps [X, A] = 0)
-    system = []
-    for rows in ads:
-        entries = [(u, v, c) for v in range(4) for u, c in rows[v].items() if u < 4]
-        block = [[0] * 16 for _ in range(16)]  # the row of commutator entry (p, q) is 4p + q
-        for u, v, k in entries:
-            for w in range(4):
-                block[4 * u + w][4 * v + w] += k  # (X A)[u][w] has X[u][v] A[v][w]
-                block[4 * w + v][4 * w + u] -= k  # (A X)[w][v] has A[w][u] X[u][v]
-        system.extend(row for row in block if any(row))
-    return 16 - _rank_int_matrix(system)
-
-
-def _rank_int_matrix(mat: List[List[int]]) -> int:
-    """Exact rank of integer rows by fraction-free elimination, in place."""
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        a = prow[col]
-        for r in range(rank + 1, len(mat)):
-            b = mat[r][col]
-            if b:
-                row = [a * x - b * y for x, y in zip(mat[r], prow)]
-                g = math.gcd(*row)
-                mat[r] = [x // g for x in row] if g > 1 else row
-        rank += 1
-    return rank
-
-
-def matches_g2_cartan_weights(model: CosetModel) -> bool:
-    """Brute-force weight matcher against the rank-2 Cartan of G2.
-
-    The G2 Cartan acts on three pairwise independent 2-planes with weight
-    functionals u, v, u+v and fixes a line; a weight triple is equivalent
-    to that pattern iff the weights are nonzero, pairwise independent and
-    admit a vanishing +-1 combination.
-    """
-    if model.kind != "Q":
-        raise ModelError("matches_g2_cartan_weights applies to the Q model")
-    w = isotropy_weights(model).weights
-    if any(all(x == 0 for x in v) for v in w):
-        return False
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if w[i][0] * w[j][1] - w[i][1] * w[j][0] == 0:
-                return False
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                if all(
-                    s1 * w[0][t] + s2 * w[1][t] + s3 * w[2][t] == 0 for t in range(2)
-                ):
-                    return True
-    return False
-
-
-def matches_u2_weights(model: CosetModel) -> bool:
-    """Weight matcher against the u(2) centralizer pattern inside G2.
-
-    Requires: su(2) irreducible on V1 (quaternionic commutant), trivial on
-    V2 + V3, and u(1) weight magnitudes in the ratio (mu, mu, 2 mu) with
-    mu != 0 across (V1-plane, V1-plane, V2).
-    """
-    if model.kind != "M":
-        raise ModelError("matches_u2_weights applies to the M model")
-    su2 = [_ad(model, {x: 1})[0] for x in (7, 8, 9)]
-    if any(rows[i] for rows in su2 for i in (4, 5, 6)):
-        return False
-    if _su2_commutant_dim(su2) != 4:
-        return False
-    u1, _ = _ad(model, {10: 1})
-    s1 = abs(_plane_speed(model, u1, (0, 1)))
-    s2 = abs(_plane_speed(model, u1, (2, 3)))
-    s3 = abs(_plane_speed(model, u1, (4, 5)))
-    return s1 == s2 and s1 != 0 and s3 == 2 * s1
-
-
 def classify_invariant_g2(model: CosetModel) -> bool:
     """Whether the coset admits an invariant G2-structure.
 
-    Computed from the isotropy weights, not from the closed-form index
-    criterion; the two are compared in the property suite.
+    The G2 Cartan acts on three pairwise independent 2-planes with weight
+    functionals u, v, u+v and fixes a line; a weight triple matches that
+    pattern iff its weights are pairwise independent (so nonzero) and admit
+    a vanishing +-1 combination.  On M(k,l) the weights of e10, e11 are
+    (1, l), (-1, l), (0, 2k), which match iff k = l = 1.  Computed from the
+    isotropy weights, not from the closed-form index criterion; the two are
+    compared in the property suite.
     """
-    if model.kind == "Q":
-        return matches_g2_cartan_weights(model)
-    return matches_u2_weights(model)
+    w = isotropy_weights(model).weights
+    if any(u[0] * v[1] == u[1] * v[0] for u, v in itertools.combinations(w, 2)):
+        return False
+    return any(all(a + s * b + t * c == 0 for a, b, c in zip(*w)) for s in (1, -1) for t in (1, -1))

@@ -57,6 +57,13 @@ def test_classify_invalid_input(capsys):
     assert "error" in err
 
 
+def test_classify_rejects_the_zero_m_model(capsys):
+    code, out, err = run(["classify", "--model", "m", "--k", "0", "--l", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: (k,l) must not both vanish\n"
+
+
 def test_classify_rejects_m_for_the_m_model(capsys, monkeypatch):
     def no_model(*args, **kwargs):
         raise AssertionError("a model was built")

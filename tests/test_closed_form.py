@@ -92,9 +92,9 @@ def value_squared_prime(p, s):
     den = _horner(p.denom, s)
     if den == 0:
         raise DomainError(f"denominator vanishes at s = {s}")
-    num = p.constant + p.integral_factor * _horner(p.anti, s)
+    num = p.constant + p._FACTOR * _horner(p.anti, s)
     dprime = tuple(Fraction(k) * c for k, c in enumerate(p.denom) if k > 0)
-    return p.integral_factor - num * _horner(dprime, s) / (den * den)
+    return p._FACTOR - num * _horner(dprime, s) / (den * den)
 
 
 def hand_written_residual(kind, initial, s, g, gp):
@@ -397,7 +397,7 @@ def _reference_value_squared(p, s):
             raise DomainError("at or beyond a pole")
     if s == 0:
         return float(p.collapsing_square0)
-    num = p.constant + p.integral_factor * _horner_through_fractions(p.anti, s)
+    num = p.constant + p._FACTOR * _horner_through_fractions(p.anti, s)
     den = _horner_through_fractions(p.denom, s)
     if den == 0:
         raise DomainError("denominator vanishes")

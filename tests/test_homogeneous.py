@@ -16,6 +16,7 @@ from holoflow.algebra import LaurentPoly, Multivector
 from holoflow.homogeneous import (
     ModelError,
     StructureTensor,
+    _ad,
     _build_structure,
     _check_isotropy_action,
     _check_jacobi,
@@ -24,6 +25,7 @@ from holoflow.homogeneous import (
     _kernel_basis_1x3,
     _m_basis,
     _place,
+    _plane_speed,
     _q_basis,
     _S3,
     _transposed,
@@ -34,8 +36,6 @@ from holoflow.homogeneous import (
     is_basic,
     isotropy_weights,
     m_model,
-    matches_g2_cartan_weights,
-    matches_u2_weights,
     q_model,
 )
 
@@ -316,7 +316,7 @@ def test_m11_su2_irreducible_on_v1_trivial_elsewhere():
     for x in (7, 8, 9):
         for i in (4, 5, 6):
             assert not st.bracket_coeffs(x, i)
-    assert matches_u2_weights(model)
+    assert su2_commutant_dim([_ad(model, {x: 1})[0] for x in (7, 8, 9)]) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +347,6 @@ def test_classify_agrees_with_index_criterion_q():
                     continue
                 model = q_model(k, l, m)
                 expect = abs(k) == abs(l) == abs(m) == 1
-                assert matches_g2_cartan_weights(model) == expect
                 assert classify_invariant_g2(model) == expect
 
 
@@ -821,3 +820,91 @@ def test_integer_jacobi_agrees_with_the_fraction_loop_on_random_edits(kind, indi
         else:
             with pytest.raises(ModelError, match="Jacobi identity failed"):
                 _check_jacobi(structure)
+
+
+# ---------------------------------------------------------------------------
+# the M model's su(2) + u(1) matcher, kept as the oracle of the weight test
+# ---------------------------------------------------------------------------
+
+
+def su2_commutant_dim(ads):
+    """Dimension of the commutant on V1 = span(e1..e4) of the isotropy su(2),
+    given the ad rows of its three generators (M model)."""
+    # [X, A] = 0 for the 4 x 4 matrix A of 16 unknowns, A[r][q] in column
+    # 4r + q, one integer row per entry of the commutator and generator X
+    # (X e_v = sum_u X[u][v] e_u, the integer rows of L ad; scaling X keeps [X, A] = 0)
+    system = []
+    for rows in ads:
+        entries = [(u, v, c) for v in range(4) for u, c in rows[v].items() if u < 4]
+        block = [[0] * 16 for _ in range(16)]  # the row of commutator entry (p, q) is 4p + q
+        for u, v, k in entries:
+            for w in range(4):
+                block[4 * u + w][4 * v + w] += k  # (X A)[u][w] has X[u][v] A[v][w]
+                block[4 * w + v][4 * w + u] -= k  # (A X)[w][v] has A[w][u] X[u][v]
+        system.extend(row for row in block if any(row))
+    return 16 - rank_int_matrix(system)
+
+
+def rank_int_matrix(mat):
+    """Exact rank of integer rows by fraction-free elimination, in place."""
+    rank = 0
+    ncols = len(mat[0]) if mat else 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        prow = mat[rank]
+        a = prow[col]
+        for r in range(rank + 1, len(mat)):
+            b = mat[r][col]
+            if b:
+                row = [a * x - b * y for x, y in zip(mat[r], prow)]
+                g = math.gcd(*row)
+                mat[r] = [x // g for x in row] if g > 1 else row
+        rank += 1
+    return rank
+
+
+def matches_u2_weights(model):
+    """Weight matcher against the u(2) centralizer pattern inside G2.
+
+    Requires: su(2) irreducible on V1 (quaternionic commutant), trivial on
+    V2 + V3, and u(1) weight magnitudes in the ratio (mu, mu, 2 mu) with
+    mu != 0 across (V1-plane, V1-plane, V2).
+    """
+    su2 = [_ad(model, {x: 1})[0] for x in (7, 8, 9)]
+    if any(rows[i] for rows in su2 for i in (4, 5, 6)):
+        return False
+    if su2_commutant_dim(su2) != 4:
+        return False
+    u1, _ = _ad(model, {10: 1})
+    s1 = abs(_plane_speed(model, u1, (0, 1)))
+    s2 = abs(_plane_speed(model, u1, (2, 3)))
+    s3 = abs(_plane_speed(model, u1, (4, 5)))
+    return s1 == s2 and s1 != 0 and s3 == 2 * s1
+
+
+M_MODELS = [indices for tuples in TUPLE_SETS.values() for kind, indices in tuples if kind == "M"]
+
+
+def test_the_weight_pattern_agrees_with_the_su2_matcher_on_every_m_model():
+    assert len(M_MODELS) == 21 + 72 + 1 == len(set(M_MODELS))
+    verdicts = [classify_invariant_g2(m_model(*indices)) for indices in M_MODELS]
+    assert verdicts == [matches_u2_weights(m_model(*indices)) for indices in M_MODELS]
+    assert verdicts.count(True) == 1
+
+
+def test_the_isotropy_su2_brackets_do_not_depend_on_the_indices():
+    def su2_brackets(model):
+        return [model.structure.bracket_coeffs(x, i) for x in (7, 8, 9) for i in range(model.TANGENT)]
+
+    want = su2_brackets(m_model(1, 1))
+    assert any(want)
+    for indices in M_MODELS:
+        assert su2_brackets(m_model(*indices)) == want, indices
+
+
+def test_m_weights_on_the_cartan_e10_e11():
+    for k, l in M_MODELS:
+        assert isotropy_weights(m_model(k, l)).weights == ((1, l), (-1, l), (0, 2 * k))
