@@ -4,4 +4,3 @@ from . import _stepper_py as _impl
 
 make_rhs = _impl.make_rhs
 solve = _impl.solve
-dense_eval = _impl.dense_eval

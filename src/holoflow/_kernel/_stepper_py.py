@@ -3,11 +3,10 @@
 A right-hand side is a flat list of power-product terms
 ``deriv[owner[k]] += coeff[k] * prod(y_j ** exps[k, j])``; ``make_rhs`` turns
 it into one straight-line function, once per term list.  The same term
-emission writes the solve loop of each list: the state, the stage slopes,
-the error norm and the dense-output coefficients are local scalars, and the
-six stage evaluations are the right-hand side's terms inlined.  The same
-generator compiles the closure check's forms, whose outputs outnumber their
-inputs.
+emission writes the solve loop of each list: the state, the stage slopes
+and the error norm are local scalars, and the six stage evaluations are the
+right-hand side's terms inlined.  The same generator compiles the closure
+check's forms, whose outputs outnumber their inputs.
 """
 
 from __future__ import annotations
@@ -42,19 +41,13 @@ E1, E3, E4, E5, E6, E7 = (
     22.0 / 525.0,
     -1.0 / 40.0,
 )
-D1 = -12715105075.0 / 11282082432.0
-D3 = 87487479700.0 / 32700410799.0
-D4 = -10690763975.0 / 1880347072.0
-D5 = 701980252875.0 / 199316789632.0
-D6 = -1453857185.0 / 822651844.0
-D7 = 69997945.0 / 29380423.0
 
 # step-size control: safety factor and the bounds on one step's growth
 SAFETY = 0.9
 MIN_SCALE = 0.2
 MAX_SCALE = 5.0
 
-# the stage, error and dense weights as (stage, weight) pairs; stage 2's
+# the stage and error weights as (stage, weight) pairs; stage 2's
 # argument y + h * A21 * k1 has its own form
 STAGE_WEIGHTS = (
     ((1, A31), (2, A32)),
@@ -64,7 +57,6 @@ STAGE_WEIGHTS = (
     ((1, A71), (3, A73), (4, A74), (5, A75), (6, A76)),
 )
 ERROR_WEIGHTS = ((1, E1), (3, E3), (4, E4), (5, E5), (6, E6), (7, E7))
-DENSE_WEIGHTS = ((1, D1), (3, D3), (4, D4), (5, D5), (6, D6), (7, D7))
 
 
 #: generated right-hand sides, keyed on (coeffs, exps, owner, nin, nout)
@@ -145,7 +137,7 @@ def _generate(coeffs, exps, owner, nin, nout):
 
 
 def solve(terms, y0, t0, t_end, rtol, atol, h0, watch, max_steps):
-    """Adaptive DOPRI5 run of one term list, with Hairer dense output.
+    """Adaptive DOPRI5 run of one term list.
 
     ``terms`` is ``(coeffs, exps, owner, nstate)``, a right-hand side as
     ``make_rhs`` reads it; its solve loop is generated on first use and
@@ -156,9 +148,8 @@ def solve(terms, y0, t0, t_end, rtol, atol, h0, watch, max_steps):
     than ``|t_end - t0|``.  Components flagged in ``watch`` stop the run
     with status ``sign_change`` when they cross zero.
 
-    Returns (status, ts, ys, dense, naccept, nreject, nfev, max_err) where
-    ``ys`` holds one list of ``nstate`` values per sample and ``dense``
-    holds 5*nstate continuous-extension coefficients per accepted step.
+    Returns (status, ts, ys, naccept, nreject, nfev, max_err) where ``ys``
+    holds one list of ``nstate`` values per sample.
     """
     coeffs, exps, owner, nstate = terms
     key = (tuple(coeffs), tuple(exps), tuple(owner), nstate)
@@ -196,9 +187,8 @@ def _generate_loop(coeffs, exps, owner, n):
         f"    k1 = [0.0] * {n}",
         "    ts = [t]",
         "    ys = [list(y)]",
-        "    dense = []",
         "    if not _finite_rhs(rhs, y, k1):",
-        '        return ("blowup", ts, ys, dense, 0, 0, 1, 0.0)',
+        '        return ("blowup", ts, ys, 0, 0, 1, 0.0)',
         "    naccept = nreject = 0",
         "    nfev = 3",
         "    max_err = 0.0",
@@ -273,15 +263,8 @@ def _generate_loop(coeffs, exps, owner, n):
         f"        err = sqrt(err / {n})",
         "        if err <= 1.0:",
     ]
-    for i in idx:
-        lines += [f"            d{i} = yn{i} - y{i}", f"            b{i} = h * k1_{i} - d{i}"]
-    coefficients = ", ".join(
-        f"y{i}, d{i}, b{i}, d{i} - h * k7_{i} - b{i}, h * ({weighted(DENSE_WEIGHTS, i)})"
-        for i in idx
-    )
     crossed = " or ".join(f"s{i} != 0.0 and y{i} * s{i} <= 0.0" for i in idx)
     lines += [
-        f"            dense += ({coefficients})",
         "            t += h",
         "            naccept += 1",
         "            if err > max_err:",
@@ -307,7 +290,7 @@ def _generate_loop(coeffs, exps, owner, n):
         f"            fac = {SAFETY!r} * err ** -0.2",
         "            fac = fac if fac < 1.0 else 1.0",
         f"            h *= fac if fac > {MIN_SCALE!r} else {MIN_SCALE!r}",
-        "    return (status, ts, ys, dense, naccept, nreject, nfev, max_err)",
+        "    return (status, ts, ys, naccept, nreject, nfev, max_err)",
     ]
     namespace = {
         "isfinite": math.isfinite,
@@ -364,16 +347,3 @@ def _initial_step(rhs, n, t, y, f0, rtol, atol, hmax):
     dm = max(d1, d2)
     h1 = (0.01 / dm) ** 0.2 if dm > 1e-15 else max(1e-6, h0 * 1e-3)
     return min(100.0 * h0, h1, hmax)
-
-
-def dense_eval(dense, nstate, step, theta, out):
-    """Evaluate the continuous extension of one accepted step at theta."""
-    base = step * 5 * nstate
-    th1 = 1.0 - theta
-    for i in range(nstate):
-        o = base + 5 * i
-        out[i] = dense[o] + theta * (
-            dense[o + 1]
-            + th1 * (dense[o + 2] + theta * (dense[o + 3] + th1 * dense[o + 4]))
-        )
-    return out

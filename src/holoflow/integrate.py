@@ -3,16 +3,15 @@
 The ODE systems degenerate at t = 0 when coefficients collapse; the start
 state is produced by an exact first-order series solve (the l'Hopital limit
 of the right-hand sides under odd/even parity), after which an adaptive
-embedded Runge-Kutta pair with dense output takes over.  The integrated
-primitive (F with F' = f, or C with C' = c) rides along as an extra state
-component.  The singular-orbit catalog, which fixes the collapsing
-coefficients of each orbit, lives here.
+embedded Runge-Kutta pair takes over.  The integrated primitive (F with
+F' = f, or C with C' = c) rides along as an extra state component.  The
+singular-orbit catalog, which fixes the collapsing coefficients of each
+orbit, lives here.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -165,35 +164,43 @@ class IntegratorConfig:
 
 
 def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
-    """Nonzero rational roots of a rational-coefficient polynomial."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) <= 1:
-        return []
+    """Nonzero rational roots, ascending, of the polynomial sum c_k x^k.
+
+    Scaled to integers, a root p/q in lowest terms (q > 0) has p dividing
+    the lowest nonzero coefficient and q the leading one; each such
+    candidate is tested by the integer identity sum c_k p^k q^(deg - k) = 0.
+    ``coeffs`` is not modified.
+    """
+    hi = len(coeffs)
+    while hi and coeffs[hi - 1] == 0:
+        hi -= 1
     lo = 0
-    while coeffs[lo] == 0:
+    while lo < hi and coeffs[lo] == 0:
         lo += 1
-    coeffs = coeffs[lo:]
+    if hi - lo <= 1:
+        return []
     den_lcm = 1
-    for c in coeffs:
+    for c in coeffs[lo:hi]:
         den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in coeffs]
-    a0, alead = abs(ints[0]), abs(ints[-1])
+    ints = [c.numerator * (den_lcm // c.denominator) for c in coeffs[lo:hi]]
+    lead, rest = ints[-1], ints[-2::-1]  # rest: the lower coefficients, highest first
     roots = []
-    for p in _divisors(a0):
-        for q in _divisors(alead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in roots:
-                    continue
-                if sum(c * cand**k for k, c in enumerate(ints)) == 0:
-                    roots.append(cand)
+    for p in _divisors(ints[0]):
+        for q in _divisors(lead):
+            if math.gcd(p, q) != 1:
+                continue
+            for num in (p, -p):
+                acc, q_power = lead, q
+                for c in rest:
+                    acc = acc * num + c * q_power
+                    q_power *= q
+                if acc == 0:
+                    roots.append(Fraction(num, q))
     return sorted(roots)
 
 
 def _divisors(n: int) -> List[int]:
     n = abs(n)
-    if n == 0:
-        return [1]
     out = []
     d = 1
     while d * d <= n:
@@ -337,13 +344,12 @@ def principal_start(sys: ODESystem, spec: OrbitSpec) -> State:
 
 @record
 class Trajectory:
-    """Accepted integrator steps plus a dense continuous extension."""
+    """The samples of a run: its start and every accepted step."""
 
     model_kind: str
     state_names: Tuple[str, ...]
     ts: List[float]
     ys: List[List[float]]  # one row of nstate + 1 per sample; the primitive last
-    dense: Optional[List[float]]  # flat continuous-extension coefficients
     status: str = "done"
     stats: Dict[str, float] = field(default_factory=dict)
 
@@ -358,21 +364,6 @@ class Trajectory:
     @property
     def n_samples(self) -> int:
         return len(self.ts)
-
-    def interpolate(self, t: float) -> List[float]:
-        """Dense-output evaluation anywhere inside the integration span."""
-        if self.dense is None:
-            raise IntegrationError("trajectory carries no dense output")
-        if not (self.ts[0] <= t <= self.ts[-1]):
-            raise IntegrationError(f"t={t} outside the integration span")
-        k = bisect_right(self.ts, t) - 1
-        k = min(max(k, 0), len(self.ts) - 2)
-        h = self.ts[k + 1] - self.ts[k]
-        theta = (t - self.ts[k]) / h
-        dim = len(self.ys[0])
-        out = [0.0] * dim
-        _kernel.dense_eval(self.dense, dim, k, theta, out)
-        return out
 
     def require_done(self) -> None:
         """Raise IntegrationError unless the run reached its end."""
@@ -428,7 +419,6 @@ class Trajectory:
             state_names=STATE_NAMES[model_kind],
             ts=[row[0] for row in rows],
             ys=[row[1:] for row in rows],
-            dense=None,
             status="loaded",
         )
 
@@ -457,7 +447,7 @@ def integrate(sys: ODESystem, start: State, cfg: IntegratorConfig) -> Trajectory
     names = sys.state
     y0 = [start.values[n] for n in names] + [start.primitive]
     watch = [True] * len(names) + [False]
-    status, ts, ys, dense, naccept, nreject, nfev, max_err = _kernel.solve(
+    status, ts, ys, naccept, nreject, nfev, max_err = _kernel.solve(
         terms,
         y0,
         start.t,
@@ -473,7 +463,6 @@ def integrate(sys: ODESystem, start: State, cfg: IntegratorConfig) -> Trajectory
         state_names=names,
         ts=ts,
         ys=ys,
-        dense=dense or None,
         status=status,
         stats={
             "naccept": naccept,

@@ -296,7 +296,6 @@ def test_compare_on_closed_form_sampled_trajectory():
         state_names=("a", "b", "c", "f"),
         ts=np.linspace(0.1, 20.0, 200),  # compare never uses t
         ys=np.asarray(rows),
-        dense=None,
     )
     assert compare(traj, p) < 1e-13
 
@@ -357,7 +356,7 @@ def test_compare_rejects_a_row_it_cannot_measure(case):
     prof = profile("M", OrbitSpec("M", "cp2", {"a": 1}))
 
     def stored(ys):
-        return Trajectory("M", ("a", "b", "c"), [0.0, 1.0, 2.0], ys, None, "loaded")
+        return Trajectory("M", ("a", "b", "c"), [0.0, 1.0, 2.0], ys, "loaded")
 
     good = [1.0, 0.0, 0.0, 0.0]  # the closed form at s = 0
     assert compare(stored([good] * 3), prof) == 0.0

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoflow.algebra import LaurentPoly, SymbolTable
 from holoflow.flow import ODESystem, derive_flow
@@ -16,6 +18,7 @@ from holoflow.integrate import (
     OrbitError,
     State,
     Trajectory,
+    _rational_roots,
     integrate,
     principal_start,
     series_start,
@@ -117,6 +120,108 @@ def test_series_start_matches_half_eps_shooting(sysq):
 
 
 # ---------------------------------------------------------------------------
+# rational roots of the slope equations, against the Fraction search
+# ---------------------------------------------------------------------------
+
+
+def fraction_rational_roots(coeffs):
+    """Oracle: every candidate +-p/q (p, q divisors of the end coefficients
+    scaled to integers) evaluated in Fraction arithmetic.  Pops trailing
+    zeros off ``coeffs``."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if len(coeffs) <= 1:
+        return []
+    lo = 0
+    while coeffs[lo] == 0:
+        lo += 1
+    coeffs = coeffs[lo:]
+    den_lcm = 1
+    for c in coeffs:
+        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    ints = [int(c * den_lcm) for c in coeffs]
+    a0, alead = abs(ints[0]), abs(ints[-1])
+    roots = []
+    for p in _trial_divisors(a0):
+        for q in _trial_divisors(alead):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand in roots:
+                    continue
+                if sum(c * cand**k for k, c in enumerate(ints)) == 0:
+                    roots.append(cand)
+    return sorted(roots)
+
+
+def _trial_divisors(n):
+    n = abs(n)
+    if n == 0:
+        return [1]
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            out.append(n // d)
+        d += 1
+    return sorted(set(out))
+
+
+def _times(a, b):
+    """The product of two ascending coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def root_polynomials(draw):
+    """sum c_k x^k as Fractions: chosen roots p/q (repeats likely), a power
+    of x, a random factor whose middle coefficient may have 20 digits, an
+    overall sign and denominator, and trailing zero entries."""
+    roots = draw(st.lists(st.tuples(st.integers(-8, 8), st.integers(1, 6)), max_size=3))
+    roots += roots[: draw(st.integers(0, 2))]
+    poly = [draw(st.sampled_from([1, -1, 2, -3, 6]))]
+    for p, q in roots:
+        poly = _times(poly, [-p, q])  # a p = 0 here is another zero root
+    middle = st.one_of(
+        st.integers(-50, 50),
+        st.integers(10**19, 10**20 - 1),
+        st.integers(-(10**20) + 1, -(10**19)),
+    )
+    factor = draw(st.lists(middle, min_size=0, max_size=2))
+    poly = _times(poly, [draw(st.integers(1, 12))] + factor + [draw(st.sampled_from([1, -1, 4, -7]))])
+    poly = [0] * draw(st.integers(0, 3)) + poly + [0] * draw(st.integers(0, 2))
+    den = draw(st.integers(1, 12))
+    return [Fraction(c, den) for c in poly]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(root_polynomials())
+def test_rational_roots_match_the_fraction_search(coeffs):
+    given_coeffs = list(coeffs)
+    roots = _rational_roots(coeffs)
+    assert coeffs == given_coeffs
+    assert roots == fraction_rational_roots(list(coeffs))
+    assert all(type(r) is Fraction for r in roots)
+
+
+@pytest.mark.parametrize(
+    "coeffs,roots",
+    [
+        ([-3, -1], [-3]),  # Q s2xs2xs2: f
+        ([0, 0, -3, 0, 12], [Fraction(-1, 2), Fraction(1, 2)]),  # Q s2xs2: a
+        ([8, -1], [8]),  # M cp2xs2: c
+        ([0, 0, 8, 0, -8], [-1, 1]),  # M cp2: b, and M s2: a
+    ],
+)
+def test_rational_roots_of_the_orbit_equations(coeffs, roots):
+    coeffs = [Fraction(c) for c in coeffs]
+    assert _rational_roots(coeffs) == roots == fraction_rational_roots(coeffs)
+
+
+# ---------------------------------------------------------------------------
 # integration invariants
 # ---------------------------------------------------------------------------
 
@@ -159,16 +264,11 @@ def test_monotone_directions(sysq, sysm):
     assert np.all(np.diff(np.asarray(trajm.ys)[:, -1]) > 0)  # C increasing
 
 
-def values_at(traj, t):
-    """The interpolated state {name: value} at time t."""
-    return dict(zip(traj.state_names, traj.interpolate(t)))
-
-
 def test_parity_reintegration_q(sysq):
     """Mapping (a,b,c,f)(t) -> (a,b,c,-f)(-t) gives a backward solution:
     integrating forward from the mapped endpoint retraces the run."""
-    cfg = IntegratorConfig(t_end=10.0)
-    traj, _ = solve_orbit(sysq, OrbitSpec("Q", "s2xs2xs2", {"a": 1, "b": 1, "c": 1}), cfg)
+    spec = OrbitSpec("Q", "s2xs2xs2", {"a": 1, "b": 1, "c": 1})
+    traj, _ = solve_orbit(sysq, spec, IntegratorConfig(t_end=10.0))
     *values, primitive = traj.ys[-1]
     end = State(traj.ts[-1], dict(zip(traj.state_names, values)), primitive)
     mapped = State(
@@ -177,11 +277,13 @@ def test_parity_reintegration_q(sysq):
                 "f": -end.values["f"]},
         primitive=end.primitive,
     )
-    back = integrate(sysq, mapped, IntegratorConfig(t_end=-0.5, rtol=1e-10))
-    # compare at matched absolute times
+    # compare the end states of runs to matched absolute times
     for t_check in (2.0, 5.0, 8.0):
-        fwd = values_at(traj, t_check)
-        bwd = values_at(back, -t_check)
+        fwd_run, _ = solve_orbit(sysq, spec, IntegratorConfig(t_end=t_check))
+        bwd_run = integrate(sysq, mapped, IntegratorConfig(t_end=-t_check, rtol=1e-10))
+        assert fwd_run.ts[-1] == t_check and bwd_run.ts[-1] == -t_check
+        fwd = dict(zip(sysq.state, fwd_run.ys[-1]))
+        bwd = dict(zip(sysq.state, bwd_run.ys[-1]))
         for n in ("a", "b", "c"):
             assert bwd[n] == pytest.approx(fwd[n], rel=1e-5)
         assert bwd["f"] == pytest.approx(-fwd["f"], rel=1e-5)
@@ -196,28 +298,18 @@ def test_tolerance_scaling_monotone(sysq):
     assert drifts[0] > drifts[1] > drifts[2]
 
 
-def test_dense_output_accuracy(sysq):
-    cfg = IntegratorConfig(t_end=20.0)
-    traj, _ = solve_orbit(sysq, OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1}), cfg)
-    tight, _ = solve_orbit(
-        sysq,
-        OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1}),
-        IntegratorConfig(rtol=1e-13, atol=1e-14, t_end=20.0),
-    )
+def test_end_state_accuracy(sysq):
+    """A run at the default tolerances ends within 10 rtol of a tight run."""
+    spec = OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1})
+    cfg = IntegratorConfig()
     for t in (0.5, 3.14159, 11.0, 19.5):
-        got = values_at(traj, t)
-        want = values_at(tight, t)
+        traj, _ = solve_orbit(sysq, spec, IntegratorConfig(t_end=t))
+        tight, _ = solve_orbit(sysq, spec, IntegratorConfig(rtol=1e-13, atol=1e-14, t_end=t))
+        got = dict(zip(sysq.state, traj.ys[-1]))
+        want = dict(zip(sysq.state, tight.ys[-1]))
         for n in ("a", "b", "c", "f"):
             scale = max(abs(want[n]), 1.0)
             assert abs(got[n] - want[n]) / scale < 10 * cfg.rtol
-
-
-def test_dense_output_matches_nodes(sysq):
-    cfg = IntegratorConfig(t_end=5.0)
-    traj, _ = solve_orbit(sysq, OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1}), cfg)
-    i = traj.n_samples // 2
-    row = traj.interpolate(float(traj.ts[i]))
-    assert np.allclose(row, traj.ys[i], rtol=1e-12, atol=1e-14)
 
 
 def test_sign_change_stops_and_reports(sysq):

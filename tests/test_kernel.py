@@ -12,7 +12,7 @@ from holoflow import _kernel
 from holoflow._kernel import _stepper_py
 from holoflow._kernel._stepper_py import (
     A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64, A65,
-    A71, A73, A74, A75, A76, D1, D3, D4, D5, D6, D7, E1, E3, E4, E5, E6, E7,
+    A71, A73, A74, A75, A76, E1, E3, E4, E5, E6, E7,
     MAX_SCALE, MIN_SCALE, SAFETY, _finite_rhs, _initial_step,
 )
 from holoflow.flow import derivation
@@ -69,7 +69,7 @@ def reference_rhs(coeffs, exps, owner, nstate, nout=None):
 def reference_solve(rhs, nstate, y0, t0, t_end, rtol, atol, h0, watch, max_steps):
     """The interpreted DOPRI5 loop the generated solve loops replace: one
     ``rhs(y, out)`` call per stage and a loop over components for every
-    stage argument, the error norm and the dense coefficients.  Returns
+    stage argument and the error norm.  Returns
     ``ys`` flat, row after row."""
     n = nstate
     y = list(map(float, y0))
@@ -86,12 +86,11 @@ def reference_solve(rhs, nstate, y0, t0, t_end, rtol, atol, h0, watch, max_steps
 
     ts = [t]
     ys = list(y)
-    dense = []
     naccept = nreject = nfev = 0
     max_err = 0.0
 
     if not _finite_rhs(rhs, y, k1):
-        return ("blowup", ts, ys, dense, naccept, nreject, 1, max_err)
+        return ("blowup", ts, ys, naccept, nreject, 1, max_err)
     nfev = 1
 
     hmax = abs(t_end - t)
@@ -161,26 +160,7 @@ def reference_solve(rhs, nstate, y0, t0, t_end, rtol, atol, h0, watch, max_steps
             err += r * r
         err = math.sqrt(err / n)
 
-        if err <= 1.0:
-            # accepted; store Hairer continuous-extension coefficients
-            for i in range(n):
-                ydiff = y1[i] - y[i]
-                bspl = h * k1[i] - ydiff
-                dense.append(y[i])
-                dense.append(ydiff)
-                dense.append(bspl)
-                dense.append(ydiff - h * k7[i] - bspl)
-                dense.append(
-                    h
-                    * (
-                        D1 * k1[i]
-                        + D3 * k3[i]
-                        + D4 * k4[i]
-                        + D5 * k5[i]
-                        + D6 * k6[i]
-                        + D7 * k7[i]
-                    )
-                )
+        if err <= 1.0:  # accepted
             t += h
             naccept += 1
             if err > max_err:
@@ -206,7 +186,7 @@ def reference_solve(rhs, nstate, y0, t0, t_end, rtol, atol, h0, watch, max_steps
             fac = SAFETY * err ** (-0.2)
             h *= max(MIN_SCALE, min(1.0, fac))
 
-    return (status, ts, ys, dense, naccept, nreject, nfev, max_err)
+    return (status, ts, ys, naccept, nreject, nfev, max_err)
 
 
 def flat(rows):
@@ -221,25 +201,12 @@ def run(t_end=50.0, rtol=1e-10):
 
 
 def test_pure_backend_completes():
-    status, ts, ys, dense, na, nr, nfev, maxerr = run()
+    status, ts, ys, na, nr, nfev, maxerr = run()
     assert status == "done"
     assert ts[-1] == 50.0
     assert maxerr <= 1.0
     assert len(ys) == len(ts) * 5
-    assert len(dense) == (len(ts) - 1) * 25
-
-
-def test_dense_eval_reproduces_endpoints():
-    status, ts, ys, dense, *_ = run(t_end=5.0)
-    n = 5
-    out = [0.0] * n
-    for step in (0, len(ts) // 2, len(ts) - 2):
-        _stepper_py.dense_eval(dense, n, step, 0.0, out)
-        start = np.asarray(ys[step * n : (step + 1) * n])
-        assert np.allclose(out, start, rtol=1e-13, atol=1e-15)
-        _stepper_py.dense_eval(dense, n, step, 1.0, out)
-        end = np.asarray(ys[(step + 1) * n : (step + 2) * n])
-        assert np.allclose(out, end, rtol=1e-13, atol=1e-15)
+    assert na == len(ts) - 1
 
 
 def test_zero_base_negative_exponent_flags_blowup():
@@ -363,9 +330,9 @@ def test_solve_is_bit_identical_with_the_interpreter(kind, orbit, values):
     gen = _stepper_py.solve((coeffs, exps, owner, nstate), *args)
     gen = (gen[0], gen[1], flat(gen[2]), *gen[3:])
     assert ref[0] == gen[0] == "done"
-    for a, b in zip(ref[1:4], gen[1:4]):  # ts, ys, dense
+    for a, b in zip(ref[1:3], gen[1:3]):  # ts, ys
         assert _bits(a) == _bits(b)
-    assert ref[4:] == gen[4:]  # naccept, nreject, nfev, max_err
+    assert ref[3:] == gen[3:]  # naccept, nreject, nfev, max_err
 
 
 def test_one_generation_per_term_list(monkeypatch):
@@ -419,10 +386,10 @@ def _assert_same_run(gen, ref):
         assert gen is ref
         return
     assert gen[0] == ref[0]  # status
-    for a, b in zip(gen[1:4], ref[1:4]):  # ts, ys, dense
+    for a, b in zip(gen[1:3], ref[1:3]):  # ts, ys
         assert _bits(a) == _bits(b)
-    assert gen[4:7] == ref[4:7]  # naccept, nreject, nfev
-    assert _bits(gen[7:]) == _bits(ref[7:])  # max_err
+    assert gen[3:6] == ref[3:6]  # naccept, nreject, nfev
+    assert _bits(gen[6:]) == _bits(ref[6:])  # max_err
 
 
 # (coeffs, exps, owner, nstate, y0, t0, t_end, rtol, atol, h0, watch, max_steps)
