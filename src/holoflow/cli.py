@@ -18,7 +18,7 @@ from fractions import Fraction
 from .closed_form import ProfileError
 from .flow import derivation
 from .flow import derive_flow  # noqa: F401  (kept importable; perfbench/test_recorder.py patches it here)
-from .homogeneous import INDEX_NAMES, STATE_NAMES, ModelError, get_model
+from .homogeneous import ModelError, get_model, model_spec
 from .integrate import (
     CSVError,
     IntegrationError,
@@ -46,35 +46,31 @@ class InputError(ValueError):
 
 
 def _model_from_args(args):
-    kind = args.model.upper()
-    names = INDEX_NAMES[kind]
-    if args.m is not None and "m" not in names:
+    """The model of ``--model`` with its ``--k``, ``--l``, ``--m``, each 1
+    when not given: Q(1,1,1) or M(1,1) for every command but classify."""
+    names = model_spec(args.model).index_names
+    if getattr(args, "m", None) is not None and "m" not in names:
         raise InputError("--m applies only to the Q model; M(k, l) takes --k and --l")
-    indices = (1 if getattr(args, n) is None else getattr(args, n) for n in names)
-    return get_model(kind, tuple(indices))
+    indices = (getattr(args, n, None) for n in names)
+    return get_model(args.model, tuple(1 if i is None else i for i in indices))
 
 
-def _unit_model(args):
-    """Q(1,1,1) or M(1,1), the models of every command but classify."""
-    return get_model(args.model, (1,) * len(INDEX_NAMES[args.model.upper()]))
-
-
-def _orbit_spec(args, kind: str) -> OrbitSpec:
+def _orbit_spec(args) -> OrbitSpec:
     values = {}
-    for name in STATE_NAMES[kind]:
+    for name in model_spec(args.model).state_names:
         raw = getattr(args, f"{name}0", None)
         if raw is not None:
             values[name] = raw
     try:
-        return OrbitSpec(kind, args.orbit, values, negative_branch=args.negative_branch)
+        return OrbitSpec(args.model, args.orbit, values, negative_branch=args.negative_branch)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
-def _singular_spec(args, kind: str) -> OrbitSpec:
-    spec = _orbit_spec(args, kind)
+def _singular_spec(args) -> OrbitSpec:
+    spec = _orbit_spec(args)
     if not spec.collapsing:
-        raise InputError(f"{spec.orbit!r} is not a singular orbit of the {kind} model")
+        raise InputError(f"{spec.orbit!r} is not a singular orbit of the {spec.model_kind} model")
     return spec
 
 
@@ -245,7 +241,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    sys_ = derivation(_unit_model(args)).sys
+    sys_ = derivation(_model_from_args(args)).sys
     if args.json is not None:
         _emit(sys_.to_json_dict(), args.json)
     else:
@@ -255,9 +251,9 @@ def cmd_derive(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    spec = _orbit_spec(args, args.model.upper())
+    spec = _orbit_spec(args)
     _check_start(args, spec)
-    model = _unit_model(args)
+    model = _model_from_args(args)
     cfg = _config(args)
     traj, _ = solve_orbit(derivation(model).sys, spec, cfg)
     traj.require_done()
@@ -271,15 +267,15 @@ def _bars(args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    model = _unit_model(args)
-    spec = _singular_spec(args, model.kind)
+    model = _model_from_args(args)
+    spec = _singular_spec(args)
     doc, code = verify_trajectory(model, spec, _read_traj(args, model.kind), _bars(args))
     _emit(doc, args.out)
     return code
 
 
 def cmd_cone(args) -> int:
-    model = _unit_model(args)
+    model = _model_from_args(args)
     traj = _read_traj(args, model.kind)
     cone = cone_fit(traj)
     doc = {"model": model.label, "cone": cone.to_json_dict()}
@@ -289,7 +285,7 @@ def cmd_cone(args) -> int:
 
 
 def cmd_smoothness(args) -> int:
-    model = _unit_model(args)
+    model = _model_from_args(args)
     try:
         rep = smoothness_report(model, args.orbit)
     except VerifyError as exc:
@@ -300,9 +296,9 @@ def cmd_smoothness(args) -> int:
 
 
 def cmd_report(args) -> int:
-    spec = _singular_spec(args, args.model.upper())
+    spec = _singular_spec(args)
     _check_start(args, spec)
-    doc, code, traj = run_report(_unit_model(args), spec, _config(args), _bars(args))
+    doc, code, traj = run_report(_model_from_args(args), spec, _config(args), _bars(args))
     if args.traj_out:
         traj.to_csv(args.traj_out)
     _emit(doc, args.out)

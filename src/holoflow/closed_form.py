@@ -8,12 +8,10 @@ x^2 = x0^2 + m_x s, and variation of constants gives for both models
     G(s) = (x0^2 D(0) + k A(s)) / D(s),   D(s) = prod_x (s - r_x)^(p_x),
 
 with r_x = -x0^2 / m_x the zero of x^2 and A the antiderivative of D
-vanishing at 0.  Each model is a table of slopes m_x, powers p_x and k:
-
-    Q:  G = f^2;  a, b, c: m = -1/3, p = 1;             k = -6
-    M:  G = c^2;  a: m = 3/4, p = 2;  b: m = 1/2, p = 1;  k = 16
-
-Everything here is exact at rational s; :func:`s_form` reads the table from a system.
+vanishing at 0.  The table of slopes m_x, powers p_x and k is each model's
+record's (``homogeneous.MODEL_SPECS``); G is the square of the last state
+symbol.  Everything here is exact at rational s; :func:`s_form` reads the
+table from a system.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 from ._record import record
 from .algebra import AlgebraError, LaurentPoly
 from .flow import DerivationError, ODESystem
-from .homogeneous import STATE_NAMES, CosetModel
+from .homogeneous import CosetModel, ModelSpec, model_spec
 from .integrate import OrbitSpec, Trajectory
 
 Number = Union[Fraction, float]
@@ -71,7 +69,7 @@ def _rounded(p: Fraction) -> float:
 
 @record(frozen=True)
 class _Profile:
-    """The closed form of one orbit's data; subclasses hold the model table."""
+    """The closed form of one orbit's data, built from its model's table."""
 
     initial: Dict[str, Fraction]
     denom: Tuple[Fraction, ...]  # coefficients of D(s), ascending
@@ -81,10 +79,9 @@ class _Profile:
     model_kind: str = ""
     collapsing_square0: Fraction = Fraction(0)  # f0^2 or c0^2
 
-    #: (name, slope m, power of the zero -x0^2/m in D) of each squared
-    #: coefficient affine in s, and the factor k of A; not fields
-    _AFFINE = ()
-    _FACTOR = Fraction(0)
+    @cached_property
+    def _spec(self) -> ModelSpec:
+        return model_spec(self.model_kind)
 
     def _check_domain(self, s: Number) -> None:
         """A nonzero pole is hit at s = p and passed beyond it, away from 0."""
@@ -108,7 +105,7 @@ class _Profile:
         """
         try:
             const, factor, a0, a1, a2, a3, a4, d0, d1, d2, d3 = map(
-                float, (self.constant, self._FACTOR, *self.anti, *self.denom)
+                float, (self.constant, self._spec.factor, *self.anti, *self.denom)
             )
         except OverflowError:
             const = None  # a coefficient beyond float range: only s = 0 has a value
@@ -140,7 +137,7 @@ class _Profile:
         self._check_domain(s)
         if s == 0:
             return self.collapsing_square0
-        num = self.constant + self._FACTOR * _horner(self.anti, s)
+        num = self.constant + self._spec.factor * _horner(self.anti, s)
         den = _horner(self.denom, s)
         if den == 0:
             raise DomainError(f"denominator vanishes at s = {s}")
@@ -148,36 +145,33 @@ class _Profile:
 
     @cached_property
     def _float_lines(self) -> Tuple[Tuple[str, float, float], ...]:
-        return tuple((x, float(self.initial[x] ** 2), float(m)) for x, m, _ in self._AFFINE)
+        return tuple((x, float(self.initial[x] ** 2), float(m)) for x, m, _ in self._spec.affine)
 
     def coefficient_squares(self, s: Number) -> Dict[str, Number]:
         """Every squared coefficient at s; the affine ones at a float s from
         the coefficients rounded once, as Fraction-float arithmetic rounds them."""
         if isinstance(s, Fraction):
-            out = {x: self.initial[x] ** 2 + m * s for x, m, _ in self._AFFINE}
+            out = {x: self.initial[x] ** 2 + m * s for x, m, _ in self._spec.affine}
         else:
             out = {x: x0 + m * s for x, x0, m in self._float_lines}
-        out[STATE_NAMES[self.model_kind][-1]] = self.value_squared(s)
+        out[self._spec.state_names[-1]] = self.value_squared(s)
         return out
 
 
 @record(frozen=True)
 class ProfileQ(_Profile):
-    _AFFINE = (("a", Fraction(-1, 3), 1), ("b", Fraction(-1, 3), 1), ("c", Fraction(-1, 3), 1))
-    _FACTOR = Fraction(-6)
     # an entry of its own, so that per-class instrumentation can wrap it
     coefficient_squares = _Profile.coefficient_squares
 
 
 @record(frozen=True)
 class ProfileM(_Profile):
-    _AFFINE = (("a", Fraction(3, 4), 2), ("b", Fraction(1, 2), 1))
-    _FACTOR = Fraction(16)
     # an entry of its own, so that per-class instrumentation can wrap it
     coefficient_squares = _Profile.coefficient_squares
 
 
-_PROFILES = {"Q": ProfileQ, "M": ProfileM}
+#: the profile class of each model kind K is ProfileK
+_PROFILE_CLASSES = {cls.__name__[-1]: cls for cls in (ProfileQ, ProfileM)}
 
 
 def s_form(sys: ODESystem) -> Tuple[Tuple[Tuple[str, Fraction, int], ...], Fraction]:
@@ -206,26 +200,25 @@ def s_form(sys: ODESystem) -> Tuple[Tuple[Tuple[str, Fraction, int], ...], Fract
 
 def profile(model: Union[CosetModel, str], init: OrbitSpec) -> Union[ProfileQ, ProfileM]:
     """Closed-form profile evaluator for one orbit's initial data."""
-    kind = model.kind if isinstance(model, CosetModel) else str(model).upper()
-    if kind != init.model_kind:
+    spec = model_spec(model, ProfileError)
+    if spec is not model_spec(init.model_kind):
         raise ProfileError("orbit spec does not match the model")
     vals = {k: Fraction(v) for k, v in init.values.items()}
-    full = {x: vals.get(x, Fraction(0)) for x in STATE_NAMES[kind]}
-    cls = _PROFILES[kind]
+    full = {x: vals.get(x, Fraction(0)) for x in spec.state_names}
     roots = []
     den = [Fraction(1)]
-    for x, m, power in cls._AFFINE:
+    for x, m, power in spec.affine:
         roots.append(-full[x] ** 2 / m)
         for _ in range(power):
             den = _poly_mul(den, [-roots[-1], Fraction(1)])
-    square0 = full[STATE_NAMES[kind][-1]] ** 2
-    return cls(
+    square0 = full[spec.state_names[-1]] ** 2
+    return _PROFILE_CLASSES[spec.kind](
         initial=full,
         denom=tuple(den),
         anti=tuple(_poly_antiderivative(den)),
         constant=square0 * den[0],
         poles=tuple(sorted(set(roots))),
-        model_kind=kind,
+        model_kind=spec.kind,
         collapsing_square0=square0,
     )
 
@@ -237,7 +230,7 @@ def compare(traj: Trajectory, prof: Union[ProfileQ, ProfileM]) -> float:
     primitive and compared against the squared coefficients; no numerical
     inversion of the primitive is ever needed.
     """
-    if traj.model_kind != prof.model_kind:
+    if model_spec(traj.model_kind, ProfileError) is not prof._spec:
         raise ProfileError("trajectory and profile belong to different models")
     names = traj.state_names
     worst = 0.0

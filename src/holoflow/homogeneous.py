@@ -17,25 +17,14 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ._record import record
+from ._record import field, record
 from .algebra import Multivector, SymbolTable
 
 
 class ModelError(ValueError):
     """Raised for invalid coset-model input."""
-
-
-#: metric coefficients per model, in state order
-STATE_NAMES = {"Q": ("a", "b", "c", "f"), "M": ("a", "b", "c")}
-
-#: embedding indices per model
-INDEX_NAMES = {"Q": ("k", "l", "m"), "M": ("k", "l")}
-
-#: irreducible isotropy submodules of the tangent space per model, each
-#: paired with the state symbol of the same position
-MODULES = {"Q": ((0, 1), (2, 3), (4, 5), (6,)), "M": ((0, 1, 2, 3), (4, 5), (6,))}
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +217,7 @@ class CosetModel:
 
     @property
     def symbols(self) -> SymbolTable:
-        return SymbolTable(STATE_NAMES[self.kind]).with_derivatives()
+        return SymbolTable(MODEL_SPECS[self.kind].state_names).with_derivatives()
 
     #: Cartan-invariant two-plane index pairs of the tangent space + fixed line
     PLANES = ((0, 1), (2, 3), (4, 5))
@@ -237,7 +226,7 @@ class CosetModel:
     @property
     def modules(self) -> Tuple[Tuple[int, ...], ...]:
         """Irreducible isotropy submodules of the tangent space."""
-        return MODULES[self.kind]
+        return MODEL_SPECS[self.kind].modules
 
 
 def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[Fraction, ...]]:
@@ -335,11 +324,8 @@ def m_model(k: int, l: int) -> CosetModel:
 
 
 def get_model(kind: str, indices: Sequence[int]) -> CosetModel:
-    kind = kind.upper()
-    build = {"Q": q_model, "M": m_model}.get(kind)
-    if build is None:
-        raise ModelError(f"unknown model kind {kind!r}")
-    return build(*indices)
+    # the constructors are looked up per call, so wrappers installed on them are used
+    return {"Q": q_model, "M": m_model}[model_spec(kind).kind](*indices)
 
 
 # an element of the Lie algebra as exact coordinates {basis index: coefficient}
@@ -570,19 +556,18 @@ def _isotropy_coords(model: CosetModel, x: Scaled) -> Dict[int, Fraction]:
     return {a: Fraction(tk * model.basis[a][0], dx * nk) for a, tk, nk in zip(iso, t, norms) if tk}
 
 
-def _cartan_elements(model: CosetModel) -> List[Dict[int, Fraction]]:
-    if model.kind == "Q":
-        return [
-            _isotropy_coords(model, _place(2, (0, x, _S3), (1, y, _S3), (2, z, _S3)))
-            for x, y, z in _kernel_basis_1x3(*model.indices)
-        ]
-    # M model: Cartan of su(2) + u(1) spanned by e10, e11
-    return [{9: Fraction(1)}, {10: Fraction(1)}]
+def _q_cartan(model: CosetModel) -> List[Coords]:
+    """The Cartan of U(1)^2 in Q(k,l,m): (x, y, z) sigma_3 on the three
+    blocks, (x, y, z) over the HNF basis of k x + l y + m z = 0."""
+    return [
+        _isotropy_coords(model, _place(2, (0, x, _S3), (1, y, _S3), (2, z, _S3)))
+        for x, y, z in _kernel_basis_1x3(*model.indices)
+    ]
 
 
 def isotropy_weights(model: CosetModel) -> WeightMultiset:
     """Weights of the isotropy Cartan on the invariant tangent 2-planes."""
-    cartan = [_ad(model, x) for x in _cartan_elements(model)]
+    cartan = [_ad(model, x) for x in MODEL_SPECS[model.kind].cartan(model)]
     weights = []
     for plane in model.PLANES:
         vec = []
@@ -614,3 +599,124 @@ def classify_invariant_g2(model: CosetModel) -> bool:
     if any(u[0] * v[1] == u[1] * v[0] for u, v in itertools.combinations(w, 2)):
         return False
     return any(all(a + s * b + t * c == 0 for a, b, c in zip(*w)) for s in (1, -1) for t in (1, -1))
+
+
+# ---------------------------------------------------------------------------
+# the two principal orbits, one record each
+# ---------------------------------------------------------------------------
+
+
+@record(frozen=True)
+class CatalogRow:
+    """One singular orbit, by isotropy group.  An admissible row names its
+    orbit, the coefficients that collapse there, the slopes that smoothness
+    requires of them and the geometry behind those slopes; the other rows
+    give no cohomogeneity-one space.  The vertical coefficient's slope is
+    left out: the circle action fixes it (``verify.orbit_catalog``)."""
+
+    isotropy: str
+    collapsing_sphere: str
+    singular_orbit: str
+    orbit_key: Optional[str] = None  # None for excluded rows
+    collapsing: Tuple[str, ...] = ()
+    required: Mapping[str, Fraction] = field(default_factory=dict)
+    geometry: str = ""
+    note: str = ""
+
+
+@record(frozen=True)
+class ModelSpec:
+    """What the paper states about one principal orbit.  The rest of what
+    differs between the models is computed from it: the cone limits, the
+    vertical smoothness slopes, the primitive's name and the collapsing
+    coefficients of each orbit."""
+
+    kind: str
+    state_names: Tuple[str, ...]  # metric coefficients in state order, the vertical one last
+    index_names: Tuple[str, ...]  # embedding indices
+    modules: Tuple[Tuple[int, ...], ...]  # isotropy submodules of the tangent space, one per state name
+    frame_map: Mapping[int, Tuple[int, str]]  # canonical slot -> (generator index, scale symbol)
+    rotation_multiples: Tuple[int, ...]  # per plane, of the fundamental angle unit
+    fundamental_unit: Fraction
+    family_weight: int  # the rotation family's one moving Fourier weight
+    catalog: Tuple[CatalogRow, ...]  # the singular orbits
+    affine: Tuple[Tuple[str, Fraction, int], ...]  # closed form: (x, m_x, p_x) per affine square
+    factor: Fraction  # closed form: the factor k of A
+    cartan: Callable[[CosetModel], List[Coords]]  # the isotropy Cartan elements
+    circle_period: Fraction  # of the vertical circle, in multiples of pi
+    circle_lattice: Tuple[Fraction, ...]  # generates its parameters in the isotropy group
+    cone_label: str  # the vertical coefficient's cone quantity
+
+    @property
+    def primitive_name(self) -> str:
+        """The primitive integrates the last state symbol."""
+        return self.state_names[-1].upper()
+
+
+def _circle_step(period: Fraction, w: Sequence[int], u1: Sequence[int], u2: Sequence[int]) -> Fraction:
+    """The least theta > 0 with exp(theta w) in the torus spanned by u1, u2,
+    for a circle of the given period: with theta = period tau, tau w must
+    lie in span(u1, u2) + Z^3, so it pairs integrally with the primitive
+    normal of the span, the cross product u1 x u2 over its content."""
+    normal = [u1[i - 2] * u2[i - 1] - u1[i - 1] * u2[i - 2] for i in range(3)]
+    return period / (abs(sum(wi * ni for wi, ni in zip(w, normal))) // math.gcd(*normal))
+
+
+_NO_SPACE = "no cohomogeneity-one space"
+
+MODEL_SPECS: Dict[str, ModelSpec] = {
+    spec.kind: spec
+    for spec in (
+        ModelSpec(
+            kind="Q", state_names=("a", "b", "c", "f"), index_names=("k", "l", "m"),
+            modules=((0, 1), (2, 3), (4, 5), (6,)),
+            frame_map={1: (7, "f"), 2: (1, "a"), 3: (2, "a"), 4: (3, "b"), 5: (4, "b"), 6: (6, "c"), 7: (5, "c")},
+            rotation_multiples=(1, 1, 1), fundamental_unit=Fraction(1), family_weight=3,
+            catalog=(
+                CatalogRow("U(1)^3", "S^1", "S^2 x S^2 x S^2", "s2xs2xs2", ("f",), {},
+                           "collapsing circle of length (4 pi / 3) |f|"),
+                CatalogRow("U(1)^2 x SU(2)", "S^3", "S^2 x S^2", "s2xs2", ("a", "f"), {"a": Fraction(1, 2)},
+                           "collapsing 3-sphere; great circles along e1 and e7"),
+                CatalogRow("U(1) x SU(2)^2", "not a sphere quotient", "S^2", note=_NO_SPACE),
+                CatalogRow("SU(2)^3", "not a sphere quotient", "point", note=_NO_SPACE),
+            ),
+            affine=(("a", Fraction(-1, 3), 1), ("b", Fraction(-1, 3), 1), ("c", Fraction(-1, 3), 1)),
+            factor=Fraction(-6), cartan=_q_cartan, cone_label="|f|/t",
+            # exp(theta e7), (1, 1, 1) on the three sigma_3, has period 4 pi; the
+            # isotropy torus is spanned by (1, -1, 0) and (1, 1, -2)
+            circle_period=Fraction(4),
+            circle_lattice=(_circle_step(Fraction(4), (1, 1, 1), (1, -1, 0), (1, 1, -2)),),
+        ),
+        ModelSpec(
+            kind="M", state_names=("a", "b", "c"), index_names=("k", "l"),
+            modules=((0, 1, 2, 3), (4, 5), (6,)),
+            frame_map={1: (7, "c"), 2: (6, "b"), 3: (5, "b"), 4: (1, "a"), 5: (2, "a"), 6: (4, "a"), 7: (3, "a")},
+            rotation_multiples=(3, 3, -2), fundamental_unit=Fraction(1, 2), family_weight=8,
+            catalog=(
+                CatalogRow("U(2) x U(1)", "S^1", "CP^2 x S^2", "cp2xs2", ("c",), {},
+                           "collapsing circle of length (pi / 2) |c| in display units"),
+                CatalogRow("U(2) x SU(2)", "S^3", "CP^2", "cp2", ("b", "c"), {"b": Fraction(1)},
+                           "collapsing 3-sphere; sectional curvature 1/t^2 condition"),
+                CatalogRow("SU(3) x U(1)", "S^5/Z_3", "S^2", "s2", ("a", "c"), {"a": Fraction(1)},
+                           "collapsing S^5/Z_3; orbifold smoothness condition", "orbifold, not a manifold"),
+                CatalogRow("SU(3) x SU(2)", "not a sphere quotient", "point", note=_NO_SPACE),
+            ),
+            affine=(("a", Fraction(3, 4), 2), ("b", Fraction(1, 2), 1)),
+            factor=Fraction(16), cone_label="c/t",
+            cartan=lambda model: [{9: Fraction(1)}, {10: Fraction(1)}],  # e10, e11: su(2) + u(1)
+            # the central generator (the displayed one, half of e7) has period
+            # 4 pi and lies in SU(2) x U(1) at the multiples of pi and 3 pi / 2
+            circle_period=Fraction(4), circle_lattice=(Fraction(1), Fraction(3, 2)),
+        ),
+    )
+}
+
+
+def model_spec(kind: Union[str, CosetModel], error: type = ModelError) -> ModelSpec:
+    """The record of a model, or of a model kind in either case; raises
+    ``error`` for an unknown kind."""
+    key = kind.kind if isinstance(kind, CosetModel) else str(kind).upper()
+    spec = MODEL_SPECS.get(key)
+    if spec is None:
+        raise error(f"unknown model kind {key!r}")
+    return spec

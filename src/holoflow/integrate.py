@@ -5,8 +5,8 @@ state is produced by an exact first-order series solve (the l'Hopital limit
 of the right-hand sides under odd/even parity), after which an adaptive
 embedded Runge-Kutta pair takes over.  The integrated primitive (F with
 F' = f, or C with C' = c) rides along as an extra state component.  The
-singular-orbit catalog, which fixes the collapsing coefficients of each
-orbit, lives here.
+collapsing coefficients of each orbit come from the singular-orbit catalog
+in each model's record, ``homogeneous.MODEL_SPECS``.
 """
 
 from __future__ import annotations
@@ -19,70 +19,13 @@ from . import _kernel
 from ._record import field, record
 from .algebra import AlgebraError, LaurentPoly, SymbolTable, term_list
 from .flow import ODESystem
-from .homogeneous import STATE_NAMES
-
-
-@record(frozen=True)
-class CatalogRow:
-    """One singular orbit, by isotropy group.  An admissible row names its
-    orbit, the coefficients that collapse there, the slopes that smoothness
-    requires of them and the geometry behind those slopes; the other rows
-    give no cohomogeneity-one space."""
-
-    isotropy: str
-    collapsing_sphere: str
-    singular_orbit: str
-    orbit_key: Optional[str] = None  # None for excluded rows
-    collapsing: Tuple[str, ...] = ()
-    required: Mapping[str, Fraction] = field(default_factory=dict)
-    geometry: str = ""
-    note: str = ""
-
-
-_NO_SPACE = "no cohomogeneity-one space"
-
-#: the singular orbits of each model, with the isotropy group of each
-ORBIT_CATALOG: Dict[str, Tuple[CatalogRow, ...]] = {
-    "Q": (
-        CatalogRow(
-            "U(1)^3", "S^1", "S^2 x S^2 x S^2", "s2xs2xs2", ("f",), {"f": Fraction(3, 2)},
-            "collapsing circle of length (4 pi / 3) |f|",
-        ),
-        CatalogRow(
-            "U(1)^2 x SU(2)", "S^3", "S^2 x S^2", "s2xs2", ("a", "f"),
-            {"a": Fraction(1, 2), "f": Fraction(3, 2)},
-            "collapsing 3-sphere; great circles along e1 and e7",
-        ),
-        CatalogRow("U(1) x SU(2)^2", "not a sphere quotient", "S^2", note=_NO_SPACE),
-        CatalogRow("SU(2)^3", "not a sphere quotient", "point", note=_NO_SPACE),
-    ),
-    "M": (
-        CatalogRow(
-            "U(2) x U(1)", "S^1", "CP^2 x S^2", "cp2xs2", ("c",), {"c": Fraction(4)},
-            "collapsing circle of length (pi / 2) |c| in display units",
-        ),
-        CatalogRow(
-            "U(2) x SU(2)", "S^3", "CP^2", "cp2", ("b", "c"), {"b": Fraction(1), "c": Fraction(4)},
-            "collapsing 3-sphere; sectional curvature 1/t^2 condition",
-        ),
-        CatalogRow(
-            "SU(3) x U(1)", "S^5/Z_3", "S^2", "s2", ("a", "c"),
-            {"a": Fraction(1), "c": Fraction(4)},
-            "collapsing S^5/Z_3; orbifold smoothness condition",
-            note="orbifold, not a manifold",
-        ),
-        CatalogRow("SU(3) x SU(2)", "not a sphere quotient", "point", note=_NO_SPACE),
-    ),
-}
+from .homogeneous import MODEL_SPECS, model_spec
 
 #: collapsing coefficient pattern per model and orbit, the principal one first
 ORBIT_COLLAPSING: Dict[str, Dict[str, Tuple[str, ...]]] = {
-    kind: {"principal": (), **{row.orbit_key: row.collapsing for row in rows if row.orbit_key}}
-    for kind, rows in ORBIT_CATALOG.items()
+    kind: {"principal": (), **{row.orbit_key: row.collapsing for row in spec.catalog if row.orbit_key}}
+    for kind, spec in MODEL_SPECS.items()
 }
-
-#: the primitive integrates the last state symbol
-PRIMITIVE_NAME = {"Q": "F", "M": "C"}
 
 
 class OrbitError(ValueError):
@@ -113,14 +56,12 @@ class OrbitSpec:
     negative_branch: bool = False
 
     def __post_init__(self):
-        kind = self.model_kind.upper()
-        object.__setattr__(self, "model_kind", kind)
-        if kind not in ORBIT_COLLAPSING:
-            raise OrbitError(f"unknown model kind {kind!r}")
-        orbits = ORBIT_COLLAPSING[kind]
+        spec = model_spec(self.model_kind, OrbitError)
+        object.__setattr__(self, "model_kind", spec.kind)
+        orbits = ORBIT_COLLAPSING[spec.kind]
         if self.orbit not in orbits:
-            raise OrbitError(f"unknown orbit {self.orbit!r} for model {kind}")
-        expected = tuple(s for s in STATE_NAMES[kind] if s not in orbits[self.orbit])
+            raise OrbitError(f"unknown orbit {self.orbit!r} for model {spec.kind}")
+        expected = tuple(s for s in spec.state_names if s not in orbits[self.orbit])
         vals = {k: Fraction(v) for k, v in self.values.items()}
         if set(vals) != set(expected):
             raise OrbitError(
@@ -273,7 +214,7 @@ def series_start(
     so they receive no first-order correction.  The accumulated primitive
     starts as half the collapsing slope times eps squared.
     """
-    if sys.model_kind != spec.model_kind:
+    if model_spec(sys.model_kind) is not model_spec(spec.model_kind):
         raise OrbitError("orbit spec does not match the ODE system")
     collapsing = list(spec.collapsing)
     if not collapsing:
@@ -354,12 +295,8 @@ class Trajectory:
     stats: Dict[str, float] = field(default_factory=dict)
 
     @property
-    def primitive_name(self) -> str:
-        return PRIMITIVE_NAME[self.model_kind]
-
-    @property
     def columns(self) -> Tuple[str, ...]:
-        return ("t",) + self.state_names + (self.primitive_name,)
+        return ("t",) + self.state_names + (model_spec(self.model_kind).primitive_name,)
 
     @property
     def n_samples(self) -> int:
@@ -385,7 +322,8 @@ class Trajectory:
         one finite number per column, t is non-negative (arclength from the
         singular orbit) and increases strictly, and there are at least 3 rows.
         """
-        expected = ("t",) + STATE_NAMES[model_kind] + (PRIMITIVE_NAME[model_kind],)
+        spec = model_spec(model_kind)
+        expected = ("t",) + spec.state_names + (spec.primitive_name,)
         rows = []
         with open(path) as fh:
             header = tuple(fh.readline().strip().split(","))
@@ -415,8 +353,8 @@ class Trajectory:
         if len(rows) < 3:
             raise CSVError(f"{len(rows)} rows, at least 3 are needed")
         return Trajectory(
-            model_kind=model_kind,
-            state_names=STATE_NAMES[model_kind],
+            model_kind=spec.kind,
+            state_names=spec.state_names,
             ts=[row[0] for row in rows],
             ys=[row[1:] for row in rows],
             status="loaded",
@@ -428,7 +366,7 @@ def _compile_terms(sys: ODESystem) -> Tuple[List[float], List[int], List[int], i
     # the primitive' = last state symbol; the primitive never feeds back
     polys = [sys.rhs[n] for n in names] + [LaurentPoly.variable(sys.table, names[-1])]
     try:
-        coeffs, exps, owner = term_list(polys, names + (PRIMITIVE_NAME[sys.model_kind],))
+        coeffs, exps, owner = term_list(polys, names + (model_spec(sys.model_kind).primitive_name,))
     except AlgebraError:
         if any(set(sys.table.derivative).intersection(p.symbols()) for p in polys):
             raise IntegrationError("right-hand side contains derivative symbols") from None

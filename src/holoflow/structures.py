@@ -17,7 +17,7 @@ from typing import Tuple, Union
 
 from ._record import record, replace
 from .algebra import LaurentPoly, Multivector, SymbolTable, wedge
-from .homogeneous import CosetModel, classify_invariant_g2, group_gens, is_basic
+from .homogeneous import CosetModel, classify_invariant_g2, group_gens, is_basic, model_spec
 
 CANON7 = tuple(f"dx{i}" for i in range(1, 8))
 CANON8 = tuple(f"dx{i}" for i in range(8))
@@ -50,20 +50,6 @@ OMEGA4_TERMS = (
     ((2, 3, 6, 7), 1),
     ((4, 5, 6, 7), 1),
 )
-
-#: orthonormal-frame assignment: canonical slot -> (generator index, scale symbol)
-FRAME_MAP = {
-    "Q": {1: (7, "f"), 2: (1, "a"), 3: (2, "a"), 4: (3, "b"), 5: (4, "b"), 6: (6, "c"), 7: (5, "c")},
-    "M": {1: (7, "c"), 2: (6, "b"), 3: (5, "b"), 4: (1, "a"), 5: (2, "a"), 6: (4, "a"), 7: (3, "a")},
-}
-
-#: coframe rotation data on the model's planes: integer multiples of the
-#: fundamental angle unit (theta for Q, theta/2 for the M ad-action)
-ROTATION_MULTIPLES = {"Q": (1, 1, 1), "M": (3, 3, -2)}
-FUNDAMENTAL_UNIT = {"Q": Fraction(1), "M": Fraction(1, 2)}
-#: the family's one moving Fourier weight, in units of the fundamental angle
-FAMILY_WEIGHT = {"Q": 3, "M": 8}
-
 
 class StructureError(ValueError):
     pass
@@ -134,12 +120,10 @@ def build_invariant_structure(model: CosetModel, time_reversed: bool = False) ->
     gens = group_gens(model)
     dt_index = len(gens) - 1
     table = model.symbols
-    fmap = FRAME_MAP[model.kind]
 
     dt_scale = LaurentPoly.const(table, -1 if time_reversed else 1)
     map8 = {0: ((dt_index, dt_scale),)}
-    for slot in range(1, 8):
-        target, sym = fmap[slot]
+    for slot, (target, sym) in model_spec(model).frame_map.items():
         map8[slot] = ((target - 1, LaurentPoly.variable(table, sym)),)
     map7 = {slot - 1: image for slot, image in map8.items() if slot}
 
@@ -213,9 +197,8 @@ def rotate_structure(struct: Spin7Structure, theta: AngleLike) -> Spin7Structure
     ``theta`` is a float angle or an exact ``(cos, sin)`` pair of the
     model's fundamental angle unit.
     """
-    kind = struct.model.kind
-    cs_pairs = _rotation(theta, FUNDAMENTAL_UNIT[kind], ROTATION_MULTIPLES[kind])
-    return _rotate_all(struct, cs_pairs)
+    spec = model_spec(struct.model)
+    return _rotate_all(struct, _rotation(theta, spec.fundamental_unit, spec.rotation_multiples))
 
 
 def rotation_generator(struct: Spin7Structure, form: Multivector) -> Multivector:
@@ -229,7 +212,7 @@ def rotation_generator(struct: Spin7Structure, form: Multivector) -> Multivector
     """
     gens, dt = form.gens, form.dt_index
     out = Multivector.zero(gens, dt)
-    for (i, j), n in zip(CosetModel.PLANES, ROTATION_MULTIPLES[struct.model.kind]):
+    for (i, j), n in zip(CosetModel.PLANES, model_spec(struct.model).rotation_multiples):
         out = out + wedge(Multivector.basis(gens, [j], Fraction(-n), dt), form.contract(i))
         out = out + wedge(Multivector.basis(gens, [i], Fraction(n), dt), form.contract(j))
     return out

@@ -13,7 +13,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ._record import record
+from ._record import record, replace
 from .algebra import AlgebraError, LaurentPoly
 from .closed_form import ProfileM, ProfileQ, compare, profile, s_form
 from .flow import (
@@ -26,17 +26,9 @@ from .flow import (
     kaehler_search,
     under_system,
 )
-from .homogeneous import CosetModel
-from .integrate import (
-    ORBIT_CATALOG,
-    CatalogRow,
-    IntegratorConfig,
-    OrbitSpec,
-    Trajectory,
-    series_start,
-    start_offset,
-)
-from .structures import FAMILY_WEIGHT, rotation_generator
+from .homogeneous import MODEL_SPECS, CatalogRow, CosetModel, ModelSpec, model_spec
+from .integrate import IntegratorConfig, OrbitSpec, Trajectory, series_start, start_offset
+from .structures import rotation_generator
 
 
 class VerifyError(ValueError):
@@ -111,7 +103,7 @@ class ProfileSampler(_SpanSampler):
     )
 
     def __init__(self, prof: Union[ProfileQ, ProfileM], anchors: Trajectory):
-        if anchors.model_kind != prof.model_kind:
+        if model_spec(anchors.model_kind, VerifyError) is not model_spec(prof.model_kind):
             raise VerifyError("profile and anchor trajectory disagree on the model")
         self.prof = prof
         self.anchors = anchors
@@ -344,10 +336,18 @@ def check_closure_samples(traj: Trajectory, deriv: Derivation) -> ClosureReport:
 # cone asymptotics
 # ---------------------------------------------------------------------------
 
-CONE_REFS = {
-    "Q": {"a^2/t^2": 0.125, "b^2/t^2": 0.125, "c^2/t^2": 0.125, "|f|/t": 0.75},
-    "M": {"a^2/t^2": 0.75, "b^2/t^2": 0.5, "c/t": 2.0},
-}
+
+def _cone_refs(spec: ModelSpec) -> Dict[str, float]:
+    """The cone limits from the closed-form table: for large |s|, G ~ g s
+    with g = k / (1 + sum p_x), so t ~ 2 sqrt(s / g), x^2/t^2 -> m_x g / 4
+    and |x_coll|/t -> |g| / 2."""
+    g = spec.factor / (1 + sum(p for _, _, p in spec.affine))
+    refs = {f"{x}^2/t^2": float(m * g / 4) for x, m, _ in spec.affine}
+    refs[spec.cone_label] = float(abs(g) / 2)
+    return refs
+
+
+CONE_REFS = {kind: _cone_refs(spec) for kind, spec in MODEL_SPECS.items()}
 #: a run reaches the cone regime once t_end is this many initial scales
 CONE_SPAN_RATIO = 1e3
 
@@ -435,47 +435,24 @@ def cone_fit(traj: Trajectory) -> ConeFit:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_gcd(a: Fraction, b: Fraction) -> Fraction:
-    # generator of the group a*Z + b*Z inside Q
-    num = math.gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    return Fraction(num, a.denominator * b.denominator)
+def _lattice_gcd(*gens: Fraction) -> Fraction:
+    """The generator of the group sum_i gens_i Z inside Q."""
+    den = math.lcm(*(g.denominator for g in gens))
+    return Fraction(math.gcd(*(g.numerator * (den // g.denominator) for g in gens)), den)
 
 
 def s_action_circle(kind: str) -> Dict[str, object]:
-    """Exact period data of the vertical circle action, per the group facts.
-
-    Q: exp(theta e7) has period 4 pi; it lies in the isotropy torus iff
-    theta (1,1,1) differs from the span of (1,-1,0), (1,1,-2) by an integer
-    vector in the 4 pi lattice, i.e. iff 3 theta is a multiple of 4 pi.
-
-    M: the central generator (the displayed one, half of this package's
-    basis vector) has period 4 pi; membership in SU(2) x U(1) reduces to
-    theta in the lattice generated by pi and 3 pi / 2.
-    """
-    if kind == "Q":
-        period = Fraction(4)  # multiples of pi
-        u1 = (1, -1, 0)
-        u2 = (1, 1, -2)
-        w = (1, 1, 1)
-        normal = (
-            u1[1] * u2[2] - u1[2] * u2[1],
-            u1[2] * u2[0] - u1[0] * u2[2],
-            u1[0] * u2[1] - u1[1] * u2[0],
-        )
-        content = math.gcd(math.gcd(abs(normal[0]), abs(normal[1])), abs(normal[2]))
-        pairing = abs(sum(wi * ni for wi, ni in zip(w, normal))) // content
-        # tau * pairing must be integral, with theta = 4 pi tau
-        step = period / pairing
-        order = pairing
-    else:
-        period = Fraction(4)
-        step = _lattice_gcd(Fraction(1), Fraction(3, 2))
-        order = int(period / step)
+    """Exact period data of the vertical circle action: its period and the
+    step at which it meets the isotropy group, the generator of the
+    record's circle lattice, both in multiples of pi."""
+    spec = model_spec(kind, VerifyError)
+    step = _lattice_gcd(*spec.circle_lattice)
+    order = int(spec.circle_period / step)
     return {
-        "period_over_pi": period,
+        "period_over_pi": spec.circle_period,
         "intersection_order": order,
         "circle_step_over_pi": step,
-        "required_slope": Fraction(2) * order / period,
+        "required_slope": Fraction(2) * order / spec.circle_period,
     }
 
 
@@ -499,9 +476,7 @@ class SmoothnessReport:
 
 def smoothness_report(model: CosetModel, orbit: str) -> SmoothnessReport:
     """Exact limiting derivatives against the catalog's requirements."""
-    row = next((r for r in ORBIT_CATALOG[model.kind] if r.orbit_key == orbit), None)
-    if row is None:
-        raise VerifyError(f"{orbit!r} is not a singular orbit of the {model.kind} model")
+    row = catalog_row(model, orbit)
     sys = derivation(model).sys
     values = {x: Fraction(1) for x in sys.state if x not in row.collapsing}
     _, slopes = series_start(sys, OrbitSpec(model.kind, orbit, values))
@@ -565,7 +540,7 @@ def su4_family_check(
     # and d(W) = L^2 d(Omega) vanish under the system whenever d(Omega) does
     V = rotation_generator(struct, struct.Omega)
     W = rotation_generator(struct, V)
-    k = FAMILY_WEIGHT[model.kind]
+    k = model_spec(model).family_weight
     closed = under_system(deriv.d_Omega, sys, struct.table).is_zero
     family_parallel = closed and rotation_generator(struct, W) == V.scaled(-k * k)
 
@@ -598,17 +573,22 @@ def su4_family_check(
 
 
 def orbit_catalog(model: Union[CosetModel, str]) -> Tuple[CatalogRow, ...]:
-    kind = model.kind if isinstance(model, CosetModel) else str(model).upper()
-    if kind not in ORBIT_CATALOG:
-        raise VerifyError(f"unknown model kind {kind!r}")
-    return ORBIT_CATALOG[kind]
+    """The model's singular orbits, each collapsing vertical coefficient
+    with the slope that the circle action requires of it."""
+    spec = model_spec(model, VerifyError)
+    vertical = spec.state_names[-1]
+    slope = s_action_circle(spec.kind)["required_slope"]
+    return tuple(
+        replace(row, required={**row.required, vertical: slope}) if vertical in row.collapsing else row
+        for row in spec.catalog
+    )
 
 
 def catalog_row(model: Union[CosetModel, str], orbit: str) -> CatalogRow:
     for row in orbit_catalog(model):
         if row.orbit_key == orbit:
             return row
-    raise VerifyError(f"{orbit!r} is not an admissible singular orbit")
+    raise VerifyError(f"{orbit!r} is not a singular orbit of the {model_spec(model).kind} model")
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +639,8 @@ def verify_trajectory(
     loaded = traj.status == "loaded"
     deriv = derivation(model)
     prof = profile(model, spec)
-    if s_form(deriv.sys) != (prof._AFFINE, prof._FACTOR):
+    stated = model_spec(model)
+    if s_form(deriv.sys) != (stated.affine, stated.factor):
         raise DerivationError("the derived system's s-form differs from the closed form's table")
     if loaded:
         closure = check_closure_samples(traj, deriv)

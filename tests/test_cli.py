@@ -20,15 +20,10 @@ from hypothesis import strategies as st
 import holoflow
 from holoflow import flow, structures
 from holoflow.cli import main
-from holoflow.homogeneous import m_model
-from holoflow.integrate import (
-    ORBIT_COLLAPSING,
-    STATE_NAMES,
-    IntegratorConfig,
-    OrbitSpec,
-    solve_orbit,
-)
+from holoflow.homogeneous import MODEL_SPECS, m_model
+from holoflow.integrate import ORBIT_COLLAPSING, IntegratorConfig, OrbitSpec, solve_orbit
 from mutations import perturbed_system
+from paper_tables import PRIMITIVE_NAME
 
 
 def run(argv, capsys):
@@ -123,6 +118,14 @@ def test_solve_verify_cone_smoothness_pipeline(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["smoothness"]["verdict"] == "non-smooth"
     assert doc["smoothness"]["computed"]["c"] == "8/3"
+
+
+@pytest.mark.parametrize("model,orbit", [("q", "principal"), ("m", "s2xs2"), ("q", "bogus")])
+def test_smoothness_names_a_non_singular_orbit(capsys, model, orbit):
+    code, out, err = run(["smoothness", "--model", model, "--orbit", orbit], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: '{orbit}' is not a singular orbit of the {model.upper()} model\n"
 
 
 def test_verify_holds_a_long_stored_run_to_the_cone_bar(capsys, tmp_path):
@@ -856,9 +859,9 @@ def cli_argv(draw):
         argv.extend(["--orbit", orbit])
         kind = model.upper()
         needed = [
-            s for s in STATE_NAMES[kind] if s not in ORBIT_COLLAPSING[kind].get(orbit, ())
+            s for s in MODEL_SPECS[kind].state_names if s not in ORBIT_COLLAPSING[kind].get(orbit, ())
         ]
-        for name in STATE_NAMES["Q"]:
+        for name in MODEL_SPECS["Q"].state_names:
             if (name in needed) if clean else draw(st.booleans()):
                 argv.extend([f"--{name}0", number("1", "2/3", "-1/2")])
         if command != "verify":  # verify integrates nothing and takes no integrator flags
@@ -932,7 +935,7 @@ def stored_runs(draw):
     model = draw(st.sampled_from(("q", "m")))
     nrows = draw(st.integers(3, 8))
     ts = sorted(draw(st.lists(st.sampled_from(FUZZ_TIMES), min_size=nrows, max_size=nrows, unique=True)))
-    width = len(STATE_NAMES[model.upper()]) + 1
+    width = len(MODEL_SPECS[model.upper()].state_names) + 1
     values = st.lists(st.sampled_from(FUZZ_VALUES), min_size=width, max_size=width)
     return model, [[t] + draw(values) for t in ts]
 
@@ -955,12 +958,12 @@ def test_verify_and_cone_on_extreme_stored_runs_end_cleanly(stored):
     kind = model.upper()
     with tempfile.TemporaryDirectory() as tmp:
         traj = Path(tmp) / "traj.csv"
-        header = ",".join(("t",) + STATE_NAMES[kind] + (holoflow.integrate.PRIMITIVE_NAME[kind],))
+        header = ",".join(("t",) + MODEL_SPECS[kind].state_names + (PRIMITIVE_NAME[kind],))
         traj.write_text(header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
         calls = [("cone", ["cone", "--model", model])]
         for orbit, collapsing in ORBIT_COLLAPSING[kind].items():
             if orbit != "principal":
-                values = [a for s in STATE_NAMES[kind] if s not in collapsing for a in (f"--{s}0", "1")]
+                values = [a for s in MODEL_SPECS[kind].state_names if s not in collapsing for a in (f"--{s}0", "1")]
                 calls.append(("verify", ["verify", "--model", model, "--orbit", orbit, *values]))
         for command, argv in calls:
             out = Path(tmp) / f"{command}.json"

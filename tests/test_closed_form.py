@@ -12,25 +12,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holoflow._record import replace
 from holoflow.algebra import LaurentPoly, SymbolTable
 from holoflow.cli import INPUT_ERRORS
 from holoflow.closed_form import (
     DomainError,
     ProfileError,
-    ProfileM,
-    ProfileQ,
     _horner,
     compare,
     profile,
     s_form,
 )
 from holoflow.flow import DerivationError, ODESystem, derivation, derive_flow
-from holoflow.homogeneous import STATE_NAMES, m_model, q_model
+from holoflow.homogeneous import MODEL_SPECS, m_model, q_model
 from holoflow.integrate import IntegratorConfig, OrbitSpec, Trajectory, solve_orbit
 from holoflow.verify import DEFAULT_BARS, verify_trajectory
 from mutations import perturbed_system
 
-TABLES = {"Q": ProfileQ, "M": ProfileM}
 UNIT_MODELS = {"Q": q_model(1, 1, 1), "M": m_model(1, 1)}
 
 
@@ -92,9 +90,10 @@ def value_squared_prime(p, s):
     den = _horner(p.denom, s)
     if den == 0:
         raise DomainError(f"denominator vanishes at s = {s}")
-    num = p.constant + p._FACTOR * _horner(p.anti, s)
-    dprime = tuple(Fraction(k) * c for k, c in enumerate(p.denom) if k > 0)
-    return p._FACTOR - num * _horner(dprime, s) / (den * den)
+    k = MODEL_SPECS[p.model_kind].factor
+    num = p.constant + k * _horner(p.anti, s)
+    dprime = tuple(Fraction(j) * c for j, c in enumerate(p.denom) if j > 0)
+    return k - num * _horner(dprime, s) / (den * den)
 
 
 def hand_written_residual(kind, initial, s, g, gp):
@@ -157,7 +156,7 @@ def test_hand_written_residuals_are_the_table_s_form(kind):
         return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 997))
 
     for _ in range(50):
-        initial = {x: rational() for x in STATE_NAMES[kind]}
+        initial = {x: rational() for x in MODEL_SPECS[kind].state_names}
         s, g, gp = rational(), rational(), rational()
         assert hand_written_residual(kind, initial, s, g, gp) == _table_residual(
             affine, k, initial, s, g, gp
@@ -180,8 +179,8 @@ def test_closed_form_solves_the_derived_s_form_identically(kind):
     multiplied by D^2; the table is the one read from the derived system,
     and D is built as ``profile`` builds it."""
     affine, k = s_form(derivation(UNIT_MODELS[kind]).sys)
-    last = STATE_NAMES[kind][-1]
-    table = SymbolTable(("s",) + tuple(x + "0" for x in STATE_NAMES[kind]))
+    last = MODEL_SPECS[kind].state_names[-1]
+    table = SymbolTable(("s",) + tuple(x + "0" for x in MODEL_SPECS[kind].state_names))
     s = LaurentPoly.variable(table, "s")
     one = LaurentPoly.const(table, 1)
     factor = {x: s + LaurentPoly.monomial(table, 1 / m, {x + "0": 2}) for x, m, _ in affine}
@@ -207,14 +206,15 @@ def test_closed_form_solves_the_derived_s_form_identically(kind):
 
 @pytest.mark.parametrize("kind", ["Q", "M"])
 def test_s_form_of_the_derived_system_is_the_profile_table(kind):
-    assert s_form(derivation(UNIT_MODELS[kind]).sys) == (TABLES[kind]._AFFINE, TABLES[kind]._FACTOR)
+    table = MODEL_SPECS[kind]
+    assert s_form(derivation(UNIT_MODELS[kind]).sys) == (table.affine, table.factor)
     assert s_form(derive_flow(UNIT_MODELS[kind])) == s_form(derivation(UNIT_MODELS[kind]).sys)
 
 
 MUTATIONS = [
     (kind, name, factor)
     for kind in ("Q", "M")
-    for name in STATE_NAMES[kind]
+    for name in MODEL_SPECS[kind].state_names
     for factor in (Fraction(2), Fraction(1001, 1000))
 ]
 
@@ -226,7 +226,7 @@ def test_every_perturbed_system_fails_the_table_check(kind, name, factor):
         form = s_form(sys)
     except DerivationError:
         return
-    assert form != (TABLES[kind]._AFFINE, TABLES[kind]._FACTOR)
+    assert form != (MODEL_SPECS[kind].affine, MODEL_SPECS[kind].factor)
 
 
 def _with_rhs(sys, name, poly):
@@ -258,7 +258,8 @@ def test_a_table_that_disagrees_with_the_derived_system_is_a_bug(monkeypatch):
     traj, _ = solve_orbit(derivation(model).sys, spec, IntegratorConfig(t_end=50.0))
     bars = {**DEFAULT_BARS, "closure": None}
     assert verify_trajectory(model, spec, traj, bars)[1] == 0
-    monkeypatch.setattr(ProfileM, "_AFFINE", (("a", Fraction(3, 4), 2), ("b", Fraction(1, 2), 2)))
+    wrong = (("a", Fraction(3, 4), 2), ("b", Fraction(1, 2), 2))
+    monkeypatch.setitem(MODEL_SPECS, "M", replace(MODEL_SPECS["M"], affine=wrong))
     with pytest.raises(DerivationError, match="s-form differs") as err:
         verify_trajectory(model, spec, traj, bars)
     assert not isinstance(err.value, INPUT_ERRORS)
@@ -396,7 +397,7 @@ def _reference_value_squared(p, s):
             raise DomainError("at or beyond a pole")
     if s == 0:
         return float(p.collapsing_square0)
-    num = p.constant + p._FACTOR * _horner_through_fractions(p.anti, s)
+    num = p.constant + MODEL_SPECS[p.model_kind].factor * _horner_through_fractions(p.anti, s)
     den = _horner_through_fractions(p.denom, s)
     if den == 0:
         raise DomainError("denominator vanishes")

@@ -22,8 +22,8 @@ from holoflow.flow import (
     derivation,
     split_dt,
 )
-from holoflow.homogeneous import get_model
-from holoflow.integrate import PRIMITIVE_NAME, IntegrationError, _compile_terms
+from holoflow.homogeneous import MODEL_SPECS, get_model
+from holoflow.integrate import IntegrationError, _compile_terms
 
 MODELS = [("Q", (1, 1, 1)), ("M", (1, 1))]
 
@@ -342,7 +342,7 @@ def hand_made_systems(draw):
     state = tuple(draw(st.lists(st.sampled_from(table.base), min_size=1, unique=True)))
     state = tuple(x for x in table.base if x in state)
     rhs = {x: draw(polys(table, max_terms=4)) for x in state}
-    kind = draw(st.sampled_from(sorted(PRIMITIVE_NAME)))
+    kind = draw(st.sampled_from(sorted(MODEL_SPECS)))
     return ODESystem(kind, (), state, rhs, len(state), len(state))
 
 

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from holoflow.algebra import LaurentPoly, SymbolTable
 from holoflow.flow import ODESystem, derive_flow
-from holoflow.homogeneous import m_model, q_model
+from holoflow.homogeneous import ModelError, m_model, q_model
 from holoflow.integrate import (
     IntegrationError,
     IntegratorConfig,
@@ -24,6 +25,8 @@ from holoflow.integrate import (
     series_start,
     solve_orbit,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +373,21 @@ def test_csv_round_trip(tmp_path, sysm):
     assert loaded.n_samples == traj.n_samples
     assert np.allclose(loaded.ys, traj.ys, rtol=0, atol=0)  # 17 digits round-trip
     assert np.allclose(loaded.ts, traj.ts, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("kind,name", [("m", "traj_m_cp2.csv"), ("q", "traj_q_s2xs2.csv")])
+def test_from_csv_reads_a_lower_case_kind(kind, name):
+    path = GOLDEN / name
+    loaded = Trajectory.from_csv(path, kind)
+    assert loaded == Trajectory.from_csv(path, kind.upper())
+    assert loaded.model_kind == kind.upper()
+    assert loaded.columns == tuple(path.read_text().splitlines()[0].split(","))
+
+
+@pytest.mark.parametrize("kind", ["X", "", "qm"])
+def test_from_csv_rejects_an_unknown_kind(kind):
+    with pytest.raises(ModelError, match="unknown model kind"):
+        Trajectory.from_csv(GOLDEN / "traj_m_cp2.csv", kind)
 
 
 def test_principal_orbit_start(sysq):

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from holoflow.algebra import LaurentPoly, wedge
 from holoflow.flow import derivation
-from holoflow.homogeneous import m_model, q_model
+from holoflow.homogeneous import MODEL_SPECS, m_model, q_model
 from holoflow.structures import (
-    FAMILY_WEIGHT,
     StructureError,
     build_invariant_structure,
     canonical_forms,
@@ -21,6 +20,7 @@ from holoflow.structures import (
     rotate_structure,
     rotation_generator,
 )
+from paper_tables import FRAME_MAP
 
 UNIT_Q = {"a": 1.0, "b": 1.0, "c": 1.0, "f": 1.0}
 
@@ -75,7 +75,7 @@ def test_invariant_coefficients_m():
 def test_unit_frame_reproduces_canonical_coefficients():
     """At a = b = c = f = 1 the structure is the canonical one, read through
     the frame permutation."""
-    from holoflow.structures import CANON8, FRAME_MAP
+    from holoflow.structures import CANON8
 
     can = canonical_forms()
     for model in (q_model(1, 1, 1), m_model(1, 1)):
@@ -152,7 +152,7 @@ def test_generator_gives_the_family_in_closed_form(u):
     for model in (q_model(1, 1, 1), m_model(1, 1)):
         deriv = derivation(model)
         struct = deriv.struct
-        k = FAMILY_WEIGHT[model.kind]
+        k = MODEL_SPECS[model.kind].family_weight
         V = rotation_generator(struct, struct.Omega)
         W = rotation_generator(struct, V)
         assert not V.is_zero

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from holoflow._record import replace
 from holoflow.algebra import LaurentPoly, Multivector
-from holoflow.closed_form import ProfileM, ProfileQ, profile
+from holoflow.closed_form import ProfileM, ProfileQ, profile, s_form
 from holoflow.flow import derivation, derive_flow, exterior_d_time
-from holoflow.homogeneous import STATE_NAMES, get_model, invariant_d, m_model, q_model
-from holoflow.integrate import ORBIT_CATALOG, IntegratorConfig, OrbitSpec, Trajectory, solve_orbit
-from holoflow.structures import FAMILY_WEIGHT, rotation_generator
+from holoflow.homogeneous import MODEL_SPECS, get_model, invariant_d, m_model, q_model
+from holoflow.integrate import IntegratorConfig, OrbitSpec, Trajectory, solve_orbit
+from holoflow.structures import rotation_generator
 from holoflow.verify import (
     CONE_REFS,
     ProfileSampler,
@@ -37,6 +38,8 @@ from holoflow.verify import (
     su4_family_check,
 )
 from mutations import perturbed_system
+from paper_tables import CIRCLE, ORBIT_CATALOG
+from paper_tables import CONE_REFS as PAPER_CONE_REFS
 
 
 @pytest.fixture(scope="module")
@@ -331,13 +334,25 @@ def hand_written_cone_quantities(kind, t, ys):
 @pytest.mark.parametrize("kind,table", [("Q", ProfileQ), ("M", ProfileM)])
 def test_cone_refs_follow_the_profile_table(kind, table):
     """For large |s|, G ~ g s with g = k / (1 + sum p_x), so t ~ 2 sqrt(s/g)
-    and x^2/t^2 -> m_x g / 4, |x_coll|/t -> |g| / 2."""
-    g = table._FACTOR / (1 + sum(p for _, _, p in table._AFFINE))
-    *squares, last = CONE_REFS[kind]
-    assert squares == [f"{x}^2/t^2" for x, _, _ in table._AFFINE]
-    assert [CONE_REFS[kind][q] for q in squares] == [float(m * g / 4) for _, m, _ in table._AFFINE]
-    assert last in (f"|{STATE_NAMES[kind][-1]}|/t", f"{STATE_NAMES[kind][-1]}/t")
-    assert CONE_REFS[kind][last] == float(abs(g) / 2)
+    and x^2/t^2 -> m_x g / 4, |x_coll|/t -> |g| / 2: the paper's limits
+    follow from the table read from the derived system, the package's
+    computed ones equal them, and so does the slope of the profile's G."""
+    model = get_model(kind, (1,) * len(MODEL_SPECS[kind].index_names))
+    affine, k = s_form(derivation(model).sys)
+    g = k / (1 + sum(p for _, _, p in affine))
+    refs = PAPER_CONE_REFS[kind]
+    *squares, last = refs
+    assert squares == [f"{x}^2/t^2" for x, _, _ in affine]
+    assert [refs[q] for q in squares] == [float(m * g / 4) for _, m, _ in affine]
+    vertical = MODEL_SPECS[kind].state_names[-1]
+    assert last in (f"|{vertical}|/t", f"{vertical}/t")
+    assert refs[last] == float(abs(g) / 2)
+    assert CONE_REFS[kind] == refs and list(CONE_REFS[kind]) == list(refs)
+    unit = {x: 1 for x in MODEL_SPECS[kind].state_names}
+    prof = profile(model, OrbitSpec(kind, "principal", unit))
+    assert type(prof) is table
+    s = Fraction(10**40) if g > 0 else Fraction(-(10**40))
+    assert abs(prof.value_squared(s) / s - g) < Fraction(1, 10**30)
 
 
 @pytest.mark.parametrize("kind,name", [("Q", "traj_q_s2xs2.csv"), ("M", "traj_m_cp2.csv")])
@@ -368,14 +383,33 @@ def test_s_action_circle_m():
     assert data["period_over_pi"] == Fraction(4)
     assert data["intersection_order"] == 8
     assert data["required_slope"] == Fraction(4)
+    assert data["circle_step_over_pi"] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("kind", ["Q", "M"])
+def test_s_action_circle_is_the_papers(kind):
+    assert s_action_circle(kind) == CIRCLE[kind]
+
+
+def test_s_action_circle_reads_either_case_and_rejects_an_unknown_kind():
+    assert s_action_circle("m") == s_action_circle("M")
+    assert s_action_circle("q") == s_action_circle("Q")
+    for kind in ("X", "", "QM"):
+        with pytest.raises(VerifyError, match="unknown model kind"):
+            s_action_circle(kind)
 
 
 def test_catalog_vertical_slopes_are_the_circle_action_slopes():
+    """The paper's vertical slopes are the circle action's, and the catalog
+    that the package completes with them is the paper's."""
     rows = [(kind, r) for kind, rows in ORBIT_CATALOG.items() for r in rows if r.orbit_key]
     assert len(rows) == 5
     for kind, row in rows:
-        vertical = STATE_NAMES[kind][-1]
+        vertical = MODEL_SPECS[kind].state_names[-1]
         assert row.required[vertical] == s_action_circle(kind)["required_slope"], row.orbit_key
+    for kind, paper in ORBIT_CATALOG.items():
+        assert orbit_catalog(kind) == paper
+        assert [list(r.required) for r in orbit_catalog(kind)] == [list(r.required) for r in paper]
 
 
 def test_smoothness_verdicts_all_five():
@@ -414,7 +448,7 @@ def test_smoothness_verdicts_all_five():
 
 
 def test_smoothness_rejects_non_singular_orbit():
-    with pytest.raises(VerifyError):
+    with pytest.raises(VerifyError, match="^'principal' is not a singular orbit of the Q model$"):
         smoothness_report(q_model(1, 1, 1), "principal")
 
 
@@ -471,7 +505,8 @@ def test_rotation_generator_commutes_with_d(model):
 def test_su4_certificate_fails_with_a_wrong_family_weight(monkeypatch, model, shift):
     sys = derivation(model).sys
     assert su4_family_check(model, sys).family_parallel
-    monkeypatch.setitem(FAMILY_WEIGHT, model.kind, FAMILY_WEIGHT[model.kind] + shift)
+    spec = MODEL_SPECS[model.kind]
+    monkeypatch.setitem(MODEL_SPECS, model.kind, replace(spec, family_weight=spec.family_weight + shift))
     assert not su4_family_check(model, sys).family_parallel
 
 
@@ -516,7 +551,7 @@ def test_orbit_catalog_m():
 
 
 def test_catalog_rejects_unknown_orbit():
-    with pytest.raises(VerifyError):
-        catalog_row("Q", "cp2")
-    with pytest.raises(VerifyError):
+    with pytest.raises(VerifyError, match="^'cp2' is not a singular orbit of the Q model$"):
+        catalog_row("q", "cp2")
+    with pytest.raises(VerifyError, match="unknown model kind 'X'"):
         orbit_catalog("X")
