@@ -8,7 +8,8 @@ orthogonality, positivity and closure checks all run on these integers, so
 the structure constants are computed without rounding and without rational
 matrix arithmetic.  Fractions appear only in the q-norms, the structure
 constants and the Cartan coordinates; the Jacobi and isotropy checks read
-the constants as integers, times the lcm of their denominators.
+the constants as integers, times the lcm of their denominators.  What the
+paper states about each model is one ``ModelSpec`` record in ``MODEL_SPECS``.
 """
 
 from __future__ import annotations
