@@ -355,7 +355,13 @@ GOLDEN_TRAJ_RUNS = [
         ["solve", "--model", "m", "--orbit", "cp2xs2", "--a0", "1", "--b0", "1",
          "--rtol", "1e-12", "--atol", "1e-14", "--t-end", "1e8"],
         "--out",
-    )
+    ),
+    (
+        "traj_q_s2xs2_scan.csv",
+        ["solve", "--model", "q", "--orbit", "s2xs2", "--b0", "1", "--c0", "1",
+         "--rtol", "1e-12", "--atol", "1e-14", "--t-end", "1e8"],
+        "--out",
+    ),
 ]
 
 
