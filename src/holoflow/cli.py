@@ -18,7 +18,7 @@ from fractions import Fraction
 from .closed_form import ProfileError
 from .flow import derivation
 from .flow import derive_flow  # noqa: F401  (kept importable; perfbench/test_recorder.py patches it here)
-from .homogeneous import ModelError, get_model, model_spec
+from .homogeneous import MODEL_SPECS, ModelError, get_model, model_spec
 from .integrate import (
     CSVError,
     IntegrationError,
@@ -43,6 +43,12 @@ from .verify import (
 
 class InputError(ValueError):
     pass
+
+
+#: the initial-value flags, ``--<x>0`` for each state name of either model
+VALUE_FLAGS = tuple(
+    dict.fromkeys(x + "0" for spec in MODEL_SPECS.values() for x in spec.state_names)
+)
 
 
 def _model_from_args(args):
@@ -90,7 +96,7 @@ def _check_args(args) -> None:
     The exact initial values are parsed here, in place, so the commands
     receive Fractions.
     """
-    for name in ("a0", "b0", "c0", "f0"):
+    for name in VALUE_FLAGS:
         raw = getattr(args, name, None)
         if raw is None:
             continue
@@ -162,7 +168,7 @@ def _add_model_flags(p, with_indices=True):
 
 def _add_orbit_flags(p):
     p.add_argument("--orbit", required=True)
-    for name in ("a0", "b0", "c0", "f0"):
+    for name in VALUE_FLAGS:
         p.add_argument(f"--{name}", default=None, help="exact initial value (fraction ok)")
     p.add_argument("--negative-branch", action="store_true")
 

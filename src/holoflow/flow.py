@@ -275,7 +275,6 @@ class KaehlerCertificate:
     still formal.
     """
 
-    model_kind: str
     signs: Tuple[int, ...]
     eta: Multivector
     all_solutions: Tuple[Tuple[int, ...], ...]
@@ -342,7 +341,7 @@ def kaehler_search(
     if len(power.terms) != 1 or next(iter(power.terms.values())).is_zero:
         raise DerivationError("eta^4 is not a volume multiple")
     d_eta = _signed_sum(signs, d_basis, zero)
-    return KaehlerCertificate(model.kind, signs, eta, tuple(winners), d_eta)
+    return KaehlerCertificate(signs, eta, tuple(winners), d_eta)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from . import _kernel
@@ -205,6 +206,128 @@ def start_offset(spec: OrbitSpec, eps: Optional[float] = None) -> float:
     return eps
 
 
+_POLE = "right-hand side has a pole at the singular orbit"
+#: the most slope solutions kept per system and orbit; only a system whose
+#: limits hold an initial value needs more than one
+_SOLUTIONS_KEPT = 64
+
+
+class _OrbitLimits:
+    """The t -> 0 limits of one system's right-hand sides on one orbit.
+
+    Under x = s_x t for each collapsing x, a right-hand side becomes a
+    Laurent polynomial in the slopes, t and the surviving coefficients,
+    which stay symbols here.  Its t^0 part is the limit and its negative
+    powers of t the pole part.  Both are split off once per right-hand
+    side; a start substitutes its initial values only into a part that
+    holds a surviving coefficient.  The slope solutions are kept per set of
+    exact equations.
+    """
+
+    def __init__(self, sys: ODESystem, collapsing: Tuple[str, ...]):
+        self.sys = sys
+        self.collapsing = collapsing
+        self.surviving = tuple(s for s in sys.state if s not in collapsing)
+        self.unknowns = ["s_" + x for x in collapsing]
+        self.limit_table = SymbolTable(tuple(self.unknowns))
+        self.table = SymbolTable(tuple(self.unknowns) + ("t",) + self.surviving)
+        self.images = {
+            x: LaurentPoly.monomial(self.table, 1, {"s_" + x: 1, "t": 1}) for x in collapsing
+        }
+        for y in self.surviving:
+            self.images[y] = LaurentPoly.variable(self.table, y)
+        self.parts: Dict[str, Optional[Tuple[LaurentPoly, Optional[LaurentPoly]]]] = {}
+        self.solutions: Dict[Tuple[LaurentPoly, ...], object] = {}
+
+    def _split(self, name: str) -> Optional[Tuple[LaurentPoly, Optional[LaurentPoly]]]:
+        """``(limit, pole)`` of one right-hand side, minus s_x for a
+        collapsing x; the limit is on the slope table unless it holds a
+        surviving coefficient, and the pole is None when there is none.
+        None when the right-hand side holds a symbol the slopes cannot
+        carry."""
+        try:
+            poly = self.sys.rhs[name].subs(self.images, self.table)
+        except AlgebraError:
+            return None
+        t = len(self.unknowns)
+        limit = LaurentPoly(self.table, {v: c for v, c in poly.terms.items() if v[t] == 0})
+        pole = LaurentPoly(self.table, {v: c for v, c in poly.terms.items() if v[t] < 0})
+        if name in self.collapsing:
+            limit = limit - LaurentPoly.variable(self.table, "s_" + name)
+        if not set(self.surviving).intersection(limit.symbols()):
+            limit = limit.subs({}, self.limit_table)
+        return limit, None if pole.is_zero else pole
+
+    def limit(self, name: str, values: Mapping[str, Fraction]) -> LaurentPoly:
+        """The limit of ``name``'s right-hand side at these surviving
+        values, minus s_x for a collapsing x; raises at a pole."""
+        if name not in self.parts:
+            self.parts[name] = self._split(name)
+        parts = self.parts[name]
+        if parts is None:
+            raise SeriesStartError(_POLE)
+        limit, pole = parts
+        if pole is not None and not pole.subs(self._at(values, self.table)).is_zero:
+            raise SeriesStartError(_POLE)
+        if limit.table is self.table:
+            limit = limit.subs(self._at(values, self.limit_table), self.limit_table)
+        return limit
+
+    @staticmethod
+    def _at(values: Mapping[str, Fraction], table: SymbolTable) -> Dict[str, LaurentPoly]:
+        return {y: LaurentPoly.const(table, v) for y, v in values.items()}
+
+    def solve(self, eqs: List[LaurentPoly]) -> List[Dict[str, Fraction]]:
+        """The nonzero rational solutions of the slope equations, in the
+        order the sign branch is picked from."""
+        key = tuple(eqs)
+        found = self.solutions.get(key)
+        if found is None:
+            try:
+                found = sorted(
+                    _solve_slope_system(eqs, self.unknowns), key=lambda s: sorted(s.items())
+                )
+            except SeriesStartError as exc:
+                found = str(exc)
+            if len(self.solutions) < _SOLUTIONS_KEPT:
+                self.solutions[key] = found
+        if isinstance(found, str):
+            raise SeriesStartError(found)
+        return found
+
+
+class _Prepared:
+    """What a series start and an integration read of one ODE system,
+    built on first use: the term list and the limits per orbit.  The
+    system's right-hand sides must not change afterwards."""
+
+    def __init__(self, sys: ODESystem):
+        self.sys = sys
+        self.orbits: Dict[Tuple[str, ...], _OrbitLimits] = {}
+
+    @cached_property
+    def terms(self) -> Tuple[List[float], List[int], List[int], int]:
+        return _compile_terms(self.sys)
+
+    def orbit(self, collapsing: Tuple[str, ...]) -> _OrbitLimits:
+        limits = self.orbits.get(collapsing)
+        if limits is None:
+            limits = self.orbits[collapsing] = _OrbitLimits(self.sys, collapsing)
+        return limits
+
+
+#: per-system preparations, keyed on id(sys); each holds its system, so
+#: the id is not reused while the entry lives
+_PREPARED: Dict[int, _Prepared] = {}
+
+
+def _prepared(sys: ODESystem) -> _Prepared:
+    prep = _PREPARED.get(id(sys))
+    if prep is None:
+        prep = _PREPARED[id(sys)] = _Prepared(sys)
+    return prep
+
+
 def series_start(
     sys: ODESystem, spec: OrbitSpec, eps: Optional[float] = None
 ) -> Tuple[State, Dict[str, Fraction]]:
@@ -212,64 +335,48 @@ def series_start(
 
     Collapsing coefficients are odd (x ~ x'(0) t); surviving ones are even,
     so they receive no first-order correction.  The accumulated primitive
-    starts as half the collapsing slope times eps squared.
+    starts as half the collapsing slope times eps squared.  The limits and
+    slope solutions are built once per system and orbit.
     """
     if model_spec(sys.model_kind) is not model_spec(spec.model_kind):
         raise OrbitError("orbit spec does not match the ODE system")
-    collapsing = list(spec.collapsing)
+    collapsing = spec.collapsing
     if not collapsing:
         raise OrbitError("series_start needs at least one collapsing coefficient")
     surviving = [s for s in sys.state if s not in collapsing]
+    values = {y: spec.values[y] for y in surviving}
+    limits = _prepared(sys).orbit(collapsing)
 
-    # x = s_x t for each collapsing x, then t -> 0
-    slope_table = SymbolTable(tuple("s_" + x for x in collapsing) + ("t",))
-    limit_table = SymbolTable(slope_table.base[:-1])
-    images = {x: LaurentPoly.monomial(slope_table, 1, {"s_" + x: 1, "t": 1}) for x in collapsing}
+    eqs = [limits.limit(x, values) for x in collapsing]
     for y in surviving:
-        images[y] = LaurentPoly.const(slope_table, spec.values[y])
-    at_t0 = {"t": LaurentPoly.zero(limit_table)}
-
-    def limit(name: str) -> LaurentPoly:
-        try:
-            return sys.rhs[name].subs(images, slope_table).subs(at_t0, limit_table)
-        except AlgebraError as exc:
-            raise SeriesStartError("right-hand side has a pole at the singular orbit") from exc
-
-    eqs = [limit(x) - LaurentPoly.variable(limit_table, "s_" + x) for x in collapsing]
-    for y in surviving:
-        if not limit(y).is_zero:
+        if not limits.limit(y, values).is_zero:
             raise SeriesStartError(
                 f"surviving coefficient {y!r} has a nonzero first derivative"
             )
 
-    unknowns = ["s_" + x for x in collapsing]
-    solutions = _solve_slope_system(eqs, unknowns)
+    solutions = limits.solve(eqs)
     if not solutions:
         raise SeriesStartError("fixed-point system has no nonzero rational solution")
     if len(solutions) == 1:
         pick = solutions[0]
     else:
-        want = -1 if spec.negative_branch else 1
         designated = "s_" + collapsing[0]
-        pick = None
-        for sol in sorted(solutions, key=lambda s: sorted(s.items())):
-            if (sol[designated] > 0) == (want > 0):
-                pick = sol
-                break
+        want_positive = not spec.negative_branch
+        pick = next((s for s in solutions if (s[designated] > 0) == want_positive), None)
         if pick is None:
             raise SeriesStartError("no solution on the requested sign branch")
     slopes = {x: pick["s_" + x] for x in collapsing}
 
     eps = start_offset(spec, eps)
-    values = {y: float(spec.values[y]) for y in surviving}
+    state = {y: float(v) for y, v in values.items()}
     for x in collapsing:
-        values[x] = float(slopes[x]) * eps
+        state[x] = float(slopes[x]) * eps
     primitive_source = sys.state[-1]
     if primitive_source in slopes:
         primitive = 0.5 * float(slopes[primitive_source]) * eps * eps
     else:
         primitive = float(spec.values[primitive_source]) * eps
-    return State(t=eps, values=values, primitive=primitive), slopes
+    return State(t=eps, values=state, primitive=primitive), slopes
 
 
 def principal_start(sys: ODESystem, spec: OrbitSpec) -> State:
@@ -381,7 +488,7 @@ def integrate(sys: ODESystem, start: State, cfg: IntegratorConfig) -> Trajectory
     zero; that is reported, not fatal.  Step-size underflow raises with the
     partial trajectory attached.
     """
-    terms = _compile_terms(sys)
+    terms = _prepared(sys).terms
     names = sys.state
     y0 = [start.values[n] for n in names] + [start.primitive]
     watch = [True] * len(names) + [False]

@@ -458,8 +458,6 @@ def s_action_circle(kind: str) -> Dict[str, object]:
 
 @record(frozen=True)
 class SmoothnessReport:
-    model_kind: str
-    orbit: str
     computed: Dict[str, Fraction]
     required: Dict[str, Fraction]
     verdict: str  # "smooth" | "non-smooth"
@@ -488,14 +486,7 @@ def smoothness_report(model: CosetModel, orbit: str) -> SmoothnessReport:
         f"{row.geometry}; vertical circle: period {circle['period_over_pi']} pi,"
         f" isotropy intersection of order {circle['intersection_order']}"
     )
-    return SmoothnessReport(
-        model.kind,
-        orbit,
-        computed,
-        required,
-        "smooth" if smooth else "non-smooth",
-        note,
-    )
+    return SmoothnessReport(computed, required, "smooth" if smooth else "non-smooth", note)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import holoflow
 from holoflow import flow, structures
-from holoflow.cli import main
+from holoflow.cli import VALUE_FLAGS, build_parser, main
 from holoflow.homogeneous import MODEL_SPECS, m_model
 from holoflow.integrate import ORBIT_COLLAPSING, IntegratorConfig, OrbitSpec, solve_orbit
 from mutations import perturbed_system
@@ -44,6 +44,14 @@ def test_classify_inadmissible(capsys):
     assert "admissible: false" in out
     code, out, _ = run(["classify", "--model", "m", "--k", "2", "--l", "1"], capsys)
     assert "admissible: false" in out
+
+
+def test_value_flags_are_the_state_names_of_both_models():
+    """One ``--<x>0`` flag per state name of either model, Q's names first."""
+    assert VALUE_FLAGS == tuple(x + "0" for x in ("a", "b", "c", "f"))
+    solve = build_parser()._subparsers._group_actions[0].choices["solve"]
+    flags = [a.option_strings[0] for a in solve._actions if a.option_strings]
+    assert [f for f in flags if f[2:] in VALUE_FLAGS] == ["--" + f for f in VALUE_FLAGS]
 
 
 def test_classify_invalid_input(capsys):

@@ -200,13 +200,63 @@ def test_perturbed_systems_start_differently_or_fail():
         assert any(mine != theirs for mine, theirs in starts) == collapses, (kind, name)
 
 
-def test_the_cancelling_pole_equals_the_oracle_on_random_values():
-    sys_ = m_system(C, C, const(2) + (A - B) * C**-1)
+#: hand-made M systems on the cp2xs2 orbit whose start depends on a and b
+VALUE_DEPENDENT = {
+    "pole cancelling in c'": m_system(C, C, const(2) + (A - B) * C**-1),
+    "pole cancelling in a'": m_system((A - B) * C**-1, C, const(2)),
+    "slope a/b": m_system(C, C, A * B**-1),
+    "slope a/b or none": m_system(C, C, A * B**-1 - const(1)),
+    "a' = a - b": m_system(A - B, C, const(2)),
+}
+
+
+@pytest.mark.parametrize("case", list(VALUE_DEPENDENT))
+def test_a_value_dependent_start_equals_the_oracle(case):
+    sys_ = VALUE_DEPENDENT[case]
+    # the rational-root search tries every divisor, so a slope that holds the
+    # values needs small ones
+    small = st.builds(Fraction, st.integers(-999, 999).filter(bool), st.integers(1, 999))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(a=nonzero, b=nonzero, equal=st.booleans(), negative=st.booleans())
+    @given(a=small, b=small, equal=st.booleans(), negative=st.booleans())
     def check(a, b, equal, negative):
         spec = OrbitSpec("M", "cp2xs2", {"a": a, "b": a if equal else b}, negative_branch=negative)
-        assert outcome(series_start, sys_, spec, None) == outcome(series_start_oracle, sys_, spec, None)
+        assert outcome(series_start, sys_, spec, None) == outcome(
+            series_start_oracle, sys_, spec, None
+        )
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# what is built once per system
+# ---------------------------------------------------------------------------
+
+
+def test_a_second_start_substitutes_nothing(monkeypatch):
+    """The paper's limits hold no initial value, so once an orbit's limits
+    are built a start does no Laurent substitution."""
+    sys_ = perturbed_system(SYSTEMS["M"], "a", Fraction(1))  # a fresh system
+    spec = OrbitSpec("M", "s2", {"b": 3})
+    first = series_start(sys_, spec)
+    assert set(integrate._PREPARED[id(sys_)].orbits) == {("a", "c")}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("substituted again")
+
+    monkeypatch.setattr(LaurentPoly, "subs", refuse)
+    monkeypatch.setattr(integrate, "_solve_slope_system", refuse)
+    for values in ({"b": 3}, {"b": Fraction(-2, 9)}):
+        got = series_start(sys_, OrbitSpec("M", "s2", values, negative_branch=True))
+        assert got[1] == {"a": -first[1]["a"], "c": first[1]["c"]}
+
+
+def test_the_term_list_is_compiled_once_per_system(monkeypatch):
+    calls = []
+    compile_terms = integrate._compile_terms
+    monkeypatch.setattr(integrate, "_compile_terms", lambda s: calls.append(s) or compile_terms(s))
+    sys_ = perturbed_system(SYSTEMS["M"], "a", Fraction(1))
+    cfg = integrate.IntegratorConfig(t_end=1.0)
+    runs = [integrate.solve_orbit(sys_, OrbitSpec("M", "cp2", {"a": 1}), cfg) for _ in range(3)]
+    assert calls == [sys_]
+    assert all(traj.ys == runs[0][0].ys for traj, _ in runs)
