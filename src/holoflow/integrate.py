@@ -6,7 +6,9 @@ of the right-hand sides under odd/even parity), after which an adaptive
 embedded Runge-Kutta pair takes over.  The integrated primitive (F with
 F' = f, or C with C' = c) rides along as an extra state component.  The
 collapsing coefficients of each orbit come from the singular-orbit catalog
-in each model's record, ``homogeneous.MODEL_SPECS``.
+in each model's record, ``homogeneous.MODEL_SPECS``.  The exact part of a
+start (each orbit's limits and slope solutions) and the term list of the
+solve loop are built once per system.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from . import _kernel
 from ._record import field, record
@@ -237,7 +239,8 @@ class _OrbitLimits:
         for y in self.surviving:
             self.images[y] = LaurentPoly.variable(self.table, y)
         self.parts: Dict[str, Optional[Tuple[LaurentPoly, Optional[LaurentPoly]]]] = {}
-        self.solutions: Dict[Tuple[LaurentPoly, ...], object] = {}
+        # the sorted solutions, or the message the solve raised
+        self.solutions: Dict[Tuple[LaurentPoly, ...], Union[List[Dict[str, Fraction]], str]] = {}
 
     def _split(self, name: str) -> Optional[Tuple[LaurentPoly, Optional[LaurentPoly]]]:
         """``(limit, pole)`` of one right-hand side, minus s_x for a

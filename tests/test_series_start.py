@@ -28,6 +28,16 @@ def m_system(a, b, c) -> ODESystem:
     return ODESystem("M", (1, 1), ("a", "b", "c"), {"a": a, "b": b, "c": c}, 3, 3)
 
 
+#: hand-made M systems on the cp2xs2 orbit whose start depends on a and b
+VALUE_DEPENDENT = {
+    "pole cancelling in c'": m_system(C, C, const(2) + (A - B) * C**-1),
+    "pole cancelling in a'": m_system((A - B) * C**-1, C, const(2)),
+    "slope a/b": m_system(C, C, A * B**-1),
+    "slope a/b or none": m_system(C, C, A * B**-1 - const(1)),
+    "a' = a - b": m_system(A - B, C, const(2)),
+}
+
+
 #: hand-made systems and specs, one per failure of the series start
 FAILURES = {
     "pole": (
@@ -36,12 +46,12 @@ FAILURES = {
         "right-hand side has a pole at the singular orbit",
     ),
     "uncancelled pole in a collapsing rhs": (
-        m_system(C, C, const(2) + (A - B) * C**-1),
+        VALUE_DEPENDENT["pole cancelling in c'"],
         OrbitSpec("M", "cp2xs2", {"a": 1, "b": 2}),
         "right-hand side has a pole at the singular orbit",
     ),
     "uncancelled pole in a surviving rhs": (
-        m_system((A - B) * C**-1, C, const(2)),
+        VALUE_DEPENDENT["pole cancelling in a'"],
         OrbitSpec("M", "cp2xs2", {"a": 1, "b": 2}),
         "right-hand side has a pole at the singular orbit",
     ),
@@ -89,11 +99,10 @@ def test_every_failure_raises_its_message(case):
     assert str(want.value) == message
 
 
-@pytest.mark.parametrize("where", ["collapsing", "surviving"])
-def test_a_pole_that_cancels_raises_only_off_the_cancelling_values(where):
+@pytest.mark.parametrize("case", ["pole cancelling in c'", "pole cancelling in a'"])
+def test_a_pole_that_cancels_raises_only_off_the_cancelling_values(case):
     """(a - b)/c has a pole at c = 0 unless a = b."""
-    pole = (A - B) * C**-1
-    sys_ = m_system(C, C, const(2) + pole) if where == "collapsing" else m_system(pole, C, const(2))
+    sys_ = VALUE_DEPENDENT[case]
     for a, b in [(1, 1), (Fraction(-3, 7), Fraction(-3, 7)), (1, 2), (2, 1)]:
         spec = OrbitSpec("M", "cp2xs2", {"a": a, "b": b})
         if a == b:
@@ -106,9 +115,8 @@ def test_a_pole_that_cancels_raises_only_off_the_cancelling_values(where):
 
 
 def test_the_branch_picks_the_smaller_positive_slope():
-    sys_, spec, _ = FAILURES["no slope on the branch"]
-    spec = OrbitSpec("M", "cp2", {"a": 1})
-    assert series_start(sys_, spec)[1] == {"b": Fraction(1), "c": Fraction(1)}
+    sys_ = FAILURES["no slope on the branch"][0]
+    assert series_start(sys_, OrbitSpec("M", "cp2", {"a": 1}))[1] == {"b": Fraction(1), "c": Fraction(1)}
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +206,6 @@ def test_perturbed_systems_start_differently_or_fail():
         ]
         collapses = any(name in ORBIT_COLLAPSING[kind][orbit] for orbit in ORBIT_COLLAPSING[kind])
         assert any(mine != theirs for mine, theirs in starts) == collapses, (kind, name)
-
-
-#: hand-made M systems on the cp2xs2 orbit whose start depends on a and b
-VALUE_DEPENDENT = {
-    "pole cancelling in c'": m_system(C, C, const(2) + (A - B) * C**-1),
-    "pole cancelling in a'": m_system((A - B) * C**-1, C, const(2)),
-    "slope a/b": m_system(C, C, A * B**-1),
-    "slope a/b or none": m_system(C, C, A * B**-1 - const(1)),
-    "a' = a - b": m_system(A - B, C, const(2)),
-}
 
 
 @pytest.mark.parametrize("case", list(VALUE_DEPENDENT))
