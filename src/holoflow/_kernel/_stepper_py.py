@@ -3,7 +3,7 @@
 A right-hand side is a flat list of power-product terms
 ``deriv[owner[k]] += coeff[k] * prod(y_j ** exps[k, j])``; ``make_rhs`` turns
 it into one straight-line function, once per term list.  The same term
-emission writes the solve loop of each list: the state, the stage slopes
+emitter writes the solve loop of each list: the state, the stage slopes
 and the error norm are local scalars, and the six stage evaluations are the
 right-hand side's terms inlined.  The same generator compiles the closure
 check's forms, whose outputs outnumber their inputs.
@@ -85,7 +85,7 @@ def make_rhs(coeffs, exps, owner, nin, nout=None):
 
 
 def _check_terms(coeffs, exps, owner, nin, nout):
-    # the source holds only float reprs, int exponents and generated names
+    # the source holds only float and int reprs and generated names
     if not all(type(n) is int and n >= 1 for n in (nin, nout)):
         raise ValueError("nin and nout must be positive ints")
     if len(owner) != len(coeffs) or len(exps) != len(coeffs) * nin:
@@ -98,17 +98,55 @@ def _check_terms(coeffs, exps, owner, nin, nout):
         raise ValueError("owners must be output indices")
 
 
+#: most terms summed on one line: a single sum of some thousands of terms
+#: nests too deep for CPython's compiler
+SUM_TERMS = 64
+
+
 def _term_lines(coeffs, exps, owner, nin, ins, outs, indent):
-    """One ``out += coeff * in ** e * ...`` line per term, in term order;
-    ``ins`` and ``outs`` name the input and output locals."""
+    """The lines that set each local of ``outs`` to its terms' sum, reading
+    the input locals ``ins``.
+
+    Every float is the one the term loop of ``make_rhs``'s docstring
+    computes.  Each distinct power ``in ** e`` is computed once, as a local
+    ``p{m}``, in the order the terms first use it, so the first power that
+    raises is the one the term loop meets first.  Its exponent is written
+    as the float ``e`` converts to (the same C ``pow`` on the same double),
+    or as the int where that conversion overflows, so that it raises as the
+    int does.  Each output is one left-to-right sum ``0.0 + t1 + t2 + ...``
+    of its terms in term order, split over lines of ``SUM_TERMS`` terms.
+    """
+    lines = []
+    powers = {}
+    sums = [[] for _ in outs]
     for k, c in enumerate(coeffs):
-        # y ** 1 is y exactly, so a unit exponent is left out
-        factors = "".join(
-            f" * {ins[j]}" if e == 1 else f" * {ins[j]} ** {e}"
-            for j, e in enumerate(exps[k * nin : (k + 1) * nin])
-            if e
+        factors = []
+        for j, e in enumerate(exps[k * nin : (k + 1) * nin]):
+            if e == 1:  # y ** 1 is y exactly
+                factors.append(ins[j])
+            elif e:
+                name = powers.get((j, e))
+                if name is None:
+                    name = powers[j, e] = f"p{len(powers)}"
+                    lines.append(f"{indent}{name} = {ins[j]} ** {_exponent(e)}")
+                factors.append(name)
+        if c != 1.0 or not factors:  # 1.0 * x is x exactly
+            factors.insert(0, repr(c))
+        sums[owner[k]].append(" * ".join(factors))
+    for out, terms in zip(outs, sums):
+        lines.append(f"{indent}{out} = {' + '.join(['0.0'] + terms[:SUM_TERMS])}")
+        lines.extend(
+            f"{indent}{out} = {' + '.join([out] + terms[i : i + SUM_TERMS])}"
+            for i in range(SUM_TERMS, len(terms), SUM_TERMS)
         )
-        yield f"{indent}{outs[owner[k]]} += {c!r}{factors}"
+    return lines
+
+
+def _exponent(e):
+    try:
+        return repr(float(e))
+    except OverflowError:
+        return repr(e)
 
 
 def _compile(lines, filename, name, namespace):
@@ -123,12 +161,9 @@ def _generate(coeffs, exps, owner, nin, nout):
     lines = [
         "def rhs(y, out):",
         f"    {', '.join(ins)}, = y",
-        f"    {' = '.join(outs)} = 0.0",
         "    try:",
     ]
     lines.extend(_term_lines(coeffs, exps, owner, nin, ins, outs, " " * 8))
-    if not coeffs:
-        lines.append("        pass")
     lines.append("    except ZeroDivisionError:")
     lines.append("        return False")
     lines.extend(f"    out[{i}] = o{i}" for i in range(nout))
@@ -232,7 +267,6 @@ def _generate_loop(coeffs, exps, owner, n):
                 for j in (idx if s == 7 else used)
             )
         outs = [f"k{s}_{i}" for i in idx]
-        lines.append(f"{indent}{' = '.join(outs)} = 0.0")
         lines.extend(_term_lines(coeffs, exps, owner, n, ins, outs, indent))
         if s < 7:
             lines.append(f"{indent}if {finite(s)}:")

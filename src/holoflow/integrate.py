@@ -113,7 +113,8 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
     Scaled to integers, a root p/q in lowest terms (q > 0) has p dividing
     the lowest nonzero coefficient and q the leading one; each such
     candidate is tested by the integer identity sum c_k p^k q^(deg - k) = 0.
-    ``coeffs`` is not modified.
+    A linear polynomial's one root is read off directly.  ``coeffs`` is not
+    modified.
     """
     hi = len(coeffs)
     while hi and coeffs[hi - 1] == 0:
@@ -127,6 +128,8 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
     for c in coeffs[lo:hi]:
         den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
     ints = [c.numerator * (den_lcm // c.denominator) for c in coeffs[lo:hi]]
+    if len(ints) == 2:  # linear: no divisor search
+        return [Fraction(-ints[0], ints[1])]
     lead, rest = ints[-1], ints[-2::-1]  # rest: the lower coefficients, highest first
     roots = []
     for p in _divisors(ints[0]):

@@ -1,6 +1,7 @@
 """Series starts, the adaptive integrator, and trajectory plumbing."""
 
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -222,6 +223,32 @@ def test_rational_roots_match_the_fraction_search(coeffs):
 def test_rational_roots_of_the_orbit_equations(coeffs, roots):
     coeffs = [Fraction(c) for c in coeffs]
     assert _rational_roots(coeffs) == roots == fraction_rational_roots(coeffs)
+
+
+#: a nonzero coefficient with numerator and denominator up to 10**30
+LINEAR_COEFF = st.builds(
+    Fraction,
+    st.integers(-(10**30), 10**30).filter(bool),
+    st.one_of(st.just(1), st.integers(1, 10**30)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 3), LINEAR_COEFF, LINEAR_COEFF, st.integers(0, 3))
+def test_rational_roots_of_a_linear_polynomial(low_zeros, c0, c1, high_zeros):
+    """A linear equation has one root, whatever the size of its coefficients."""
+    coeffs = [Fraction(0)] * low_zeros + [c0, c1] + [Fraction(0)] * high_zeros
+    roots = _rational_roots(coeffs)
+    assert len(roots) == 1 and type(roots[0]) is Fraction
+    assert c0 + c1 * roots[0] == 0
+
+
+def test_rational_roots_of_a_linear_polynomial_with_a_large_prime():
+    """No divisor search: trial division up to sqrt(10**14 + 7) takes seconds."""
+    started = time.perf_counter()
+    roots = _rational_roots([Fraction(10**14 + 7), Fraction(-1)])
+    assert time.perf_counter() - started < 0.01
+    assert roots == [10**14 + 7]
 
 
 # ---------------------------------------------------------------------------

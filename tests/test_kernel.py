@@ -247,6 +247,17 @@ def _call(rhs, y, nout):
         return OverflowError, None
 
 
+def _assert_same_rhs(coeffs, exps, owner, nin, nout, ys):
+    generated = _stepper_py.make_rhs(coeffs, exps, owner, nin, nout)
+    reference = reference_rhs(coeffs, exps, owner, nin, nout)
+    for y in ys:
+        ok_gen, out_gen = _call(generated, y, nout)
+        ok_ref, out_ref = _call(reference, y, nout)
+        assert ok_gen is ok_ref
+        if ok_ref is True:
+            assert _bits(out_gen) == _bits(out_ref)
+
+
 # tiny, huge, subnormal and signed-zero magnitudes, so products overflow
 # to inf and zero bases meet negative exponents
 COEFF = st.one_of(
@@ -276,15 +287,7 @@ def term_lists(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(term_lists())
 def test_generated_rhs_is_bit_identical_to_the_interpreter(case):
-    coeffs, exps, owner, nstate, nout, ys = case
-    generated = _stepper_py.make_rhs(coeffs, exps, owner, nstate, nout)
-    reference = reference_rhs(coeffs, exps, owner, nstate, nout)
-    for y in ys:
-        ok_gen, out_gen = _call(generated, y, nout)
-        ok_ref, out_ref = _call(reference, y, nout)
-        assert ok_gen is ok_ref
-        if ok_ref is True:
-            assert _bits(out_gen) == _bits(out_ref)
+    _assert_same_rhs(*case)
 
 
 def test_generator_accepts_only_numbers():
@@ -463,3 +466,112 @@ def solve_cases(draw):
 @given(solve_cases())
 def test_generated_loop_is_bit_identical_to_the_reference_loop(case):
     _assert_same_run(*_both_solves(*case))
+
+
+# ---------------------------------------------------------------------------
+# the term emitter
+# ---------------------------------------------------------------------------
+
+EXTREME_BASES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+    0.5, -0.5, 1.0, -1.0, 3.0, -7.25, 1e308, -1e308, 1.7976931348623157e308,
+    math.inf, -math.inf, math.nan,
+]
+
+
+def _power(x, e):
+    try:
+        return struct.pack("<d", x**e)
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("x", EXTREME_BASES, ids=repr)
+def test_int_and_float_exponents_give_the_same_power(x):
+    """The emitter writes each exponent as a float literal: ``x ** e`` and
+    ``x ** float(e)`` are the same C ``pow`` on the same double."""
+    for e in range(-40, 41):
+        assert _power(x, e) == _power(x, float(e)), e
+
+
+def _emitted(monkeypatch, generate, *args):
+    """The source lines ``generate(*args)`` compiles."""
+    seen = []
+    real = _stepper_py._compile
+
+    def capture(lines, *rest):
+        seen.append(lines)
+        return real(lines, *rest)
+
+    monkeypatch.setattr(_stepper_py, "_compile", capture)
+    generate(*args)
+    return seen[-1]
+
+
+def test_emitter_sums_thousands_of_terms_in_one_output():
+    """One sum of some thousands of terms is too deep for the compiler, so
+    the emitter splits it over lines; an output with no terms reads 0.0."""
+    rng = np.random.default_rng(24)
+    nterms = 5000
+    coeffs = [float(c) for c in rng.uniform(-2.0, 2.0, nterms)]
+    exps = [int(e) for e in rng.choice([-2, -1, 0, 1, 2, 3], 2 * nterms)]
+    owner = [0] * nterms
+    _assert_same_rhs(coeffs, exps, owner, 2, 2, [[1.0, 0.5], [-0.75, 3.0], [0.0, 1.0]])
+    run = _both_solves(coeffs, exps, owner, 2, [1.0, 0.5], 0.0, 1.0, 1e-6, 1e-9, 0.0, [False, False], 3)
+    assert run[1][0] == "max_steps"
+    _assert_same_run(*run)
+
+
+def test_emitter_drops_a_unit_coefficient_bit_for_bit():
+    """``1.0 * x`` is ``x``, -0.0 included, and the sum's leading 0.0 still
+    turns a lone -0.0 term into 0.0."""
+    coeffs = [1.0, 1.0, -0.0, 1.0]
+    exps = [1, 0, 1, 1, 0, 0, 2, -1]
+    owner = [0, 1, 1, 2]
+    ys = [[-0.0, 3.0], [-0.0, -0.0], [2.5, -0.0], [-0.0, 1e-200]]
+    _assert_same_rhs(coeffs, exps, owner, 2, 3, ys)
+    run = _both_solves([1.0, 1.0], [1, 0, 1, 1], [0, 1], 2, [-0.0, -0.0], 0.0, 1.0, 1e-6, 1e-9, 0.0, [True, False], 50)
+    assert run[1][0] == "done"
+    _assert_same_run(*run)
+
+
+def test_emitter_gives_outputs_without_terms_zero():
+    _assert_same_rhs([2.0], [1, 1], [1], 2, 4, [[1.5, -2.0], [0.0, math.inf]])
+    _assert_same_rhs([], [], [], 2, 3, [[1.5, -2.0]])
+    run = _both_solves([-0.5], [0, 1, 0], [2], 3, [1.0, 2.0, 3.0], 0.0, 2.0, 1e-8, 1e-10, 0.0, [True] * 3, 100)
+    assert run[1][0] == "done"
+    _assert_same_run(*run)
+
+
+@pytest.mark.parametrize("e", [10**400, -(10**400)], ids=["huge", "-huge"])
+def test_exponent_beyond_float_range_keeps_its_int(e, monkeypatch):
+    """An exponent no double holds stays an int literal: its power raises
+    OverflowError, as ``y ** e`` does for every float y."""
+    lines = _emitted(monkeypatch, _stepper_py._generate, (1.0,), (e,), (0,), 1, 1)
+    assert f"    p0 = y0 ** {e}" in "\n".join(lines)
+    rhs = _stepper_py.make_rhs([1.0], [e], [0], 1)
+    for y in (2.0, 0.5, 0.0, -0.0, -3.0):
+        with pytest.raises(OverflowError):
+            rhs([y], [0.0])
+        with pytest.raises(OverflowError):
+            y**e
+    _assert_same_rhs([1.0], [e], [0], 1, 1, [[2.0], [-0.5]])
+    run = _both_solves([1.0], [e], [0], 1, [2.0], 0.0, 1.0, 1e-6, 1e-9, 0.0, [False], 10)
+    assert run[1][0] == "blowup"
+    _assert_same_run(*run)
+
+
+@pytest.mark.parametrize("kind", ["Q", "M"])
+def test_each_distinct_power_is_computed_once_per_stage(kind, monkeypatch):
+    sys_ = derivation(get_model(kind, (1, 1, 1) if kind == "Q" else (1, 1))).sys
+    coeffs, exps, owner, nstate = _compile_terms(sys_)
+    powers = {(k % nstate, e) for k, e in enumerate(exps) if e not in (0, 1)}
+    assert len(powers) < sum(e not in (0, 1) for e in exps)  # some power repeats
+    rhs = _emitted(monkeypatch, _stepper_py._generate, tuple(coeffs), tuple(exps), tuple(owner), nstate, nstate)
+    loop = _emitted(monkeypatch, _stepper_py._generate_loop, tuple(coeffs), tuple(exps), tuple(owner), nstate)
+    assert "\n".join(rhs).count("**") == len(powers)
+    # each exponent is a float literal, which pow needs no conversion for
+    assert all(line.split(" ** ")[1].endswith(".0") for line in rhs if "**" in line)
+    # six stages, and the step-size control's two ``err ** -0.2``
+    assert "\n".join(loop).count("**") == 6 * len(powers) + 2
+    assert not any("+=" in line for line in rhs)  # each output is one sum
