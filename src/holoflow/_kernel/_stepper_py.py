@@ -2,11 +2,11 @@
 
 A right-hand side is a flat list of power-product terms
 ``deriv[owner[k]] += coeff[k] * prod(y_j ** exps[k, j])``; ``make_rhs`` turns
-it into one straight-line function, once per term list.  The same term
-emitter writes the solve loop of each list: the state, the stage slopes
-and the error norm are local scalars, and the six stage evaluations are the
-right-hand side's terms inlined.  The same generator compiles the closure
-check's forms, whose outputs outnumber their inputs.
+it into one straight-line function.  The same term emitter writes the solve
+loop of each list: the state, the stage slopes and the error norm are local
+scalars, and the six stage evaluations are the right-hand side's terms
+inlined.  The same generator compiles the closure check's forms, whose
+outputs outnumber their inputs.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ STAGE_WEIGHTS = (
 ERROR_WEIGHTS = ((1, E1), (3, E3), (4, E4), (5, E5), (6, E6), (7, E7))
 
 
-#: generated right-hand sides, keyed on (coeffs, exps, owner, nin, nout)
-_RHS_CACHE = {}
 #: generated solve loops, keyed on (coeffs, exps, owner, nstate)
 _LOOP_CACHE = {}
 
@@ -71,17 +69,13 @@ def make_rhs(coeffs, exps, owner, nin, nout=None):
     Term ``k`` adds ``coeffs[k] * y[0] ** exps[k * nin] * ...`` (zero
     exponents left out) to ``out[owner[k]]``; ``y`` holds ``nin`` values and
     ``out`` receives ``nout`` (by default ``nin``, as for a right-hand side).
-    The function is straight-line code generated once per term list; it
-    computes the same floats, in the same order, as a loop over the terms
-    and their factors.  It writes ``out`` and returns whether every entry is
-    finite, or returns False without writing ``out`` when a zero base meets
-    a negative exponent.
+    The function is straight-line code, generated anew by each call, so a
+    caller keeps it; it computes the same floats, in the same order, as a
+    loop over the terms and their factors.  It writes ``out`` and returns
+    whether every entry is finite, or returns False without writing ``out``
+    when a zero base meets a negative exponent.
     """
-    key = (tuple(coeffs), tuple(exps), tuple(owner), nin, nin if nout is None else nout)
-    rhs = _RHS_CACHE.get(key)
-    if rhs is None:
-        rhs = _RHS_CACHE[key] = _generate(*key)
-    return rhs
+    return _generate(coeffs, exps, owner, nin, nin if nout is None else nout)
 
 
 def _check_terms(coeffs, exps, owner, nin, nout):

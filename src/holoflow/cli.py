@@ -159,7 +159,8 @@ def _emit(doc: dict, path) -> None:
 
 
 def _add_model_flags(p, with_indices=True):
-    p.add_argument("--model", required=True, choices=["q", "m", "Q", "M"])
+    kinds = list(MODEL_SPECS)
+    p.add_argument("--model", required=True, choices=[k.lower() for k in kinds] + kinds)
     if with_indices:
         p.add_argument("--k", type=int, default=None)
         p.add_argument("--l", type=int, default=None)
@@ -174,11 +175,12 @@ def _add_orbit_flags(p):
 
 
 def _add_integrator_flags(p):
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-12)
-    p.add_argument("--t-end", dest="t_end", type=float, default=1e4)
-    p.add_argument("--eps", type=float, default=None, help="series-start offset")
-    p.add_argument("--initial-step", dest="initial_step", type=float, default=0.0)
+    defaults = IntegratorConfig
+    p.add_argument("--rtol", type=float, default=defaults.rtol)
+    p.add_argument("--atol", type=float, default=defaults.atol)
+    p.add_argument("--t-end", dest="t_end", type=float, default=defaults.t_end)
+    p.add_argument("--eps", type=float, default=defaults.eps, help="series-start offset")
+    p.add_argument("--initial-step", dest="initial_step", type=float, default=defaults.initial_step)
 
 
 def _add_bar_flags(p):

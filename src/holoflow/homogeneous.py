@@ -480,24 +480,12 @@ class WeightMultiset:
 
 
 def _kernel_basis_1x3(k: int, l: int, m: int) -> List[Tuple[int, int, int]]:
-    """HNF basis of the integer solution lattice of k*x + l*y + m*z = 0."""
-    row = [k, l, m]
-    u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]  # columns track the transformation
-    # column reduction: gcd sweep
-    while True:
-        nz = [i for i in range(3) if row[i] != 0]
-        if len(nz) <= 1:
-            break
-        piv = min(nz, key=lambda i: abs(row[i]))
-        for i in nz:
-            if i == piv:
-                continue
-            qt = row[i] // row[piv]
-            row[i] -= qt * row[piv]
-            for r in range(3):
-                u[r][i] -= qt * u[r][piv]
-    kernel = [tuple(u[r][i] for r in range(3)) for i in range(3) if row[i] == 0]
-    return _hnf_rows(kernel)
+    """HNF basis of the integer solution lattice of k*x + l*y + m*z = 0.
+
+    For primitive (k, l, m) the lattice is spanned by the cross products of
+    (k, l, m) with the unit vectors; their HNF has one zero row, dropped.
+    """
+    return [row for row in _hnf_rows([(l, -k, 0), (m, 0, -k), (0, m, -l)]) if any(row)]
 
 
 def _hnf_rows(rows: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:

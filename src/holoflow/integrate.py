@@ -88,6 +88,10 @@ class State:
     primitive: float = 0.0
 
 
+#: the most steps one integration takes before it stops as ``max_steps``
+MAX_STEPS = 2_000_000
+
+
 @record(frozen=True)
 class IntegratorConfig:
     rtol: float = 1e-10
@@ -95,7 +99,6 @@ class IntegratorConfig:
     t_end: float = 1e4
     initial_step: float = 0.0  # 0 means chosen by the stepper
     eps: Optional[float] = None  # series-start offset; default 1e-6 * min value
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
@@ -396,6 +399,11 @@ def principal_start(sys: ODESystem, spec: OrbitSpec) -> State:
 # ---------------------------------------------------------------------------
 
 
+def _columns(model_kind: str, state_names: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The CSV columns: t, the state, then the primitive."""
+    return ("t",) + state_names + (model_spec(model_kind).primitive_name,)
+
+
 @record
 class Trajectory:
     """The samples of a run: its start and every accepted step."""
@@ -409,7 +417,7 @@ class Trajectory:
 
     @property
     def columns(self) -> Tuple[str, ...]:
-        return ("t",) + self.state_names + (model_spec(self.model_kind).primitive_name,)
+        return _columns(self.model_kind, self.state_names)
 
     @property
     def n_samples(self) -> int:
@@ -436,7 +444,7 @@ class Trajectory:
         singular orbit) and increases strictly, and there are at least 3 rows.
         """
         spec = model_spec(model_kind)
-        expected = ("t",) + spec.state_names + (spec.primitive_name,)
+        expected = _columns(spec.kind, spec.state_names)
         rows = []
         with open(path) as fh:
             header = tuple(fh.readline().strip().split(","))
@@ -507,7 +515,7 @@ def integrate(sys: ODESystem, start: State, cfg: IntegratorConfig) -> Trajectory
         cfg.atol,
         cfg.initial_step,
         watch,
-        cfg.max_steps,
+        MAX_STEPS,
     )
     traj = Trajectory(
         model_kind=sys.model_kind,

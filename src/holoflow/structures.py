@@ -1,12 +1,13 @@
 """Canonical G2/Spin(7) forms and the invariant structures on both orbits.
 
-The canonical three-form and four-form are hardcoded with their textbook
-signs; the invariant structures are obtained by substituting each model's
-orthonormal frame and carrying the metric coefficients a, b, c, f into the
-coefficients.  A one-parameter rotation family acts on every structure;
-its exact generator L gives the whole family in closed form, Omega plus
-the multiples sin(k phi)/k and (1 - cos(k phi))/k^2 of L(Omega) and
-L(L(Omega)), so three exact forms certify every angle at once.
+The canonical three-form is written out with its textbook signs and the
+four-form built from it as Omega = *omega + dx0 ^ omega; the invariant
+structures are obtained by substituting each model's orthonormal frame and
+carrying the metric coefficients a, b, c, f into the coefficients.  A
+one-parameter rotation family acts on every structure; its exact generator
+L gives the whole family in closed form, Omega plus the multiples
+sin(k phi)/k and (1 - cos(k phi))/k^2 of L(Omega) and L(L(Omega)), so three
+exact forms certify every angle at once.
 """
 
 from __future__ import annotations
@@ -33,23 +34,6 @@ OMEGA3_TERMS = (
     ((3, 5, 6), -1),
 )
 
-#: canonical Spin(7) four-form: signed index quadruples on dx0..dx7
-OMEGA4_TERMS = (
-    ((0, 1, 2, 3), 1),
-    ((0, 1, 4, 5), 1),
-    ((0, 1, 6, 7), -1),
-    ((0, 2, 4, 6), 1),
-    ((0, 2, 5, 7), 1),
-    ((0, 3, 4, 7), 1),
-    ((0, 3, 5, 6), -1),
-    ((1, 2, 4, 7), -1),
-    ((1, 2, 5, 6), 1),
-    ((1, 3, 4, 6), 1),
-    ((1, 3, 5, 7), 1),
-    ((2, 3, 4, 5), -1),
-    ((2, 3, 6, 7), 1),
-    ((4, 5, 6, 7), 1),
-)
 
 class StructureError(ValueError):
     pass
@@ -64,20 +48,18 @@ class CanonicalForms:
 
 
 def canonical_forms() -> CanonicalForms:
+    """omega from its table and Omega = *omega + dx0 ^ omega, with Omega's
+    terms in lexicographic order of their index tuples."""
     omega = Multivector.zero(CANON7)
     for idx, sign in OMEGA3_TERMS:
         omega = omega + Multivector.basis(CANON7, [i - 1 for i in idx], Fraction(sign))
-    Omega = Multivector.zero(CANON8, dt_index=0)
-    for idx, sign in OMEGA4_TERMS:
-        Omega = Omega + Multivector.basis(CANON8, list(idx), Fraction(sign), dt_index=0)
-    # self-check: Omega = *omega + dx0 ^ omega, exactly
     embed = {i: ((i + 1, 1),) for i in range(7)}
-    star8 = omega.hodge_star().substitute(embed, CANON8, dt_index=0)
-    omega8 = omega.substitute(embed, CANON8, dt_index=0)
     dx0 = Multivector.basis(CANON8, [0], Fraction(1), dt_index=0)
-    if Omega != star8 + wedge(dx0, omega8):
-        raise StructureError("canonical forms fail Omega = *omega + dx0 ^ omega")
-    return CanonicalForms(omega, Omega)
+    Omega = omega.hodge_star().substitute(embed, CANON8, dt_index=0) + wedge(
+        dx0, omega.substitute(embed, CANON8, dt_index=0)
+    )
+    terms = sorted(Omega.terms.items(), key=lambda term: Omega.indices_of(term[0]))
+    return CanonicalForms(omega, Multivector(CANON8, dict(terms), dt_index=0))
 
 
 @record(frozen=True)
@@ -94,7 +76,6 @@ class Spin7Structure:
     Omega: Multivector
     omega: Multivector
     star_omega: Multivector
-    time_reversed: bool = False
 
     @property
     def gens(self) -> Tuple[str, ...]:
@@ -109,7 +90,7 @@ class Spin7Structure:
         return Multivector.basis(self.gens, [self.dt_index], one, dt_index=self.dt_index)
 
 
-def build_invariant_structure(model: CosetModel, time_reversed: bool = False) -> Spin7Structure:
+def build_invariant_structure(model: CosetModel) -> Spin7Structure:
     """Substitute the model's frame into the canonical forms.
 
     Raises for models that do not admit an invariant G2-structure.
@@ -121,8 +102,7 @@ def build_invariant_structure(model: CosetModel, time_reversed: bool = False) ->
     dt_index = len(gens) - 1
     table = model.symbols
 
-    dt_scale = LaurentPoly.const(table, -1 if time_reversed else 1)
-    map8 = {0: ((dt_index, dt_scale),)}
+    map8 = {0: ((dt_index, LaurentPoly.const(table, 1)),)}
     for slot, (target, sym) in model_spec(model).frame_map.items():
         map8[slot] = ((target - 1, LaurentPoly.variable(table, sym)),)
     map7 = {slot - 1: image for slot, image in map8.items() if slot}
@@ -131,11 +111,8 @@ def build_invariant_structure(model: CosetModel, time_reversed: bool = False) ->
     omega = can.omega.substitute(map7, gens, dt_index)
     star_omega = can.omega.hodge_star().substitute(map7, gens, dt_index)
 
-    struct = Spin7Structure(model, table, Omega, omega, star_omega, time_reversed)
-    dt = struct.dt_form()
-    if time_reversed:
-        dt = -dt
-    if Omega != star_omega + wedge(dt, omega):
+    struct = Spin7Structure(model, table, Omega, omega, star_omega)
+    if Omega != star_omega + wedge(struct.dt_form(), omega):
         raise StructureError("invariant structure fails Omega = *omega + dt ^ omega")
     for form in (Omega, omega, star_omega):
         if not is_basic(form, model):

@@ -19,7 +19,6 @@ from .closed_form import ProfileM, ProfileQ, compare, profile, s_form
 from .flow import (
     Derivation,
     DerivationError,
-    KaehlerCertificate,
     ODESystem,
     derivation,
     derive_flow,  # noqa: F401  (kept importable; perfbench/test_recorder.py patches it here)
@@ -511,15 +510,13 @@ class SU4Certificate:
         )
 
 
-def su4_family_check(
-    model: CosetModel,
-    sys: ODESystem,
-    cert: Optional[KaehlerCertificate] = None,
-) -> SU4Certificate:
+def su4_family_check(model: CosetModel, sys: ODESystem) -> SU4Certificate:
     """Certify the SU(4) evidence: a full circle of parallel structures,
     a unique closed invariant two-form, and no invariant parallel vector.
 
-    ``sys`` may be any system for the model; the certificate judges it."""
+    ``sys`` may be any system for the model; the certificate judges it.  The
+    derived system's Kaehler certificate is the derivation's own; any other
+    system is searched."""
     deriv = derivation(model)
     struct = deriv.struct
 
@@ -540,7 +537,7 @@ def su4_family_check(
 
     # (3) unique Kaehler candidate up to global sign
     try:
-        cert = cert or kaehler_search(model, sys, struct)
+        cert = deriv.cert if sys is deriv.sys else kaehler_search(model, sys, struct)
         kaehler_unique = cert.unique_up_to_sign
     except DerivationError:
         kaehler_unique = False
@@ -639,7 +636,7 @@ def verify_trajectory(
         closure = check_closure(ProfileSampler(prof, traj), deriv)
     cone = cone_fit(traj)
     smooth = smoothness_report(model, spec.orbit)
-    su4 = su4_family_check(model, deriv.sys, deriv.cert)
+    su4 = su4_family_check(model, deriv.sys)
     deviation = compare(traj, prof)
     residual = {
         "d_omega": closure.d_omega_residual,

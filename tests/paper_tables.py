@@ -73,6 +73,25 @@ CIRCLE = {
     },
 }
 
+#: canonical Spin(7) four-form: signed index quadruples on dx0..dx7, in
+#: lexicographic order
+OMEGA4_TERMS = (
+    ((0, 1, 2, 3), 1),
+    ((0, 1, 4, 5), 1),
+    ((0, 1, 6, 7), -1),
+    ((0, 2, 4, 6), 1),
+    ((0, 2, 5, 7), 1),
+    ((0, 3, 4, 7), 1),
+    ((0, 3, 5, 6), -1),
+    ((1, 2, 4, 7), -1),
+    ((1, 2, 5, 6), 1),
+    ((1, 3, 4, 6), 1),
+    ((1, 3, 5, 7), 1),
+    ((2, 3, 4, 5), -1),
+    ((2, 3, 6, 7), 1),
+    ((4, 5, 6, 7), 1),
+)
+
 #: orthonormal-frame assignment: canonical slot -> (generator index, scale symbol)
 FRAME_MAP = {
     "Q": {1: (7, "f"), 2: (1, "a"), 3: (2, "a"), 4: (3, "b"), 5: (4, "b"), 6: (6, "c"), 7: (5, "c")},

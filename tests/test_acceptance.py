@@ -304,7 +304,7 @@ def test_criterion_9_kaehler_certificates(models, systems, cone_runs):
 
 def test_criterion_10_structural_identities(models):
     Q, M = models
-    can = canonical_forms()  # construction self-checks Omega = *omega + dx0^omega
+    can = canonical_forms()  # Omega is built as *omega + dx0 ^ omega
     ok = True
 
     # invariant structures satisfy the identity exactly

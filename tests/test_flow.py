@@ -79,14 +79,6 @@ def test_back_substitution_annihilates_closure():
         assert closure_residual(struct, sys).is_zero
 
 
-def test_time_reversed_structure_flips_rhs_signs():
-    model = q_model(1, 1, 1)
-    sys = derive_flow(model)
-    rev = derive_flow(model, build_invariant_structure(model, time_reversed=True))
-    for name in sys.state:
-        assert rev.rhs[name] == -sys.rhs[name]
-
-
 def test_cosymplectic_constraints_empty():
     assert cosymplectic_constraints(q_model(1, 1, 1)) == []
     assert cosymplectic_constraints(m_model(1, 1)) == []

@@ -21,6 +21,7 @@ from holoflow.homogeneous import (
     _check_isotropy_action,
     _check_jacobi,
     _gq_all,
+    _hnf_rows,
     _isotropy_coords,
     _kernel_basis_1x3,
     _m_basis,
@@ -737,6 +738,51 @@ def test_one_pass_projection_rejects_a_non_real_product():
             gq_reference(x[1], y[1])
         with pytest.raises(ModelError, match="not real"):
             _gq_all(x[1], _transposed([S1[1], y[1]]), 2)
+
+
+def kernel_basis_reference(k, l, m):
+    """HNF basis of the integer solution lattice of k*x + l*y + m*z = 0, by a
+    gcd sweep over the columns of (k, l, m) that tracks the transformation."""
+    row = [k, l, m]
+    u = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]  # columns track the transformation
+    while True:
+        nz = [i for i in range(3) if row[i] != 0]
+        if len(nz) <= 1:
+            break
+        piv = min(nz, key=lambda i: abs(row[i]))
+        for i in nz:
+            if i == piv:
+                continue
+            qt = row[i] // row[piv]
+            row[i] -= qt * row[piv]
+            for r in range(3):
+                u[r][i] -= qt * u[r][piv]
+    kernel = [tuple(u[r][i] for r in range(3)) for i in range(3) if row[i] == 0]
+    return _hnf_rows(kernel)
+
+
+def assert_kernel_basis(indices):
+    """The basis equals the gcd sweep's, and its two rows span the whole
+    lattice: for primitive indices their cross product is +-(k, l, m)."""
+    basis = _kernel_basis_1x3(*indices)
+    assert basis == kernel_basis_reference(*indices), indices
+    (a, b, c), (d, e, f) = basis
+    cross = (b * f - c * e, c * d - a * f, a * e - b * d)
+    assert cross in (tuple(indices), tuple(-x for x in indices)), indices
+
+
+@pytest.mark.parametrize("name", TUPLE_SETS)
+def test_kernel_basis_matches_the_gcd_sweep(name):
+    for kind, indices in TUPLE_SETS[name]:
+        if kind == "Q":
+            assert_kernel_basis(indices)
+
+
+def test_kernel_basis_matches_the_gcd_sweep_in_any_order():
+    tuples = [t for t in itertools.product(range(13), repeat=3) if math.gcd(*t) == 1]
+    assert len(tuples) == 1_723
+    for indices in tuples:
+        assert_kernel_basis(indices)
 
 
 def cartan_candidates(indices):

@@ -362,11 +362,11 @@ def test_collapse_underflow_raises_with_state(sysq):
     assert err.value.trajectory.n_samples > 1
 
 
-def test_max_steps_raises_with_partial_trajectory(sysq):
+def test_max_steps_raises_with_partial_trajectory(sysq, monkeypatch):
+    monkeypatch.setattr("holoflow.integrate.MAX_STEPS", 10)
     spec = OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1})
-    cfg = IntegratorConfig(t_end=1e4, max_steps=10)
-    with pytest.raises(IntegrationError) as err:
-        solve_orbit(sysq, spec, cfg)
+    with pytest.raises(IntegrationError, match="max_steps") as err:
+        solve_orbit(sysq, spec, IntegratorConfig(t_end=1e4))
     assert err.value.trajectory is not None
     assert err.value.trajectory.n_samples >= 1
 

@@ -18,6 +18,7 @@ from holoflow._kernel._stepper_py import (
 from holoflow.flow import derivation
 from holoflow.homogeneous import get_model
 from holoflow.integrate import (
+    MAX_STEPS,
     IntegratorConfig,
     OrbitSpec,
     _compile_terms,
@@ -328,7 +329,7 @@ def test_solve_is_bit_identical_with_the_interpreter(kind, orbit, values):
     cfg = IntegratorConfig()
     y0 = [start.values[n] for n in sys_.state] + [start.primitive]
     watch = [True] * len(sys_.state) + [False]
-    args = (y0, start.t, cfg.t_end, cfg.rtol, cfg.atol, cfg.initial_step, watch, cfg.max_steps)
+    args = (y0, start.t, cfg.t_end, cfg.rtol, cfg.atol, cfg.initial_step, watch, MAX_STEPS)
     ref = reference_solve(reference_rhs(coeffs, exps, owner, nstate), nstate, *args)
     gen = _stepper_py.solve((coeffs, exps, owner, nstate), *args)
     gen = (gen[0], gen[1], flat(gen[2]), *gen[3:])
@@ -339,7 +340,6 @@ def test_solve_is_bit_identical_with_the_interpreter(kind, orbit, values):
 
 
 def test_one_generation_per_term_list(monkeypatch):
-    monkeypatch.setattr(_stepper_py, "_RHS_CACHE", {})
     monkeypatch.setattr(_stepper_py, "_LOOP_CACHE", {})
     calls = {"_generate": [], "_generate_loop": []}
     for name, log in calls.items():
@@ -357,7 +357,6 @@ def test_one_generation_per_term_list(monkeypatch):
     second = integrate(sys_, start, cfg)
     assert len(calls["_generate"]) == 1
     assert len(calls["_generate_loop"]) == 1
-    assert len(_stepper_py._RHS_CACHE) == 1
     assert len(_stepper_py._LOOP_CACHE) == 1
     assert np.array_equal(first.ys, second.ys)
     assert _kernel.make_rhs is _stepper_py.make_rhs

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoflow.algebra import LaurentPoly, wedge
+from holoflow.algebra import LaurentPoly, Multivector, wedge
 from holoflow.flow import derivation
 from holoflow.homogeneous import MODEL_SPECS, m_model, q_model
 from holoflow.structures import (
+    CANON8,
     StructureError,
     build_invariant_structure,
     canonical_forms,
@@ -20,7 +21,7 @@ from holoflow.structures import (
     rotate_structure,
     rotation_generator,
 )
-from paper_tables import FRAME_MAP
+from paper_tables import FRAME_MAP, OMEGA4_TERMS
 
 UNIT_Q = {"a": 1.0, "b": 1.0, "c": 1.0, "f": 1.0}
 
@@ -37,6 +38,18 @@ def test_canonical_spot_coefficients():
     assert can.Omega.coefficient([4, 5, 6, 7]) == Fraction(1)  # dx^4567
     assert can.Omega.coefficient([1, 2, 4, 7]) == Fraction(-1)
     assert len(can.omega.terms) == 7 and len(can.Omega.terms) == 14
+
+
+def test_Omega_is_the_textbook_four_form():
+    """Omega, built as *omega + dx0 ^ omega, is the textbook table: the same
+    terms in the same order, each a Fraction."""
+    want = Multivector.zero(CANON8, dt_index=0)
+    for idx, sign in OMEGA4_TERMS:
+        want = want + Multivector.basis(CANON8, list(idx), Fraction(sign), dt_index=0)
+    Omega = canonical_forms().Omega
+    assert Omega == want
+    assert list(Omega.terms.items()) == list(want.terms.items())
+    assert all(type(c) is Fraction for c in Omega.terms.values())
 
 
 def test_omega_wedge_star_is_seven_volumes():
@@ -75,8 +88,6 @@ def test_invariant_coefficients_m():
 def test_unit_frame_reproduces_canonical_coefficients():
     """At a = b = c = f = 1 the structure is the canonical one, read through
     the frame permutation."""
-    from holoflow.structures import CANON8
-
     can = canonical_forms()
     for model in (q_model(1, 1, 1), m_model(1, 1)):
         s = build_invariant_structure(model)
@@ -107,17 +118,6 @@ def test_monomial_degrees_of_q_structure():
         ((vec, _),) = poly.terms.items()
         total = sum(vec)
         assert total == (3 if mask & dt_bit else 4)
-
-
-def test_time_reversal_flips_dt_terms():
-    s = build_invariant_structure(q_model(1, 1, 1))
-    r = build_invariant_structure(q_model(1, 1, 1), time_reversed=True)
-    dt_bit = 1 << s.dt_index
-    for mask, poly in s.Omega.terms.items():
-        if mask & dt_bit:
-            assert r.Omega.terms[mask] == -poly
-        else:
-            assert r.Omega.terms[mask] == poly
 
 
 # ---------------------------------------------------------------------------

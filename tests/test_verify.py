@@ -520,6 +520,17 @@ def test_su4_certificate_lets_a_bug_in_the_kaehler_search_propagate(monkeypatch)
         su4_family_check(model, derive_flow(model))
 
 
+def test_su4_certificate_of_the_derived_system_is_the_derivations(monkeypatch):
+    def searched(*args, **kwargs):
+        raise AssertionError("the derived system's certificate is searched again")
+
+    monkeypatch.setattr("holoflow.verify.kaehler_search", searched)
+    for model in (q_model(1, 1, 1), m_model(1, 1)):
+        assert su4_family_check(model, derivation(model).sys).kaehler_unique
+        with pytest.raises(AssertionError):
+            su4_family_check(model, perturbed_system(derivation(model).sys, "a"))
+
+
 # ---------------------------------------------------------------------------
 # orbit catalog
 # ---------------------------------------------------------------------------
