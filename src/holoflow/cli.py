@@ -12,37 +12,30 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
-from .closed_form import ProfileError
-from .flow import derivation
-from .flow import derive_flow  # noqa: F401  (kept importable; perfbench/test_recorder.py patches it here)
+from .errors import IntegrationError, OrbitError, ProfileError, SeriesStartError, VerifyError
 from .homogeneous import MODEL_SPECS, ModelError, get_model, model_spec
-from .integrate import (
-    CSVError,
-    IntegrationError,
-    IntegratorConfig,
-    OrbitError,
-    OrbitSpec,
-    SeriesStartError,
-    Trajectory,
-    solve_orbit,
-    start_offset,
-)
-from .verify import (
-    DEFAULT_BARS,
-    VerifyError,
-    cone_fit,
-    evaluate_bars,
-    run_report,
-    smoothness_report,
-    verify_trajectory,
-)
+
+# Each command imports the modules it runs, so that ``classify`` loads
+# neither the flow nor the integrator nor the checks.
 
 
 class InputError(ValueError):
     pass
+
+
+def __getattr__(name):
+    # ``holoflow.cli.derive_flow`` is ``holoflow.flow.derive_flow``, read from
+    # ``flow`` on each access; perfbench/test_recorder.py asserts that it is
+    # the wrapper its recorder patches onto ``flow``
+    if name == "derive_flow":
+        from .flow import derive_flow
+
+        return derive_flow
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 #: the initial-value flags, ``--<x>0`` for each state name of either model
@@ -61,7 +54,9 @@ def _model_from_args(args):
     return get_model(args.model, tuple(1 if i is None else i for i in indices))
 
 
-def _orbit_spec(args) -> OrbitSpec:
+def _orbit_spec(args):
+    from .integrate import OrbitSpec
+
     values = {}
     for name in model_spec(args.model).state_names:
         raw = getattr(args, f"{name}0", None)
@@ -73,21 +68,52 @@ def _orbit_spec(args) -> OrbitSpec:
         raise InputError(str(exc)) from exc
 
 
-def _singular_spec(args) -> OrbitSpec:
+def _singular_spec(args):
     spec = _orbit_spec(args)
     if not spec.collapsing:
         raise InputError(f"{spec.orbit!r} is not a singular orbit of the {spec.model_kind} model")
     return spec
 
 
-def _check_start(args, spec: OrbitSpec) -> None:
+def _check_start(cfg, spec) -> None:
     """Reject a series start at or past ``--t-end`` before any model is built."""
+    from .integrate import start_offset
+
     if spec.collapsing:
-        offset = start_offset(spec, args.eps)
-        if offset >= args.t_end:
+        offset = start_offset(spec, cfg.eps)
+        if offset >= cfg.t_end:
             raise InputError(
-                f"the series starts at t={offset:g}, not before --t-end {args.t_end:g}"
+                f"the series starts at t={offset:g}, not before --t-end {cfg.t_end:g}"
             )
+
+
+#: a decimal with an exponent, as ``Fraction`` reads one: sign, whole digits,
+#: fraction digits and exponent, each digit group with single underscores
+_EXPONENT_FORM = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)(?P<whole>\d*|\d+(?:_\d+)*)(?:\.(?P<frac>\d*|\d+(?:_\d+)*))?"
+    r"e(?P<exp>[-+]?\d+(?:_\d+)*)\s*\Z",
+    re.IGNORECASE,
+)
+
+
+def _exact(raw: str) -> Fraction:
+    """``Fraction(raw)``, except that a decimal with an exponent is first read
+    from its digits: zero is 0, and a value beyond 400 decades either way,
+    where no float lies, raises OverflowError.  Neither computes
+    10**exponent, which for ``1e10000000`` takes seconds."""
+    form = _EXPONENT_FORM.match(raw)
+    if form is None:
+        return Fraction(raw)
+    frac = (form["frac"] or "").replace("_", "")
+    # these int() calls raise ValueError where Fraction's own would, in its order
+    mantissa = int(form["whole"] or "0") * 10 ** len(frac) + (int(frac) if frac else 0)
+    exponent = int(form["exp"]) - len(frac)
+    if not mantissa:
+        return Fraction(0)
+    # bit_length * log10(2), floored, is within 1 of log10(mantissa)
+    if abs(mantissa.bit_length() * 30103 // 100000 + exponent) > 400:
+        raise OverflowError
+    return Fraction(raw)
 
 
 def _check_args(args) -> None:
@@ -101,7 +127,7 @@ def _check_args(args) -> None:
         if raw is None:
             continue
         try:
-            value = Fraction(raw)
+            value = _exact(raw)
             if value and float(value) == 0.0:  # below float range; above it, float() overflows
                 raise OverflowError
         except (ValueError, ZeroDivisionError) as exc:
@@ -130,7 +156,10 @@ def _check_args(args) -> None:
             raise InputError(f"{flag} must be finite and {rule}, got {value}")
 
 
-def _read_traj(args, kind: str) -> Trajectory:
+def _read_traj(args, kind: str):
+    from .errors import CSVError
+    from .integrate import Trajectory
+
     try:
         return Trajectory.from_csv(args.traj, kind)
     except OSError as exc:
@@ -139,14 +168,13 @@ def _read_traj(args, kind: str) -> Trajectory:
         raise InputError(f"--traj {args.traj}: {exc}") from exc
 
 
-def _config(args) -> IntegratorConfig:
-    return IntegratorConfig(
-        rtol=args.rtol,
-        atol=args.atol,
-        t_end=args.t_end,
-        initial_step=args.initial_step,
-        eps=args.eps,
-    )
+def _config(args):
+    """The ``IntegratorConfig`` of the integrator flags given; a flag not
+    given keeps the config's default."""
+    from .integrate import IntegratorConfig
+
+    given = {name: getattr(args, name) for name in ("rtol", "atol", "t_end", "initial_step", "eps")}
+    return IntegratorConfig(**{name: v for name, v in given.items() if v is not None})
 
 
 def _emit(doc: dict, path) -> None:
@@ -174,19 +202,23 @@ def _add_orbit_flags(p):
     p.add_argument("--negative-branch", action="store_true")
 
 
+# The integrator and bar flags default to None, "not given": ``_config`` and
+# ``_bar`` read the defaults when a command runs, so the parser needs neither
+# ``integrate`` nor ``verify``.
+
+
 def _add_integrator_flags(p):
-    defaults = IntegratorConfig
-    p.add_argument("--rtol", type=float, default=defaults.rtol)
-    p.add_argument("--atol", type=float, default=defaults.atol)
-    p.add_argument("--t-end", dest="t_end", type=float, default=defaults.t_end)
-    p.add_argument("--eps", type=float, default=defaults.eps, help="series-start offset")
-    p.add_argument("--initial-step", dest="initial_step", type=float, default=defaults.initial_step)
+    p.add_argument("--rtol", type=float, default=None)
+    p.add_argument("--atol", type=float, default=None)
+    p.add_argument("--t-end", dest="t_end", type=float, default=None)
+    p.add_argument("--eps", type=float, default=None, help="series-start offset")
+    p.add_argument("--initial-step", dest="initial_step", type=float, default=None)
 
 
 def _add_bar_flags(p):
-    p.add_argument("--cone-bar", type=float, default=DEFAULT_BARS["cone"])
+    p.add_argument("--cone-bar", type=float, default=None)
     p.add_argument("--closure-bar", type=float, default=None)
-    p.add_argument("--closed-form-bar", type=float, default=DEFAULT_BARS["closed_form"])
+    p.add_argument("--closed-form-bar", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p, with_indices=False)
     p.add_argument("--traj", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--cone-bar", type=float, default=DEFAULT_BARS["cone"])
+    p.add_argument("--cone-bar", type=float, default=None)
 
     p = sub.add_parser("smoothness", help="smoothness sub-report for one orbit")
     _add_model_flags(p, with_indices=False)
@@ -249,6 +281,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    from .flow import derivation
+
     sys_ = derivation(_model_from_args(args)).sys
     if args.json is not None:
         _emit(sys_.to_json_dict(), args.json)
@@ -259,10 +293,13 @@ def cmd_derive(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    spec = _orbit_spec(args)
-    _check_start(args, spec)
-    model = _model_from_args(args)
+    from .flow import derivation
+    from .integrate import solve_orbit
+
     cfg = _config(args)
+    spec = _orbit_spec(args)
+    _check_start(cfg, spec)
+    model = _model_from_args(args)
     traj, _ = solve_orbit(derivation(model).sys, spec, cfg)
     traj.require_done()
     traj.to_csv(args.out)
@@ -270,11 +307,28 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _bar(args, name: str):
+    """``--<name>-bar``, or its ``DEFAULT_BARS`` value when not given."""
+    from .verify import DEFAULT_BARS
+
+    value = getattr(args, f"{name}_bar")
+    return DEFAULT_BARS[name] if value is None else value
+
+
 def _bars(args) -> dict:
-    return {"closure": args.closure_bar, "cone": args.cone_bar, "closed_form": args.closed_form_bar}
+    """The closure, cone and closed-form bars; a closure bar not given stays
+    None, for ``verify_trajectory`` to take the default of the closure check
+    it runs."""
+    return {
+        "closure": args.closure_bar,
+        "cone": _bar(args, "cone"),
+        "closed_form": _bar(args, "closed_form"),
+    }
 
 
 def cmd_verify(args) -> int:
+    from .verify import verify_trajectory
+
     model = _model_from_args(args)
     spec = _singular_spec(args)
     doc, code = verify_trajectory(model, spec, _read_traj(args, model.kind), _bars(args))
@@ -283,16 +337,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cone(args) -> int:
+    from .verify import cone_fit, evaluate_bars
+
     model = _model_from_args(args)
     traj = _read_traj(args, model.kind)
     cone = cone_fit(traj)
     doc = {"model": model.label, "cone": cone.to_json_dict()}
-    code = evaluate_bars(doc, {"cone": args.cone_bar}, cone)
+    code = evaluate_bars(doc, {"cone": _bar(args, "cone")}, cone)
     _emit(doc, args.out)
     return code
 
 
 def cmd_smoothness(args) -> int:
+    from .verify import smoothness_report
+
     model = _model_from_args(args)
     try:
         rep = smoothness_report(model, args.orbit)
@@ -304,9 +362,12 @@ def cmd_smoothness(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .verify import run_report
+
+    cfg = _config(args)
     spec = _singular_spec(args)
-    _check_start(args, spec)
-    doc, code, traj = run_report(_model_from_args(args), spec, _config(args), _bars(args))
+    _check_start(cfg, spec)
+    doc, code, traj = run_report(_model_from_args(args), spec, cfg, _bars(args))
     if args.traj_out:
         traj.to_csv(args.traj_out)
     _emit(doc, args.out)

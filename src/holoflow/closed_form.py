@@ -23,15 +23,12 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 from ._record import record
 from .algebra import AlgebraError, LaurentPoly
+from .errors import ProfileError
 from .flow import DerivationError, ODESystem
 from .homogeneous import CosetModel, ModelSpec, model_spec
 from .integrate import OrbitSpec, Trajectory
 
 Number = Union[Fraction, float]
-
-
-class ProfileError(ValueError):
-    pass
 
 
 class DomainError(ProfileError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
+from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import _kernel
@@ -93,6 +94,11 @@ class ODESystem:
     rhs: Mapping[str, LaurentPoly]
     rank: int
     n_equations: int
+
+    def __post_init__(self):
+        # read-only: each system is shared through ``derivation(model)``, and
+        # the integrator prepares it once, keyed on its identity
+        object.__setattr__(self, "rhs", MappingProxyType(dict(self.rhs)))
 
     @property
     def table(self) -> SymbolTable:

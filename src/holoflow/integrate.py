@@ -16,11 +16,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from . import _kernel
 from ._record import field, record
 from .algebra import AlgebraError, LaurentPoly, SymbolTable, term_list
+from .errors import CSVError, IntegrationError, OrbitError, SeriesStartError
 from .flow import ODESystem
 from .homogeneous import MODEL_SPECS, model_spec
 
@@ -29,24 +31,6 @@ ORBIT_COLLAPSING: Dict[str, Dict[str, Tuple[str, ...]]] = {
     kind: {"principal": (), **{row.orbit_key: row.collapsing for row in spec.catalog if row.orbit_key}}
     for kind, spec in MODEL_SPECS.items()
 }
-
-
-class OrbitError(ValueError):
-    """Invalid orbit specification."""
-
-
-class SeriesStartError(RuntimeError):
-    """The degenerate-limit fixed-point system has no usable solution."""
-
-
-class CSVError(ValueError):
-    """A trajectory CSV file is malformed."""
-
-
-class IntegrationError(RuntimeError):
-    def __init__(self, message: str, trajectory: Optional["Trajectory"] = None):
-        super().__init__(message)
-        self.trajectory = trajectory
 
 
 @record(frozen=True)
@@ -72,7 +56,7 @@ class OrbitSpec:
             )
         if any(v == 0 for v in vals.values()):
             raise OrbitError("initial values must be nonzero")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", MappingProxyType(vals))
 
     @property
     def collapsing(self) -> Tuple[str, ...]:

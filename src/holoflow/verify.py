@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ._record import record, replace
 from .algebra import AlgebraError, LaurentPoly
 from .closed_form import ProfileM, ProfileQ, compare, profile, s_form
+from .errors import VerifyError
 from .flow import (
     Derivation,
     DerivationError,
@@ -28,10 +29,6 @@ from .flow import (
 from .homogeneous import MODEL_SPECS, CatalogRow, CosetModel, ModelSpec, model_spec
 from .integrate import IntegratorConfig, OrbitSpec, Trajectory, series_start, start_offset
 from .structures import rotation_generator
-
-
-class VerifyError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import holoflow
 from holoflow import flow, structures
-from holoflow.cli import VALUE_FLAGS, build_parser, main
+from holoflow.cli import VALUE_FLAGS, _exact, build_parser, main
 from holoflow.homogeneous import MODEL_SPECS, m_model
 from holoflow.integrate import ORBIT_COLLAPSING, IntegratorConfig, OrbitSpec, solve_orbit
 from mutations import perturbed_system
@@ -225,6 +226,62 @@ def test_unparsable_initial_value_rejected(capsys, tmp_path, raw):
     assert code == 2
     _one_line_error(err)
     assert "--a0" in err
+
+
+# values whose exponent alone puts them past float range: 10**exponent has
+# millions of digits, which took seconds to compute before the check
+HUGE_EXPONENTS = ["1e10000000", "-1e10000000", "1e-10000000"]
+
+
+@pytest.mark.parametrize("raw", HUGE_EXPONENTS)
+def test_a_huge_exponent_is_rejected_at_once(capsys, tmp_path, raw):
+    start = time.perf_counter()
+    code, out, err = run(
+        ["solve", "--model", "m", "--orbit", "cp2", f"--a0={raw}", "--out", str(tmp_path / "x.csv")],
+        capsys,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: --a0 must lie within float range, got {raw!r}\n"
+
+
+#: (value, exit code, stderr) of ``solve --model m --orbit cp2 --t-end 10``
+#: with ``--a0`` at the edges of float range, as before the exponent check
+EDGE_VALUES = [
+    ("1e308", 2, "error: the series starts at t=1e+302, not before --t-end 10\n"),
+    ("2e308", 2, "error: --a0 must lie within float range, got '2e308'\n"),
+    ("5e-324", 1, "integration error: integration stopped: blowup\n"),
+    ("1e-400", 2, "error: --a0 must lie within float range, got '1e-400'\n"),
+    ("2/3", 0, ""),
+    ("0e10000000", 2, "error: initial values must be nonzero\n"),
+]
+
+
+@pytest.mark.parametrize("raw,code,err", EDGE_VALUES)
+def test_initial_values_at_the_edges_of_float_range(capsys, tmp_path, raw, code, err):
+    argv = ["solve", "--model", "m", "--orbit", "cp2", f"--a0={raw}", "--t-end", "10"]
+    assert run(argv + ["--out", str(tmp_path / "x.csv")], capsys)[::2] == (code, err)
+
+
+#: decimals with exponents in Fraction's syntax and next to it
+EXPONENT_FORMS = [
+    "1e5", "-1.5E-3", " +2.e3 ", ".5e2", "1_000e1_0", "0.0_1e4", "00012.3400e-2",
+    "0e0", "-0.000e-5", "\u0661e3", "1__0e2", "1.de5", "1e", "e5", "1e5.0", "1/2e3",
+    "1" * 5000 + "e3", "1." + "1" * 5000 + "e3", "1e" + "9" * 5000,
+]
+
+
+@pytest.mark.parametrize("raw", EXPONENT_FORMS)
+def test_the_exponent_check_reads_what_fraction_reads(raw):
+    """Within float range the check hands back Fraction's value, and it
+    rejects with ValueError exactly what Fraction rejects."""
+    try:
+        want = Fraction(raw)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _exact(raw)
+    else:
+        assert _exact(raw) == want
 
 
 # an initial step of 0 asks for the automatic choice, so only it may be 0
@@ -614,6 +671,66 @@ def test_importing_the_cli_generates_no_record_code():
     assert proc.stdout == "[]\n"
 
 
+LOADED_MODULES = """
+import contextlib, io, json, sys
+import holoflow.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = holoflow.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+loaded = sorted(m for m in sys.modules if m == "holoflow" or m.startswith("holoflow."))
+print(json.dumps([code, loaded, "numpy" in sys.modules]))
+"""
+
+#: what importing the CLI and each command load besides ``holoflow``
+CLI_MODULES = ["_record", "algebra", "cli", "errors", "homogeneous"]
+FLOW_MODULES = CLI_MODULES + ["_kernel", "_kernel._stepper_py", "flow", "structures"]
+COMMAND_MODULES = [
+    ([], CLI_MODULES),
+    (["classify", "--model", "q", "--k", "1", "--l", "1", "--m", "1"], CLI_MODULES),
+    (["classify", "--model", "m", "--k", "2", "--l", "1"], CLI_MODULES),
+    (["derive", "--model", "q"], FLOW_MODULES),
+    (["solve", "--model", "m", "--orbit", "cp2", "--a0", "1", "--t-end", "10", "--out", "{out}"],
+     FLOW_MODULES + ["integrate"]),
+]
+
+
+@pytest.mark.parametrize("argv,modules", COMMAND_MODULES)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    argv = [a.format(out=tmp_path / "x.csv") for a in argv]
+    proc = fresh_python(LOADED_MODULES, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded, numpy = json.loads(proc.stdout)
+    assert code == 0
+    assert loaded == sorted(["holoflow"] + ["holoflow." + m for m in modules])
+    assert not numpy
+
+
+def test_the_package_loads_its_exports_on_first_access():
+    """``import holoflow`` loads no submodule; each exported name is read
+    from its module when asked for and never stored on the package."""
+    proc = fresh_python(
+        "import sys, holoflow\n"
+        "print(sorted(m for m in sys.modules if m.startswith('holoflow')))\n"
+        "assert set(holoflow.__all__) <= set(dir(holoflow))\n"
+        "from holoflow import *\n"
+        "for name in holoflow.__all__:\n"
+        "    value = getattr(holoflow, name)\n"
+        "    assert value is getattr(sys.modules[value.__module__], name), name\n"
+        "    assert name not in vars(holoflow), name\n"
+        "import holoflow.cli\n"
+        "for module in (holoflow, holoflow.cli):\n"
+        "    try:\n"
+        "        module.no_such_name\n"
+        "    except AttributeError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise AssertionError(module)\n"
+        "assert holoflow.cli.derive_flow is holoflow.flow.derive_flow\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['holoflow']\n"
+
+
 def test_solve_exits_1_when_the_run_stops_early(capsys, tmp_path):
     out = tmp_path / "x.csv"
     code, _, err = run(
@@ -655,7 +772,7 @@ def test_principal_orbit_rejected_before_integration(capsys, tmp_path, monkeypat
         raise AssertionError("work started")
 
     monkeypatch.setattr("holoflow.integrate.solve_orbit", no_work)
-    monkeypatch.setattr("holoflow.cli.Trajectory.from_csv", no_work)
+    monkeypatch.setattr("holoflow.integrate.Trajectory.from_csv", no_work)
     extra = ["--traj", str(tmp_path / "t.csv")] if command == "verify" else []
     code, _, err = run(
         [command, "--model", "q", "--orbit", "principal",
@@ -766,7 +883,7 @@ def test_internal_value_error_is_not_reported_as_input(capsys, tmp_path, monkeyp
     def broken(traj):
         raise ValueError("internal bug")
 
-    monkeypatch.setattr("holoflow.cli.cone_fit", broken)
+    monkeypatch.setattr("holoflow.verify.cone_fit", broken)
     path = tmp_path / "t.csv"
     path.write_text("".join(line + "\n" for line in ["t,a,b,c,C"] + GOOD_ROWS))
     with pytest.raises(ValueError, match="internal bug"):
@@ -798,7 +915,7 @@ def test_cone_bar_rejected_before_the_traj_is_read(capsys, tmp_path, monkeypatch
     def no_read(*args, **kwargs):
         raise AssertionError("the trajectory was read")
 
-    monkeypatch.setattr("holoflow.cli.Trajectory.from_csv", no_read)
+    monkeypatch.setattr("holoflow.integrate.Trajectory.from_csv", no_read)
     out = tmp_path / "c.json"
     code, _, err = run(
         ["cone", "--model", "q", "--traj", str(tmp_path / "t.csv"), "--cone-bar", value,

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoflow.algebra import LaurentPoly, SymbolTable
-from holoflow.flow import ODESystem, derive_flow
+from holoflow.flow import ODESystem, derivation, derive_flow
 from holoflow.homogeneous import ModelError, m_model, q_model
 from holoflow.integrate import (
     IntegrationError,
@@ -422,3 +422,22 @@ def test_principal_orbit_start(sysq):
     st = principal_start(sysq, spec)
     traj = integrate(sysq, st, IntegratorConfig(t_end=5.0))
     assert traj.status == "done"
+
+
+def test_a_prepared_system_and_an_orbit_spec_cannot_be_changed():
+    """``derivation(model).sys`` is shared by every caller in a process, and
+    the integrator prepares each system once: a right-hand side changed after
+    a solve would be integrated as the old one.  Neither mapping takes an
+    assignment, and a system copies the mapping it is given."""
+    model = m_model(1, 1)
+    sys_ = derivation(model).sys
+    spec = OrbitSpec("M", "cp2", {"a": 1})
+    solve_orbit(sys_, spec, IntegratorConfig(t_end=10.0))
+    with pytest.raises(TypeError):
+        sys_.rhs["a"] = 2 * sys_.rhs["a"]
+    with pytest.raises(TypeError):
+        spec.values["a"] = Fraction(2)
+    given = dict(sys_.rhs)
+    copy = ODESystem("M", (1, 1), sys_.state, given, sys_.rank, sys_.n_equations)
+    given["a"] = 2 * given["a"]
+    assert copy == sys_
