@@ -16,7 +16,14 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import IntegrationError, OrbitError, ProfileError, SeriesStartError, VerifyError
+from .errors import (
+    CSVError,
+    IntegrationError,
+    OrbitError,
+    ProfileError,
+    SeriesStartError,
+    VerifyError,
+)
 from .homogeneous import MODEL_SPECS, ModelError, get_model, model_spec
 
 # Each command imports the modules it runs, so that ``classify`` loads
@@ -157,7 +164,6 @@ def _check_args(args) -> None:
 
 
 def _read_traj(args, kind: str):
-    from .errors import CSVError
     from .integrate import Trajectory
 
     try:
