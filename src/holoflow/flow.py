@@ -96,9 +96,14 @@ class ODESystem:
     n_equations: int
 
     def __post_init__(self):
-        # read-only: each system is shared through ``derivation(model)``, and
-        # the integrator prepares it once, keyed on its identity
-        object.__setattr__(self, "rhs", MappingProxyType(dict(self.rhs)))
+        # read-only, the mapping and the terms of each polynomial: each system
+        # is shared through ``derivation(model)``, and the integrator prepares
+        # it once, keyed on its identity
+        rhs = {}
+        for x, p in self.rhs.items():
+            rhs[x] = LaurentPoly(p.table, p.terms)
+            rhs[x].terms = MappingProxyType(rhs[x].terms)
+        object.__setattr__(self, "rhs", MappingProxyType(rhs))
 
     @property
     def table(self) -> SymbolTable:

@@ -6,10 +6,11 @@ pair (D, S): a positive integer D and a sparse Gaussian-integer matrix S with
 X = S / D.  The q-products, brackets, projections and the realness,
 orthogonality, positivity and closure checks all run on these integers, so
 the structure constants are computed without rounding and without rational
-matrix arithmetic.  Fractions appear only in the q-norms, the structure
-constants and the Cartan coordinates; the Jacobi and isotropy checks read
-the constants as integers, times the lcm of their denominators.  What the
-paper states about each model is one ``ModelSpec`` record in ``MODEL_SPECS``.
+matrix arithmetic.  They are stored as integers too, times the lcm of their
+denominators, which is what the Jacobi and isotropy checks and the weights
+read; their ``Fraction`` view is built on first read.  Fractions appear
+otherwise only in the q-norms and the Cartan coordinates.  What the paper
+states about each model is one ``ModelSpec`` record in ``MODEL_SPECS``.
 """
 
 from __future__ import annotations
@@ -75,30 +76,46 @@ def _transposed(mats: Sequence[GaussMatrix]) -> Dict[Tuple[int, int, int], List[
     return index
 
 
-def _gq_all(x: GaussMatrix, transposed: Mapping, n: int) -> List[int]:
-    """[q(X, S_k) for k < n] with q(X,Y) = -tr(XY) over blocks, in one pass
-    over X and the transposed S_k; raises unless real."""
+def _gq_parts(x: GaussMatrix, transposed: Mapping, n: int) -> Tuple[List[int], List[int]]:
+    """The real and imaginary parts of q(X, S_k) for k < n, with
+    q(X,Y) = -tr(XY) over blocks, in one pass over X and the transposed S_k."""
     re, im = [0] * n, [0] * n
     for key, (xr, xi) in x.items():
         for k, sr, si in transposed.get(key, ()):
             re[k] -= xr * sr - xi * si
             im[k] += xr * si + xi * sr
+    return re, im
+
+
+_NOT_REAL = "q(X,Y) is not real; basis matrices are not skew-hermitian"
+
+
+def _gq_all(x: GaussMatrix, transposed: Mapping, n: int) -> List[int]:
+    """[q(X, S_k) for k < n]; raises unless real."""
+    re, im = _gq_parts(x, transposed, n)
     if any(im):
-        raise ModelError("q(X,Y) is not real; basis matrices are not skew-hermitian")
+        raise ModelError(_NOT_REAL)
     return re
 
 
-def _in_span(x: GaussMatrix, t: Sequence[int], mats: Sequence[GaussMatrix], norms: Sequence[int]) -> bool:
+def _in_span(
+    x: GaussMatrix, t: Sequence[int], mats: Sequence[GaussMatrix], weights: Sequence[int], scale: int
+) -> bool:
     """Whether X = sum_k t_k S_k / N_k, checked on integers as
-    lcm(N) X = sum_k t_k (lcm(N) / N_k) S_k."""
-    lcm_norms = math.lcm(*norms)
-    residual = {key: (lcm_norms * re, lcm_norms * im) for key, (re, im) in x.items()}
-    for tk, s, nk in zip(t, mats, norms):
-        w = tk * (lcm_norms // nk)
+    L X = sum_k t_k w_k S_k with L = lcm(N) and the weights w_k = L / N_k."""
+    residual = {key: (scale * re, scale * im) for key, (re, im) in x.items()}
+    for tk, s, wk in zip(t, mats, weights):
+        w = tk * wk
         for key, (re, im) in s.items() if tk else ():
             r0, i0 = residual.get(key, (0, 0))
             residual[key] = (r0 - w * re, i0 - w * im)
     return not any(v != (0, 0) for v in residual.values())
+
+
+def _span_weights(norms: Sequence[int]) -> Tuple[List[int], int]:
+    """([L / N_k], L) for the lcm L of the integer norms N_k, as ``_in_span`` reads them."""
+    scale = math.lcm(*norms)
+    return [scale // nk for nk in norms], scale
 
 
 def _gbracket(x: Mapping, y: Mapping) -> GaussMatrix:
@@ -162,28 +179,46 @@ def _m_basis(k: int, l: int) -> Tuple[Scaled, ...]:
 # ---------------------------------------------------------------------------
 
 
+# rows[i][j]: the pairs (k, L c^k_ij) for either order of i, j; () where [e_i, e_j] = 0
+IntegerRows = List[List[Sequence[Tuple[int, int]]]]
+# the constants c^k_ij = num / den of the pairs i < j, as (i, j, [(k, num, den)])
+Brackets = Sequence[Tuple[int, int, Sequence[Tuple[int, int, int]]]]
+
+
+def _integer_rows(n: int, brackets: Brackets) -> Tuple[int, IntegerRows]:
+    """(L, rows): L the lcm of the denominators, rows[i][j] the pairs (k, L c^k_ij)."""
+    scale = math.lcm(*(den for _, _, consts in brackets for _, _, den in consts))
+    rows: IntegerRows = [[()] * n for _ in range(n)]
+    for i, j, consts in brackets:
+        rows[i][j] = [(k, num * (scale // den)) for k, num, den in consts]
+        rows[j][i] = [(k, -v) for k, v in rows[i][j]]
+    return scale, rows
+
+
 @record(frozen=True)
 class StructureTensor:
-    """Exact c^k_{ij} for i < j, stored sparsely."""
+    """Exact c^k_{ij} as integers over one denominator: ``scale`` is the lcm
+    L of their reduced denominators, and ``rows`` holds L c^k_ij."""
 
     n: int
-    table: Mapping[Tuple[int, int], Mapping[int, Fraction]]
+    scale: int
+    rows: IntegerRows
+
+    @classmethod
+    def from_table(cls, n: int, table: Mapping[Tuple[int, int], Mapping[int, Fraction]]) -> "StructureTensor":
+        """The tensor of the exact constants {(i, j): {k: c^k_ij}} for i < j."""
+        brackets = [(i, j, [(k, c.numerator, c.denominator) for k, c in cs.items()]) for (i, j), cs in table.items()]
+        return cls(n, *_integer_rows(n, brackets))
 
     @cached_property
-    def integer_table(self) -> Tuple[int, List[List[Sequence[Tuple[int, int]]]]]:
-        """(L, rows): L the lcm of the denominators of the c^k_ij, and
-        rows[i][j] the pairs (k, L c^k_ij) for either order of i, j."""
-        scale = math.lcm(*(c.denominator for cs in self.table.values() for c in cs.values()))
-        rows: List[List[Sequence[Tuple[int, int]]]] = [[()] * self.n for _ in range(self.n)]
-        for (i, j), coeffs in self.table.items():
-            rows[i][j] = [(k, c.numerator * (scale // c.denominator)) for k, c in coeffs.items()]
-            rows[j][i] = [(k, -v) for k, v in rows[i][j]]
-        return scale, rows
-
-    def bracket_coeffs(self, i: int, j: int) -> Dict[int, Fraction]:
-        """{k: c^k_ij} for either order of i, j."""
-        scale, rows = self.integer_table
-        return {k: Fraction(v, scale) for k, v in rows[i][j]}
+    def table(self) -> Dict[Tuple[int, int], Dict[int, Fraction]]:
+        """The exact c^k_ij for i < j as {(i, j): {k: c}}, sparse, built on first read."""
+        return {
+            (i, j): {k: Fraction(v, self.scale) for k, v in row[j]}
+            for i, row in enumerate(self.rows)
+            for j in range(i + 1, self.n)
+            if row[j]
+        }
 
 
 @record(frozen=True)
@@ -238,44 +273,57 @@ def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[
     t_k D_k / (D_i D_j N_k) on X_k, where t_k = q(B, S_k).
     """
     n = len(basis)
+    dens = [d for d, _ in basis]
     mats = [s for _, s in basis]
     rows: List[Dict[Tuple[int, int], List[Tuple[int, Tuple[int, int]]]]] = [{} for _ in mats]
     for r, s in zip(rows, mats):
         for (b, i, j), v in s.items():
             r.setdefault((b, i), []).append((j, v))
-    index, singles = _transposed(mats), [_transposed([s]) for s in mats]
-    # q must be real, diagonal and positive on the basis (q is symmetric, so
-    # the upper triangle meets the first failure of a full row-major scan)
+    index = _transposed(mats)
+    # q must be real, diagonal and positive on the basis, row by row; q is
+    # symmetric, so the upper triangle in row-major order meets the first
+    # failure of a full row-major scan
     norms_int = []
     for i in range(n):
+        re, im = _gq_parts(mats[i], index, n)
         for j in range(i, n):
-            v = _gq_all(mats[i], singles[j], 1)[0]
+            if im[j]:
+                raise ModelError(_NOT_REAL)
             if i == j:
-                if v <= 0:
+                if re[j] <= 0:
                     raise ModelError("basis vector with non-positive q-norm")
-                norms_int.append(v)
-            elif v != 0:
+                norms_int.append(re[j])
+            elif re[j]:
                 raise ModelError(f"basis is not q-orthogonal at pair {(i + 1, j + 1)}")
-    norms = tuple(Fraction(v, d * d) for v, (d, _) in zip(norms_int, basis))
-    table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+    norms = tuple(Fraction(v, d * d) for v, d in zip(norms_int, dens))
+    span = _span_weights(norms_int)
+    # each constant as a reduced fraction
+    brackets = []
     for i in range(n):
         for j in range(i + 1, n):
             br = _gbracket(rows[i], rows[j])
+            if not br:  # zero is real and in the span, with no constants
+                continue
             t = _gq_all(br, index, n)
-            if not _in_span(br, t, mats, norms_int):
+            if not _in_span(br, t, mats, *span):
                 raise ModelError("basis is not closed under brackets")
-            dij = basis[i][0] * basis[j][0]
-            coeffs = {k: Fraction(tk * basis[k][0], dij * norms_int[k]) for k, tk in enumerate(t) if tk}
-            if coeffs:
-                table[(i, j)] = coeffs
-    structure = StructureTensor(n, table)
+            dij = dens[i] * dens[j]
+            consts = []
+            for k, tk in enumerate(t):
+                if tk:
+                    num, den = tk * dens[k], dij * norms_int[k]
+                    g = math.gcd(num, den)
+                    consts.append((k, num // g, den // g))
+            if consts:
+                brackets.append((i, j, consts))
+    structure = StructureTensor(n, *_integer_rows(n, brackets))
     _check_jacobi(structure)
     return structure, norms
 
 
 def _check_jacobi(structure: StructureTensor) -> None:
     """Jacobi identity on the integer table; closure implies it, so this guards the table."""
-    n, (_, rows) = structure.n, structure.integer_table
+    n, rows = structure.n, structure.rows
     for i, j, k in itertools.combinations(range(n), 3):
         acc = [0] * n
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
@@ -337,7 +385,7 @@ AdRows = List[Dict[int, int]]
 
 def _ad(model: CosetModel, x: Coords) -> Tuple[AdRows, int]:
     """(rows, L) for ad_x, from the integer structure table, zeros dropped."""
-    scale, table = model.structure.integer_table
+    scale, table = model.structure.scale, model.structure.rows
     den = math.lcm(*(xa.denominator for xa in x.values()))
     rows: AdRows = [{} for _ in range(model.n)]
     for a, xa in x.items():
@@ -539,7 +587,7 @@ def _isotropy_coords(model: CosetModel, x: Scaled) -> Dict[int, Fraction]:
     mats = [model.basis[a][1] for a in iso]
     norms = [int(model.q_norms[a] * model.basis[a][0] ** 2) for a in iso]
     t = _gq_all(sx, _transposed(mats), len(iso))
-    if not _in_span(sx, t, mats, norms):
+    if not _in_span(sx, t, mats, *_span_weights(norms)):
         raise ModelError("Cartan element is not in the isotropy algebra")
     # S / D_x = sum_k t_k S_k / (D_x N_k) and S_k = D_k X_k
     return {a: Fraction(tk * model.basis[a][0], dx * nk) for a, tk, nk in zip(iso, t, norms) if tk}

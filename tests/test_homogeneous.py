@@ -41,6 +41,11 @@ from holoflow.homogeneous import (
 )
 
 
+def bracket_coeffs(structure, i, j):
+    """{k: c^k_ij} for either order of i, j, read off the integer rows."""
+    return {k: Fraction(v, structure.scale) for k, v in structure.rows[i][j]}
+
+
 def mv(model, indices, coeff=None):
     gens = group_gens(model)
     coeff = coeff or LaurentPoly.const(model.symbols, 1)
@@ -82,13 +87,13 @@ def test_q_bracket_e1_e2_matches_matrix_oracle():
     assert np.allclose(coeffs, expect, atol=1e-12)
 
     st = q_model(1, 1, 1).structure
-    got = st.bracket_coeffs(0, 1)
+    got = bracket_coeffs(st, 0, 1)
     assert got == {6: Fraction(-1, 3), 7: Fraction(-1, 2), 8: Fraction(-1, 6)}
 
 
 def test_m_bracket_e5_e6_lands_in_e7_e11_span():
     st = m_model(1, 1).structure
-    got = st.bracket_coeffs(4, 5)
+    got = bracket_coeffs(st, 4, 5)
     assert set(got) == {6, 10}
     assert got[6] == Fraction(-1, 2)
     assert got[10] == Fraction(3, 2)
@@ -103,8 +108,8 @@ def test_jacobi_identity_randomized_triples():
             i, j, k = rng.sample(range(n), 3)
             acc = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for mid, cm in st.bracket_coeffs(a, b).items():
-                    for fin, cf in st.bracket_coeffs(mid, c).items():
+                for mid, cm in bracket_coeffs(st, a, b).items():
+                    for fin, cf in bracket_coeffs(st, mid, c).items():
                         acc[fin] = acc.get(fin, Fraction(0)) + cm * cf
             assert all(v == 0 for v in acc.values())
 
@@ -125,7 +130,7 @@ def test_isotropy_brackets_preserve_modules():
         blocks = [set(b) for b in model.modules]
         for x in model.isotropy_indices:
             for i in range(model.TANGENT):
-                for k, c in st.bracket_coeffs(x, i).items():
+                for k, c in bracket_coeffs(st, x, i).items():
                     assert c == 0 or any(i in b and k in b for b in blocks)
 
 
@@ -135,7 +140,7 @@ def tampered_q111(edits):
     table = {key: dict(v) for key, v in model.structure.table.items()}
     for key, coeffs in edits.items():
         table.setdefault(key, {}).update(coeffs)
-    return replace(model, structure=StructureTensor(model.n, table))
+    return replace(model, structure=StructureTensor.from_table(model.n, table))
 
 
 # at Q(1,1,1), [e8, e1] = -e2 and [e8, e2] = e1; the Cartan element read on
@@ -316,7 +321,7 @@ def test_m11_su2_irreducible_on_v1_trivial_elsewhere():
     st = model.structure
     for x in (7, 8, 9):
         for i in (4, 5, 6):
-            assert not st.bracket_coeffs(x, i)
+            assert not bracket_coeffs(st, x, i)
     assert su2_commutant_dim([_ad(model, {x: 1})[0] for x in (7, 8, 9)]) == 4
 
 
@@ -530,6 +535,8 @@ S1 = (2, {(0, 0, 1): (0, 1), (0, 1, 0): (0, 1)})
 S2 = (2, {(0, 0, 1): (1, 0), (0, 1, 0): (-1, 0)})
 SIGMA_X = (1, {(0, 0, 1): (1, 0), (0, 1, 0): (1, 0)})  # hermitian
 S1_PLUS_S2 = (2, {(0, 0, 1): (1, 1), (0, 1, 0): (-1, 1)})
+S3_PAIR = (2, {(0, 0, 0): (0, 1), (0, 1, 1): (0, -1)})
+S2_PLUS_S3 = (2, {(0, 0, 1): (1, 0), (0, 1, 0): (-1, 0), (0, 0, 0): (0, 1), (0, 1, 1): (0, -1)})
 
 
 @pytest.mark.parametrize(
@@ -545,6 +552,39 @@ S1_PLUS_S2 = (2, {(0, 0, 1): (1, 1), (0, 1, 0): (-1, 1)})
 def test_build_structure_exact_checks(basis, message):
     with pytest.raises(ModelError, match=re.escape(message)):
         _build_structure(basis)
+
+
+# the Gram matrix is scanned one row at a time: the first failure is still
+# the first of the upper triangle in row-major order, and within a row the
+# first by column whatever its kind
+@pytest.mark.parametrize(
+    "basis,message",
+    [
+        ((S1, S2, S2_PLUS_S3, S1), "not q-orthogonal at pair (1, 4)"),  # and at (2, 3)
+        ((S1, S1_PLUS_S2, SIGMA_X), "not q-orthogonal at pair (1, 2)"),  # (1, 3) is not real
+        ((S1, S2, S3_PAIR, SIGMA_X, S1_PLUS_S2), "not real"),  # (1, 4); (1, 5) is not orthogonal
+    ],
+    ids=["two-rows", "orthogonal-before-real", "real-before-orthogonal"],
+)
+def test_gram_scan_reports_the_row_major_first_failure(basis, message):
+    for build in (_build_structure, build_structure_reference):
+        with pytest.raises(ModelError, match=re.escape(message)):
+            build(basis)
+
+
+def test_the_stored_table_view_keeps_the_golden_order():
+    golden = json.loads(GOLDEN_MODELS.read_text())
+    for record, (kind, indices) in zip(golden, sweep_tuples()):
+        table = get_model(kind, indices).structure.table
+        in_order = [[i, j, [[k, str(c)] for k, c in coeffs.items()]] for (i, j), coeffs in table.items()]
+        assert in_order == record["structure"]
+
+
+def test_classification_never_builds_the_fraction_table():
+    model = q_model.__wrapped__(2, 1, 1)  # a fresh model, not the cached one
+    assert not classify_invariant_g2(model)
+    assert "table" not in model.structure.__dict__
+    assert model.structure.table == q_model(2, 1, 1).structure.table
 
 
 # ---------------------------------------------------------------------------
@@ -581,12 +621,11 @@ def gbracket_reference(x, y):
     return {key: v for key, v in out.items() if v != (0, 0)}
 
 
-def jacobi_holds_reference(structure):
-    """The Jacobi identity on every triple, in Fraction arithmetic."""
-    both = dict(structure.table)
-    for (i, j), coeffs in structure.table.items():
+def jacobi_holds_reference(n, table):
+    """The Jacobi identity on every triple of {(i, j): {k: c^k_ij}}, in Fraction arithmetic."""
+    both = dict(table)
+    for (i, j), coeffs in table.items():
         both[(j, i)] = {k: -v for k, v in coeffs.items()}
-    n = structure.n
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -601,8 +640,9 @@ def jacobi_holds_reference(structure):
 
 
 def build_structure_reference(basis):
-    """Structure constants and q-norms with one q-product per bracket and
-    basis vector, and the Jacobi identity in Fraction arithmetic."""
+    """Structure constants {(i, j): {k: c^k_ij}} and q-norms with one
+    q-product per pair of basis vectors and per bracket and basis vector, and
+    the Jacobi identity in Fraction arithmetic."""
     n = len(basis)
     mats = [s for _, s in basis]
     norms_int = []
@@ -640,10 +680,20 @@ def build_structure_reference(basis):
             }
             if coeffs:
                 table[(i, j)] = coeffs
-    structure = StructureTensor(n, table)
-    if not jacobi_holds_reference(structure):
+    if not jacobi_holds_reference(n, table):
         raise ModelError("Jacobi identity failed")
-    return structure, norms
+    return table, norms
+
+
+def integer_table_reference(n, table):
+    """(L, rows) of a Fraction table: L the lcm of the denominators of the
+    c^k_ij, and rows[i][j] the pairs (k, L c^k_ij) for either order of i, j."""
+    scale = math.lcm(*(c.denominator for cs in table.values() for c in cs.values()))
+    rows = [[()] * n for _ in range(n)]
+    for (i, j), coeffs in table.items():
+        rows[i][j] = [(k, c.numerator * (scale // c.denominator)) for k, c in coeffs.items()]
+        rows[j][i] = [(k, -v) for k, v in rows[i][j]]
+    return scale, rows
 
 
 def isotropy_coords_reference(model, x):
@@ -713,8 +763,9 @@ def test_integer_build_matches_the_fraction_build(name):
     for kind, indices in TUPLE_SETS[name]:
         basis = BASES[kind](*indices)
         structure, norms = _build_structure(basis)
-        want_structure, want_norms = build_structure_reference(basis)
-        assert repr(structure.table) == repr(want_structure.table), (kind, indices)
+        want_table, want_norms = build_structure_reference(basis)
+        assert (structure.scale, structure.rows) == integer_table_reference(len(basis), want_table), (kind, indices)
+        assert repr(structure.table) == repr(want_table), (kind, indices)
         assert norms == want_norms
         assert _check_jacobi(structure) is None
 
@@ -839,7 +890,7 @@ def test_integer_weights_and_verdicts_match_the_fraction_table(name):
 def test_jacobi_check_rejects_a_tampered_table(edits):
     _check_jacobi(q_model(1, 1, 1).structure)
     tampered = tampered_q111(edits).structure
-    assert not jacobi_holds_reference(tampered)
+    assert not jacobi_holds_reference(tampered.n, tampered.table)
     with pytest.raises(ModelError, match="Jacobi identity failed"):
         _check_jacobi(tampered)
 
@@ -860,8 +911,10 @@ def test_integer_jacobi_agrees_with_the_fraction_loop_on_random_edits(kind, indi
             k = rng.randrange(model.n)
             table.setdefault((i, j), {})[k] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
             table = {key: {k: c for k, c in v.items() if c} for key, v in table.items()}
-        structure = StructureTensor(model.n, {key: v for key, v in table.items() if v})
-        if jacobi_holds_reference(structure):
+        table = {key: v for key, v in table.items() if v}
+        structure = StructureTensor.from_table(model.n, table)
+        assert (structure.scale, structure.rows) == integer_table_reference(model.n, table)
+        if jacobi_holds_reference(model.n, table):
             _check_jacobi(structure)
         else:
             with pytest.raises(ModelError, match="Jacobi identity failed"):
@@ -943,7 +996,7 @@ def test_the_weight_pattern_agrees_with_the_su2_matcher_on_every_m_model():
 
 def test_the_isotropy_su2_brackets_do_not_depend_on_the_indices():
     def su2_brackets(model):
-        return [model.structure.bracket_coeffs(x, i) for x in (7, 8, 9) for i in range(model.TANGENT)]
+        return [bracket_coeffs(model.structure, x, i) for x in (7, 8, 9) for i in range(model.TANGENT)]
 
     want = su2_brackets(m_model(1, 1))
     assert any(want)

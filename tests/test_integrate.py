@@ -441,3 +441,19 @@ def test_a_prepared_system_and_an_orbit_spec_cannot_be_changed():
     copy = ODESystem("M", (1, 1), sys_.state, given, sys_.rank, sys_.n_equations)
     given["a"] = 2 * given["a"]
     assert copy == sys_
+
+
+def test_the_right_hand_sides_of_a_system_cannot_be_changed_in_place():
+    """Each polynomial of a system keeps its terms read-only: doubling them
+    in place after a solve would leave the prepared system stale and change
+    the shared derivation for every later caller."""
+    sys_ = derivation(m_model(1, 1)).sys
+    solve_orbit(sys_, OrbitSpec("M", "cp2", {"a": 1}), IntegratorConfig(t_end=10.0))
+    terms = sys_.rhs["a"].terms
+    for key in list(terms):
+        with pytest.raises(TypeError):
+            terms[key] *= 2
+    with pytest.raises(TypeError):
+        terms[(0,) * len(next(iter(terms)))] = Fraction(1)
+    assert str(sys_.rhs["a"]) == "3/8*a^-1*c"
+    assert str(derivation(m_model(1, 1)).sys.rhs["a"]) == "3/8*a^-1*c"
