@@ -59,7 +59,8 @@ STAGE_WEIGHTS = (
 ERROR_WEIGHTS = ((1, E1), (3, E3), (4, E4), (5, E5), (6, E6), (7, E7))
 
 
-#: generated solve loops, keyed on (coeffs, exps, owner, nstate)
+#: generated solve loops, keyed on (coeffs, exps, owner, nstate): the one
+#: cache keyed on content rather than on its source, as a content key cannot go stale
 _LOOP_CACHE = {}
 
 

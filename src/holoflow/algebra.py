@@ -10,9 +10,10 @@ is mutated after construction, so values can be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ._record import record
+from ._record import _frozen_delattr, _frozen_setattr, record
 
 ScalarLike = Union[int, Fraction]
 
@@ -384,6 +385,21 @@ class LaurentPoly:
             "*".join([str(c)] + [n if e == 1 else f"{n}^{e}" for n, e in exps.items()])
             for c, exps in self.named_terms()
         )
+
+
+class FrozenPoly(LaurentPoly):
+    """A read-only copy of a polynomial: its terms are a read-only mapping,
+    and neither ``table`` nor ``terms`` can be rebound.  Arithmetic on it
+    gives plain polynomials."""
+
+    __slots__ = ()
+
+    def __init__(self, poly: LaurentPoly):
+        object.__setattr__(self, "table", poly.table)
+        object.__setattr__(self, "terms", MappingProxyType(dict(poly.terms)))
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
 
 def term_list(

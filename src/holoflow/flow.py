@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import _kernel
 from ._record import record
-from .algebra import AlgebraError, LaurentPoly, Multivector, SymbolTable, term_list, wedge
+from .algebra import AlgebraError, FrozenPoly, LaurentPoly, Multivector, SymbolTable, term_list, wedge
 from .homogeneous import CosetModel, invariant_d
 from .structures import Spin7Structure, build_invariant_structure
 
@@ -96,14 +96,17 @@ class ODESystem:
     n_equations: int
 
     def __post_init__(self):
-        # read-only, the mapping and the terms of each polynomial: each system
-        # is shared through ``derivation(model)``, and the integrator prepares
-        # it once, keyed on its identity
-        rhs = {}
-        for x, p in self.rhs.items():
-            rhs[x] = LaurentPoly(p.table, p.terms)
-            rhs[x].terms = MappingProxyType(rhs[x].terms)
+        # read-only, the mapping and each polynomial: each system is shared
+        # through ``derivation(model)`` and keeps its own preparation
+        rhs = {x: FrozenPoly(p) for x, p in self.rhs.items()}
         object.__setattr__(self, "rhs", MappingProxyType(rhs))
+
+    @cached_property
+    def prepared(self):
+        """``integrate._Prepared`` of this system, built on first use."""
+        from .integrate import _Prepared  # only what integrates loads it
+
+        return _Prepared(self)
 
     @property
     def table(self) -> SymbolTable:
@@ -399,15 +402,16 @@ class Derivation:
         return evaluate, tuple(ends)
 
 
-#: built on first use, keyed on (kind, indices): CosetModel is not hashable
+#: the last derivation per (kind, indices): CosetModel is not hashable
 _DERIVATIONS: Dict[Tuple[str, Tuple[int, ...]], Derivation] = {}
 
 
 def derivation(model: CosetModel) -> Derivation:
-    """The model's :class:`Derivation`, built at most once per process."""
+    """The model's :class:`Derivation`, built on first use and kept for the
+    model object last asked for with its kind and indices."""
     key = (model.kind, model.indices)
     found = _DERIVATIONS.get(key)
-    if found is None:
+    if found is None or found.model is not model:
         struct = build_invariant_structure(model)
         d_Omega = exterior_d_time(struct.Omega, model)
         sys = derive_flow(model, struct, d_Omega)

@@ -19,6 +19,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ._record import field, record
@@ -180,19 +181,20 @@ def _m_basis(k: int, l: int) -> Tuple[Scaled, ...]:
 
 
 # rows[i][j]: the pairs (k, L c^k_ij) for either order of i, j; () where [e_i, e_j] = 0
-IntegerRows = List[List[Sequence[Tuple[int, int]]]]
+IntegerRows = Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], ...]
 # the constants c^k_ij = num / den of the pairs i < j, as (i, j, [(k, num, den)])
 Brackets = Sequence[Tuple[int, int, Sequence[Tuple[int, int, int]]]]
 
 
 def _integer_rows(n: int, brackets: Brackets) -> Tuple[int, IntegerRows]:
-    """(L, rows): L the lcm of the denominators, rows[i][j] the pairs (k, L c^k_ij)."""
+    """(L, rows): L the lcm of the denominators, rows[i][j] the pairs (k, L c^k_ij),
+    as tuples at every level."""
     scale = math.lcm(*(den for _, _, consts in brackets for _, _, den in consts))
-    rows: IntegerRows = [[()] * n for _ in range(n)]
+    rows = [[()] * n for _ in range(n)]
     for i, j, consts in brackets:
-        rows[i][j] = [(k, num * (scale // den)) for k, num, den in consts]
-        rows[j][i] = [(k, -v) for k, v in rows[i][j]]
-    return scale, rows
+        rows[i][j] = tuple((k, num * (scale // den)) for k, num, den in consts)
+        rows[j][i] = tuple((k, -v) for k, v in rows[i][j])
+    return scale, tuple(map(tuple, rows))
 
 
 @record(frozen=True)
@@ -211,14 +213,15 @@ class StructureTensor:
         return cls(n, *_integer_rows(n, brackets))
 
     @cached_property
-    def table(self) -> Dict[Tuple[int, int], Dict[int, Fraction]]:
-        """The exact c^k_ij for i < j as {(i, j): {k: c}}, sparse, built on first read."""
-        return {
-            (i, j): {k: Fraction(v, self.scale) for k, v in row[j]}
+    def table(self) -> Mapping[Tuple[int, int], Mapping[int, Fraction]]:
+        """The exact c^k_ij for i < j as {(i, j): {k: c}}, sparse and
+        read-only at both levels, built on first read."""
+        return MappingProxyType({
+            (i, j): MappingProxyType({k: Fraction(v, self.scale) for k, v in row[j]})
             for i, row in enumerate(self.rows)
             for j in range(i + 1, self.n)
             if row[j]
-        }
+        })
 
 
 @record(frozen=True)
@@ -263,6 +266,11 @@ class CosetModel:
     def modules(self) -> Tuple[Tuple[int, ...], ...]:
         """Irreducible isotropy submodules of the tangent space."""
         return MODEL_SPECS[self.kind].modules
+
+    @cached_property
+    def d_tables(self) -> Dict[tuple, Tuple[List[Multivector], Dict[int, Dict[int, Fraction]]]]:
+        """Per coframe ``(gens, dt_index)``: the Maurer-Cartan forms and the d(e^I) met so far."""
+        return {}
 
 
 def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[Fraction, ...]]:
@@ -440,11 +448,6 @@ def maurer_cartan(model: CosetModel, gens, dt_index) -> List[Multivector]:
     return out
 
 
-#: per model and coframe: the Maurer-Cartan forms and the images d(e^I) of
-#: the basis monomials met so far, as {mask: rational coefficient}
-_D_TABLES: Dict[tuple, Tuple[List[Multivector], Dict[int, Dict[int, Fraction]]]] = {}
-
-
 def _d_monomial(des: List[Multivector], mask: int, gens, dt_index) -> Dict[int, Fraction]:
     """d(e^I) by the Leibniz rule; d(dt) = 0."""
     idxs = [b for b in range(len(gens)) if mask >> b & 1]
@@ -469,10 +472,10 @@ def invariant_d(form: Multivector, model: CosetModel) -> Multivector:
     treated as constants; any time dependence (chain rule in dt) is the flow
     module's business.
     """
-    key = (model.kind, model.indices, form.gens, form.dt_index)
-    tables = _D_TABLES.get(key)
+    key = (form.gens, form.dt_index)
+    tables = model.d_tables.get(key)
     if tables is None:
-        tables = _D_TABLES[key] = (maurer_cartan(model, form.gens, form.dt_index), {})
+        tables = model.d_tables[key] = (maurer_cartan(model, form.gens, form.dt_index), {})
     des, images = tables
     out: Dict[int, object] = {}
     for mask, coeff in form.terms.items():

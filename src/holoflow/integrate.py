@@ -290,9 +290,9 @@ class _OrbitLimits:
 
 
 class _Prepared:
-    """What a series start and an integration read of one ODE system,
-    built on first use: the term list and the limits per orbit.  The
-    system's right-hand sides must not change afterwards."""
+    """What a series start and an integration read of one ODE system, built
+    on first use: the term list and the limits per orbit.  It is the
+    system's ``prepared`` property and dies with it."""
 
     def __init__(self, sys: ODESystem):
         self.sys = sys
@@ -307,18 +307,6 @@ class _Prepared:
         if limits is None:
             limits = self.orbits[collapsing] = _OrbitLimits(self.sys, collapsing)
         return limits
-
-
-#: per-system preparations, keyed on id(sys); each holds its system, so
-#: the id is not reused while the entry lives
-_PREPARED: Dict[int, _Prepared] = {}
-
-
-def _prepared(sys: ODESystem) -> _Prepared:
-    prep = _PREPARED.get(id(sys))
-    if prep is None:
-        prep = _PREPARED[id(sys)] = _Prepared(sys)
-    return prep
 
 
 def series_start(
@@ -338,7 +326,7 @@ def series_start(
         raise OrbitError("series_start needs at least one collapsing coefficient")
     surviving = [s for s in sys.state if s not in collapsing]
     values = {y: spec.values[y] for y in surviving}
-    limits = _prepared(sys).orbit(collapsing)
+    limits = sys.prepared.orbit(collapsing)
 
     eqs = [limits.limit(x, values) for x in collapsing]
     for y in surviving:
@@ -486,7 +474,7 @@ def integrate(sys: ODESystem, start: State, cfg: IntegratorConfig) -> Trajectory
     zero; that is reported, not fatal.  Step-size underflow raises with the
     partial trajectory attached.
     """
-    terms = _prepared(sys).terms
+    terms = sys.prepared.terms
     names = sys.state
     y0 = [start.values[n] for n in names] + [start.primitive]
     watch = [True] * len(names) + [False]

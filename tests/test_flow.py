@@ -19,7 +19,8 @@ from holoflow.flow import (
     invariant_two_form_terms,
     kaehler_search,
 )
-from holoflow.homogeneous import m_model, q_model
+from holoflow._record import replace
+from holoflow.homogeneous import StructureTensor, invariant_d, m_model, q_model
 from holoflow.structures import build_invariant_structure
 from mutations import perturbed_system
 
@@ -203,6 +204,23 @@ def test_derivation_is_built_once_and_matches_the_builders():
     assert deriv.sys.rhs == derive_flow(model).rhs
     assert deriv.d_Omega == exterior_d_time(deriv.struct.Omega, model)
     assert deriv.cert.signs == kaehler_search(model, deriv.sys).signs
+
+
+def test_a_tampered_model_used_first_changes_nothing_for_the_real_one():
+    """Derived objects hang on the model they come from: a Q(1,1,1) with one
+    structure constant doubled, used first, gets its own d and derivation."""
+    model = q_model(1, 1, 1)
+    table = {key: dict(v) for key, v in model.structure.table.items()}
+    table[(0, 1)][6] *= 2
+    tampered = replace(model, structure=StructureTensor.from_table(model.n, table))
+    omega = build_invariant_structure(model).omega
+    d_tampered = invariant_d(omega, tampered)
+    assert derivation(tampered).model is tampered
+    d_model = invariant_d(omega, model)
+    assert d_model != d_tampered
+    assert d_model == invariant_d(omega, q_model.__wrapped__(1, 1, 1))  # built afresh
+    assert derivation(model).model is model
+    assert derivation(model).sys.rhs == derive_flow(model).rhs
 
 
 def test_eta_fourth_power_is_volume_multiple():

@@ -143,6 +143,21 @@ def tampered_q111(edits):
     return replace(model, structure=StructureTensor.from_table(model.n, table))
 
 
+def test_the_structure_constants_of_a_cached_model_cannot_be_changed():
+    """``q_model`` shares one model per process: its integer rows are tuples
+    and its table is read-only at both levels."""
+    structure = q_model(1, 1, 1).structure
+    with pytest.raises(AttributeError):
+        structure.rows[7][0].append((2, 5))
+    with pytest.raises(TypeError):
+        structure.rows[7][0] = ((2, 5),)
+    with pytest.raises(TypeError):
+        structure.table[(0, 1)] = {6: Fraction(1)}
+    with pytest.raises(TypeError):
+        structure.table[(0, 1)][6] = Fraction(1)
+    assert classify_invariant_g2(q_model(1, 1, 1))
+
+
 # at Q(1,1,1), [e8, e1] = -e2 and [e8, e2] = e1; the Cartan element read on
 # the plane (e1, e2) first is (e8 + e9) / 2, of speed -1 there
 @pytest.mark.parametrize(
@@ -687,13 +702,14 @@ def build_structure_reference(basis):
 
 def integer_table_reference(n, table):
     """(L, rows) of a Fraction table: L the lcm of the denominators of the
-    c^k_ij, and rows[i][j] the pairs (k, L c^k_ij) for either order of i, j."""
+    c^k_ij, and rows[i][j] the pairs (k, L c^k_ij) for either order of i, j,
+    as tuples at every level."""
     scale = math.lcm(*(c.denominator for cs in table.values() for c in cs.values()))
     rows = [[()] * n for _ in range(n)]
     for (i, j), coeffs in table.items():
-        rows[i][j] = [(k, c.numerator * (scale // c.denominator)) for k, c in coeffs.items()]
-        rows[j][i] = [(k, -v) for k, v in rows[i][j]]
-    return scale, rows
+        rows[i][j] = tuple((k, c.numerator * (scale // c.denominator)) for k, c in coeffs.items())
+        rows[j][i] = tuple((k, -v) for k, v in rows[i][j])
+    return scale, tuple(map(tuple, rows))
 
 
 def isotropy_coords_reference(model, x):
@@ -765,7 +781,7 @@ def test_integer_build_matches_the_fraction_build(name):
         structure, norms = _build_structure(basis)
         want_table, want_norms = build_structure_reference(basis)
         assert (structure.scale, structure.rows) == integer_table_reference(len(basis), want_table), (kind, indices)
-        assert repr(structure.table) == repr(want_table), (kind, indices)
+        assert repr({key: dict(v) for key, v in structure.table.items()}) == repr(want_table), (kind, indices)
         assert norms == want_norms
         assert _check_jacobi(structure) is None
 

@@ -457,3 +457,17 @@ def test_the_right_hand_sides_of_a_system_cannot_be_changed_in_place():
         terms[(0,) * len(next(iter(terms)))] = Fraction(1)
     assert str(sys_.rhs["a"]) == "3/8*a^-1*c"
     assert str(derivation(m_model(1, 1)).sys.rhs["a"]) == "3/8*a^-1*c"
+
+
+def test_the_polynomials_of_a_system_cannot_be_rebound():
+    """Neither attribute of a system's polynomial takes an assignment or a
+    deletion, so the shared derivation keeps the derived right-hand side."""
+    poly = derivation(m_model(1, 1)).sys.rhs["a"]
+    with pytest.raises(AttributeError):
+        poly.terms = {key: 2 * c for key, c in poly.terms.items()}
+    with pytest.raises(AttributeError):
+        poly.table = SymbolTable(("a", "b", "c"))
+    with pytest.raises(AttributeError):
+        del poly.terms
+    assert str(derivation(m_model(1, 1)).sys.rhs["a"]) == "3/8*a^-1*c"
+    assert poly * 2 == 2 * poly and str(poly * 2) == "3/4*a^-1*c"

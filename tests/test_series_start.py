@@ -1,6 +1,8 @@
 """The exact series start: every way it can fail, and the prepared limits
 against the oracle that rebuilds them on each call."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -237,7 +239,7 @@ def test_a_second_start_substitutes_nothing(monkeypatch):
     sys_ = perturbed_system(SYSTEMS["M"], "a", Fraction(1))  # a fresh system
     spec = OrbitSpec("M", "s2", {"b": 3})
     first = series_start(sys_, spec)
-    assert set(integrate._PREPARED[id(sys_)].orbits) == {("a", "c")}
+    assert set(sys_.prepared.orbits) == {("a", "c")}
 
     def refuse(*args, **kwargs):
         raise AssertionError("substituted again")
@@ -247,6 +249,17 @@ def test_a_second_start_substitutes_nothing(monkeypatch):
     for values in ({"b": 3}, {"b": Fraction(-2, 9)}):
         got = series_start(sys_, OrbitSpec("M", "s2", values, negative_branch=True))
         assert got[1] == {"a": -first[1]["a"], "c": first[1]["c"]}
+
+
+def test_a_dropped_system_is_collected_with_its_preparation():
+    """The preparation is the system's own property, so no table in the
+    package keeps a solved system alive."""
+    sys_ = perturbed_system(SYSTEMS["M"], "a")
+    integrate.solve_orbit(sys_, OrbitSpec("M", "cp2", {"a": 1}), integrate.IntegratorConfig(t_end=1.0))
+    ref = weakref.ref(sys_)
+    del sys_
+    gc.collect()
+    assert ref() is None
 
 
 def test_the_term_list_is_compiled_once_per_system(monkeypatch):
