@@ -15,11 +15,14 @@ The behaviour kept is the part of ``dataclass`` that holoflow uses:
 positional and keyword ``__init__`` with defaults and ``default_factory``,
 ``__post_init__``, equality only within one class, a frozen record hashing
 its field tuple (a mutable one is unhashable), and ``replace``, which
-re-runs ``__post_init__``.  Records get no ``__slots__``, so
+re-runs ``__post_init__``.  A read-only mapping field (``MappingProxyType``)
+hashes as the frozen set of its items.  Records get no ``__slots__``, so
 ``cached_property`` works on frozen ones.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 _MISSING = object()
 
@@ -87,7 +90,9 @@ def _eq(self, other):
 
 
 def _hash(self) -> int:
-    return hash(_values(self))
+    # a read-only mapping field hashes as its items, as it compares
+    values = _values(self)
+    return hash(tuple([frozenset(v.items()) if type(v) is MappingProxyType else v for v in values]))
 
 
 def _repr(self) -> str:

@@ -207,19 +207,11 @@ def _solve_linear(
     return values, len(solved)
 
 
-def derive_flow(
-    model: CosetModel,
-    struct: Optional[Spin7Structure] = None,
-    d_Omega: Optional[Multivector] = None,
-) -> ODESystem:
-    """Derive the holonomy ODE system from d(Omega) = 0, exactly.
-
-    ``d_Omega`` is d(Omega) of ``struct`` when the caller already has it.
-    """
-    struct = struct or build_invariant_structure(model)
+def derive_flow(model: CosetModel) -> ODESystem:
+    """Derive the holonomy ODE system from d(Omega) = 0, exactly, with the
+    structure and d(Omega) of ``model.derivation``."""
+    struct, d_Omega = model.derivation.struct, model.derivation.d_Omega
     table = struct.table
-    if d_Omega is None:
-        d_Omega = exterior_d_time(struct.Omega, model)
     iso_mask = 0
     for i in model.isotropy_indices:
         iso_mask |= 1 << i
@@ -245,11 +237,6 @@ def derive_flow(
     if not under_system(d_Omega, sys, table).is_zero:
         raise DerivationError("back-substitution of the derived system fails")
     return sys
-
-
-def closure_residual(struct: Spin7Structure, sys: ODESystem) -> Multivector:
-    """d(Omega) with the derivative symbols replaced by the derived sides."""
-    return under_system(exterior_d_time(struct.Omega, struct.model), sys, struct.table)
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +310,14 @@ def _signed_sum(signs: Sequence[int], forms: Sequence[Multivector], zero: Multiv
     return out
 
 
-def kaehler_search(
-    model: CosetModel, sys: ODESystem, struct: Optional[Spin7Structure] = None
-) -> KaehlerCertificate:
+def kaehler_search(model: CosetModel, sys: ODESystem) -> KaehlerCertificate:
     """Enumerate sign vectors; keep those with d(eta) = 0 under the system.
 
     d and the substitution of the derivative symbols are linear, so both are
     applied once to each basis two-form and only the 2^k signed sums of the
     images are tested.
     """
-    struct = struct or build_invariant_structure(model)
+    struct = model.derivation.struct
     basis = invariant_two_form_terms(model, struct)
     d_basis = [exterior_d_time(term, model) for term in basis]
     closed_basis = [under_system(d, sys, struct.table) for d in d_basis]
@@ -365,15 +350,28 @@ def kaehler_search(
 
 @record(frozen=True)
 class Derivation:
-    """A model's exact derived objects: the invariant structure, d(Omega)
-    with formal derivative symbols, the ODE system and the Kaehler
-    certificate (which carries d(eta))."""
+    """A model's exact derived objects, each built on first read: the
+    invariant structure, d(Omega) with formal derivative symbols, the ODE
+    system and the Kaehler certificate (which carries d(eta)).  A model's
+    own is ``model.derivation``."""
 
     model: CosetModel
-    struct: Spin7Structure
-    d_Omega: Multivector
-    sys: ODESystem
-    cert: KaehlerCertificate
+
+    @cached_property
+    def struct(self) -> Spin7Structure:
+        return build_invariant_structure(self.model)
+
+    @cached_property
+    def d_Omega(self) -> Multivector:
+        return exterior_d_time(self.struct.Omega, self.model)
+
+    @cached_property
+    def sys(self) -> ODESystem:
+        return derive_flow(self.model)
+
+    @cached_property
+    def cert(self) -> KaehlerCertificate:
+        return kaehler_search(self.model, self.sys)
 
     @cached_property
     def closure_forms(self) -> Tuple[Callable[[List[float], List[float]], bool], Tuple[int, ...]]:
@@ -402,19 +400,8 @@ class Derivation:
         return evaluate, tuple(ends)
 
 
-#: the last derivation per (kind, indices): CosetModel is not hashable
-_DERIVATIONS: Dict[Tuple[str, Tuple[int, ...]], Derivation] = {}
-
-
 def derivation(model: CosetModel) -> Derivation:
-    """The model's :class:`Derivation`, built on first use and kept for the
-    model object last asked for with its kind and indices."""
-    key = (model.kind, model.indices)
-    found = _DERIVATIONS.get(key)
-    if found is None or found.model is not model:
-        struct = build_invariant_structure(model)
-        d_Omega = exterior_d_time(struct.Omega, model)
-        sys = derive_flow(model, struct, d_Omega)
-        cert = kaehler_search(model, sys, struct)
-        found = _DERIVATIONS[key] = Derivation(model, struct, d_Omega, sys, cert)
-    return found
+    """``model.derivation`` with every piece built: reading the certificate
+    builds the structure, d(Omega), the system and the certificate, in order."""
+    model.derivation.cert
+    return model.derivation

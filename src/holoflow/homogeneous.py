@@ -272,6 +272,13 @@ class CosetModel:
         """Per coframe ``(gens, dt_index)``: the Maurer-Cartan forms and the d(e^I) met so far."""
         return {}
 
+    @cached_property
+    def derivation(self):
+        """``flow.Derivation`` of this model; its pieces are built on first read."""
+        from .flow import Derivation  # only what derives loads it
+
+        return Derivation(self)
+
 
 def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[Fraction, ...]]:
     """Structure constants and q-norms of a basis X_i = S_i / D_i.

@@ -534,7 +534,7 @@ def su4_family_check(model: CosetModel, sys: ODESystem) -> SU4Certificate:
 
     # (3) unique Kaehler candidate up to global sign
     try:
-        cert = deriv.cert if sys is deriv.sys else kaehler_search(model, sys, struct)
+        cert = deriv.cert if sys is deriv.sys else kaehler_search(model, sys)
         kaehler_unique = cert.unique_up_to_sign
     except DerivationError:
         kaehler_unique = False

@@ -12,6 +12,7 @@ import tempfile
 import time
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -19,12 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holoflow
-from holoflow import flow, structures
+from holoflow import flow, homogeneous, structures
 from holoflow.cli import VALUE_FLAGS, _exact, build_parser, main
 from holoflow.homogeneous import MODEL_SPECS, m_model
 from holoflow.integrate import ORBIT_COLLAPSING, IntegratorConfig, OrbitSpec, solve_orbit
 from mutations import perturbed_system
-from paper_tables import PRIMITIVE_NAME
+from paper_tables import CONE_REFS, PRIMITIVE_NAME
 
 
 def run(argv, capsys):
@@ -436,6 +437,42 @@ def test_trajectories_match_the_golden_files(capsys, tmp_path, name, argv, flag)
     code, _, err = run(argv + [flag, str(path)], capsys)
     assert (code, err) == (0, "")
     assert path.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+#: whole reports of the unit-data orbits, byte for byte but for the fitted
+#: cone limits and corrections: those are LAPACK's bits, so each file holds a
+#: placeholder for them and the test holds the limits to CONE_REFS within the
+#: cone bar
+GOLDEN_REPORT_RUNS = [
+    (f"report_{model}_{orbit}.json", ["report", "--model", model, "--orbit", orbit, *values])
+    for model, orbit, values in UNIT_ORBITS
+]
+FITTED = "fitted by LAPACK"
+
+
+def cone_fit_placeholders(text):
+    """A report's text with each fitted cone float replaced by ``FITTED``,
+    and those floats by block."""
+    doc = json.loads(text)
+    assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
+    fitted = {}
+    for block in ("limits", "corrections"):
+        fitted[block] = doc["cone"][block]
+        doc["cone"][block] = dict.fromkeys(fitted[block], FITTED)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n", fitted
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_REPORT_RUNS, ids=[name for name, _ in GOLDEN_REPORT_RUNS])
+def test_reports_match_the_golden_files(capsys, name, argv):
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    text, fitted = cone_fit_placeholders(out)
+    assert text.encode() == (GOLDEN / name).read_bytes()
+    refs = CONE_REFS[argv[2].upper()]
+    bar = json.loads(out)["bars"]["cone"]
+    assert fitted["limits"].keys() == fitted["corrections"].keys() == refs.keys()
+    assert all(abs(fitted["limits"][q] - refs[q]) <= bar for q in refs)
+    assert all(math.isfinite(c) for c in fitted["corrections"].values())
 
 
 def _strict_json(text):
@@ -898,7 +935,9 @@ def test_one_process_builds_each_structure_once(capsys, tmp_path, monkeypatch):
         calls.append(model.kind)
         return real(model, *args, **kwargs)
 
-    monkeypatch.setattr(flow, "_DERIVATIONS", {})
+    # fresh model caches: models built by earlier tests carry their derivations
+    for name in ("q_model", "m_model"):
+        monkeypatch.setattr(homogeneous, name, lru_cache(maxsize=None)(getattr(homogeneous, name).__wrapped__))
     monkeypatch.setattr(flow, "build_invariant_structure", counted)
     monkeypatch.setattr(structures, "build_invariant_structure", counted)
     for model, orbit, values in UNIT_ORBITS:

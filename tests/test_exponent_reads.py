@@ -325,7 +325,7 @@ def test_closure_forms_compile_the_old_lists(kind, indices, monkeypatch):
         return make_rhs(*args)
 
     monkeypatch.setattr(_kernel, "make_rhs", recording_make_rhs)
-    fresh = Derivation(deriv.model, deriv.struct, deriv.d_Omega, deriv.sys, deriv.cert)
+    fresh = Derivation(deriv.model)
     _, ends = fresh.closure_forms
     coeffs, exps, owner, nout, want_ends = reference_closure_terms(deriv)
     ((got_coeffs, got_exps, got_owner, nin, got_nout),) = seen

@@ -5,11 +5,11 @@ from itertools import product
 
 import pytest
 
+from holoflow import flow
 from holoflow.algebra import LaurentPoly, Multivector, SymbolTable, wedge
 from holoflow.flow import (
     DerivationError,
     _solve_linear,
-    closure_residual,
     coefficient_map,
     cosymplectic_constraints,
     derivation,
@@ -18,6 +18,7 @@ from holoflow.flow import (
     hitchin_residual,
     invariant_two_form_terms,
     kaehler_search,
+    under_system,
 )
 from holoflow._record import replace
 from holoflow.homogeneous import StructureTensor, invariant_d, m_model, q_model
@@ -75,9 +76,9 @@ def test_derive_flow_m_exact():
 
 def test_back_substitution_annihilates_closure():
     for model in (q_model(1, 1, 1), m_model(1, 1)):
-        struct = build_invariant_structure(model)
-        sys = derive_flow(model, struct)
-        assert closure_residual(struct, sys).is_zero
+        deriv = derivation(model)
+        sys = derive_flow(model)
+        assert under_system(deriv.d_Omega, sys, deriv.struct.table).is_zero
 
 
 def test_cosymplectic_constraints_empty():
@@ -107,8 +108,8 @@ def test_hitchin_residual_detects_perturbation():
     # the defect sits in coefficients pairing the V1 plane with e7
     offending = {res.indices_of(m) for m in res.terms}
     assert (0, 2, 4, 6) in offending and (0, 1, 2, 3) in offending
-    struct = build_invariant_structure(model)
-    closure = closure_residual(struct, sys)
+    deriv = derivation(model)
+    closure = under_system(deriv.d_Omega, sys, deriv.struct.table)
     assert not closure.is_zero
 
 
@@ -148,17 +149,17 @@ def _kaehler_brute_force(model, sys, struct):
     ids=["Q", "M", "Q-perturbed"],
 )
 def test_linear_kaehler_search_matches_brute_force(model, perturb):
-    struct = build_invariant_structure(model)
-    sys = derive_flow(model, struct)
+    struct = derivation(model).struct
+    sys = derive_flow(model)
     if perturb:
         sys = perturbed_system(sys, perturb)
     winners = _kaehler_brute_force(model, sys, struct)
     if len(winners) != 2:
         assert perturb  # the derived systems have a unique closed eta up to sign
         with pytest.raises(DerivationError):
-            kaehler_search(model, sys, struct)
+            kaehler_search(model, sys)
         return
-    cert = kaehler_search(model, sys, struct)
+    cert = kaehler_search(model, sys)
     assert cert.all_solutions == tuple(signs for signs, _, _ in winners)
     signs, eta, d_eta = max(winners, key=lambda w: w[0])
     assert cert.signs == signs
@@ -204,6 +205,64 @@ def test_derivation_is_built_once_and_matches_the_builders():
     assert deriv.sys.rhs == derive_flow(model).rhs
     assert deriv.d_Omega == exterior_d_time(deriv.struct.Omega, model)
     assert deriv.cert.signs == kaehler_search(model, deriv.sys).signs
+
+
+def _count_builds(monkeypatch, *names):
+    """Calls of each named ``flow`` global with the model they were given,
+    in the order they return."""
+    calls = []
+    for name in names:
+        real = getattr(flow, name)
+
+        def counted(*args, _real=real, _name=name):
+            out = _real(*args)
+            calls.append((_name, args[-1] if _name == "exterior_d_time" else args[0]))
+            return out
+
+        monkeypatch.setattr(flow, name, counted)
+    return calls
+
+
+def test_models_asked_for_in_turn_build_each_structure_once(monkeypatch):
+    """Q(2,2,2) and Q(1,1,1) normalize to the same indices but are two model
+    objects; each keeps its own derivation, however often both are asked for."""
+    calls = _count_builds(monkeypatch, "build_invariant_structure")
+    first, second = q_model.__wrapped__(2, 2, 2), q_model.__wrapped__(1, 1, 1)
+    for _ in range(2):
+        assert derivation(first).model is first
+        assert derivation(second).model is second
+    assert len(calls) == 2
+    assert calls[0][1] is first and calls[1][1] is second
+    assert derivation(first) is first.derivation and derivation(second) is second.derivation
+
+
+def test_the_builders_read_the_models_derivation(monkeypatch):
+    """``derive_flow`` and ``kaehler_search`` take the structure and d(Omega)
+    of ``model.derivation``, so they build one of each per model object."""
+    model = m_model.__wrapped__(1, 1)
+    calls = _count_builds(monkeypatch, "build_invariant_structure", "exterior_d_time")
+    sys = derive_flow(model)
+    assert derive_flow(model) == sys
+    assert [name for name, _ in calls] == ["build_invariant_structure", "exterior_d_time"]
+    assert all(m is model for _, m in calls)
+    deriv = derivation(model)
+    del calls[:]
+    assert derive_flow(model) == derive_flow(model) == deriv.sys
+    assert kaehler_search(model, deriv.sys) == deriv.cert
+    assert "build_invariant_structure" not in [name for name, _ in calls]
+
+
+def test_a_derivation_builds_its_pieces_in_order(monkeypatch):
+    """Structure, d(Omega), system, certificate: the first failure of a
+    derivation is the one of the first piece that fails."""
+    calls = _count_builds(
+        monkeypatch, "build_invariant_structure", "exterior_d_time", "derive_flow", "kaehler_search"
+    )
+    derivation(q_model.__wrapped__(1, 1, 1))
+    done = [name for name, _ in calls]
+    assert done[:3] == ["build_invariant_structure", "exterior_d_time", "derive_flow"]
+    assert done[-1] == "kaehler_search"
+    assert set(done[3:-1]) == {"exterior_d_time"}  # d of each basis two-form
 
 
 def test_a_tampered_model_used_first_changes_nothing_for_the_real_one():

@@ -179,3 +179,24 @@ def test_no_code_is_generated(monkeypatch):
         monkeypatch.setattr(builtins, name, refuse)
     ns = define(_record.record, _record.field, _record.replace)
     assert repr(ns.Grand(1)) == "define.<locals>.Grand(a=1, b=1, c=3)"
+
+
+def test_read_only_mapping_fields_hash_as_their_items():
+    """``ODESystem.rhs`` and ``OrbitSpec.values`` are read-only mappings.
+    Equal records hash equal and work as set members; a dataclass would
+    refuse to hash them."""
+    from holoflow.flow import derivation, derive_flow
+    from holoflow.homogeneous import m_model
+    from holoflow.integrate import OrbitSpec
+    from mutations import perturbed_system
+
+    shared = derivation(m_model(1, 1)).sys
+    fresh = derive_flow(m_model.__wrapped__(1, 1))
+    assert fresh is not shared and fresh == shared
+    assert hash(fresh) == hash(shared)
+    assert {shared, fresh, perturbed_system(shared, "a")} == {shared, perturbed_system(shared, "a")}
+
+    spec = OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1})
+    same = OrbitSpec("q", "s2xs2", {"c": "1", "b": 1})
+    assert spec == same and hash(spec) == hash(same)
+    assert len({spec, same, OrbitSpec("Q", "s2xs2", {"b": 1, "c": 2})}) == 2

@@ -315,6 +315,41 @@ def test_cone_fit_on_principal_run_starting_at_t0_is_warning_free():
     assert all(math.isfinite(v) for v in (*fit.limits.values(), *fit.endpoint.values()))
 
 
+def exact_cone_fit(traj):
+    """``cone_fit``'s limits and corrections by exact least squares: each
+    cone quantity against the rows (1, 1/t) of its design matrix, the float
+    rows read as the rationals they are, each result rounded once."""
+    first = bisect_left(traj.ts, traj.ts[-1] / 10.0)
+    t = np.asarray(traj.ts[first:])
+    quantities = _cone_quantities(traj.model_kind, t, np.asarray(traj.ys[first:]))
+    u = [Fraction(x) for x in 1.0 / t]
+    n, su, suu = len(u), sum(u), sum(x * x for x in u)
+    det = n * suu - su * su
+    limits, corrections = {}, {}
+    for name, series in quantities.items():
+        q = [Fraction(x) for x in series]
+        sq, suq = sum(q), sum(x * y for x, y in zip(u, q))
+        limits[name] = float((suu * sq - su * suq) / det)
+        corrections[name] = float((n * suq - su * sq) / det)
+    return limits, corrections
+
+
+UNIT_TRAJS = ["traj_q_s2xs2.csv", "traj_q_s2xs2xs2.csv", "traj_m_cp2.csv", "traj_m_cp2xs2.csv", "traj_m_s2.csv"]
+
+
+@pytest.mark.parametrize("name", UNIT_TRAJS)
+def test_exact_cone_fit_is_within_ulps_of_lapack(name):
+    """The decision packet's exact fit against ``cone_fit`` on the five
+    unit-data runs: limits within 4 ulps, corrections within 1e-11."""
+    traj = Trajectory.from_csv(Path(__file__).parent / "golden" / name, name.split("_")[1].upper())
+    fit = cone_fit(traj)
+    limits, corrections = exact_cone_fit(traj)
+    assert limits.keys() == fit.limits.keys() == corrections.keys() == fit.corrections.keys()
+    for q, exact in limits.items():
+        assert abs(fit.limits[q] - exact) <= 4 * math.ulp(exact), q
+        assert abs(fit.corrections[q] - corrections[q]) <= 1e-11 * abs(corrections[q]), q
+
+
 def hand_written_cone_quantities(kind, t, ys):
     """The cone quantities of each model, written out column by column."""
     if kind == "Q":
