@@ -28,33 +28,7 @@ _EXPORTS = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LaurentPoly",
-    "Multivector",
-    "SymbolTable",
-    "ODESystem",
-    "IntegratorConfig",
-    "OrbitSpec",
-    "Trajectory",
-    "build_invariant_structure",
-    "canonical_forms",
-    "classify_invariant_g2",
-    "compare",
-    "cone_fit",
-    "derive_flow",
-    "get_model",
-    "kaehler_search",
-    "m_model",
-    "orbit_catalog",
-    "profile",
-    "q_model",
-    "rotate_structure",
-    "run_report",
-    "series_start",
-    "smoothness_report",
-    "solve_orbit",
-    "su4_family_check",
-]
+__all__ = list(_EXPORTS)
 
 
 def __getattr__(name):

@@ -209,8 +209,8 @@ def _add_orbit_flags(p):
 
 
 # The integrator and bar flags default to None, "not given": ``_config`` and
-# ``_bar`` read the defaults when a command runs, so the parser needs neither
-# ``integrate`` nor ``verify``.
+# ``evaluate_bars`` read the defaults when a command runs, so the parser needs
+# neither ``integrate`` nor ``verify``.
 
 
 def _add_integrator_flags(p):
@@ -313,23 +313,10 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _bar(args, name: str):
-    """``--<name>-bar``, or its ``DEFAULT_BARS`` value when not given."""
-    from .verify import DEFAULT_BARS
-
-    value = getattr(args, f"{name}_bar")
-    return DEFAULT_BARS[name] if value is None else value
-
-
 def _bars(args) -> dict:
-    """The closure, cone and closed-form bars; a closure bar not given stays
-    None, for ``verify_trajectory`` to take the default of the closure check
-    it runs."""
-    return {
-        "closure": args.closure_bar,
-        "cone": _bar(args, "cone"),
-        "closed_form": _bar(args, "closed_form"),
-    }
+    """The closure, cone and closed-form bars as given; ``verify`` takes the
+    default of each bar not given."""
+    return {"closure": args.closure_bar, "cone": args.cone_bar, "closed_form": args.closed_form_bar}
 
 
 def cmd_verify(args) -> int:
@@ -349,7 +336,7 @@ def cmd_cone(args) -> int:
     traj = _read_traj(args, model.kind)
     cone = cone_fit(traj)
     doc = {"model": model.label, "cone": cone.to_json_dict()}
-    code = evaluate_bars(doc, {"cone": _bar(args, "cone")}, cone)
+    code = evaluate_bars(doc, {"cone": args.cone_bar}, cone)
     _emit(doc, args.out)
     return code
 

@@ -240,30 +240,6 @@ def derive_flow(model: CosetModel) -> ODESystem:
 
 
 # ---------------------------------------------------------------------------
-# cosymplectic constraints and the Hitchin flow residual
-# ---------------------------------------------------------------------------
-
-
-def cosymplectic_constraints(model: CosetModel) -> List[LaurentPoly]:
-    """Polynomial constraints forcing d(*omega) = 0 on the orbit.
-
-    An empty list means every structure in the invariant ansatz is
-    cosymplectic.
-    """
-    struct = derivation(model).struct
-    d_star = invariant_d(struct.star_omega, model)
-    return [poly for _, poly in d_star.sorted_terms()]
-
-
-def hitchin_residual(model: CosetModel, sys: ODESystem) -> Multivector:
-    """d/dt(*omega) - d_orbit(omega) under the derived system; contract: 0."""
-    struct = derivation(model).struct
-    lhs = under_system(time_chain(struct.star_omega), sys, struct.table)
-    rhs = invariant_d(struct.omega, model)
-    return lhs - rhs
-
-
-# ---------------------------------------------------------------------------
 # the Kaehler certificate
 # ---------------------------------------------------------------------------
 

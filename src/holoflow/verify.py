@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ._record import record, replace
 from .algebra import AlgebraError, LaurentPoly
@@ -36,28 +36,21 @@ from .structures import rotation_generator
 # ---------------------------------------------------------------------------
 
 
-class _SpanSampler:
-    """Coefficient values on the arclength span [t_min, t_max]."""
-
-    t_min: float
-    t_max: float
-
-    def sample_points(self, n: int, margin: float) -> List[float]:
-        """``n`` evenly spaced points, bit for bit as ``numpy.linspace``."""
-        lo = self.t_min + margin
-        hi = self.t_max - margin
-        if n < 2:
-            return [lo] * n
-        step = (hi - lo) / (n - 1)
-        if step == 0:
-            points = [i / (n - 1) * (hi - lo) + lo for i in range(n)]
-        else:
-            points = [i * step + lo for i in range(n)]
-        points[-1] = hi
-        return points
+def _linspace(lo: float, hi: float, n: int) -> List[float]:
+    """``n`` evenly spaced points from ``lo`` to ``hi``, bit for bit as
+    ``numpy.linspace``."""
+    if n < 2:
+        return [lo] * n
+    step = (hi - lo) / (n - 1)
+    if step == 0:
+        points = [i / (n - 1) * (hi - lo) + lo for i in range(n)]
+    else:
+        points = [i * step + lo for i in range(n)]
+    points[-1] = hi
+    return points
 
 
-class TrajectorySampler(_SpanSampler):
+class TrajectorySampler:
     """Coefficient values at the sample times of an integrated run.
 
     No check reads a run between its samples; the class stays as the
@@ -77,7 +70,7 @@ class TrajectorySampler(_SpanSampler):
         return dict(zip(self.names, self.traj.ys[i]))
 
 
-class ProfileSampler(_SpanSampler):
+class ProfileSampler:
     """Closed-form coefficient values as a function of arclength.
 
     Inverts t(s) locally by Newton iteration anchored on an integrated
@@ -85,17 +78,12 @@ class ProfileSampler(_SpanSampler):
     the finite-difference closure residual purely a truncation effect.
     """
 
-    _GAUSS_X = (
-        -0.8611363115940526,
-        -0.3399810435848563,
-        0.3399810435848563,
-        0.8611363115940526,
-    )
-    _GAUSS_W = (
-        0.34785484513745385,
-        0.6521451548625461,
-        0.6521451548625461,
-        0.34785484513745385,
+    #: four-point Gauss-Legendre nodes and weights on [-1, 1]
+    _GAUSS = (
+        (-0.8611363115940526, 0.34785484513745385),
+        (-0.3399810435848563, 0.6521451548625461),
+        (0.3399810435848563, 0.6521451548625461),
+        (0.8611363115940526, 0.34785484513745385),
     )
 
     def __init__(self, prof: Union[ProfileQ, ProfileM], anchors: Trajectory):
@@ -104,7 +92,6 @@ class ProfileSampler(_SpanSampler):
         self.prof = prof
         self.anchors = anchors
         self.names = anchors.state_names
-        self.collapsing_name = self.names[-1]  # f or c
         i0 = min(2, anchors.n_samples - 1)
         self.sign = {
             n: (1.0 if anchors.ys[i0][j] >= 0 else -1.0)
@@ -113,21 +100,13 @@ class ProfileSampler(_SpanSampler):
         self.t_min = anchors.ts[0]
         self.t_max = anchors.ts[-1]
         self._value_squared = prof.float_value_squared
-        self._speed_sign = self.sign[self.collapsing_name]
+        self._speed_sign = self.sign[self.names[-1]]  # f or c
 
     def _speed(self, s: float) -> float:
         g = self._value_squared(s)
         if g <= 0:
             raise VerifyError("profile speed vanished during inversion")
         return self._speed_sign * math.sqrt(g)
-
-    def _gauss_panel(self, s0: float, s1: float) -> float:
-        mid = 0.5 * (s0 + s1)
-        half = 0.5 * (s1 - s0)
-        acc = 0.0
-        for x, w in zip(self._GAUSS_X, self._GAUSS_W):
-            acc += w / self._speed(mid + half * x)
-        return acc * half
 
     def _dt_integral(self, s0: float, s1: float) -> float:
         # t(s1) - t(s0) = int ds / xtilde(s); composite Gauss with panel
@@ -141,7 +120,12 @@ class ProfileSampler(_SpanSampler):
         prev = s0
         for i in range(1, n + 1):
             nxt = s0 + total * i / n
-            acc += self._gauss_panel(prev, nxt)
+            mid = 0.5 * (prev + nxt)
+            half = 0.5 * (nxt - prev)
+            panel = 0.0
+            for x, w in self._GAUSS:
+                panel += w / self._speed(mid + half * x)
+            acc += panel * half
             prev = nxt
         return acc
 
@@ -215,6 +199,22 @@ def _residuals(deriv: Derivation, assign: Dict[str, float]) -> Tuple[float, floa
     return r_omega, r_eta
 
 
+def _closure_report(
+    deriv: Derivation, assigns: Iterable[Dict[str, float]], fd_step: float
+) -> ClosureReport:
+    """The worst d(Omega) and d(eta) residuals over the samples ``assigns``,
+    each a coefficient assignment with its slopes."""
+    worst_omega = 0.0
+    worst_eta = 0.0
+    count = 0
+    for assign in assigns:
+        r_omega, r_eta = _residuals(deriv, assign)
+        worst_omega = max(worst_omega, r_omega)
+        worst_eta = max(worst_eta, r_eta)
+        count += 1
+    return ClosureReport(worst_omega, worst_eta, count, fd_step)
+
+
 #: points of the profile-backed closure check
 CLOSURE_POINTS = 40
 #: most rows the raw-sample closure check reads
@@ -241,24 +241,21 @@ def check_closure(
             raise VerifyError(
                 f"closure check: the run spans {span:.3g} in t, at most twice its margin {margin:.3g}"
             )
-        t_points = sampler.sample_points(CLOSURE_POINTS, margin=margin)
+        t_points = _linspace(sampler.t_min + margin, sampler.t_max - margin, CLOSURE_POINTS)
     if len(t_points) < 3:
         raise VerifyError("need at least 3 samples for centered differences")
 
-    worst_omega = 0.0
-    worst_eta = 0.0
-    for t in t_points:
-        h = fd_step * max(1.0, abs(t))
-        lo = sampler(t - h)
-        hi = sampler(t + h)
-        mid = sampler(t)
-        assign = dict(mid)
-        for n in names:
-            assign[n + "'"] = (hi[n] - lo[n]) / (2 * h)
-        r_omega, r_eta = _residuals(deriv, assign)
-        worst_omega = max(worst_omega, r_omega)
-        worst_eta = max(worst_eta, r_eta)
-    return ClosureReport(worst_omega, worst_eta, len(t_points), fd_step)
+    def assigns():
+        for t in t_points:
+            h = fd_step * max(1.0, abs(t))
+            lo = sampler(t - h)
+            hi = sampler(t + h)
+            assign = dict(sampler(t))
+            for n in names:
+                assign[n + "'"] = (hi[n] - lo[n]) / (2 * h)
+            yield assign
+
+    return _closure_report(deriv, assigns(), fd_step)
 
 
 def fd_weights(x0: float, xs: Sequence[float]) -> List[float]:
@@ -306,26 +303,23 @@ def check_closure_samples(traj: Trajectory, deriv: Derivation) -> ClosureReport:
     width = min(5, n)
     stride = max(1, (n - 2) // CLOSURE_MAX_ROWS)
     ts, ys = traj.ts, traj.ys
-    worst_omega = 0.0
-    worst_eta = 0.0
-    count = 0
-    for i in range(1, n - 1, stride):
-        first = min(max(i - width // 2, 0), n - width)
-        try:
-            weights = fd_weights(ts[i], ts[first : first + width])
-        except ZeroDivisionError:  # node gaps whose product underflows to 0.0
-            raise VerifyError(
-                "closure check: the samples are too close together for finite differences"
-            ) from None
-        window = ys[first : first + width]
-        assign = dict(zip(names, ys[i]))
-        for j, name in enumerate(names):
-            assign[name + "'"] = sum(w * row[j] for w, row in zip(weights, window))
-        r_omega, r_eta = _residuals(deriv, assign)
-        worst_omega = max(worst_omega, r_omega)
-        worst_eta = max(worst_eta, r_eta)
-        count += 1
-    return ClosureReport(worst_omega, worst_eta, count, 0.0)
+
+    def assigns():
+        for i in range(1, n - 1, stride):
+            first = min(max(i - width // 2, 0), n - width)
+            try:
+                weights = fd_weights(ts[i], ts[first : first + width])
+            except ZeroDivisionError:  # node gaps whose product underflows to 0.0
+                raise VerifyError(
+                    "closure check: the samples are too close together for finite differences"
+                ) from None
+            window = ys[first : first + width]
+            assign = dict(zip(names, ys[i]))
+            for j, name in enumerate(names):
+                assign[name + "'"] = sum(w * row[j] for w, row in zip(weights, window))
+            yield assign
+
+    return _closure_report(deriv, assigns(), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +587,10 @@ DEFAULT_BARS = {
 
 def evaluate_bars(doc: dict, bars: dict, cone, closure=None, deviation=None, su4=None) -> int:
     """Record the bars and the checks that miss them in ``doc``; the exit
-    code is 1 when any check misses its bar.  A partial cone fit is never
-    held to the cone bar."""
+    code is 1 when any check misses its bar.  A bar of None takes its
+    ``DEFAULT_BARS`` value.  A partial cone fit is never held to the cone
+    bar."""
+    bars = {name: DEFAULT_BARS[name] if bar is None else bar for name, bar in bars.items()}
     failures = []
     if closure is not None and closure.max_residual > bars["closure"]:
         failures.append("closure")
@@ -618,8 +614,8 @@ def verify_trajectory(
 
     A stored trajectory (status ``loaded``) gets the raw-sample closure
     check; an integrated one gets the profile-backed check.  ``bars`` holds
-    the closure, cone and closed-form bars; a closure bar of None takes the
-    default of the closure check used.
+    the closure, cone and closed-form bars; a bar of None takes its default,
+    which for the closure bar of a stored run is ``closure_trajectory``.
     """
     loaded = traj.status == "loaded"
     deriv = derivation(model)
@@ -656,8 +652,8 @@ def verify_trajectory(
         "su4_certificate": su4.passed,
         "closed_form_deviation": deviation,
     }
-    if bars["closure"] is None:
-        bars = {**bars, "closure": DEFAULT_BARS["closure_trajectory" if loaded else "closure"]}
+    if loaded and bars["closure"] is None:
+        bars = {**bars, "closure": DEFAULT_BARS["closure_trajectory"]}
     code = evaluate_bars(doc, bars, cone, closure, deviation, su4)
     return doc, code
 

@@ -549,6 +549,25 @@ def test_verify_fails_a_run_of_a_slightly_wrong_system(capsys, tmp_path):
     assert "closure" in json.loads(out)["bars_failed"]
 
 
+def test_default_bars_given_explicitly_change_no_output(capsys, tmp_path):
+    """Each command's output is the same byte for byte whether its bars are
+    left out or given at their default values."""
+    traj = tmp_path / "traj.csv"
+    argv = ["--model", "m", "--orbit", "cp2", "--a0", "1"]
+    assert main(["solve", *argv, "--out", str(traj)]) == 0
+    capsys.readouterr()
+    bars = ["--cone-bar", "1e-3", "--closed-form-bar", "1e-8"]
+    runs = [
+        (["report", *argv], ["--closure-bar", "1e-9", *bars]),
+        (["verify", *argv, "--traj", str(traj)], ["--closure-bar", "1e-3", *bars]),
+        (["cone", "--model", "m", "--traj", str(traj)], ["--cone-bar", "1e-3"]),
+    ]
+    for command, given in runs:
+        implicit = run(command, capsys)
+        assert implicit[0] == 0, implicit[1]
+        assert run(command + given, capsys) == implicit
+
+
 # a float ``**`` beyond float range raises OverflowError in the right-hand
 # side: at the series start of a tiny a0, and late in a run to t = 1e300
 OVERFLOW_ARGV = [

@@ -11,13 +11,12 @@ from holoflow.flow import (
     DerivationError,
     _solve_linear,
     coefficient_map,
-    cosymplectic_constraints,
     derivation,
     derive_flow,
     exterior_d_time,
-    hitchin_residual,
     invariant_two_form_terms,
     kaehler_search,
+    time_chain,
     under_system,
 )
 from holoflow._record import replace
@@ -79,6 +78,25 @@ def test_back_substitution_annihilates_closure():
         deriv = derivation(model)
         sys = derive_flow(model)
         assert under_system(deriv.d_Omega, sys, deriv.struct.table).is_zero
+
+
+def cosymplectic_constraints(model):
+    """Polynomial constraints forcing d(*omega) = 0 on the orbit.
+
+    An empty list means every structure in the invariant ansatz is
+    cosymplectic.
+    """
+    struct = derivation(model).struct
+    d_star = invariant_d(struct.star_omega, model)
+    return [poly for _, poly in d_star.sorted_terms()]
+
+
+def hitchin_residual(model, sys):
+    """d/dt(*omega) - d_orbit(omega) under the derived system; contract: 0."""
+    struct = derivation(model).struct
+    lhs = under_system(time_chain(struct.star_omega), sys, struct.table)
+    rhs = invariant_d(struct.omega, model)
+    return lhs - rhs
 
 
 def test_cosymplectic_constraints_empty():

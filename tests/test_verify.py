@@ -21,21 +21,24 @@ from holoflow.integrate import IntegratorConfig, OrbitSpec, Trajectory, solve_or
 from holoflow.structures import rotation_generator
 from holoflow.verify import (
     CONE_REFS,
+    DEFAULT_BARS,
     ProfileSampler,
     TrajectorySampler,
     VerifyError,
     _residuals,
     _cone_quantities,
-    _SpanSampler,
+    _linspace,
     catalog_row,
     check_closure,
     check_closure_samples,
     cone_fit,
+    evaluate_bars,
     fd_weights,
     orbit_catalog,
     s_action_circle,
     smoothness_report,
     su4_family_check,
+    verify_trajectory,
 )
 from mutations import perturbed_system
 from paper_tables import CIRCLE, ORBIT_CATALOG
@@ -89,9 +92,6 @@ def test_closure_detects_sign_tampering(q_setup):
             vals = dict(sampler(t))
             vals["f"] = -vals["f"]
             return vals
-
-        def sample_points(self, n, margin):
-            return sampler.sample_points(n, margin)
 
     rep = check_closure(Tampered(), deriv, t_points=[2.0, 5.0, 9.0])
     assert rep.d_eta_residual > 0.05
@@ -197,9 +197,7 @@ BOUNDED = st.floats(-1e300, 1e300)
 @example(t_min=0.0, t_max=5e-324, margin=0.0, n=4)  # the step underflows to 0
 @example(t_min=-0.0, t_max=-0.0, margin=0.0, n=3)
 def test_sample_points_are_bit_identical_to_linspace(t_min, t_max, margin, n):
-    sampler = _SpanSampler()
-    sampler.t_min, sampler.t_max = t_min, t_max
-    points = sampler.sample_points(n, margin)
+    points = _linspace(t_min + margin, t_max - margin, n)
     want = np.linspace(t_min + margin, t_max - margin, n)
     assert np.array(points, dtype=float).tobytes() == want.tobytes()
 
@@ -601,3 +599,31 @@ def test_catalog_rejects_unknown_orbit():
         catalog_row("q", "cp2")
     with pytest.raises(VerifyError, match="unknown model kind 'X'"):
         orbit_catalog("X")
+
+
+# ---------------------------------------------------------------------------
+# bars
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["integrated", "stored"])
+def test_bars_of_none_take_the_default_bars(stored):
+    """Every bar left None reads as its default: the closure bar of the
+    closure check run, and the cone and closed-form bars of ``DEFAULT_BARS``."""
+    model = m_model(1, 1)
+    spec = OrbitSpec("M", "cp2", {"a": 1})
+    if stored:
+        traj = Trajectory.from_csv(Path(__file__).parent / "golden" / "traj_m_cp2.csv", "M")
+    else:
+        traj, _ = solve_orbit(derivation(model).sys, spec, IntegratorConfig())
+    closure = DEFAULT_BARS["closure_trajectory" if stored else "closure"]
+    defaults = {"closure": closure, "cone": DEFAULT_BARS["cone"], "closed_form": DEFAULT_BARS["closed_form"]}
+    doc, code = verify_trajectory(model, spec, traj, defaults)
+    assert doc["bars"] == defaults
+    assert verify_trajectory(model, spec, traj, dict.fromkeys(defaults)) == (doc, code)
+
+    cone = cone_fit(traj)
+    want, got = {}, {}
+    code = evaluate_bars(want, {"cone": DEFAULT_BARS["cone"]}, cone)
+    assert evaluate_bars(got, {"cone": None}, cone) == code
+    assert got == want
