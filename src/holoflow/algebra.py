@@ -521,18 +521,6 @@ class Multivector:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_numeric(self) -> bool:
-        for c in self.terms.values():
-            return not isinstance(c, LaurentPoly)
-        return False
-
-    def coefficient(self, indices: Sequence[int]):
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        return self.terms.get(mask)
-
     def sorted_terms(self):
         return sorted(self.terms.items())
 
@@ -683,12 +671,6 @@ class Multivector:
                 out[m] = float(c)
         return Multivector(self.gens, out, self.dt_index)
 
-    def max_abs_coefficient(self) -> float:
-        """The largest |coefficient| of a numeric form; 0.0 for the zero form."""
-        if self.terms and not self.is_numeric:
-            raise AlgebraError("max_abs_coefficient needs a numeric multivector")
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -711,21 +693,10 @@ def _perm_sign_sort(seq: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# module-level operation aliases (the spec-facing free functions)
+# the module-level wedge, the free form of ``Multivector.wedge``
 # ---------------------------------------------------------------------------
 
 
 def wedge(u: Multivector, v: Multivector) -> Multivector:
     return u.wedge(v)
 
-
-def hodge_star(u: Multivector) -> Multivector:
-    return u.hodge_star()
-
-
-def eval_numeric(x, assignment: Mapping[str, float]):
-    if isinstance(x, LaurentPoly):
-        return x.eval(assignment)
-    if isinstance(x, Multivector):
-        return x.eval_numeric(assignment)
-    raise AlgebraError("eval_numeric expects a LaurentPoly or Multivector")

@@ -10,8 +10,8 @@ x^2 = x0^2 + m_x s, and variation of constants gives for both models
 with r_x = -x0^2 / m_x the zero of x^2 and A the antiderivative of D
 vanishing at 0.  The table of slopes m_x, powers p_x and k is each model's
 record's (``homogeneous.MODEL_SPECS``); G is the square of the last state
-symbol.  Everything here is exact at rational s; :func:`s_form` reads the
-table from a system.
+symbol.  The coefficients of D and A are exact and the profile evaluates
+them in float; :func:`s_form` reads the table from a system.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from ._record import record
 from .algebra import AlgebraError, LaurentPoly
@@ -27,8 +27,6 @@ from .errors import ProfileError
 from .flow import DerivationError, ODESystem
 from .homogeneous import CosetModel, ModelSpec, model_spec
 from .integrate import OrbitSpec, Trajectory
-
-Number = Union[Fraction, float]
 
 
 class DomainError(ProfileError):
@@ -45,15 +43,6 @@ def _poly_mul(p: List[Fraction], q: List[Fraction]) -> List[Fraction]:
 
 def _poly_antiderivative(p: List[Fraction]) -> List[Fraction]:
     return [Fraction(0)] + [c / (k + 1) for k, c in enumerate(p)]
-
-
-def _horner(p: Sequence[Number], s: Number) -> Number:
-    """p(s) by Horner's rule; at a float s each Fraction coefficient is rounded
-    to float first, as Fraction-float arithmetic does."""
-    acc = p[-1]
-    for c in reversed(p[:-1]):
-        acc = acc * s + c
-    return acc
 
 
 def _rounded(p: Fraction) -> float:
@@ -80,7 +69,7 @@ class _Profile:
     def _spec(self) -> ModelSpec:
         return model_spec(self.model_kind)
 
-    def _check_domain(self, s: Number) -> None:
+    def _check_domain(self, s: float) -> None:
         """A nonzero pole is hit at s = p and passed beyond it, away from 0."""
         for p in self.poles:
             if p == 0:
@@ -126,31 +115,19 @@ class _Profile:
 
         return value_squared
 
-    def value_squared(self, s: Number) -> Number:
-        """The squared collapsing-profile value at the primitive s: exact at a
-        Fraction, ``float_value_squared(float(s))`` at anything else."""
-        if not isinstance(s, Fraction):
-            return self.float_value_squared(float(s))
-        self._check_domain(s)
-        if s == 0:
-            return self.collapsing_square0
-        num = self.constant + self._spec.factor * _horner(self.anti, s)
-        den = _horner(self.denom, s)
-        if den == 0:
-            raise DomainError(f"denominator vanishes at s = {s}")
-        return num / den
+    def value_squared(self, s: float) -> float:
+        """The squared collapsing-profile value at the primitive s,
+        ``float_value_squared(float(s))``."""
+        return self.float_value_squared(float(s))
 
     @cached_property
     def _float_lines(self) -> Tuple[Tuple[str, float, float], ...]:
         return tuple((x, float(self.initial[x] ** 2), float(m)) for x, m, _ in self._spec.affine)
 
-    def coefficient_squares(self, s: Number) -> Dict[str, Number]:
-        """Every squared coefficient at s; the affine ones at a float s from
-        the coefficients rounded once, as Fraction-float arithmetic rounds them."""
-        if isinstance(s, Fraction):
-            out = {x: self.initial[x] ** 2 + m * s for x, m, _ in self._spec.affine}
-        else:
-            out = {x: x0 + m * s for x, x0, m in self._float_lines}
+    def coefficient_squares(self, s: float) -> Dict[str, float]:
+        """Every squared coefficient at s; the affine ones from the
+        coefficients rounded once, as Fraction-float arithmetic rounds them."""
+        out = {x: x0 + m * s for x, x0, m in self._float_lines}
         out[self._spec.state_names[-1]] = self.value_squared(s)
         return out
 

@@ -360,7 +360,8 @@ class Derivation:
         the forms one after another, ``ends`` marking where each stops.  Each
         coefficient is summed over its ``sorted_terms`` in the float
         operations of ``LaurentPoly.eval``, so it carries the bits
-        ``eval_numeric`` gives.  ``evaluate`` returns False, writing
+        ``Multivector.eval_numeric`` gives, the tests' oracle for these
+        forms.  ``evaluate`` returns False, writing
         nothing, when a zero meets a negative power, and False when a
         coefficient is not finite; a power beyond float range raises
         OverflowError.

@@ -206,12 +206,6 @@ class StructureTensor:
     scale: int
     rows: IntegerRows
 
-    @classmethod
-    def from_table(cls, n: int, table: Mapping[Tuple[int, int], Mapping[int, Fraction]]) -> "StructureTensor":
-        """The tensor of the exact constants {(i, j): {k: c^k_ij}} for i < j."""
-        brackets = [(i, j, [(k, c.numerator, c.denominator) for k, c in cs.items()]) for (i, j), cs in table.items()]
-        return cls(n, *_integer_rows(n, brackets))
-
     @cached_property
     def table(self) -> Mapping[Tuple[int, int], Mapping[int, Fraction]]:
         """The exact c^k_ij for i < j as {(i, j): {k: c}}, sparse and
@@ -528,13 +522,6 @@ class WeightMultiset:
 
     weights: Tuple[Tuple[int, ...], ...]
     trivial: int
-
-    def canonical(self) -> Tuple[Tuple[int, ...], ...]:
-        out = []
-        for w in self.weights:
-            lead = next((x for x in w if x != 0), 0)
-            out.append(tuple(-x for x in w) if lead < 0 else tuple(w))
-        return tuple(sorted(out))
 
 
 def _kernel_basis_1x3(k: int, l: int, m: int) -> List[Tuple[int, int, int]]:

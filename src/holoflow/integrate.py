@@ -411,38 +411,42 @@ class Trajectory:
     def from_csv(path, model_kind: str) -> "Trajectory":
         """Read a file written by :meth:`to_csv`.
 
-        Raises CSVError unless the header matches the model, every row holds
-        one finite number per column, t is non-negative (arclength from the
-        singular orbit) and increases strictly, and there are at least 3 rows.
+        Raises CSVError unless the file is UTF-8 text, the header matches the
+        model, every row holds one finite number per column, t is non-negative
+        (arclength from the singular orbit) and increases strictly, and there
+        are at least 3 rows.
         """
         spec = model_spec(model_kind)
         expected = _columns(spec.kind, spec.state_names)
         rows = []
-        with open(path) as fh:
-            header = tuple(fh.readline().strip().split(","))
-            if header != expected:
-                raise CSVError(
-                    f"header {','.join(header)!r} does not match {','.join(expected)!r}"
-                )
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                cells = line.split(",")
-                if len(cells) != len(expected):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                header = tuple(fh.readline().strip().split(","))
+                if header != expected:
                     raise CSVError(
-                        f"line {lineno}: {len(cells)} values, expected {len(expected)}"
+                        f"header {','.join(header)!r} does not match {','.join(expected)!r}"
                     )
-                try:
-                    row = [float(cell) for cell in cells]
-                except ValueError:
-                    raise CSVError(f"line {lineno}: not a number") from None
-                if not all(math.isfinite(v) for v in row):
-                    raise CSVError(f"line {lineno}: non-finite value")
-                if row[0] < 0:
-                    raise CSVError(f"line {lineno}: t is negative")
-                if rows and not row[0] > rows[-1][0]:
-                    raise CSVError(f"line {lineno}: t does not increase")
-                rows.append(row)
+                for lineno, line in enumerate(fh, start=2):
+                    if not line.strip():
+                        continue
+                    cells = line.split(",")
+                    if len(cells) != len(expected):
+                        raise CSVError(
+                            f"line {lineno}: {len(cells)} values, expected {len(expected)}"
+                        )
+                    try:
+                        row = [float(cell) for cell in cells]
+                    except ValueError:
+                        raise CSVError(f"line {lineno}: not a number") from None
+                    if not all(math.isfinite(v) for v in row):
+                        raise CSVError(f"line {lineno}: non-finite value")
+                    if row[0] < 0:
+                        raise CSVError(f"line {lineno}: t is negative")
+                    if rows and not row[0] > rows[-1][0]:
+                        raise CSVError(f"line {lineno}: t does not increase")
+                    rows.append(row)
+        except UnicodeDecodeError:
+            raise CSVError("not UTF-8 text") from None
         if len(rows) < 3:
             raise CSVError(f"{len(rows)} rows, at least 3 are needed")
         return Trajectory(

@@ -171,7 +171,8 @@ def _residuals(deriv: Derivation, assign: Dict[str, float]) -> Tuple[float, floa
     of its form; ``assign`` holds the coefficients and their slopes.
 
     One call of the compiled forms (``Derivation.closure_forms``) gives the
-    bits of ``eval_numeric(...).max_abs_coefficient()``.  A sample where a
+    bits of the tests' oracle, ``max_abs_coefficient`` of each form's
+    ``eval_numeric`` in ``tests/oracles.py``.  A sample where a
     zero meets a negative power, a value leaves float range, Omega or eta
     vanishes, or a residual is not finite is bad input, not a residual.
     """

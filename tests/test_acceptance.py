@@ -29,6 +29,7 @@ from holoflow.verify import (
     su4_family_check,
 )
 from mutations import perturbed_system
+from oracles import exact_value_squared
 
 
 def criterion(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -163,7 +164,7 @@ def test_criterion_4_closed_form_q(systems):
     # antiderivative of s (s-3)^2 at -3 is 459/4 and the denominator
     # product is -108; the ODE-consistent variation-of-constants factor
     # is -6, giving -6 * (459/4) / (-108) = 51/8
-    spot = prof.value_squared(Fraction(-3)) == Fraction(51, 8)
+    spot = exact_value_squared(prof, Fraction(-3)) == Fraction(51, 8)
     criterion(
         4,
         "Q closed-form agreement",

@@ -854,6 +854,7 @@ BAD_CSVS = {
     "t-negative": ["t,a,b,c,C", "-2,1,1,0.1,0.01", "-1,1,1,0.2,0.04", "0,1,1,0.3,0.09"],
     "two-rows": ["t,a,b,c,C"] + GOOD_ROWS[:2],
     "empty": [],
+    "not-utf8": b"\xff\xfe\x00garbage\n",
 }
 
 
@@ -861,7 +862,11 @@ BAD_CSVS = {
 @pytest.mark.parametrize("case", sorted(BAD_CSVS))
 def test_malformed_traj_rejected(capsys, tmp_path, command, case):
     path = tmp_path / "t.csv"
-    path.write_text("".join(line + "\n" for line in BAD_CSVS[case]))
+    bad = BAD_CSVS[case]
+    if isinstance(bad, bytes):
+        path.write_bytes(bad)
+    else:
+        path.write_text("".join(line + "\n" for line in bad))
     extra = ["--orbit", "cp2", "--a0", "1"] if command == "verify" else []
     code, _, err = run([command, "--model", "m", *extra, "--traj", str(path)], capsys)
     assert code == 2

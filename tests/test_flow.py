@@ -20,9 +20,10 @@ from holoflow.flow import (
     under_system,
 )
 from holoflow._record import replace
-from holoflow.homogeneous import StructureTensor, invariant_d, m_model, q_model
+from holoflow.homogeneous import invariant_d, m_model, q_model
 from holoflow.structures import build_invariant_structure
 from mutations import perturbed_system
+from oracles import structure_from_table
 
 
 def mono(table, coeff, exps):
@@ -289,7 +290,7 @@ def test_a_tampered_model_used_first_changes_nothing_for_the_real_one():
     model = q_model(1, 1, 1)
     table = {key: dict(v) for key, v in model.structure.table.items()}
     table[(0, 1)][6] *= 2
-    tampered = replace(model, structure=StructureTensor.from_table(model.n, table))
+    tampered = replace(model, structure=structure_from_table(model.n, table))
     omega = build_invariant_structure(model).omega
     d_tampered = invariant_d(omega, tampered)
     assert derivation(tampered).model is tampered

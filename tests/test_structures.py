@@ -21,6 +21,7 @@ from holoflow.structures import (
     rotate_structure,
     rotation_generator,
 )
+from oracles import coefficient
 from paper_tables import FRAME_MAP, OMEGA4_TERMS
 
 UNIT_Q = {"a": 1.0, "b": 1.0, "c": 1.0, "f": 1.0}
@@ -29,14 +30,14 @@ UNIT_Q = {"a": 1.0, "b": 1.0, "c": 1.0, "f": 1.0}
 def coeff(struct, indices):
     """Coefficient by 1-based orbit indices; 0 stands for dt."""
     idx = [i - 1 if i > 0 else struct.dt_index for i in indices]
-    return struct.Omega.coefficient(idx)
+    return coefficient(struct.Omega, idx)
 
 
 def test_canonical_spot_coefficients():
     can = canonical_forms()
-    assert can.omega.coefficient([0, 1, 2]) == Fraction(1)  # dx^123
-    assert can.Omega.coefficient([4, 5, 6, 7]) == Fraction(1)  # dx^4567
-    assert can.Omega.coefficient([1, 2, 4, 7]) == Fraction(-1)
+    assert coefficient(can.omega, [0, 1, 2]) == Fraction(1)  # dx^123
+    assert coefficient(can.Omega, [4, 5, 6, 7]) == Fraction(1)  # dx^4567
+    assert coefficient(can.Omega, [1, 2, 4, 7]) == Fraction(-1)
     assert len(can.omega.terms) == 7 and len(can.Omega.terms) == 14
 
 
