@@ -10,6 +10,7 @@ end, 2 on invalid input or an output path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -228,44 +229,56 @@ def _add_bar_flags(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse makes a help formatter for each argument added, and each asks
+    # the terminal for its width; ask once and give every parser that width.
+    # ``shutil`` is imported here, where argparse's formatter would import
+    # it, so that importing the CLI does not load it
+    import shutil
+
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     ap = argparse.ArgumentParser(
         prog="holoflow",
         description="Derive, integrate and verify the invariant holonomy flows",
+        formatter_class=formatter,
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(
+        ap.add_subparsers(dest="command", required=True).add_parser, formatter_class=formatter
+    )
 
-    p = sub.add_parser("classify", help="admissibility of the embedding indices")
+    p = add_parser("classify", help="admissibility of the embedding indices")
     _add_model_flags(p)
 
-    p = sub.add_parser("derive", help="derive the holonomy ODE system")
+    p = add_parser("derive", help="derive the holonomy ODE system")
     _add_model_flags(p, with_indices=False)
     p.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH")
 
-    p = sub.add_parser("solve", help="integrate from a singular orbit, write CSV")
+    p = add_parser("solve", help="integrate from a singular orbit, write CSV")
     _add_model_flags(p, with_indices=False)
     _add_orbit_flags(p)
     _add_integrator_flags(p)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("verify", help="verify a stored trajectory CSV")
+    p = add_parser("verify", help="verify a stored trajectory CSV")
     _add_model_flags(p, with_indices=False)
     _add_orbit_flags(p)
     p.add_argument("--traj", required=True)
     p.add_argument("--out", default=None)
     _add_bar_flags(p)
 
-    p = sub.add_parser("cone", help="cone-limit sub-report for a trajectory CSV")
+    p = add_parser("cone", help="cone-limit sub-report for a trajectory CSV")
     _add_model_flags(p, with_indices=False)
     p.add_argument("--traj", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--cone-bar", type=float, default=None)
 
-    p = sub.add_parser("smoothness", help="smoothness sub-report for one orbit")
+    p = add_parser("smoothness", help="smoothness sub-report for one orbit")
     _add_model_flags(p, with_indices=False)
     p.add_argument("--orbit", required=True)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("report", help="full pipeline for one orbit spec")
+    p = add_parser("report", help="full pipeline for one orbit spec")
     _add_model_flags(p, with_indices=False)
     _add_orbit_flags(p)
     _add_integrator_flags(p)

@@ -14,7 +14,6 @@ from itertools import product
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from . import _kernel
 from ._record import record
 from .algebra import AlgebraError, FrozenPoly, LaurentPoly, Multivector, SymbolTable, term_list, wedge
 from .homogeneous import CosetModel, invariant_d
@@ -366,6 +365,8 @@ class Derivation:
         coefficient is not finite; a power beyond float range raises
         OverflowError.
         """
+        from . import _kernel  # only what checks closure loads the loop generator
+
         table = self.struct.table
         polys: List[LaurentPoly] = []
         ends = []

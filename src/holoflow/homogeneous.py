@@ -20,10 +20,14 @@ import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ._record import field, record
-from .algebra import Multivector, SymbolTable
+
+# ``algebra`` is imported inside the exterior-calculus functions that use it,
+# so building and classifying a model never loads it
+if TYPE_CHECKING:
+    from .algebra import Multivector, SymbolTable
 
 
 class ModelError(ValueError):
@@ -250,6 +254,8 @@ class CosetModel:
 
     @property
     def symbols(self) -> SymbolTable:
+        from .algebra import SymbolTable
+
         return SymbolTable(MODEL_SPECS[self.kind].state_names).with_derivatives()
 
     #: Cartan-invariant two-plane index pairs of the tangent space + fixed line
@@ -306,10 +312,15 @@ def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[
                 raise ModelError(f"basis is not q-orthogonal at pair {(i + 1, j + 1)}")
     norms = tuple(Fraction(v, d * d) for v, d in zip(norms_int, dens))
     span = _span_weights(norms_int)
+    # [S_i, S_j] vanishes when the two share no block or are both diagonal
+    blocks = [{b for b, _, _ in s} for s in mats]
+    diagonal = [all(r == c for _, r, c in s) for s in mats]
     # each constant as a reduced fraction
     brackets = []
     for i in range(n):
         for j in range(i + 1, n):
+            if (diagonal[i] and diagonal[j]) or blocks[i].isdisjoint(blocks[j]):
+                continue
             br = _gbracket(rows[i], rows[j])
             if not br:  # zero is real and in the span, with no constants
                 continue
@@ -334,12 +345,12 @@ def _check_jacobi(structure: StructureTensor) -> None:
     """Jacobi identity on the integer table; closure implies it, so this guards the table."""
     n, rows = structure.n, structure.rows
     for i, j, k in itertools.combinations(range(n), 3):
-        acc = [0] * n
+        acc: Dict[int, int] = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for mid, cm in rows[a][b]:
                 for fin, cf in rows[mid][c]:
-                    acc[fin] += cm * cf
-        if any(acc):
+                    acc[fin] = acc.get(fin, 0) + cm * cf
+        if any(acc.values()):
             raise ModelError("Jacobi identity failed")
 
 
@@ -438,6 +449,8 @@ def maurer_cartan(model: CosetModel, gens, dt_index) -> List[Multivector]:
 
     The coefficients are the exact rational structure constants.
     """
+    from .algebra import Multivector
+
     out = []
     for i in range(model.n):
         terms: Dict[int, Fraction] = {}
@@ -451,6 +464,8 @@ def maurer_cartan(model: CosetModel, gens, dt_index) -> List[Multivector]:
 
 def _d_monomial(des: List[Multivector], mask: int, gens, dt_index) -> Dict[int, Fraction]:
     """d(e^I) by the Leibniz rule; d(dt) = 0."""
+    from .algebra import Multivector
+
     idxs = [b for b in range(len(gens)) if mask >> b & 1]
     one = Fraction(1)
     out = Multivector.zero(gens, dt_index)
@@ -473,6 +488,8 @@ def invariant_d(form: Multivector, model: CosetModel) -> Multivector:
     treated as constants; any time dependence (chain rule in dt) is the flow
     module's business.
     """
+    from .algebra import Multivector
+
     key = (form.gens, form.dt_index)
     tables = model.d_tables.get(key)
     if tables is None:

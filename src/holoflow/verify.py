@@ -507,8 +507,9 @@ def su4_family_check(model: CosetModel, sys: ODESystem) -> SU4Certificate:
     a unique closed invariant two-form, and no invariant parallel vector.
 
     ``sys`` may be any system for the model; the certificate judges it.  The
-    derived system's Kaehler certificate is the derivation's own; any other
-    system is searched."""
+    derived system's closure and Kaehler certificate are the derivation's
+    own (``derive_flow`` raises unless d(Omega) vanishes under it); any
+    other system is checked and searched."""
     deriv = derivation(model)
     struct = deriv.struct
 
@@ -521,7 +522,7 @@ def su4_family_check(model: CosetModel, sys: ODESystem) -> SU4Certificate:
     V = rotation_generator(struct, struct.Omega)
     W = rotation_generator(struct, V)
     k = model_spec(model).family_weight
-    closed = under_system(deriv.d_Omega, sys, struct.table).is_zero
+    closed = sys is deriv.sys or under_system(deriv.d_Omega, sys, struct.table).is_zero
     family_parallel = closed and rotation_generator(struct, W) == V.scaled(-k * k)
 
     # (2) the family genuinely moves

@@ -1,11 +1,13 @@
 """End-to-end command-line runs with exit-code + artifact checks."""
 
+import argparse
 import contextlib
 import errno
 import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -20,12 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holoflow
-from holoflow import flow, homogeneous, structures
+from holoflow import cli, flow, homogeneous, structures
 from holoflow.cli import VALUE_FLAGS, _exact, build_parser, main
 from holoflow.homogeneous import MODEL_SPECS, m_model
 from holoflow.integrate import ORBIT_COLLAPSING, IntegratorConfig, OrbitSpec, solve_orbit
 from mutations import perturbed_system
 from paper_tables import CONE_REFS, PRIMITIVE_NAME
+from test_reach import INPUTS, INVOCATIONS
 
 
 def run(argv, capsys):
@@ -738,16 +741,25 @@ print(json.dumps([code, loaded, "numpy" in sys.modules]))
 """
 
 #: what importing the CLI and each command load besides ``holoflow``
-CLI_MODULES = ["_record", "algebra", "cli", "errors", "homogeneous"]
-FLOW_MODULES = CLI_MODULES + ["_kernel", "_kernel._stepper_py", "flow", "structures"]
+CLI_MODULES = ["_record", "cli", "errors", "homogeneous"]
+FLOW_MODULES = CLI_MODULES + ["algebra", "flow", "structures"]
+SOLVE_MODULES = FLOW_MODULES + ["_kernel", "_kernel._stepper_py", "integrate"]
+VERIFY_MODULES = SOLVE_MODULES + ["closed_form", "verify"]
+GOLDEN_TRAJ = str(GOLDEN / "traj_m_cp2.csv")
 COMMAND_MODULES = [
     ([], CLI_MODULES),
     (["classify", "--model", "q", "--k", "1", "--l", "1", "--m", "1"], CLI_MODULES),
     (["classify", "--model", "m", "--k", "2", "--l", "1"], CLI_MODULES),
     (["derive", "--model", "q"], FLOW_MODULES),
     (["solve", "--model", "m", "--orbit", "cp2", "--a0", "1", "--t-end", "10", "--out", "{out}"],
-     FLOW_MODULES + ["integrate"]),
+     SOLVE_MODULES),
+    (["verify", "--model", "m", "--orbit", "cp2", "--a0", "1", "--traj", GOLDEN_TRAJ], VERIFY_MODULES),
+    (["cone", "--model", "m", "--traj", GOLDEN_TRAJ], VERIFY_MODULES),
+    (["smoothness", "--model", "m", "--orbit", "cp2"], VERIFY_MODULES),
+    (["report", "--model", "m", "--orbit", "cp2", "--a0", "1"], VERIFY_MODULES),
 ]
+#: the commands that fit the cone, the one step that imports numpy
+CONE_FIT_COMMANDS = {"verify", "cone", "report"}
 
 
 @pytest.mark.parametrize("argv,modules", COMMAND_MODULES)
@@ -758,7 +770,18 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, modules):
     code, loaded, numpy = json.loads(proc.stdout)
     assert code == 0
     assert loaded == sorted(["holoflow"] + ["holoflow." + m for m in modules])
-    assert not numpy
+    assert numpy == bool(CONE_FIT_COMMANDS.intersection(argv[:1]))
+
+
+def test_building_and_classifying_a_model_loads_no_exterior_algebra():
+    proc = fresh_python(
+        "import sys\n"
+        "from holoflow.homogeneous import classify_invariant_g2, get_model\n"
+        "print([classify_invariant_g2(get_model(k, i)) for k, i in (('Q', (1, 1, 1)), ('M', (2, 1)))])\n"
+        "print('holoflow.algebra' in sys.modules)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[True, False]\nFalse\n"
 
 
 def test_the_package_loads_its_exports_on_first_access():
@@ -989,6 +1012,64 @@ def test_cone_bar_rejected_before_the_traj_is_read(capsys, tmp_path, monkeypatch
     _one_line_error(err)
     assert "--cone-bar" in err
     assert not out.exists()
+
+
+def stock_parser():
+    """``build_parser()`` with argparse's own formatter on every parser: each
+    formatter made reads the terminal width again."""
+    ap = build_parser()
+    (sub,) = (a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    for parser in (ap, *sub.choices.values()):
+        parser.formatter_class = argparse.HelpFormatter
+    return ap
+
+
+def test_a_parser_build_reads_the_terminal_size_once(monkeypatch):
+    calls = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or size(*a))
+    build_parser().parse_args(["classify", "--model", "q"])
+    assert len(calls) == 1
+
+
+#: argparse's own errors, then the CI smoke test's error cases
+PARSER_ERRORS = [
+    [],
+    ["derive"],
+    ["classify", "--model", "x"],
+    ["report", "--model", "q", "--orbit", "s2xs2", "--no-such-flag"],
+]
+SMOKE_ERRORS = [(argv, code) for argv, code in INVOCATIONS if code]
+
+
+def test_help_and_errors_match_a_stock_parser(capsys, monkeypatch, tmp_path):
+    """Every ``--help`` text, and the output and exit status of each error
+    case, are what a parser whose formatters each read the width gives, at
+    either of two terminal widths."""
+    monkeypatch.chdir(tmp_path)
+    for name, data in INPUTS.items():
+        Path(name).write_bytes(data)
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    helps = [["--help"], *([name, "--help"] for name in cli.COMMANDS)]
+    cases = helps + PARSER_ERRORS + [argv for argv, _ in SMOKE_ERRORS]
+    codes = [0] * len(helps) + [2] * len(PARSER_ERRORS) + [code for _, code in SMOKE_ERRORS]
+    texts = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        got = [outcome(argv) for argv in cases]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", stock_parser)
+            assert got == [outcome(argv) for argv in cases], columns
+        assert [code for code, _, _ in got] == codes
+        texts.append(got[0][1])
+    assert texts[0] != texts[1]  # the width is read
 
 
 def test_emit_refuses_non_finite_numbers(tmp_path):

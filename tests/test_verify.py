@@ -555,14 +555,24 @@ def test_su4_certificate_lets_a_bug_in_the_kaehler_search_propagate(monkeypatch)
 
 
 def test_su4_certificate_of_the_derived_system_is_the_derivations(monkeypatch):
-    def searched(*args, **kwargs):
-        raise AssertionError("the derived system's certificate is searched again")
+    """``derive_flow`` has shown that d(Omega) vanishes under the derived
+    system and the derivation holds its Kaehler certificate: neither is
+    computed again for it, and both are for any other system."""
 
-    monkeypatch.setattr("holoflow.verify.kaehler_search", searched)
+    def searched(*args, **kwargs):
+        raise AssertionError("the derived system's certificate is computed again")
+
     for model in (q_model(1, 1, 1), m_model(1, 1)):
-        assert su4_family_check(model, derivation(model).sys).kaehler_unique
-        with pytest.raises(AssertionError):
-            su4_family_check(model, perturbed_system(derivation(model).sys, "a"))
+        sys = derivation(model).sys
+        with monkeypatch.context() as patch:
+            patch.setattr("holoflow.verify.kaehler_search", searched)
+            patch.setattr("holoflow.verify.under_system", searched)
+            assert su4_family_check(model, sys).passed
+        for name in ("kaehler_search", "under_system"):
+            with monkeypatch.context() as patch:
+                patch.setattr(f"holoflow.verify.{name}", searched)
+                with pytest.raises(AssertionError):
+                    su4_family_check(model, perturbed_system(sys, "a"))
 
 
 # ---------------------------------------------------------------------------
