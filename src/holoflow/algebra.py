@@ -435,10 +435,6 @@ def term_list(
 # ---------------------------------------------------------------------------
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def _bits(mask: int) -> Iterable[int]:
     i = 0
     while mask:
@@ -452,7 +448,7 @@ def _merge_sign(m1: int, m2: int) -> int:
     """Parity sign of merging two disjoint sorted index sets."""
     sign = 1
     for b in _bits(m2):
-        if _popcount(m1 >> (b + 1)) % 2:
+        if (m1 >> (b + 1)).bit_count() % 2:
             sign = -sign
     return sign
 
@@ -592,11 +588,7 @@ class Multivector:
         out: Dict[int, object] = {}
         for m, c in self.terms.items():
             comp = full ^ m
-            sign = 1
-            for b in _bits(comp):
-                if _popcount(m >> (b + 1)) % 2:
-                    sign = -sign
-            out[comp] = -c if sign < 0 else c
+            out[comp] = -c if _merge_sign(m, comp) < 0 else c
         return Multivector(self.gens, out, self.dt_index)
 
     def contract(self, gen_index: int) -> "Multivector":
@@ -606,7 +598,7 @@ class Multivector:
         for m, c in self.terms.items():
             if not m & bit:
                 continue
-            pos = _popcount(m & (bit - 1))
+            pos = (m & (bit - 1)).bit_count()
             coeff = -c if pos % 2 else c
             key = m ^ bit
             if key in out:

@@ -245,7 +245,8 @@ def derive_flow(model: CosetModel) -> ODESystem:
 
 @record(frozen=True)
 class KaehlerCertificate:
-    """Unique closed invariant two-form, up to overall sign.
+    """Unique closed invariant two-form, up to overall sign: ``kaehler_search``
+    returns one only when ``signs`` and its negative are the only winners.
 
     ``d_eta`` is d(eta) on the orbit x interval with the derivative symbols
     still formal.
@@ -253,12 +254,7 @@ class KaehlerCertificate:
 
     signs: Tuple[int, ...]
     eta: Multivector
-    all_solutions: Tuple[Tuple[int, ...], ...]
     d_eta: Multivector
-
-    @property
-    def unique_up_to_sign(self) -> bool:
-        return len(self.all_solutions) == 2
 
 
 def invariant_two_form_terms(model: CosetModel, struct: Spin7Structure) -> List[Multivector]:
@@ -302,7 +298,7 @@ def kaehler_search(model: CosetModel, sys: ODESystem) -> KaehlerCertificate:
         for signs in product((1, -1), repeat=len(basis))
         if _signed_sum(signs, closed_basis, zero).is_zero
     ]
-    if not winners or len(winners) != 2:
+    if len(winners) != 2:
         raise DerivationError(
             f"expected exactly one closed sign vector up to global sign, got {winners}"
         )
@@ -315,7 +311,7 @@ def kaehler_search(model: CosetModel, sys: ODESystem) -> KaehlerCertificate:
     if len(power.terms) != 1 or next(iter(power.terms.values())).is_zero:
         raise DerivationError("eta^4 is not a volume multiple")
     d_eta = _signed_sum(signs, d_basis, zero)
-    return KaehlerCertificate(signs, eta, tuple(winners), d_eta)
+    return KaehlerCertificate(signs, eta, d_eta)
 
 
 # ---------------------------------------------------------------------------

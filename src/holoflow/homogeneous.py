@@ -268,9 +268,9 @@ class CosetModel:
         return MODEL_SPECS[self.kind].modules
 
     @cached_property
-    def d_tables(self) -> Dict[tuple, Tuple[List[Multivector], Dict[int, Dict[int, Fraction]]]]:
-        """Per coframe ``(gens, dt_index)``: the Maurer-Cartan forms and the d(e^I) met so far."""
-        return {}
+    def d_tables(self) -> Tuple[List[Multivector], Dict[int, Dict[int, Fraction]]]:
+        """The Maurer-Cartan forms on ``group_gens(self)`` and the d(e^I) met so far."""
+        return maurer_cartan(self), {}
 
     @cached_property
     def derivation(self):
@@ -443,14 +443,16 @@ def group_gens(model: CosetModel) -> Tuple[str, ...]:
     return model.gen_names + ("dt",)
 
 
-def maurer_cartan(model: CosetModel, gens, dt_index) -> List[Multivector]:
+def maurer_cartan(model: CosetModel) -> List[Multivector]:
     """de^i = -(1/2) c^i_{jk} e^j ^ e^k for every group generator, as forms
-    on the coframe ``gens`` with its dt slot at ``dt_index``.
+    on ``group_gens(model)``, dt last.
 
     The coefficients are the exact rational structure constants.
     """
     from .algebra import Multivector
 
+    gens = group_gens(model)
+    dt_index = len(gens) - 1
     out = []
     for i in range(model.n):
         terms: Dict[int, Fraction] = {}
@@ -484,17 +486,16 @@ def invariant_d(form: Multivector, model: CosetModel) -> Multivector:
     """Exterior derivative of an invariant form with constant coefficients.
 
     d is linear over the coefficients: d(form) = sum of c_I d(e^I), with
-    each image d(e^I) computed once per model and coframe.  Coefficients are
-    treated as constants; any time dependence (chain rule in dt) is the flow
-    module's business.
+    each image d(e^I) computed once per model.  The form must lie on
+    ``group_gens(model)`` with dt last, the coframe of the cached images.
+    Coefficients are treated as constants; any time dependence (chain rule
+    in dt) is the flow module's business.
     """
     from .algebra import Multivector
 
-    key = (form.gens, form.dt_index)
-    tables = model.d_tables.get(key)
-    if tables is None:
-        tables = model.d_tables[key] = (maurer_cartan(model, form.gens, form.dt_index), {})
-    des, images = tables
+    des, images = model.d_tables
+    if (form.gens, form.dt_index) != (des[0].gens, des[0].dt_index):
+        raise ModelError(f"invariant_d takes forms on {des[0].gens} with dt last, got {form.gens}")
     out: Dict[int, object] = {}
     for mask, coeff in form.terms.items():
         image = images.get(mask)

@@ -1,9 +1,9 @@
 """Canonical G2/Spin(7) forms and the invariant structures on both orbits.
 
 The canonical three-form is written out with its textbook signs and the
-four-form built from it as Omega = *omega + dx0 ^ omega; the invariant
-structures are obtained by substituting each model's orthonormal frame and
-carrying the metric coefficients a, b, c, f into the coefficients.  A
+four-form built from it as Omega = *omega + dx0 ^ omega; each invariant
+structure is that four-form with the model's orthonormal frame substituted,
+which carries the metric coefficients a, b, c, f into the coefficients.  A
 one-parameter rotation family acts on every structure; its exact generator
 L gives the whole family in closed form, Omega plus the multiples
 sin(k phi)/k and (1 - cos(k phi))/k^2 of L(Omega) and L(L(Omega)), so three
@@ -64,18 +64,17 @@ def canonical_forms() -> CanonicalForms:
 
 @record(frozen=True)
 class Spin7Structure:
-    """Invariant Spin(7) four-form and its induced G2 data on one orbit.
+    """Invariant Spin(7) four-form on one orbit.
 
     ``Omega`` lives on the full group coframe (isotropy generators carry no
-    terms) with a trailing dt generator; ``omega`` and ``star_omega`` are its
-    dt-slice companions.  Coefficients are monomials in the metric symbols.
+    terms) with a trailing dt generator; its dt-free part and dt-part,
+    ``flow.split_dt(Omega)``, are *omega and omega of the induced G2
+    structure.  Coefficients are monomials in the metric symbols.
     """
 
     model: CosetModel
     table: SymbolTable
     Omega: Multivector
-    omega: Multivector
-    star_omega: Multivector
 
     @property
     def gens(self) -> Tuple[str, ...]:
@@ -85,39 +84,27 @@ class Spin7Structure:
     def dt_index(self) -> int:
         return self.Omega.dt_index
 
-    def dt_form(self) -> Multivector:
-        one = LaurentPoly.const(self.table, 1)
-        return Multivector.basis(self.gens, [self.dt_index], one, dt_index=self.dt_index)
-
 
 def build_invariant_structure(model: CosetModel) -> Spin7Structure:
-    """Substitute the model's frame into the canonical forms.
+    """Substitute the model's frame into the canonical four-form.
 
-    Raises for models that do not admit an invariant G2-structure.
+    Raises for models that do not admit an invariant G2-structure.  The
+    dt-free and dt terms of Omega have disjoint masks, and contraction and
+    ``invariant_d`` keep them apart, so Omega is basic exactly when *omega
+    and omega are.
     """
     if not classify_invariant_g2(model):
         raise StructureError(f"{model.label} admits no invariant G2-structure")
-    can = canonical_forms()
     gens = group_gens(model)
     dt_index = len(gens) - 1
     table = model.symbols
-
-    map8 = {0: ((dt_index, LaurentPoly.const(table, 1)),)}
+    images = {0: ((dt_index, LaurentPoly.const(table, 1)),)}
     for slot, (target, sym) in model_spec(model).frame_map.items():
-        map8[slot] = ((target - 1, LaurentPoly.variable(table, sym)),)
-    map7 = {slot - 1: image for slot, image in map8.items() if slot}
-
-    Omega = can.Omega.substitute(map8, gens, dt_index)
-    omega = can.omega.substitute(map7, gens, dt_index)
-    star_omega = can.omega.hodge_star().substitute(map7, gens, dt_index)
-
-    struct = Spin7Structure(model, table, Omega, omega, star_omega)
-    if Omega != star_omega + wedge(struct.dt_form(), omega):
-        raise StructureError("invariant structure fails Omega = *omega + dt ^ omega")
-    for form in (Omega, omega, star_omega):
-        if not is_basic(form, model):
-            raise StructureError("invariant structure is not basic")
-    return struct
+        images[slot] = ((target - 1, LaurentPoly.variable(table, sym)),)
+    Omega = canonical_forms().Omega.substitute(images, gens, dt_index)
+    if not is_basic(Omega, model):
+        raise StructureError("invariant structure is not basic")
+    return Spin7Structure(model, table, Omega)
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +146,6 @@ def _rotate_form(form: Multivector, cs_pairs) -> Multivector:
     return form.substitute(images)
 
 
-def _rotate_all(struct: Spin7Structure, cs_pairs) -> Spin7Structure:
-    return replace(
-        struct,
-        Omega=_rotate_form(struct.Omega, cs_pairs),
-        omega=_rotate_form(struct.omega, cs_pairs),
-        star_omega=_rotate_form(struct.star_omega, cs_pairs),
-    )
-
-
 def rotate_structure(struct: Spin7Structure, theta: AngleLike) -> Spin7Structure:
     """Pull the structure back by the model's isometric rotation action.
 
@@ -175,7 +153,8 @@ def rotate_structure(struct: Spin7Structure, theta: AngleLike) -> Spin7Structure
     model's fundamental angle unit.
     """
     spec = model_spec(struct.model)
-    return _rotate_all(struct, _rotation(theta, spec.fundamental_unit, spec.rotation_multiples))
+    cs_pairs = _rotation(theta, spec.fundamental_unit, spec.rotation_multiples)
+    return replace(struct, Omega=_rotate_form(struct.Omega, cs_pairs))
 
 
 def rotation_generator(struct: Spin7Structure, form: Multivector) -> Multivector:

@@ -528,12 +528,14 @@ def su4_family_check(model: CosetModel, sys: ODESystem) -> SU4Certificate:
     # (2) the family genuinely moves
     family_moves = not V.is_zero
 
-    # (3) unique Kaehler candidate up to global sign
-    try:
-        cert = deriv.cert if sys is deriv.sys else kaehler_search(model, sys)
-        kaehler_unique = cert.unique_up_to_sign
-    except DerivationError:
-        kaehler_unique = False
+    # (3) unique Kaehler candidate up to global sign: the search raises
+    # unless exactly one +- pair of sign vectors closes
+    kaehler_unique = True
+    if sys is not deriv.sys:
+        try:
+            kaehler_search(model, sys)
+        except DerivationError:
+            kaehler_unique = False
 
     # (4) no invariant parallel vector field: the vertical coefficient cannot
     # be constant (its derivative is forced nonzero at the collapsing locus),

@@ -1,15 +1,17 @@
 """Reads and exact evaluations that only the tests need.
 
 No command reads one coefficient of a form, rebuilds a structure tensor from
-a table, sorts isotropy weights or evaluates the closed-form profile
-exactly; the tests do, and hold the package to these.
+a table, substitutes the frame into omega and *omega apart from Omega, sorts
+isotropy weights or evaluates the closed-form profile exactly; the tests do,
+and hold the package to these.
 """
 
 from fractions import Fraction
 
 from holoflow.algebra import AlgebraError, LaurentPoly
 from holoflow.closed_form import DomainError
-from holoflow.homogeneous import MODEL_SPECS, StructureTensor, _integer_rows
+from holoflow.homogeneous import MODEL_SPECS, StructureTensor, _integer_rows, group_gens, model_spec
+from holoflow.structures import canonical_forms
 
 
 def coefficient(form, indices):
@@ -35,6 +37,20 @@ def structure_from_table(n, table) -> StructureTensor:
         for (i, j), cs in table.items()
     ]
     return StructureTensor(n, *_integer_rows(n, brackets))
+
+
+def star_omega_and_omega(model):
+    """(*omega, omega) on the model's group coframe: the canonical *omega and
+    omega, each with the model's frame substituted on its own, where the
+    structure substitutes only into Omega and ``split_dt`` reads them off."""
+    can = canonical_forms()
+    gens = group_gens(model)
+    table = model.symbols
+    images = {
+        slot - 1: ((target - 1, LaurentPoly.variable(table, sym)),)
+        for slot, (target, sym) in model_spec(model).frame_map.items()
+    }
+    return tuple(form.substitute(images, gens, len(gens) - 1) for form in (can.omega.hodge_star(), can.omega))
 
 
 def canonical_weights(multiset):

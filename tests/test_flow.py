@@ -9,6 +9,7 @@ from holoflow import flow
 from holoflow.algebra import LaurentPoly, Multivector, SymbolTable, wedge
 from holoflow.flow import (
     DerivationError,
+    KaehlerCertificate,
     _solve_linear,
     coefficient_map,
     derivation,
@@ -16,6 +17,7 @@ from holoflow.flow import (
     exterior_d_time,
     invariant_two_form_terms,
     kaehler_search,
+    split_dt,
     time_chain,
     under_system,
 )
@@ -87,16 +89,17 @@ def cosymplectic_constraints(model):
     An empty list means every structure in the invariant ansatz is
     cosymplectic.
     """
-    struct = derivation(model).struct
-    d_star = invariant_d(struct.star_omega, model)
+    star_omega, _ = split_dt(derivation(model).struct.Omega)
+    d_star = invariant_d(star_omega, model)
     return [poly for _, poly in d_star.sorted_terms()]
 
 
 def hitchin_residual(model, sys):
     """d/dt(*omega) - d_orbit(omega) under the derived system; contract: 0."""
     struct = derivation(model).struct
-    lhs = under_system(time_chain(struct.star_omega), sys, struct.table)
-    rhs = invariant_d(struct.omega, model)
+    star_omega, omega = split_dt(struct.Omega)
+    lhs = under_system(time_chain(star_omega), sys, struct.table)
+    rhs = invariant_d(omega, model)
     return lhs - rhs
 
 
@@ -134,17 +137,22 @@ def test_hitchin_residual_detects_perturbation():
 
 def test_kaehler_search_q():
     model = q_model(1, 1, 1)
-    cert = kaehler_search(model, derive_flow(model))
+    sys = derive_flow(model)
+    cert = kaehler_search(model, sys)
     assert cert.signs == (1, 1, 1, 1)
-    assert cert.all_solutions == ((1, 1, 1, 1), (-1, -1, -1, -1))
-    assert cert.unique_up_to_sign
+    # the search returns only a unique pair, so the certificate keeps no list
+    assert [name for name, _ in KaehlerCertificate.__record_fields__] == ["signs", "eta", "d_eta"]
+    winners = _kaehler_brute_force(model, sys, derivation(model).struct)
+    assert [signs for signs, _, _ in winners] == [(1, 1, 1, 1), (-1, -1, -1, -1)]
 
 
 def test_kaehler_search_m():
     model = m_model(1, 1)
-    cert = kaehler_search(model, derive_flow(model))
+    sys = derive_flow(model)
+    cert = kaehler_search(model, sys)
     assert cert.signs == (1, -1, 1)
-    assert cert.all_solutions == ((1, -1, 1), (-1, 1, -1))
+    winners = _kaehler_brute_force(model, sys, derivation(model).struct)
+    assert [signs for signs, _, _ in winners] == [(1, -1, 1), (-1, 1, -1)]
 
 
 def _kaehler_brute_force(model, sys, struct):
@@ -179,7 +187,7 @@ def test_linear_kaehler_search_matches_brute_force(model, perturb):
             kaehler_search(model, sys)
         return
     cert = kaehler_search(model, sys)
-    assert cert.all_solutions == tuple(signs for signs, _, _ in winners)
+    assert [signs for signs, _, _ in winners] == [cert.signs, tuple(-x for x in cert.signs)]
     signs, eta, d_eta = max(winners, key=lambda w: w[0])
     assert cert.signs == signs
     assert cert.eta == eta
@@ -291,7 +299,7 @@ def test_a_tampered_model_used_first_changes_nothing_for_the_real_one():
     table = {key: dict(v) for key, v in model.structure.table.items()}
     table[(0, 1)][6] *= 2
     tampered = replace(model, structure=structure_from_table(model.n, table))
-    omega = build_invariant_structure(model).omega
+    _, omega = split_dt(build_invariant_structure(model).Omega)
     d_tampered = invariant_d(omega, tampered)
     assert derivation(tampered).model is tampered
     d_model = invariant_d(omega, model)

@@ -217,6 +217,20 @@ def test_d_squared_on_random_invariant_forms():
         assert invariant_d(invariant_d(form, model), model).is_zero
 
 
+def test_invariant_d_takes_only_the_group_coframe():
+    """The images d(e^I) are cached for ``group_gens(model)`` with dt last;
+    once they are, a form on any other coframe, of the same length or not,
+    is refused."""
+    model = q_model(1, 1, 1)
+    gens = group_gens(model)
+    one = LaurentPoly.const(model.symbols, 1)
+    assert not invariant_d(mv(model, [7]), model).is_zero
+    renamed = tuple(f"x{i}" for i in range(len(gens)))
+    for other, dt in ((renamed, len(gens) - 1), (gens, 0), (gens[:8], 7)):
+        with pytest.raises(ModelError, match="invariant_d takes forms on"):
+            invariant_d(Multivector.basis(other, [6], one, dt_index=dt), model)
+
+
 def _invariant_d_by_wedges(form, model):
     """Reference d: expand each term by wedges against Maurer-Cartan forms
     with constant polynomial coefficients, on every call."""

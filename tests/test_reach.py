@@ -115,7 +115,6 @@ UNREACHED = {
     "algebra.Multivector.eval_numeric": (PERFBENCH, ("holoflow.algebra:Multivector", "eval_numeric")),
     "algebra.LaurentPoly.eval": (PERFBENCH, ("holoflow.algebra:Multivector", "eval_numeric")),
     "structures.rotate_structure": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
-    "structures._rotate_all": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
     "structures._rotate_form": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
     "structures._rotation": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
     "structures._multi_angle": (PERFBENCH, ("holoflow.structures", "rotate_structure")),

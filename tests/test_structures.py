@@ -1,5 +1,6 @@
 """Canonical forms, invariant structures and the rotation family."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,20 +9,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holoflow import structures
+from holoflow._record import replace
 from holoflow.algebra import LaurentPoly, Multivector, wedge
-from holoflow.flow import derivation
-from holoflow.homogeneous import MODEL_SPECS, m_model, q_model
+from holoflow.flow import derivation, split_dt
+from holoflow.homogeneous import MODEL_SPECS, is_basic, m_model, q_model
 from holoflow.structures import (
     CANON8,
+    Spin7Structure,
     StructureError,
     build_invariant_structure,
     canonical_forms,
-    _rotate_all,
+    _rotate_form,
     _rotation,
     rotate_structure,
     rotation_generator,
 )
-from oracles import coefficient
+from oracles import coefficient, star_omega_and_omega
 from paper_tables import FRAME_MAP, OMEGA4_TERMS
 
 UNIT_Q = {"a": 1.0, "b": 1.0, "c": 1.0, "f": 1.0}
@@ -102,9 +106,72 @@ def test_unit_frame_reproduces_canonical_coefficients():
 
 
 def test_structure_identity_omega_star_dt():
+    """Omega = *omega + dt ^ omega: its dt-free part and dt-part are the
+    canonical *omega and omega, each substituted on its own.  The structure
+    stores Omega alone."""
+    assert [name for name, _ in Spin7Structure.__record_fields__] == ["model", "table", "Omega"]
     for model in (q_model(1, 1, 1), m_model(1, 1)):
         s = build_invariant_structure(model)
-        assert s.Omega == s.star_omega + wedge(s.dt_form(), s.omega)
+        assert split_dt(s.Omega) == star_omega_and_omega(model)
+
+
+def test_a_build_substitutes_once_and_checks_basic_once(monkeypatch):
+    """One substitution into the canonical four-form and one is_basic."""
+    can = canonical_forms()
+    monkeypatch.setattr(structures, "canonical_forms", lambda: can)
+    calls = []
+    substitute, basic = Multivector.substitute, structures.is_basic
+
+    def counted_substitute(self, *args, **kwargs):
+        calls.append("substitute")
+        return substitute(self, *args, **kwargs)
+
+    def counted_is_basic(form, model):
+        calls.append("is_basic")
+        return basic(form, model)
+
+    monkeypatch.setattr(Multivector, "substitute", counted_substitute)
+    monkeypatch.setattr(structures, "is_basic", counted_is_basic)
+    for model in (q_model(1, 1, 1), m_model(1, 1)):
+        calls.clear()
+        build_invariant_structure(model)
+        assert calls == ["substitute", "is_basic"]
+
+
+def _with_dt(model, star_omega, omega):
+    """*omega + dt ^ omega."""
+    dt = star_omega.dt_index
+    one = LaurentPoly.const(model.symbols, 1)
+    return star_omega + wedge(Multivector.basis(star_omega.gens, [dt], one, dt_index=dt), omega)
+
+
+#: frame-map edits per model kind: one slot sent to an isotropy generator,
+#: two slots of different modules swapped
+TAMPERED_FRAMES = [
+    ("Q", {1: (8, "f")}),
+    ("Q", {2: (3, "b"), 4: (1, "a")}),
+    ("M", {1: (8, "c")}),
+    ("M", {2: (1, "a"), 4: (6, "b")}),
+]
+
+
+@pytest.mark.parametrize("kind,edits", TAMPERED_FRAMES, ids=["Q-iso", "Q-swap", "M-iso", "M-swap"])
+def test_Omega_is_basic_exactly_when_omega_and_its_star_are(monkeypatch, kind, edits):
+    """The dropped checks on omega and *omega were implied by the one on
+    Omega, on the real frame and on a tampered one; the tampered frame trips
+    the structure's basic check, and so does each mixed pair."""
+    model = q_model(1, 1, 1) if kind == "Q" else m_model(1, 1)
+    real = star_omega_and_omega(model)
+    spec = MODEL_SPECS[kind]
+    monkeypatch.setitem(MODEL_SPECS, kind, replace(spec, frame_map={**spec.frame_map, **edits}))
+    tampered = star_omega_and_omega(model)
+    with pytest.raises(StructureError, match="invariant structure is not basic"):
+        build_invariant_structure(model)
+    for star_omega, omega in itertools.product((real[0], tampered[0]), (real[1], tampered[1])):
+        Omega = _with_dt(model, star_omega, omega)
+        assert is_basic(Omega, model) == (is_basic(star_omega, model) and is_basic(omega, model))
+    assert is_basic(_with_dt(model, *real), model)
+    assert not is_basic(_with_dt(model, *tampered), model)
 
 
 def test_inadmissible_model_rejected():
@@ -139,11 +206,7 @@ def test_rotation_back_by_the_conjugate_pair_is_the_identity(u):
     for model in (q_model(1, 1, 1), m_model(1, 1)):
         struct = build_invariant_structure(model)
         back = rotate_structure(rotate_structure(struct, (c, s)), (c, -s))
-        assert (back.Omega, back.omega, back.star_omega) == (
-            struct.Omega,
-            struct.omega,
-            struct.star_omega,
-        )
+        assert back == struct
 
 
 @pytest.mark.parametrize("u", [Fraction(1, 2), Fraction(-2, 3), Fraction(3), Fraction(5, 7)])
@@ -250,7 +313,7 @@ def test_family_periods():
 
 def rotate_structure_reference(struct, theta):
     """Pull back by the reference torus action with unit speeds (1, 1, 1)."""
-    return _rotate_all(struct, _rotation(theta, Fraction(1), (1, 1, 1)))
+    return replace(struct, Omega=_rotate_form(struct.Omega, _rotation(theta, Fraction(1), (1, 1, 1))))
 
 
 def test_m_action_generates_reference_family():
