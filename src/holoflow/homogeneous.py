@@ -4,13 +4,13 @@ The Q model lives in three copies of su(2), the M model in su(3) + su(2).
 Each basis element X, a tuple of complex matrix blocks, is written once as a
 pair (D, S): a positive integer D and a sparse Gaussian-integer matrix S with
 X = S / D.  The q-products, brackets, projections and the realness,
-orthogonality, positivity and closure checks all run on these integers, so
-the structure constants are computed without rounding and without rational
-matrix arithmetic.  They are stored as integers too, times the lcm of their
-denominators, which is what the Jacobi and isotropy checks and the weights
-read; their ``Fraction`` view is built on first read.  Fractions appear
-otherwise only in the q-norms and the Cartan coordinates.  What the paper
-states about each model is one ``ModelSpec`` record in ``MODEL_SPECS``.
+orthogonality, positivity and closure checks all run on these integers, and
+``_project`` checks closure over a bracket's nonzero coordinates alone.  The
+structure constants are stored as integers times the lcm of their
+denominators, which the Jacobi and isotropy checks and the weights read;
+their ``Fraction`` view is built on first read.  Fractions appear otherwise
+only in the q-norms and the Cartan coordinates.  What the paper states about
+each model is one ``ModelSpec`` record in ``MODEL_SPECS``.
 """
 
 from __future__ import annotations
@@ -95,30 +95,31 @@ def _gq_parts(x: GaussMatrix, transposed: Mapping, n: int) -> Tuple[List[int], L
 _NOT_REAL = "q(X,Y) is not real; basis matrices are not skew-hermitian"
 
 
-def _gq_all(x: GaussMatrix, transposed: Mapping, n: int) -> List[int]:
-    """[q(X, S_k) for k < n]; raises unless real."""
-    re, im = _gq_parts(x, transposed, n)
+def _project(
+    x: GaussMatrix, transposed: Mapping, mats: Sequence[GaussMatrix], weights: Sequence[int], scale: int
+) -> Optional[Dict[int, int]]:
+    """The nonzero t_k = q(X, S_k) as {k: t_k} in ascending k, from one pass
+    over the entries of X and the transposed S_k; raises unless every t_k is
+    real.  None unless X = sum_k t_k S_k / N_k, checked on integers as
+    L X = sum_k t_k w_k S_k with L = lcm(N) and the weights w_k = L / N_k."""
+    re, im = _gq_parts(x, transposed, len(mats))
     if any(im):
         raise ModelError(_NOT_REAL)
-    return re
-
-
-def _in_span(
-    x: GaussMatrix, t: Sequence[int], mats: Sequence[GaussMatrix], weights: Sequence[int], scale: int
-) -> bool:
-    """Whether X = sum_k t_k S_k / N_k, checked on integers as
-    L X = sum_k t_k w_k S_k with L = lcm(N) and the weights w_k = L / N_k."""
-    residual = {key: (scale * re, scale * im) for key, (re, im) in x.items()}
-    for tk, s, wk in zip(t, mats, weights):
-        w = tk * wk
-        for key, (re, im) in s.items() if tk else ():
-            r0, i0 = residual.get(key, (0, 0))
-            residual[key] = (r0 - w * re, i0 - w * im)
-    return not any(v != (0, 0) for v in residual.values())
+    t, residual = {}, {}
+    for key, (xr, xi) in x.items():
+        residual[key] = (scale * xr, scale * xi)
+    for k, tk in enumerate(re):
+        if tk:
+            t[k] = tk
+            w = tk * weights[k]
+            for key, (sr, si) in mats[k].items():
+                r0, i0 = residual.get(key, (0, 0))
+                residual[key] = (r0 - w * sr, i0 - w * si)
+    return t if {(0, 0)}.issuperset(residual.values()) else None
 
 
 def _span_weights(norms: Sequence[int]) -> Tuple[List[int], int]:
-    """([L / N_k], L) for the lcm L of the integer norms N_k, as ``_in_span`` reads them."""
+    """([L / N_k], L) for the lcm L of the integer norms N_k, as ``_project`` reads them."""
     scale = math.lcm(*norms)
     return [scale // nk for nk in norms], scale
 
@@ -324,16 +325,15 @@ def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[
             br = _gbracket(rows[i], rows[j])
             if not br:  # zero is real and in the span, with no constants
                 continue
-            t = _gq_all(br, index, n)
-            if not _in_span(br, t, mats, *span):
+            t = _project(br, index, mats, *span)
+            if t is None:
                 raise ModelError("basis is not closed under brackets")
             dij = dens[i] * dens[j]
             consts = []
-            for k, tk in enumerate(t):
-                if tk:
-                    num, den = tk * dens[k], dij * norms_int[k]
-                    g = math.gcd(num, den)
-                    consts.append((k, num // g, den // g))
+            for k, tk in t.items():
+                num, den = tk * dens[k], dij * norms_int[k]
+                g = math.gcd(num, den)
+                consts.append((k, num // g, den // g))
             if consts:
                 brackets.append((i, j, consts))
     structure = StructureTensor(n, *_integer_rows(n, brackets))
@@ -418,18 +418,19 @@ def _ad(model: CosetModel, x: Coords) -> Tuple[AdRows, int]:
 
 def _check_isotropy_action(model: CosetModel) -> None:
     """Isotropy ad-action must be q-skew and block-diagonal on the planes."""
-    blocks = [set(p) for p in model.modules]
+    same_module = {(i, j) for p in model.modules for i in p for j in p}
     scale = math.lcm(*(q.denominator for q in model.q_norms))
     norms = [q.numerator * (scale // q.denominator) for q in model.q_norms]
     for x in model.isotropy_indices:
-        rows, _ = _ad(model, {x: 1})
+        # the pairs (j, L c^j_xi) of row x are the rows of L ad_x
+        rows = [dict(pairs) for pairs in model.structure.rows[x][: model.TANGENT]]
         for i in range(model.TANGENT):
             for j, cij in rows[i].items():
                 if j >= model.TANGENT:
                     raise ModelError("isotropy bracket leaves the tangent space")
                 if norms[j] * cij != -norms[i] * rows[j].get(i, 0):
                     raise ModelError("isotropy action is not q-skew")
-                if not any(i in b and j in b for b in blocks):
+                if (i, j) not in same_module:
                     raise ModelError("isotropy action does not preserve the modules")
 
 
@@ -592,29 +593,28 @@ def _plane_speed(model: CosetModel, rows: AdRows, plane: Tuple[int, int]) -> int
     return cji
 
 
-def _isotropy_coords(model: CosetModel, x: Scaled) -> Dict[int, Fraction]:
-    """Exact coordinates of x on the isotropy generators (q-orthogonal).
-
-    Raises unless x lies in their span.
-    """
-    dx, sx = x
-    iso = model.isotropy_indices
-    mats = [model.basis[a][1] for a in iso]
-    norms = [int(model.q_norms[a] * model.basis[a][0] ** 2) for a in iso]
-    t = _gq_all(sx, _transposed(mats), len(iso))
-    if not _in_span(sx, t, mats, *_span_weights(norms)):
-        raise ModelError("Cartan element is not in the isotropy algebra")
-    # S / D_x = sum_k t_k S_k / (D_x N_k) and S_k = D_k X_k
-    return {a: Fraction(tk * model.basis[a][0], dx * nk) for a, tk, nk in zip(iso, t, norms) if tk}
+def _isotropy_coords(model: CosetModel, elements: Sequence[Scaled]) -> List[Dict[int, Fraction]]:
+    """Exact coordinates of each element on the (q-orthogonal) isotropy generators,
+    from projection data built once per model; raises unless each lies in their span."""
+    dens, mats = zip(*model.basis[model.TANGENT :])
+    # N_a = q(S_a, S_a) = D_a^2 q_a, an integer
+    norms = [q.numerator * d * d // q.denominator for q, d in zip(model.q_norms[model.TANGENT :], dens)]
+    index, span = _transposed(mats), _span_weights(norms)
+    out = []
+    for dx, sx in elements:
+        t = _project(sx, index, mats, *span)
+        if t is None:
+            raise ModelError("Cartan element is not in the isotropy algebra")
+        # S / D_x = sum_k t_k S_k / (D_x N_k) and S_k = D_k X_k
+        out.append({model.TANGENT + k: Fraction(tk * dens[k], dx * norms[k]) for k, tk in t.items()})
+    return out
 
 
 def _q_cartan(model: CosetModel) -> List[Coords]:
     """The Cartan of U(1)^2 in Q(k,l,m): (x, y, z) sigma_3 on the three
     blocks, (x, y, z) over the HNF basis of k x + l y + m z = 0."""
-    return [
-        _isotropy_coords(model, _place(2, (0, x, _S3), (1, y, _S3), (2, z, _S3)))
-        for x, y, z in _kernel_basis_1x3(*model.indices)
-    ]
+    kernel = _kernel_basis_1x3(*model.indices)
+    return _isotropy_coords(model, [_place(2, (0, x, _S3), (1, y, _S3), (2, z, _S3)) for x, y, z in kernel])
 
 
 def isotropy_weights(model: CosetModel) -> WeightMultiset:

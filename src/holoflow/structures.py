@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Tuple, Union
 
 from ._record import record, replace
@@ -62,6 +63,13 @@ def canonical_forms() -> CanonicalForms:
     return CanonicalForms(omega, Multivector(CANON8, dict(terms), dt_index=0))
 
 
+@lru_cache(maxsize=None)
+def _canonical_Omega_terms() -> Tuple[Tuple[int, Fraction], ...]:
+    """Omega's terms, built once per process; a ``Multivector`` is mutable, so
+    every structure substitutes into a new one made from them."""
+    return tuple(canonical_forms().Omega.terms.items())
+
+
 @record(frozen=True)
 class Spin7Structure:
     """Invariant Spin(7) four-form on one orbit.
@@ -101,7 +109,8 @@ def build_invariant_structure(model: CosetModel) -> Spin7Structure:
     images = {0: ((dt_index, LaurentPoly.const(table, 1)),)}
     for slot, (target, sym) in model_spec(model).frame_map.items():
         images[slot] = ((target - 1, LaurentPoly.variable(table, sym)),)
-    Omega = canonical_forms().Omega.substitute(images, gens, dt_index)
+    canonical = Multivector(CANON8, dict(_canonical_Omega_terms()), dt_index=0)
+    Omega = canonical.substitute(images, gens, dt_index)
     if not is_basic(Omega, model):
         raise StructureError("invariant structure is not basic")
     return Spin7Structure(model, table, Omega)

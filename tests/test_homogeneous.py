@@ -1,5 +1,6 @@
 """Structure constants, invariant derivative, weights and classification."""
 
+import functools
 import itertools
 import json
 import math
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoflow._record import replace
 from holoflow.algebra import LaurentPoly, Multivector
@@ -19,15 +22,16 @@ from holoflow.homogeneous import (
     _build_structure,
     _check_isotropy_action,
     _check_jacobi,
-    _gq_all,
     _hnf_rows,
     _isotropy_coords,
     _kernel_basis_1x3,
     _m_basis,
     _place,
     _plane_speed,
+    _project,
     _q_basis,
     _S3,
+    _span_weights,
     _transposed,
     classify_invariant_g2,
     get_model,
@@ -800,25 +804,115 @@ def test_integer_build_matches_the_fraction_build(name):
         assert _check_jacobi(structure) is None
 
 
+def projector(mats):
+    """``_project`` onto the S_k of ``mats``, with their index and weights built once."""
+    index, span = _transposed(mats), _span_weights([gq_reference(s, s) for s in mats])
+    return lambda x: _project(x, index, mats, *span)
+
+
+def dense_coords(t, n):
+    """The sparse coordinates {k: t_k} as the list [t_k for k < n]; they are
+    nonzero and in ascending k."""
+    assert list(t) == sorted(t) and all(t.values())
+    return [t.get(k, 0) for k in range(n)]
+
+
 @pytest.mark.parametrize("name", TUPLE_SETS)
 def test_one_pass_projections_match_the_per_k_products(name):
     for kind, indices in TUPLE_SETS[name]:
         mats = [s for _, s in BASES[kind](*indices)]
-        index = _transposed(mats)
-        for x, y in itertools.combinations(mats, 2):
+        project = projector(mats)
+        # each basis vector lies in the span: its coordinates are its products
+        coords = [dense_coords(project(x), len(mats)) for x in mats]
+        for (i, x), (j, y) in itertools.combinations(enumerate(mats), 2):
             br = gbracket_reference(x, y)
-            assert _gq_all(br, index, len(mats)) == [gq_reference(br, s) for s in mats]
-            assert _gq_all(x, _transposed([y]), 1) == [gq_reference(x, y)]
-        for x in mats:
-            assert _gq_all(x, index, len(mats)) == [gq_reference(x, s) for s in mats]
+            assert dense_coords(project(br), len(mats)) == [gq_reference(br, s) for s in mats]
+            assert coords[i][j] == gq_reference(x, y)
+        for x, got in zip(mats, coords):
+            assert got == [gq_reference(x, s) for s in mats]
 
 
 def test_one_pass_projection_rejects_a_non_real_product():
     for x, y in ((S1, SIGMA_X), (SIGMA_X, S1_PLUS_S2)):
         with pytest.raises(ModelError, match="not real"):
             gq_reference(x[1], y[1])
+        mats = [S1[1], y[1]]
         with pytest.raises(ModelError, match="not real"):
-            _gq_all(x[1], _transposed([S1[1], y[1]]), 2)
+            _project(x[1], _transposed(mats), mats, [1, 1], 1)
+
+
+def in_span_reference(x, mats):
+    """[q(X, S_k)] and whether X = sum_k q(X, S_k) S_k / N_k, in Fraction
+    arithmetic, one product at a time; raises unless every product is real."""
+    t = [gq_reference(x, s) for s in mats]
+    residual = {key: (Fraction(re), Fraction(im)) for key, (re, im) in x.items()}
+    for tk, s in zip(t, mats):
+        c = Fraction(tk, gq_reference(s, s))
+        for key, (re, im) in s.items():
+            r0, i0 = residual.get(key, (0, 0))
+            residual[key] = (r0 - c * re, i0 - c * im)
+    return t, not any(re or im for re, im in residual.values())
+
+
+@st.composite
+def sweep_basis_elements(draw):
+    """A sweep basis and a sparse Gaussian-integer X on its block positions:
+    an integer combination of the basis, that plus a few entries, or the
+    entries alone, so X may be in the span, out of it, or not real.  Skew
+    entries keep every product real; on the diagonal they add a trace,
+    which is out of the span."""
+    kind, indices = draw(st.sampled_from(TUPLE_SETS["sweep"]))
+    mats, _ = sweep_projector(kind, indices)
+    positions = [(b, i, j) for b, n in enumerate(BLOCK_SIZES[kind]) for i in range(n) for j in range(n)]
+    small = st.integers(-3, 3)
+    x = {}
+    mode = draw(st.sampled_from(["span", "span+entries", "entries"]))
+    if mode != "entries":
+        for s in mats:
+            c = draw(st.sampled_from([0, 0, 0, 1, -1, 2]))
+            for key, (re, im) in s.items():
+                r0, i0 = x.get(key, (0, 0))
+                x[key] = (r0 + c * re, i0 + c * im)
+    if mode != "span":
+        skew = draw(st.booleans())
+        for b, i, j in draw(st.lists(st.sampled_from(positions), min_size=1, max_size=4, unique=True)):
+            re_, im_ = draw(small), draw(small)
+            if not skew:
+                entries = [((b, i, j), (re_, im_))]
+            elif i == j:
+                entries = [((b, i, i), (0, im_))]
+            else:  # X_ji = -conj(X_ij)
+                entries = [((b, i, j), (re_, im_)), ((b, j, i), (-re_, im_))]
+            for key, (dr, di) in entries:
+                r0, i0 = x.get(key, (0, 0))
+                x[key] = (r0 + dr, i0 + di)
+    return kind, indices, {key: v for key, v in x.items() if v != (0, 0)}
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_projector(kind, indices):
+    """The basis matrices of a sweep model and ``projector`` of them."""
+    mats = [s for _, s in BASES[kind](*indices)]
+    return mats, projector(mats)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sweep_basis_elements())
+def test_the_sparse_projection_is_the_per_k_products_or_the_parents_error(case):
+    kind, indices, x = case
+    mats, project = sweep_projector(kind, indices)
+    try:
+        t, in_span = in_span_reference(x, mats)
+    except ModelError as err:
+        with pytest.raises(ModelError, match=re.escape(str(err))):
+            project(x)
+        return
+    got = project(x)
+    if in_span:
+        assert got == {k: tk for k, tk in enumerate(t) if tk}
+        assert list(got) == sorted(got)
+    else:
+        assert got is None
 
 
 def kernel_basis_reference(k, l, m):
@@ -887,14 +981,22 @@ def test_integer_cartan_coordinates_match_the_fraction_residual(name):
         if kind != "Q":
             continue
         model = q_model(*indices)
+        inside, wants = [], []
         for element, member in cartan_candidates(model.indices):
             if member:
                 want = isotropy_coords_reference(model, element)
-                assert repr(_isotropy_coords(model, element)) == repr(want)
+                assert repr(_isotropy_coords(model, [element])) == repr([want])
+                inside.append(element)
+                wants.append(want)
             else:
-                for coords in (_isotropy_coords, isotropy_coords_reference):
+                with pytest.raises(ModelError, match="not in the isotropy algebra"):
+                    isotropy_coords_reference(model, element)
+                # alone, and after an element that lies in the algebra
+                for elements in ([element], [inside[0], element]):
                     with pytest.raises(ModelError, match="not in the isotropy algebra"):
-                        coords(model, element)
+                        _isotropy_coords(model, elements)
+        # one call projects every element with the data built once
+        assert repr(_isotropy_coords(model, inside)) == repr(wants)
 
 
 @pytest.mark.parametrize("name", TUPLE_SETS)

@@ -138,6 +138,27 @@ def test_a_build_substitutes_once_and_checks_basic_once(monkeypatch):
         assert calls == ["substitute", "is_basic"]
 
 
+def test_the_canonical_four_form_is_built_once_and_each_build_owns_its_form(monkeypatch):
+    """The canonical terms are built once per process.  A ``Multivector`` is
+    mutable, so each build returns its own: editing one structure's four-form,
+    or the canonical forms, changes no later build."""
+    calls = []
+    canonical = structures.canonical_forms
+    monkeypatch.setattr(structures, "canonical_forms", lambda: calls.append(1) or canonical())
+    structures._canonical_Omega_terms.cache_clear()
+    for model in (q_model(1, 1, 1), m_model(1, 1)):
+        first = build_invariant_structure(model)
+        want = dict(first.Omega.terms)
+        mask = next(iter(want))
+        first.Omega.terms[mask] = first.Omega.terms[mask] * 2
+        del first.Omega.terms[next(reversed(want))]
+        canonical_forms().Omega.terms.clear()
+        second = build_invariant_structure(model)
+        assert second.Omega is not first.Omega
+        assert second.Omega.terms == want
+    assert calls == [1]
+
+
 def _with_dt(model, star_omega, omega):
     """*omega + dt ^ omega."""
     dt = star_omega.dt_index
