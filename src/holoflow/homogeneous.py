@@ -6,11 +6,11 @@ pair (D, S): a positive integer D and a sparse Gaussian-integer matrix S with
 X = S / D.  The q-products, brackets, projections and the realness,
 orthogonality, positivity and closure checks all run on these integers, and
 ``_project`` checks closure over a bracket's nonzero coordinates alone.  The
-structure constants are stored as integers times the lcm of their
-denominators, which the Jacobi and isotropy checks and the weights read;
-their ``Fraction`` view is built on first read.  Fractions appear otherwise
-only in the q-norms and the Cartan coordinates.  What the paper states about
-each model is one ``ModelSpec`` record in ``MODEL_SPECS``.
+structure constants are stored only as integers times the lcm of their
+denominators, which the Jacobi and isotropy checks, the weights and the
+Maurer-Cartan forms read.  Fractions appear otherwise only in the q-norms,
+the Cartan coordinates and the Maurer-Cartan forms.  What the paper states
+about each model is one ``ModelSpec`` record in ``MODEL_SPECS``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ._record import field, record
@@ -187,19 +186,6 @@ def _m_basis(k: int, l: int) -> Tuple[Scaled, ...]:
 
 # rows[i][j]: the pairs (k, L c^k_ij) for either order of i, j; () where [e_i, e_j] = 0
 IntegerRows = Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], ...]
-# the constants c^k_ij = num / den of the pairs i < j, as (i, j, [(k, num, den)])
-Brackets = Sequence[Tuple[int, int, Sequence[Tuple[int, int, int]]]]
-
-
-def _integer_rows(n: int, brackets: Brackets) -> Tuple[int, IntegerRows]:
-    """(L, rows): L the lcm of the denominators, rows[i][j] the pairs (k, L c^k_ij),
-    as tuples at every level."""
-    scale = math.lcm(*(den for _, _, consts in brackets for _, _, den in consts))
-    rows = [[()] * n for _ in range(n)]
-    for i, j, consts in brackets:
-        rows[i][j] = tuple((k, num * (scale // den)) for k, num, den in consts)
-        rows[j][i] = tuple((k, -v) for k, v in rows[i][j])
-    return scale, tuple(map(tuple, rows))
 
 
 @record(frozen=True)
@@ -210,17 +196,6 @@ class StructureTensor:
     n: int
     scale: int
     rows: IntegerRows
-
-    @cached_property
-    def table(self) -> Mapping[Tuple[int, int], Mapping[int, Fraction]]:
-        """The exact c^k_ij for i < j as {(i, j): {k: c}}, sparse and
-        read-only at both levels, built on first read."""
-        return MappingProxyType({
-            (i, j): MappingProxyType({k: Fraction(v, self.scale) for k, v in row[j]})
-            for i, row in enumerate(self.rows)
-            for j in range(i + 1, self.n)
-            if row[j]
-        })
 
 
 @record(frozen=True)
@@ -286,7 +261,11 @@ def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[
 
     With N_i = q(S_i, S_i) the norm is N_i / D_i^2, and the bracket
     [X_i, X_j] = B / (D_i D_j) with B = [S_i, S_j] has the coefficient
-    t_k D_k / (D_i D_j N_k) on X_k, where t_k = q(B, S_k).
+    c^k_ij = t_k D_k / (D_i D_j N_k) on X_k, where t_k = q(B, S_k).  Over
+    L0 = lcm(D)^2 lcm(N) each c^k_ij L0 = t_k D_k (lcm(N) / N_k)
+    (lcm(D) / D_i) (lcm(D) / D_j) is an integer; dividing the table and L0
+    by g, the gcd of L0 and every entry, leaves the denominator L0 / g, the
+    lcm of the reduced denominators.
     """
     n = len(basis)
     dens = [d for d, _ in basis]
@@ -312,12 +291,13 @@ def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[
             elif re[j]:
                 raise ModelError(f"basis is not q-orthogonal at pair {(i + 1, j + 1)}")
     norms = tuple(Fraction(v, d * d) for v, d in zip(norms_int, dens))
-    span = _span_weights(norms_int)
+    weights, lcm_norms = span = _span_weights(norms_int)
+    lcm_dens = math.lcm(*dens)
+    scale = g = lcm_dens * lcm_dens * lcm_norms
     # [S_i, S_j] vanishes when the two share no block or are both diagonal
     blocks = [{b for b, _, _ in s} for s in mats]
     diagonal = [all(r == c for _, r, c in s) for s in mats]
-    # each constant as a reduced fraction
-    brackets = []
+    upper = []
     for i in range(n):
         for j in range(i + 1, n):
             if (diagonal[i] and diagonal[j]) or blocks[i].isdisjoint(blocks[j]):
@@ -328,15 +308,15 @@ def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[
             t = _project(br, index, mats, *span)
             if t is None:
                 raise ModelError("basis is not closed under brackets")
-            dij = dens[i] * dens[j]
-            consts = []
-            for k, tk in t.items():
-                num, den = tk * dens[k], dij * norms_int[k]
-                g = math.gcd(num, den)
-                consts.append((k, num // g, den // g))
-            if consts:
-                brackets.append((i, j, consts))
-    structure = StructureTensor(n, *_integer_rows(n, brackets))
+            f = (lcm_dens // dens[i]) * (lcm_dens // dens[j])
+            pairs = [(k, tk * dens[k] * weights[k] * f) for k, tk in t.items()]
+            upper.append((i, j, pairs))
+            g = math.gcd(g, *[v for _, v in pairs])
+    table: List[List[Tuple[Tuple[int, int], ...]]] = [[()] * n for _ in range(n)]
+    for i, j, pairs in upper:
+        table[i][j] = pairs = tuple([(k, v // g) for k, v in pairs])
+        table[j][i] = tuple([(k, -v) for k, v in pairs])
+    structure = StructureTensor(n, scale // g, tuple(map(tuple, table)))
     _check_jacobi(structure)
     return structure, norms
 
@@ -453,16 +433,13 @@ def maurer_cartan(model: CosetModel) -> List[Multivector]:
     from .algebra import Multivector
 
     gens = group_gens(model)
-    dt_index = len(gens) - 1
-    out = []
-    for i in range(model.n):
-        terms: Dict[int, Fraction] = {}
-        for (j, k), coeffs in model.structure.table.items():
-            c = coeffs.get(i)
-            if c:
-                terms[(1 << j) | (1 << k)] = -c
-        out.append(Multivector(gens, terms, dt_index))
-    return out
+    scale, rows = model.structure.scale, model.structure.rows
+    terms: List[Dict[int, Fraction]] = [{} for _ in range(model.n)]
+    for j, row in enumerate(rows):
+        for k in range(j + 1, model.n):
+            for i, v in row[k]:
+                terms[i][(1 << j) | (1 << k)] = Fraction(-v, scale)
+    return [Multivector(gens, t, len(gens) - 1) for t in terms]
 
 
 def _d_monomial(des: List[Multivector], mask: int, gens, dt_index) -> Dict[int, Fraction]:
@@ -533,14 +510,6 @@ def is_basic(form: Multivector, model: CosetModel) -> bool:
 # ---------------------------------------------------------------------------
 # isotropy weights and the admissibility classification
 # ---------------------------------------------------------------------------
-
-
-@record(frozen=True)
-class WeightMultiset:
-    """Integer weight vectors of the isotropy Cartan on the tangent planes."""
-
-    weights: Tuple[Tuple[int, ...], ...]
-    trivial: int
 
 
 def _kernel_basis_1x3(k: int, l: int, m: int) -> List[Tuple[int, int, int]]:
@@ -617,8 +586,8 @@ def _q_cartan(model: CosetModel) -> List[Coords]:
     return _isotropy_coords(model, [_place(2, (0, x, _S3), (1, y, _S3), (2, z, _S3)) for x, y, z in kernel])
 
 
-def isotropy_weights(model: CosetModel) -> WeightMultiset:
-    """Weights of the isotropy Cartan on the invariant tangent 2-planes."""
+def isotropy_weights(model: CosetModel) -> Tuple[Tuple[int, ...], ...]:
+    """Integer weight vectors of the isotropy Cartan, one per invariant tangent 2-plane."""
     cartan = [_ad(model, x) for x in MODEL_SPECS[model.kind].cartan(model)]
     weights = []
     for plane in model.PLANES:
@@ -633,7 +602,7 @@ def isotropy_weights(model: CosetModel) -> WeightMultiset:
         for rows, _ in cartan:
             if rows[idx]:
                 raise ModelError("expected fixed line is not fixed")
-    return WeightMultiset(tuple(weights), trivial=len(model.FIXED))
+    return tuple(weights)
 
 
 def classify_invariant_g2(model: CosetModel) -> bool:
@@ -647,7 +616,7 @@ def classify_invariant_g2(model: CosetModel) -> bool:
     isotropy weights, not from the closed-form index criterion; the two are
     compared in the property suite.
     """
-    w = isotropy_weights(model).weights
+    w = isotropy_weights(model)
     if any(u[0] * v[1] == u[1] * v[0] for u, v in itertools.combinations(w, 2)):
         return False
     return any(all(a + s * b + t * c == 0 for a, b, c in zip(*w)) for s in (1, -1) for t in (1, -1))

@@ -350,7 +350,6 @@ class ConeFit:
     refs: Dict[str, float]
     deltas: Dict[str, float]  # |endpoint - ref|
     corrections: Dict[str, float]  # fitted 1/t coefficients
-    fit_residual: float
     partial: bool = False
 
     @property
@@ -400,7 +399,6 @@ def cone_fit(traj: Trajectory) -> ConeFit:
     corrections = {}
     endpoint = {}
     deltas = {}
-    residual = 0.0
     # a stored run may square or divide past float range: numpy's warnings
     # are silenced and any value that is not finite is bad input
     with np.errstate(all="ignore"):
@@ -409,16 +407,14 @@ def cone_fit(traj: Trajectory) -> ConeFit:
         if not (np.isfinite(design).all() and all(np.isfinite(q).all() for q in quantities.values())):
             raise VerifyError("cone fit: a cone quantity is beyond float range")
         for name, series in quantities.items():
-            sol, res, *_ = np.linalg.lstsq(design, series, rcond=None)
+            sol = np.linalg.lstsq(design, series, rcond=None)[0]
             limits[name] = float(sol[0])
             corrections[name] = float(sol[1])
             if not (math.isfinite(limits[name]) and math.isfinite(corrections[name])):
                 raise VerifyError(f"cone fit: the fitted limit or correction of {name} is not finite")
             endpoint[name] = float(series[-1])
             deltas[name] = abs(endpoint[name] - refs[name])
-            if len(res):
-                residual = max(residual, float(np.sqrt(res[0] / len(tt))))
-    return ConeFit(limits, endpoint, refs, deltas, corrections, residual, partial)
+    return ConeFit(limits, endpoint, refs, deltas, corrections, partial)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,24 @@
 """Reads and exact evaluations that only the tests need.
 
-No command reads one coefficient of a form, rebuilds a structure tensor from
-a table, substitutes the frame into omega and *omega apart from Omega, sorts
-isotropy weights or evaluates the closed-form profile exactly; the tests do,
-and hold the package to these.
+No command reads one coefficient of a form, reads the structure constants
+as ``Fraction`` values, rebuilds a structure tensor from a table,
+substitutes the frame into omega and *omega apart from Omega, sorts
+isotropy weights, evaluates the closed-form profile exactly or fits the
+cone limits by exact least squares; the tests do, and hold the package to
+these.
 """
 
+import math
+from bisect import bisect_left
 from fractions import Fraction
+
+import numpy as np
 
 from holoflow.algebra import AlgebraError, LaurentPoly
 from holoflow.closed_form import DomainError
-from holoflow.homogeneous import MODEL_SPECS, StructureTensor, _integer_rows, group_gens, model_spec
+from holoflow.homogeneous import MODEL_SPECS, StructureTensor, group_gens, model_spec
 from holoflow.structures import canonical_forms
+from holoflow.verify import _cone_quantities
 
 
 def coefficient(form, indices):
@@ -30,13 +37,27 @@ def max_abs_coefficient(form) -> float:
     return max((abs(c) for c in form.terms.values()), default=0.0)
 
 
+def structure_table(structure):
+    """The exact c^k_ij for i < j as {(i, j): {k: c}}, sparse, with the pairs
+    in row-major order and each pair's k in the order of its integer row."""
+    return {
+        (i, j): {k: Fraction(v, structure.scale) for k, v in row[j]}
+        for i, row in enumerate(structure.rows)
+        for j in range(i + 1, structure.n)
+        if row[j]
+    }
+
+
 def structure_from_table(n, table) -> StructureTensor:
-    """The tensor of the exact constants {(i, j): {k: c^k_ij}} for i < j."""
-    brackets = [
-        (i, j, [(k, c.numerator, c.denominator) for k, c in cs.items()])
-        for (i, j), cs in table.items()
-    ]
-    return StructureTensor(n, *_integer_rows(n, brackets))
+    """The tensor of the exact constants {(i, j): {k: c^k_ij}} for i < j:
+    ``scale`` the lcm L of their denominators, and rows[i][j] the pairs
+    (k, L c^k_ij) for either order of i, j, as tuples at every level."""
+    scale = math.lcm(*(c.denominator for cs in table.values() for c in cs.values()))
+    rows = [[()] * n for _ in range(n)]
+    for (i, j), coeffs in table.items():
+        rows[i][j] = tuple((k, c.numerator * (scale // c.denominator)) for k, c in coeffs.items())
+        rows[j][i] = tuple((k, -v) for k, v in rows[i][j])
+    return StructureTensor(n, scale, tuple(map(tuple, rows)))
 
 
 def star_omega_and_omega(model):
@@ -53,10 +74,10 @@ def star_omega_and_omega(model):
     return tuple(form.substitute(images, gens, len(gens) - 1) for form in (can.omega.hodge_star(), can.omega))
 
 
-def canonical_weights(multiset):
+def canonical_weights(weights):
     """The weight vectors, each with its first nonzero entry positive, sorted."""
     out = []
-    for w in multiset.weights:
+    for w in weights:
         lead = next((x for x in w if x != 0), 0)
         out.append(tuple(-x for x in w) if lead < 0 else tuple(w))
     return tuple(sorted(out))
@@ -90,3 +111,27 @@ def exact_value_squared(p, s: Fraction) -> Fraction:
     if den == 0:
         raise DomainError(f"denominator vanishes at s = {s}")
     return num / den
+
+
+# ---------------------------------------------------------------------------
+# the cone fit, exactly
+# ---------------------------------------------------------------------------
+
+
+def exact_cone_fit(traj):
+    """``cone_fit``'s limits and corrections by exact least squares: each
+    cone quantity against the rows (1, 1/t) of its design matrix, the float
+    rows read as the rationals they are, each result rounded once."""
+    first = bisect_left(traj.ts, traj.ts[-1] / 10.0)
+    t = np.asarray(traj.ts[first:])
+    quantities = _cone_quantities(traj.model_kind, t, np.asarray(traj.ys[first:]))
+    u = [Fraction(x) for x in 1.0 / t]
+    n, su, suu = len(u), sum(u), sum(x * x for x in u)
+    det = n * suu - su * su
+    limits, corrections = {}, {}
+    for name, series in quantities.items():
+        q = [Fraction(x) for x in series]
+        sq, suq = sum(q), sum(x * y for x, y in zip(u, q))
+        limits[name] = float((suu * sq - su * suq) / det)
+        corrections[name] = float((n * suq - su * sq) / det)
+    return limits, corrections

@@ -25,7 +25,7 @@ from holoflow._record import replace
 from holoflow.homogeneous import invariant_d, m_model, q_model
 from holoflow.structures import build_invariant_structure
 from mutations import perturbed_system
-from oracles import structure_from_table
+from oracles import structure_from_table, structure_table
 
 
 def mono(table, coeff, exps):
@@ -296,7 +296,7 @@ def test_a_tampered_model_used_first_changes_nothing_for_the_real_one():
     """Derived objects hang on the model they come from: a Q(1,1,1) with one
     structure constant doubled, used first, gets its own d and derivation."""
     model = q_model(1, 1, 1)
-    table = {key: dict(v) for key, v in model.structure.table.items()}
+    table = structure_table(model.structure)
     table[(0, 1)][6] *= 2
     tampered = replace(model, structure=structure_from_table(model.n, table))
     _, omega = split_dt(build_invariant_structure(model).Omega)

@@ -40,9 +40,10 @@ from holoflow.homogeneous import (
     is_basic,
     isotropy_weights,
     m_model,
+    maurer_cartan,
     q_model,
 )
-from oracles import canonical_weights, coefficient, structure_from_table
+from oracles import canonical_weights, coefficient, structure_from_table, structure_table
 
 
 def bracket_coeffs(structure, i, j):
@@ -141,7 +142,7 @@ def test_isotropy_brackets_preserve_modules():
 def tampered_q111(edits):
     """Q(1,1,1) with the structure-table entries in {(i, j): {k: c}} overwritten."""
     model = q_model(1, 1, 1)
-    table = {key: dict(v) for key, v in model.structure.table.items()}
+    table = structure_table(model.structure)
     for key, coeffs in edits.items():
         table.setdefault(key, {}).update(coeffs)
     return replace(model, structure=structure_from_table(model.n, table))
@@ -149,16 +150,14 @@ def tampered_q111(edits):
 
 def test_the_structure_constants_of_a_cached_model_cannot_be_changed():
     """``q_model`` shares one model per process: its integer rows are tuples
-    and its table is read-only at both levels."""
+    at every level."""
     structure = q_model(1, 1, 1).structure
     with pytest.raises(AttributeError):
         structure.rows[7][0].append((2, 5))
     with pytest.raises(TypeError):
         structure.rows[7][0] = ((2, 5),)
     with pytest.raises(TypeError):
-        structure.table[(0, 1)] = {6: Fraction(1)}
-    with pytest.raises(TypeError):
-        structure.table[(0, 1)][6] = Fraction(1)
+        structure.rows[0][1][0] = (6, 1)
     assert classify_invariant_g2(q_model(1, 1, 1))
 
 
@@ -240,10 +239,11 @@ def _invariant_d_by_wedges(form, model):
     with constant polynomial coefficients, on every call."""
     table = next(iter(form.terms.values())).table
     one = LaurentPoly.const(table, 1)
+    constants = structure_table(model.structure)
     des = []
     for i in range(model.n):
         terms = {}
-        for (j, k), coeffs in model.structure.table.items():
+        for (j, k), coeffs in constants.items():
             if coeffs.get(i):
                 terms[(1 << j) | (1 << k)] = LaurentPoly.const(table, -coeffs[i])
         des.append(Multivector(form.gens, terms, form.dt_index))
@@ -315,9 +315,7 @@ def test_non_basic_forms():
 
 
 def test_weights_q111():
-    w = isotropy_weights(q_model(1, 1, 1))
-    assert w.trivial == 1
-    ws = canonical_weights(w)
+    ws = canonical_weights(isotropy_weights(q_model(1, 1, 1)))
     assert len(ws) == 3
     # three nonzero, pairwise independent weights with a vanishing signed sum
     assert all(any(ws[i]) for i in range(3))
@@ -344,9 +342,7 @@ def test_weights_q110_degenerate_pair():
 
 
 def test_weights_m11():
-    w = isotropy_weights(m_model(1, 1))
-    assert canonical_weights(w) == ((0, 2), (1, -1), (1, 1))
-    assert w.trivial == 1
+    assert canonical_weights(isotropy_weights(m_model(1, 1))) == ((0, 2), (1, -1), (1, 1))
 
 
 def test_m11_su2_irreducible_on_v1_trivial_elsewhere():
@@ -429,9 +425,9 @@ def model_record(kind, indices):
         "q_norms": [str(v) for v in model.q_norms],
         "structure": [
             [i, j, [[k, str(c)] for k, c in sorted(coeffs.items())]]
-            for (i, j), coeffs in sorted(model.structure.table.items())
+            for (i, j), coeffs in sorted(structure_table(model.structure).items())
         ],
-        "weights": [list(w) for w in isotropy_weights(model).weights] if kind == "Q" else None,
+        "weights": [list(w) for w in isotropy_weights(model)] if kind == "Q" else None,
         "admissible": classify_invariant_g2(model),
     }
 
@@ -552,7 +548,7 @@ def test_structure_and_weights_match_fraction_matrices(kind, indices):
             coeffs = {k: c for k, c in coeffs.items() if c}
             if coeffs:
                 table[(i, j)] = coeffs
-    assert {key: dict(v) for key, v in model.structure.table.items()} == table
+    assert structure_table(model.structure) == table
     want = tuple(
         tuple(
             q_inner(tuple_bracket(x, basis[i]), basis[j]) / norms[j]
@@ -560,7 +556,7 @@ def test_structure_and_weights_match_fraction_matrices(kind, indices):
         )
         for i, j in model.PLANES
     )
-    assert isotropy_weights(model).weights == want
+    assert isotropy_weights(model) == want
 
 
 # one-block (D, S) pairs {(block, row, col): (re, im)}
@@ -608,16 +604,33 @@ def test_gram_scan_reports_the_row_major_first_failure(basis, message):
 def test_the_stored_table_view_keeps_the_golden_order():
     golden = json.loads(GOLDEN_MODELS.read_text())
     for record, (kind, indices) in zip(golden, sweep_tuples()):
-        table = get_model(kind, indices).structure.table
+        table = structure_table(get_model(kind, indices).structure)
         in_order = [[i, j, [[k, str(c)] for k, c in coeffs.items()]] for (i, j), coeffs in table.items()]
         assert in_order == record["structure"]
 
 
+def test_maurer_cartan_matches_the_fraction_table_term_by_term():
+    """de^i = -sum_{j<k} c^i_jk e^j ^ e^k on every sweep model: the same
+    masks and Fraction coefficients as the forms built from the Fraction
+    table, inserted in the row-major order of the pairs (j, k)."""
+    for kind, indices in sweep_tuples():
+        model = get_model(kind, indices)
+        table = structure_table(model.structure)
+        des = maurer_cartan(model)
+        assert len(des) == model.n
+        for i, de in enumerate(des):
+            want = [((1 << j) | (1 << k), -coeffs[i]) for (j, k), coeffs in table.items() if coeffs.get(i)]
+            assert (de.gens, de.dt_index) == (group_gens(model), model.n)
+            assert repr(list(de.terms.items())) == repr(want), (kind, indices, i)
+
+
 def test_classification_never_builds_the_fraction_table():
+    """The integer rows are the structure's only form: a fresh model has no
+    ``Fraction`` table after classification, and equals the cached one."""
     model = q_model.__wrapped__(2, 1, 1)  # a fresh model, not the cached one
     assert not classify_invariant_g2(model)
-    assert "table" not in model.structure.__dict__
-    assert model.structure.table == q_model(2, 1, 1).structure.table
+    assert not hasattr(model.structure, "table")
+    assert model.structure == q_model(2, 1, 1).structure
 
 
 # ---------------------------------------------------------------------------
@@ -718,18 +731,6 @@ def build_structure_reference(basis):
     return table, norms
 
 
-def integer_table_reference(n, table):
-    """(L, rows) of a Fraction table: L the lcm of the denominators of the
-    c^k_ij, and rows[i][j] the pairs (k, L c^k_ij) for either order of i, j,
-    as tuples at every level."""
-    scale = math.lcm(*(c.denominator for cs in table.values() for c in cs.values()))
-    rows = [[()] * n for _ in range(n)]
-    for (i, j), coeffs in table.items():
-        rows[i][j] = tuple((k, c.numerator * (scale // c.denominator)) for k, c in coeffs.items())
-        rows[j][i] = tuple((k, -v) for k, v in rows[i][j])
-    return scale, tuple(map(tuple, rows))
-
-
 def isotropy_coords_reference(model, x):
     """Coordinates of x = (D, S) on the isotropy generators, with a Fraction residual."""
     dx, sx = x
@@ -755,8 +756,10 @@ def weights_reference(model, cartan):
 
     def c(a, i, j):  # the e_j-coefficient of [e_a, e_i]
         if a < i:
-            return model.structure.table.get((a, i), {}).get(j, 0)
-        return -model.structure.table.get((i, a), {}).get(j, 0)
+            return table.get((a, i), {}).get(j, 0)
+        return -table.get((i, a), {}).get(j, 0)
+
+    table = structure_table(model.structure)
 
     return tuple(
         tuple(sum(xa * c(a, i, j) for a, xa in x.items()) for x in cartan)
@@ -798,8 +801,8 @@ def test_integer_build_matches_the_fraction_build(name):
         basis = BASES[kind](*indices)
         structure, norms = _build_structure(basis)
         want_table, want_norms = build_structure_reference(basis)
-        assert (structure.scale, structure.rows) == integer_table_reference(len(basis), want_table), (kind, indices)
-        assert repr({key: dict(v) for key, v in structure.table.items()}) == repr(want_table), (kind, indices)
+        assert structure == structure_from_table(len(basis), want_table), (kind, indices)
+        assert repr(structure_table(structure)) == repr(want_table), (kind, indices)
         assert norms == want_norms
         assert _check_jacobi(structure) is None
 
@@ -1010,7 +1013,7 @@ def test_integer_weights_and_verdicts_match_the_fraction_table(name):
             ]
         else:
             cartan = [{9: Fraction(1)}, {10: Fraction(1)}]
-        assert isotropy_weights(model).weights == weights_reference(model, cartan)
+        assert isotropy_weights(model) == weights_reference(model, cartan)
         assert classify_invariant_g2(model) == (set(model.indices) == {1})
 
 
@@ -1022,7 +1025,7 @@ def test_integer_weights_and_verdicts_match_the_fraction_table(name):
 def test_jacobi_check_rejects_a_tampered_table(edits):
     _check_jacobi(q_model(1, 1, 1).structure)
     tampered = tampered_q111(edits).structure
-    assert not jacobi_holds_reference(tampered.n, tampered.table)
+    assert not jacobi_holds_reference(tampered.n, structure_table(tampered))
     with pytest.raises(ModelError, match="Jacobi identity failed"):
         _check_jacobi(tampered)
 
@@ -1035,9 +1038,9 @@ def test_jacobi_check_rejects_a_tampered_table(edits):
 def test_integer_jacobi_agrees_with_the_fraction_loop_on_random_edits(kind, indices):
     rng = random.Random(18)
     model = get_model(kind, indices)
-    keys = sorted(model.structure.table)
+    keys = sorted(structure_table(model.structure))
     for _ in range(60):
-        table = {key: dict(v) for key, v in model.structure.table.items()}
+        table = structure_table(model.structure)
         for _ in range(rng.randint(1, 3)):
             i, j = sorted(rng.sample(range(model.n), 2)) if rng.random() < 0.3 else rng.choice(keys)
             k = rng.randrange(model.n)
@@ -1045,7 +1048,6 @@ def test_integer_jacobi_agrees_with_the_fraction_loop_on_random_edits(kind, indi
             table = {key: {k: c for k, c in v.items() if c} for key, v in table.items()}
         table = {key: v for key, v in table.items() if v}
         structure = structure_from_table(model.n, table)
-        assert (structure.scale, structure.rows) == integer_table_reference(model.n, table)
         if jacobi_holds_reference(model.n, table):
             _check_jacobi(structure)
         else:
@@ -1138,4 +1140,4 @@ def test_the_isotropy_su2_brackets_do_not_depend_on_the_indices():
 
 def test_m_weights_on_the_cartan_e10_e11():
     for k, l in M_MODELS:
-        assert isotropy_weights(m_model(k, l)).weights == ((1, l), (-1, l), (0, 2 * k))
+        assert isotropy_weights(m_model(k, l)) == ((1, l), (-1, l), (0, 2 * k))

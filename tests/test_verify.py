@@ -17,7 +17,7 @@ from holoflow.algebra import LaurentPoly, Multivector
 from holoflow.closed_form import ProfileM, ProfileQ, profile, s_form
 from holoflow.flow import derivation, derive_flow, exterior_d_time
 from holoflow.homogeneous import MODEL_SPECS, get_model, invariant_d, m_model, q_model
-from holoflow.integrate import IntegratorConfig, OrbitSpec, Trajectory, solve_orbit
+from holoflow.integrate import IntegratorConfig, OrbitSpec, SeriesStartError, Trajectory, solve_orbit
 from holoflow.structures import rotation_generator
 from holoflow.verify import (
     CONE_REFS,
@@ -41,7 +41,7 @@ from holoflow.verify import (
     verify_trajectory,
 )
 from mutations import perturbed_system
-from oracles import exact_value_squared, max_abs_coefficient
+from oracles import exact_cone_fit, exact_value_squared, max_abs_coefficient
 from paper_tables import CIRCLE, ORBIT_CATALOG
 from paper_tables import CONE_REFS as PAPER_CONE_REFS
 
@@ -314,25 +314,6 @@ def test_cone_fit_on_principal_run_starting_at_t0_is_warning_free():
     assert all(math.isfinite(v) for v in (*fit.limits.values(), *fit.endpoint.values()))
 
 
-def exact_cone_fit(traj):
-    """``cone_fit``'s limits and corrections by exact least squares: each
-    cone quantity against the rows (1, 1/t) of its design matrix, the float
-    rows read as the rationals they are, each result rounded once."""
-    first = bisect_left(traj.ts, traj.ts[-1] / 10.0)
-    t = np.asarray(traj.ts[first:])
-    quantities = _cone_quantities(traj.model_kind, t, np.asarray(traj.ys[first:]))
-    u = [Fraction(x) for x in 1.0 / t]
-    n, su, suu = len(u), sum(u), sum(x * x for x in u)
-    det = n * suu - su * su
-    limits, corrections = {}, {}
-    for name, series in quantities.items():
-        q = [Fraction(x) for x in series]
-        sq, suq = sum(q), sum(x * y for x, y in zip(u, q))
-        limits[name] = float((suu * sq - su * suq) / det)
-        corrections[name] = float((n * suq - su * sq) / det)
-    return limits, corrections
-
-
 UNIT_TRAJS = ["traj_q_s2xs2.csv", "traj_q_s2xs2xs2.csv", "traj_m_cp2.csv", "traj_m_cp2xs2.csv", "traj_m_s2.csv"]
 
 
@@ -347,6 +328,55 @@ def test_exact_cone_fit_is_within_ulps_of_lapack(name):
     for q, exact in limits.items():
         assert abs(fit.limits[q] - exact) <= 4 * math.ulp(exact), q
         assert abs(fit.corrections[q] - corrections[q]) <= 1e-11 * abs(corrections[q]), q
+
+
+#: the five singular orbits at unit data: (kind, orbit, names of the given values)
+UNIT_ORBITS = [
+    ("Q", "s2xs2", "bc"),
+    ("Q", "s2xs2xs2", "abc"),
+    ("M", "cp2", "a"),
+    ("M", "cp2xs2", "ab"),
+    ("M", "s2", "b"),
+]
+
+
+def test_closed_form_fails_every_perturbed_stored_run(tmp_path):
+    """A stored run of a system with one right-hand side 0.1% too large:
+    with each orbit's series start, 6 of the 17 (orbit, state) pairs have
+    no start at all, and the closed-form bar fails the other 11 runs after
+    they are written and read back."""
+    no_start, runs = [], 0
+    for kind, orbit, names in UNIT_ORBITS:
+        model = get_model(kind, (1,) * len(MODEL_SPECS[kind].index_names))
+        spec = OrbitSpec(kind, orbit, dict.fromkeys(names, 1))
+        sys = derivation(model).sys
+        for name in sys.state:
+            try:
+                traj, _ = solve_orbit(perturbed_system(sys, name, Fraction(1001, 1000)), spec, IntegratorConfig())
+            except SeriesStartError:
+                no_start.append((orbit, name))
+                continue
+            path = tmp_path / f"{orbit}_{name}.csv"
+            traj.to_csv(path)
+            bars = dict.fromkeys(("closure", "cone", "closed_form"))
+            doc, code = verify_trajectory(model, spec, Trajectory.from_csv(path, kind), bars)
+            assert code == 1 and "closed_form" in doc["bars_failed"], (orbit, name, doc["bars_failed"])
+            runs += 1
+    assert (len(no_start), runs) == (6, 11), no_start
+
+
+@pytest.mark.parametrize("kind,orbit,names", UNIT_ORBITS, ids=[orbit for _, orbit, _ in UNIT_ORBITS])
+def test_exact_cone_fit_holds_the_limits_over_the_scaled_unit_family(kind, orbit, names):
+    """With every initial value equal to v, the exactly fitted cone limits
+    lie within the default cone bar of the refs on every run, also where
+    the endpoint deltas miss it (at v = 10)."""
+    model = get_model(kind, (1,) * len(MODEL_SPECS[kind].index_names))
+    for v in (Fraction(1, 10), Fraction(1, 3), Fraction(3), Fraction(10)):
+        spec = OrbitSpec(kind, orbit, dict.fromkeys(names, v))
+        traj, _ = solve_orbit(derivation(model).sys, spec, IntegratorConfig())
+        limits, _ = exact_cone_fit(traj)
+        assert limits.keys() == CONE_REFS[kind].keys()
+        assert all(abs(limits[q] - ref) <= DEFAULT_BARS["cone"] for q, ref in CONE_REFS[kind].items()), (v, limits)
 
 
 def hand_written_cone_quantities(kind, t, ys):
