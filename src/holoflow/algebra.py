@@ -497,13 +497,11 @@ class Multivector:
         """coeff * e^{i1} ^ ... ^ e^{ik}; index order contributes its parity."""
         if len(set(indices)) != len(indices):
             raise AlgebraError("basis indices must be distinct")
-        mask = 0
+        mask, sign = 0, 1
         for i in indices:
+            sign *= _merge_sign(mask, 1 << i)
             mask |= 1 << i
-        sign = _perm_sign_sort(list(indices))
-        if sign < 0:
-            coeff = -coeff
-        return Multivector(gens, {mask: coeff}, dt_index)
+        return Multivector(gens, {mask: coeff if sign > 0 else -coeff}, dt_index)
 
     # -- bookkeeping -------------------------------------------------------------
 
@@ -620,15 +618,15 @@ class Multivector:
 
         ``gens`` and ``dt_index`` default to this form's own.  A generator
         without an image is kept, which needs the generators unchanged.
-        Each term is expanded directly, with the sign of the permutation
-        that sorts its new indices.
+        Each term is expanded directly, each new index joining the mask
+        with the sign ``_merge_sign`` gives it.
         """
         if gens is None:
             gens, dt_index = self.gens, self.dt_index
         keep = tuple(gens) == self.gens
         out: Dict[int, object] = {}
         for m, c in self.terms.items():
-            partial = [((), c)]  # (new indices so far, coefficient)
+            partial = [(0, c, 1)]  # (new mask so far, coefficient, sign)
             for b in _bits(m):
                 if b in images:
                     image = images[b]
@@ -638,16 +636,17 @@ class Multivector:
                     raise AlgebraError(f"no image for generator index {b}")
                 # a repeated generator wedges to zero
                 partial = [
-                    (idx + (j,), coeff if w is None else coeff * w)
-                    for idx, coeff in partial
+                    (
+                        mask | 1 << j,
+                        coeff if w is None else coeff * w,
+                        sign * _merge_sign(mask, 1 << j),
+                    )
+                    for mask, coeff, sign in partial
                     for j, w in image
-                    if j not in idx
+                    if not mask & 1 << j
                 ]
-            for idx, coeff in partial:
-                mask = 0
-                for j in idx:
-                    mask |= 1 << j
-                if _perm_sign_sort(idx) < 0:
+            for mask, coeff, sign in partial:
+                if sign < 0:
                     coeff = -coeff
                 out[mask] = out[mask] + coeff if mask in out else coeff
         return Multivector(gens, out, dt_index)
@@ -671,24 +670,3 @@ class Multivector:
             label = "^".join(self.gens[b] for b in _bits(m)) or "1"
             bits.append(f"({c!r}) {label}")
         return " + ".join(bits)
-
-
-def _perm_sign_sort(seq: Sequence[int]) -> int:
-    """Sign of the permutation sorting ``seq`` ascending (counts inversions)."""
-    inv = 0
-    n = len(seq)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
-# ---------------------------------------------------------------------------
-# the module-level wedge, the free form of ``Multivector.wedge``
-# ---------------------------------------------------------------------------
-
-
-def wedge(u: Multivector, v: Multivector) -> Multivector:
-    return u.wedge(v)
-

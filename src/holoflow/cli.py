@@ -300,9 +300,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    from .flow import derivation
-
-    sys_ = derivation(_model_from_args(args)).sys
+    sys_ = _model_from_args(args).derivation.sys
     if args.json is not None:
         _emit(sys_.to_json_dict(), args.json)
     else:
@@ -312,14 +310,13 @@ def cmd_derive(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    from .flow import derivation
     from .integrate import solve_orbit
 
     cfg = _config(args)
     spec = _orbit_spec(args)
     _check_start(cfg, spec)
     model = _model_from_args(args)
-    traj, _ = solve_orbit(derivation(model).sys, spec, cfg)
+    traj, _ = solve_orbit(model.derivation.sys, spec, cfg)
     traj.require_done()
     traj.to_csv(args.out)
     print(f"wrote {traj.n_samples} samples to {args.out} (status: {traj.status})")

@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ._record import record
-from .algebra import AlgebraError, FrozenPoly, LaurentPoly, Multivector, SymbolTable, term_list, wedge
+from .algebra import AlgebraError, FrozenPoly, LaurentPoly, Multivector, SymbolTable, term_list
 from .homogeneous import CosetModel, invariant_d
 from .structures import Spin7Structure, build_invariant_structure
 
@@ -56,7 +56,7 @@ def exterior_d_time(form: Multivector, model: CosetModel) -> Multivector:
     table = next(iter(form.terms.values())).table if form.terms else model.symbols
     one = LaurentPoly.const(table, 1)
     dt = Multivector.basis(form.gens, [form.dt_index], one, dt_index=form.dt_index)
-    return spatial + wedge(dt, time_chain(form))
+    return spatial + dt.wedge(time_chain(form))
 
 
 def under_system(form: Multivector, sys: ODESystem, table: SymbolTable) -> Multivector:
@@ -96,7 +96,7 @@ class ODESystem:
 
     def __post_init__(self):
         # read-only, the mapping and each polynomial: each system is shared
-        # through ``derivation(model)`` and keeps its own preparation
+        # through ``model.derivation`` and keeps its own preparation
         rhs = {x: FrozenPoly(p) for x, p in self.rhs.items()}
         object.__setattr__(self, "rhs", MappingProxyType(rhs))
 
@@ -307,7 +307,7 @@ def kaehler_search(model: CosetModel, sys: ODESystem) -> KaehlerCertificate:
     # eta^4 must be a nonzero multiple of the volume form
     power = eta
     for _ in range(3):
-        power = wedge(power, eta)
+        power = power.wedge(eta)
     if len(power.terms) != 1 or next(iter(power.terms.values())).is_zero:
         raise DerivationError("eta^4 is not a volume multiple")
     d_eta = _signed_sum(signs, d_basis, zero)
@@ -372,10 +372,3 @@ class Derivation:
         coeffs, exps, owner = term_list(polys, table.names)
         evaluate = _kernel.make_rhs(coeffs, exps, owner, len(table.names), len(polys))
         return evaluate, tuple(ends)
-
-
-def derivation(model: CosetModel) -> Derivation:
-    """``model.derivation`` with every piece built: reading the certificate
-    builds the structure, d(Omega), the system and the certificate, in order."""
-    model.derivation.cert
-    return model.derivation

@@ -1,6 +1,7 @@
 """Canonical G2/Spin(7) forms and the invariant structures on both orbits.
 
-The canonical three-form is written out with its textbook signs and the
+The canonical three-form is written out with its textbook signs and checked
+definite once per process (a split form defines no metric), and the
 four-form built from it as Omega = *omega + dx0 ^ omega; each invariant
 structure is that four-form with the model's orthonormal frame substituted,
 which carries the metric coefficients a, b, c, f into the coefficients.  A
@@ -18,7 +19,7 @@ from functools import lru_cache
 from typing import Tuple, Union
 
 from ._record import record, replace
-from .algebra import LaurentPoly, Multivector, SymbolTable, wedge
+from .algebra import LaurentPoly, Multivector, SymbolTable
 from .homogeneous import CosetModel, classify_invariant_g2, group_gens, is_basic, model_spec
 
 CANON7 = tuple(f"dx{i}" for i in range(1, 8))
@@ -50,14 +51,21 @@ class CanonicalForms:
 
 def canonical_forms() -> CanonicalForms:
     """omega from its table and Omega = *omega + dx0 ^ omega, with Omega's
-    terms in lexicographic order of their index tuples."""
+    terms in lexicographic order of their index tuples.  Raises unless omega
+    is definite: B(x, y) vol = i_x omega ^ i_y omega ^ omega is -6 I in the
+    table's convention, and a split form has +6 entries."""
     omega = Multivector.zero(CANON7)
     for idx, sign in OMEGA3_TERMS:
         omega = omega + Multivector.basis(CANON7, [i - 1 for i in idx], Fraction(sign))
+    iota = [omega.contract(x) for x in range(7)]
+    top = [ix.wedge(omega) for ix in iota]  # i_x omega ^ omega; two-forms commute
+    B = [sum(iy.wedge(t).terms.values()) for t in top for iy in iota]
+    if B != [-6 if x == y else 0 for x in range(7) for y in range(7)]:
+        raise StructureError("the canonical three-form is not definite: B_phi is not -6 I")
     embed = {i: ((i + 1, 1),) for i in range(7)}
     dx0 = Multivector.basis(CANON8, [0], Fraction(1), dt_index=0)
-    Omega = omega.hodge_star().substitute(embed, CANON8, dt_index=0) + wedge(
-        dx0, omega.substitute(embed, CANON8, dt_index=0)
+    Omega = omega.hodge_star().substitute(embed, CANON8, dt_index=0) + dx0.wedge(
+        omega.substitute(embed, CANON8, dt_index=0)
     )
     terms = sorted(Omega.terms.items(), key=lambda term: Omega.indices_of(term[0]))
     return CanonicalForms(omega, Multivector(CANON8, dict(terms), dt_index=0))
@@ -178,6 +186,6 @@ def rotation_generator(struct: Spin7Structure, form: Multivector) -> Multivector
     gens, dt = form.gens, form.dt_index
     out = Multivector.zero(gens, dt)
     for (i, j), n in zip(CosetModel.PLANES, model_spec(struct.model).rotation_multiples):
-        out = out + wedge(Multivector.basis(gens, [j], Fraction(-n), dt), form.contract(i))
-        out = out + wedge(Multivector.basis(gens, [i], Fraction(n), dt), form.contract(j))
+        out = out + Multivector.basis(gens, [j], Fraction(-n), dt).wedge(form.contract(i))
+        out = out + Multivector.basis(gens, [i], Fraction(n), dt).wedge(form.contract(j))
     return out

@@ -21,7 +21,6 @@ from .flow import (
     Derivation,
     DerivationError,
     ODESystem,
-    derivation,
     derive_flow,  # noqa: F401  (kept importable; perfbench/test_recorder.py patches it here)
     kaehler_search,
     under_system,
@@ -462,7 +461,7 @@ class SmoothnessReport:
 def smoothness_report(model: CosetModel, orbit: str) -> SmoothnessReport:
     """Exact limiting derivatives against the catalog's requirements."""
     row = catalog_row(model, orbit)
-    sys = derivation(model).sys
+    sys = model.derivation.sys
     values = {x: Fraction(1) for x in sys.state if x not in row.collapsing}
     _, slopes = series_start(sys, OrbitSpec(model.kind, orbit, values))
     required = row.required
@@ -506,7 +505,7 @@ def su4_family_check(model: CosetModel, sys: ODESystem) -> SU4Certificate:
     derived system's closure and Kaehler certificate are the derivation's
     own (``derive_flow`` raises unless d(Omega) vanishes under it); any
     other system is checked and searched."""
-    deriv = derivation(model)
+    deriv = model.derivation
     struct = deriv.struct
 
     # (1) the whole rotation family stays parallel.  With the generator L,
@@ -527,11 +526,10 @@ def su4_family_check(model: CosetModel, sys: ODESystem) -> SU4Certificate:
     # (3) unique Kaehler candidate up to global sign: the search raises
     # unless exactly one +- pair of sign vectors closes
     kaehler_unique = True
-    if sys is not deriv.sys:
-        try:
-            kaehler_search(model, sys)
-        except DerivationError:
-            kaehler_unique = False
+    try:
+        deriv.cert if sys is deriv.sys else kaehler_search(model, sys)
+    except DerivationError:
+        kaehler_unique = False
 
     # (4) no invariant parallel vector field: the vertical coefficient cannot
     # be constant (its derivative is forced nonzero at the collapsing locus),
@@ -618,7 +616,8 @@ def verify_trajectory(
     which for the closure bar of a stored run is ``closure_trajectory``.
     """
     loaded = traj.status == "loaded"
-    deriv = derivation(model)
+    deriv = model.derivation
+    kaehler = {"signs": list(deriv.cert.signs)}  # the whole derivation, built in order
     prof = profile(model, spec)
     stated = model_spec(model)
     if s_form(deriv.sys) != (stated.affine, stated.factor):
@@ -636,7 +635,6 @@ def verify_trajectory(
         "d_eta": closure.d_eta_residual,
         "n_samples": closure.n_samples,
     }
-    kaehler = {"signs": list(deriv.cert.signs)}
     if loaded:
         residual["mode"] = "raw-samples"
     else:
@@ -672,7 +670,8 @@ def run_report(
     """
     from .integrate import solve_orbit  # looked up per call, as the module holds it now
 
-    traj, _ = solve_orbit(derivation(model).sys, spec, cfg)
+    model.derivation.cert  # the whole derivation, built in order before the solve
+    traj, _ = solve_orbit(model.derivation.sys, spec, cfg)
     traj.require_done()
     doc, code = verify_trajectory(model, spec, traj, bars)
     doc["provenance"] = {

@@ -21,6 +21,19 @@ from holoflow.structures import canonical_forms
 from holoflow.verify import _cone_quantities
 
 
+def perm_sign_sort(seq) -> int:
+    """Sign of the permutation sorting ``seq`` ascending, by counting its
+    inversions; the oracle for the signs ``Multivector.basis`` and
+    ``Multivector.substitute`` take from ``_merge_sign``."""
+    inv = 0
+    n = len(seq)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if seq[i] > seq[j]:
+                inv += 1
+    return -1 if inv % 2 else 1
+
+
 def coefficient(form, indices):
     """The coefficient of e^{i1} ^ ... ^ e^{ik} in ``form``, indices
     ascending, or None where the form has no such term."""

@@ -1,19 +1,15 @@
 """Exterior-algebra and Laurent-polynomial kernel tests."""
 
+import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoflow.algebra import (
-    AlgebraError,
-    LaurentPoly,
-    Multivector,
-    SymbolTable,
-    wedge,
-)
-from oracles import coefficient, max_abs_coefficient
+from holoflow.algebra import AlgebraError, LaurentPoly, Multivector, SymbolTable
+from oracles import coefficient, max_abs_coefficient, perm_sign_sort
 
 TAB = SymbolTable(("a", "b", "c", "f"), ("a'", "b'", "c'", "f'"))
 GENS7 = tuple(f"dx{i}" for i in range(1, 8))
@@ -31,22 +27,22 @@ def mv7(indices, coeff=1):
 def test_wedge_sorted_merge_identity_parity():
     u = mv7([1])
     v = mv7([2])
-    assert wedge(u, v) == mv7([1, 2])
+    assert u.wedge(v) == mv7([1, 2])
 
 
 def test_wedge_single_transposition():
-    assert wedge(mv7([2]), mv7([1])) == mv7([1, 2], -1)
+    assert mv7([2]).wedge(mv7([1])) == mv7([1, 2], -1)
 
 
 def test_wedge_repeated_generator_vanishes():
-    assert wedge(mv7([1]), mv7([1])).is_zero
+    assert mv7([1]).wedge(mv7([1])).is_zero
 
 
 def test_wedge_rejects_mismatched_generators():
     u = mv7([1])
     v = Multivector.basis(("e1", "e2"), [0], Fraction(1))
     with pytest.raises(AlgebraError):
-        wedge(u, v)
+        u.wedge(v)
 
 
 @st.composite
@@ -74,8 +70,8 @@ def test_wedge_graded_anticommutative(data):
     q = data.draw(st.integers(0, 3))
     u = data.draw(homogeneous_mv(grade=p))
     v = data.draw(homogeneous_mv(grade=q))
-    lhs = wedge(u, v)
-    rhs = wedge(v, u)
+    lhs = u.wedge(v)
+    rhs = v.wedge(u)
     if (p * q) % 2:
         rhs = -rhs
     assert lhs == rhs
@@ -84,7 +80,7 @@ def test_wedge_graded_anticommutative(data):
 @settings(max_examples=40, deadline=None)
 @given(homogeneous_mv(), homogeneous_mv(), homogeneous_mv())
 def test_wedge_associative(u, v, w):
-    assert wedge(wedge(u, v), w) == wedge(u, wedge(v, w))
+    assert u.wedge(v).wedge(w) == u.wedge(v.wedge(w))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +153,7 @@ def test_rescale_distributes_over_wedge(data):
     if i != j:
         u = Multivector.basis(gens, [i], LaurentPoly.const(table, 2))
         v = Multivector.basis(gens, [j], LaurentPoly.const(table, 3))
-        assert rescaled(wedge(u, v), scales) == wedge(rescaled(u, scales), rescaled(v, scales))
+        assert rescaled(u.wedge(v), scales) == rescaled(u, scales).wedge(rescaled(v, scales))
 
     # random linear images; generators without one are kept
     images = {}
@@ -179,7 +175,33 @@ def test_rescale_distributes_over_wedge(data):
     one = LaurentPoly.const(table, 1)
     u = data.draw(homogeneous_mv()).scaled(one)
     v = data.draw(homogeneous_mv()).scaled(one)
-    assert wedge(u, v).substitute(images) == wedge(u.substitute(images), v.substitute(images))
+    assert u.wedge(v).substitute(images) == u.substitute(images).wedge(v.substitute(images))
+
+
+def test_basis_and_substitute_signs_match_the_inversion_count():
+    """Every ordering of every index subset of up to 4 of 8 generators, and
+    each permutation image of the form made of all those subsets, take the
+    sign of the permutation that sorts their indices."""
+    gens = tuple(f"e{i}" for i in range(8))
+    subsets = [s for k in range(5) for s in combinations(range(8), k)]
+    for subset in subsets:
+        mask = sum(1 << i for i in subset)
+        for order in permutations(subset):
+            want = {mask: Fraction(perm_sign_sort(order), 3)}
+            assert Multivector.basis(gens, order, Fraction(1, 3)).terms == want, order
+    form = Multivector(gens, {sum(1 << i for i in s): Fraction(n + 1) for n, s in enumerate(subsets)})
+    rng = random.Random(36)
+    images = [list(range(8))[::-1]] + [rng.sample(range(8), 8) for _ in range(100)]
+    for image in images:
+        # moved generators get a weight; the others are kept
+        moved = {i: ((j, Fraction(i + 2)),) for i, j in enumerate(image) if i != j}
+        want = {}
+        for n, s in enumerate(subsets):
+            coeff = Fraction(n + 1) * perm_sign_sort([image[i] for i in s])
+            for i in s:
+                coeff *= i + 2 if i in moved else 1
+            want[sum(1 << image[i] for i in s)] = coeff
+        assert form.substitute(moved).terms == want, image
 
 
 def test_substitute_onto_new_generators_needs_every_image():
@@ -354,7 +376,7 @@ def test_contract_signs():
 def test_contract_antiderivation():
     u = mv7([1, 2])
     v = mv7([3, 4])
-    uv = wedge(u, v)
+    uv = u.wedge(v)
     lhs = uv.contract(0)
-    rhs = wedge(u.contract(0), v) + wedge(u, v.contract(0))
+    rhs = u.contract(0).wedge(v) + u.wedge(v.contract(0))
     assert lhs == rhs

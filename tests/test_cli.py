@@ -538,7 +538,7 @@ def test_verify_passes_each_unit_orbit_at_the_default_bars(capsys, tmp_path, mod
 
 def test_verify_fails_a_run_of_a_slightly_wrong_system(capsys, tmp_path):
     """A run of M cp2xs2 whose a' is 0.1% too large misses the closure bar."""
-    sys_ = perturbed_system(flow.derivation(m_model(1, 1)).sys, "a", Fraction(1001, 1000))
+    sys_ = perturbed_system(m_model(1, 1).derivation.sys, "a", Fraction(1001, 1000))
     spec = OrbitSpec("M", "cp2xs2", {"a": 1, "b": 1})
     traj, _ = solve_orbit(sys_, spec, IntegratorConfig())
     path = tmp_path / "traj.csv"
@@ -782,6 +782,50 @@ def test_building_and_classifying_a_model_loads_no_exterior_algebra():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[True, False]\nFalse\n"
+
+
+#: counts ``flow.kaehler_search`` calls per model kind over the commands
+#: given as JSON, printed before and after the ``report`` commands
+KAEHLER_SEARCH_COUNT = """
+import contextlib, io, json, sys
+from collections import Counter
+from holoflow import flow
+from holoflow.cli import main
+
+calls = Counter()
+real = flow.kaehler_search
+
+def counted(model, sys_):
+    calls[model.kind] += 1
+    return real(model, sys_)
+
+flow.kaehler_search = counted  # before the CLI loads verify, which imports it
+commands = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in commands["cold"]:
+        assert main(argv) == 0, argv
+    cold = dict(calls)
+    for argv in commands["report"]:
+        assert main(argv) == 0, argv
+print(json.dumps([cold, dict(calls)]))
+"""
+
+
+def test_only_the_commands_that_verify_build_the_kaehler_certificate(tmp_path):
+    """In one process, ``derive``, ``solve`` and ``smoothness`` on every
+    unit-data orbit build no Kaehler certificate; ``report`` on all five
+    builds one per model."""
+    out = str(tmp_path / "out")
+    cold = [["derive", "--model", model] for model in ("q", "m")]
+    report = []
+    for model, orbit, values in UNIT_ORBITS:
+        common = ["--model", model, "--orbit", orbit]
+        cold.append(["solve", *common, *values, "--out", out])
+        cold.append(["smoothness", *common, "--out", out])
+        report.append(["report", *common, *values, "--out", out])
+    proc = fresh_python(KAEHLER_SEARCH_COUNT, json.dumps({"cold": cold, "report": report}))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [{}, {"Q": 1, "M": 1}]
 
 
 def test_the_package_loads_its_exports_on_first_access():

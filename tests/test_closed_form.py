@@ -22,7 +22,7 @@ from holoflow.closed_form import (
     profile,
     s_form,
 )
-from holoflow.flow import DerivationError, ODESystem, derivation, derive_flow
+from holoflow.flow import DerivationError, ODESystem, derive_flow
 from holoflow.homogeneous import MODEL_SPECS, m_model, q_model
 from holoflow.integrate import IntegratorConfig, OrbitSpec, Trajectory, solve_orbit
 from holoflow.verify import DEFAULT_BARS, verify_trajectory
@@ -149,7 +149,7 @@ def _table_residual(affine, k, initial, s, g, gp):
 def test_hand_written_residuals_are_the_table_s_form(kind):
     """At arbitrary rational (s, G, G', x0) the hand-written system is half
     of the one read from the derived system, so both state the same ODE."""
-    affine, k = s_form(derivation(UNIT_MODELS[kind]).sys)
+    affine, k = s_form(UNIT_MODELS[kind].derivation.sys)
     rng = random.Random(7)
 
     def rational():
@@ -178,7 +178,7 @@ def test_closed_form_solves_the_derived_s_form_identically(kind):
     one polynomial identity in s and symbolic initial data, both sides
     multiplied by D^2; the table is the one read from the derived system,
     and D is built as ``profile`` builds it."""
-    affine, k = s_form(derivation(UNIT_MODELS[kind]).sys)
+    affine, k = s_form(UNIT_MODELS[kind].derivation.sys)
     last = MODEL_SPECS[kind].state_names[-1]
     table = SymbolTable(("s",) + tuple(x + "0" for x in MODEL_SPECS[kind].state_names))
     s = LaurentPoly.variable(table, "s")
@@ -207,8 +207,8 @@ def test_closed_form_solves_the_derived_s_form_identically(kind):
 @pytest.mark.parametrize("kind", ["Q", "M"])
 def test_s_form_of_the_derived_system_is_the_profile_table(kind):
     table = MODEL_SPECS[kind]
-    assert s_form(derivation(UNIT_MODELS[kind]).sys) == (table.affine, table.factor)
-    assert s_form(derive_flow(UNIT_MODELS[kind])) == s_form(derivation(UNIT_MODELS[kind]).sys)
+    assert s_form(UNIT_MODELS[kind].derivation.sys) == (table.affine, table.factor)
+    assert s_form(derive_flow(UNIT_MODELS[kind])) == s_form(UNIT_MODELS[kind].derivation.sys)
 
 
 MUTATIONS = [
@@ -221,7 +221,7 @@ MUTATIONS = [
 
 @pytest.mark.parametrize("kind,name,factor", MUTATIONS, ids=lambda v: str(v))
 def test_every_perturbed_system_fails_the_table_check(kind, name, factor):
-    sys = perturbed_system(derivation(UNIT_MODELS[kind]).sys, name, factor)
+    sys = perturbed_system(UNIT_MODELS[kind].derivation.sys, name, factor)
     try:
         form = s_form(sys)
     except DerivationError:
@@ -246,7 +246,7 @@ def _with_rhs(sys, name, poly):
     ],
 )
 def test_s_form_names_a_system_of_another_shape(name, extra, message):
-    sys = derivation(UNIT_MODELS["Q"]).sys
+    sys = UNIT_MODELS["Q"].derivation.sys
     poly = sys.rhs[name] + LaurentPoly.monomial(sys.table, Fraction(1, 7), extra)
     with pytest.raises(DerivationError, match=message):
         s_form(_with_rhs(sys, name, poly))
@@ -255,7 +255,7 @@ def test_s_form_names_a_system_of_another_shape(name, extra, message):
 def test_a_table_that_disagrees_with_the_derived_system_is_a_bug(monkeypatch):
     model = UNIT_MODELS["M"]
     spec = OrbitSpec("M", "cp2", {"a": 1})
-    traj, _ = solve_orbit(derivation(model).sys, spec, IntegratorConfig(t_end=50.0))
+    traj, _ = solve_orbit(model.derivation.sys, spec, IntegratorConfig(t_end=50.0))
     bars = {**DEFAULT_BARS, "closure": None}
     assert verify_trajectory(model, spec, traj, bars)[1] == 0
     wrong = (("a", Fraction(3, 4), 2), ("b", Fraction(1, 2), 2))

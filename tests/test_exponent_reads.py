@@ -19,7 +19,6 @@ from holoflow.flow import (
     DerivationError,
     ODESystem,
     _linear_system,
-    derivation,
     split_dt,
 )
 from holoflow.homogeneous import MODEL_SPECS, get_model
@@ -254,7 +253,7 @@ def test_linear_in_any_names_reconstructs_or_raises(data):
 
 def test_linear_system_of_each_derived_model_is_the_old_decomposition():
     for kind, indices in MODELS:
-        deriv = derivation(get_model(kind, indices))
+        deriv = get_model(kind, indices).derivation
         _, dt_part = split_dt(deriv.d_Omega)
         unknowns = tuple(deriv.model.symbols.base)
         want = reference_linear_system(dt_part, unknowns, deriv.struct.table)
@@ -307,7 +306,7 @@ def test_coefficients_in_refuses_a_negative_power():
 
 @pytest.mark.parametrize("kind,indices", MODELS)
 def test_compiled_terms_of_each_model_are_the_old_lists(kind, indices):
-    sys_ = derivation(get_model(kind, indices)).sys
+    sys_ = get_model(kind, indices).derivation.sys
     want = reference_compile_terms(sys_)
     got = _compile_terms(sys_)
     assert bits(got[0]) == bits(want[0])
@@ -316,7 +315,7 @@ def test_compiled_terms_of_each_model_are_the_old_lists(kind, indices):
 
 @pytest.mark.parametrize("kind,indices", MODELS)
 def test_closure_forms_compile_the_old_lists(kind, indices, monkeypatch):
-    deriv = derivation(get_model(kind, indices))
+    deriv = get_model(kind, indices).derivation
     seen = []
     make_rhs = _kernel.make_rhs
 

@@ -6,13 +6,12 @@ from itertools import product
 import pytest
 
 from holoflow import flow
-from holoflow.algebra import LaurentPoly, Multivector, SymbolTable, wedge
+from holoflow.algebra import LaurentPoly, Multivector, SymbolTable
 from holoflow.flow import (
     DerivationError,
     KaehlerCertificate,
     _solve_linear,
     coefficient_map,
-    derivation,
     derive_flow,
     exterior_d_time,
     invariant_two_form_terms,
@@ -78,7 +77,7 @@ def test_derive_flow_m_exact():
 
 def test_back_substitution_annihilates_closure():
     for model in (q_model(1, 1, 1), m_model(1, 1)):
-        deriv = derivation(model)
+        deriv = model.derivation
         sys = derive_flow(model)
         assert under_system(deriv.d_Omega, sys, deriv.struct.table).is_zero
 
@@ -89,14 +88,14 @@ def cosymplectic_constraints(model):
     An empty list means every structure in the invariant ansatz is
     cosymplectic.
     """
-    star_omega, _ = split_dt(derivation(model).struct.Omega)
+    star_omega, _ = split_dt(model.derivation.struct.Omega)
     d_star = invariant_d(star_omega, model)
     return [poly for _, poly in d_star.sorted_terms()]
 
 
 def hitchin_residual(model, sys):
     """d/dt(*omega) - d_orbit(omega) under the derived system; contract: 0."""
-    struct = derivation(model).struct
+    struct = model.derivation.struct
     star_omega, omega = split_dt(struct.Omega)
     lhs = under_system(time_chain(star_omega), sys, struct.table)
     rhs = invariant_d(omega, model)
@@ -130,7 +129,7 @@ def test_hitchin_residual_detects_perturbation():
     # the defect sits in coefficients pairing the V1 plane with e7
     offending = {res.indices_of(m) for m in res.terms}
     assert (0, 2, 4, 6) in offending and (0, 1, 2, 3) in offending
-    deriv = derivation(model)
+    deriv = model.derivation
     closure = under_system(deriv.d_Omega, sys, deriv.struct.table)
     assert not closure.is_zero
 
@@ -142,7 +141,7 @@ def test_kaehler_search_q():
     assert cert.signs == (1, 1, 1, 1)
     # the search returns only a unique pair, so the certificate keeps no list
     assert [name for name, _ in KaehlerCertificate.__record_fields__] == ["signs", "eta", "d_eta"]
-    winners = _kaehler_brute_force(model, sys, derivation(model).struct)
+    winners = _kaehler_brute_force(model, sys, model.derivation.struct)
     assert [signs for signs, _, _ in winners] == [(1, 1, 1, 1), (-1, -1, -1, -1)]
 
 
@@ -151,7 +150,7 @@ def test_kaehler_search_m():
     sys = derive_flow(model)
     cert = kaehler_search(model, sys)
     assert cert.signs == (1, -1, 1)
-    winners = _kaehler_brute_force(model, sys, derivation(model).struct)
+    winners = _kaehler_brute_force(model, sys, model.derivation.struct)
     assert [signs for signs, _, _ in winners] == [(1, -1, 1), (-1, 1, -1)]
 
 
@@ -176,7 +175,7 @@ def _kaehler_brute_force(model, sys, struct):
     ids=["Q", "M", "Q-perturbed"],
 )
 def test_linear_kaehler_search_matches_brute_force(model, perturb):
-    struct = derivation(model).struct
+    struct = model.derivation.struct
     sys = derive_flow(model)
     if perturb:
         sys = perturbed_system(sys, perturb)
@@ -227,8 +226,8 @@ def test_invariant_two_forms_match_the_hand_written_lists(model):
 
 def test_derivation_is_built_once_and_matches_the_builders():
     model = m_model(1, 1)
-    deriv = derivation(model)
-    assert derivation(m_model(1, 1)) is deriv
+    deriv = model.derivation
+    assert m_model(1, 1).derivation is deriv
     assert deriv.sys.rhs == derive_flow(model).rhs
     assert deriv.d_Omega == exterior_d_time(deriv.struct.Omega, model)
     assert deriv.cert.signs == kaehler_search(model, deriv.sys).signs
@@ -256,11 +255,10 @@ def test_models_asked_for_in_turn_build_each_structure_once(monkeypatch):
     calls = _count_builds(monkeypatch, "build_invariant_structure")
     first, second = q_model.__wrapped__(2, 2, 2), q_model.__wrapped__(1, 1, 1)
     for _ in range(2):
-        assert derivation(first).model is first
-        assert derivation(second).model is second
+        assert first.derivation.struct.model is first
+        assert second.derivation.struct.model is second
     assert len(calls) == 2
     assert calls[0][1] is first and calls[1][1] is second
-    assert derivation(first) is first.derivation and derivation(second) is second.derivation
 
 
 def test_the_builders_read_the_models_derivation(monkeypatch):
@@ -272,7 +270,7 @@ def test_the_builders_read_the_models_derivation(monkeypatch):
     assert derive_flow(model) == sys
     assert [name for name, _ in calls] == ["build_invariant_structure", "exterior_d_time"]
     assert all(m is model for _, m in calls)
-    deriv = derivation(model)
+    deriv = model.derivation
     del calls[:]
     assert derive_flow(model) == derive_flow(model) == deriv.sys
     assert kaehler_search(model, deriv.sys) == deriv.cert
@@ -285,7 +283,7 @@ def test_a_derivation_builds_its_pieces_in_order(monkeypatch):
     calls = _count_builds(
         monkeypatch, "build_invariant_structure", "exterior_d_time", "derive_flow", "kaehler_search"
     )
-    derivation(q_model.__wrapped__(1, 1, 1))
+    q_model.__wrapped__(1, 1, 1).derivation.cert
     done = [name for name, _ in calls]
     assert done[:3] == ["build_invariant_structure", "exterior_d_time", "derive_flow"]
     assert done[-1] == "kaehler_search"
@@ -301,12 +299,14 @@ def test_a_tampered_model_used_first_changes_nothing_for_the_real_one():
     tampered = replace(model, structure=structure_from_table(model.n, table))
     _, omega = split_dt(build_invariant_structure(model).Omega)
     d_tampered = invariant_d(omega, tampered)
-    assert derivation(tampered).model is tampered
+    assert tampered.derivation.cert is not None  # the whole derivation, built first
+    assert tampered.derivation.model is tampered
     d_model = invariant_d(omega, model)
     assert d_model != d_tampered
     assert d_model == invariant_d(omega, q_model.__wrapped__(1, 1, 1))  # built afresh
-    assert derivation(model).model is model
-    assert derivation(model).sys.rhs == derive_flow(model).rhs
+    assert model.derivation.cert is not None
+    assert model.derivation.model is model
+    assert model.derivation.sys.rhs == derive_flow(model).rhs
 
 
 def test_eta_fourth_power_is_volume_multiple():
@@ -314,7 +314,7 @@ def test_eta_fourth_power_is_volume_multiple():
     cert = kaehler_search(model, derive_flow(model))
     power = cert.eta
     for _ in range(3):
-        power = wedge(power, cert.eta)
+        power = power.wedge(cert.eta)
     ((mask, poly),) = power.terms.items()
     ev = poly.eval({"a": 1.0, "b": 1.0, "c": 1.0, "f": 1.0})
     assert ev != 0.0

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoflow.algebra import LaurentPoly, SymbolTable
-from holoflow.flow import ODESystem, derivation, derive_flow
+from holoflow.flow import ODESystem, derive_flow
 from holoflow.homogeneous import ModelError, m_model, q_model
 from holoflow.integrate import (
     IntegrationError,
@@ -425,12 +425,12 @@ def test_principal_orbit_start(sysq):
 
 
 def test_a_prepared_system_and_an_orbit_spec_cannot_be_changed():
-    """``derivation(model).sys`` is shared by every caller in a process, and
+    """``model.derivation.sys`` is shared by every caller in a process, and
     the integrator prepares each system once: a right-hand side changed after
     a solve would be integrated as the old one.  Neither mapping takes an
     assignment, and a system copies the mapping it is given."""
     model = m_model(1, 1)
-    sys_ = derivation(model).sys
+    sys_ = model.derivation.sys
     spec = OrbitSpec("M", "cp2", {"a": 1})
     solve_orbit(sys_, spec, IntegratorConfig(t_end=10.0))
     with pytest.raises(TypeError):
@@ -447,7 +447,7 @@ def test_the_right_hand_sides_of_a_system_cannot_be_changed_in_place():
     """Each polynomial of a system keeps its terms read-only: doubling them
     in place after a solve would leave the prepared system stale and change
     the shared derivation for every later caller."""
-    sys_ = derivation(m_model(1, 1)).sys
+    sys_ = m_model(1, 1).derivation.sys
     solve_orbit(sys_, OrbitSpec("M", "cp2", {"a": 1}), IntegratorConfig(t_end=10.0))
     terms = sys_.rhs["a"].terms
     for key in list(terms):
@@ -456,18 +456,18 @@ def test_the_right_hand_sides_of_a_system_cannot_be_changed_in_place():
     with pytest.raises(TypeError):
         terms[(0,) * len(next(iter(terms)))] = Fraction(1)
     assert str(sys_.rhs["a"]) == "3/8*a^-1*c"
-    assert str(derivation(m_model(1, 1)).sys.rhs["a"]) == "3/8*a^-1*c"
+    assert str(m_model(1, 1).derivation.sys.rhs["a"]) == "3/8*a^-1*c"
 
 
 def test_the_polynomials_of_a_system_cannot_be_rebound():
     """Neither attribute of a system's polynomial takes an assignment or a
     deletion, so the shared derivation keeps the derived right-hand side."""
-    poly = derivation(m_model(1, 1)).sys.rhs["a"]
+    poly = m_model(1, 1).derivation.sys.rhs["a"]
     with pytest.raises(AttributeError):
         poly.terms = {key: 2 * c for key, c in poly.terms.items()}
     with pytest.raises(AttributeError):
         poly.table = SymbolTable(("a", "b", "c"))
     with pytest.raises(AttributeError):
         del poly.terms
-    assert str(derivation(m_model(1, 1)).sys.rhs["a"]) == "3/8*a^-1*c"
+    assert str(m_model(1, 1).derivation.sys.rhs["a"]) == "3/8*a^-1*c"
     assert poly * 2 == 2 * poly and str(poly * 2) == "3/4*a^-1*c"

@@ -15,7 +15,6 @@ from holoflow._kernel._stepper_py import (
     A71, A73, A74, A75, A76, E1, E3, E4, E5, E6, E7,
     MAX_SCALE, MIN_SCALE, SAFETY, _finite_rhs, _initial_step,
 )
-from holoflow.flow import derivation
 from holoflow.homogeneous import get_model
 from holoflow.integrate import (
     MAX_STEPS,
@@ -323,7 +322,7 @@ UNIT_ORBITS = [
 
 @pytest.mark.parametrize("kind,orbit,values", UNIT_ORBITS)
 def test_solve_is_bit_identical_with_the_interpreter(kind, orbit, values):
-    sys_ = derivation(get_model(kind, (1, 1, 1) if kind == "Q" else (1, 1))).sys
+    sys_ = get_model(kind, (1, 1, 1) if kind == "Q" else (1, 1)).derivation.sys
     start, _ = series_start(sys_, OrbitSpec(kind, orbit, values))
     coeffs, exps, owner, nstate = _compile_terms(sys_)
     cfg = IntegratorConfig()
@@ -350,7 +349,7 @@ def test_one_generation_per_term_list(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(_stepper_py, name, counted)
-    sys_ = derivation(get_model("M", (1, 1))).sys
+    sys_ = get_model("M", (1, 1)).derivation.sys
     start, _ = series_start(sys_, OrbitSpec("M", "cp2", {"a": 1}))
     cfg = IntegratorConfig(t_end=10.0)
     first = integrate(sys_, start, cfg)
@@ -562,7 +561,7 @@ def test_exponent_beyond_float_range_keeps_its_int(e, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["Q", "M"])
 def test_each_distinct_power_is_computed_once_per_stage(kind, monkeypatch):
-    sys_ = derivation(get_model(kind, (1, 1, 1) if kind == "Q" else (1, 1))).sys
+    sys_ = get_model(kind, (1, 1, 1) if kind == "Q" else (1, 1)).derivation.sys
     coeffs, exps, owner, nstate = _compile_terms(sys_)
     powers = {(k % nstate, e) for k, e in enumerate(exps) if e not in (0, 1)}
     assert len(powers) < sum(e not in (0, 1) for e in exps)  # some power repeats

@@ -185,12 +185,12 @@ def test_read_only_mapping_fields_hash_as_their_items():
     """``ODESystem.rhs`` and ``OrbitSpec.values`` are read-only mappings.
     Equal records hash equal and work as set members; a dataclass would
     refuse to hash them."""
-    from holoflow.flow import derivation, derive_flow
+    from holoflow.flow import derive_flow
     from holoflow.homogeneous import m_model
     from holoflow.integrate import OrbitSpec
     from mutations import perturbed_system
 
-    shared = derivation(m_model(1, 1)).sys
+    shared = m_model(1, 1).derivation.sys
     fresh = derive_flow(m_model.__wrapped__(1, 1))
     assert fresh is not shared and fresh == shared
     assert hash(fresh) == hash(shared)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from holoflow import structures
 from holoflow._record import replace
-from holoflow.algebra import LaurentPoly, Multivector, wedge
-from holoflow.flow import derivation, split_dt
+from holoflow.algebra import LaurentPoly, Multivector
+from holoflow.flow import split_dt
 from holoflow.homogeneous import MODEL_SPECS, is_basic, m_model, q_model
 from holoflow.structures import (
     CANON8,
@@ -59,14 +59,14 @@ def test_Omega_is_the_textbook_four_form():
 
 def test_omega_wedge_star_is_seven_volumes():
     can = canonical_forms()
-    vol = wedge(can.omega, can.omega.hodge_star())
+    vol = can.omega.wedge(can.omega.hodge_star())
     assert list(vol.terms.values()) == [Fraction(7)]
     assert list(vol.terms.keys()) == [(1 << 7) - 1]
 
 
 def test_Omega_wedge_Omega_is_fourteen_volumes():
     can = canonical_forms()
-    sq = wedge(can.Omega, can.Omega)
+    sq = can.Omega.wedge(can.Omega)
     assert list(sq.terms.values()) == [Fraction(14)]
 
 
@@ -163,7 +163,7 @@ def _with_dt(model, star_omega, omega):
     """*omega + dt ^ omega."""
     dt = star_omega.dt_index
     one = LaurentPoly.const(model.symbols, 1)
-    return star_omega + wedge(Multivector.basis(star_omega.gens, [dt], one, dt_index=dt), omega)
+    return star_omega + Multivector.basis(star_omega.gens, [dt], one, dt_index=dt).wedge(omega)
 
 
 #: frame-map edits per model kind: one slot sent to an isotropy generator,
@@ -193,6 +193,33 @@ def test_Omega_is_basic_exactly_when_omega_and_its_star_are(monkeypatch, kind, e
         assert is_basic(Omega, model) == (is_basic(star_omega, model) and is_basic(omega, model))
     assert is_basic(_with_dt(model, *real), model)
     assert not is_basic(_with_dt(model, *tampered), model)
+
+
+@pytest.fixture
+def fresh_canonical_terms():
+    """The canonical four-form's terms are built again, from the table as
+    the test leaves it."""
+    structures._canonical_Omega_terms.cache_clear()
+    yield
+    structures._canonical_Omega_terms.cache_clear()
+
+
+@pytest.mark.parametrize("flip", range(len(structures.OMEGA3_TERMS)))
+def test_a_split_three_form_is_rejected_as_not_definite(monkeypatch, fresh_canonical_terms, flip):
+    """One flipped sign of the three-form table gives a split form (B_phi
+    with three +6 on its diagonal), which defines no metric.  Flips 0-2 on
+    Q(1,1,1) and flip 0 on M(1,1) pass every other exact gate; the
+    definiteness check rejects all seven, before any structure is built."""
+    terms = list(structures.OMEGA3_TERMS)
+    idx, sign = terms[flip]
+    terms[flip] = (idx, -sign)
+    monkeypatch.setattr(structures, "OMEGA3_TERMS", tuple(terms))
+    not_definite = "^the canonical three-form is not definite: B_phi is not -6 I$"
+    with pytest.raises(StructureError, match=not_definite):
+        canonical_forms()
+    for model in (q_model(1, 1, 1), m_model(1, 1)):
+        with pytest.raises(StructureError, match=not_definite):
+            build_invariant_structure(model)
 
 
 def test_inadmissible_model_rejected():
@@ -235,7 +262,7 @@ def test_generator_gives_the_family_in_closed_form(u):
     """rotate_structure is Omega + V sin(k phi)/k + W (1 - cos(k phi))/k^2."""
     c, s = (1 - u * u) / (1 + u * u), 2 * u / (1 + u * u)
     for model in (q_model(1, 1, 1), m_model(1, 1)):
-        deriv = derivation(model)
+        deriv = model.derivation
         struct = deriv.struct
         k = MODEL_SPECS[model.kind].family_weight
         V = rotation_generator(struct, struct.Omega)
@@ -251,7 +278,7 @@ def test_generator_gives_the_family_in_closed_form(u):
         # Omega = omega^2/2 + Re Psi, with this package's sign convention
         eta = deriv.cert.eta
         weight_zero = struct.Omega + W.scaled(Fraction(1, k * k))
-        assert weight_zero == wedge(eta, eta).scaled(Fraction(-1, 2))
+        assert weight_zero == eta.wedge(eta).scaled(Fraction(-1, 2))
 
 
 def test_rotation_group_law_exact():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from holoflow._record import replace
 from holoflow.algebra import LaurentPoly, Multivector
 from holoflow.closed_form import ProfileM, ProfileQ, profile, s_form
-from holoflow.flow import derivation, derive_flow, exterior_d_time
+from holoflow.flow import derive_flow, exterior_d_time
 from holoflow.homogeneous import MODEL_SPECS, get_model, invariant_d, m_model, q_model
 from holoflow.integrate import IntegratorConfig, OrbitSpec, SeriesStartError, Trajectory, solve_orbit
 from holoflow.structures import rotation_generator
@@ -49,7 +49,7 @@ from paper_tables import CONE_REFS as PAPER_CONE_REFS
 @pytest.fixture(scope="module")
 def q_setup():
     model = q_model(1, 1, 1)
-    deriv = derivation(model)
+    deriv = model.derivation
     spec = OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1})
     traj, _ = solve_orbit(deriv.sys, spec, IntegratorConfig(t_end=50.0))
     sampler = ProfileSampler(profile(model, spec), traj)
@@ -171,7 +171,7 @@ SIGNED = st.builds(lambda m, neg: -m if neg else m, st.floats(1e-8, 1e8), st.boo
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_compiled_closure_forms_are_bit_identical_to_eval_numeric(kind, indices, data):
-    deriv = derivation(get_model(kind, indices))
+    deriv = get_model(kind, indices).derivation
     names = deriv.struct.table.names
     assign = {n: data.draw(SIGNED, label=n) for n in names}
     evaluate, ends = deriv.closure_forms
@@ -303,7 +303,7 @@ def test_cone_fit_flags_short_runs():
 
 
 def test_cone_fit_on_principal_run_starting_at_t0_is_warning_free():
-    sys = derivation(q_model(1, 1, 1)).sys
+    sys = q_model(1, 1, 1).derivation.sys
     spec = OrbitSpec("Q", "principal", {"a": 1, "b": 1, "c": 1, "f": -1})
     traj, _ = solve_orbit(sys, spec, IntegratorConfig(t_end=5.0))
     assert traj.ts[0] == 0.0
@@ -349,7 +349,7 @@ def test_closed_form_fails_every_perturbed_stored_run(tmp_path):
     for kind, orbit, names in UNIT_ORBITS:
         model = get_model(kind, (1,) * len(MODEL_SPECS[kind].index_names))
         spec = OrbitSpec(kind, orbit, dict.fromkeys(names, 1))
-        sys = derivation(model).sys
+        sys = model.derivation.sys
         for name in sys.state:
             try:
                 traj, _ = solve_orbit(perturbed_system(sys, name, Fraction(1001, 1000)), spec, IntegratorConfig())
@@ -373,7 +373,7 @@ def test_exact_cone_fit_holds_the_limits_over_the_scaled_unit_family(kind, orbit
     model = get_model(kind, (1,) * len(MODEL_SPECS[kind].index_names))
     for v in (Fraction(1, 10), Fraction(1, 3), Fraction(3), Fraction(10)):
         spec = OrbitSpec(kind, orbit, dict.fromkeys(names, v))
-        traj, _ = solve_orbit(derivation(model).sys, spec, IntegratorConfig())
+        traj, _ = solve_orbit(model.derivation.sys, spec, IntegratorConfig())
         limits, _ = exact_cone_fit(traj)
         assert limits.keys() == CONE_REFS[kind].keys()
         assert all(abs(limits[q] - ref) <= DEFAULT_BARS["cone"] for q, ref in CONE_REFS[kind].items()), (v, limits)
@@ -402,7 +402,7 @@ def test_cone_refs_follow_the_profile_table(kind, table):
     follow from the table read from the derived system, the package's
     computed ones equal them, and so does the slope of the profile's G."""
     model = get_model(kind, (1,) * len(MODEL_SPECS[kind].index_names))
-    affine, k = s_form(derivation(model).sys)
+    affine, k = s_form(model.derivation.sys)
     g = k / (1 + sum(p for _, _, p in affine))
     refs = PAPER_CONE_REFS[kind]
     *squares, last = refs
@@ -532,7 +532,7 @@ def test_su4_certificate_passes_on_derived_systems():
 
 def test_su4_certificate_fails_on_mutated_rhs():
     for model in (q_model(1, 1, 1), m_model(1, 1)):
-        sys = derivation(model).sys
+        sys = model.derivation.sys
         for name in sys.state:
             for factor in (Fraction(2), Fraction(1001, 1000)):
                 cert = su4_family_check(model, perturbed_system(sys, name, factor))
@@ -546,7 +546,7 @@ def test_rotation_generator_commutes_with_d(model):
     coefficients and dt, so d(L Omega) = L d(Omega): once d(Omega) vanishes
     under a system, so do d(V) and d(W), and the certificate checks only
     d(Omega)."""
-    deriv = derivation(model)
+    deriv = model.derivation
     struct = deriv.struct
     gens, dt = struct.Omega.gens, struct.Omega.dt_index
     one = LaurentPoly.const(struct.table, 1)
@@ -567,7 +567,7 @@ def test_rotation_generator_commutes_with_d(model):
 @pytest.mark.parametrize("shift", [-1, 1])
 @pytest.mark.parametrize("model", [q_model(1, 1, 1), m_model(1, 1)], ids=["Q", "M"])
 def test_su4_certificate_fails_with_a_wrong_family_weight(monkeypatch, model, shift):
-    sys = derivation(model).sys
+    sys = model.derivation.sys
     assert su4_family_check(model, sys).family_parallel
     spec = MODEL_SPECS[model.kind]
     monkeypatch.setitem(MODEL_SPECS, model.kind, replace(spec, family_weight=spec.family_weight + shift))
@@ -593,7 +593,7 @@ def test_su4_certificate_of_the_derived_system_is_the_derivations(monkeypatch):
         raise AssertionError("the derived system's certificate is computed again")
 
     for model in (q_model(1, 1, 1), m_model(1, 1)):
-        sys = derivation(model).sys
+        sys = model.derivation.sys
         with monkeypatch.context() as patch:
             patch.setattr("holoflow.verify.kaehler_search", searched)
             patch.setattr("holoflow.verify.under_system", searched)
@@ -656,7 +656,7 @@ def test_bars_of_none_take_the_default_bars(stored):
     if stored:
         traj = Trajectory.from_csv(Path(__file__).parent / "golden" / "traj_m_cp2.csv", "M")
     else:
-        traj, _ = solve_orbit(derivation(model).sys, spec, IntegratorConfig())
+        traj, _ = solve_orbit(model.derivation.sys, spec, IntegratorConfig())
     closure = DEFAULT_BARS["closure_trajectory" if stored else "closure"]
     defaults = {"closure": closure, "cone": DEFAULT_BARS["cone"], "closed_form": DEFAULT_BARS["closed_form"]}
     doc, code = verify_trajectory(model, spec, traj, defaults)
