@@ -5,12 +5,15 @@ Each basis element X, a tuple of complex matrix blocks, is written once as a
 pair (D, S): a positive integer D and a sparse Gaussian-integer matrix S with
 X = S / D.  The q-products, brackets, projections and the realness,
 orthogonality, positivity and closure checks all run on these integers, and
-``_project`` checks closure over a bracket's nonzero coordinates alone.  The
-structure constants are stored only as integers times the lcm of their
-denominators, which the Jacobi and isotropy checks, the weights and the
-Maurer-Cartan forms read.  Fractions appear otherwise only in the q-norms,
-the Cartan coordinates and the Maurer-Cartan forms.  What the paper states
-about each model is one ``ModelSpec`` record in ``MODEL_SPECS``.
+``_project`` checks closure over a bracket's nonzero coordinates alone.
+The build's inner loops key their dicts by one int each: the entry
+(b, i, j) of S by (3 b + i) 3 + j, its row by 3 b + i, and a Jacobi term
+by its sorted triple and coordinate.  The structure constants are stored
+only as integers times the lcm of their denominators, which the Jacobi and
+isotropy checks, the weights and the Maurer-Cartan forms read.  Fractions
+appear otherwise only in the q-norms, the Cartan coordinates and the
+Maurer-Cartan forms.  What the paper states about each model is one
+``ModelSpec`` record in ``MODEL_SPECS``.
 """
 
 from __future__ import annotations
@@ -37,8 +40,14 @@ class ModelError(ValueError):
 # scaled Gaussian-integer matrices
 # ---------------------------------------------------------------------------
 
-# sparse nonzero entries {(block, row, col): (re, im)} with int parts
-GaussMatrix = Dict[Tuple[int, int, int], Tuple[int, int]]
+# every block is a square of side at most _SIDE, su(3)'s being the largest:
+# the entry (b, i, j) is keyed by the int (b * _SIDE + i) * _SIDE + j and the
+# row (b, i) by b * _SIDE + i, so key // _SIDE is an entry's row and
+# key % _SIDE its column
+_SIDE = 3
+
+# sparse nonzero entries {packed (block, row, col): (re, im)} with int parts
+GaussMatrix = Dict[int, Tuple[int, int]]
 # a Lie-algebra element X = S / D as the pair (D, S)
 Scaled = Tuple[int, GaussMatrix]
 
@@ -66,17 +75,20 @@ def _place(d: int, *pieces: Tuple[int, int, Pattern]) -> Scaled:
     s: GaussMatrix = {}
     for b, c, pattern in pieces:
         for (i, j), (re, im) in pattern.items():
-            r0, i0 = s.get((b, i, j), (0, 0))
-            s[(b, i, j)] = (r0 + c * re, i0 + c * im)
+            key = (b * _SIDE + i) * _SIDE + j
+            r0, i0 = s.get(key, (0, 0))
+            s[key] = (r0 + c * re, i0 + c * im)
     return d, {key: v for key, v in s.items() if v != (0, 0)}
 
 
-def _transposed(mats: Sequence[GaussMatrix]) -> Dict[Tuple[int, int, int], List[Tuple[int, int, int]]]:
+def _transposed(mats: Sequence[GaussMatrix]) -> Dict[int, List[Tuple[int, int, int]]]:
     """The entries S_k[b, j, i] of every S_k, listed as (k, re, im) under (b, i, j)."""
-    index: Dict[Tuple[int, int, int], List[Tuple[int, int, int]]] = {}
+    index: Dict[int, List[Tuple[int, int, int]]] = {}
     for k, s in enumerate(mats):
-        for (b, i, j), (re, im) in s.items():
-            index.setdefault((b, j, i), []).append((k, re, im))
+        for key, (re, im) in s.items():
+            bi, j = divmod(key, _SIDE)
+            b, i = divmod(bi, _SIDE)
+            index.setdefault((b * _SIDE + j) * _SIDE + i, []).append((k, re, im))
     return index
 
 
@@ -124,15 +136,17 @@ def _span_weights(norms: Sequence[int]) -> Tuple[List[int], int]:
 
 
 def _gbracket(x: Mapping, y: Mapping) -> GaussMatrix:
-    """XY - YX, blockwise, from X and Y by rows {(block, row): [(col, (re, im))]}:
-    each entry A_ik meets the row k of the other factor."""
-    out: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
+    """XY - YX, blockwise, from X and Y by rows {packed (block, row): [(col, (re, im))]}:
+    each entry A_ik meets the row k of the other factor, packed as bi - bi % _SIDE + k."""
+    out: GaussMatrix = {}
     for a, c, sign in ((x, y, 1), (y, x, -1)):
-        for (b, i), row in a.items():
+        for bi, row in a.items():
+            b0 = bi - bi % _SIDE
             for k, (ar, ai) in row:
-                for j, (cr, ci) in c.get((b, k), ()):
-                    re, im = out.get((b, i, j), (0, 0))
-                    out[(b, i, j)] = (re + sign * (ar * cr - ai * ci), im + sign * (ar * ci + ai * cr))
+                for j, (cr, ci) in c.get(b0 + k, ()):
+                    key = bi * _SIDE + j
+                    re, im = out.get(key, (0, 0))
+                    out[key] = (re + sign * (ar * cr - ai * ci), im + sign * (ar * ci + ai * cr))
     return {key: v for key, v in out.items() if v != (0, 0)}
 
 
@@ -270,10 +284,10 @@ def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[
     n = len(basis)
     dens = [d for d, _ in basis]
     mats = [s for _, s in basis]
-    rows: List[Dict[Tuple[int, int], List[Tuple[int, Tuple[int, int]]]]] = [{} for _ in mats]
+    rows: List[Dict[int, List[Tuple[int, Tuple[int, int]]]]] = [{} for _ in mats]
     for r, s in zip(rows, mats):
-        for (b, i, j), v in s.items():
-            r.setdefault((b, i), []).append((j, v))
+        for key, v in s.items():
+            r.setdefault(key // _SIDE, []).append((key % _SIDE, v))
     index = _transposed(mats)
     # q must be real, diagonal and positive on the basis, row by row; q is
     # symmetric, so the upper triangle in row-major order meets the first
@@ -295,8 +309,8 @@ def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[
     lcm_dens = math.lcm(*dens)
     scale = g = lcm_dens * lcm_dens * lcm_norms
     # [S_i, S_j] vanishes when the two share no block or are both diagonal
-    blocks = [{b for b, _, _ in s} for s in mats]
-    diagonal = [all(r == c for _, r, c in s) for s in mats]
+    blocks = [{key // (_SIDE * _SIDE) for key in s} for s in mats]
+    diagonal = [all(key // _SIDE % _SIDE == key % _SIDE for key in s) for s in mats]
     upper = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -322,16 +336,34 @@ def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[
 
 
 def _check_jacobi(structure: StructureTensor) -> None:
-    """Jacobi identity on the integer table; closure implies it, so this guards the table."""
+    """Jacobi identity on the integer table; closure implies it, so this guards the table.
+
+    Each nonzero bracket rows[a][b] with a < b gives the terms
+    [[e_a, e_b], e_c]; a term goes to the cyclic sum of the sorted triple
+    {a, b, c}, negated when a < c < b, where that sum holds
+    [[e_b, e_a], e_c].  The terms are summed under the one int
+    ((x n + y) n + z) n + k for the triple x < y < z and the coordinate k.
+    Reading only the upper cell relies on rows[j][i] = -rows[i][j], which
+    ``_build_structure`` writes from one list of pairs.
+    """
     n, rows = structure.n, structure.rows
-    for i, j, k in itertools.combinations(range(n), 3):
-        acc: Dict[int, int] = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for mid, cm in rows[a][b]:
-                for fin, cf in rows[mid][c]:
-                    acc[fin] = acc.get(fin, 0) + cm * cf
-        if any(acc.values()):
-            raise ModelError("Jacobi identity failed")
+    acc: Dict[int, int] = {}
+    for a, row in enumerate(rows):
+        for b in range(a + 1, n):
+            for mid, cm in row[b]:
+                for c, cell in enumerate(rows[mid]):
+                    if not cell or c == a or c == b:
+                        continue
+                    if c < a:
+                        key, w = ((c * n + a) * n + b) * n, cm
+                    elif c < b:
+                        key, w = ((a * n + c) * n + b) * n, -cm
+                    else:
+                        key, w = ((a * n + b) * n + c) * n, cm
+                    for fin, cf in cell:
+                        acc[key + fin] = acc.get(key + fin, 0) + w * cf
+    if any(acc.values()):
+        raise ModelError("Jacobi identity failed")
 
 
 def _normalized(indices: Sequence[int], message: str) -> Tuple[int, ...]:

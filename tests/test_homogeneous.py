@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import holoflow.homogeneous as homogeneous
 from holoflow._record import replace
 from holoflow.algebra import LaurentPoly, Multivector
 from holoflow.homogeneous import (
     ModelError,
+    StructureTensor,
     _ad,
     _build_structure,
     _check_isotropy_action,
@@ -43,7 +45,15 @@ from holoflow.homogeneous import (
     maurer_cartan,
     q_model,
 )
-from oracles import canonical_weights, coefficient, structure_from_table, structure_table
+from oracles import (
+    canonical_weights,
+    coefficient,
+    jacobi_per_triple,
+    pack,
+    structure_from_table,
+    structure_table,
+    unpack,
+)
 
 
 def bracket_coeffs(structure, i, j):
@@ -467,7 +477,7 @@ def dense(x, sizes):
     d, s = x
     return tuple(
         tuple(
-            tuple(tuple(Fraction(v, d) for v in s.get((b, i, j), (0, 0))) for j in range(n))
+            tuple(tuple(Fraction(v, d) for v in s.get(pack(b, i, j), (0, 0))) for j in range(n))
             for i in range(n)
         )
         for b, n in enumerate(sizes)
@@ -559,13 +569,13 @@ def test_structure_and_weights_match_fraction_matrices(kind, indices):
     assert isotropy_weights(model) == want
 
 
-# one-block (D, S) pairs {(block, row, col): (re, im)}
-S1 = (2, {(0, 0, 1): (0, 1), (0, 1, 0): (0, 1)})
-S2 = (2, {(0, 0, 1): (1, 0), (0, 1, 0): (-1, 0)})
-SIGMA_X = (1, {(0, 0, 1): (1, 0), (0, 1, 0): (1, 0)})  # hermitian
-S1_PLUS_S2 = (2, {(0, 0, 1): (1, 1), (0, 1, 0): (-1, 1)})
-S3_PAIR = (2, {(0, 0, 0): (0, 1), (0, 1, 1): (0, -1)})
-S2_PLUS_S3 = (2, {(0, 0, 1): (1, 0), (0, 1, 0): (-1, 0), (0, 0, 0): (0, 1), (0, 1, 1): (0, -1)})
+# one-block (D, S) pairs {packed (block, row, col): (re, im)}
+S1 = (2, {pack(0, 0, 1): (0, 1), pack(0, 1, 0): (0, 1)})
+S2 = (2, {pack(0, 0, 1): (1, 0), pack(0, 1, 0): (-1, 0)})
+SIGMA_X = (1, {pack(0, 0, 1): (1, 0), pack(0, 1, 0): (1, 0)})  # hermitian
+S1_PLUS_S2 = (2, {pack(0, 0, 1): (1, 1), pack(0, 1, 0): (-1, 1)})
+S3_PAIR = (2, {pack(0, 0, 0): (0, 1), pack(0, 1, 1): (0, -1)})
+S2_PLUS_S3 = (2, {pack(0, 0, 1): (1, 0), pack(0, 1, 0): (-1, 0), pack(0, 0, 0): (0, 1), pack(0, 1, 1): (0, -1)})
 
 
 @pytest.mark.parametrize(
@@ -642,8 +652,9 @@ def test_classification_never_builds_the_fraction_table():
 def gq_reference(x, y):
     """-tr(XY) = -sum X_ij Y_ji over blocks, one pair at a time; raises unless real."""
     re = im = 0
-    for (b, i, j), (xr, xi) in x.items():
-        yv = y.get((b, j, i))
+    for key, (xr, xi) in x.items():
+        b, i, j = unpack(key)
+        yv = y.get(pack(b, j, i))
         if yv is not None:
             re += xr * yv[0] - xi * yv[1]
             im += xr * yv[1] + xi * yv[0]
@@ -656,11 +667,13 @@ def gbracket_reference(x, y):
     """XY - YX, blockwise, by scanning every pair of entries."""
     out = {}
     for a, c, sign in ((x, y, 1), (y, x, -1)):
-        for (b, i, k), (ar, ai) in a.items():
-            for (b2, k2, j), (cr, ci) in c.items():
+        for key_a, (ar, ai) in a.items():
+            b, i, k = unpack(key_a)
+            for key_c, (cr, ci) in c.items():
+                b2, k2, j = unpack(key_c)
                 if b2 == b and k2 == k:
-                    re, im = out.get((b, i, j), (0, 0))
-                    out[(b, i, j)] = (
+                    re, im = out.get(pack(b, i, j), (0, 0))
+                    out[pack(b, i, j)] = (
                         re + sign * (ar * cr - ai * ci),
                         im + sign * (ar * ci + ai * cr),
                     )
@@ -795,6 +808,38 @@ def test_the_tuple_sets_cover_every_index_tuple_up_to_12():
     assert set(sweep) | set(rest) == set(index_tuples(12))
 
 
+def tuple_place(d, *pieces):
+    """``_place`` keyed by the positions (b, i, j) that the patterns name."""
+    s = {}
+    for b, c, pattern in pieces:
+        for (i, j), (re_, im_) in pattern.items():
+            r0, i0 = s.get((b, i, j), (0, 0))
+            s[(b, i, j)] = (r0 + c * re_, i0 + c * im_)
+    return d, {key: v for key, v in s.items() if v != (0, 0)}
+
+
+@pytest.mark.parametrize("name", ["sweep", "up-to-12"])
+def test_each_packed_key_decodes_to_the_placed_position(name, monkeypatch):
+    positions = {
+        kind: [(b, i, j) for b, n in enumerate(sizes) for i in range(n) for j in range(n)]
+        for kind, sizes in BLOCK_SIZES.items()
+    }
+    for kind, where in positions.items():
+        keys = [pack(*p) for p in where]
+        assert len(set(keys)) == len(where), kind
+        assert [unpack(key) for key in keys] == where, kind
+    for kind, indices in TUPLE_SETS[name]:
+        packed = BASES[kind](*indices)
+        with monkeypatch.context() as m:
+            m.setattr(homogeneous, "_place", tuple_place)
+            placed = BASES[kind](*indices)
+        assert len(packed) == len(placed)
+        for (d, s), (d0, s0) in zip(packed, placed):
+            assert d == d0
+            assert len(s) == len(s0) and {unpack(key): v for key, v in s.items()} == s0, (kind, indices)
+            assert set(s0) <= set(positions[kind])
+
+
 @pytest.mark.parametrize("name", TUPLE_SETS)
 def test_integer_build_matches_the_fraction_build(name):
     for kind, indices in TUPLE_SETS[name]:
@@ -881,11 +926,11 @@ def sweep_basis_elements(draw):
         for b, i, j in draw(st.lists(st.sampled_from(positions), min_size=1, max_size=4, unique=True)):
             re_, im_ = draw(small), draw(small)
             if not skew:
-                entries = [((b, i, j), (re_, im_))]
+                entries = [(pack(b, i, j), (re_, im_))]
             elif i == j:
-                entries = [((b, i, i), (0, im_))]
+                entries = [(pack(b, i, i), (0, im_))]
             else:  # X_ji = -conj(X_ij)
-                entries = [((b, i, j), (re_, im_)), ((b, j, i), (-re_, im_))]
+                entries = [(pack(b, i, j), (re_, im_)), (pack(b, j, i), (-re_, im_))]
             for key, (dr, di) in entries:
                 r0, i0 = x.get(key, (0, 0))
                 x[key] = (r0 + dr, i0 + di)
@@ -1053,6 +1098,67 @@ def test_integer_jacobi_agrees_with_the_fraction_loop_on_random_edits(kind, indi
         else:
             with pytest.raises(ModelError, match="Jacobi identity failed"):
                 _check_jacobi(structure)
+
+
+def jacobi_verdict(structure):
+    """Whether ``_check_jacobi`` accepts the table; it raises only its one message."""
+    try:
+        _check_jacobi(structure)
+    except ModelError as err:
+        assert str(err) == "Jacobi identity failed"
+        return False
+    return True
+
+
+def tripled(structure):
+    """The table with every constant times 3, over the same scale; the
+    Jacobi identity is quadratic, so this keeps it or its failure."""
+    rows = tuple(tuple(tuple((k, 3 * v) for k, v in cell) for cell in row) for row in structure.rows)
+    return StructureTensor(structure.n, structure.scale, rows)
+
+
+def antisymmetric_edits(structure, rng, count):
+    """``count`` copies of the table, each with one to three brackets
+    [e_i, e_j], i < j, given a new coefficient on a random e_k (sometimes
+    the one it has) and [e_j, e_i] written as its negative."""
+    n = structure.n
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n) if structure.rows[i][j]]
+    for _ in range(count):
+        rows = [list(row) for row in structure.rows]
+        for _ in range(rng.randint(1, 3)):
+            i, j = sorted(rng.sample(range(n), 2)) if rng.random() < 0.3 else rng.choice(upper)
+            pairs = dict(rows[i][j])
+            k = rng.randrange(n)
+            pairs[k] = pairs.get(k, 0) if rng.random() < 0.2 else rng.randint(-4, 4)
+            rows[i][j] = tuple((k, v) for k, v in pairs.items() if v)
+            rows[j][i] = tuple((k, -v) for k, v in rows[i][j])
+        yield StructureTensor(n, structure.scale, tuple(map(tuple, rows)))
+
+
+def test_the_upper_cell_jacobi_check_agrees_with_the_per_triple_loop():
+    """On every sweep table, on 50 seeded antisymmetric edits of each, and on
+    each of these times 3, ``_check_jacobi`` accepts exactly the tables that
+    the per-triple loop accepts."""
+    rng = random.Random(37)
+    verdicts = []
+    for kind, indices in TUPLE_SETS["sweep"]:
+        structure = get_model(kind, indices).structure
+        for table in (structure, *antisymmetric_edits(structure, rng, 50)):
+            verdict = jacobi_per_triple(table)
+            assert jacobi_verdict(table) == verdict, (kind, indices)
+            assert jacobi_verdict(tripled(table)) == jacobi_per_triple(tripled(table)) == verdict, (kind, indices)
+            verdicts.append(verdict)
+    assert len(verdicts) == 61 * 51
+    assert verdicts.count(True) > 61 and verdicts.count(False) > 2_000
+
+
+@pytest.mark.parametrize("name", TUPLE_SETS)
+def test_every_built_table_is_antisymmetric(name):
+    """rows[j][i] = -rows[i][j], which ``_check_jacobi``'s upper-cell read needs."""
+    for kind, indices in TUPLE_SETS[name]:
+        rows = get_model(kind, indices).structure.rows
+        for i, j in itertools.product(range(len(rows)), repeat=2):
+            assert rows[j][i] == tuple((k, -v) for k, v in rows[i][j]), (kind, indices, i, j)
 
 
 # ---------------------------------------------------------------------------
