@@ -1,19 +1,17 @@
 """Lie-algebra data for the two coset models and the invariant calculus.
 
-The Q model lives in three copies of su(2), the M model in su(3) + su(2).
-Each basis element X, a tuple of complex matrix blocks, is written once as a
-pair (D, S): a positive integer D and a sparse Gaussian-integer matrix S with
-X = S / D.  The q-products, brackets, projections and the realness,
-orthogonality, positivity and closure checks all run on these integers, and
-``_project`` checks closure over a bracket's nonzero coordinates alone.
-The build's inner loops key their dicts by one int each: the entry
-(b, i, j) of S by (3 b + i) 3 + j, its row by 3 b + i, and a Jacobi term
-by its sorted triple and coordinate.  The structure constants are stored
-only as integers times the lcm of their denominators, which the Jacobi and
-isotropy checks, the weights and the Maurer-Cartan forms read.  Fractions
-appear otherwise only in the q-norms, the Cartan coordinates and the
-Maurer-Cartan forms.  What the paper states about each model is one
-``ModelSpec`` record in ``MODEL_SPECS``.
+The Q model lives in g = su(2)^3, the M model in g = su(3) + su(2).  Each
+kind's g has one basis g_a of sparse Gaussian-integer matrices, the entry
+(b, i, j) keyed by the int (3 b + i) 3 + j; ``_build_structure`` checks it and
+finds g's integer structure table once per kind and process.  A model's
+basis element is the pair (D, {a: P_a}) of its integer coordinates over the
+g_a, X = sum_a P_a g_a / D, so its q-norms, brackets, projections and the
+orthogonality, positivity and closure checks are sums over g's norms and
+table, and no model makes a matrix.  The structure constants are stored
+only as integers times the lcm of their denominators; Fractions appear
+otherwise only in the q-norms, the Cartan coordinates and the Maurer-Cartan
+forms.  What the paper states about each model is one ``ModelSpec`` record
+in ``MODEL_SPECS``.
 """
 
 from __future__ import annotations
@@ -70,84 +68,78 @@ def _diag(*d: int) -> Pattern:
     return {(p, p): (0, x) for p, x in enumerate(d)}
 
 
-def _place(d: int, *pieces: Tuple[int, int, Pattern]) -> Scaled:
-    """(D, S) with S the sum of c * P placed on block b, over pieces (b, c, P)."""
-    s: GaussMatrix = {}
-    for b, c, pattern in pieces:
-        for (i, j), (re, im) in pattern.items():
-            key = (b * _SIDE + i) * _SIDE + j
-            r0, i0 = s.get(key, (0, 0))
-            s[key] = (r0 + c * re, i0 + c * im)
-    return d, {key: v for key, v in s.items() if v != (0, 0)}
-
-
-def _transposed(mats: Sequence[GaussMatrix]) -> Dict[int, List[Tuple[int, int, int]]]:
-    """The entries S_k[b, j, i] of every S_k, listed as (k, re, im) under (b, i, j)."""
-    index: Dict[int, List[Tuple[int, int, int]]] = {}
-    for k, s in enumerate(mats):
-        for key, (re, im) in s.items():
-            bi, j = divmod(key, _SIDE)
-            b, i = divmod(bi, _SIDE)
-            index.setdefault((b * _SIDE + j) * _SIDE + i, []).append((k, re, im))
-    return index
-
-
-def _gq_parts(x: GaussMatrix, transposed: Mapping, n: int) -> Tuple[List[int], List[int]]:
-    """The real and imaginary parts of q(X, S_k) for k < n, with
-    q(X,Y) = -tr(XY) over blocks, in one pass over X and the transposed S_k."""
-    re, im = [0] * n, [0] * n
-    for key, (xr, xi) in x.items():
-        for k, sr, si in transposed.get(key, ()):
-            re[k] -= xr * sr - xi * si
-            im[k] += xr * si + xi * sr
-    return re, im
+def _place(b: int, pattern: Pattern) -> GaussMatrix:
+    """The pattern placed on block b."""
+    return {(b * _SIDE + i) * _SIDE + j: v for (i, j), v in pattern.items()}
 
 
 _NOT_REAL = "q(X,Y) is not real; basis matrices are not skew-hermitian"
 
 
-def _project(
-    x: GaussMatrix, transposed: Mapping, mats: Sequence[GaussMatrix], weights: Sequence[int], scale: int
-) -> Optional[Dict[int, int]]:
-    """The nonzero t_k = q(X, S_k) as {k: t_k} in ascending k, from one pass
-    over the entries of X and the transposed S_k; raises unless every t_k is
-    real.  None unless X = sum_k t_k S_k / N_k, checked on integers as
-    L X = sum_k t_k w_k S_k with L = lcm(N) and the weights w_k = L / N_k."""
-    re, im = _gq_parts(x, transposed, len(mats))
-    if any(im):
-        raise ModelError(_NOT_REAL)
-    t, residual = {}, {}
+def _q(x: GaussMatrix, y: GaussMatrix) -> int:
+    """q(X,Y) = -tr(XY) over blocks, each X_ij meeting Y_ji; raises unless it is real."""
+    re = im = 0
     for key, (xr, xi) in x.items():
-        residual[key] = (scale * xr, scale * xi)
-    for k, tk in enumerate(re):
-        if tk:
-            t[k] = tk
-            w = tk * weights[k]
-            for key, (sr, si) in mats[k].items():
-                r0, i0 = residual.get(key, (0, 0))
-                residual[key] = (r0 - w * sr, i0 - w * si)
-    return t if {(0, 0)}.issuperset(residual.values()) else None
+        bi, j = divmod(key, _SIDE)
+        yr, yi = y.get((bi - bi % _SIDE + j) * _SIDE + bi % _SIDE, (0, 0))
+        re -= xr * yr - xi * yi
+        im -= xr * yi + xi * yr
+    if im:
+        raise ModelError(_NOT_REAL)
+    return re
+
+
+def _gbracket(x: GaussMatrix, y: GaussMatrix) -> GaussMatrix:
+    """XY - YX, blockwise: each A_ik meets the row k of the other factor, bi - bi % _SIDE + k."""
+    out: GaussMatrix = {}
+    for a, c, sign in ((x, y, 1), (y, x, -1)):
+        for ka, (ar, ai) in a.items():
+            bi, k = divmod(ka, _SIDE)
+            for kc, (cr, ci) in c.items():
+                if kc // _SIDE == bi - bi % _SIDE + k:
+                    key = bi * _SIDE + kc % _SIDE
+                    re, im = out.get(key, (0, 0))
+                    out[key] = (re + sign * (ar * cr - ai * ci), im + sign * (ar * ci + ai * cr))
+    return {key: v for key, v in out.items() if v != (0, 0)}
+
+
+def _index(coords: Sequence[Mapping[int, int]], norms: Sequence[int]) -> Dict[int, List[Tuple[int, int]]]:
+    """q(g_a, S_k) = P_ka N_a for each S_k = sum_a P_ka g_a, listed as (k, P_ka N_a) under a."""
+    index: Dict[int, List[Tuple[int, int]]] = {}
+    for k, p in enumerate(coords):
+        for a, c in p.items():
+            index.setdefault(a, []).append((k, c * norms[a]))
+    return index
+
+
+def _products(x: Mapping[int, int], index: Mapping, n: int) -> List[int]:
+    """[q(X, S_k) for k < n] of X = sum_a x_a g_a, in one pass over x."""
+    t = [0] * n
+    for a, c in x.items():
+        for k, v in index.get(a, ()):
+            t[k] += c * v
+    return t
+
+
+def _project(
+    x: Mapping[int, int], index: Mapping, coords: Sequence[Mapping[int, int]], weights: Sequence[int], scale: int
+) -> Optional[Dict[int, int]]:
+    """The nonzero t_k = q(X, S_k) as {k: t_k} in ascending k.  None unless
+    X = sum_k t_k S_k / N_k, checked over the g_a as L X = sum_k t_k w_k S_k
+    with L = lcm(N) and the weights w_k = L / N_k."""
+    t = {k: tk for k, tk in enumerate(_products(x, index, len(coords))) if tk}
+    residual = {a: scale * c for a, c in x.items()}
+    for k, tk in t.items():
+        w = tk * weights[k]
+        for a, c in coords[k].items():
+            residual[a] = residual.get(a, 0) - w * c
+    return None if any(residual.values()) else t
 
 
 def _span_weights(norms: Sequence[int]) -> Tuple[List[int], int]:
     """([L / N_k], L) for the lcm L of the integer norms N_k, as ``_project`` reads them."""
     scale = math.lcm(*norms)
     return [scale // nk for nk in norms], scale
-
-
-def _gbracket(x: Mapping, y: Mapping) -> GaussMatrix:
-    """XY - YX, blockwise, from X and Y by rows {packed (block, row): [(col, (re, im))]}:
-    each entry A_ik meets the row k of the other factor, packed as bi - bi % _SIDE + k."""
-    out: GaussMatrix = {}
-    for a, c, sign in ((x, y, 1), (y, x, -1)):
-        for bi, row in a.items():
-            b0 = bi - bi % _SIDE
-            for k, (ar, ai) in row:
-                for j, (cr, ci) in c.get(b0 + k, ()):
-                    key = bi * _SIDE + j
-                    re, im = out.get(key, (0, 0))
-                    out[key] = (re + sign * (ar * cr - ai * ci), im + sign * (ar * ci + ai * cr))
-    return {key: v for key, v in out.items() if v != (0, 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -158,38 +150,39 @@ def _gbracket(x: Mapping, y: Mapping) -> GaussMatrix:
 # scaled to integers
 _S1, _S2, _S3 = _imag(0, 1), _real(0, 1), _diag(1, -1)
 
+# the basis g_a of each kind's Lie algebra, a pattern on a block each: the
+# _S1, _S2, _S3 of each su(2) of Q; for M su(3)'s real and imaginary E_02,
+# E_12, E_01, i diag(1, 1, -2) and i diag(1, -1), then su(2)'s
+_ALGEBRA = {
+    "Q": [(b, s) for b in range(3) for s in (_S1, _S2, _S3)],
+    "M": [(0, f(i, j)) for i, j in ((0, 2), (1, 2), (0, 1)) for f in (_real, _imag)]
+    + [(0, _diag(1, 1, -2)), (0, _diag(1, -1)), (1, _real(0, 1)), (1, _imag(0, 1)), (1, _diag(1, -1))],
+}
 
-def _q_basis(k: int, l: int, m: int) -> Tuple[Scaled, ...]:
+# a basis element X = sum_a P_a g_a / D as the pair (D, {a: P_a})
+Coordinates = Tuple[int, Dict[int, int]]
+
+
+def _q_basis(k: int, l: int, m: int) -> Tuple[Coordinates, ...]:
+    # g_{3b}, g_{3b+1}, g_{3b+2} are 2 sigma_1, 2 sigma_2, 2 sigma_3 on block b
     return (
-        _place(2, (0, 1, _S1)),
-        _place(2, (0, 1, _S2)),
-        _place(2, (1, 1, _S1)),
-        _place(2, (1, 1, _S2)),
-        _place(2, (2, 1, _S1)),
-        _place(2, (2, 1, _S2)),
-        _place(2, (0, k, _S3), (1, l, _S3), (2, m, _S3)),
-        _place(2, (0, l, _S3), (1, -k, _S3)),
-        _place(2, (0, m * k, _S3), (1, m * l, _S3), (2, -(k * k + l * l), _S3)),
+        *((2, {a: 1}) for a in (0, 1, 3, 4, 6, 7)),
+        (2, {2: k, 5: l, 8: m}),
+        (2, {2: l, 5: -k}),
+        (2, {2: m * k, 5: m * l, 8: -(k * k + l * l)}),
     )
 
 
-def _m_basis(k: int, l: int) -> Tuple[Scaled, ...]:
+def _m_basis(k: int, l: int) -> Tuple[Coordinates, ...]:
     # block 0 is su(3), block 1 is su(2); with t1 = i diag(1/2, 1/2, -1) and
     # t2 = i diag(-1/2, 1/2), e7 = 2k t1 + 2l t2 and e11 = (2l/3) t1 - 2k t2.
     # e7 carries twice the central direction so that the metric coefficient c
     # matches the normalization of the holonomy ODE system and its solutions
     return (
-        _place(1, (0, 1, _real(0, 2))),
-        _place(1, (0, 1, _imag(0, 2))),
-        _place(1, (0, 1, _real(1, 2))),
-        _place(1, (0, 1, _imag(1, 2))),
-        _place(1, (1, 1, _real(0, 1))),
-        _place(1, (1, 1, _imag(0, 1))),
-        _place(1, (0, k, _diag(1, 1, -2)), (1, l, _diag(-1, 1))),
-        _place(1, (0, 1, _real(0, 1))),
-        _place(1, (0, 1, _imag(0, 1))),
-        _place(1, (0, 1, _diag(1, -1))),
-        _place(3, (0, l, _diag(1, 1, -2)), (1, 3 * k, _diag(1, -1))),
+        *((1, {a: 1}) for a in (0, 1, 2, 3, 8, 9)),
+        (1, {6: k, 10: -l}),
+        *((1, {a: 1}) for a in (4, 5, 7)),
+        (3, {6: l, 10: 3 * k}),
     )
 
 
@@ -214,7 +207,9 @@ class StructureTensor:
 
 @record(frozen=True)
 class CosetModel:
-    """One of Q(k,l,m) or M(k,l) with its exact basis of (D, S) pairs.
+    """One of Q(k,l,m) or M(k,l) with its exact basis: each element is the
+    pair (D, {a: P_a}) of its integer coordinates over the basis g_a of its
+    kind's Lie algebra, X = sum_a P_a g_a / D.
 
     Indices 0..6 span the tangent space; the rest span the isotropy algebra.
     The metric q(X,Y) = -tr(XY) is diagonal on the basis (verified at build
@@ -223,7 +218,7 @@ class CosetModel:
 
     kind: str
     indices: Tuple[int, ...]
-    basis: Tuple[Scaled, ...]
+    basis: Tuple[Coordinates, ...]
     gen_names: Tuple[str, ...]
     q_norms: Tuple[Fraction, ...]
     structure: StructureTensor
@@ -270,69 +265,102 @@ class CosetModel:
         return Derivation(self)
 
 
-def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[Fraction, ...]]:
-    """Structure constants and q-norms of a basis X_i = S_i / D_i.
-
-    With N_i = q(S_i, S_i) the norm is N_i / D_i^2, and the bracket
-    [X_i, X_j] = B / (D_i D_j) with B = [S_i, S_j] has the coefficient
-    c^k_ij = t_k D_k / (D_i D_j N_k) on X_k, where t_k = q(B, S_k).  Over
-    L0 = lcm(D)^2 lcm(N) each c^k_ij L0 = t_k D_k (lcm(N) / N_k)
-    (lcm(D) / D_i) (lcm(D) / D_j) is an integer; dividing the table and L0
-    by g, the gcd of L0 and every entry, leaves the denominator L0 / g, the
-    lcm of the reduced denominators.
-    """
-    n = len(basis)
-    dens = [d for d, _ in basis]
-    mats = [s for _, s in basis]
-    rows: List[Dict[int, List[Tuple[int, Tuple[int, int]]]]] = [{} for _ in mats]
-    for r, s in zip(rows, mats):
-        for key, v in s.items():
-            r.setdefault(key // _SIDE, []).append((key % _SIDE, v))
-    index = _transposed(mats)
-    # q must be real, diagonal and positive on the basis, row by row; q is
-    # symmetric, so the upper triangle in row-major order meets the first
-    # failure of a full row-major scan
-    norms_int = []
+def _q_diagonal(n: int, q: Callable[[int, int], int]) -> List[int]:
+    """The norms N_i = q(S_i, S_i) of a basis, with q(i, j) = q(S_i, S_j);
+    raises unless q is diagonal and positive on it.  q is symmetric, so the
+    upper triangle in row-major order meets a full scan's first failure."""
+    norms = []
     for i in range(n):
-        re, im = _gq_parts(mats[i], index, n)
         for j in range(i, n):
-            if im[j]:
-                raise ModelError(_NOT_REAL)
+            v = q(i, j)
             if i == j:
-                if re[j] <= 0:
+                if v <= 0:
                     raise ModelError("basis vector with non-positive q-norm")
-                norms_int.append(re[j])
-            elif re[j]:
+                norms.append(v)
+            elif v:
                 raise ModelError(f"basis is not q-orthogonal at pair {(i + 1, j + 1)}")
-    norms = tuple(Fraction(v, d * d) for v, d in zip(norms_int, dens))
-    weights, lcm_norms = span = _span_weights(norms_int)
+    return norms
+
+
+def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[Fraction, ...]]:
+    """Structure constants and q-norms of a basis X_i = S_i / D_i of
+    Gaussian-integer matrices: [S_i, S_j] = sum_k t_k S_k / N_k with
+    t_k = q([S_i, S_j], S_k) is checked on the entries and is, over
+    L = lcm(N), the integer table t_k L / N_k that ``_change_of_basis`` reads."""
+    mats = [s for _, s in basis]
+    n = len(mats)
+    norms = _q_diagonal(n, lambda i, j: _q(mats[i], mats[j]))
+    weights, scale = _span_weights(norms)
+    table: List[List[Tuple[Tuple[int, int], ...]]] = [[()] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        br = _gbracket(mats[i], mats[j])
+        if not br:  # zero is real and in the span, with no constants
+            continue
+        t = [_q(br, s) * w for s, w in zip(mats, weights)]
+        residual = {key: (scale * re, scale * im) for key, (re, im) in br.items()}
+        for tw, s in zip(t, mats):
+            for key, (re, im) in s.items():
+                r0, i0 = residual.get(key, (0, 0))
+                residual[key] = (r0 - tw * re, i0 - tw * im)
+        if not {(0, 0)}.issuperset(residual.values()):
+            raise ModelError("basis is not closed under brackets")
+        table[i][j] = tuple((k, v) for k, v in enumerate(t) if v)
+        table[j][i] = tuple((k, -v) for k, v in table[i][j])
+    algebra = StructureTensor(n, scale, tuple(map(tuple, table)))
+    return _change_of_basis(algebra, norms, tuple((d, {i: 1}) for i, (d, _) in enumerate(basis)))
+
+
+def _change_of_basis(
+    algebra: StructureTensor, g_norms: Sequence[int], basis: Sequence[Coordinates]
+) -> Tuple[StructureTensor, Tuple[Fraction, ...]]:
+    """Structure constants and q-norms of X_i = S_i / D_i, S_i = sum_a P_ia g_a,
+    over a q-orthogonal basis g_a of norms N_a whose integer table over s is
+    ``algebra``: N_i = sum_a P_ia^2 N_a, and B = s [S_i, S_j] = sum_ab P_ia
+    P_jb rows[a][b] with t_k = q(B, S_k) gives c^k_ij = t_k D_k / (s D_i D_j
+    N_k).  Over L0 = s lcm(D)^2 lcm(N) each c^k_ij L0 = t_k D_k (lcm(N) / N_k)
+    (lcm(D) / D_i) (lcm(D) / D_j) is an integer; dividing the table and L0 by
+    the gcd g of L0 and every entry leaves L0 / g, the lcm of the reduced
+    denominators."""
+    n, rows = len(basis), algebra.rows
+    dens = [d for d, _ in basis]
+    coords = [p for _, p in basis]
+    index = _index(coords, g_norms)
+    gram = [_products(p, index, n) for p in coords]
+    norms = _q_diagonal(n, lambda i, j: gram[i][j])
+    weights, lcm_norms = span = _span_weights(norms)
     lcm_dens = math.lcm(*dens)
-    scale = g = lcm_dens * lcm_dens * lcm_norms
-    # [S_i, S_j] vanishes when the two share no block or are both diagonal
-    blocks = [{key // (_SIDE * _SIDE) for key in s} for s in mats]
-    diagonal = [all(key // _SIDE % _SIDE == key % _SIDE for key in s) for s in mats]
+    scale = g = algebra.scale * lcm_dens * lcm_dens * lcm_norms
     upper = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (diagonal[i] and diagonal[j]) or blocks[i].isdisjoint(blocks[j]):
-                continue
-            br = _gbracket(rows[i], rows[j])
-            if not br:  # zero is real and in the span, with no constants
-                continue
-            t = _project(br, index, mats, *span)
-            if t is None:
-                raise ModelError("basis is not closed under brackets")
-            f = (lcm_dens // dens[i]) * (lcm_dens // dens[j])
-            pairs = [(k, tk * dens[k] * weights[k] * f) for k, tk in t.items()]
-            upper.append((i, j, pairs))
-            g = math.gcd(g, *[v for _, v in pairs])
+    for i, j in itertools.combinations(range(n), 2):
+        b: Dict[int, int] = {}
+        for a, x in coords[i].items():
+            row = rows[a]
+            for c, y in coords[j].items():
+                for k, v in row[c]:
+                    b[k] = b.get(k, 0) + x * y * v
+        if not any(b.values()):  # zero is in the span, with no constants
+            continue
+        t = _project(b, index, coords, *span)
+        if t is None:
+            raise ModelError("basis is not closed under brackets")
+        f = (lcm_dens // dens[i]) * (lcm_dens // dens[j])
+        pairs = [(k, tk * dens[k] * weights[k] * f) for k, tk in t.items()]
+        upper.append((i, j, pairs))
+        g = math.gcd(g, *[v for _, v in pairs])
     table: List[List[Tuple[Tuple[int, int], ...]]] = [[()] * n for _ in range(n)]
     for i, j, pairs in upper:
         table[i][j] = pairs = tuple([(k, v // g) for k, v in pairs])
         table[j][i] = tuple([(k, -v) for k, v in pairs])
     structure = StructureTensor(n, scale // g, tuple(map(tuple, table)))
     _check_jacobi(structure)
-    return structure, norms
+    return structure, tuple(Fraction(v, d * d) for v, d in zip(norms, dens))
+
+
+@lru_cache(maxsize=None)
+def _algebra(kind: str) -> Tuple[StructureTensor, Tuple[int, ...]]:
+    """The checked structure tensor of a kind's g on its basis g_a (D = 1) and their q-norms N_a."""
+    structure, norms = _build_structure(tuple((1, _place(b, p)) for b, p in _ALGEBRA[kind]))
+    return structure, tuple(q.numerator for q in norms)
 
 
 def _check_jacobi(structure: StructureTensor) -> None:
@@ -344,7 +372,7 @@ def _check_jacobi(structure: StructureTensor) -> None:
     [[e_b, e_a], e_c].  The terms are summed under the one int
     ((x n + y) n + z) n + k for the triple x < y < z and the coordinate k.
     Reading only the upper cell relies on rows[j][i] = -rows[i][j], which
-    ``_build_structure`` writes from one list of pairs.
+    ``_change_of_basis`` writes from one list of pairs.
     """
     n, rows = structure.n, structure.rows
     acc: Dict[int, int] = {}
@@ -375,9 +403,10 @@ def _normalized(indices: Sequence[int], message: str) -> Tuple[int, ...]:
     return tuple(x // g for x in t)
 
 
-def _model(kind: str, indices: Tuple[int, ...], basis: Tuple[Scaled, ...]) -> CosetModel:
+def _model(kind: str, indices: Tuple[int, ...], basis: Tuple[Coordinates, ...]) -> CosetModel:
     """The checked model of ``kind`` on the basis of its normalized indices."""
-    structure, norms = _build_structure(basis)
+    basis = tuple((d, {a: c for a, c in p.items() if c}) for d, p in basis)
+    structure, norms = _change_of_basis(*_algebra(kind), basis)
     model = CosetModel(
         kind=kind,
         indices=indices,
@@ -594,16 +623,17 @@ def _plane_speed(model: CosetModel, rows: AdRows, plane: Tuple[int, int]) -> int
     return cji
 
 
-def _isotropy_coords(model: CosetModel, elements: Sequence[Scaled]) -> List[Dict[int, Fraction]]:
-    """Exact coordinates of each element on the (q-orthogonal) isotropy generators,
-    from projection data built once per model; raises unless each lies in their span."""
-    dens, mats = zip(*model.basis[model.TANGENT :])
+def _isotropy_coords(model: CosetModel, elements: Sequence[Coordinates]) -> List[Dict[int, Fraction]]:
+    """Exact coordinates of each element over g on the (q-orthogonal)
+    isotropy generators, from projection data built once per model; raises
+    unless each lies in their span."""
+    dens, coords = zip(*model.basis[model.TANGENT :])
     # N_a = q(S_a, S_a) = D_a^2 q_a, an integer
     norms = [q.numerator * d * d // q.denominator for q, d in zip(model.q_norms[model.TANGENT :], dens)]
-    index, span = _transposed(mats), _span_weights(norms)
+    index, span = _index(coords, _algebra(model.kind)[1]), _span_weights(norms)
     out = []
-    for dx, sx in elements:
-        t = _project(sx, index, mats, *span)
+    for dx, x in elements:
+        t = _project(x, index, coords, *span)
         if t is None:
             raise ModelError("Cartan element is not in the isotropy algebra")
         # S / D_x = sum_k t_k S_k / (D_x N_k) and S_k = D_k X_k
@@ -615,7 +645,7 @@ def _q_cartan(model: CosetModel) -> List[Coords]:
     """The Cartan of U(1)^2 in Q(k,l,m): (x, y, z) sigma_3 on the three
     blocks, (x, y, z) over the HNF basis of k x + l y + m z = 0."""
     kernel = _kernel_basis_1x3(*model.indices)
-    return _isotropy_coords(model, [_place(2, (0, x, _S3), (1, y, _S3), (2, z, _S3)) for x, y, z in kernel])
+    return _isotropy_coords(model, [(2, {2: x, 5: y, 8: z}) for x, y, z in kernel])
 
 
 def isotropy_weights(model: CosetModel) -> Tuple[Tuple[int, ...], ...]:

@@ -9,6 +9,7 @@ the derived systems rather than restating them.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -585,22 +586,26 @@ DEFAULT_BARS = {
 
 def evaluate_bars(doc: dict, bars: dict, cone, closure=None, deviation=None, su4=None) -> int:
     """Record the bars and the checks that miss them in ``doc``; the exit
-    code is 1 when any check misses its bar.  A bar of None takes its
+    code is 1 when any check misses its bar, and then one stderr line names
+    each miss with its value and bar.  A bar of None takes its
     ``DEFAULT_BARS`` value.  A partial cone fit is never held to the cone
     bar."""
     bars = {name: DEFAULT_BARS[name] if bar is None else bar for name, bar in bars.items()}
-    failures = []
+    failures = {}  # the checks that miss their bars, in order, with their values
     if closure is not None and closure.max_residual > bars["closure"]:
-        failures.append("closure")
+        failures["closure"] = closure.max_residual
     if cone.max_delta > bars["cone"] and not cone.partial:
-        failures.append("cone")
+        failures["cone"] = cone.max_delta
     if deviation is not None and deviation > bars["closed_form"]:
-        failures.append("closed_form")
+        failures["closed_form"] = deviation
     if su4 is not None and not su4.passed:
-        failures.append("su4")
+        failures["su4"] = None
     doc["bars"] = bars
-    doc["bars_failed"] = failures
+    doc["bars_failed"] = list(failures)
     doc["passed"] = not failures
+    if failures:
+        missed = [name if v is None else f"{name} {v:.3g} > {bars[name]:.3g}" for name, v in failures.items()]
+        print("failed: " + ", ".join(missed), file=sys.stderr)
     return 1 if failures else 0
 
 

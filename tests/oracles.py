@@ -1,7 +1,7 @@
 """Reads and exact evaluations that only the tests need.
 
-No command packs or decodes a matrix position, reads one coefficient of a
-form, reads the structure constants as ``Fraction`` values, checks the
+No command packs or decodes a matrix position, assembles a model's basis
+matrices, reads one coefficient of a form, reads the structure constants as ``Fraction`` values, checks the
 Jacobi identity one triple at a time, rebuilds a structure tensor from a
 table, substitutes the frame into omega and *omega apart from Omega, sorts
 isotropy weights, evaluates the closed-form profile exactly or fits the
@@ -18,7 +18,7 @@ import numpy as np
 
 from holoflow.algebra import AlgebraError, LaurentPoly
 from holoflow.closed_form import DomainError
-from holoflow.homogeneous import _SIDE, MODEL_SPECS, StructureTensor, group_gens, model_spec
+from holoflow.homogeneous import _ALGEBRA, _SIDE, MODEL_SPECS, StructureTensor, _place, group_gens, model_spec
 from holoflow.structures import canonical_forms
 from holoflow.verify import _cone_quantities
 
@@ -45,6 +45,23 @@ def unpack(key):
     """The position (b, i, j) of a packed matrix entry."""
     bi, j = divmod(key, _SIDE)
     return (*divmod(bi, _SIDE), j)
+
+
+def model_matrices(kind, basis):
+    """The (D, S) pairs of Gaussian-integer matrices of a basis given by its
+    coordinates (D, {a: P_a}) over the Lie-algebra basis g_a of ``kind``:
+    S = sum_a P_a g_a, summed entry by entry from the placed patterns of
+    ``_ALGEBRA``, zero entries dropped.  ``_build_structure`` on these is the
+    oracle of a model's change-of-basis build."""
+    out = []
+    for d, coords in basis:
+        s = {}
+        for a, c in coords.items():
+            for key, (re, im) in _place(*_ALGEBRA[kind][a]).items():
+                r0, i0 = s.get(key, (0, 0))
+                s[key] = (r0 + c * re, i0 + c * im)
+        out.append((d, {key: v for key, v in s.items() if v != (0, 0)}))
+    return tuple(out)
 
 
 def coefficient(form, indices):

@@ -552,6 +552,32 @@ def test_verify_fails_a_run_of_a_slightly_wrong_system(capsys, tmp_path):
     assert "closure" in json.loads(out)["bars_failed"]
 
 
+GOLDEN_M_CP2 = str(Path(__file__).parent / "golden" / "traj_m_cp2.csv")
+
+
+@pytest.mark.parametrize(
+    "argv,missed,line",
+    [
+        (["report", "--model", "m", "--orbit", "cp2"], ["--a0", "1/3"], "failed: closed_form 1.05e-08 > 1e-08"),
+        (["verify", "--model", "m", "--orbit", "cp2", "--a0", "1", "--traj", GOLDEN_M_CP2], ["--cone-bar", "1e-9"],
+         "failed: cone 0.000115 > 1e-09"),
+        (["cone", "--model", "m", "--traj", GOLDEN_M_CP2], ["--cone-bar", "1e-9"], "failed: cone 0.000115 > 1e-09"),
+    ],
+    ids=["report", "verify", "cone"],
+)
+def test_a_missed_bar_says_so_in_one_stderr_line(capsys, tmp_path, argv, missed, line):
+    """Exit 1 from a missed bar prints one stderr line with each miss, its
+    value and its bar, which the document's ``bars_failed`` names; without
+    the miss (unit data, default bars) the command exits 0 and prints
+    nothing to stderr."""
+    out = tmp_path / "out.json"
+    code, stdout, err = run(argv + missed + ["--out", str(out)], capsys)
+    assert (code, stdout, err) == (1, "", line + "\n")
+    assert json.loads(out.read_text())["bars_failed"] == [line.split()[1]]
+    passing = argv + (["--a0", "1"] if argv[0] == "report" else []) + ["--out", str(out)]
+    assert run(passing, capsys) == (0, "", "")
+
+
 def test_default_bars_given_explicitly_change_no_output(capsys, tmp_path):
     """Each command's output is the same byte for byte whether its bars are
     left out or given at their default values."""

@@ -4,8 +4,11 @@ import functools
 import itertools
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,23 +21,25 @@ import holoflow.homogeneous as homogeneous
 from holoflow._record import replace
 from holoflow.algebra import LaurentPoly, Multivector
 from holoflow.homogeneous import (
+    _ALGEBRA,
     ModelError,
     StructureTensor,
     _ad,
+    _algebra,
     _build_structure,
+    _change_of_basis,
     _check_isotropy_action,
     _check_jacobi,
     _hnf_rows,
+    _index,
     _isotropy_coords,
     _kernel_basis_1x3,
     _m_basis,
-    _place,
     _plane_speed,
     _project,
+    _q,
     _q_basis,
-    _S3,
     _span_weights,
-    _transposed,
     classify_invariant_g2,
     get_model,
     group_gens,
@@ -43,12 +48,14 @@ from holoflow.homogeneous import (
     isotropy_weights,
     m_model,
     maurer_cartan,
+    model_spec,
     q_model,
 )
 from oracles import (
     canonical_weights,
     coefficient,
     jacobi_per_triple,
+    model_matrices,
     pack,
     structure_from_table,
     structure_table,
@@ -485,7 +492,7 @@ def dense(x, sizes):
 
 
 def dense_basis(model):
-    return [dense(x, BLOCK_SIZES[model.kind]) for x in model.basis]
+    return [dense(x, BLOCK_SIZES[model.kind]) for x in model_matrices(model.kind, model.basis)]
 
 
 def _mmul(a, b):
@@ -744,13 +751,16 @@ def build_structure_reference(basis):
     return table, norms
 
 
-def isotropy_coords_reference(model, x):
-    """Coordinates of x = (D, S) on the isotropy generators, with a Fraction residual."""
-    dx, sx = x
+def isotropy_coords_reference(model, element):
+    """Coordinates of an element (D, {a: P_a}) over g on the isotropy
+    generators, with a Fraction residual on the matrices of the element and
+    the model's basis."""
+    ((dx, sx),) = model_matrices(model.kind, [element])
+    mats = model_matrices(model.kind, model.basis)
     coords = {}
     residual = {key: (Fraction(re, dx), Fraction(im, dx)) for key, (re, im) in sx.items()}
     for a in model.isotropy_indices:
-        da, sa = model.basis[a]
+        da, sa = mats[a]
         c = Fraction(gq_reference(sx, sa), dx * da) / model.q_norms[a]
         if not c:
             continue
@@ -808,18 +818,27 @@ def test_the_tuple_sets_cover_every_index_tuple_up_to_12():
     assert set(sweep) | set(rest) == set(index_tuples(12))
 
 
-def tuple_place(d, *pieces):
-    """``_place`` keyed by the positions (b, i, j) that the patterns name."""
-    s = {}
-    for b, c, pattern in pieces:
-        for (i, j), (re_, im_) in pattern.items():
-            r0, i0 = s.get((b, i, j), (0, 0))
-            s[(b, i, j)] = (r0 + c * re_, i0 + c * im_)
-    return d, {key: v for key, v in s.items() if v != (0, 0)}
+def tuple_assembled(kind, basis):
+    """``model_matrices`` keyed by the positions (b, i, j) that the patterns name."""
+    out = []
+    for d, coords in basis:
+        s = {}
+        for a, c in coords.items():
+            b, pattern = _ALGEBRA[kind][a]
+            for (i, j), (re_, im_) in pattern.items():
+                r0, i0 = s.get((b, i, j), (0, 0))
+                s[(b, i, j)] = (r0 + c * re_, i0 + c * im_)
+        out.append((d, {key: v for key, v in s.items() if v != (0, 0)}))
+    return out
+
+
+def matrix_basis(kind, indices):
+    """The basis of ``kind`` at ``indices`` as the matrices ``model_matrices`` assembles."""
+    return model_matrices(kind, BASES[kind](*indices))
 
 
 @pytest.mark.parametrize("name", ["sweep", "up-to-12"])
-def test_each_packed_key_decodes_to_the_placed_position(name, monkeypatch):
+def test_each_packed_key_decodes_to_the_placed_position(name):
     positions = {
         kind: [(b, i, j) for b, n in enumerate(sizes) for i in range(n) for j in range(n)]
         for kind, sizes in BLOCK_SIZES.items()
@@ -829,10 +848,8 @@ def test_each_packed_key_decodes_to_the_placed_position(name, monkeypatch):
         assert len(set(keys)) == len(where), kind
         assert [unpack(key) for key in keys] == where, kind
     for kind, indices in TUPLE_SETS[name]:
-        packed = BASES[kind](*indices)
-        with monkeypatch.context() as m:
-            m.setattr(homogeneous, "_place", tuple_place)
-            placed = BASES[kind](*indices)
+        packed = matrix_basis(kind, indices)
+        placed = tuple_assembled(kind, BASES[kind](*indices))
         assert len(packed) == len(placed)
         for (d, s), (d0, s0) in zip(packed, placed):
             assert d == d0
@@ -843,7 +860,7 @@ def test_each_packed_key_decodes_to_the_placed_position(name, monkeypatch):
 @pytest.mark.parametrize("name", TUPLE_SETS)
 def test_integer_build_matches_the_fraction_build(name):
     for kind, indices in TUPLE_SETS[name]:
-        basis = BASES[kind](*indices)
+        basis = matrix_basis(kind, indices)
         structure, norms = _build_structure(basis)
         want_table, want_norms = build_structure_reference(basis)
         assert structure == structure_from_table(len(basis), want_table), (kind, indices)
@@ -852,10 +869,111 @@ def test_integer_build_matches_the_fraction_build(name):
         assert _check_jacobi(structure) is None
 
 
-def projector(mats):
-    """``_project`` onto the S_k of ``mats``, with their index and weights built once."""
-    index, span = _transposed(mats), _span_weights([gq_reference(s, s) for s in mats])
-    return lambda x: _project(x, index, mats, *span)
+# bases taken at their indices as given, not normalized, and the inputs of
+# models that normalize them
+NEGATIVE = [("Q", (-3, 2, 1)), ("Q", (2, -1, -1)), ("M", (-1, 1)), ("M", (-2, 4)), ("M", (3, -7))]
+
+
+def cartan_reference(model):
+    """The Cartan coordinates of ``model``, Q's from the Fraction residual on matrices."""
+    if model.kind == "M":
+        return [{9: Fraction(1)}, {10: Fraction(1)}]
+    return [isotropy_coords_reference(model, (2, {2: x, 5: y, 8: z})) for x, y, z in _kernel_basis_1x3(*model.indices)]
+
+
+@pytest.mark.parametrize("name", [*TUPLE_SETS, "negative"])
+def test_the_change_of_basis_matches_the_matrix_build(name):
+    """A model's tensor, q-norms and weights are those of the matrix path,
+    ``_build_structure`` on the matrices assembled from its basis over g."""
+    for kind, indices in TUPLE_SETS.get(name, NEGATIVE):
+        model = get_model(kind, indices)
+        for given in (indices, model.indices):  # as given, then normalized
+            basis = BASES[kind](*given)
+            want = _build_structure(model_matrices(kind, basis))
+            assert _change_of_basis(*_algebra(kind), basis) == want, (kind, given)
+        assert (model.structure, model.q_norms) == want
+        oracle = replace(model, structure=want[0], q_norms=want[1])
+        assert isotropy_weights(model) == weights_reference(oracle, cartan_reference(oracle))
+
+
+def edited(kind, edits):
+    """The unit-index basis of ``kind`` over g with the elements in ``edits``
+    replaced, or dropped where the edit is None."""
+    basis = BASES[kind](*(1,) * len(model_spec(kind).index_names))
+    return tuple(edits.get(i, x) for i, x in enumerate(basis) if edits.get(i, x) is not None)
+
+
+@pytest.mark.parametrize(
+    "kind,edits,message",
+    [
+        ("Q", {3: (2, {4: 1, 0: 1})}, "not q-orthogonal at pair (1, 4)"),
+        ("Q", {2: (2, {3: 1, 1: 1}), 3: (2, {4: 1, 0: 1})}, "not q-orthogonal at pair (1, 4)"),  # and (2, 3)
+        ("M", {10: (3, {6: 1, 10: 3, 7: 1})}, "not q-orthogonal at pair (10, 11)"),
+        ("Q", {2: (2, {})}, "non-positive"),
+        ("Q", {2: (2, {}), 4: (2, {6: 1, 7: 1})}, "non-positive"),  # before (5, 6)
+        ("Q", {8: None}, "not closed"),
+        ("M", {10: None}, "not closed"),
+        ("M", {7: None, 8: None, 9: None}, "not closed"),
+    ],
+    ids=["orthogonal", "two-rows", "m-orthogonal", "positive", "positive-first", "q-closed", "m-closed", "m-su2"],
+)
+def test_a_tampered_coordinate_basis_fails_as_its_matrices_do(kind, edits, message):
+    """Each check of the change of basis gives the matrix path's message,
+    at the matrix path's row-major first failure."""
+    basis = edited(kind, edits)
+    with pytest.raises(ModelError) as matrix_error:
+        _build_structure(model_matrices(kind, basis))
+    with pytest.raises(ModelError, match=re.escape(message)) as coordinate_error:
+        _change_of_basis(*_algebra(kind), basis)
+    assert str(coordinate_error.value) == str(matrix_error.value)
+
+
+def test_a_fresh_sweep_builds_each_kinds_algebra_once():
+    """Every model of a kind is a change of basis of one table: a fresh
+    61-model sweep runs the matrix path twice, on g's 9 and 11 elements."""
+    child = (
+        "import json, sys\n"
+        "import holoflow.homogeneous as h\n"
+        "real, sizes = h._build_structure, []\n"
+        "h._build_structure = lambda basis: sizes.append(len(basis)) or real(basis)\n"
+        "for kind, indices in json.loads(sys.argv[1]):\n"
+        "    h.classify_invariant_g2(h.get_model(kind, indices))\n"
+        "print(json.dumps(sizes))\n"
+    )
+    src = str(Path(homogeneous.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    argv = [sys.executable, "-c", child, json.dumps(TUPLE_SETS["sweep"])]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [9, 11]
+
+
+def coordinate_projector(kind, basis):
+    """``_project`` onto the S_k of a basis over g, with their index and weights built once."""
+    coords = [p for _, p in basis]
+    span = _span_weights([gq_reference(s, s) for _, s in model_matrices(kind, basis)])
+    index = _index(coords, _algebra(kind)[1])
+    return lambda x: _project(x, index, coords, *span)
+
+
+@functools.lru_cache(maxsize=None)
+def algebra_matrices(kind):
+    """The matrices of g's basis, assembled from unit coordinates."""
+    return [s for _, s in model_matrices(kind, [(1, {a: 1}) for a in range(len(_ALGEBRA[kind]))])]
+
+
+def g_coordinates(kind, x):
+    """The integer coordinates {a: s q(X, g_a) / N_a} of s X over g's basis,
+    s g's scale, for a matrix X that they combine to exactly."""
+    scale, norms = _algebra(kind)[0].scale, _algebra(kind)[1]
+    coords = {}
+    for a, g in enumerate(algebra_matrices(kind)):
+        c = Fraction(scale * gq_reference(x, g), norms[a])
+        assert c.denominator == 1
+        if c:
+            coords[a] = c.numerator
+    assert in_span_reference(x, algebra_matrices(kind))[1]
+    return coords
 
 
 def dense_coords(t, n):
@@ -867,14 +985,18 @@ def dense_coords(t, n):
 
 @pytest.mark.parametrize("name", TUPLE_SETS)
 def test_one_pass_projections_match_the_per_k_products(name):
+    """The products the build reads over g are those of the matrices, each
+    bracket's times g's scale s, for it projects B = s [S_i, S_j]."""
     for kind, indices in TUPLE_SETS[name]:
-        mats = [s for _, s in BASES[kind](*indices)]
-        project = projector(mats)
+        basis = BASES[kind](*indices)
+        mats = [s for _, s in model_matrices(kind, basis)]
+        project, scale = coordinate_projector(kind, basis), _algebra(kind)[0].scale
         # each basis vector lies in the span: its coordinates are its products
-        coords = [dense_coords(project(x), len(mats)) for x in mats]
+        coords = [dense_coords(project(p), len(mats)) for _, p in basis]
         for (i, x), (j, y) in itertools.combinations(enumerate(mats), 2):
             br = gbracket_reference(x, y)
-            assert dense_coords(project(br), len(mats)) == [gq_reference(br, s) for s in mats]
+            want = [scale * gq_reference(br, s) for s in mats]
+            assert dense_coords(project(g_coordinates(kind, br)), len(mats)) == want
             assert coords[i][j] == gq_reference(x, y)
         for x, got in zip(mats, coords):
             assert got == [gq_reference(x, s) for s in mats]
@@ -884,9 +1006,8 @@ def test_one_pass_projection_rejects_a_non_real_product():
     for x, y in ((S1, SIGMA_X), (SIGMA_X, S1_PLUS_S2)):
         with pytest.raises(ModelError, match="not real"):
             gq_reference(x[1], y[1])
-        mats = [S1[1], y[1]]
         with pytest.raises(ModelError, match="not real"):
-            _project(x[1], _transposed(mats), mats, [1, 1], 1)
+            _q(x[1], y[1])
 
 
 def in_span_reference(x, mats):
@@ -902,59 +1023,45 @@ def in_span_reference(x, mats):
     return t, not any(re or im for re, im in residual.values())
 
 
+PARTS = {"all": slice(None), "tangent": slice(None, 7), "isotropy": slice(7, None)}
+
+
 @st.composite
 def sweep_basis_elements(draw):
-    """A sweep basis and a sparse Gaussian-integer X on its block positions:
-    an integer combination of the basis, that plus a few entries, or the
-    entries alone, so X may be in the span, out of it, or not real.  Skew
-    entries keep every product real; on the diagonal they add a trace,
-    which is out of the span."""
+    """A sweep basis, all of it or its tangent or isotropy part, and sparse
+    integer coordinates X over g: an integer combination of the part, that
+    plus a few coordinates, or the coordinates alone, so X may be in the
+    part's span or out of it.  Over g's real basis every product is real."""
     kind, indices = draw(st.sampled_from(TUPLE_SETS["sweep"]))
-    mats, _ = sweep_projector(kind, indices)
-    positions = [(b, i, j) for b, n in enumerate(BLOCK_SIZES[kind]) for i in range(n) for j in range(n)]
-    small = st.integers(-3, 3)
+    part = draw(st.sampled_from(sorted(PARTS)))
+    basis, _ = sweep_projector(kind, indices, part)
     x = {}
     mode = draw(st.sampled_from(["span", "span+entries", "entries"]))
     if mode != "entries":
-        for s in mats:
+        for _, p in basis:
             c = draw(st.sampled_from([0, 0, 0, 1, -1, 2]))
-            for key, (re, im) in s.items():
-                r0, i0 = x.get(key, (0, 0))
-                x[key] = (r0 + c * re, i0 + c * im)
+            for a, v in p.items():
+                x[a] = x.get(a, 0) + c * v
     if mode != "span":
-        skew = draw(st.booleans())
-        for b, i, j in draw(st.lists(st.sampled_from(positions), min_size=1, max_size=4, unique=True)):
-            re_, im_ = draw(small), draw(small)
-            if not skew:
-                entries = [(pack(b, i, j), (re_, im_))]
-            elif i == j:
-                entries = [(pack(b, i, i), (0, im_))]
-            else:  # X_ji = -conj(X_ij)
-                entries = [(pack(b, i, j), (re_, im_)), (pack(b, j, i), (-re_, im_))]
-            for key, (dr, di) in entries:
-                r0, i0 = x.get(key, (0, 0))
-                x[key] = (r0 + dr, i0 + di)
-    return kind, indices, {key: v for key, v in x.items() if v != (0, 0)}
+        for a in draw(st.lists(st.sampled_from(range(len(_ALGEBRA[kind]))), min_size=1, max_size=4, unique=True)):
+            x[a] = x.get(a, 0) + draw(st.integers(-3, 3))
+    return kind, indices, part, {a: v for a, v in x.items() if v}
 
 
 @functools.lru_cache(maxsize=None)
-def sweep_projector(kind, indices):
-    """The basis matrices of a sweep model and ``projector`` of them."""
-    mats = [s for _, s in BASES[kind](*indices)]
-    return mats, projector(mats)
+def sweep_projector(kind, indices, part):
+    """A part of a sweep basis over g and ``coordinate_projector`` of it."""
+    basis = get_model(kind, indices).basis[PARTS[part]]
+    return basis, coordinate_projector(kind, basis)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(sweep_basis_elements())
 def test_the_sparse_projection_is_the_per_k_products_or_the_parents_error(case):
-    kind, indices, x = case
-    mats, project = sweep_projector(kind, indices)
-    try:
-        t, in_span = in_span_reference(x, mats)
-    except ModelError as err:
-        with pytest.raises(ModelError, match=re.escape(str(err))):
-            project(x)
-        return
+    kind, indices, part, x = case
+    basis, project = sweep_projector(kind, indices, part)
+    ((_, matrix),) = model_matrices(kind, [(1, x)])
+    t, in_span = in_span_reference(matrix, [s for _, s in model_matrices(kind, basis)])
     got = project(x)
     if in_span:
         assert got == {k: tk for k, tk in enumerate(t) if tk}
@@ -1009,15 +1116,15 @@ def test_kernel_basis_matches_the_gcd_sweep_in_any_order():
 
 
 def cartan_candidates(indices):
-    """Elements (D, S) of the Q Cartan: the kernel basis of k x + l y + m z = 0
-    at two scales and one integer combination, all in the isotropy algebra,
-    and two elements outside it."""
+    """Elements (D, {a: P_a}) of the Q Cartan over g: the kernel basis of
+    k x + l y + m z = 0 at two scales and one integer combination, all in
+    the isotropy algebra, and two elements outside it."""
     kernel = _kernel_basis_1x3(*indices)
     combo = tuple(3 * u - 2 * v for u, v in zip(*kernel))
     inside = [(d, w) for w in (*kernel, combo) for d in (2, 6)]
     outside = [(2, (1, 0, 0)), (5, tuple(indices))]
     return [
-        (_place(d, (0, x, _S3), (1, y, _S3), (2, z, _S3)), member)
+        ((d, {2: x, 5: y, 8: z}), member)
         for group, member in ((inside, True), (outside, False))
         for d, (x, y, z) in group
     ]
@@ -1051,14 +1158,7 @@ def test_integer_cartan_coordinates_match_the_fraction_residual(name):
 def test_integer_weights_and_verdicts_match_the_fraction_table(name):
     for kind, indices in TUPLE_SETS[name]:
         model = get_model(kind, indices)
-        if kind == "Q":
-            cartan = [
-                isotropy_coords_reference(model, _place(2, (0, x, _S3), (1, y, _S3), (2, z, _S3)))
-                for x, y, z in _kernel_basis_1x3(*model.indices)
-            ]
-        else:
-            cartan = [{9: Fraction(1)}, {10: Fraction(1)}]
-        assert isotropy_weights(model) == weights_reference(model, cartan)
+        assert isotropy_weights(model) == weights_reference(model, cartan_reference(model))
         assert classify_invariant_g2(model) == (set(model.indices) == {1})
 
 
