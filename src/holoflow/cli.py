@@ -340,13 +340,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cone(args) -> int:
-    from .verify import cone_fit, evaluate_bars
+    from .verify import cone_fit, cone_location, evaluate_bars
 
     model = _model_from_args(args)
     traj = _read_traj(args, model.kind)
     cone = cone_fit(traj)
     doc = {"model": model.label, "cone": cone.to_json_dict()}
-    code = evaluate_bars(doc, {"cone": args.cone_bar}, cone)
+    code = evaluate_bars(doc, {"cone": args.cone_bar}, cone, where={"cone": cone_location(cone, traj)})
     _emit(doc, args.out)
     return code
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ._record import record
 from .algebra import AlgebraError, LaurentPoly
@@ -197,26 +197,30 @@ def profile(model: Union[CosetModel, str], init: OrbitSpec) -> Union[ProfileQ, P
     )
 
 
-def compare(traj: Trajectory, prof: Union[ProfileQ, ProfileM]) -> float:
+def compare(
+    traj: Trajectory, prof: Union[ProfileQ, ProfileM], where: Optional[Dict[str, str]] = None
+) -> float:
     """Maximum relative deviation of a trajectory from the closed form.
 
     At every accepted sample the profile is evaluated at s = accumulated
     primitive and compared against the squared coefficients; no numerical
-    inversion of the primitive is ever needed.
+    inversion of the primitive is ever needed.  ``where["closed_form"]``,
+    if given, names the t and the coefficient of the worst deviation.
     """
     if model_spec(traj.model_kind, ProfileError) is not prof._spec:
         raise ProfileError("trajectory and profile belong to different models")
     names = traj.state_names
     worst = 0.0
+    at = None
     try:
-        for row in traj.ys:
+        for t, row in zip(traj.ts, traj.ys):
             want = prof.coefficient_squares(row[-1])
             floor = max(max(abs(v) for v in want.values()), 1e-300) * 1e-6
             for j, n in enumerate(names):
                 w = want[n]
                 dev = abs(row[j] ** 2 - w) / max(abs(w), floor)
                 if dev > worst:
-                    worst = dev
+                    worst, at = dev, (t, n)
                 elif not dev <= worst:  # NaN: the closed form is not finite here
                     raise ProfileError(
                         f"closed-form comparison: the closed form is not finite at s = {row[-1]!r}"
@@ -227,4 +231,6 @@ def compare(traj: Trajectory, prof: Union[ProfileQ, ProfileM]) -> float:
         ) from None
     if worst == math.inf:
         raise ProfileError("closed-form comparison: a deviation is beyond float range")
+    if where is not None and at is not None:
+        where["closed_form"] = f"t={at[0]:.3g} ({at[1]})"
     return worst

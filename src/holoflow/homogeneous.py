@@ -8,10 +8,10 @@ basis element is the pair (D, {a: P_a}) of its integer coordinates over the
 g_a, X = sum_a P_a g_a / D, so its q-norms, brackets, projections and the
 orthogonality, positivity and closure checks are sums over g's norms and
 table, and no model makes a matrix.  The structure constants are stored
-only as integers times the lcm of their denominators; Fractions appear
-otherwise only in the q-norms, the Cartan coordinates and the Maurer-Cartan
-forms.  What the paper states about each model is one ``ModelSpec`` record
-in ``MODEL_SPECS``.
+only as integers times the lcm of their denominators, and the Cartan
+elements as integer coordinates over one denominator; Fractions appear
+otherwise only in the q-norms and the Maurer-Cartan forms.  What the paper
+states about each model is one ``ModelSpec`` record in ``MODEL_SPECS``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ._record import field, record
 
@@ -103,37 +103,50 @@ def _gbracket(x: GaussMatrix, y: GaussMatrix) -> GaussMatrix:
     return {key: v for key, v in out.items() if v != (0, 0)}
 
 
-def _index(coords: Sequence[Mapping[int, int]], norms: Sequence[int]) -> Dict[int, List[Tuple[int, int]]]:
-    """q(g_a, S_k) = P_ka N_a for each S_k = sum_a P_ka g_a, listed as (k, P_ka N_a) under a."""
-    index: Dict[int, List[Tuple[int, int]]] = {}
+def _index(coords: Sequence[Sequence[Tuple[int, int]]], norms: Sequence[int]) -> List[List[Tuple[int, int]]]:
+    """q(g_a, S_k) = P_ka N_a for each S_k = sum_a P_ka g_a, given by its
+    (a, P_ka) pairs, listed as (k, P_ka N_a) under a, for every a < len(norms)."""
+    index: List[List[Tuple[int, int]]] = [[] for _ in norms]
     for k, p in enumerate(coords):
-        for a, c in p.items():
-            index.setdefault(a, []).append((k, c * norms[a]))
+        for a, c in p:
+            index[a].append((k, c * norms[a]))
     return index
 
 
-def _products(x: Mapping[int, int], index: Mapping, n: int) -> List[int]:
-    """[q(X, S_k) for k < n] of X = sum_a x_a g_a, in one pass over x."""
-    t = [0] * n
-    for a, c in x.items():
-        for k, v in index.get(a, ()):
-            t[k] += c * v
-    return t
-
-
 def _project(
-    x: Mapping[int, int], index: Mapping, coords: Sequence[Mapping[int, int]], weights: Sequence[int], scale: int
-) -> Optional[Dict[int, int]]:
-    """The nonzero t_k = q(X, S_k) as {k: t_k} in ascending k.  None unless
-    X = sum_k t_k S_k / N_k, checked over the g_a as L X = sum_k t_k w_k S_k
-    with L = lcm(N) and the weights w_k = L / N_k."""
-    t = {k: tk for k, tk in enumerate(_products(x, index, len(coords))) if tk}
-    residual = {a: scale * c for a, c in x.items()}
-    for k, tk in t.items():
-        w = tk * weights[k]
-        for a, c in coords[k].items():
-            residual[a] = residual.get(a, 0) - w * c
-    return None if any(residual.values()) else t
+    xs: Sequence[Tuple[int, List[int]]],
+    index: Sequence[Sequence[Tuple[int, int]]],
+    coords: Sequence[Sequence[Tuple[int, int]]],
+    dens: Sequence[int],
+    weights: Sequence[int],
+    scale: int,
+) -> Optional[List[List[Tuple[int, int]]]]:
+    """For each (f, x) of ``xs``, X = sum_a x_a g_a given by its list x over
+    g, the pairs (k, t_k D_k w_k f) of its nonzero t_k = q(X, S_k) in
+    ascending k, with the weights w_k = L / N_k for L = lcm(N).  None unless
+    each X = sum_k t_k S_k / N_k, checked over the g_a as the residual
+    L X - sum_k t_k w_k S_k = 0, which overwrites x.  Each X takes one pass
+    over its products."""
+    out = []
+    n = len(coords)
+    for f, x in xs:
+        t = [0] * n
+        for a, c in enumerate(x):
+            if c:
+                x[a] = scale * c
+                for k, v in index[a]:
+                    t[k] += c * v
+        pairs = []
+        for k, tk in enumerate(t):
+            if tk:
+                w = tk * weights[k]
+                for a, c in coords[k]:
+                    x[a] -= w * c
+                pairs.append((k, w * dens[k] * f))
+        if any(x):
+            return None
+        out.append(pairs)
+    return out
 
 
 def _span_weights(norms: Sequence[int]) -> Tuple[List[int], int]:
@@ -159,7 +172,8 @@ _ALGEBRA = {
     + [(0, _diag(1, 1, -2)), (0, _diag(1, -1)), (1, _real(0, 1)), (1, _imag(0, 1)), (1, _diag(1, -1))],
 }
 
-# a basis element X = sum_a P_a g_a / D as the pair (D, {a: P_a})
+# an element X = sum_a P_a b_a / D over a basis b_a as the pair (D, {a: P_a}):
+# a model's basis element over g's basis g_a, a Cartan element over the model's
 Coordinates = Tuple[int, Dict[int, int]]
 
 
@@ -265,20 +279,22 @@ class CosetModel:
         return Derivation(self)
 
 
-def _q_diagonal(n: int, q: Callable[[int, int], int]) -> List[int]:
-    """The norms N_i = q(S_i, S_i) of a basis, with q(i, j) = q(S_i, S_j);
-    raises unless q is diagonal and positive on it.  q is symmetric, so the
-    upper triangle in row-major order meets a full scan's first failure."""
+def _q_diagonal(rows: Iterable[Iterable[int]]) -> List[int]:
+    """The norms N_i = q(S_i, S_i) of a basis from its q-Gram rows, row i
+    giving q(S_i, S_j) for j >= i in order; raises unless q is diagonal and
+    positive on it.  q is symmetric, so the upper triangle in row-major order
+    meets a full scan's first failure; a lazy row's cell is made only after
+    every cell before it has passed."""
     norms = []
-    for i in range(n):
-        for j in range(i, n):
-            v = q(i, j)
-            if i == j:
-                if v <= 0:
-                    raise ModelError("basis vector with non-positive q-norm")
-                norms.append(v)
-            elif v:
-                raise ModelError(f"basis is not q-orthogonal at pair {(i + 1, j + 1)}")
+    for i, row in enumerate(rows, 1):
+        cells = iter(row)
+        v = next(cells)
+        if v <= 0:
+            raise ModelError("basis vector with non-positive q-norm")
+        norms.append(v)
+        for j, v in enumerate(cells, i + 1):
+            if v:
+                raise ModelError(f"basis is not q-orthogonal at pair {(i, j)}")
     return norms
 
 
@@ -289,7 +305,7 @@ def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[
     L = lcm(N), the integer table t_k L / N_k that ``_change_of_basis`` reads."""
     mats = [s for _, s in basis]
     n = len(mats)
-    norms = _q_diagonal(n, lambda i, j: _q(mats[i], mats[j]))
+    norms = _q_diagonal((_q(mats[i], mats[j]) for j in range(i, n)) for i in range(n))
     weights, scale = _span_weights(norms)
     table: List[List[Tuple[Tuple[int, int], ...]]] = [[()] * n for _ in range(n)]
     for i, j in itertools.combinations(range(n), 2):
@@ -318,39 +334,56 @@ def _change_of_basis(
     ``algebra``: N_i = sum_a P_ia^2 N_a, and B = s [S_i, S_j] = sum_ab P_ia
     P_jb rows[a][b] with t_k = q(B, S_k) gives c^k_ij = t_k D_k / (s D_i D_j
     N_k).  Over L0 = s lcm(D)^2 lcm(N) each c^k_ij L0 = t_k D_k (lcm(N) / N_k)
-    (lcm(D) / D_i) (lcm(D) / D_j) is an integer; dividing the table and L0 by
+    (lcm(D) / D_i) (lcm(D) / D_j) is an integer, the pair ``_project`` gives
+    for f = (lcm(D) / D_i) (lcm(D) / D_j); dividing the table and L0 by
     the gcd g of L0 and every entry leaves L0 / g, the lcm of the reduced
     denominators."""
-    n, rows = len(basis), algebra.rows
+    n, ng, rows = len(basis), len(g_norms), algebra.rows
     dens = [d for d, _ in basis]
-    coords = [p for _, p in basis]
+    coords = [tuple(p.items()) for _, p in basis]
     index = _index(coords, g_norms)
-    gram = [_products(p, index, n) for p in coords]
-    norms = _q_diagonal(n, lambda i, j: gram[i][j])
-    weights, lcm_norms = span = _span_weights(norms)
+
+    def gram_rows():
+        for i, p in enumerate(coords):
+            t = [0] * n
+            for a, c in p:
+                for k, v in index[a]:
+                    t[k] += c * v
+            yield t[i:]
+
+    norms = _q_diagonal(gram_rows())
+    weights, lcm_norms = _span_weights(norms)
     lcm_dens = math.lcm(*dens)
-    scale = g = algebra.scale * lcm_dens * lcm_dens * lcm_norms
-    upper = []
+    factors = [lcm_dens // d for d in dens]
+    upper, xs = [], []
     for i, j in itertools.combinations(range(n), 2):
-        b: Dict[int, int] = {}
-        for a, x in coords[i].items():
+        b = None  # made at the first nonzero cell of g's table
+        for a, x in coords[i]:
             row = rows[a]
-            for c, y in coords[j].items():
-                for k, v in row[c]:
-                    b[k] = b.get(k, 0) + x * y * v
-        if not any(b.values()):  # zero is in the span, with no constants
-            continue
-        t = _project(b, index, coords, *span)
-        if t is None:
-            raise ModelError("basis is not closed under brackets")
-        f = (lcm_dens // dens[i]) * (lcm_dens // dens[j])
-        pairs = [(k, tk * dens[k] * weights[k] * f) for k, tk in t.items()]
-        upper.append((i, j, pairs))
-        g = math.gcd(g, *[v for _, v in pairs])
+            for c, y in coords[j]:
+                cell = row[c]
+                if cell:
+                    if b is None:
+                        b = [0] * ng
+                    xy = x * y
+                    for k, v in cell:
+                        b[k] += xy * v
+        if b is not None and any(b):  # zero is in the span, with no constants
+            upper.append((i, j))
+            xs.append((factors[i] * factors[j], b))
+    projected = _project(xs, index, coords, dens, weights, lcm_norms)
+    if projected is None:
+        raise ModelError("basis is not closed under brackets")
+    scale = algebra.scale * lcm_dens * lcm_dens * lcm_norms
+    g = math.gcd(scale, *[v for pairs in projected for _, v in pairs])
     table: List[List[Tuple[Tuple[int, int], ...]]] = [[()] * n for _ in range(n)]
-    for i, j, pairs in upper:
-        table[i][j] = pairs = tuple([(k, v // g) for k, v in pairs])
-        table[j][i] = tuple([(k, -v) for k, v in pairs])
+    for (i, j), pairs in zip(upper, projected):
+        up, down = [], []
+        for k, v in pairs:
+            v //= g
+            up.append((k, v))
+            down.append((k, -v))
+        table[i][j], table[j][i] = tuple(up), tuple(down)
     structure = StructureTensor(n, scale // g, tuple(map(tuple, table)))
     _check_jacobi(structure)
     return structure, tuple(Fraction(v, d * d) for v, d in zip(norms, dens))
@@ -438,23 +471,25 @@ def get_model(kind: str, indices: Sequence[int]) -> CosetModel:
     return {"Q": q_model, "M": m_model}[model_spec(kind).kind](*indices)
 
 
-# an element of the Lie algebra as exact coordinates {basis index: coefficient}
-Coords = Mapping[int, Fraction]
-# L ad_x as sparse integer rows for a denominator L: L [x, e_i] = sum_j rows[i][j] e_j
+# L ad_x on the tangent space as sparse integer rows for a denominator L:
+# L [x, e_i] = sum_j rows[i][j] e_j for i < TANGENT
 AdRows = List[Dict[int, int]]
 
 
-def _ad(model: CosetModel, x: Coords) -> Tuple[AdRows, int]:
-    """(rows, L) for ad_x, from the integer structure table, zeros dropped."""
-    scale, table = model.structure.scale, model.structure.rows
-    den = math.lcm(*(xa.denominator for xa in x.values()))
-    rows: AdRows = [{} for _ in range(model.n)]
-    for a, xa in x.items():
-        w = xa.numerator * (den // xa.denominator)
+def _ad(model: CosetModel, x: Coordinates) -> Tuple[AdRows, int]:
+    """(rows, L) for ad_x on the tangent space, from the integer structure
+    table, zeros dropped; the weights and the fixed line read nothing else."""
+    den, coords = x
+    table = model.structure.rows
+    rows: AdRows = [{} for _ in range(model.TANGENT)]
+    for a, w in coords.items():
         for row, pairs in zip(rows, table[a]):
             for j, c in pairs:
                 row[j] = row.get(j, 0) + w * c
-    return [{j: c for j, c in row.items() if c} for row in rows], scale * den
+    for i, row in enumerate(rows):
+        if 0 in row.values():
+            rows[i] = {j: c for j, c in row.items() if c}
+    return rows, model.structure.scale * den
 
 
 def _check_isotropy_action(model: CosetModel) -> None:
@@ -583,30 +618,35 @@ def _kernel_basis_1x3(k: int, l: int, m: int) -> List[Tuple[int, int, int]]:
 
 
 def _hnf_rows(rows: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
-    """Row Hermite normal form of a full-rank integer row set (deterministic)."""
+    """Row Hermite normal form of an integer row set of any rank, its zero
+    rows last.  The HNF of a lattice is unique, so any order of the
+    reductions gives these rows: each column's live rows are reduced in
+    place by the one of least |entry| until one is left."""
     mat = [list(r) for r in rows]
     ncols = len(mat[0])
     pivot_row = 0
     for col in range(ncols):
-        cand = [r for r in range(pivot_row, len(mat)) if mat[r][col] != 0]
-        if not cand:
+        live = [r for r in range(pivot_row, len(mat)) if mat[r][col]]
+        if not live:
             continue
-        # gcd the candidate rows into one pivot row
-        while len([r for r in range(pivot_row, len(mat)) if mat[r][col] != 0]) > 1:
-            live = [r for r in range(pivot_row, len(mat)) if mat[r][col] != 0]
+        while len(live) > 1:
             live.sort(key=lambda r: abs(mat[r][col]))
-            r0, r1 = live[0], live[1]
-            qt = mat[r1][col] // mat[r0][col]
-            for c in range(ncols):
-                mat[r1][c] -= qt * mat[r0][c]
-        r0 = next(r for r in range(pivot_row, len(mat)) if mat[r][col] != 0)
+            top = mat[live[0]]
+            for r in live[1:]:
+                row = mat[r]
+                qt = row[col] // top[col]
+                for c in range(col, ncols):
+                    row[c] -= qt * top[c]
+            live = [r for r in live if mat[r][col]]
+        r0 = live[0]
         mat[pivot_row], mat[r0] = mat[r0], mat[pivot_row]
-        if mat[pivot_row][col] < 0:
-            mat[pivot_row] = [-x for x in mat[pivot_row]]
-        for r in range(pivot_row):
-            qt = mat[r][col] // mat[pivot_row][col]
-            for c in range(ncols):
-                mat[r][c] -= qt * mat[pivot_row][c]
+        top = mat[pivot_row]
+        if top[col] < 0:
+            top[:] = [-x for x in top]
+        for row in mat[:pivot_row]:
+            qt = row[col] // top[col]
+            for c in range(col, ncols):
+                row[c] -= qt * top[c]
         pivot_row += 1
     return [tuple(r) for r in mat]
 
@@ -623,25 +663,29 @@ def _plane_speed(model: CosetModel, rows: AdRows, plane: Tuple[int, int]) -> int
     return cji
 
 
-def _isotropy_coords(model: CosetModel, elements: Sequence[Coordinates]) -> List[Dict[int, Fraction]]:
-    """Exact coordinates of each element over g on the (q-orthogonal)
-    isotropy generators, from projection data built once per model; raises
-    unless each lies in their span."""
-    dens, coords = zip(*model.basis[model.TANGENT :])
-    # N_a = q(S_a, S_a) = D_a^2 q_a, an integer
-    norms = [q.numerator * d * d // q.denominator for q, d in zip(model.q_norms[model.TANGENT :], dens)]
-    index, span = _index(coords, _algebra(model.kind)[1]), _span_weights(norms)
-    out = []
-    for dx, x in elements:
-        t = _project(x, index, coords, *span)
-        if t is None:
-            raise ModelError("Cartan element is not in the isotropy algebra")
-        # S / D_x = sum_k t_k S_k / (D_x N_k) and S_k = D_k X_k
-        out.append({model.TANGENT + k: Fraction(tk * dens[k], dx * norms[k]) for k, tk in t.items()})
-    return out
+def _isotropy_coords(model: CosetModel, elements: Sequence[Coordinates]) -> List[Coordinates]:
+    """Integer coordinates of each element over g on the (q-orthogonal)
+    isotropy generators, over one denominator each, from one projection of
+    them all; raises unless each lies in their span."""
+    dens, coords = zip(*((d, tuple(p.items())) for d, p in model.basis[model.TANGENT :]))
+    g_norms = _algebra(model.kind)[1]
+    # N_k = q(S_k, S_k) = sum_a P_ka^2 N_a
+    weights, scale = _span_weights([sum(c * c * g_norms[a] for a, c in p) for p in coords])
+    xs = []
+    for _, p in elements:
+        x = [0] * len(g_norms)
+        for a, c in p.items():
+            x[a] = c
+        xs.append((1, x))
+    projected = _project(xs, _index(coords, g_norms), coords, dens, weights, scale)
+    if projected is None:
+        raise ModelError("Cartan element is not in the isotropy algebra")
+    # S / D_x = sum_k t_k S_k / (D_x N_k) and S_k = D_k X_k, so X_k's
+    # coordinate is t_k D_k w_k / (D_x L)
+    return [(dx * scale, {model.TANGENT + k: v for k, v in pairs}) for (dx, _), pairs in zip(elements, projected)]
 
 
-def _q_cartan(model: CosetModel) -> List[Coords]:
+def _q_cartan(model: CosetModel) -> List[Coordinates]:
     """The Cartan of U(1)^2 in Q(k,l,m): (x, y, z) sigma_3 on the three
     blocks, (x, y, z) over the HNF basis of k x + l y + m z = 0."""
     kernel = _kernel_basis_1x3(*model.indices)
@@ -725,7 +769,7 @@ class ModelSpec:
     catalog: Tuple[CatalogRow, ...]  # the singular orbits
     affine: Tuple[Tuple[str, Fraction, int], ...]  # closed form: (x, m_x, p_x) per affine square
     factor: Fraction  # closed form: the factor k of A
-    cartan: Callable[[CosetModel], List[Coords]]  # the isotropy Cartan elements
+    cartan: Callable[[CosetModel], List[Coordinates]]  # the isotropy Cartan elements, (D, {index: P}) each
     circle_period: Fraction  # of the vertical circle, in multiples of pi
     circle_lattice: Tuple[Fraction, ...]  # generates its parameters in the isotropy group
     cone_label: str  # the vertical coefficient's cone quantity
@@ -786,7 +830,7 @@ MODEL_SPECS: Dict[str, ModelSpec] = {
             ),
             affine=(("a", Fraction(3, 4), 2), ("b", Fraction(1, 2), 1)),
             factor=Fraction(16), cone_label="c/t",
-            cartan=lambda model: [{9: Fraction(1)}, {10: Fraction(1)}],  # e10, e11: su(2) + u(1)
+            cartan=lambda model: [(1, {9: 1}), (1, {10: 1})],  # e10, e11: su(2) + u(1)
             # the central generator (the displayed one, half of e7) has period
             # 4 pi and lies in SU(2) x U(1) at the multiples of pi and 3 pi / 2
             circle_period=Fraction(4), circle_lattice=(Fraction(1), Fraction(3, 2)),

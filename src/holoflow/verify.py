@@ -201,18 +201,30 @@ def _residuals(deriv: Derivation, assign: Dict[str, float]) -> Tuple[float, floa
 
 
 def _closure_report(
-    deriv: Derivation, assigns: Iterable[Dict[str, float]], fd_step: float
+    deriv: Derivation,
+    samples: Iterable[Tuple[float, Dict[str, float]]],
+    fd_step: float,
+    where: Optional[Dict[str, str]] = None,
 ) -> ClosureReport:
-    """The worst d(Omega) and d(eta) residuals over the samples ``assigns``,
-    each a coefficient assignment with its slopes."""
+    """The worst d(Omega) and d(eta) residuals over the ``samples``, each a
+    t with its coefficient assignment and slopes; ``where["closure"]``, if
+    given, names the t and the form of the worst."""
     worst_omega = 0.0
     worst_eta = 0.0
+    at_omega = at_eta = None
     count = 0
-    for assign in assigns:
+    for t, assign in samples:
         r_omega, r_eta = _residuals(deriv, assign)
-        worst_omega = max(worst_omega, r_omega)
-        worst_eta = max(worst_eta, r_eta)
+        if r_omega > worst_omega:
+            worst_omega, at_omega = r_omega, t
+        if r_eta > worst_eta:
+            worst_eta, at_eta = r_eta, t
         count += 1
+    if where is not None:
+        # max_residual is d(Omega)'s on a tie
+        form, at = ("d_omega", at_omega) if worst_omega >= worst_eta else ("d_eta", at_eta)
+        if at is not None:
+            where["closure"] = f"t={at:.3g} ({form})"
     return ClosureReport(worst_omega, worst_eta, count, fd_step)
 
 
@@ -227,12 +239,14 @@ def check_closure(
     deriv: Derivation,
     t_points: Optional[Sequence[float]] = None,
     fd_step: float = 1e-5,
+    where: Optional[Dict[str, str]] = None,
 ) -> ClosureReport:
     """Finite-difference closure residuals of Omega and eta along a run.
 
     The residual of each form is the largest coefficient of its exterior
     derivative (with chain-rule slopes replaced by centered differences of
     the sampler), normalized by the largest coefficient of the form itself.
+    ``where["closure"]``, if given, names the t and the form of the worst.
     """
     names = tuple(deriv.model.symbols.base)
     if t_points is None:
@@ -254,9 +268,9 @@ def check_closure(
             assign = dict(sampler(t))
             for n in names:
                 assign[n + "'"] = (hi[n] - lo[n]) / (2 * h)
-            yield assign
+            yield t, assign
 
-    return _closure_report(deriv, assigns(), fd_step)
+    return _closure_report(deriv, assigns(), fd_step, where)
 
 
 def fd_weights(x0: float, xs: Sequence[float]) -> List[float]:
@@ -288,14 +302,17 @@ def fd_weights(x0: float, xs: Sequence[float]) -> List[float]:
     return [w for _, w in c]
 
 
-def check_closure_samples(traj: Trajectory, deriv: Derivation) -> ClosureReport:
+def check_closure_samples(
+    traj: Trajectory, deriv: Derivation, where: Optional[Dict[str, str]] = None
+) -> ClosureReport:
     """Closure residuals from raw accepted steps (non-uniform differences).
 
     Used when only a stored trajectory is available.  Slopes come from
     five-point Fornberg weights on the accepted steps, centred where the
     rows allow and offset next to the ends; the sample spacing still limits
     the attainable residual, so the appropriate bar is looser than for the
-    profile-backed check.
+    profile-backed check.  ``where["closure"]``, if given, names the t and
+    the form of the worst.
     """
     names = tuple(deriv.model.symbols.base)
     n = traj.n_samples
@@ -318,9 +335,9 @@ def check_closure_samples(traj: Trajectory, deriv: Derivation) -> ClosureReport:
             assign = dict(zip(names, ys[i]))
             for j, name in enumerate(names):
                 assign[name + "'"] = sum(w * row[j] for w, row in zip(weights, window))
-            yield assign
+            yield ts[i], assign
 
-    return _closure_report(deriv, assigns(), 0.0)
+    return _closure_report(deriv, assigns(), 0.0, where)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +395,11 @@ def _cone_quantities(kind: str, t, ys) -> dict:
     return out
 
 
+def _initial_scale(traj: Trajectory) -> float:
+    """The largest |coefficient| of the first sample."""
+    return max(abs(v) for v in traj.ys[0][:-1])
+
+
 def cone_fit(traj: Trajectory) -> ConeFit:
     """Fit coefficient/t against a constant plus 1/t on the final decade.
 
@@ -386,7 +408,7 @@ def cone_fit(traj: Trajectory) -> ConeFit:
     import numpy as np
 
     t_last = traj.ts[-1]
-    initial_scale = max(abs(v) for v in traj.ys[0][:-1])
+    initial_scale = _initial_scale(traj)
     # a stored trajectory ("loaded") is judged by its span alone
     partial = bool(
         traj.status not in ("done", "loaded")
@@ -415,6 +437,13 @@ def cone_fit(traj: Trajectory) -> ConeFit:
             endpoint[name] = float(series[-1])
             deltas[name] = abs(endpoint[name] - refs[name])
     return ConeFit(limits, endpoint, refs, deltas, corrections, partial)
+
+
+def cone_location(cone: ConeFit, traj: Trajectory) -> str:
+    """Where the cone fit of ``traj`` is worst, for the missed-bar line: the
+    quantity of the largest delta, and t_end over the initial scale."""
+    span = traj.ts[-1] / max(_initial_scale(traj), 1e-300)
+    return f"{max(cone.deltas, key=cone.deltas.get)} (t_end/scale={span:.3g})"
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +613,11 @@ DEFAULT_BARS = {
 }
 
 
-def evaluate_bars(doc: dict, bars: dict, cone, closure=None, deviation=None, su4=None) -> int:
+def evaluate_bars(doc: dict, bars: dict, cone, closure=None, deviation=None, su4=None, where=None) -> int:
     """Record the bars and the checks that miss them in ``doc``; the exit
     code is 1 when any check misses its bar, and then one stderr line names
-    each miss with its value and bar.  A bar of None takes its
+    each miss with its value and bar, and where its worst sample lies as
+    the check wrote it in ``where``.  A bar of None takes its
     ``DEFAULT_BARS`` value.  A partial cone fit is never held to the cone
     bar."""
     bars = {name: DEFAULT_BARS[name] if bar is None else bar for name, bar in bars.items()}
@@ -604,7 +634,11 @@ def evaluate_bars(doc: dict, bars: dict, cone, closure=None, deviation=None, su4
     doc["bars_failed"] = list(failures)
     doc["passed"] = not failures
     if failures:
-        missed = [name if v is None else f"{name} {v:.3g} > {bars[name]:.3g}" for name, v in failures.items()]
+        where = where or {}
+        missed = []
+        for name, v in failures.items():
+            text = name if v is None else f"{name} {v:.3g} > {bars[name]:.3g}"
+            missed.append(f"{text} at {where[name]}" if name in where else text)
         print("failed: " + ", ".join(missed), file=sys.stderr)
     return 1 if failures else 0
 
@@ -627,14 +661,16 @@ def verify_trajectory(
     stated = model_spec(model)
     if s_form(deriv.sys) != (stated.affine, stated.factor):
         raise DerivationError("the derived system's s-form differs from the closed form's table")
+    where: Dict[str, str] = {}  # each check's worst sample, for the missed-bar line
     if loaded:
-        closure = check_closure_samples(traj, deriv)
+        closure = check_closure_samples(traj, deriv, where)
     else:
-        closure = check_closure(ProfileSampler(prof, traj), deriv)
+        closure = check_closure(ProfileSampler(prof, traj), deriv, where=where)
     cone = cone_fit(traj)
+    where["cone"] = cone_location(cone, traj)
     smooth = smoothness_report(model, spec.orbit)
     su4 = su4_family_check(model, deriv.sys)
-    deviation = compare(traj, prof)
+    deviation = compare(traj, prof, where)
     residual = {
         "d_omega": closure.d_omega_residual,
         "d_eta": closure.d_eta_residual,
@@ -657,7 +693,7 @@ def verify_trajectory(
     }
     if loaded and bars["closure"] is None:
         bars = {**bars, "closure": DEFAULT_BARS["closure_trajectory"]}
-    code = evaluate_bars(doc, bars, cone, closure, deviation, su4)
+    code = evaluate_bars(doc, bars, cone, closure, deviation, su4, where)
     return doc, code
 
 

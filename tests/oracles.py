@@ -1,12 +1,14 @@
 """Reads and exact evaluations that only the tests need.
 
 No command packs or decodes a matrix position, assembles a model's basis
-matrices, reads one coefficient of a form, reads the structure constants as ``Fraction`` values, checks the
-Jacobi identity one triple at a time, rebuilds a structure tensor from a
-table, substitutes the frame into omega and *omega apart from Omega, sorts
-isotropy weights, evaluates the closed-form profile exactly or fits the
-cone limits by exact least squares; the tests do, and hold the package to
-these.
+matrices, reads one coefficient of a form, reads the structure constants as
+``Fraction`` values, checks the Jacobi identity one triple at a time,
+rebuilds a structure tensor from a table, projects one bracket per call,
+reduces a row set to Hermite normal form by pairs, reads the Cartan
+elements as ``Fraction`` coordinates, substitutes the frame into omega and
+*omega apart from Omega, sorts isotropy weights, evaluates the closed-form
+profile exactly or fits the cone limits by exact least squares; the tests
+do, and hold the package to these.
 """
 
 import itertools
@@ -18,7 +20,21 @@ import numpy as np
 
 from holoflow.algebra import AlgebraError, LaurentPoly
 from holoflow.closed_form import DomainError
-from holoflow.homogeneous import _ALGEBRA, _SIDE, MODEL_SPECS, StructureTensor, _place, group_gens, model_spec
+from holoflow.homogeneous import (
+    _ALGEBRA,
+    _SIDE,
+    MODEL_SPECS,
+    ModelError,
+    StructureTensor,
+    _algebra,
+    _check_jacobi,
+    _kernel_basis_1x3,
+    _place,
+    _plane_speed,
+    _span_weights,
+    group_gens,
+    model_spec,
+)
 from holoflow.structures import canonical_forms
 from holoflow.verify import _cone_quantities
 
@@ -62,6 +78,183 @@ def model_matrices(kind, basis):
                 s[key] = (r0 + c * re, i0 + c * im)
         out.append((d, {key: v for key, v in s.items() if v != (0, 0)}))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the coset-model build and classification one call at a time: a projection
+# call per bracket and Cartan element, a helper call per q-Gram cell, and
+# Fraction Cartan coordinates with every row of ad_x
+# ---------------------------------------------------------------------------
+
+
+def q_diagonal_by_cells(n, q):
+    """The norms N_i = q(i, i) of a basis, one call of q per cell of the
+    q-Gram matrix's upper triangle in row-major order; raises unless q is
+    diagonal and positive there."""
+    norms = []
+    for i in range(n):
+        for j in range(i, n):
+            v = q(i, j)
+            if i == j:
+                if v <= 0:
+                    raise ModelError("basis vector with non-positive q-norm")
+                norms.append(v)
+            elif v:
+                raise ModelError(f"basis is not q-orthogonal at pair {(i + 1, j + 1)}")
+    return norms
+
+
+def index_by_dict(coords, norms):
+    """q(g_a, S_k) = P_ka N_a for each S_k = sum_a P_ka g_a, listed as
+    (k, P_ka N_a) under a in a dict."""
+    index = {}
+    for k, p in enumerate(coords):
+        for a, c in p.items():
+            index.setdefault(a, []).append((k, c * norms[a]))
+    return index
+
+
+def project_one(x, index, coords, weights, scale):
+    """The nonzero t_k = q(X, S_k) of X = sum_a x_a g_a as {k: t_k} in
+    ascending k, or None unless X = sum_k t_k S_k / N_k, checked over the g_a
+    as L X = sum_k t_k w_k S_k with a dict residual."""
+    t = [0] * len(coords)
+    for a, c in x.items():
+        for k, v in index.get(a, ()):
+            t[k] += c * v
+    t = {k: tk for k, tk in enumerate(t) if tk}
+    residual = {a: scale * c for a, c in x.items()}
+    for k, tk in t.items():
+        w = tk * weights[k]
+        for a, c in coords[k].items():
+            residual[a] = residual.get(a, 0) - w * c
+    return None if any(residual.values()) else t
+
+
+def change_of_basis_by_calls(algebra, g_norms, basis):
+    """``_change_of_basis`` with a helper call per q-Gram cell and a
+    projection call per nonzero bracket, whose pairs are scaled in a second
+    loop: the structure tensor and the q-norms of the basis over g."""
+    n, rows = len(basis), algebra.rows
+    dens = [d for d, _ in basis]
+    coords = [p for _, p in basis]
+    index = index_by_dict(coords, g_norms)
+    gram = []
+    for p in coords:
+        t = [0] * n
+        for a, c in p.items():
+            for k, v in index.get(a, ()):
+                t[k] += c * v
+        gram.append(t)
+    norms = q_diagonal_by_cells(n, lambda i, j: gram[i][j])
+    weights, lcm_norms = span = _span_weights(norms)
+    lcm_dens = math.lcm(*dens)
+    scale = g = algebra.scale * lcm_dens * lcm_dens * lcm_norms
+    upper = []
+    for i, j in itertools.combinations(range(n), 2):
+        b = {}
+        for a, x in coords[i].items():
+            for c, y in coords[j].items():
+                for k, v in rows[a][c]:
+                    b[k] = b.get(k, 0) + x * y * v
+        if not any(b.values()):
+            continue
+        t = project_one(b, index, coords, *span)
+        if t is None:
+            raise ModelError("basis is not closed under brackets")
+        f = (lcm_dens // dens[i]) * (lcm_dens // dens[j])
+        pairs = [(k, tk * dens[k] * weights[k] * f) for k, tk in t.items()]
+        upper.append((i, j, pairs))
+        g = math.gcd(g, *[v for _, v in pairs])
+    table = [[()] * n for _ in range(n)]
+    for i, j, pairs in upper:
+        table[i][j] = pairs = tuple((k, v // g) for k, v in pairs)
+        table[j][i] = tuple((k, -v) for k, v in pairs)
+    structure = StructureTensor(n, scale // g, tuple(map(tuple, table)))
+    _check_jacobi(structure)
+    return structure, tuple(Fraction(v, d * d) for v, d in zip(norms, dens))
+
+
+def hnf_rows_by_pairs(rows):
+    """Row Hermite normal form of an integer row set, zero rows last: each
+    column's two live rows of least |entry| are reduced one step at a time,
+    the live rows found anew at every step."""
+    mat = [list(r) for r in rows]
+    ncols = len(mat[0])
+    pivot_row = 0
+    for col in range(ncols):
+        if not [r for r in range(pivot_row, len(mat)) if mat[r][col] != 0]:
+            continue
+        while len([r for r in range(pivot_row, len(mat)) if mat[r][col] != 0]) > 1:
+            live = [r for r in range(pivot_row, len(mat)) if mat[r][col] != 0]
+            live.sort(key=lambda r: abs(mat[r][col]))
+            r0, r1 = live[0], live[1]
+            qt = mat[r1][col] // mat[r0][col]
+            for c in range(ncols):
+                mat[r1][c] -= qt * mat[r0][c]
+        r0 = next(r for r in range(pivot_row, len(mat)) if mat[r][col] != 0)
+        mat[pivot_row], mat[r0] = mat[r0], mat[pivot_row]
+        if mat[pivot_row][col] < 0:
+            mat[pivot_row] = [-x for x in mat[pivot_row]]
+        for r in range(pivot_row):
+            qt = mat[r][col] // mat[pivot_row][col]
+            for c in range(ncols):
+                mat[r][c] -= qt * mat[pivot_row][c]
+        pivot_row += 1
+    return [tuple(r) for r in mat]
+
+
+def fraction_cartan(model):
+    """The isotropy Cartan elements as ``Fraction`` coordinates {index: c}:
+    M's e10 and e11, Q's projected one call per element onto the isotropy
+    generators, whose N_k are read from the q-norms."""
+    if model.kind == "M":
+        return [{9: Fraction(1)}, {10: Fraction(1)}]
+    dens, coords = zip(*model.basis[model.TANGENT :])
+    norms = [q.numerator * d * d // q.denominator for q, d in zip(model.q_norms[model.TANGENT :], dens)]
+    index, span = index_by_dict(coords, _algebra(model.kind)[1]), _span_weights(norms)
+    out = []
+    for x, y, z in _kernel_basis_1x3(*model.indices):
+        t = project_one({2: x, 5: y, 8: z}, index, coords, *span)
+        if t is None:
+            raise ModelError("Cartan element is not in the isotropy algebra")
+        out.append({model.TANGENT + k: Fraction(tk * dens[k], 2 * norms[k]) for k, tk in t.items()})
+    return out
+
+
+def ad_all_rows(model, x):
+    """(rows, L) of L ad_x on every basis element for ``Fraction``
+    coordinates x, L the structure's scale times the lcm of their
+    denominators, zeros dropped."""
+    scale, table = model.structure.scale, model.structure.rows
+    den = math.lcm(*(xa.denominator for xa in x.values()))
+    rows = [{} for _ in range(model.n)]
+    for a, xa in x.items():
+        w = xa.numerator * (den // xa.denominator)
+        for row, pairs in zip(rows, table[a]):
+            for j, c in pairs:
+                row[j] = row.get(j, 0) + w * c
+    return [{j: c for j, c in row.items() if c} for row in rows], scale * den
+
+
+def weights_by_fraction_cartan(model):
+    """``isotropy_weights`` on the ``Fraction`` Cartan coordinates with
+    every row of ad_x: the same checks in the same order."""
+    cartan = [ad_all_rows(model, x) for x in fraction_cartan(model)]
+    weights = []
+    for plane in model.PLANES:
+        vec = []
+        for rows, den in cartan:
+            s = _plane_speed(model, rows, plane)
+            if s % den:
+                raise ModelError("non-integer weight on the chosen Cartan basis")
+            vec.append(s // den)
+        weights.append(tuple(vec))
+    for idx in model.FIXED:
+        for rows, _ in cartan:
+            if rows[idx]:
+                raise ModelError("expected fixed line is not fixed")
+    return tuple(weights)
 
 
 def coefficient(form, indices):

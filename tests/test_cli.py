@@ -537,19 +537,25 @@ def test_verify_passes_each_unit_orbit_at_the_default_bars(capsys, tmp_path, mod
 
 
 def test_verify_fails_a_run_of_a_slightly_wrong_system(capsys, tmp_path):
-    """A run of M cp2xs2 whose a' is 0.1% too large misses the closure bar."""
+    """A run of M cp2xs2 whose a' is 0.1% too large misses the closure bar,
+    and the stderr line says where each miss is worst."""
     sys_ = perturbed_system(m_model(1, 1).derivation.sys, "a", Fraction(1001, 1000))
     spec = OrbitSpec("M", "cp2xs2", {"a": 1, "b": 1})
     traj, _ = solve_orbit(sys_, spec, IntegratorConfig())
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
-    code, out, _ = run(
+    code, out, err = run(
         ["verify", "--model", "m", "--orbit", "cp2xs2", "--a0", "1", "--b0", "1",
          "--traj", str(path)],
         capsys,
     )
     assert code == 1
     assert "closure" in json.loads(out)["bars_failed"]
+    # the verify command's missed-bar line names each worst sample
+    assert err == (
+        "failed: closure 0.00147 > 0.001 at t=0.136 (d_omega), cone 0.00128 > 0.001 at a^2/t^2 (t_end/scale=1e+04),"
+        " closed_form 0.001 > 1e-08 at t=1e+04 (a)\n"
+    )
 
 
 GOLDEN_M_CP2 = str(Path(__file__).parent / "golden" / "traj_m_cp2.csv")
@@ -558,18 +564,22 @@ GOLDEN_M_CP2 = str(Path(__file__).parent / "golden" / "traj_m_cp2.csv")
 @pytest.mark.parametrize(
     "argv,missed,line",
     [
-        (["report", "--model", "m", "--orbit", "cp2"], ["--a0", "1/3"], "failed: closed_form 1.05e-08 > 1e-08"),
+        (["report", "--model", "m", "--orbit", "cp2"], ["--a0", "1/3"],
+         "failed: closed_form 1.05e-08 > 1e-08 at t=9e-05 (c)"),
         (["verify", "--model", "m", "--orbit", "cp2", "--a0", "1", "--traj", GOLDEN_M_CP2], ["--cone-bar", "1e-9"],
-         "failed: cone 0.000115 > 1e-09"),
-        (["cone", "--model", "m", "--traj", GOLDEN_M_CP2], ["--cone-bar", "1e-9"], "failed: cone 0.000115 > 1e-09"),
+         "failed: cone 0.000115 > 1e-09 at c/t (t_end/scale=1e+04)"),
+        (["cone", "--model", "m", "--traj", GOLDEN_M_CP2], ["--cone-bar", "1e-9"],
+         "failed: cone 0.000115 > 1e-09 at c/t (t_end/scale=1e+04)"),
+        (["report", "--model", "m", "--orbit", "cp2"], ["--a0", "1", "--t-end", "5"],
+         "failed: closure 1.83e-07 > 1e-09 at t=0.000121 (d_omega)"),
     ],
-    ids=["report", "verify", "cone"],
+    ids=["report", "verify", "cone", "report-closure"],
 )
 def test_a_missed_bar_says_so_in_one_stderr_line(capsys, tmp_path, argv, missed, line):
     """Exit 1 from a missed bar prints one stderr line with each miss, its
-    value and its bar, which the document's ``bars_failed`` names; without
-    the miss (unit data, default bars) the command exits 0 and prints
-    nothing to stderr."""
+    value, its bar and where its worst sample lies, which the document's
+    ``bars_failed`` names; without the miss (unit data, default bars) the
+    command exits 0 and prints nothing to stderr."""
     out = tmp_path / "out.json"
     code, stdout, err = run(argv + missed + ["--out", str(out)], capsys)
     assert (code, stdout, err) == (1, "", line + "\n")

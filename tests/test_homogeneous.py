@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import holoflow.homogeneous as homogeneous
@@ -22,6 +22,7 @@ from holoflow._record import replace
 from holoflow.algebra import LaurentPoly, Multivector
 from holoflow.homogeneous import (
     _ALGEBRA,
+    MODEL_SPECS,
     ModelError,
     StructureTensor,
     _ad,
@@ -53,13 +54,17 @@ from holoflow.homogeneous import (
 )
 from oracles import (
     canonical_weights,
+    change_of_basis_by_calls,
     coefficient,
+    fraction_cartan,
+    hnf_rows_by_pairs,
     jacobi_per_triple,
     model_matrices,
     pack,
     structure_from_table,
     structure_table,
     unpack,
+    weights_by_fraction_cartan,
 )
 
 
@@ -197,6 +202,11 @@ def test_isotropy_checks_reject_tampered_structure(edits, check, message):
     check(q_model(1, 1, 1))
     with pytest.raises(ModelError, match=re.escape(message)):
         check(tampered_q111(edits))
+    # the weights read on the Fraction Cartan coordinates, with every row of
+    # ad_x, fail first at the same check
+    if check is isotropy_weights:
+        with pytest.raises(ModelError, match=re.escape(message)):
+            weights_by_fraction_cartan(tampered_q111(edits))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +378,7 @@ def test_m11_su2_irreducible_on_v1_trivial_elsewhere():
     for x in (7, 8, 9):
         for i in (4, 5, 6):
             assert not bracket_coeffs(st, x, i)
-    assert su2_commutant_dim([_ad(model, {x: 1})[0] for x in (7, 8, 9)]) == 4
+    assert su2_commutant_dim([_ad(model, (1, {x: 1}))[0] for x in (7, 8, 9)]) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -926,6 +936,39 @@ def test_a_tampered_coordinate_basis_fails_as_its_matrices_do(kind, edits, messa
     with pytest.raises(ModelError, match=re.escape(message)) as coordinate_error:
         _change_of_basis(*_algebra(kind), basis)
     assert str(coordinate_error.value) == str(matrix_error.value)
+    # and the call-per-bracket build it replaced fails there too
+    assert outcome(change_of_basis_by_calls, *_algebra(kind), basis) == ("error", str(matrix_error.value))
+
+
+def outcome(fn, *args):
+    """("ok", the value) of fn(*args), or ("error", its message) where it raises ModelError."""
+    try:
+        return "ok", fn(*args)
+    except ModelError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("name", [*TUPLE_SETS, "negative"])
+def test_the_one_pass_build_and_classification_match_the_calls_they_replace(name, monkeypatch):
+    """Tensor, q-norms, weights, verdict and every error of the one-pass
+    change of basis and the integer Cartan path are those of the build with
+    a call per bracket and the Fraction Cartan coordinates."""
+    for kind, indices in TUPLE_SETS.get(name, NEGATIVE):
+        model = get_model(kind, indices)
+        for given in (indices, model.indices):  # as given, then normalized
+            basis = tuple((d, {a: c for a, c in p.items() if c}) for d, p in BASES[kind](*given))
+            got = outcome(_change_of_basis, *_algebra(kind), basis)
+            want = outcome(change_of_basis_by_calls, *_algebra(kind), basis)
+            assert got == want and repr(got) == repr(want), (kind, given)
+        assert (model.structure, model.q_norms) == want[1]
+        weights = outcome(isotropy_weights, model)
+        assert weights == outcome(weights_by_fraction_cartan, model), (kind, indices)
+        verdict = classify_invariant_g2(model)
+        with monkeypatch.context() as patch:
+            patch.setattr(homogeneous, "isotropy_weights", weights_by_fraction_cartan)
+            assert classify_invariant_g2(model) == verdict, (kind, indices)
+        coords = MODEL_SPECS[kind].cartan(model)
+        assert as_fractions(coords) == fraction_cartan(model)
 
 
 def test_a_fresh_sweep_builds_each_kinds_algebra_once():
@@ -949,11 +992,20 @@ def test_a_fresh_sweep_builds_each_kinds_algebra_once():
 
 
 def coordinate_projector(kind, basis):
-    """``_project`` onto the S_k of a basis over g, with their index and weights built once."""
-    coords = [p for _, p in basis]
-    span = _span_weights([gq_reference(s, s) for _, s in model_matrices(kind, basis)])
-    index = _index(coords, _algebra(kind)[1])
-    return lambda x: _project(x, index, coords, *span)
+    """``_project`` onto the S_k of a basis over g, with their index and
+    weights built once, as {k: t_k} for a sparse X over g: with every D_k
+    and f taken as 1 its pairs are (k, t_k w_k)."""
+    coords = [tuple(p.items()) for _, p in basis]
+    weights, scale = _span_weights([gq_reference(s, s) for _, s in model_matrices(kind, basis)])
+    g_norms = _algebra(kind)[1]
+    index = _index(coords, g_norms)
+
+    def project(x):
+        dense = [x.get(a, 0) for a in range(len(g_norms))]
+        got = _project([(1, dense)], index, coords, [1] * len(coords), weights, scale)
+        return None if got is None else {k: v // weights[k] for k, v in got[0]}
+
+    return project
 
 
 @functools.lru_cache(maxsize=None)
@@ -1115,6 +1167,49 @@ def test_kernel_basis_matches_the_gcd_sweep_in_any_order():
         assert_kernel_basis(indices)
 
 
+def rank3(rows):
+    """The rank of three integer rows of length 3."""
+    if determinant(rows):
+        return 3
+    crosses = [
+        tuple(u[i - 2] * v[i - 1] - u[i - 1] * v[i - 2] for i in range(3)) for u, v in itertools.combinations(rows, 2)
+    ]
+    return 2 if any(map(any, crosses)) else int(any(map(any, rows)))
+
+
+def determinant(rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+ENTRY = st.one_of(st.integers(-10, 10), st.integers(-(10**30), 10**30))
+
+
+@st.composite
+def row_sets(draw):
+    """Three integer rows of length 3 of rank 3, or of rank 2 with the third
+    an integer combination of the first two, in a drawn order."""
+    u, v = (tuple(draw(ENTRY) for _ in range(3)) for _ in range(2))
+    if draw(st.booleans()):
+        w = tuple(draw(ENTRY) for _ in range(3))
+    else:
+        p, q = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+        w = tuple(p * x + q * y for x, y in zip(u, v))
+    rows = draw(st.permutations([u, v, w]))
+    assume(rank3(rows) >= 2)
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(row_sets())
+def test_the_in_place_hnf_is_the_pairwise_hnf(rows):
+    """The HNF of a lattice is unique, so reducing a column's live rows in
+    place gives the rows of the pair-at-a-time reduction, zero rows last."""
+    got = _hnf_rows(rows)
+    assert got == hnf_rows_by_pairs(rows)
+    assert rank3(rows) == sum(map(any, got)) and not any(map(any, got[rank3(rows):]))
+
+
 def cartan_candidates(indices):
     """Elements (D, {a: P_a}) of the Q Cartan over g: the kernel basis of
     k x + l y + m z = 0 at two scales and one integer combination, all in
@@ -1130,6 +1225,16 @@ def cartan_candidates(indices):
     ]
 
 
+def as_fractions(elements):
+    """Integer coordinates (den, {k: c}), each c and den an int, as the
+    ``Fraction`` coordinates {k: c / den} they stand for."""
+    out = []
+    for den, coords in elements:
+        assert type(den) is int and all(type(c) is int for c in coords.values())
+        out.append({k: Fraction(c, den) for k, c in coords.items()})
+    return out
+
+
 @pytest.mark.parametrize("name", TUPLE_SETS)
 def test_integer_cartan_coordinates_match_the_fraction_residual(name):
     for kind, indices in TUPLE_SETS[name]:
@@ -1140,7 +1245,7 @@ def test_integer_cartan_coordinates_match_the_fraction_residual(name):
         for element, member in cartan_candidates(model.indices):
             if member:
                 want = isotropy_coords_reference(model, element)
-                assert repr(_isotropy_coords(model, [element])) == repr([want])
+                assert repr(as_fractions(_isotropy_coords(model, [element]))) == repr([want])
                 inside.append(element)
                 wants.append(want)
             else:
@@ -1151,7 +1256,7 @@ def test_integer_cartan_coordinates_match_the_fraction_residual(name):
                     with pytest.raises(ModelError, match="not in the isotropy algebra"):
                         _isotropy_coords(model, elements)
         # one call projects every element with the data built once
-        assert repr(_isotropy_coords(model, inside)) == repr(wants)
+        assert repr(as_fractions(_isotropy_coords(model, inside))) == repr(wants)
 
 
 @pytest.mark.parametrize("name", TUPLE_SETS)
@@ -1312,12 +1417,12 @@ def matches_u2_weights(model):
     V2 + V3, and u(1) weight magnitudes in the ratio (mu, mu, 2 mu) with
     mu != 0 across (V1-plane, V1-plane, V2).
     """
-    su2 = [_ad(model, {x: 1})[0] for x in (7, 8, 9)]
+    su2 = [_ad(model, (1, {x: 1}))[0] for x in (7, 8, 9)]
     if any(rows[i] for rows in su2 for i in (4, 5, 6)):
         return False
     if su2_commutant_dim(su2) != 4:
         return False
-    u1, _ = _ad(model, {10: 1})
+    u1, _ = _ad(model, (1, {10: 1}))
     s1 = abs(_plane_speed(model, u1, (0, 1)))
     s2 = abs(_plane_speed(model, u1, (2, 3)))
     s3 = abs(_plane_speed(model, u1, (4, 5)))

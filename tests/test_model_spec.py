@@ -42,7 +42,7 @@ def test_every_record_is_well_formed(kind):
     model = get_model(kind, (1,) * len(spec.index_names))
     assert model.modules == spec.modules and model.symbols.base == names
     cartan = spec.cartan(model)
-    assert len(cartan) == 2 and all(set(x) <= set(model.isotropy_indices) for x in cartan)
+    assert len(cartan) == 2 and all(set(x) <= set(model.isotropy_indices) for _, x in cartan)
 
 
 @pytest.mark.parametrize("kind", sorted(MODEL_SPECS))

@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 
 from holoflow._record import replace
 from holoflow.algebra import LaurentPoly, Multivector
-from holoflow.closed_form import ProfileM, ProfileQ, profile, s_form
+from holoflow import verify
+from holoflow.closed_form import ProfileM, ProfileQ, compare, profile, s_form
 from holoflow.flow import derive_flow, exterior_d_time
 from holoflow.homogeneous import MODEL_SPECS, get_model, invariant_d, m_model, q_model
 from holoflow.integrate import IntegratorConfig, OrbitSpec, SeriesStartError, Trajectory, solve_orbit
 from holoflow.structures import rotation_generator
 from holoflow.verify import (
+    CLOSURE_MAX_ROWS,
     CONE_REFS,
     DEFAULT_BARS,
     ProfileSampler,
@@ -32,6 +34,7 @@ from holoflow.verify import (
     check_closure,
     check_closure_samples,
     cone_fit,
+    cone_location,
     evaluate_bars,
     fd_weights,
     orbit_catalog,
@@ -137,6 +140,51 @@ def test_closure_checks_reuse_the_derived_forms(q_setup, monkeypatch):
     monkeypatch.setattr("holoflow.flow.exterior_d_time", no_derivative)
     assert check_closure(sampler, deriv, t_points=[2.0, 5.0, 9.0]).max_residual < 1e-6
     assert check_closure_samples(traj, deriv).max_residual < 1e-3
+
+
+def test_each_check_names_its_worst_sample(q_setup, monkeypatch):
+    """The location each check writes for the missed-bar line is the
+    arg-max of its samples, the first of equal ones: the t and coefficient
+    of the largest closed-form deviation, the t and form of the larger
+    closure residual, and the cone quantity of the largest delta with t_end
+    over the initial scale."""
+    model, deriv, spec, traj, sampler = q_setup
+    where = {}
+    deviation = compare(traj, profile(model, spec), where)
+    prof, devs = profile(model, spec), []
+    for t, row in zip(traj.ts, traj.ys):
+        want = prof.coefficient_squares(row[-1])
+        floor = max(max(abs(v) for v in want.values()), 1e-300) * 1e-6
+        for j, name in enumerate(traj.state_names):
+            devs.append((abs(row[j] ** 2 - want[name]) / max(abs(want[name]), floor), t, name))
+    worst = max(devs, key=lambda d: d[0])
+    assert deviation == worst[0]
+    assert where == {"closed_form": f"t={worst[1]:.3g} ({worst[2]})"}
+
+    # each closure check's residuals, sample by sample, at its sample t
+    real, seen = verify._residuals, []
+    monkeypatch.setattr(verify, "_residuals", lambda d, assign: seen.append(real(d, assign)) or seen[-1])
+    points = _linspace(1.0, 40.0, 9)
+    n = traj.n_samples
+    runs = [
+        (lambda w: check_closure(sampler, deriv, t_points=points, where=w), points),
+        (lambda w: check_closure_samples(traj, deriv, w), traj.ts[1 : n - 1 : max(1, (n - 2) // CLOSURE_MAX_ROWS)]),
+    ]
+    for check, ts in runs:
+        where, seen[:] = {}, []
+        rep = check(where)
+        assert len(seen) == len(ts)
+        t_omega, r_omega = max(zip(ts, (r for r, _ in seen)), key=lambda p: p[1])
+        t_eta, r_eta = max(zip(ts, (r for _, r in seen)), key=lambda p: p[1])
+        assert (rep.d_omega_residual, rep.d_eta_residual) == (r_omega, r_eta)
+        at = f"t={t_omega:.3g} (d_omega)" if r_omega >= r_eta else f"t={t_eta:.3g} (d_eta)"
+        assert where == {"closure": at}
+
+    cone = cone_fit(traj)
+    name = max(cone.deltas, key=cone.deltas.get)
+    assert cone.deltas[name] == cone.max_delta
+    span = traj.ts[-1] / max(abs(v) for v in traj.ys[0][:-1])
+    assert cone_location(cone, traj) == f"{name} (t_end/scale={span:.3g})"
 
 
 def test_closure_raw_samples(q_setup):
