@@ -87,15 +87,16 @@ class LaurentPoly:
     """Sparse exact multivariate Laurent polynomial.
 
     Terms map exponent vectors (one integer slot per symbol of the table,
-    base symbols first) to nonzero rationals.  Zero coefficients are pruned
-    eagerly so that equality is plain dict equality.
+    base symbols first) to rationals.  The constructor drops every zero
+    coefficient, so no stored one is zero and equality is plain dict
+    equality; the operations accumulate their sums and leave zeros to it.
     """
 
     __slots__ = ("table", "terms")
 
     def __init__(self, table: SymbolTable, terms: Mapping[Tuple[int, ...], Fraction]):
         self.table = table
-        self.terms: Dict[Tuple[int, ...], Fraction] = dict(terms)
+        self.terms: Dict[Tuple[int, ...], Fraction] = {v: c for v, c in terms.items() if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -105,26 +106,20 @@ class LaurentPoly:
 
     @staticmethod
     def const(table: SymbolTable, value: ScalarLike) -> "LaurentPoly":
-        v = _as_fraction(value)
-        if v == 0:
-            return LaurentPoly.zero(table)
-        return LaurentPoly(table, {(0,) * len(table.names): v})
+        return LaurentPoly(table, {(0,) * len(table.names): _as_fraction(value)})
 
     @staticmethod
     def monomial(
         table: SymbolTable, coeff: ScalarLike, exps: Mapping[str, int] | None = None
     ) -> "LaurentPoly":
         """``coeff * prod(sym**e)`` with exponents given by symbol name."""
-        c = _as_fraction(coeff)
-        if c == 0:
-            return LaurentPoly.zero(table)
         vec = [0] * len(table.names)
         for name, e in (exps or {}).items():
             idx = table.index(name)
             if idx >= table.nbase and e < 0:
                 raise AlgebraError(f"negative exponent on derivative symbol {name!r}")
             vec[idx] += int(e)
-        return LaurentPoly(table, {tuple(vec): c})
+        return LaurentPoly(table, {tuple(vec): _as_fraction(coeff)})
 
     @staticmethod
     def variable(table: SymbolTable, name: str) -> "LaurentPoly":
@@ -206,11 +201,7 @@ class LaurentPoly:
         self._compat(other)
         out = dict(self.terms)
         for vec, c in other.terms.items():
-            s = out.get(vec, Fraction(0)) + c
-            if s:
-                out[vec] = s
-            else:
-                out.pop(vec, None)
+            out[vec] = out[vec] + c if vec in out else c
         return LaurentPoly(self.table, out)
 
     __radd__ = __add__
@@ -231,8 +222,6 @@ class LaurentPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = _as_fraction(other)
-            if f == 0:
-                return LaurentPoly.zero(self.table)
             return LaurentPoly(self.table, {v: c * f for v, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -241,11 +230,8 @@ class LaurentPoly:
         for v1, c1 in self.terms.items():
             for v2, c2 in other.terms.items():
                 vec = tuple(a + b for a, b in zip(v1, v2))
-                s = out.get(vec, Fraction(0)) + c1 * c2
-                if s:
-                    out[vec] = s
-                else:
-                    out.pop(vec, None)
+                c = c1 * c2
+                out[vec] = out[vec] + c if vec in out else c
         return LaurentPoly(self.table, out)
 
     __rmul__ = __mul__
@@ -259,8 +245,6 @@ class LaurentPoly:
             ((vec, c),) = self.terms.items()
             if any(vec[i] for i in range(self.table.nbase, len(vec))):
                 raise AlgebraError("cannot invert a derivative-symbol monomial")
-            if c.numerator == 0:
-                raise ZeroDivisionError
             inv = LaurentPoly(self.table, {tuple(-e for e in vec): 1 / c})
             return inv ** (-n)
         out = None
@@ -290,19 +274,11 @@ class LaurentPoly:
         idx = self.table.index(name)
         if idx >= self.table.nbase:
             raise AlgebraError("diff is defined on base symbols only")
+        # lowering one exponent maps distinct terms to distinct terms
         out: Dict[Tuple[int, ...], Fraction] = {}
         for vec, c in self.terms.items():
-            e = vec[idx]
-            if e == 0:
-                continue
-            nv = list(vec)
-            nv[idx] = e - 1
-            key = tuple(nv)
-            s = out.get(key, Fraction(0)) + c * e
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            if vec[idx]:
+                out[vec[:idx] + (vec[idx] - 1,) + vec[idx + 1 :]] = c * vec[idx]
         return LaurentPoly(self.table, out)
 
     def subs(
@@ -338,11 +314,7 @@ class LaurentPoly:
                         power = powers[i, e] = image**e
                     piece = piece * power
             for key, q in piece.terms.items():
-                s = out.get(key, Fraction(0)) + q
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                out[key] = out[key] + q if key in out else q
         return LaurentPoly(table, out)
 
     def cleared(self) -> Tuple["LaurentPoly", "LaurentPoly"]:
@@ -529,10 +501,7 @@ class Multivector:
         self._compat(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            if m in out:
-                out[m] = out[m] + c
-            else:
-                out[m] = c
+            out[m] = out[m] + c if m in out else c
         return Multivector(self.gens, out, self.dt_index)
 
     def __neg__(self):
@@ -574,10 +543,7 @@ class Multivector:
                 if sign < 0:
                     coeff = -coeff
                 key = m1 | m2
-                if key in out:
-                    out[key] = out[key] + coeff
-                else:
-                    out[key] = coeff
+                out[key] = out[key] + coeff if key in out else coeff
         return Multivector(self.gens, out, self.dt_index)
 
     def hodge_star(self) -> "Multivector":
@@ -594,15 +560,9 @@ class Multivector:
         bit = 1 << gen_index
         out: Dict[int, object] = {}
         for m, c in self.terms.items():
-            if not m & bit:
-                continue
-            pos = (m & (bit - 1)).bit_count()
-            coeff = -c if pos % 2 else c
-            key = m ^ bit
-            if key in out:
-                out[key] = out[key] + coeff
-            else:
-                out[key] = coeff
+            # dropping one generator maps distinct terms to distinct terms
+            if m & bit:
+                out[m ^ bit] = -c if (m & (bit - 1)).bit_count() % 2 else c
         return Multivector(self.gens, out, self.dt_index)
 
     # -- coframe substitution ------------------------------------------------------------

@@ -5,13 +5,14 @@ kind's g has one basis g_a of sparse Gaussian-integer matrices, the entry
 (b, i, j) keyed by the int (3 b + i) 3 + j; ``_build_structure`` checks it and
 finds g's integer structure table once per kind and process.  A model's
 basis element is the pair (D, {a: P_a}) of its integer coordinates over the
-g_a, X = sum_a P_a g_a / D, so its q-norms, brackets, projections and the
+g_a, X = sum_a P_a g_a / D, so its norms, brackets, projections and the
 orthogonality, positivity and closure checks are sums over g's norms and
-table, and no model makes a matrix.  The structure constants are stored
-only as integers times the lcm of their denominators, and the Cartan
-elements as integer coordinates over one denominator; Fractions appear
-otherwise only in the q-norms and the Maurer-Cartan forms.  What the paper
-states about each model is one ``ModelSpec`` record in ``MODEL_SPECS``.
+table, and no model makes a matrix.  The norms are the integers
+N = q(S, S), the structure constants are stored only as integers times the
+lcm of their denominators, and the Cartan elements as integer coordinates
+over one denominator; a model's only Fractions are its Maurer-Cartan forms.
+What the paper states about each model is one ``ModelSpec`` record in
+``MODEL_SPECS``.
 """
 
 from __future__ import annotations
@@ -223,7 +224,8 @@ class StructureTensor:
 class CosetModel:
     """One of Q(k,l,m) or M(k,l) with its exact basis: each element is the
     pair (D, {a: P_a}) of its integer coordinates over the basis g_a of its
-    kind's Lie algebra, X = sum_a P_a g_a / D.
+    kind's Lie algebra, X = sum_a P_a g_a / D, and ``norms`` holds the
+    integers N = q(S, S) of S = D X, so q(X, X) = N / D^2.
 
     Indices 0..6 span the tangent space; the rest span the isotropy algebra.
     The metric q(X,Y) = -tr(XY) is diagonal on the basis (verified at build
@@ -234,7 +236,7 @@ class CosetModel:
     indices: Tuple[int, ...]
     basis: Tuple[Coordinates, ...]
     gen_names: Tuple[str, ...]
-    q_norms: Tuple[Fraction, ...]
+    norms: Tuple[int, ...]
     structure: StructureTensor
 
     TANGENT = 7
@@ -298,8 +300,8 @@ def _q_diagonal(rows: Iterable[Iterable[int]]) -> List[int]:
     return norms
 
 
-def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[Fraction, ...]]:
-    """Structure constants and q-norms of a basis X_i = S_i / D_i of
+def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[int, ...]]:
+    """Structure constants and norms N_i = q(S_i, S_i) of a basis X_i = S_i / D_i of
     Gaussian-integer matrices: [S_i, S_j] = sum_k t_k S_k / N_k with
     t_k = q([S_i, S_j], S_k) is checked on the entries and is, over
     L = lcm(N), the integer table t_k L / N_k that ``_change_of_basis`` reads."""
@@ -328,8 +330,8 @@ def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[
 
 def _change_of_basis(
     algebra: StructureTensor, g_norms: Sequence[int], basis: Sequence[Coordinates]
-) -> Tuple[StructureTensor, Tuple[Fraction, ...]]:
-    """Structure constants and q-norms of X_i = S_i / D_i, S_i = sum_a P_ia g_a,
+) -> Tuple[StructureTensor, Tuple[int, ...]]:
+    """Structure constants and norms N_i of X_i = S_i / D_i, S_i = sum_a P_ia g_a,
     over a q-orthogonal basis g_a of norms N_a whose integer table over s is
     ``algebra``: N_i = sum_a P_ia^2 N_a, and B = s [S_i, S_j] = sum_ab P_ia
     P_jb rows[a][b] with t_k = q(B, S_k) gives c^k_ij = t_k D_k / (s D_i D_j
@@ -386,14 +388,13 @@ def _change_of_basis(
         table[i][j], table[j][i] = tuple(up), tuple(down)
     structure = StructureTensor(n, scale // g, tuple(map(tuple, table)))
     _check_jacobi(structure)
-    return structure, tuple(Fraction(v, d * d) for v, d in zip(norms, dens))
+    return structure, tuple(norms)
 
 
 @lru_cache(maxsize=None)
 def _algebra(kind: str) -> Tuple[StructureTensor, Tuple[int, ...]]:
     """The checked structure tensor of a kind's g on its basis g_a (D = 1) and their q-norms N_a."""
-    structure, norms = _build_structure(tuple((1, _place(b, p)) for b, p in _ALGEBRA[kind]))
-    return structure, tuple(q.numerator for q in norms)
+    return _build_structure(tuple((1, _place(b, p)) for b, p in _ALGEBRA[kind]))
 
 
 def _check_jacobi(structure: StructureTensor) -> None:
@@ -445,7 +446,7 @@ def _model(kind: str, indices: Tuple[int, ...], basis: Tuple[Coordinates, ...]) 
         indices=indices,
         basis=basis,
         gen_names=tuple(f"e{i}" for i in range(1, len(basis) + 1)),
-        q_norms=norms,
+        norms=norms,
         structure=structure,
     )
     _check_isotropy_action(model)
@@ -478,7 +479,8 @@ AdRows = List[Dict[int, int]]
 
 def _ad(model: CosetModel, x: Coordinates) -> Tuple[AdRows, int]:
     """(rows, L) for ad_x on the tangent space, from the integer structure
-    table, zeros dropped; the weights and the fixed line read nothing else."""
+    table, zeros dropped; the isotropy checks, the weights and the fixed line
+    read nothing else."""
     den, coords = x
     table = model.structure.rows
     rows: AdRows = [{} for _ in range(model.TANGENT)]
@@ -495,11 +497,11 @@ def _ad(model: CosetModel, x: Coordinates) -> Tuple[AdRows, int]:
 def _check_isotropy_action(model: CosetModel) -> None:
     """Isotropy ad-action must be q-skew and block-diagonal on the planes."""
     same_module = {(i, j) for p in model.modules for i in p for j in p}
-    scale = math.lcm(*(q.denominator for q in model.q_norms))
-    norms = [q.numerator * (scale // q.denominator) for q in model.q_norms]
+    # q(X_i, X_i) = N_i / D_i^2, times lcm(D)^2
+    lcm_dens = math.lcm(*(d for d, _ in model.basis))
+    norms = [n * (lcm_dens // d) ** 2 for n, (d, _) in zip(model.norms, model.basis)]
     for x in model.isotropy_indices:
-        # the pairs (j, L c^j_xi) of row x are the rows of L ad_x
-        rows = [dict(pairs) for pairs in model.structure.rows[x][: model.TANGENT]]
+        rows, _ = _ad(model, (1, {x: 1}))
         for i in range(model.TANGENT):
             for j, cij in rows[i].items():
                 if j >= model.TANGENT:
@@ -669,8 +671,7 @@ def _isotropy_coords(model: CosetModel, elements: Sequence[Coordinates]) -> List
     them all; raises unless each lies in their span."""
     dens, coords = zip(*((d, tuple(p.items())) for d, p in model.basis[model.TANGENT :]))
     g_norms = _algebra(model.kind)[1]
-    # N_k = q(S_k, S_k) = sum_a P_ka^2 N_a
-    weights, scale = _span_weights([sum(c * c * g_norms[a] for a, c in p) for p in coords])
+    weights, scale = _span_weights(model.norms[model.TANGENT :])
     xs = []
     for _, p in elements:
         x = [0] * len(g_norms)

@@ -1,14 +1,15 @@
 """Reads and exact evaluations that only the tests need.
 
-No command packs or decodes a matrix position, assembles a model's basis
-matrices, reads one coefficient of a form, reads the structure constants as
-``Fraction`` values, checks the Jacobi identity one triple at a time,
-rebuilds a structure tensor from a table, projects one bracket per call,
-reduces a row set to Hermite normal form by pairs, reads the Cartan
-elements as ``Fraction`` coordinates, substitutes the frame into omega and
-*omega apart from Omega, sorts isotropy weights, evaluates the closed-form
-profile exactly or fits the cone limits by exact least squares; the tests
-do, and hold the package to these.
+No command prunes polynomial sums term by term, packs or decodes a matrix
+position, assembles a model's basis matrices, reads one coefficient of a
+form, reads the structure constants or the q-norms as ``Fraction`` values,
+checks the Jacobi identity one triple at a time, rebuilds a structure
+tensor from a table, projects one bracket per call, reduces a row set to
+Hermite normal form by pairs, reads the Cartan elements as ``Fraction``
+coordinates, substitutes the frame into omega and *omega apart from Omega,
+sorts isotropy weights, evaluates the closed-form profile exactly or fits
+the cone limits by exact least squares; the tests do, and hold the package
+to these.
 """
 
 import itertools
@@ -50,6 +51,59 @@ def perm_sign_sort(seq) -> int:
             if seq[i] > seq[j]:
                 inv += 1
     return -1 if inv % 2 else 1
+
+
+# ---------------------------------------------------------------------------
+# Laurent-polynomial arithmetic on term dicts {exponent vector: c} that pops
+# each zero sum as it goes, the eager prune each operation kept before the
+# constructor dropped zero coefficients
+# ---------------------------------------------------------------------------
+
+
+def _add_pruning(out, terms):
+    """Adds the (vec, c) pairs into the dict ``out``, popping each zero sum."""
+    for vec, c in terms:
+        s = out.get(vec, Fraction(0)) + c
+        if s:
+            out[vec] = s
+        else:
+            out.pop(vec, None)
+    return out
+
+
+def add_by_pruning(p, q):
+    """The terms of p + q."""
+    return _add_pruning(dict(p), q.items())
+
+
+def mul_by_pruning(p, q):
+    """The terms of p * q."""
+    products = ((tuple(a + b for a, b in zip(v1, v2)), c1 * c2) for v1, c1 in p.items() for v2, c2 in q.items())
+    return _add_pruning({}, products)
+
+
+def diff_by_pruning(p, idx):
+    """The terms of the partial derivative by the symbol in slot ``idx``."""
+    lowered = ((vec[:idx] + (vec[idx] - 1,) + vec[idx + 1 :], c * vec[idx]) for vec, c in p.items() if vec[idx])
+    return _add_pruning({}, lowered)
+
+
+def subs_by_pruning(p, images):
+    """The terms of p with the symbol in each slot i of ``images`` replaced
+    by the terms images[i], on p's own slots; a negative power of a symbol
+    takes the inverse of its image, which must be a monomial."""
+    out = {}
+    for vec, c in p.items():
+        piece = {tuple(0 if i in images else e for i, e in enumerate(vec)): c}
+        for i, image in images.items():
+            e = vec[i]
+            if e < 0:
+                ((v, q),) = image.items()
+                image, e = {tuple(-x for x in v): 1 / q}, -e
+            for _ in range(e):
+                piece = mul_by_pruning(piece, image)
+        _add_pruning(out, piece.items())
+    return out
 
 
 def pack(b, i, j) -> int:
@@ -134,7 +188,7 @@ def project_one(x, index, coords, weights, scale):
 def change_of_basis_by_calls(algebra, g_norms, basis):
     """``_change_of_basis`` with a helper call per q-Gram cell and a
     projection call per nonzero bracket, whose pairs are scaled in a second
-    loop: the structure tensor and the q-norms of the basis over g."""
+    loop: the structure tensor and the norms of the basis over g."""
     n, rows = len(basis), algebra.rows
     dens = [d for d, _ in basis]
     coords = [p for _, p in basis]
@@ -172,7 +226,7 @@ def change_of_basis_by_calls(algebra, g_norms, basis):
         table[j][i] = tuple((k, -v) for k, v in pairs)
     structure = StructureTensor(n, scale // g, tuple(map(tuple, table)))
     _check_jacobi(structure)
-    return structure, tuple(Fraction(v, d * d) for v, d in zip(norms, dens))
+    return structure, tuple(norms)
 
 
 def hnf_rows_by_pairs(rows):
@@ -207,11 +261,11 @@ def hnf_rows_by_pairs(rows):
 def fraction_cartan(model):
     """The isotropy Cartan elements as ``Fraction`` coordinates {index: c}:
     M's e10 and e11, Q's projected one call per element onto the isotropy
-    generators, whose N_k are read from the q-norms."""
+    generators, whose N_k are the model's norms."""
     if model.kind == "M":
         return [{9: Fraction(1)}, {10: Fraction(1)}]
     dens, coords = zip(*model.basis[model.TANGENT :])
-    norms = [q.numerator * d * d // q.denominator for q, d in zip(model.q_norms[model.TANGENT :], dens)]
+    norms = model.norms[model.TANGENT :]
     index, span = index_by_dict(coords, _algebra(model.kind)[1]), _span_weights(norms)
     out = []
     for x, y, z in _kernel_basis_1x3(*model.indices):
@@ -282,6 +336,12 @@ def structure_table(structure):
         for j in range(i + 1, structure.n)
         if row[j]
     }
+
+
+def q_norms(norms, basis):
+    """The q-norms q(X_i, X_i) = N_i / D_i^2 as Fractions, from the integer
+    norms N_i = q(S_i, S_i) of a basis X_i = S_i / D_i given as (D_i, ...)."""
+    return tuple(Fraction(v, d * d) for v, (d, _) in zip(norms, basis))
 
 
 def structure_from_table(n, table) -> StructureTensor:

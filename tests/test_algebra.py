@@ -8,8 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoflow.algebra import AlgebraError, LaurentPoly, Multivector, SymbolTable
-from oracles import coefficient, max_abs_coefficient, perm_sign_sort
+from holoflow.algebra import AlgebraError, FrozenPoly, LaurentPoly, Multivector, SymbolTable
+from oracles import (
+    add_by_pruning,
+    coefficient,
+    diff_by_pruning,
+    max_abs_coefficient,
+    mul_by_pruning,
+    perm_sign_sort,
+    subs_by_pruning,
+)
 
 TAB = SymbolTable(("a", "b", "c", "f"), ("a'", "b'", "c'", "f'"))
 GENS7 = tuple(f"dx{i}" for i in range(1, 8))
@@ -358,6 +366,87 @@ def test_constant_value_refuses_every_non_constant_polynomial(poly):
 def test_negative_power_of_monomial():
     p = LaurentPoly.monomial(TAB, Fraction(2), {"a": 1})
     assert p**-2 == LaurentPoly.monomial(TAB, Fraction(1, 4), {"a": -2})
+
+
+# ---------------------------------------------------------------------------
+# the zero rule: the constructors drop zero coefficients, the operations
+# only accumulate
+# ---------------------------------------------------------------------------
+
+
+def test_a_polynomial_made_with_zero_coefficients_stores_none():
+    a, b = (0, 1, 0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0)
+    zero = LaurentPoly(TAB, {a: Fraction(0)})
+    assert zero.is_zero and zero == LaurentPoly.zero(TAB) and hash(zero) == hash(LaurentPoly.zero(TAB))
+    assert LaurentPoly(TAB, {a: Fraction(0), b: Fraction(2)}).terms == {b: 2}
+    assert FrozenPoly(zero).is_zero
+    assert LaurentPoly.const(TAB, 0).is_zero
+    assert LaurentPoly.monomial(TAB, 0, {"a": -1}).is_zero
+    assert (LaurentPoly.variable(TAB, "a") * 0).is_zero
+
+
+def stored_zeros(value):
+    """The zero coefficients stored in a polynomial, or in a form and in its
+    polynomial coefficients."""
+    found = [c for c in value.terms.values() if isinstance(c, Fraction) and not c]
+    for c in value.terms.values():
+        if isinstance(c, LaurentPoly):
+            found += [c] if c.is_zero else stored_zeros(c)
+    return found
+
+
+def poly(*named):
+    """The sum of ``LaurentPoly.monomial(TAB, c, exps)`` over the (c, exps) pairs."""
+    return sum((LaurentPoly.monomial(TAB, c, exps) for c, exps in named), LaurentPoly.zero(TAB))
+
+
+A, B, C = (LaurentPoly.variable(TAB, x) for x in "abc")
+ONE = LaurentPoly.const(TAB, 1)
+
+
+@pytest.mark.parametrize(
+    "value,want",
+    [
+        ((A + B) + (-A), B),
+        ((A + B) * (A - B), poly((1, {"a": 2}), (-1, {"b": 2}))),
+        ((A * B + 3).diff("a"), B),
+        ((A * B + 3).diff("c"), LaurentPoly.zero(TAB)),
+        (poly((1, {"a'": 1, "b": 1}), (1, {"b": 1, "c": 1})).subs({"a'": -C}), LaurentPoly.zero(TAB)),
+        ((A * A - B).subs({"b": A * A + C}), -C),
+        # (a e1 + e2) ^ (a e1 + (1 + a) e2) = (a + a^2 - a) e12
+        (
+            Multivector(GENS7, {1: A, 2: ONE}).wedge(Multivector(GENS7, {1: A, 2: ONE + A})),
+            Multivector(GENS7, {3: A * A}),
+        ),
+        (Multivector(GENS7, {1: A, 2: B}).wedge(Multivector(GENS7, {1: A, 2: B})), Multivector.zero(GENS7)),
+        (Multivector(GENS7, {3: A, 4: B}).contract(0), Multivector(GENS7, {2: A})),
+    ],
+    ids=["add", "mul", "diff", "diff-to-zero", "subs-to-zero", "subs", "wedge", "wedge-to-zero", "contract"],
+)
+def test_cancelling_operations_store_no_zero(value, want):
+    assert value == want
+    assert value.terms.keys() == want.terms.keys()
+    assert stored_zeros(value) == []
+
+
+def term_set(terms):
+    return set(terms.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent(), laurent(), laurent_images())
+def test_the_operations_keep_the_terms_of_the_pruning_loops(p, q, images):
+    """``+``, ``*``, ``diff`` and ``subs`` give the term sets of the loops
+    that popped each zero sum as it came, also where terms cancel."""
+    for x, y in ((p, q), (p + q, -q), (p, -p), (p * q, -(q * p))):
+        assert term_set((x + y).terms) == term_set(add_by_pruning(x.terms, y.terms))
+    for x, y in ((p, q), (p + q, p - q), (p, -p)):
+        assert term_set((x * y).terms) == term_set(mul_by_pruning(x.terms, y.terms))
+    for name in TAB.base:
+        assert term_set(p.diff(name).terms) == term_set(diff_by_pruning(p.terms, TAB.index(name)))
+    slots = {TAB.index(name): image.terms for name, image in images.items()}
+    for x in (p, p + q):
+        assert term_set(x.subs(images).terms) == term_set(subs_by_pruning(x.terms, slots))
 
 
 # ---------------------------------------------------------------------------

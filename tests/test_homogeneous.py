@@ -36,6 +36,7 @@ from holoflow.homogeneous import (
     _isotropy_coords,
     _kernel_basis_1x3,
     _m_basis,
+    _model,
     _plane_speed,
     _project,
     _q,
@@ -61,6 +62,7 @@ from oracles import (
     jacobi_per_triple,
     model_matrices,
     pack,
+    q_norms,
     structure_from_table,
     structure_table,
     unpack,
@@ -143,8 +145,9 @@ def test_jacobi_identity_randomized_triples():
 
 def test_q_metric_is_diagonal_with_expected_norms():
     model = q_model(1, 1, 1)
-    assert model.q_norms[:6] == (Fraction(1, 2),) * 6
-    assert model.q_norms[6] == Fraction(3, 2)
+    norms = q_norms(model.norms, model.basis)
+    assert norms[:6] == (Fraction(1, 2),) * 6
+    assert norms[6] == Fraction(3, 2)
     basis = dense_basis(model)
     for i in range(model.n):
         for j in range(i + 1, model.n):
@@ -449,7 +452,7 @@ def model_record(kind, indices):
         "kind": kind,
         "indices": list(indices),
         "normalized": list(model.indices),
-        "q_norms": [str(v) for v in model.q_norms],
+        "q_norms": [str(v) for v in q_norms(model.norms, model.basis)],
         "structure": [
             [i, j, [[k, str(c)] for k, c in sorted(coeffs.items())]]
             for (i, j), coeffs in sorted(structure_table(model.structure).items())
@@ -566,7 +569,7 @@ def test_structure_and_weights_match_fraction_matrices(kind, indices):
     model = get_model(kind, indices)
     basis = dense_basis(model)
     norms = tuple(q_inner(e, e) for e in basis)
-    assert model.q_norms == norms
+    assert q_norms(model.norms, model.basis) == norms
     table = {}
     for i in range(model.n):
         for j in range(i + 1, model.n):
@@ -767,11 +770,12 @@ def isotropy_coords_reference(model, element):
     the model's basis."""
     ((dx, sx),) = model_matrices(model.kind, [element])
     mats = model_matrices(model.kind, model.basis)
+    norms = q_norms(model.norms, model.basis)
     coords = {}
     residual = {key: (Fraction(re, dx), Fraction(im, dx)) for key, (re, im) in sx.items()}
     for a in model.isotropy_indices:
         da, sa = mats[a]
-        c = Fraction(gq_reference(sx, sa), dx * da) / model.q_norms[a]
+        c = Fraction(gq_reference(sx, sa), dx * da) / norms[a]
         if not c:
             continue
         coords[a] = c
@@ -875,7 +879,7 @@ def test_integer_build_matches_the_fraction_build(name):
         want_table, want_norms = build_structure_reference(basis)
         assert structure == structure_from_table(len(basis), want_table), (kind, indices)
         assert repr(structure_table(structure)) == repr(want_table), (kind, indices)
-        assert norms == want_norms
+        assert q_norms(norms, basis) == want_norms
         assert _check_jacobi(structure) is None
 
 
@@ -901,9 +905,24 @@ def test_the_change_of_basis_matches_the_matrix_build(name):
             basis = BASES[kind](*given)
             want = _build_structure(model_matrices(kind, basis))
             assert _change_of_basis(*_algebra(kind), basis) == want, (kind, given)
-        assert (model.structure, model.q_norms) == want
-        oracle = replace(model, structure=want[0], q_norms=want[1])
+        assert (model.structure, model.norms) == want
+        oracle = replace(model, structure=want[0], norms=want[1])
         assert isotropy_weights(model) == weights_reference(oracle, cartan_reference(oracle))
+
+
+@pytest.mark.parametrize("kind,i", [("Q", 0), ("Q", 6), ("M", 4), ("M", 10)])
+def test_a_basis_element_over_a_doubled_denominator_gives_the_same_model(kind, i):
+    """X = S / D = 2S / 2D: its integer norm N = q(S, S) quadruples and
+    q(X, X) = N / D^2 stays, so the tensor, the q-norms, the isotropy
+    checks (which compare norms over different D) and the weights stay."""
+    model = get_model(kind, (1,) * len(model_spec(kind).index_names))
+    d, p = model.basis[i]
+    basis = tuple((2 * d, {a: 2 * c for a, c in p.items()}) if j == i else x for j, x in enumerate(model.basis))
+    twin = _model(kind, model.indices, basis)
+    assert twin.norms[i] == 4 * model.norms[i]
+    assert twin.structure == model.structure
+    assert q_norms(twin.norms, twin.basis) == q_norms(model.norms, model.basis)
+    assert isotropy_weights(twin) == isotropy_weights(model)
 
 
 def edited(kind, edits):
@@ -960,7 +979,7 @@ def test_the_one_pass_build_and_classification_match_the_calls_they_replace(name
             got = outcome(_change_of_basis, *_algebra(kind), basis)
             want = outcome(change_of_basis_by_calls, *_algebra(kind), basis)
             assert got == want and repr(got) == repr(want), (kind, given)
-        assert (model.structure, model.q_norms) == want[1]
+        assert (model.structure, model.norms) == want[1]
         weights = outcome(isotropy_weights, model)
         assert weights == outcome(weights_by_fraction_cartan, model), (kind, indices)
         verdict = classify_invariant_g2(model)
