@@ -6,8 +6,9 @@ kind's g has one basis g_a of sparse Gaussian-integer matrices, the entry
 finds g's integer structure table once per kind and process.  A model's
 basis element is the pair (D, {a: P_a}) of its integer coordinates over the
 g_a, X = sum_a P_a g_a / D, so its norms, brackets, projections and the
-orthogonality, positivity and closure checks are sums over g's norms and
-table, and no model makes a matrix.  The norms are the integers
+orthogonality and positivity checks are sums over g's norms and table, and
+no model makes a matrix; closure and the Jacobi identity are g's, checked
+once per kind.  The norms are the integers
 N = q(S, S), the structure constants are stored only as integers times the
 lcm of their denominators, and the Cartan elements as integer coordinates
 over one denominator; a model's only Fractions are its Maurer-Cartan forms.
@@ -115,37 +116,28 @@ def _index(coords: Sequence[Sequence[Tuple[int, int]]], norms: Sequence[int]) ->
 
 
 def _project(
-    xs: Sequence[Tuple[int, List[int]]],
+    xs: Sequence[Tuple[int, Iterable[Tuple[int, int]]]],
     index: Sequence[Sequence[Tuple[int, int]]],
-    coords: Sequence[Sequence[Tuple[int, int]]],
     dens: Sequence[int],
     weights: Sequence[int],
-    scale: int,
-) -> Optional[List[List[Tuple[int, int]]]]:
-    """For each (f, x) of ``xs``, X = sum_a x_a g_a given by its list x over
-    g, the pairs (k, t_k D_k w_k f) of its nonzero t_k = q(X, S_k) in
-    ascending k, with the weights w_k = L / N_k for L = lcm(N).  None unless
-    each X = sum_k t_k S_k / N_k, checked over the g_a as the residual
-    L X - sum_k t_k w_k S_k = 0, which overwrites x.  Each X takes one pass
-    over its products."""
+) -> List[List[Tuple[int, int]]]:
+    """For each (f, x) of ``xs``, X = sum_a x_a g_a given by its pairs
+    (a, x_a) over g, the pairs (k, t_k D_k w_k f) of its nonzero
+    t_k = q(X, S_k) in ascending k, with the weights w_k = L / N_k for
+    L = lcm(N), from one pass over its products.  No residual is checked:
+    if the S_k are a q-orthogonal basis of g, X = sum_k t_k S_k / N_k for
+    every X, and a caller projecting onto less than g checks its own."""
     out = []
-    n = len(coords)
     for f, x in xs:
-        t = [0] * n
-        for a, c in enumerate(x):
+        t = [0] * len(dens)
+        for a, c in x:
             if c:
-                x[a] = scale * c
                 for k, v in index[a]:
                     t[k] += c * v
         pairs = []
         for k, tk in enumerate(t):
             if tk:
-                w = tk * weights[k]
-                for a, c in coords[k]:
-                    x[a] -= w * c
-                pairs.append((k, w * dens[k] * f))
-        if any(x):
-            return None
+                pairs.append((k, tk * weights[k] * dens[k] * f))
         out.append(pairs)
     return out
 
@@ -304,7 +296,8 @@ def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[
     """Structure constants and norms N_i = q(S_i, S_i) of a basis X_i = S_i / D_i of
     Gaussian-integer matrices: [S_i, S_j] = sum_k t_k S_k / N_k with
     t_k = q([S_i, S_j], S_k) is checked on the entries and is, over
-    L = lcm(N), the integer table t_k L / N_k that ``_change_of_basis`` reads."""
+    L = lcm(N), the integer table t_k L / N_k that ``_change_of_basis`` reads
+    and reduces; the Jacobi identity is checked on the reduced table."""
     mats = [s for _, s in basis]
     n = len(mats)
     norms = _q_diagonal((_q(mats[i], mats[j]) for j in range(i, n)) for i in range(n))
@@ -325,7 +318,9 @@ def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[
         table[i][j] = tuple((k, v) for k, v in enumerate(t) if v)
         table[j][i] = tuple((k, -v) for k, v in table[i][j])
     algebra = StructureTensor(n, scale, tuple(map(tuple, table)))
-    return _change_of_basis(algebra, norms, tuple((d, {i: 1}) for i, (d, _) in enumerate(basis)))
+    structure, norms = _change_of_basis(algebra, norms, tuple((d, {i: 1}) for i, (d, _) in enumerate(basis)))
+    _check_jacobi(structure)
+    return structure, norms
 
 
 def _change_of_basis(
@@ -339,7 +334,10 @@ def _change_of_basis(
     (lcm(D) / D_i) (lcm(D) / D_j) is an integer, the pair ``_project`` gives
     for f = (lcm(D) / D_i) (lcm(D) / D_j); dividing the table and L0 by
     the gcd g of L0 and every entry leaves L0 / g, the lcm of the reduced
-    denominators."""
+    denominators.  A q-orthogonal basis of positive norms and dim g elements
+    is a basis of g, so it holds every bracket and its table is g's in
+    another basis: no closure residual or Jacobi sum is needed, and a
+    shorter basis is rejected as not closed."""
     n, ng, rows = len(basis), len(g_norms), algebra.rows
     dens = [d for d, _ in basis]
     coords = [tuple(p.items()) for _, p in basis]
@@ -354,6 +352,8 @@ def _change_of_basis(
             yield t[i:]
 
     norms = _q_diagonal(gram_rows())
+    if n < ng:
+        raise ModelError("basis is not closed under brackets")
     weights, lcm_norms = _span_weights(norms)
     lcm_dens = math.lcm(*dens)
     factors = [lcm_dens // d for d in dens]
@@ -370,12 +370,10 @@ def _change_of_basis(
                     xy = x * y
                     for k, v in cell:
                         b[k] += xy * v
-        if b is not None and any(b):  # zero is in the span, with no constants
+        if b is not None:
             upper.append((i, j))
-            xs.append((factors[i] * factors[j], b))
-    projected = _project(xs, index, coords, dens, weights, lcm_norms)
-    if projected is None:
-        raise ModelError("basis is not closed under brackets")
+            xs.append((factors[i] * factors[j], enumerate(b)))
+    projected = _project(xs, index, dens, weights)
     scale = algebra.scale * lcm_dens * lcm_dens * lcm_norms
     g = math.gcd(scale, *[v for pairs in projected for _, v in pairs])
     table: List[List[Tuple[Tuple[int, int], ...]]] = [[()] * n for _ in range(n)]
@@ -386,9 +384,7 @@ def _change_of_basis(
             up.append((k, v))
             down.append((k, -v))
         table[i][j], table[j][i] = tuple(up), tuple(down)
-    structure = StructureTensor(n, scale // g, tuple(map(tuple, table)))
-    _check_jacobi(structure)
-    return structure, tuple(norms)
+    return StructureTensor(n, scale // g, tuple(map(tuple, table))), tuple(norms)
 
 
 @lru_cache(maxsize=None)
@@ -398,7 +394,7 @@ def _algebra(kind: str) -> Tuple[StructureTensor, Tuple[int, ...]]:
 
 
 def _check_jacobi(structure: StructureTensor) -> None:
-    """Jacobi identity on the integer table; closure implies it, so this guards the table.
+    """Jacobi identity on the integer table; it guards g's table, once per kind.
 
     Each nonzero bracket rows[a][b] with a < b gives the terms
     [[e_a, e_b], e_c]; a term goes to the cyclic sum of the sorted triple
@@ -668,22 +664,25 @@ def _plane_speed(model: CosetModel, rows: AdRows, plane: Tuple[int, int]) -> int
 def _isotropy_coords(model: CosetModel, elements: Sequence[Coordinates]) -> List[Coordinates]:
     """Integer coordinates of each element over g on the (q-orthogonal)
     isotropy generators, over one denominator each, from one projection of
-    them all; raises unless each lies in their span."""
+    them all; raises unless each lies in their span.  That span is not all
+    of g, so each residual L X - sum_k t_k w_k S_k over the g_a is checked,
+    with t_k w_k = v / D_k for each pair (k, v)."""
     dens, coords = zip(*((d, tuple(p.items())) for d, p in model.basis[model.TANGENT :]))
-    g_norms = _algebra(model.kind)[1]
     weights, scale = _span_weights(model.norms[model.TANGENT :])
-    xs = []
-    for _, p in elements:
-        x = [0] * len(g_norms)
-        for a, c in p.items():
-            x[a] = c
-        xs.append((1, x))
-    projected = _project(xs, _index(coords, g_norms), coords, dens, weights, scale)
-    if projected is None:
-        raise ModelError("Cartan element is not in the isotropy algebra")
-    # S / D_x = sum_k t_k S_k / (D_x N_k) and S_k = D_k X_k, so X_k's
-    # coordinate is t_k D_k w_k / (D_x L)
-    return [(dx * scale, {model.TANGENT + k: v for k, v in pairs}) for (dx, _), pairs in zip(elements, projected)]
+    projected = _project([(1, p.items()) for _, p in elements], _index(coords, _algebra(model.kind)[1]), dens, weights)
+    out = []
+    for (dx, p), pairs in zip(elements, projected):
+        residual = {a: scale * c for a, c in p.items()}
+        for k, v in pairs:
+            w = v // dens[k]
+            for a, c in coords[k]:
+                residual[a] = residual.get(a, 0) - w * c
+        if any(residual.values()):
+            raise ModelError("Cartan element is not in the isotropy algebra")
+        # S / D_x = sum_k t_k S_k / (D_x N_k) and S_k = D_k X_k, so X_k's
+        # coordinate is t_k D_k w_k / (D_x L)
+        out.append((dx * scale, {model.TANGENT + k: v for k, v in pairs}))
+    return out
 
 
 def _q_cartan(model: CosetModel) -> List[Coordinates]:

@@ -188,7 +188,9 @@ def project_one(x, index, coords, weights, scale):
 def change_of_basis_by_calls(algebra, g_norms, basis):
     """``_change_of_basis`` with a helper call per q-Gram cell and a
     projection call per nonzero bracket, whose pairs are scaled in a second
-    loop: the structure tensor and the norms of the basis over g."""
+    loop: the structure tensor and the norms of the basis over g.  It also
+    runs the per-model checks the build leaves to g: each bracket's closure
+    residual and the Jacobi identity on the table."""
     n, rows = len(basis), algebra.rows
     dens = [d for d, _ in basis]
     coords = [p for _, p in basis]

@@ -943,12 +943,17 @@ def edited(kind, edits):
         ("Q", {8: None}, "not closed"),
         ("M", {10: None}, "not closed"),
         ("M", {7: None, 8: None, 9: None}, "not closed"),
+        ("Q", {8: None, 3: (2, {4: 1, 0: 1})}, "not q-orthogonal at pair (1, 4)"),  # short, too
     ],
-    ids=["orthogonal", "two-rows", "m-orthogonal", "positive", "positive-first", "q-closed", "m-closed", "m-su2"],
+    ids=[
+        "orthogonal", "two-rows", "m-orthogonal", "positive", "positive-first", "q-closed", "m-closed", "m-su2",
+        "short-orthogonal",
+    ],
 )
 def test_a_tampered_coordinate_basis_fails_as_its_matrices_do(kind, edits, message):
     """Each check of the change of basis gives the matrix path's message,
-    at the matrix path's row-major first failure."""
+    at the matrix path's row-major first failure; a basis shorter than g's
+    is rejected as not closed only after the q-Gram scan has passed."""
     basis = edited(kind, edits)
     with pytest.raises(ModelError) as matrix_error:
         _build_structure(model_matrices(kind, basis))
@@ -992,37 +997,71 @@ def test_the_one_pass_build_and_classification_match_the_calls_they_replace(name
 
 def test_a_fresh_sweep_builds_each_kinds_algebra_once():
     """Every model of a kind is a change of basis of one table: a fresh
-    61-model sweep runs the matrix path twice, on g's 9 and 11 elements."""
+    61-model sweep runs the matrix path twice, on g's 9 and 11 elements,
+    and checks the Jacobi identity on those two tables and on no model's."""
     child = (
         "import json, sys\n"
         "import holoflow.homogeneous as h\n"
         "real, sizes = h._build_structure, []\n"
         "h._build_structure = lambda basis: sizes.append(len(basis)) or real(basis)\n"
+        "jacobi, checked = h._check_jacobi, []\n"
+        "h._check_jacobi = lambda structure: checked.append(structure.n) or jacobi(structure)\n"
         "for kind, indices in json.loads(sys.argv[1]):\n"
         "    h.classify_invariant_g2(h.get_model(kind, indices))\n"
-        "print(json.dumps(sizes))\n"
+        "print(json.dumps([sizes, checked]))\n"
     )
     src = str(Path(homogeneous.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     argv = [sys.executable, "-c", child, json.dumps(TUPLE_SETS["sweep"])]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [9, 11]
+    assert json.loads(proc.stdout) == [[9, 11], [9, 11]]
+
+
+@pytest.mark.parametrize(
+    "kind,cell,pairs",
+    [("M", (0, 1), ((6, -1), (7, 1))), ("Q", (0, 1), ((2, -2), (5, 2)))],
+    ids=["m-sign", "q-other-block"],
+)
+def test_a_tampered_algebra_table_fails_the_jacobi_check(kind, cell, pairs, monkeypatch):
+    """The Jacobi identity is checked where g's table is made: one bracket
+    of g edited in both orders after the matrix path's change of basis (M:
+    one sign flipped; Q: a term on another su(2), since a flipped sign in
+    su(2)^3 keeps the identity) makes ``_algebra`` raise."""
+    real, seen = homogeneous._change_of_basis, []
+
+    def tampered(*args):
+        structure, norms = real(*args)
+        rows = [list(row) for row in structure.rows]
+        i, j = cell
+        assert rows[i][j] and rows[i][j] != pairs
+        rows[i][j], rows[j][i] = pairs, tuple((k, -v) for k, v in pairs)
+        seen.append(StructureTensor(structure.n, structure.scale, tuple(map(tuple, rows))))
+        return seen[-1], norms
+
+    _algebra.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(homogeneous, "_change_of_basis", tampered)
+            with pytest.raises(ModelError, match="Jacobi identity failed"):
+                _algebra(kind)
+    finally:
+        _algebra.cache_clear()
+    assert len(seen) == 1 and not jacobi_per_triple(seen[0])
+    assert jacobi_per_triple(_algebra(kind)[0])
 
 
 def coordinate_projector(kind, basis):
     """``_project`` onto the S_k of a basis over g, with their index and
     weights built once, as {k: t_k} for a sparse X over g: with every D_k
-    and f taken as 1 its pairs are (k, t_k w_k)."""
-    coords = [tuple(p.items()) for _, p in basis]
-    weights, scale = _span_weights([gq_reference(s, s) for _, s in model_matrices(kind, basis)])
-    g_norms = _algebra(kind)[1]
-    index = _index(coords, g_norms)
+    and f taken as 1 its pairs are (k, t_k w_k).  It checks no residual,
+    so X need not lie in their span."""
+    weights, _ = _span_weights([gq_reference(s, s) for _, s in model_matrices(kind, basis)])
+    index = _index([tuple(p.items()) for _, p in basis], _algebra(kind)[1])
 
     def project(x):
-        dense = [x.get(a, 0) for a in range(len(g_norms))]
-        got = _project([(1, dense)], index, coords, [1] * len(coords), weights, scale)
-        return None if got is None else {k: v // weights[k] for k, v in got[0]}
+        (got,) = _project([(1, x.items())], index, [1] * len(basis), weights)
+        return {k: v // weights[k] for k, v in got}
 
     return project
 
@@ -1062,12 +1101,15 @@ def test_one_pass_projections_match_the_per_k_products(name):
         basis = BASES[kind](*indices)
         mats = [s for _, s in model_matrices(kind, basis)]
         project, scale = coordinate_projector(kind, basis), _algebra(kind)[0].scale
+        # and onto the tangent part alone, which holds few of the brackets
+        tangent = coordinate_projector(kind, basis[:7])
         # each basis vector lies in the span: its coordinates are its products
         coords = [dense_coords(project(p), len(mats)) for _, p in basis]
         for (i, x), (j, y) in itertools.combinations(enumerate(mats), 2):
             br = gbracket_reference(x, y)
-            want = [scale * gq_reference(br, s) for s in mats]
-            assert dense_coords(project(g_coordinates(kind, br)), len(mats)) == want
+            want, over_g = [scale * gq_reference(br, s) for s in mats], g_coordinates(kind, br)
+            assert dense_coords(project(over_g), len(mats)) == want
+            assert dense_coords(tangent(over_g), 7) == want[:7]
             assert coords[i][j] == gq_reference(x, y)
         for x, got in zip(mats, coords):
             assert got == [gq_reference(x, s) for s in mats]
@@ -1129,16 +1171,28 @@ def sweep_projector(kind, indices, part):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(sweep_basis_elements())
 def test_the_sparse_projection_is_the_per_k_products_or_the_parents_error(case):
+    """The projection gives X's products, in the part's span or not.  Every
+    X lies in the span of a whole basis, the fact that lets the build skip
+    the residual; on the isotropy part ``_isotropy_coords`` checks the
+    residual and raises its error where X is out of the span."""
     kind, indices, part, x = case
     basis, project = sweep_projector(kind, indices, part)
     ((_, matrix),) = model_matrices(kind, [(1, x)])
     t, in_span = in_span_reference(matrix, [s for _, s in model_matrices(kind, basis)])
     got = project(x)
-    if in_span:
-        assert got == {k: tk for k, tk in enumerate(t) if tk}
-        assert list(got) == sorted(got)
-    else:
-        assert got is None
+    assert got == {k: tk for k, tk in enumerate(t) if tk}
+    assert list(got) == sorted(got)
+    if part == "all":
+        assert in_span
+    if part == "isotropy":
+        model = get_model(kind, indices)
+        if in_span:
+            weights, scale = _span_weights(model.norms[7:])
+            want = {7 + k: tk * weights[k] * model.basis[7 + k][0] for k, tk in got.items()}
+            assert _isotropy_coords(model, [(1, x)]) == [(scale, want)]
+        else:
+            with pytest.raises(ModelError, match="Cartan element is not in the isotropy algebra"):
+                _isotropy_coords(model, [(1, x)])
 
 
 def kernel_basis_reference(k, l, m):
