@@ -3,17 +3,17 @@
 The Q model lives in g = su(2)^3, the M model in g = su(3) + su(2).  Each
 kind's g has one basis g_a of sparse Gaussian-integer matrices, the entry
 (b, i, j) keyed by the int (3 b + i) 3 + j; ``_build_structure`` checks it and
-finds g's integer structure table once per kind and process.  A model's
-basis element is the pair (D, {a: P_a}) of its integer coordinates over the
-g_a, X = sum_a P_a g_a / D, so its norms, brackets, projections and the
-orthogonality and positivity checks are sums over g's norms and table, and
-no model makes a matrix; closure and the Jacobi identity are g's, checked
-once per kind.  The norms are the integers
-N = q(S, S), the structure constants are stored only as integers times the
-lcm of their denominators, and the Cartan elements as integer coordinates
-over one denominator; a model's only Fractions are its Maurer-Cartan forms.
-What the paper states about each model is one ``ModelSpec`` record in
-``MODEL_SPECS``.
+finds g's integer three-form G_abc = q([g_a, g_b], g_c) once per kind and
+process.  A model's basis element is the pair (D, {a: P_a}) of its integer
+coordinates over the g_a, X = sum_a P_a g_a / D, so its norms and the
+orthogonality and positivity checks are sums over g's norms, its structure
+constants the pullback of G, and no model makes a matrix or a bracket;
+closure and the Jacobi identity are g's, checked once per kind.  The norms
+are the integers N = q(S, S), the structure constants are stored only as
+integers times the lcm of their denominators, and the Cartan elements as
+integer coordinates over one denominator; a model's only Fractions are its
+Maurer-Cartan forms.  What the paper states about each model is one
+``ModelSpec`` record in ``MODEL_SPECS``.
 """
 
 from __future__ import annotations
@@ -116,28 +116,26 @@ def _index(coords: Sequence[Sequence[Tuple[int, int]]], norms: Sequence[int]) ->
 
 
 def _project(
-    xs: Sequence[Tuple[int, Iterable[Tuple[int, int]]]],
+    xs: Iterable[Iterable[Tuple[int, int]]],
     index: Sequence[Sequence[Tuple[int, int]]],
     dens: Sequence[int],
     weights: Sequence[int],
 ) -> List[List[Tuple[int, int]]]:
-    """For each (f, x) of ``xs``, X = sum_a x_a g_a given by its pairs
-    (a, x_a) over g, the pairs (k, t_k D_k w_k f) of its nonzero
-    t_k = q(X, S_k) in ascending k, with the weights w_k = L / N_k for
-    L = lcm(N), from one pass over its products.  No residual is checked:
-    if the S_k are a q-orthogonal basis of g, X = sum_k t_k S_k / N_k for
-    every X, and a caller projecting onto less than g checks its own."""
+    """For each X = sum_a x_a g_a of ``xs``, given by its pairs (a, x_a)
+    over g, the pairs (k, t_k D_k w_k) of its nonzero t_k = q(X, S_k) in
+    ascending k, with the weights w_k = L / N_k for L = lcm(N), from one
+    pass over its products.  It serves ``_isotropy_coords``, which projects
+    onto less than g and so checks each residual itself."""
     out = []
-    for f, x in xs:
+    for x in xs:
         t = [0] * len(dens)
         for a, c in x:
-            if c:
-                for k, v in index[a]:
-                    t[k] += c * v
+            for k, v in index[a]:
+                t[k] += c * v
         pairs = []
         for k, tk in enumerate(t):
             if tk:
-                pairs.append((k, tk * weights[k] * dens[k] * f))
+                pairs.append((k, tk * weights[k] * dens[k]))
         out.append(pairs)
     return out
 
@@ -197,6 +195,9 @@ def _m_basis(k: int, l: int) -> Tuple[Coordinates, ...]:
 # structure constants
 # ---------------------------------------------------------------------------
 
+
+# a Lie algebra basis's nonzero G_abc = q([g_a, g_b], g_c) as sorted triples (a, b, c, G_abc)
+ThreeForm = Tuple[Tuple[int, int, int, int], ...]
 
 # rows[i][j]: the pairs (k, L c^k_ij) for either order of i, j; () where [e_i, e_j] = 0
 IntegerRows = Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], ...]
@@ -292,53 +293,54 @@ def _q_diagonal(rows: Iterable[Iterable[int]]) -> List[int]:
     return norms
 
 
-def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[StructureTensor, Tuple[int, ...]]:
-    """Structure constants and norms N_i = q(S_i, S_i) of a basis X_i = S_i / D_i of
-    Gaussian-integer matrices: [S_i, S_j] = sum_k t_k S_k / N_k with
-    t_k = q([S_i, S_j], S_k) is checked on the entries and is, over
-    L = lcm(N), the integer table t_k L / N_k that ``_change_of_basis`` reads
-    and reduces; the Jacobi identity is checked on the reduced table."""
-    mats = [s for _, s in basis]
-    n = len(mats)
+def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[ThreeForm, Tuple[int, ...]]:
+    """The three-form, as ``_change_of_basis`` reads it, and the norms
+    N_i = q(S_i, S_i) of a basis X_i = S_i / D_i of Gaussian-integer matrices,
+    checked on the entries: [S_i, S_j] = sum_k G_ijk S_k / N_k leaves no residual
+    and G_ijk = q([S_i, S_j], S_k) is totally antisymmetric, as q's ad-invariance
+    makes it; the Jacobi identity is checked on the table this basis gets."""
+    mats, n = [s for _, s in basis], len(basis)
     norms = _q_diagonal((_q(mats[i], mats[j]) for j in range(i, n)) for i in range(n))
     weights, scale = _span_weights(norms)
-    table: List[List[Tuple[Tuple[int, int], ...]]] = [[()] * n for _ in range(n)]
+    signed: Dict[int, List[int]] = {}  # each sorted triple's G, signed, from each of its pairs
     for i, j in itertools.combinations(range(n), 2):
         br = _gbracket(mats[i], mats[j])
         if not br:  # zero is real and in the span, with no constants
             continue
-        t = [_q(br, s) * w for s, w in zip(mats, weights)]
+        t = [_q(br, s) for s in mats]
         residual = {key: (scale * re, scale * im) for key, (re, im) in br.items()}
-        for tw, s in zip(t, mats):
+        for tk, w, s in zip(t, weights, mats):
             for key, (re, im) in s.items():
                 r0, i0 = residual.get(key, (0, 0))
-                residual[key] = (r0 - tw * re, i0 - tw * im)
+                residual[key] = (r0 - tk * w * re, i0 - tk * w * im)
         if not {(0, 0)}.issuperset(residual.values()):
             raise ModelError("basis is not closed under brackets")
-        table[i][j] = tuple((k, v) for k, v in enumerate(t) if v)
-        table[j][i] = tuple((k, -v) for k, v in table[i][j])
-    algebra = StructureTensor(n, scale, tuple(map(tuple, table)))
-    structure, norms = _change_of_basis(algebra, norms, tuple((d, {i: 1}) for i, (d, _) in enumerate(basis)))
-    _check_jacobi(structure)
-    return structure, norms
+        for k, v in enumerate(t):
+            if v:
+                x, y, z = sorted((i, j, k))
+                signed.setdefault((x * n + y) * n + z, []).append(-v if i < k < j else v)
+    if any(len(vs) != 3 or len(set(vs)) != 1 for vs in signed.values()):
+        raise ModelError("three-form q([X_i, X_j], X_k) is not totally antisymmetric")
+    triples = tuple((key // n // n, key // n % n, key % n, vs[0]) for key, vs in sorted(signed.items()))
+    _check_jacobi(_change_of_basis(triples, norms, tuple((d, {i: 1}) for i, (d, _) in enumerate(basis)))[0])
+    return triples, tuple(norms)
 
 
 def _change_of_basis(
-    algebra: StructureTensor, g_norms: Sequence[int], basis: Sequence[Coordinates]
+    triples: ThreeForm, g_norms: Sequence[int], basis: Sequence[Coordinates]
 ) -> Tuple[StructureTensor, Tuple[int, ...]]:
     """Structure constants and norms N_i of X_i = S_i / D_i, S_i = sum_a P_ia g_a,
-    over a q-orthogonal basis g_a of norms N_a whose integer table over s is
-    ``algebra``: N_i = sum_a P_ia^2 N_a, and B = s [S_i, S_j] = sum_ab P_ia
-    P_jb rows[a][b] with t_k = q(B, S_k) gives c^k_ij = t_k D_k / (s D_i D_j
-    N_k).  Over L0 = s lcm(D)^2 lcm(N) each c^k_ij L0 = t_k D_k (lcm(N) / N_k)
-    (lcm(D) / D_i) (lcm(D) / D_j) is an integer, the pair ``_project`` gives
-    for f = (lcm(D) / D_i) (lcm(D) / D_j); dividing the table and L0 by
-    the gcd g of L0 and every entry leaves L0 / g, the lcm of the reduced
-    denominators.  A q-orthogonal basis of positive norms and dim g elements
-    is a basis of g, so it holds every bracket and its table is g's in
-    another basis: no closure residual or Jacobi sum is needed, and a
-    shorter basis is rejected as not closed."""
-    n, ng, rows = len(basis), len(g_norms), algebra.rows
+    over a q-orthogonal basis g_a of norms N_a and three-form ``triples``:
+    N_i = sum_a P_ia^2 N_a, and [S_i, S_j] = sum_k t_ijk S_k / N_k, t from
+    ``_pullback``, gives c^k_ij L0 = t_ijk D_k (lcm(N) / N_k) (lcm(D) / D_i)
+    (lcm(D) / D_j) over L0 = lcm(D)^2 lcm(N).  Each nonzero t_ijk, i < j < k
+    in ascending key, gives c^k_ij, c^j_ik and c^i_jk, so each pair's k come
+    in ascending order; over the gcd of L0 and every entry, L0 becomes the
+    lcm of the reduced denominators.  A q-orthogonal basis of positive norms
+    and dim g elements is a basis of g, so its table is g's in another basis:
+    no closure residual or Jacobi sum is needed, and a shorter basis is
+    rejected as not closed."""
+    n, ng = len(basis), len(g_norms)
     dens = [d for d, _ in basis]
     coords = [tuple(p.items()) for _, p in basis]
     index = _index(coords, g_norms)
@@ -357,39 +359,50 @@ def _change_of_basis(
     weights, lcm_norms = _span_weights(norms)
     lcm_dens = math.lcm(*dens)
     factors = [lcm_dens // d for d in dens]
-    upper, xs = [], []
-    for i, j in itertools.combinations(range(n), 2):
-        b = None  # made at the first nonzero cell of g's table
-        for a, x in coords[i]:
-            row = rows[a]
-            for c, y in coords[j]:
-                cell = row[c]
-                if cell:
-                    if b is None:
-                        b = [0] * ng
-                    xy = x * y
-                    for k, v in cell:
-                        b[k] += xy * v
-        if b is not None:
-            upper.append((i, j))
-            xs.append((factors[i] * factors[j], enumerate(b)))
-    projected = _project(xs, index, dens, weights)
-    scale = algebra.scale * lcm_dens * lcm_dens * lcm_norms
-    g = math.gcd(scale, *[v for pairs in projected for _, v in pairs])
+    t = _pullback(triples, coords, ng)
+    cells: Dict[int, List[Tuple[int, int]]] = {}
+    for key, v in sorted(t.items()):
+        if v:
+            p, q, r = key // n // n, key // n % n, key % n
+            for i, j, k, tk in ((p, q, r, v), (p, r, q, -v), (q, r, p, v)):
+                cells.setdefault(i * n + j, []).append((k, tk * dens[k] * weights[k] * factors[i] * factors[j]))
+    scale = lcm_dens * lcm_dens * lcm_norms
+    g = math.gcd(scale, *[v for pairs in cells.values() for _, v in pairs])
     table: List[List[Tuple[Tuple[int, int], ...]]] = [[()] * n for _ in range(n)]
-    for (i, j), pairs in zip(upper, projected):
-        up, down = [], []
+    for ij, pairs in cells.items():
+        up = down = ()  # most pairs have one cell; concatenation beats list, append and tuple there
         for k, v in pairs:
             v //= g
-            up.append((k, v))
-            down.append((k, -v))
-        table[i][j], table[j][i] = tuple(up), tuple(down)
+            up += ((k, v),)
+            down += ((k, -v),)
+        i, j = divmod(ij, n)
+        table[i][j], table[j][i] = up, down
     return StructureTensor(n, scale // g, tuple(map(tuple, table))), tuple(norms)
 
 
+def _pullback(triples: ThreeForm, coords: Sequence[Sequence[Tuple[int, int]]], ng: int) -> Dict[int, int]:
+    """t_ijk = q([S_i, S_j], S_k) = sum G_abc P_ia P_jb P_kc of the S_i given by
+    their pairs (a, P_ia) over g, from g's sorted triples.  t is totally
+    antisymmetric, as G is, so each term of distinct (i, j, k) is summed
+    under the key (p n + q) n + r of its sorted p < q < r, with the sign of
+    (i, j, k); the terms with a repeated index are left out, as they cancel."""
+    n, over, t = len(coords), _index(coords, [1] * ng), {}  # over[a]: the pairs (i, P_ia)
+    for a, b, c, gabc in triples:
+        for i, x in over[a]:
+            for j, y in over[b]:
+                for k, z in over[c]:
+                    if i != j != k != i:
+                        v = gabc * x * y * z
+                        p, q, r = sorted((i, j, k))
+                        key = (p * n + q) * n + r
+                        t[key] = t.get(key, 0) + (-v if (i > j) + (i > k) + (j > k) & 1 else v)
+    return t
+
+
 @lru_cache(maxsize=None)
-def _algebra(kind: str) -> Tuple[StructureTensor, Tuple[int, ...]]:
-    """The checked structure tensor of a kind's g on its basis g_a (D = 1) and their q-norms N_a."""
+def _algebra(kind: str) -> Tuple[ThreeForm, Tuple[int, ...]]:
+    """The checked three-form of a kind's g on its basis g_a (D = 1), as its
+    nonzero sorted triples (a, b, c, G_abc), and the q-norms N_a."""
     return _build_structure(tuple((1, _place(b, p)) for b, p in _ALGEBRA[kind]))
 
 
@@ -475,8 +488,7 @@ AdRows = List[Dict[int, int]]
 
 def _ad(model: CosetModel, x: Coordinates) -> Tuple[AdRows, int]:
     """(rows, L) for ad_x on the tangent space, from the integer structure
-    table, zeros dropped; the isotropy checks, the weights and the fixed line
-    read nothing else."""
+    table, zeros dropped; the weights and the fixed line read nothing else."""
     den, coords = x
     table = model.structure.rows
     rows: AdRows = [{} for _ in range(model.TANGENT)]
@@ -491,18 +503,26 @@ def _ad(model: CosetModel, x: Coordinates) -> Tuple[AdRows, int]:
 
 
 def _check_isotropy_action(model: CosetModel) -> None:
-    """Isotropy ad-action must be q-skew and block-diagonal on the planes."""
+    """Isotropy ad-action, L [e_x, e_i] = sum_j c_ij e_j read off rows[x][i] with
+    zeros skipped, must be q-skew and block-diagonal on the planes."""
     same_module = {(i, j) for p in model.modules for i in p for j in p}
     # q(X_i, X_i) = N_i / D_i^2, times lcm(D)^2
     lcm_dens = math.lcm(*(d for d, _ in model.basis))
     norms = [n * (lcm_dens // d) ** 2 for n, (d, _) in zip(model.norms, model.basis)]
     for x in model.isotropy_indices:
-        rows, _ = _ad(model, (1, {x: 1}))
+        rows = model.structure.rows[x]
         for i in range(model.TANGENT):
-            for j, cij in rows[i].items():
+            for j, cij in rows[i]:
+                if not cij:
+                    continue
                 if j >= model.TANGENT:
                     raise ModelError("isotropy bracket leaves the tangent space")
-                if norms[j] * cij != -norms[i] * rows[j].get(i, 0):
+                cji = 0
+                for k, c in rows[j]:
+                    if k == i:
+                        cji = c
+                        break
+                if norms[j] * cij != -norms[i] * cji:
                     raise ModelError("isotropy action is not q-skew")
                 if (i, j) not in same_module:
                     raise ModelError("isotropy action does not preserve the modules")
@@ -669,7 +689,7 @@ def _isotropy_coords(model: CosetModel, elements: Sequence[Coordinates]) -> List
     with t_k w_k = v / D_k for each pair (k, v)."""
     dens, coords = zip(*((d, tuple(p.items())) for d, p in model.basis[model.TANGENT :]))
     weights, scale = _span_weights(model.norms[model.TANGENT :])
-    projected = _project([(1, p.items()) for _, p in elements], _index(coords, _algebra(model.kind)[1]), dens, weights)
+    projected = _project([p.items() for _, p in elements], _index(coords, _algebra(model.kind)[1]), dens, weights)
     out = []
     for (dx, p), pairs in zip(elements, projected):
         residual = {a: scale * c for a, c in p.items()}

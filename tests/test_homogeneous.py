@@ -39,6 +39,7 @@ from holoflow.homogeneous import (
     _model,
     _plane_speed,
     _project,
+    _pullback,
     _q,
     _q_basis,
     _span_weights,
@@ -851,6 +852,28 @@ def matrix_basis(kind, indices):
     return model_matrices(kind, BASES[kind](*indices))
 
 
+def unit_basis(n):
+    """The coordinates (1, {i: 1}) of a basis over itself."""
+    return tuple((1, {i: 1}) for i in range(n))
+
+
+def matrix_path(basis):
+    """Tensor and norms of a basis of (D, S) matrices by the matrix path:
+    ``_build_structure``'s three-form changed to the basis itself."""
+    triples, norms = _build_structure(basis)
+    return _change_of_basis(triples, norms, tuple((d, {i: 1}) for i, (d, _) in enumerate(basis)))
+
+
+@functools.lru_cache(maxsize=None)
+def g_algebra(kind):
+    """g's structure tensor on its basis g_a and the q-norms N_a, from the
+    Fraction reference build on g's matrices: the table the call-per-bracket
+    oracle reads."""
+    table, norms = build_structure_reference(model_matrices(kind, unit_basis(len(_ALGEBRA[kind]))))
+    assert all(v.denominator == 1 for v in norms)
+    return structure_from_table(len(norms), table), tuple(v.numerator for v in norms)
+
+
 @pytest.mark.parametrize("name", ["sweep", "up-to-12"])
 def test_each_packed_key_decodes_to_the_placed_position(name):
     positions = {
@@ -875,7 +898,7 @@ def test_each_packed_key_decodes_to_the_placed_position(name):
 def test_integer_build_matches_the_fraction_build(name):
     for kind, indices in TUPLE_SETS[name]:
         basis = matrix_basis(kind, indices)
-        structure, norms = _build_structure(basis)
+        structure, norms = matrix_path(basis)
         want_table, want_norms = build_structure_reference(basis)
         assert structure == structure_from_table(len(basis), want_table), (kind, indices)
         assert repr(structure_table(structure)) == repr(want_table), (kind, indices)
@@ -903,7 +926,7 @@ def test_the_change_of_basis_matches_the_matrix_build(name):
         model = get_model(kind, indices)
         for given in (indices, model.indices):  # as given, then normalized
             basis = BASES[kind](*given)
-            want = _build_structure(model_matrices(kind, basis))
+            want = matrix_path(model_matrices(kind, basis))
             assert _change_of_basis(*_algebra(kind), basis) == want, (kind, given)
         assert (model.structure, model.norms) == want
         oracle = replace(model, structure=want[0], norms=want[1])
@@ -961,7 +984,7 @@ def test_a_tampered_coordinate_basis_fails_as_its_matrices_do(kind, edits, messa
         _change_of_basis(*_algebra(kind), basis)
     assert str(coordinate_error.value) == str(matrix_error.value)
     # and the call-per-bracket build it replaced fails there too
-    assert outcome(change_of_basis_by_calls, *_algebra(kind), basis) == ("error", str(matrix_error.value))
+    assert outcome(change_of_basis_by_calls, *g_algebra(kind), basis) == ("error", str(matrix_error.value))
 
 
 def outcome(fn, *args):
@@ -982,7 +1005,7 @@ def test_the_one_pass_build_and_classification_match_the_calls_they_replace(name
         for given in (indices, model.indices):  # as given, then normalized
             basis = tuple((d, {a: c for a, c in p.items() if c}) for d, p in BASES[kind](*given))
             got = outcome(_change_of_basis, *_algebra(kind), basis)
-            want = outcome(change_of_basis_by_calls, *_algebra(kind), basis)
+            want = outcome(change_of_basis_by_calls, *g_algebra(kind), basis)
             assert got == want and repr(got) == repr(want), (kind, given)
         assert (model.structure, model.norms) == want[1]
         weights = outcome(isotropy_weights, model)
@@ -995,27 +1018,89 @@ def test_the_one_pass_build_and_classification_match_the_calls_they_replace(name
         assert as_fractions(coords) == fraction_cartan(model)
 
 
+def orthogonalized(vectors, norms):
+    """Integer Gram-Schmidt over g's q-norms, each vector over its content;
+    a dependent vector comes out zero."""
+    out = []
+    for v in vectors:
+        for u in out:
+            uu, uv = (sum(x * y * n for x, y, n in zip(u, w, norms)) for w in (u, v))
+            if uu:
+                v = [uu * y - uv * x for x, y in zip(u, v)]
+        content = math.gcd(*v)
+        out.append([y // content for y in v] if content else v)
+    return out
+
+
+@st.composite
+def integer_bases(draw):
+    """A basis over g of integer coordinates: D in 1..4 and coordinates in
+    -5..5 per element, dim g elements or one fewer, as drawn (rarely
+    q-orthogonal) or with the first ones, often all, made q-orthogonal by
+    ``orthogonalized``.  Element i has a nonzero coordinate on g_{order_i}
+    for a drawn order, so the elements are mostly independent."""
+    kind = draw(st.sampled_from(["Q", "M"]))
+    norms = _algebra(kind)[1]
+    size = draw(st.sampled_from([len(norms), len(norms) - 1]))
+    vectors = []
+    for a in draw(st.permutations(range(len(norms))))[:size]:
+        v = draw(st.lists(st.integers(-5, 5), min_size=len(norms), max_size=len(norms)))
+        v[a] = draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1]))
+        vectors.append(v)
+    cut = draw(st.one_of(st.just(size), st.integers(0, size)))
+    vectors = orthogonalized(vectors[:cut], norms) + vectors[cut:]
+    return kind, tuple((draw(st.integers(1, 4)), {a: c for a, c in enumerate(v) if c}) for v in vectors)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(integer_bases())
+def test_the_pulled_back_build_is_the_call_per_bracket_build(case):
+    """On any integer basis over g the pullback of g's three-form gives the
+    tensor and norms, or the first error, of the build with a bracket and a
+    projection call per pair; the grids are held to it by
+    ``test_the_one_pass_build_and_classification_match_the_calls_they_replace``."""
+    kind, basis = case
+    got = outcome(_change_of_basis, *_algebra(kind), basis)
+    want = outcome(change_of_basis_by_calls, *g_algebra(kind), basis)
+    assert got == want and repr(got) == repr(want)
+
+
 def test_a_fresh_sweep_builds_each_kinds_algebra_once():
-    """Every model of a kind is a change of basis of one table: a fresh
+    """Every model of a kind is a pullback of one three-form: a fresh
     61-model sweep runs the matrix path twice, on g's 9 and 11 elements,
-    and checks the Jacobi identity on those two tables and on no model's."""
+    which make su(2)^3's 3 and su(3) + su(2)'s 10 nonzero sorted triples,
+    and checks the Jacobi identity on those two tables and on no model's.
+    The builds and classifications make no ``Fraction``; the Maurer-Cartan
+    forms after them do, so the count is seen to work."""
     child = (
-        "import json, sys\n"
+        "import fractions, json, sys\n"
         "import holoflow.homogeneous as h\n"
-        "real, sizes = h._build_structure, []\n"
-        "h._build_structure = lambda basis: sizes.append(len(basis)) or real(basis)\n"
+        "real, sizes, forms = h._build_structure, [], []\n"
+        "def build(basis):\n"
+        "    triples, norms = real(basis)\n"
+        "    sizes.append(len(basis))\n"
+        "    forms.append(len(triples))\n"
+        "    return triples, norms\n"
+        "h._build_structure = build\n"
         "jacobi, checked = h._check_jacobi, []\n"
         "h._check_jacobi = lambda structure: checked.append(structure.n) or jacobi(structure)\n"
+        "new, made = fractions.Fraction.__new__, []\n"
+        "def counted(cls, *args, **kwargs):\n"
+        "    made.append(1)\n"
+        "    return new(cls, *args, **kwargs)\n"
+        "fractions.Fraction.__new__ = counted\n"
         "for kind, indices in json.loads(sys.argv[1]):\n"
         "    h.classify_invariant_g2(h.get_model(kind, indices))\n"
-        "print(json.dumps([sizes, checked]))\n"
+        "in_sweep = len(made)\n"
+        "h.maurer_cartan(h.q_model(1, 1, 1))\n"
+        "print(json.dumps([sizes, forms, checked, in_sweep, len(made) > in_sweep]))\n"
     )
     src = str(Path(homogeneous.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     argv = [sys.executable, "-c", child, json.dumps(TUPLE_SETS["sweep"])]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[9, 11], [9, 11]]
+    assert json.loads(proc.stdout) == [[9, 11], [3, 10], [9, 11], 0, True]
 
 
 @pytest.mark.parametrize(
@@ -1048,19 +1133,47 @@ def test_a_tampered_algebra_table_fails_the_jacobi_check(kind, cell, pairs, monk
     finally:
         _algebra.cache_clear()
     assert len(seen) == 1 and not jacobi_per_triple(seen[0])
-    assert jacobi_per_triple(_algebra(kind)[0])
+    assert jacobi_per_triple(_change_of_basis(*_algebra(kind), unit_basis(len(_ALGEBRA[kind])))[0])
+
+
+@pytest.mark.parametrize("kind,pair,extra", [("Q", (0, 1), 3), ("M", (0, 1), 8)], ids=["q", "m"])
+def test_a_tampered_three_form_fails_the_antisymmetry_check(kind, pair, extra, monkeypatch):
+    """g's three-form is checked where the matrix path reads it: one bracket
+    [g_a, g_b] of g with g_extra of another block added is still in g, so
+    closure holds, but then G_{a b extra} = N_extra while G_{a extra b} = 0,
+    and ``_algebra`` raises before its Jacobi check."""
+    mats, real, met = algebra_matrices(kind), homogeneous._gbracket, []
+
+    def tampered(x, y):
+        out = real(x, y)
+        if (x, y) == (mats[pair[0]], mats[pair[1]]):
+            met.append(pair)
+            assert not set(out) & set(mats[extra])
+            out = {**out, **mats[extra]}
+        return out
+
+    _algebra.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(homogeneous, "_gbracket", tampered)
+            with pytest.raises(ModelError, match=re.escape("q([X_i, X_j], X_k) is not totally antisymmetric")):
+                _algebra(kind)
+    finally:
+        _algebra.cache_clear()
+    assert met == [pair]
+    assert len(_algebra(kind)[0]) == {"Q": 3, "M": 10}[kind]  # the real matrices pass
 
 
 def coordinate_projector(kind, basis):
     """``_project`` onto the S_k of a basis over g, with their index and
     weights built once, as {k: t_k} for a sparse X over g: with every D_k
-    and f taken as 1 its pairs are (k, t_k w_k).  It checks no residual,
+    taken as 1 its pairs are (k, t_k w_k).  It checks no residual,
     so X need not lie in their span."""
     weights, _ = _span_weights([gq_reference(s, s) for _, s in model_matrices(kind, basis)])
     index = _index([tuple(p.items()) for _, p in basis], _algebra(kind)[1])
 
     def project(x):
-        (got,) = _project([(1, x.items())], index, [1] * len(basis), weights)
+        (got,) = _project([x.items()], index, [1] * len(basis), weights)
         return {k: v // weights[k] for k, v in got}
 
     return project
@@ -1069,50 +1182,35 @@ def coordinate_projector(kind, basis):
 @functools.lru_cache(maxsize=None)
 def algebra_matrices(kind):
     """The matrices of g's basis, assembled from unit coordinates."""
-    return [s for _, s in model_matrices(kind, [(1, {a: 1}) for a in range(len(_ALGEBRA[kind]))])]
-
-
-def g_coordinates(kind, x):
-    """The integer coordinates {a: s q(X, g_a) / N_a} of s X over g's basis,
-    s g's scale, for a matrix X that they combine to exactly."""
-    scale, norms = _algebra(kind)[0].scale, _algebra(kind)[1]
-    coords = {}
-    for a, g in enumerate(algebra_matrices(kind)):
-        c = Fraction(scale * gq_reference(x, g), norms[a])
-        assert c.denominator == 1
-        if c:
-            coords[a] = c.numerator
-    assert in_span_reference(x, algebra_matrices(kind))[1]
-    return coords
-
-
-def dense_coords(t, n):
-    """The sparse coordinates {k: t_k} as the list [t_k for k < n]; they are
-    nonzero and in ascending k."""
-    assert list(t) == sorted(t) and all(t.values())
-    return [t.get(k, 0) for k in range(n)]
+    return [s for _, s in model_matrices(kind, unit_basis(len(_ALGEBRA[kind])))]
 
 
 @pytest.mark.parametrize("name", TUPLE_SETS)
-def test_one_pass_projections_match_the_per_k_products(name):
-    """The products the build reads over g are those of the matrices, each
-    bracket's times g's scale s, for it projects B = s [S_i, S_j]."""
+def test_the_pulled_back_three_form_is_the_matrix_bracket_product(name):
+    """What the build reads of each bracket: ``_pullback`` of g's three-form
+    gives t_ijk = q([S_i, S_j], S_k) of the matrices for every i < j < k,
+    under the key (i n + j) n + k, and no other nonzero key.  ``_project``
+    serves only ``_isotropy_coords``, held here on the same grids: each
+    isotropy element X_k over g has the coordinate 1 on itself alone, and a
+    tangent one is not in their span."""
     for kind, indices in TUPLE_SETS[name]:
         basis = BASES[kind](*indices)
         mats = [s for _, s in model_matrices(kind, basis)]
-        project, scale = coordinate_projector(kind, basis), _algebra(kind)[0].scale
-        # and onto the tangent part alone, which holds few of the brackets
-        tangent = coordinate_projector(kind, basis[:7])
-        # each basis vector lies in the span: its coordinates are its products
-        coords = [dense_coords(project(p), len(mats)) for _, p in basis]
-        for (i, x), (j, y) in itertools.combinations(enumerate(mats), 2):
-            br = gbracket_reference(x, y)
-            want, over_g = [scale * gq_reference(br, s) for s in mats], g_coordinates(kind, br)
-            assert dense_coords(project(over_g), len(mats)) == want
-            assert dense_coords(tangent(over_g), 7) == want[:7]
-            assert coords[i][j] == gq_reference(x, y)
-        for x, got in zip(mats, coords):
-            assert got == [gq_reference(x, s) for s in mats]
+        n = len(mats)
+        t = _pullback(_algebra(kind)[0], [tuple(p.items()) for _, p in basis], len(_ALGEBRA[kind]))
+        want = {}
+        for i, j in itertools.combinations(range(n), 2):
+            br = gbracket_reference(mats[i], mats[j])
+            for k in range(j + 1, n):
+                want[(i * n + j) * n + k] = gq_reference(br, mats[k])
+        assert {key: v for key, v in t.items() if v} == {key: v for key, v in want.items() if v}, (kind, indices)
+        model = get_model(kind, indices)
+        isotropy = model.basis[model.TANGENT :]
+        _, scale = _span_weights(model.norms[model.TANGENT :])
+        got = _isotropy_coords(model, isotropy)
+        assert got == [(d * scale, {model.TANGENT + k: d * scale}) for k, (d, _) in enumerate(isotropy)]
+        with pytest.raises(ModelError, match="Cartan element is not in the isotropy algebra"):
+            _isotropy_coords(model, model.basis[:1])
 
 
 def test_one_pass_projection_rejects_a_non_real_product():
