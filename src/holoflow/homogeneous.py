@@ -9,11 +9,11 @@ coordinates over the g_a, X = sum_a P_a g_a / D, so its norms and the
 orthogonality and positivity checks are sums over g's norms, its structure
 constants the pullback of G, and no model makes a matrix or a bracket;
 closure and the Jacobi identity are g's, checked once per kind.  The norms
-are the integers N = q(S, S), the structure constants are stored only as
-integers times the lcm of their denominators, and the Cartan elements as
-integer coordinates over one denominator; a model's only Fractions are its
-Maurer-Cartan forms.  What the paper states about each model is one
-``ModelSpec`` record in ``MODEL_SPECS``.
+are the integers N = q(S, S), the structure constants the nonzero sorted
+triples of the pulled-back three-form, as integers over one denominator
+with no n x n table, and the Cartan elements integer coordinates over one
+denominator; a model's only Fractions are its Maurer-Cartan forms.  What
+the paper states about each model is one ``ModelSpec`` record in ``MODEL_SPECS``.
 """
 
 from __future__ import annotations
@@ -199,18 +199,18 @@ def _m_basis(k: int, l: int) -> Tuple[Coordinates, ...]:
 # a Lie algebra basis's nonzero G_abc = q([g_a, g_b], g_c) as sorted triples (a, b, c, G_abc)
 ThreeForm = Tuple[Tuple[int, int, int, int], ...]
 
-# rows[i][j]: the pairs (k, L c^k_ij) for either order of i, j; () where [e_i, e_j] = 0
-IntegerRows = Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], ...]
-
 
 @record(frozen=True)
 class StructureTensor:
     """Exact c^k_{ij} as integers over one denominator: ``scale`` is the lcm
-    L of their reduced denominators, and ``rows`` holds L c^k_ij."""
+    L of their reduced denominators.  q([X_i, X_j], X_k) is totally
+    antisymmetric, so c^k_ij = 0 unless i, j, k are distinct: ``triples``
+    lists each p < q < r of nonzero constants, ascending, as (p, q, r,
+    L c^r_pq, L c^q_pr, L c^p_qr), and c^k_ji = -c^k_ij gives the rest."""
 
     n: int
     scale: int
-    rows: IntegerRows
+    triples: Tuple[Tuple[int, int, int, int, int, int], ...]
 
 
 @record(frozen=True)
@@ -334,12 +334,12 @@ def _change_of_basis(
     N_i = sum_a P_ia^2 N_a, and [S_i, S_j] = sum_k t_ijk S_k / N_k, t from
     ``_pullback``, gives c^k_ij L0 = t_ijk D_k (lcm(N) / N_k) (lcm(D) / D_i)
     (lcm(D) / D_j) over L0 = lcm(D)^2 lcm(N).  Each nonzero t_ijk, i < j < k
-    in ascending key, gives c^k_ij, c^j_ik and c^i_jk, so each pair's k come
-    in ascending order; over the gcd of L0 and every entry, L0 becomes the
-    lcm of the reduced denominators.  A q-orthogonal basis of positive norms
-    and dim g elements is a basis of g, so its table is g's in another basis:
-    no closure residual or Jacobi sum is needed, and a shorter basis is
-    rejected as not closed."""
+    in ascending key, gives the triple's cells c^k_ij, c^j_ik and c^i_jk;
+    over the gcd of L0 and every cell, L0 becomes the lcm of the reduced
+    denominators.  A q-orthogonal basis of positive norms and dim g elements
+    is a basis of g, so its table is g's in another basis: no closure
+    residual or Jacobi sum is needed, and a shorter basis is rejected as not
+    closed."""
     n, ng = len(basis), len(g_norms)
     dens = [d for d, _ in basis]
     coords = [tuple(p.items()) for _, p in basis]
@@ -359,25 +359,17 @@ def _change_of_basis(
     weights, lcm_norms = _span_weights(norms)
     lcm_dens = math.lcm(*dens)
     factors = [lcm_dens // d for d in dens]
-    t = _pullback(triples, coords, ng)
-    cells: Dict[int, List[Tuple[int, int]]] = {}
-    for key, v in sorted(t.items()):
+    dw = [d * w for d, w in zip(dens, weights)]
+    cells = []
+    for key, v in sorted(_pullback(triples, coords, ng).items()):
         if v:
             p, q, r = key // n // n, key // n % n, key % n
-            for i, j, k, tk in ((p, q, r, v), (p, r, q, -v), (q, r, p, v)):
-                cells.setdefault(i * n + j, []).append((k, tk * dens[k] * weights[k] * factors[i] * factors[j]))
+            fp, fq, fr = factors[p], factors[q], factors[r]
+            cells.append((p, q, r, v * dw[r] * fp * fq, -v * dw[q] * fp * fr, v * dw[p] * fq * fr))
     scale = lcm_dens * lcm_dens * lcm_norms
-    g = math.gcd(scale, *[v for pairs in cells.values() for _, v in pairs])
-    table: List[List[Tuple[Tuple[int, int], ...]]] = [[()] * n for _ in range(n)]
-    for ij, pairs in cells.items():
-        up = down = ()  # most pairs have one cell; concatenation beats list, append and tuple there
-        for k, v in pairs:
-            v //= g
-            up += ((k, v),)
-            down += ((k, -v),)
-        i, j = divmod(ij, n)
-        table[i][j], table[j][i] = up, down
-    return StructureTensor(n, scale // g, tuple(map(tuple, table))), tuple(norms)
+    g = math.gcd(scale, *[v for cell in cells for v in cell[3:]])
+    cells = tuple((p, q, r, a // g, b // g, c // g) for p, q, r, a, b, c in cells)
+    return StructureTensor(n, scale // g, cells), tuple(norms)
 
 
 def _pullback(triples: ThreeForm, coords: Sequence[Sequence[Tuple[int, int]]], ng: int) -> Dict[int, int]:
@@ -407,32 +399,33 @@ def _algebra(kind: str) -> Tuple[ThreeForm, Tuple[int, ...]]:
 
 
 def _check_jacobi(structure: StructureTensor) -> None:
-    """Jacobi identity on the integer table; it guards g's table, once per kind.
+    """Jacobi identity on the integer triples; it guards g's table, once per kind.
 
-    Each nonzero bracket rows[a][b] with a < b gives the terms
-    [[e_a, e_b], e_c]; a term goes to the cyclic sum of the sorted triple
-    {a, b, c}, negated when a < c < b, where that sum holds
+    Each constant L c^m_ab with a < b gives the terms [[e_a, e_b], e_c] =
+    sum_f c^m_ab c^f_mc e_f; a term goes to the cyclic sum of the sorted
+    triple {a, b, c}, negated when a < c < b, where that sum holds
     [[e_b, e_a], e_c].  The terms are summed under the one int
-    ((x n + y) n + z) n + k for the triple x < y < z and the coordinate k.
-    Reading only the upper cell relies on rows[j][i] = -rows[i][j], which
-    ``_change_of_basis`` writes from one list of pairs.
+    ((x n + y) n + z) n + f for the triple x < y < z and the coordinate f.
     """
-    n, rows = structure.n, structure.rows
+    n, upper = structure.n, []  # upper: (a, b, m, L c^m_ab) for a < b
+    brackets: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]  # [i]: (j, k, L c^k_ij) for j != i
+    for p, q, r, *cells in structure.triples:
+        for (i, j, k), v in zip(((p, q, r), (p, r, q), (q, r, p)), cells):
+            upper.append((i, j, k, v))
+            brackets[i].append((j, k, v))
+            brackets[j].append((i, k, -v))
     acc: Dict[int, int] = {}
-    for a, row in enumerate(rows):
-        for b in range(a + 1, n):
-            for mid, cm in row[b]:
-                for c, cell in enumerate(rows[mid]):
-                    if not cell or c == a or c == b:
-                        continue
-                    if c < a:
-                        key, w = ((c * n + a) * n + b) * n, cm
-                    elif c < b:
-                        key, w = ((a * n + c) * n + b) * n, -cm
-                    else:
-                        key, w = ((a * n + b) * n + c) * n, cm
-                    for fin, cf in cell:
-                        acc[key + fin] = acc.get(key + fin, 0) + w * cf
+    for a, b, mid, cm in upper:
+        for c, fin, cf in brackets[mid]:
+            if c == a or c == b:
+                continue
+            if c < a:
+                key, w = ((c * n + a) * n + b) * n, cm
+            elif c < b:
+                key, w = ((a * n + c) * n + b) * n, -cm
+            else:
+                key, w = ((a * n + b) * n + c) * n, cm
+            acc[key + fin] = acc.get(key + fin, 0) + w * cf
     if any(acc.values()):
         raise ModelError("Jacobi identity failed")
 
@@ -477,8 +470,11 @@ def m_model(k: int, l: int) -> CosetModel:
 
 
 def get_model(kind: str, indices: Sequence[int]) -> CosetModel:
+    spec = model_spec(kind)
+    if len(indices) != len(spec.index_names):
+        raise ModelError(f"{spec.kind} takes the indices ({', '.join(spec.index_names)}), got {len(indices)}")
     # the constructors are looked up per call, so wrappers installed on them are used
-    return {"Q": q_model, "M": m_model}[model_spec(kind).kind](*indices)
+    return {"Q": q_model, "M": m_model}[spec.kind](*indices)
 
 
 # L ad_x on the tangent space as sparse integer rows for a denominator L:
@@ -487,15 +483,20 @@ AdRows = List[Dict[int, int]]
 
 
 def _ad(model: CosetModel, x: Coordinates) -> Tuple[AdRows, int]:
-    """(rows, L) for ad_x on the tangent space, from the integer structure
-    table, zeros dropped; the weights and the fixed line read nothing else."""
+    """(rows, L) for ad_x on the tangent space, x in the isotropy algebra, from
+    the triples that hold an index y of x, zeros dropped; the weights and the
+    fixed line read nothing else."""
     den, coords = x
-    table = model.structure.rows
-    rows: AdRows = [{} for _ in range(model.TANGENT)]
-    for a, w in coords.items():
-        for row, pairs in zip(rows, table[a]):
-            for j, c in pairs:
-                row[j] = row.get(j, 0) + w * c
+    tangent = model.TANGENT
+    rows: AdRows = [{} for _ in range(tangent)]
+    for y, w in coords.items():
+        for p, q, r, a, b, c in model.structure.triples:
+            if y == r and p < tangent:  # L c^q_rp, and L c^p_rq for a tangent q
+                rows[p][q] = rows[p].get(q, 0) - w * b
+                if q < tangent:
+                    rows[q][p] = rows[q].get(p, 0) - w * c
+            elif y == q and p < tangent:  # L c^r_qp; y = p >= TANGENT leaves only isotropy
+                rows[p][r] = rows[p].get(r, 0) - w * a
     for i, row in enumerate(rows):
         if 0 in row.values():
             rows[i] = {j: c for j, c in row.items() if c}
@@ -503,29 +504,27 @@ def _ad(model: CosetModel, x: Coordinates) -> Tuple[AdRows, int]:
 
 
 def _check_isotropy_action(model: CosetModel) -> None:
-    """Isotropy ad-action, L [e_x, e_i] = sum_j c_ij e_j read off rows[x][i] with
-    zeros skipped, must be q-skew and block-diagonal on the planes."""
+    """Isotropy ad-action, L [e_x, e_i] = sum_j c_ij e_j, must be q-skew and
+    block-diagonal on the planes; c_ij and c_ji sit in the triple {x, i, j},
+    read once, and the failure raised is the first in (x, i, j) order."""
     same_module = {(i, j) for p in model.modules for i in p for j in p}
     # q(X_i, X_i) = N_i / D_i^2, times lcm(D)^2
     lcm_dens = math.lcm(*(d for d, _ in model.basis))
     norms = [n * (lcm_dens // d) ** 2 for n, (d, _) in zip(model.norms, model.basis)]
-    for x in model.isotropy_indices:
-        rows = model.structure.rows[x]
-        for i in range(model.TANGENT):
-            for j, cij in rows[i]:
-                if not cij:
-                    continue
-                if j >= model.TANGENT:
-                    raise ModelError("isotropy bracket leaves the tangent space")
-                cji = 0
-                for k, c in rows[j]:
-                    if k == i:
-                        cji = c
-                        break
-                if norms[j] * cij != -norms[i] * cji:
-                    raise ModelError("isotropy action is not q-skew")
-                if (i, j) not in same_module:
-                    raise ModelError("isotropy action does not preserve the modules")
+    tangent, failures = model.TANGENT, []
+    messages = ("isotropy bracket leaves the tangent space", "isotropy action is not q-skew",
+                "isotropy action does not preserve the modules")  # in the order of the checks
+    for p, q, r, a, b, c in model.structure.triples:
+        if p >= tangent or r < tangent:
+            continue
+        # (x, i, j, L c^j_xi, L c^i_xj) for each isotropy x and tangent i of the triple
+        reads = ((r, p, q, -b, -c), (r, q, p, -c, -b)) if q < tangent else ((q, p, r, -a, 0), (r, p, q, -b, 0))
+        for x, i, j, cij, cji in reads:
+            if cij and (j >= tangent or norms[j] * cij != -norms[i] * cji or (i, j) not in same_module):
+                failed = (j >= tangent, norms[j] * cij != -norms[i] * cji, True)
+                failures.append(((x, i, j), messages[failed.index(True)]))
+    if failures:
+        raise ModelError(min(failures)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -542,17 +541,18 @@ def maurer_cartan(model: CosetModel) -> List[Multivector]:
     """de^i = -(1/2) c^i_{jk} e^j ^ e^k for every group generator, as forms
     on ``group_gens(model)``, dt last.
 
-    The coefficients are the exact rational structure constants.
+    The coefficients are the exact rational structure constants, three per
+    triple; ascending triples give each form's pairs (j, k) in row-major order.
     """
     from .algebra import Multivector
 
     gens = group_gens(model)
-    scale, rows = model.structure.scale, model.structure.rows
+    scale = model.structure.scale
     terms: List[Dict[int, Fraction]] = [{} for _ in range(model.n)]
-    for j, row in enumerate(rows):
-        for k in range(j + 1, model.n):
-            for i, v in row[k]:
-                terms[i][(1 << j) | (1 << k)] = Fraction(-v, scale)
+    for p, q, r, a, b, c in model.structure.triples:
+        terms[r][(1 << p) | (1 << q)] = Fraction(-a, scale)
+        terms[q][(1 << p) | (1 << r)] = Fraction(-b, scale)
+        terms[p][(1 << q) | (1 << r)] = Fraction(-c, scale)
     return [Multivector(gens, t, len(gens) - 1) for t in terms]
 
 

@@ -3,13 +3,13 @@
 No command prunes polynomial sums term by term, packs or decodes a matrix
 position, assembles a model's basis matrices, reads one coefficient of a
 form, reads the structure constants or the q-norms as ``Fraction`` values,
-checks the Jacobi identity one triple at a time, rebuilds a structure
-tensor from a table, projects one bracket per call, reduces a row set to
-Hermite normal form by pairs, reads the Cartan elements as ``Fraction``
-coordinates, substitutes the frame into omega and *omega apart from Omega,
-sorts isotropy weights, evaluates the closed-form profile exactly or fits
-the cone limits by exact least squares; the tests do, and hold the package
-to these.
+writes or reads them as an n x n table of integer rows, checks the Jacobi
+identity one triple at a time, rebuilds a structure tensor from a table,
+projects one bracket per call, reduces a row set to Hermite normal form by
+pairs, reads the Cartan elements as ``Fraction`` coordinates, substitutes
+the frame into omega and *omega apart from Omega, sorts isotropy weights,
+evaluates the closed-form profile exactly or fits the cone limits by exact
+least squares; the tests do, and hold the package to these.
 """
 
 import itertools
@@ -29,9 +29,12 @@ from holoflow.homogeneous import (
     StructureTensor,
     _algebra,
     _check_jacobi,
+    _index,
     _kernel_basis_1x3,
     _place,
     _plane_speed,
+    _pullback,
+    _q_diagonal,
     _span_weights,
     group_gens,
     model_spec,
@@ -185,13 +188,127 @@ def project_one(x, index, coords, weights, scale):
     return None if any(residual.values()) else t
 
 
+# ---------------------------------------------------------------------------
+# the structure tensor as an n x n table of integer rows, the form the build
+# wrote before it stored the triples
+# ---------------------------------------------------------------------------
+
+
+def structure_rows(structure):
+    """The rows view of a structure: rows[i][j] holds the pairs (k, L c^k_ij)
+    of its nonzero cells in ascending k, and rows[j][i] their negatives, as
+    tuples at every level."""
+    n = structure.n
+    cells = {}
+    for p, q, r, *vs in structure.triples:
+        for (i, j, k), v in zip(((p, q, r), (p, r, q), (q, r, p)), vs):
+            if v:
+                cells.setdefault((i, j), []).append((k, v))
+    rows = [[()] * n for _ in range(n)]
+    for (i, j), pairs in cells.items():
+        rows[i][j] = tuple(sorted(pairs))
+        rows[j][i] = tuple((k, -v) for k, v in rows[i][j])
+    return tuple(map(tuple, rows))
+
+
+def structure_of_rows(n, scale, rows):
+    """The structure whose rows view is the integer table ``rows``, read on
+    its upper cells: each pair (k, v) of rows[i][j], i < j, is the cell
+    L c^k_ij of the sorted triple {i, j, k}; a table with c^k_ij != 0 for a
+    k in {i, j} has no such structure."""
+    triples = {}
+    for i, j in itertools.combinations(range(n), 2):
+        for k, v in rows[i][j]:
+            if k in (i, j):
+                raise ValueError(f"c^{k}_{i}{j} repeats an index")
+            p, q, r = sorted((i, j, k))
+            cell = triples.setdefault((p, q, r), [0, 0, 0])
+            cell[0 if k > j else 1 if k > i else 2] = v
+    return StructureTensor(n, scale, tuple((*key, *vs) for key, vs in sorted(triples.items()) if any(vs)))
+
+
+def change_of_basis_rows(triples, g_norms, basis):
+    """``_change_of_basis`` writing the integer cells of each pair into an
+    n x n table: (n, scale, rows) and the norms, rows[i][j] the pairs
+    (k, L c^k_ij) in ascending k and rows[j][i] their negatives."""
+    n = len(basis)
+    dens = [d for d, _ in basis]
+    coords = [tuple(p.items()) for _, p in basis]
+    index = _index(coords, g_norms)
+    gram = []
+    for i, p in enumerate(coords):
+        t = [0] * n
+        for a, c in p:
+            for k, v in index[a]:
+                t[k] += c * v
+        gram.append(t[i:])
+    norms = _q_diagonal(gram)
+    if n < len(g_norms):
+        raise ModelError("basis is not closed under brackets")
+    weights, lcm_norms = _span_weights(norms)
+    lcm_dens = math.lcm(*dens)
+    factors = [lcm_dens // d for d in dens]
+    t = _pullback(triples, coords, len(g_norms))
+    cells = {}
+    for key, v in sorted(t.items()):
+        if v:
+            p, q, r = key // n // n, key // n % n, key % n
+            for i, j, k, tk in ((p, q, r, v), (p, r, q, -v), (q, r, p, v)):
+                cells.setdefault(i * n + j, []).append((k, tk * dens[k] * weights[k] * factors[i] * factors[j]))
+    scale = lcm_dens * lcm_dens * lcm_norms
+    g = math.gcd(scale, *[v for pairs in cells.values() for _, v in pairs])
+    table = [[()] * n for _ in range(n)]
+    for ij, pairs in cells.items():
+        up = down = ()
+        for k, v in pairs:
+            v //= g
+            up += ((k, v),)
+            down += ((k, -v),)
+        i, j = divmod(ij, n)
+        table[i][j], table[j][i] = up, down
+    return (n, scale // g, tuple(map(tuple, table))), tuple(norms)
+
+
+def isotropy_action_by_rows(model):
+    """``_check_isotropy_action`` on the rows view: for each isotropy x,
+    tangent i and nonzero c_ij of rows[x][i] in that order, c_ji looked up in
+    rows[x][j]; raises the first failure's message."""
+    rows = structure_rows(model.structure)
+    same_module = {(i, j) for p in model.modules for i in p for j in p}
+    lcm_dens = math.lcm(*(d for d, _ in model.basis))
+    norms = [n * (lcm_dens // d) ** 2 for n, (d, _) in zip(model.norms, model.basis)]
+    for x in model.isotropy_indices:
+        for i in range(model.TANGENT):
+            for j, cij in rows[x][i]:
+                if j >= model.TANGENT:
+                    raise ModelError("isotropy bracket leaves the tangent space")
+                cji = dict(rows[x][j]).get(i, 0)
+                if norms[j] * cij != -norms[i] * cji:
+                    raise ModelError("isotropy action is not q-skew")
+                if (i, j) not in same_module:
+                    raise ModelError("isotropy action does not preserve the modules")
+
+
+def maurer_cartan_rows(scale, rows):
+    """The terms of each form ``maurer_cartan`` makes, written from an n x n
+    table of integer rows: de^i = -sum_{j<k} c^i_jk e^j ^ e^k, the pairs
+    (j, k) in row-major order and each pair's i in its row's order."""
+    n = len(rows)
+    terms = [{} for _ in range(n)]
+    for j, row in enumerate(rows):
+        for k in range(j + 1, n):
+            for i, v in row[k]:
+                terms[i][(1 << j) | (1 << k)] = Fraction(-v, scale)
+    return terms
+
+
 def change_of_basis_by_calls(algebra, g_norms, basis):
     """``_change_of_basis`` with a helper call per q-Gram cell and a
     projection call per nonzero bracket, whose pairs are scaled in a second
     loop: the structure tensor and the norms of the basis over g.  It also
     runs the per-model checks the build leaves to g: each bracket's closure
     residual and the Jacobi identity on the table."""
-    n, rows = len(basis), algebra.rows
+    n, rows = len(basis), structure_rows(algebra)
     dens = [d for d, _ in basis]
     coords = [p for _, p in basis]
     index = index_by_dict(coords, g_norms)
@@ -226,7 +343,7 @@ def change_of_basis_by_calls(algebra, g_norms, basis):
     for i, j, pairs in upper:
         table[i][j] = pairs = tuple((k, v // g) for k, v in pairs)
         table[j][i] = tuple((k, -v) for k, v in pairs)
-    structure = StructureTensor(n, scale // g, tuple(map(tuple, table)))
+    structure = structure_of_rows(n, scale // g, table)
     _check_jacobi(structure)
     return structure, tuple(norms)
 
@@ -282,7 +399,7 @@ def ad_all_rows(model, x):
     """(rows, L) of L ad_x on every basis element for ``Fraction``
     coordinates x, L the structure's scale times the lcm of their
     denominators, zeros dropped."""
-    scale, table = model.structure.scale, model.structure.rows
+    scale, table = model.structure.scale, structure_rows(model.structure)
     den = math.lcm(*(xa.denominator for xa in x.values()))
     rows = [{} for _ in range(model.n)]
     for a, xa in x.items():
@@ -331,10 +448,10 @@ def max_abs_coefficient(form) -> float:
 
 def structure_table(structure):
     """The exact c^k_ij for i < j as {(i, j): {k: c}}, sparse, with the pairs
-    in row-major order and each pair's k in the order of its integer row."""
+    in row-major order and each pair's k ascending, as in the rows view."""
     return {
         (i, j): {k: Fraction(v, structure.scale) for k, v in row[j]}
-        for i, row in enumerate(structure.rows)
+        for i, row in enumerate(structure_rows(structure))
         for j in range(i + 1, structure.n)
         if row[j]
     }
@@ -348,22 +465,20 @@ def q_norms(norms, basis):
 
 def structure_from_table(n, table) -> StructureTensor:
     """The tensor of the exact constants {(i, j): {k: c^k_ij}} for i < j:
-    ``scale`` the lcm L of their denominators, and rows[i][j] the pairs
-    (k, L c^k_ij) for either order of i, j, as tuples at every level;
-    rows[j][i] is written from rows[i][j], so rows[j][i] = -rows[i][j]."""
+    ``scale`` the lcm L of their denominators, and each L c^k_ij the cell of
+    its sorted triple {i, j, k}."""
     scale = math.lcm(*(c.denominator for cs in table.values() for c in cs.values()))
     rows = [[()] * n for _ in range(n)]
     for (i, j), coeffs in table.items():
         rows[i][j] = tuple((k, c.numerator * (scale // c.denominator)) for k, c in coeffs.items())
-        rows[j][i] = tuple((k, -v) for k, v in rows[i][j])
-    return StructureTensor(n, scale, tuple(map(tuple, rows)))
+    return structure_of_rows(n, scale, rows)
 
 
 def jacobi_per_triple(structure) -> bool:
     """Whether the integer table satisfies the Jacobi identity, summing the
     cyclic sum of every triple i < j < k on its own from both orders of the
     rows: the check that ``_check_jacobi`` replaced."""
-    n, rows = structure.n, structure.rows
+    n, rows = structure.n, structure_rows(structure)
     for i, j, k in itertools.combinations(range(n), 3):
         acc = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):

@@ -55,16 +55,22 @@ from holoflow.homogeneous import (
     q_model,
 )
 from oracles import (
+    ad_all_rows,
     canonical_weights,
     change_of_basis_by_calls,
+    change_of_basis_rows,
     coefficient,
     fraction_cartan,
     hnf_rows_by_pairs,
+    isotropy_action_by_rows,
     jacobi_per_triple,
+    maurer_cartan_rows,
     model_matrices,
     pack,
     q_norms,
     structure_from_table,
+    structure_of_rows,
+    structure_rows,
     structure_table,
     unpack,
     weights_by_fraction_cartan,
@@ -72,8 +78,8 @@ from oracles import (
 
 
 def bracket_coeffs(structure, i, j):
-    """{k: c^k_ij} for either order of i, j, read off the integer rows."""
-    return {k: Fraction(v, structure.scale) for k, v in structure.rows[i][j]}
+    """{k: c^k_ij} for either order of i, j, read off the integer rows view."""
+    return {k: Fraction(v, structure.scale) for k, v in structure_rows(structure)[i][j]}
 
 
 def mv(model, indices, coeff=None):
@@ -175,15 +181,15 @@ def tampered_q111(edits):
 
 
 def test_the_structure_constants_of_a_cached_model_cannot_be_changed():
-    """``q_model`` shares one model per process: its integer rows are tuples
-    at every level."""
+    """``q_model`` shares one model per process: its integer triples are
+    tuples at every level."""
     structure = q_model(1, 1, 1).structure
     with pytest.raises(AttributeError):
-        structure.rows[7][0].append((2, 5))
+        structure.triples.append((0, 2, 7, 5, 5, 5))
     with pytest.raises(TypeError):
-        structure.rows[7][0] = ((2, 5),)
+        structure.triples[0] = (0, 1, 6, 5, 5, 5)
     with pytest.raises(TypeError):
-        structure.rows[0][1][0] = (6, 1)
+        structure.triples[0][3] = 5
     assert classify_invariant_g2(q_model(1, 1, 1))
 
 
@@ -198,9 +204,10 @@ def test_the_structure_constants_of_a_cached_model_cannot_be_changed():
         ({(0, 7): {1: 2}}, isotropy_weights, "not skew on an invariant plane"),
         ({(0, 7): {2: 1}}, isotropy_weights, "leaves an invariant plane"),
         ({(6, 7): {0: 1}}, isotropy_weights, "expected fixed line is not fixed"),
+        ({(6, 7): {8: 1}}, isotropy_weights, "expected fixed line is not fixed"),
         ({(0, 7): {1: 2}, (1, 7): {0: -2}}, isotropy_weights, "non-integer weight"),
     ],
-    ids=["q-skew", "modules", "tangent", "plane-skew", "plane-leak", "fixed-line", "weight"],
+    ids=["q-skew", "modules", "tangent", "plane-skew", "plane-leak", "fixed-line", "fixed-line-isotropy", "weight"],
 )
 def test_isotropy_checks_reject_tampered_structure(edits, check, message):
     check(q_model(1, 1, 1))
@@ -211,6 +218,36 @@ def test_isotropy_checks_reject_tampered_structure(edits, check, message):
     if check is isotropy_weights:
         with pytest.raises(ModelError, match=re.escape(message)):
             weights_by_fraction_cartan(tampered_q111(edits))
+
+
+@pytest.mark.parametrize("kind,indices", [("Q", (1, 1, 1)), ("M", (1, 1)), ("Q", (3, 2, 1)), ("M", (5, 3))])
+def test_the_triple_isotropy_check_fails_first_where_the_row_scan_does(kind, indices):
+    """On seeded edits of one to three constants c^j_xi, x isotropy and i
+    tangent, most with the c^i_xj that keeps them q-skew and some with j in
+    i's module, the check read off the triples raises the message of the row
+    scan's first failure in (x, i, j) order, or passes where it passes."""
+    rng, model, seen = random.Random(43), get_model(kind, indices), []
+    norms = q_norms(model.norms, model.basis)
+    modules = {i: m for m in model.modules for i in m}
+
+    def put(x, i, j, c):  # c^j_xi = c, stored as c^j_ix = -c
+        table.setdefault((i, x), {})[j] = -c
+
+    for _ in range(300):
+        table = structure_table(model.structure)
+        for _ in range(rng.randint(1, 3)):
+            x, i = rng.choice(model.isotropy_indices), rng.randrange(model.TANGENT)
+            others = [j for j in (modules[i] if rng.random() < 0.6 else range(model.n)) if j not in (i, x)]
+            if not others:
+                continue
+            j, c = rng.choice(others), Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 2))
+            put(x, i, j, c)
+            if j < model.TANGENT and rng.random() < 0.8:
+                put(x, j, i, -c * norms[j] / norms[i])
+        tampered = replace(model, structure=structure_from_table(model.n, table))
+        seen.append(outcome(_check_isotropy_action, tampered))
+        assert seen[-1] == outcome(isotropy_action_by_rows, tampered)
+    assert len(set(seen)) == 4, set(seen)  # each message, and a pass
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +517,24 @@ def test_invalid_models_rejected():
         q_model(0, 0, 0)
     with pytest.raises(ModelError):
         m_model(0, 0)
+
+
+@pytest.mark.parametrize(
+    "kind,indices,message",
+    [
+        ("M", (1, 2, 3), "M takes the indices (k, l), got 3"),
+        ("Q", (1, 2), "Q takes the indices (k, l, m), got 2"),
+        ("q", [1, 1, 1, 1], "Q takes the indices (k, l, m), got 4"),
+        ("m", (), "M takes the indices (k, l), got 0"),
+    ],
+    ids=["m-three", "q-two", "q-four", "m-none"],
+)
+def test_get_model_names_the_indices_of_a_wrong_count(kind, indices, message):
+    """A wrong number of indices is a ``ModelError`` naming the kind's
+    ``index_names``, not the cached constructor's ``TypeError``."""
+    with pytest.raises(ModelError, match=re.escape(message)):
+        get_model(kind, indices)
+    assert get_model(kind, (1,) * len(model_spec(kind).index_names)).kind == kind.upper()
 
 
 # ---------------------------------------------------------------------------
@@ -1104,24 +1159,23 @@ def test_a_fresh_sweep_builds_each_kinds_algebra_once():
 
 
 @pytest.mark.parametrize(
-    "kind,cell,pairs",
-    [("M", (0, 1), ((6, -1), (7, 1))), ("Q", (0, 1), ((2, -2), (5, 2)))],
+    "kind,triple,was,cells",
+    [("M", (0, 1, 6), (1, -3, 3), (-1, -3, 3)), ("Q", (0, 1, 5), None, (2, 0, 0))],
     ids=["m-sign", "q-other-block"],
 )
-def test_a_tampered_algebra_table_fails_the_jacobi_check(kind, cell, pairs, monkeypatch):
-    """The Jacobi identity is checked where g's table is made: one bracket
-    of g edited in both orders after the matrix path's change of basis (M:
-    one sign flipped; Q: a term on another su(2), since a flipped sign in
+def test_a_tampered_algebra_table_fails_the_jacobi_check(kind, triple, was, cells, monkeypatch):
+    """The Jacobi identity is checked where g's table is made: one triple's
+    cells of g edited after the matrix path's change of basis (M: c^6_01's
+    sign flipped; Q: a term c^5_01 on another su(2), since a flipped sign in
     su(2)^3 keeps the identity) makes ``_algebra`` raise."""
     real, seen = homogeneous._change_of_basis, []
 
     def tampered(*args):
         structure, norms = real(*args)
-        rows = [list(row) for row in structure.rows]
-        i, j = cell
-        assert rows[i][j] and rows[i][j] != pairs
-        rows[i][j], rows[j][i] = pairs, tuple((k, -v) for k, v in pairs)
-        seen.append(StructureTensor(structure.n, structure.scale, tuple(map(tuple, rows))))
+        triples = {tuple(t[:3]): t[3:] for t in structure.triples}
+        assert triples.get(triple) == was
+        triples[triple] = cells
+        seen.append(StructureTensor(structure.n, structure.scale, tuple((*k, *v) for k, v in sorted(triples.items()))))
         return seen[-1], norms
 
     _algebra.cache_clear()
@@ -1464,7 +1518,7 @@ def test_integer_jacobi_agrees_with_the_fraction_loop_on_random_edits(kind, indi
         table = structure_table(model.structure)
         for _ in range(rng.randint(1, 3)):
             i, j = sorted(rng.sample(range(model.n), 2)) if rng.random() < 0.3 else rng.choice(keys)
-            k = rng.randrange(model.n)
+            k = rng.choice([k for k in range(model.n) if k not in (i, j)])  # c^i_ij is no triple's cell
             table.setdefault((i, j), {})[k] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
             table = {key: {k: c for k, c in v.items() if c} for key, v in table.items()}
         table = {key: v for key, v in table.items() if v}
@@ -1489,26 +1543,25 @@ def jacobi_verdict(structure):
 def tripled(structure):
     """The table with every constant times 3, over the same scale; the
     Jacobi identity is quadratic, so this keeps it or its failure."""
-    rows = tuple(tuple(tuple((k, 3 * v) for k, v in cell) for cell in row) for row in structure.rows)
-    return StructureTensor(structure.n, structure.scale, rows)
+    triples = tuple((p, q, r, 3 * a, 3 * b, 3 * c) for p, q, r, a, b, c in structure.triples)
+    return StructureTensor(structure.n, structure.scale, triples)
 
 
 def antisymmetric_edits(structure, rng, count):
     """``count`` copies of the table, each with one to three brackets
-    [e_i, e_j], i < j, given a new coefficient on a random e_k (sometimes
-    the one it has) and [e_j, e_i] written as its negative."""
-    n = structure.n
-    upper = [(i, j) for i in range(n) for j in range(i + 1, n) if structure.rows[i][j]]
+    [e_i, e_j], i < j, given a new coefficient on a random e_k, k not i or j
+    (sometimes the one it has), the cell of the triple {i, j, k}."""
+    n, rows = structure.n, structure_rows(structure)
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j]]
     for _ in range(count):
-        rows = [list(row) for row in structure.rows]
+        edited = [list(row) for row in rows]
         for _ in range(rng.randint(1, 3)):
             i, j = sorted(rng.sample(range(n), 2)) if rng.random() < 0.3 else rng.choice(upper)
-            pairs = dict(rows[i][j])
-            k = rng.randrange(n)
+            pairs = dict(edited[i][j])
+            k = rng.choice([k for k in range(n) if k not in (i, j)])
             pairs[k] = pairs.get(k, 0) if rng.random() < 0.2 else rng.randint(-4, 4)
-            rows[i][j] = tuple((k, v) for k, v in pairs.items() if v)
-            rows[j][i] = tuple((k, -v) for k, v in rows[i][j])
-        yield StructureTensor(n, structure.scale, tuple(map(tuple, rows)))
+            edited[i][j] = tuple((k, v) for k, v in pairs.items() if v)
+        yield structure_of_rows(n, structure.scale, edited)
 
 
 def test_the_upper_cell_jacobi_check_agrees_with_the_per_triple_loop():
@@ -1530,11 +1583,16 @@ def test_the_upper_cell_jacobi_check_agrees_with_the_per_triple_loop():
 
 @pytest.mark.parametrize("name", TUPLE_SETS)
 def test_every_built_table_is_antisymmetric(name):
-    """rows[j][i] = -rows[i][j], which ``_check_jacobi``'s upper-cell read needs."""
+    """Each built structure lists distinct sorted triples p < q < r < n in
+    ascending order with three nonzero cells, so c^k_ji = -c^k_ij and the
+    zero c^k_ij of a repeated index hold by storage, which every reader
+    of the triples needs."""
     for kind, indices in TUPLE_SETS[name]:
-        rows = get_model(kind, indices).structure.rows
-        for i, j in itertools.product(range(len(rows)), repeat=2):
-            assert rows[j][i] == tuple((k, -v) for k, v in rows[i][j]), (kind, indices, i, j)
+        structure = get_model(kind, indices).structure
+        keys = [t[:3] for t in structure.triples]
+        assert keys == sorted(set(keys)), (kind, indices)
+        for p, q, r, *cells in structure.triples:
+            assert 0 <= p < q < r < structure.n and all(cells), (kind, indices, p, q, r)
 
 
 # ---------------------------------------------------------------------------
@@ -1623,3 +1681,76 @@ def test_the_isotropy_su2_brackets_do_not_depend_on_the_indices():
 def test_m_weights_on_the_cartan_e10_e11():
     for k, l in M_MODELS:
         assert isotropy_weights(m_model(k, l)) == ((1, l), (-1, l), (0, 2 * k))
+
+
+# ---------------------------------------------------------------------------
+# the stored triples against the n x n table the build wrote before them
+# ---------------------------------------------------------------------------
+
+# every sorted Q triple in 0..12, every M pair in -12..12, and the huge and
+# negative indices, each read as given
+TABLE_GRID = {
+    "q-up-to-12": [("Q", t[::-1]) for t in itertools.combinations_with_replacement(range(13), 3) if any(t)],
+    "m-within-12": [("M", t) for t in itertools.product(range(-12, 13), repeat=2) if any(t)],
+    "huge-negative": TUPLE_SETS["huge"] + NEGATIVE,
+}
+
+
+def grid_bases(name):
+    """(kind, indices, model, basis) for each grid tuple's basis as given,
+    zero coordinates dropped, then its model's normalized basis."""
+    for kind, indices in TABLE_GRID[name]:
+        model = get_model(kind, indices)
+        given = tuple((d, {a: c for a, c in p.items() if c}) for d, p in BASES[kind](*indices))
+        for basis in (given, model.basis):
+            yield kind, indices, model, basis
+
+
+@pytest.mark.parametrize("name", TABLE_GRID)
+def test_the_rows_view_of_the_triples_is_the_table_the_build_wrote(name):
+    """The rows view of the stored triples is the table the cells-and-table
+    writer makes, cell for cell and in the same order of k, over the same
+    reduced scale, with the same norms or the same first error."""
+    built = 0
+    for kind, indices, _, basis in grid_bases(name):
+        got = outcome(_change_of_basis, *_algebra(kind), basis)
+        want = outcome(change_of_basis_rows, *_algebra(kind), basis)
+        if got[0] == "ok":
+            (structure, norms), built = got[1], built + 1
+            got = "ok", ((structure.n, structure.scale, structure_rows(structure)), norms)
+        assert got == want and repr(got) == repr(want), (kind, indices)
+    assert built > len(TABLE_GRID[name])
+
+
+@pytest.mark.parametrize("name", TABLE_GRID)
+def test_maurer_cartan_from_the_triples_is_the_forms_of_the_written_table(name):
+    """The forms built from the triples have the masks, values and term
+    insertion order of the forms written from the table, so ``derive``'s
+    output does not depend on which of the two a model stores."""
+    built = 0
+    for kind, indices, model, basis in grid_bases(name):
+        try:
+            structure, _ = _change_of_basis(*_algebra(kind), basis)
+        except ModelError:
+            continue
+        (n, scale, rows), _ = change_of_basis_rows(*_algebra(kind), basis)
+        forms = maurer_cartan(replace(model, structure=structure))
+        assert [(de.gens, de.dt_index) for de in forms] == [(group_gens(model), n)] * n
+        want = [repr(list(terms.items())) for terms in maurer_cartan_rows(scale, rows)]
+        assert [repr(list(de.terms.items())) for de in forms] == want, (kind, indices)
+        built += 1
+    assert built > len(TABLE_GRID[name])
+
+
+@pytest.mark.parametrize("name", TABLE_GRID)
+def test_ad_on_the_isotropy_algebra_is_read_off_the_rows_view(name):
+    """``_ad`` of each isotropy generator and each Cartan element, summed
+    from the triples, is ad_x on the tangent space read off the rows view."""
+    models = {(kind, get_model(kind, indices).indices) for kind, indices in TABLE_GRID[name]}
+    for model in (get_model(kind, indices) for kind, indices in sorted(models)):
+        elements = [(1, {y: 1}) for y in model.isotropy_indices] + MODEL_SPECS[model.kind].cartan(model)
+        for den, coords in elements:
+            rows, scale = _ad(model, (den, coords))
+            want, want_scale = ad_all_rows(model, {y: Fraction(w, den) for y, w in coords.items()})
+            got = [{j: Fraction(c, scale) for j, c in row.items()} for row in rows]
+            assert got == [{j: Fraction(c, want_scale) for j, c in row.items()} for row in want[: model.TANGENT]]
