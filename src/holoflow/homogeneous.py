@@ -7,13 +7,13 @@ finds g's integer three-form G_abc = q([g_a, g_b], g_c) once per kind and
 process.  A model's basis element is the pair (D, {a: P_a}) of its integer
 coordinates over the g_a, X = sum_a P_a g_a / D, so its norms and the
 orthogonality and positivity checks are sums over g's norms, its structure
-constants the pullback of G, and no model makes a matrix or a bracket;
-closure and the Jacobi identity are g's, checked once per kind.  The norms
-are the integers N = q(S, S), the structure constants the nonzero sorted
-triples of the pulled-back three-form, as integers over one denominator
-with no n x n table, and the Cartan elements integer coordinates over one
-denominator; a model's only Fractions are its Maurer-Cartan forms.  What
-the paper states about each model is one ``ModelSpec`` record in ``MODEL_SPECS``.
+the pullback of G, and no model makes a matrix or a bracket; closure and the
+Jacobi identity are g's, checked once per kind.  A model stores the integer
+norms N = q(S, S) and the three-form t_ijk = q([S_i, S_j], S_k) of S = D X,
+as g does, and ``_constants`` alone reads structure constants off them; the
+Cartan elements are integer coordinates over one denominator, and a model's
+only Fractions are its Maurer-Cartan forms.  What the paper states about
+each model is one ``ModelSpec`` record in ``MODEL_SPECS``.
 """
 
 from __future__ import annotations
@@ -196,29 +196,18 @@ def _m_basis(k: int, l: int) -> Tuple[Coordinates, ...]:
 # ---------------------------------------------------------------------------
 
 
-# a Lie algebra basis's nonzero G_abc = q([g_a, g_b], g_c) as sorted triples (a, b, c, G_abc)
+# a basis's nonzero three-form t_ijk = q([S_i, S_j], S_k) as sorted triples
+# (i, j, k, t_ijk), i < j < k, ascending: g's G_abc and each model's
 ThreeForm = Tuple[Tuple[int, int, int, int], ...]
-
-
-@record(frozen=True)
-class StructureTensor:
-    """Exact c^k_{ij} as integers over one denominator: ``scale`` is the lcm
-    L of their reduced denominators.  q([X_i, X_j], X_k) is totally
-    antisymmetric, so c^k_ij = 0 unless i, j, k are distinct: ``triples``
-    lists each p < q < r of nonzero constants, ascending, as (p, q, r,
-    L c^r_pq, L c^q_pr, L c^p_qr), and c^k_ji = -c^k_ij gives the rest."""
-
-    n: int
-    scale: int
-    triples: Tuple[Tuple[int, int, int, int, int, int], ...]
 
 
 @record(frozen=True)
 class CosetModel:
     """One of Q(k,l,m) or M(k,l) with its exact basis: each element is the
     pair (D, {a: P_a}) of its integer coordinates over the basis g_a of its
-    kind's Lie algebra, X = sum_a P_a g_a / D, and ``norms`` holds the
-    integers N = q(S, S) of S = D X, so q(X, X) = N / D^2.
+    kind's Lie algebra, X = sum_a P_a g_a / D; ``norms`` holds the
+    integers N = q(S, S) of S = D X, so q(X, X) = N / D^2, and ``structure``
+    the three-form of the S, from which ``_constants`` reads c^k_ij.
 
     Indices 0..6 span the tangent space; the rest span the isotropy algebra.
     The metric q(X,Y) = -tr(XY) is diagonal on the basis (verified at build
@@ -230,7 +219,7 @@ class CosetModel:
     basis: Tuple[Coordinates, ...]
     gen_names: Tuple[str, ...]
     norms: Tuple[int, ...]
-    structure: StructureTensor
+    structure: ThreeForm
 
     TANGENT = 7
 
@@ -298,7 +287,7 @@ def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[ThreeForm, Tuple[int, .
     N_i = q(S_i, S_i) of a basis X_i = S_i / D_i of Gaussian-integer matrices,
     checked on the entries: [S_i, S_j] = sum_k G_ijk S_k / N_k leaves no residual
     and G_ijk = q([S_i, S_j], S_k) is totally antisymmetric, as q's ad-invariance
-    makes it; the Jacobi identity is checked on the table this basis gets."""
+    makes it; the Jacobi identity is checked on G and N."""
     mats, n = [s for _, s in basis], len(basis)
     norms = _q_diagonal((_q(mats[i], mats[j]) for j in range(i, n)) for i in range(n))
     weights, scale = _span_weights(norms)
@@ -322,26 +311,20 @@ def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[ThreeForm, Tuple[int, .
     if any(len(vs) != 3 or len(set(vs)) != 1 for vs in signed.values()):
         raise ModelError("three-form q([X_i, X_j], X_k) is not totally antisymmetric")
     triples = tuple((key // n // n, key // n % n, key % n, vs[0]) for key, vs in sorted(signed.items()))
-    _check_jacobi(_change_of_basis(triples, norms, tuple((d, {i: 1}) for i, (d, _) in enumerate(basis)))[0])
+    _check_jacobi(triples, norms)
     return triples, tuple(norms)
 
 
 def _change_of_basis(
     triples: ThreeForm, g_norms: Sequence[int], basis: Sequence[Coordinates]
-) -> Tuple[StructureTensor, Tuple[int, ...]]:
-    """Structure constants and norms N_i of X_i = S_i / D_i, S_i = sum_a P_ia g_a,
+) -> Tuple[ThreeForm, Tuple[int, ...]]:
+    """The three-form and norms N_i of S_i = sum_a P_ia g_a, X_i = S_i / D_i,
     over a q-orthogonal basis g_a of norms N_a and three-form ``triples``:
-    N_i = sum_a P_ia^2 N_a, and [S_i, S_j] = sum_k t_ijk S_k / N_k, t from
-    ``_pullback``, gives c^k_ij L0 = t_ijk D_k (lcm(N) / N_k) (lcm(D) / D_i)
-    (lcm(D) / D_j) over L0 = lcm(D)^2 lcm(N).  Each nonzero t_ijk, i < j < k
-    in ascending key, gives the triple's cells c^k_ij, c^j_ik and c^i_jk;
-    over the gcd of L0 and every cell, L0 becomes the lcm of the reduced
-    denominators.  A q-orthogonal basis of positive norms and dim g elements
-    is a basis of g, so its table is g's in another basis: no closure
-    residual or Jacobi sum is needed, and a shorter basis is rejected as not
-    closed."""
+    N_i = sum_a P_ia^2 N_a, and t_ijk from ``_pullback``.  A q-orthogonal
+    basis of positive norms and dim g elements is a basis of g, so its
+    structure is g's in another basis: no closure residual or Jacobi sum is
+    needed, and a shorter basis is rejected as not closed."""
     n, ng = len(basis), len(g_norms)
-    dens = [d for d, _ in basis]
     coords = [tuple(p.items()) for _, p in basis]
     index = _index(coords, g_norms)
 
@@ -356,20 +339,8 @@ def _change_of_basis(
     norms = _q_diagonal(gram_rows())
     if n < ng:
         raise ModelError("basis is not closed under brackets")
-    weights, lcm_norms = _span_weights(norms)
-    lcm_dens = math.lcm(*dens)
-    factors = [lcm_dens // d for d in dens]
-    dw = [d * w for d, w in zip(dens, weights)]
-    cells = []
-    for key, v in sorted(_pullback(triples, coords, ng).items()):
-        if v:
-            p, q, r = key // n // n, key // n % n, key % n
-            fp, fq, fr = factors[p], factors[q], factors[r]
-            cells.append((p, q, r, v * dw[r] * fp * fq, -v * dw[q] * fp * fr, v * dw[p] * fq * fr))
-    scale = lcm_dens * lcm_dens * lcm_norms
-    g = math.gcd(scale, *[v for cell in cells for v in cell[3:]])
-    cells = tuple((p, q, r, a // g, b // g, c // g) for p, q, r, a, b, c in cells)
-    return StructureTensor(n, scale // g, cells), tuple(norms)
+    t = _pullback(triples, coords, ng)
+    return tuple((key // n // n, key // n % n, key % n, v) for key, v in sorted(t.items()) if v), tuple(norms)
 
 
 def _pullback(triples: ThreeForm, coords: Sequence[Sequence[Tuple[int, int]]], ng: int) -> Dict[int, int]:
@@ -398,8 +369,28 @@ def _algebra(kind: str) -> Tuple[ThreeForm, Tuple[int, ...]]:
     return _build_structure(tuple((1, _place(b, p)) for b, p in _ALGEBRA[kind]))
 
 
-def _check_jacobi(structure: StructureTensor) -> None:
-    """Jacobi identity on the integer triples; it guards g's table, once per kind.
+def _constants(
+    dens: Sequence[int], norms: Sequence[int]
+) -> Tuple[int, Callable[[int, int, int, int], Tuple[int, int, int]]]:
+    """(L, cells) for the basis X_i = S_i / D_i of integer norms
+    N_i = q(S_i, S_i): [S_i, S_j] = sum_k t_ijk S_k / N_k gives
+    c^k_ij = t_ijk D_k / (D_i D_j N_k), and cells(p, q, r, t_pqr) is a sorted
+    triple's L c^r_pq, L c^q_pr and L c^p_qr over L = lcm(D)^2 lcm(N)."""
+    weights, lcm_norms = _span_weights(norms)
+    lcm_dens = math.lcm(*dens)
+    f = [lcm_dens // d for d in dens]
+    dw = [d * w for d, w in zip(dens, weights)]
+
+    def cells(p: int, q: int, r: int, t: int) -> Tuple[int, int, int]:
+        fp, fq, fr = f[p], f[q], f[r]
+        return t * dw[r] * fp * fq, -t * dw[q] * fp * fr, t * dw[p] * fq * fr
+
+    return lcm_dens * lcm_dens * lcm_norms, cells
+
+
+def _check_jacobi(form: ThreeForm, norms: Sequence[int]) -> None:
+    """Jacobi identity on the constants of a three-form over a basis of
+    norms N (D = 1); it guards g's, once per kind.
 
     Each constant L c^m_ab with a < b gives the terms [[e_a, e_b], e_c] =
     sum_f c^m_ab c^f_mc e_f; a term goes to the cyclic sum of the sorted
@@ -407,10 +398,11 @@ def _check_jacobi(structure: StructureTensor) -> None:
     [[e_b, e_a], e_c].  The terms are summed under the one int
     ((x n + y) n + z) n + f for the triple x < y < z and the coordinate f.
     """
-    n, upper = structure.n, []  # upper: (a, b, m, L c^m_ab) for a < b
+    n, upper = len(norms), []  # upper: (a, b, m, L c^m_ab) for a < b
+    _, cells = _constants([1] * n, norms)
     brackets: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]  # [i]: (j, k, L c^k_ij) for j != i
-    for p, q, r, *cells in structure.triples:
-        for (i, j, k), v in zip(((p, q, r), (p, r, q), (q, r, p)), cells):
+    for p, q, r, t in form:
+        for (i, j, k), v in zip(((p, q, r), (p, r, q), (q, r, p)), cells(p, q, r, t)):
             upper.append((i, j, k, v))
             brackets[i].append((j, k, v))
             brackets[j].append((i, k, -v))
@@ -484,45 +476,44 @@ AdRows = List[Dict[int, int]]
 
 def _ad(model: CosetModel, x: Coordinates) -> Tuple[AdRows, int]:
     """(rows, L) for ad_x on the tangent space, x in the isotropy algebra, from
-    the triples that hold an index y of x, zeros dropped; the weights and the
-    fixed line read nothing else."""
+    the constants of the triples that hold an index y of x, zeros dropped; the
+    weights and the fixed line read nothing else."""
     den, coords = x
     tangent = model.TANGENT
+    scale, cells = _constants([d for d, _ in model.basis], model.norms)
     rows: AdRows = [{} for _ in range(tangent)]
     for y, w in coords.items():
-        for p, q, r, a, b, c in model.structure.triples:
-            if y == r and p < tangent:  # L c^q_rp, and L c^p_rq for a tangent q
+        for p, q, r, t in model.structure:
+            if p >= tangent or y not in (q, r):  # y = p >= TANGENT leaves only isotropy
+                continue
+            a, b, c = cells(p, q, r, t)
+            if y == r:  # L c^q_rp, and L c^p_rq for a tangent q
                 rows[p][q] = rows[p].get(q, 0) - w * b
                 if q < tangent:
                     rows[q][p] = rows[q].get(p, 0) - w * c
-            elif y == q and p < tangent:  # L c^r_qp; y = p >= TANGENT leaves only isotropy
+            else:  # L c^r_qp
                 rows[p][r] = rows[p].get(r, 0) - w * a
     for i, row in enumerate(rows):
         if 0 in row.values():
             rows[i] = {j: c for j, c in row.items() if c}
-    return rows, model.structure.scale * den
+    return rows, scale * den
 
 
 def _check_isotropy_action(model: CosetModel) -> None:
-    """Isotropy ad-action, L [e_x, e_i] = sum_j c_ij e_j, must be q-skew and
-    block-diagonal on the planes; c_ij and c_ji sit in the triple {x, i, j},
-    read once, and the failure raised is the first in (x, i, j) order."""
+    """Isotropy ad-action, [e_x, e_i] = sum_j c^j_xi e_j, must keep the tangent
+    space and the modules; c^j_xi != 0 exactly where the triple {x, i, j} is in
+    the three-form, and the failure raised is the first in (x, i, j) order.
+    It is q-skew on every three-form, c^j_xi q(X_j, X_j) = t_xij / (D_x D_i D_j)
+    = -c^i_xj q(X_i, X_i), so nothing checks that."""
     same_module = {(i, j) for p in model.modules for i in p for j in p}
-    # q(X_i, X_i) = N_i / D_i^2, times lcm(D)^2
-    lcm_dens = math.lcm(*(d for d, _ in model.basis))
-    norms = [n * (lcm_dens // d) ** 2 for n, (d, _) in zip(model.norms, model.basis)]
     tangent, failures = model.TANGENT, []
-    messages = ("isotropy bracket leaves the tangent space", "isotropy action is not q-skew",
-                "isotropy action does not preserve the modules")  # in the order of the checks
-    for p, q, r, a, b, c in model.structure.triples:
+    for p, q, r, _ in model.structure:
         if p >= tangent or r < tangent:
             continue
-        # (x, i, j, L c^j_xi, L c^i_xj) for each isotropy x and tangent i of the triple
-        reads = ((r, p, q, -b, -c), (r, q, p, -c, -b)) if q < tangent else ((q, p, r, -a, 0), (r, p, q, -b, 0))
-        for x, i, j, cij, cji in reads:
-            if cij and (j >= tangent or norms[j] * cij != -norms[i] * cji or (i, j) not in same_module):
-                failed = (j >= tangent, norms[j] * cij != -norms[i] * cji, True)
-                failures.append(((x, i, j), messages[failed.index(True)]))
+        if q >= tangent:  # x = q, i = p, j = r first
+            failures.append(((q, p, r), "isotropy bracket leaves the tangent space"))
+        elif (p, q) not in same_module:  # x = r, i = p, j = q first
+            failures.append(((r, p, q), "isotropy action does not preserve the modules"))
     if failures:
         raise ModelError(min(failures)[1])
 
@@ -541,15 +532,17 @@ def maurer_cartan(model: CosetModel) -> List[Multivector]:
     """de^i = -(1/2) c^i_{jk} e^j ^ e^k for every group generator, as forms
     on ``group_gens(model)``, dt last.
 
-    The coefficients are the exact rational structure constants, three per
-    triple; ascending triples give each form's pairs (j, k) in row-major order.
+    The coefficients are the exact rational structure constants of
+    ``_constants``, three per triple; ascending triples give each form's
+    pairs (j, k) in row-major order.
     """
     from .algebra import Multivector
 
     gens = group_gens(model)
-    scale = model.structure.scale
+    scale, cells = _constants([d for d, _ in model.basis], model.norms)
     terms: List[Dict[int, Fraction]] = [{} for _ in range(model.n)]
-    for p, q, r, a, b, c in model.structure.triples:
+    for p, q, r, t in model.structure:
+        a, b, c = cells(p, q, r, t)
         terms[r][(1 << p) | (1 << q)] = Fraction(-a, scale)
         terms[q][(1 << p) | (1 << r)] = Fraction(-b, scale)
         terms[p][(1 << q) | (1 << r)] = Fraction(-c, scale)

@@ -3,9 +3,9 @@
 No command prunes polynomial sums term by term, packs or decodes a matrix
 position, assembles a model's basis matrices, reads one coefficient of a
 form, reads the structure constants or the q-norms as ``Fraction`` values,
-writes or reads them as an n x n table of integer rows, checks the Jacobi
-identity one triple at a time, rebuilds a structure tensor from a table,
-projects one bracket per call, reduces a row set to Hermite normal form by
+writes the constants as integer cells over one scale or as an n x n table,
+checks the Jacobi identity one triple at a time, projects one bracket per
+call, reduces a row set to Hermite normal form by
 pairs, reads the Cartan elements as ``Fraction`` coordinates, substitutes
 the frame into omega and *omega apart from Omega, sorts isotropy weights,
 evaluates the closed-form profile exactly or fits the cone limits by exact
@@ -26,7 +26,6 @@ from holoflow.homogeneous import (
     _SIDE,
     MODEL_SPECS,
     ModelError,
-    StructureTensor,
     _algebra,
     _check_jacobi,
     _index,
@@ -189,49 +188,46 @@ def project_one(x, index, coords, weights, scale):
 
 
 # ---------------------------------------------------------------------------
-# the structure tensor as an n x n table of integer rows, the form the build
-# wrote before it stored the triples
+# structure constants read off a three-form as Fractions, and the integer
+# cells over one scale that the build wrote before it stored the three-form
 # ---------------------------------------------------------------------------
 
 
-def structure_rows(structure):
-    """The rows view of a structure: rows[i][j] holds the pairs (k, L c^k_ij)
-    of its nonzero cells in ascending k, and rows[j][i] their negatives, as
-    tuples at every level."""
-    n = structure.n
-    cells = {}
-    for p, q, r, *vs in structure.triples:
-        for (i, j, k), v in zip(((p, q, r), (p, r, q), (q, r, p)), vs):
-            if v:
-                cells.setdefault((i, j), []).append((k, v))
-    rows = [[()] * n for _ in range(n)]
-    for (i, j), pairs in cells.items():
-        rows[i][j] = tuple(sorted(pairs))
-        rows[j][i] = tuple((k, -v) for k, v in rows[i][j])
-    return tuple(map(tuple, rows))
+def form_table(form, dens, norms):
+    """The exact c^k_ij = t_ijk D_k / (D_i D_j N_k), i < j, of a three-form
+    (p, q, r, t_pqr) over X_i = S_i / D_i of norms N_i = q(S_i, S_i), as
+    {(i, j): {k: c}}, sparse, the pairs in row-major order and each pair's k
+    ascending."""
+    table = {}
+    for p, q, r, t in form:
+        for i, j, k, v in ((p, q, r, t), (p, r, q, -t), (q, r, p, t)):
+            table.setdefault((i, j), {})[k] = Fraction(v * dens[k], dens[i] * dens[j] * norms[k])
+    return {key: dict(sorted(table[key].items())) for key in sorted(table)}
 
 
-def structure_of_rows(n, scale, rows):
-    """The structure whose rows view is the integer table ``rows``, read on
-    its upper cells: each pair (k, v) of rows[i][j], i < j, is the cell
-    L c^k_ij of the sorted triple {i, j, k}; a table with c^k_ij != 0 for a
-    k in {i, j} has no such structure."""
-    triples = {}
-    for i, j in itertools.combinations(range(n), 2):
-        for k, v in rows[i][j]:
-            if k in (i, j):
-                raise ValueError(f"c^{k}_{i}{j} repeats an index")
-            p, q, r = sorted((i, j, k))
-            cell = triples.setdefault((p, q, r), [0, 0, 0])
-            cell[0 if k > j else 1 if k > i else 2] = v
-    return StructureTensor(n, scale, tuple((*key, *vs) for key, vs in sorted(triples.items()) if any(vs)))
+def structure_table(model):
+    """``form_table`` of a model's three-form, denominators and norms."""
+    return form_table(model.structure, [d for d, _ in model.basis], model.norms)
 
 
-def change_of_basis_rows(triples, g_norms, basis):
-    """``_change_of_basis`` writing the integer cells of each pair into an
-    n x n table: (n, scale, rows) and the norms, rows[i][j] the pairs
-    (k, L c^k_ij) in ascending k and rows[j][i] their negatives."""
-    n = len(basis)
+def fraction_rows(n, table):
+    """rows[i][j] = {k: c^k_ij} for both orders of i, j, from the table of
+    i < j; rows[j][i] holds the negatives, in the same order of k."""
+    rows = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, j), coeffs in table.items():
+        rows[i][j] = dict(coeffs)
+        rows[j][i] = {k: -c for k, c in coeffs.items()}
+    return rows
+
+
+def change_of_basis_cells(triples, g_norms, basis):
+    """``_change_of_basis`` writing integer cells over one scale:
+    ((n, scale, cells), norms), each nonzero t_ijk, i < j < k ascending, kept
+    as (i, j, k, L c^k_ij, L c^j_ik, L c^i_jk) with
+    c^k_ij L0 = t_ijk D_k (lcm(N) / N_k) (lcm(D) / D_i) (lcm(D) / D_j) over
+    L0 = lcm(D)^2 lcm(N), and the cells and L0 divided by their gcd, so the
+    scale L is the lcm of the reduced denominators."""
+    n, ng = len(basis), len(g_norms)
     dens = [d for d, _ in basis]
     coords = [tuple(p.items()) for _, p in basis]
     index = _index(coords, g_norms)
@@ -243,47 +239,53 @@ def change_of_basis_rows(triples, g_norms, basis):
                 t[k] += c * v
         gram.append(t[i:])
     norms = _q_diagonal(gram)
-    if n < len(g_norms):
+    if n < ng:
         raise ModelError("basis is not closed under brackets")
     weights, lcm_norms = _span_weights(norms)
     lcm_dens = math.lcm(*dens)
     factors = [lcm_dens // d for d in dens]
-    t = _pullback(triples, coords, len(g_norms))
-    cells = {}
-    for key, v in sorted(t.items()):
+    dw = [d * w for d, w in zip(dens, weights)]
+    cells = []
+    for key, v in sorted(_pullback(triples, coords, ng).items()):
         if v:
             p, q, r = key // n // n, key // n % n, key % n
-            for i, j, k, tk in ((p, q, r, v), (p, r, q, -v), (q, r, p, v)):
-                cells.setdefault(i * n + j, []).append((k, tk * dens[k] * weights[k] * factors[i] * factors[j]))
+            fp, fq, fr = factors[p], factors[q], factors[r]
+            cells.append((p, q, r, v * dw[r] * fp * fq, -v * dw[q] * fp * fr, v * dw[p] * fq * fr))
     scale = lcm_dens * lcm_dens * lcm_norms
-    g = math.gcd(scale, *[v for pairs in cells.values() for _, v in pairs])
-    table = [[()] * n for _ in range(n)]
-    for ij, pairs in cells.items():
-        up = down = ()
-        for k, v in pairs:
-            v //= g
-            up += ((k, v),)
-            down += ((k, -v),)
-        i, j = divmod(ij, n)
-        table[i][j], table[j][i] = up, down
-    return (n, scale // g, tuple(map(tuple, table))), tuple(norms)
+    g = math.gcd(scale, *[v for cell in cells for v in cell[3:]])
+    cells = tuple((p, q, r, a // g, b // g, c // g) for p, q, r, a, b, c in cells)
+    return (n, scale // g, cells), tuple(norms)
+
+
+def cells_rows(n, cells):
+    """The n x n table of integer cells: rows[i][j] holds the pairs
+    (k, L c^k_ij) of the nonzero cells in ascending k, and rows[j][i] their
+    negatives, as tuples at every level."""
+    pairs = {}
+    for p, q, r, *vs in cells:
+        for (i, j, k), v in zip(((p, q, r), (p, r, q), (q, r, p)), vs):
+            pairs.setdefault((i, j), []).append((k, v))
+    rows = [[()] * n for _ in range(n)]
+    for (i, j), ps in pairs.items():
+        rows[i][j] = tuple(sorted(ps))
+        rows[j][i] = tuple((k, -v) for k, v in rows[i][j])
+    return tuple(map(tuple, rows))
 
 
 def isotropy_action_by_rows(model):
-    """``_check_isotropy_action`` on the rows view: for each isotropy x,
-    tangent i and nonzero c_ij of rows[x][i] in that order, c_ji looked up in
-    rows[x][j]; raises the first failure's message."""
-    rows = structure_rows(model.structure)
+    """``_check_isotropy_action`` as a scan of the Fraction rows: for each
+    isotropy x, tangent i and nonzero c^j_xi of rows[x][i] in that order,
+    c^i_xj looked up in rows[x][j]; raises the first failure's message,
+    q-skewness checked between the tangent and the module checks."""
+    rows = fraction_rows(model.n, structure_table(model))
     same_module = {(i, j) for p in model.modules for i in p for j in p}
-    lcm_dens = math.lcm(*(d for d, _ in model.basis))
-    norms = [n * (lcm_dens // d) ** 2 for n, (d, _) in zip(model.norms, model.basis)]
+    norms = q_norms(model.norms, model.basis)
     for x in model.isotropy_indices:
         for i in range(model.TANGENT):
-            for j, cij in rows[x][i]:
+            for j, cij in rows[x][i].items():
                 if j >= model.TANGENT:
                     raise ModelError("isotropy bracket leaves the tangent space")
-                cji = dict(rows[x][j]).get(i, 0)
-                if norms[j] * cij != -norms[i] * cji:
+                if norms[j] * cij != -norms[i] * rows[x][j].get(i, 0):
                     raise ModelError("isotropy action is not q-skew")
                 if (i, j) not in same_module:
                     raise ModelError("isotropy action does not preserve the modules")
@@ -302,14 +304,13 @@ def maurer_cartan_rows(scale, rows):
     return terms
 
 
-def change_of_basis_by_calls(algebra, g_norms, basis):
+def change_of_basis_by_calls(g_form, g_norms, basis):
     """``_change_of_basis`` with a helper call per q-Gram cell and a
-    projection call per nonzero bracket, whose pairs are scaled in a second
-    loop: the structure tensor and the norms of the basis over g.  It also
+    projection call per nonzero bracket, each bracket summed from g's
+    constants: the three-form and the norms of the basis over g.  It also
     runs the per-model checks the build leaves to g: each bracket's closure
-    residual and the Jacobi identity on the table."""
-    n, rows = len(basis), structure_rows(algebra)
-    dens = [d for d, _ in basis]
+    residual and the Jacobi identity."""
+    n = len(basis)
     coords = [p for _, p in basis]
     index = index_by_dict(coords, g_norms)
     gram = []
@@ -320,32 +321,26 @@ def change_of_basis_by_calls(algebra, g_norms, basis):
                 t[k] += c * v
         gram.append(t)
     norms = q_diagonal_by_cells(n, lambda i, j: gram[i][j])
-    weights, lcm_norms = span = _span_weights(norms)
-    lcm_dens = math.lcm(*dens)
-    scale = g = algebra.scale * lcm_dens * lcm_dens * lcm_norms
-    upper = []
+    span = _span_weights(norms)
+    lcm_g, g_rows = integer_rows(g_form, g_norms)
+    form = []
     for i, j in itertools.combinations(range(n), 2):
-        b = {}
+        b = {}  # lcm_g [S_i, S_j] over g
         for a, x in coords[i].items():
             for c, y in coords[j].items():
-                for k, v in rows[a][c]:
+                for k, v in g_rows[a][c].items():
                     b[k] = b.get(k, 0) + x * y * v
         if not any(b.values()):
             continue
         t = project_one(b, index, coords, *span)
         if t is None:
             raise ModelError("basis is not closed under brackets")
-        f = (lcm_dens // dens[i]) * (lcm_dens // dens[j])
-        pairs = [(k, tk * dens[k] * weights[k] * f) for k, tk in t.items()]
-        upper.append((i, j, pairs))
-        g = math.gcd(g, *[v for _, v in pairs])
-    table = [[()] * n for _ in range(n)]
-    for i, j, pairs in upper:
-        table[i][j] = pairs = tuple((k, v // g) for k, v in pairs)
-        table[j][i] = tuple((k, -v) for k, v in pairs)
-    structure = structure_of_rows(n, scale // g, table)
-    _check_jacobi(structure)
-    return structure, tuple(norms)
+        for k, tk in t.items():
+            assert tk % lcm_g == 0
+            if k > j:
+                form.append((i, j, k, tk // lcm_g))
+    _check_jacobi(tuple(form), norms)
+    return tuple(form), tuple(norms)
 
 
 def hnf_rows_by_pairs(rows):
@@ -396,18 +391,15 @@ def fraction_cartan(model):
 
 
 def ad_all_rows(model, x):
-    """(rows, L) of L ad_x on every basis element for ``Fraction``
-    coordinates x, L the structure's scale times the lcm of their
-    denominators, zeros dropped."""
-    scale, table = model.structure.scale, structure_rows(model.structure)
-    den = math.lcm(*(xa.denominator for xa in x.values()))
+    """ad_x on every basis element as sparse ``Fraction`` rows, for
+    ``Fraction`` coordinates x, read off the table; zeros dropped."""
+    table = fraction_rows(model.n, structure_table(model))
     rows = [{} for _ in range(model.n)]
     for a, xa in x.items():
-        w = xa.numerator * (den // xa.denominator)
-        for row, pairs in zip(rows, table[a]):
-            for j, c in pairs:
-                row[j] = row.get(j, 0) + w * c
-    return [{j: c for j, c in row.items() if c} for row in rows], scale * den
+        for row, coeffs in zip(rows, table[a]):
+            for j, c in coeffs.items():
+                row[j] = row.get(j, 0) + xa * c
+    return [{j: c for j, c in row.items() if c} for row in rows]
 
 
 def weights_by_fraction_cartan(model):
@@ -417,14 +409,14 @@ def weights_by_fraction_cartan(model):
     weights = []
     for plane in model.PLANES:
         vec = []
-        for rows, den in cartan:
-            s = _plane_speed(model, rows, plane)
-            if s % den:
+        for rows in cartan:
+            s = Fraction(_plane_speed(model, rows, plane))
+            if s.denominator != 1:
                 raise ModelError("non-integer weight on the chosen Cartan basis")
-            vec.append(s // den)
+            vec.append(s.numerator)
         weights.append(tuple(vec))
     for idx in model.FIXED:
-        for rows, _ in cartan:
+        for rows in cartan:
             if rows[idx]:
                 raise ModelError("expected fixed line is not fixed")
     return tuple(weights)
@@ -446,44 +438,35 @@ def max_abs_coefficient(form) -> float:
     return max((abs(c) for c in form.terms.values()), default=0.0)
 
 
-def structure_table(structure):
-    """The exact c^k_ij for i < j as {(i, j): {k: c}}, sparse, with the pairs
-    in row-major order and each pair's k ascending, as in the rows view."""
-    return {
-        (i, j): {k: Fraction(v, structure.scale) for k, v in row[j]}
-        for i, row in enumerate(structure_rows(structure))
-        for j in range(i + 1, structure.n)
-        if row[j]
-    }
-
-
 def q_norms(norms, basis):
     """The q-norms q(X_i, X_i) = N_i / D_i^2 as Fractions, from the integer
     norms N_i = q(S_i, S_i) of a basis X_i = S_i / D_i given as (D_i, ...)."""
     return tuple(Fraction(v, d * d) for v, (d, _) in zip(norms, basis))
 
 
-def structure_from_table(n, table) -> StructureTensor:
-    """The tensor of the exact constants {(i, j): {k: c^k_ij}} for i < j:
-    ``scale`` the lcm L of their denominators, and each L c^k_ij the cell of
-    its sorted triple {i, j, k}."""
-    scale = math.lcm(*(c.denominator for cs in table.values() for c in cs.values()))
-    rows = [[()] * n for _ in range(n)]
-    for (i, j), coeffs in table.items():
-        rows[i][j] = tuple((k, c.numerator * (scale // c.denominator)) for k, c in coeffs.items())
-    return structure_of_rows(n, scale, rows)
+def integer_rows(form, norms):
+    """(L, rows) of a three-form over a basis of norms N (D = 1), L = lcm(N):
+    rows[i][j] = {k: L c^k_ij} with L c^k_ij = t_ijk L / N_k, both orders."""
+    n, scale = len(norms), math.lcm(*norms)
+    rows = [[{} for _ in range(n)] for _ in range(n)]
+    for p, q, r, t in form:
+        for i, j, k, v in ((p, q, r, t), (p, r, q, -t), (q, r, p, t)):
+            rows[i][j][k] = v * scale // norms[k]
+            rows[j][i][k] = -rows[i][j][k]
+    return scale, rows
 
 
-def jacobi_per_triple(structure) -> bool:
-    """Whether the integer table satisfies the Jacobi identity, summing the
-    cyclic sum of every triple i < j < k on its own from both orders of the
-    rows: the check that ``_check_jacobi`` replaced."""
-    n, rows = structure.n, structure_rows(structure)
+def jacobi_per_triple(form, norms) -> bool:
+    """Whether the constants of a three-form over a basis of norms N (D = 1)
+    satisfy the Jacobi identity, summing the cyclic sum of every triple
+    i < j < k on its own from both orders of the integer rows: the check
+    that ``_check_jacobi`` replaced."""
+    n, (_, rows) = len(norms), integer_rows(form, norms)
     for i, j, k in itertools.combinations(range(n), 3):
         acc = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for mid, cm in rows[a][b]:
-                for fin, cf in rows[mid][c]:
+            for mid, cm in rows[a][b].items():
+                for fin, cf in rows[mid][c].items():
                     acc[fin] = acc.get(fin, 0) + cm * cf
         if any(acc.values()):
             return False

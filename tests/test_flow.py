@@ -24,7 +24,6 @@ from holoflow._record import replace
 from holoflow.homogeneous import invariant_d, m_model, q_model
 from holoflow.structures import build_invariant_structure
 from mutations import perturbed_system
-from oracles import structure_from_table, structure_table
 
 
 def mono(table, coeff, exps):
@@ -292,11 +291,12 @@ def test_a_derivation_builds_its_pieces_in_order(monkeypatch):
 
 def test_a_tampered_model_used_first_changes_nothing_for_the_real_one():
     """Derived objects hang on the model they come from: a Q(1,1,1) with one
-    structure constant doubled, used first, gets its own d and derivation."""
+    triple of its three-form doubled, used first, gets its own d and
+    derivation."""
     model = q_model(1, 1, 1)
-    table = structure_table(model.structure)
-    table[(0, 1)][6] *= 2
-    tampered = replace(model, structure=structure_from_table(model.n, table))
+    form = tuple((p, q, r, 2 * t if (p, q, r) == (0, 1, 6) else t) for p, q, r, t in model.structure)
+    assert form != model.structure
+    tampered = replace(model, structure=form)
     _, omega = split_dt(build_invariant_structure(model).Omega)
     d_tampered = invariant_d(omega, tampered)
     assert tampered.derivation.cert is not None  # the whole derivation, built first

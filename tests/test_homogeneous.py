@@ -23,14 +23,15 @@ from holoflow.algebra import LaurentPoly, Multivector
 from holoflow.homogeneous import (
     _ALGEBRA,
     MODEL_SPECS,
+    CosetModel,
     ModelError,
-    StructureTensor,
     _ad,
     _algebra,
     _build_structure,
     _change_of_basis,
     _check_isotropy_action,
     _check_jacobi,
+    _constants,
     _hnf_rows,
     _index,
     _isotropy_coords,
@@ -57,10 +58,13 @@ from holoflow.homogeneous import (
 from oracles import (
     ad_all_rows,
     canonical_weights,
+    cells_rows,
     change_of_basis_by_calls,
-    change_of_basis_rows,
+    change_of_basis_cells,
     coefficient,
+    form_table,
     fraction_cartan,
+    fraction_rows,
     hnf_rows_by_pairs,
     isotropy_action_by_rows,
     jacobi_per_triple,
@@ -68,18 +72,15 @@ from oracles import (
     model_matrices,
     pack,
     q_norms,
-    structure_from_table,
-    structure_of_rows,
-    structure_rows,
     structure_table,
     unpack,
     weights_by_fraction_cartan,
 )
 
 
-def bracket_coeffs(structure, i, j):
-    """{k: c^k_ij} for either order of i, j, read off the integer rows view."""
-    return {k: Fraction(v, structure.scale) for k, v in structure_rows(structure)[i][j]}
+def bracket_coeffs(model, i, j):
+    """{k: c^k_ij} for either order of i, j, read off the ``Fraction`` rows."""
+    return fraction_rows(model.n, structure_table(model))[i][j]
 
 
 def mv(model, indices, coeff=None):
@@ -122,14 +123,12 @@ def test_q_bracket_e1_e2_matches_matrix_oracle():
     expect = [0, 0, 0, 0, 0, 0, -1 / 3, -1 / 2, -1 / 6]
     assert np.allclose(coeffs, expect, atol=1e-12)
 
-    st = q_model(1, 1, 1).structure
-    got = bracket_coeffs(st, 0, 1)
+    got = bracket_coeffs(q_model(1, 1, 1), 0, 1)
     assert got == {6: Fraction(-1, 3), 7: Fraction(-1, 2), 8: Fraction(-1, 6)}
 
 
 def test_m_bracket_e5_e6_lands_in_e7_e11_span():
-    st = m_model(1, 1).structure
-    got = bracket_coeffs(st, 4, 5)
+    got = bracket_coeffs(m_model(1, 1), 4, 5)
     assert set(got) == {6, 10}
     assert got[6] == Fraction(-1, 2)
     assert got[10] == Fraction(3, 2)
@@ -138,14 +137,13 @@ def test_m_bracket_e5_e6_lands_in_e7_e11_span():
 def test_jacobi_identity_randomized_triples():
     rng = random.Random(7)
     for model in (q_model(1, 1, 1), m_model(1, 1), q_model(3, 2, 1)):
-        st = model.structure
         n = model.n
         for _ in range(40):
             i, j, k = rng.sample(range(n), 3)
             acc = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for mid, cm in bracket_coeffs(st, a, b).items():
-                    for fin, cf in bracket_coeffs(st, mid, c).items():
+                for mid, cm in bracket_coeffs(model, a, b).items():
+                    for fin, cf in bracket_coeffs(model, mid, c).items():
                         acc[fin] = acc.get(fin, Fraction(0)) + cm * cf
             assert all(v == 0 for v in acc.values())
 
@@ -163,91 +161,95 @@ def test_q_metric_is_diagonal_with_expected_norms():
 
 def test_isotropy_brackets_preserve_modules():
     for model in (q_model(1, 1, 1), m_model(1, 1)):
-        st = model.structure
         blocks = [set(b) for b in model.modules]
         for x in model.isotropy_indices:
             for i in range(model.TANGENT):
-                for k, c in bracket_coeffs(st, x, i).items():
+                for k, c in bracket_coeffs(model, x, i).items():
                     assert c == 0 or any(i in b and k in b for b in blocks)
 
 
-def tampered_q111(edits):
-    """Q(1,1,1) with the structure-table entries in {(i, j): {k: c}} overwritten."""
-    model = q_model(1, 1, 1)
-    table = structure_table(model.structure)
-    for key, coeffs in edits.items():
-        table.setdefault(key, {}).update(coeffs)
-    return replace(model, structure=structure_from_table(model.n, table))
+def tampered(model, edits, norms=None):
+    """``model`` with its three-form's sorted triples in {(p, q, r): t} set
+    (t = 0 drops one), and its norms replaced where given."""
+    form = {triple[:3]: triple[3] for triple in model.structure}
+    form.update(edits)
+    form = tuple((*key, t) for key, t in sorted(form.items()) if t)
+    return replace(model, structure=form, norms=model.norms if norms is None else tuple(norms))
+
+
+def tampered_q111(edits, norms=None):
+    return tampered(q_model(1, 1, 1), edits, norms)
 
 
 def test_the_structure_constants_of_a_cached_model_cannot_be_changed():
-    """``q_model`` shares one model per process: its integer triples are
-    tuples at every level."""
-    structure = q_model(1, 1, 1).structure
+    """``q_model`` shares one model per process: its three-form and norms
+    are tuples at every level."""
+    model = q_model(1, 1, 1)
     with pytest.raises(AttributeError):
-        structure.triples.append((0, 2, 7, 5, 5, 5))
+        model.structure.append((0, 2, 7, 5))
     with pytest.raises(TypeError):
-        structure.triples[0] = (0, 1, 6, 5, 5, 5)
+        model.structure[0] = (0, 1, 6, 5)
     with pytest.raises(TypeError):
-        structure.triples[0][3] = 5
+        model.structure[0][3] = 5
+    with pytest.raises(TypeError):
+        model.norms[0] = 5
     assert classify_invariant_g2(q_model(1, 1, 1))
 
 
-# at Q(1,1,1), [e8, e1] = -e2 and [e8, e2] = e1; the Cartan element read on
-# the plane (e1, e2) first is (e8 + e9) / 2, of speed -1 there
+# Q(1,1,1) has q-norms 1/2 on e1..e6 and the sorted triples (0, 1, k) and
+# (2, 3, k) for k = 6, 7, 8, (4, 5, 6) and (4, 5, 8); the Cartan element read
+# on the plane (e1, e2) first is (e8 + e9) / 2, of speed -1 there.  A three-form is
+# q-skew, so c^6_x0 != 0 comes with c^0_x6 != 0, and [e7, e8] with a part
+# on e1 fails first as a leak from the plane (e1, e2).
 @pytest.mark.parametrize(
-    "edits,check,message",
+    "edits,norms,check,message",
     [
-        ({(0, 7): {1: 2}}, _check_isotropy_action, "not q-skew"),
-        ({(0, 7): {2: 1}, (2, 7): {0: -1}}, _check_isotropy_action, "does not preserve the modules"),
-        ({(0, 7): {8: 1}}, _check_isotropy_action, "leaves the tangent space"),
-        ({(0, 7): {1: 2}}, isotropy_weights, "not skew on an invariant plane"),
-        ({(0, 7): {2: 1}}, isotropy_weights, "leaves an invariant plane"),
-        ({(6, 7): {0: 1}}, isotropy_weights, "expected fixed line is not fixed"),
-        ({(6, 7): {8: 1}}, isotropy_weights, "expected fixed line is not fixed"),
-        ({(0, 7): {1: 2}, (1, 7): {0: -2}}, isotropy_weights, "non-integer weight"),
+        ({(0, 2, 7): 4}, None, _check_isotropy_action, "does not preserve the modules"),
+        ({(0, 7, 8): 4}, None, _check_isotropy_action, "leaves the tangent space"),
+        ({}, (4, 2, 2, 2, 2, 2, 6, 4, 12), isotropy_weights, "not skew on an invariant plane"),
+        ({(0, 2, 7): 4}, None, isotropy_weights, "leaves an invariant plane"),
+        ({(0, 6, 7): 4}, None, isotropy_weights, "leaves an invariant plane"),
+        ({(6, 7, 8): 4}, None, isotropy_weights, "expected fixed line is not fixed"),
+        ({}, (4, 4, 2, 2, 2, 2, 6, 4, 12), isotropy_weights, "non-integer weight"),
     ],
-    ids=["q-skew", "modules", "tangent", "plane-skew", "plane-leak", "fixed-line", "fixed-line-isotropy", "weight"],
+    ids=["modules", "tangent", "plane-skew", "plane-leak", "fixed-line", "fixed-line-isotropy", "weight"],
 )
-def test_isotropy_checks_reject_tampered_structure(edits, check, message):
+def test_isotropy_checks_reject_tampered_structure(edits, norms, check, message):
     check(q_model(1, 1, 1))
+    model = tampered_q111(edits, norms)
     with pytest.raises(ModelError, match=re.escape(message)):
-        check(tampered_q111(edits))
+        check(model)
+    assert_ad_is_read_off_the_rows(model)
     # the weights read on the Fraction Cartan coordinates, with every row of
     # ad_x, fail first at the same check
     if check is isotropy_weights:
         with pytest.raises(ModelError, match=re.escape(message)):
-            weights_by_fraction_cartan(tampered_q111(edits))
+            weights_by_fraction_cartan(model)
+        # a t edit moves e7 where the fixed-line check would see it, or not
+        moved = any(_ad(model, x)[0][6] for x in MODEL_SPECS["Q"].cartan(model))
+        assert moved == (6 in {i for key in edits for i in key})
 
 
 @pytest.mark.parametrize("kind,indices", [("Q", (1, 1, 1)), ("M", (1, 1)), ("Q", (3, 2, 1)), ("M", (5, 3))])
 def test_the_triple_isotropy_check_fails_first_where_the_row_scan_does(kind, indices):
-    """On seeded edits of one to three constants c^j_xi, x isotropy and i
-    tangent, most with the c^i_xj that keeps them q-skew and some with j in
-    i's module, the check read off the triples raises the message of the row
-    scan's first failure in (x, i, j) order, or passes where it passes."""
+    """On seeded edits of one to three triples {x, i, j} of the three-form,
+    x isotropy and i tangent, some with j in i's module, the check read off
+    the triples raises the message of the row scan's first failure in
+    (x, i, j) order, or passes where it passes.  A three-form is q-skew, so
+    the scan's q-skew check never fails: two messages and a pass."""
     rng, model, seen = random.Random(43), get_model(kind, indices), []
-    norms = q_norms(model.norms, model.basis)
     modules = {i: m for m in model.modules for i in m}
-
-    def put(x, i, j, c):  # c^j_xi = c, stored as c^j_ix = -c
-        table.setdefault((i, x), {})[j] = -c
-
     for _ in range(300):
-        table = structure_table(model.structure)
+        edits = {}
         for _ in range(rng.randint(1, 3)):
             x, i = rng.choice(model.isotropy_indices), rng.randrange(model.TANGENT)
             others = [j for j in (modules[i] if rng.random() < 0.6 else range(model.n)) if j not in (i, x)]
-            if not others:
-                continue
-            j, c = rng.choice(others), Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 2))
-            put(x, i, j, c)
-            if j < model.TANGENT and rng.random() < 0.8:
-                put(x, j, i, -c * norms[j] / norms[i])
-        tampered = replace(model, structure=structure_from_table(model.n, table))
-        seen.append(outcome(_check_isotropy_action, tampered))
-        assert seen[-1] == outcome(isotropy_action_by_rows, tampered)
-    assert len(set(seen)) == 4, set(seen)  # each message, and a pass
+            if others:
+                edits[tuple(sorted((x, i, rng.choice(others))))] = rng.choice([-2, -1, 1, 2])
+        edited = tampered(model, edits)
+        seen.append(outcome(_check_isotropy_action, edited))
+        assert seen[-1] == outcome(isotropy_action_by_rows, edited)
+    assert len(set(seen)) == 3, set(seen)  # each message, and a pass
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +309,7 @@ def _invariant_d_by_wedges(form, model):
     with constant polynomial coefficients, on every call."""
     table = next(iter(form.terms.values())).table
     one = LaurentPoly.const(table, 1)
-    constants = structure_table(model.structure)
+    constants = structure_table(model)
     des = []
     for i in range(model.n):
         terms = {}
@@ -415,10 +417,9 @@ def test_weights_m11():
 
 def test_m11_su2_irreducible_on_v1_trivial_elsewhere():
     model = m_model(1, 1)
-    st = model.structure
     for x in (7, 8, 9):
         for i in (4, 5, 6):
-            assert not bracket_coeffs(st, x, i)
+            assert not bracket_coeffs(model, x, i)
     assert su2_commutant_dim([_ad(model, (1, {x: 1}))[0] for x in (7, 8, 9)]) == 4
 
 
@@ -493,7 +494,7 @@ def model_record(kind, indices):
         "q_norms": [str(v) for v in q_norms(model.norms, model.basis)],
         "structure": [
             [i, j, [[k, str(c)] for k, c in sorted(coeffs.items())]]
-            for (i, j), coeffs in sorted(structure_table(model.structure).items())
+            for (i, j), coeffs in sorted(structure_table(model).items())
         ],
         "weights": [list(w) for w in isotropy_weights(model)] if kind == "Q" else None,
         "admissible": classify_invariant_g2(model),
@@ -634,7 +635,7 @@ def test_structure_and_weights_match_fraction_matrices(kind, indices):
             coeffs = {k: c for k, c in coeffs.items() if c}
             if coeffs:
                 table[(i, j)] = coeffs
-    assert structure_table(model.structure) == table
+    assert structure_table(model) == table
     want = tuple(
         tuple(
             q_inner(tuple_bracket(x, basis[i]), basis[j]) / norms[j]
@@ -690,7 +691,7 @@ def test_gram_scan_reports_the_row_major_first_failure(basis, message):
 def test_the_stored_table_view_keeps_the_golden_order():
     golden = json.loads(GOLDEN_MODELS.read_text())
     for record, (kind, indices) in zip(golden, sweep_tuples()):
-        table = structure_table(get_model(kind, indices).structure)
+        table = structure_table(get_model(kind, indices))
         in_order = [[i, j, [[k, str(c)] for k, c in coeffs.items()]] for (i, j), coeffs in table.items()]
         assert in_order == record["structure"]
 
@@ -701,7 +702,7 @@ def test_maurer_cartan_matches_the_fraction_table_term_by_term():
     table, inserted in the row-major order of the pairs (j, k)."""
     for kind, indices in sweep_tuples():
         model = get_model(kind, indices)
-        table = structure_table(model.structure)
+        table = structure_table(model)
         des = maurer_cartan(model)
         assert len(des) == model.n
         for i, de in enumerate(des):
@@ -711,12 +712,14 @@ def test_maurer_cartan_matches_the_fraction_table_term_by_term():
 
 
 def test_classification_never_builds_the_fraction_table():
-    """The integer rows are the structure's only form: a fresh model has no
-    ``Fraction`` table after classification, and equals the cached one."""
+    """The three-form is the structure's only form: a fresh model holds
+    integer triples and norms after classification, and equals the cached
+    one."""
     model = q_model.__wrapped__(2, 1, 1)  # a fresh model, not the cached one
     assert not classify_invariant_g2(model)
-    assert not hasattr(model.structure, "table")
-    assert model.structure == q_model(2, 1, 1).structure
+    assert all(len(t) == 4 and all(type(v) is int for v in t) for t in model.structure)
+    assert all(type(v) is int for v in model.norms)
+    assert model == q_model(2, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +855,7 @@ def weights_reference(model, cartan):
             return table.get((a, i), {}).get(j, 0)
         return -table.get((i, a), {}).get(j, 0)
 
-    table = structure_table(model.structure)
+    table = structure_table(model)
 
     return tuple(
         tuple(sum(xa * c(a, i, j) for a, xa in x.items()) for x in cartan)
@@ -913,7 +916,7 @@ def unit_basis(n):
 
 
 def matrix_path(basis):
-    """Tensor and norms of a basis of (D, S) matrices by the matrix path:
+    """Three-form and norms of a basis of (D, S) matrices by the matrix path:
     ``_build_structure``'s three-form changed to the basis itself."""
     triples, norms = _build_structure(basis)
     return _change_of_basis(triples, norms, tuple((d, {i: 1}) for i, (d, _) in enumerate(basis)))
@@ -921,12 +924,14 @@ def matrix_path(basis):
 
 @functools.lru_cache(maxsize=None)
 def g_algebra(kind):
-    """g's structure tensor on its basis g_a and the q-norms N_a, from the
-    Fraction reference build on g's matrices: the table the call-per-bracket
-    oracle reads."""
+    """g's three-form G_abc = c^c_ab N_c on its basis g_a (D = 1) and the
+    q-norms N_a, from the Fraction reference build on g's matrices: what the
+    call-per-bracket oracle reads."""
     table, norms = build_structure_reference(model_matrices(kind, unit_basis(len(_ALGEBRA[kind]))))
     assert all(v.denominator == 1 for v in norms)
-    return structure_from_table(len(norms), table), tuple(v.numerator for v in norms)
+    form = tuple((a, b, c, v * norms[c]) for (a, b), coeffs in table.items() for c, v in coeffs.items() if c > b)
+    assert all(t.denominator == 1 for *_, t in form) and form_table(form, [1] * len(norms), norms) == table
+    return tuple((*key, t.numerator) for *key, t in sorted(form)), tuple(v.numerator for v in norms)
 
 
 @pytest.mark.parametrize("name", ["sweep", "up-to-12"])
@@ -953,12 +958,11 @@ def test_each_packed_key_decodes_to_the_placed_position(name):
 def test_integer_build_matches_the_fraction_build(name):
     for kind, indices in TUPLE_SETS[name]:
         basis = matrix_basis(kind, indices)
-        structure, norms = matrix_path(basis)
+        form, norms = matrix_path(basis)
         want_table, want_norms = build_structure_reference(basis)
-        assert structure == structure_from_table(len(basis), want_table), (kind, indices)
-        assert repr(structure_table(structure)) == repr(want_table), (kind, indices)
+        assert repr(form_table(form, [d for d, _ in basis], norms)) == repr(want_table), (kind, indices)
         assert q_norms(norms, basis) == want_norms
-        assert _check_jacobi(structure) is None
+        assert _check_jacobi(form, norms) is None
 
 
 # bases taken at their indices as given, not normalized, and the inputs of
@@ -975,7 +979,7 @@ def cartan_reference(model):
 
 @pytest.mark.parametrize("name", [*TUPLE_SETS, "negative"])
 def test_the_change_of_basis_matches_the_matrix_build(name):
-    """A model's tensor, q-norms and weights are those of the matrix path,
+    """A model's three-form, q-norms and weights are those of the matrix path,
     ``_build_structure`` on the matrices assembled from its basis over g."""
     for kind, indices in TUPLE_SETS.get(name, NEGATIVE):
         model = get_model(kind, indices)
@@ -990,15 +994,17 @@ def test_the_change_of_basis_matches_the_matrix_build(name):
 
 @pytest.mark.parametrize("kind,i", [("Q", 0), ("Q", 6), ("M", 4), ("M", 10)])
 def test_a_basis_element_over_a_doubled_denominator_gives_the_same_model(kind, i):
-    """X = S / D = 2S / 2D: its integer norm N = q(S, S) quadruples and
-    q(X, X) = N / D^2 stays, so the tensor, the q-norms, the isotropy
-    checks (which compare norms over different D) and the weights stay."""
+    """X = S / D = 2S / 2D: its integer norm N = q(S, S) quadruples, the
+    triples that hold i double, and q(X, X) = N / D^2 stays, so the
+    constants, the q-norms, the isotropy checks and the weights stay."""
     model = get_model(kind, (1,) * len(model_spec(kind).index_names))
     d, p = model.basis[i]
     basis = tuple((2 * d, {a: 2 * c for a, c in p.items()}) if j == i else x for j, x in enumerate(model.basis))
     twin = _model(kind, model.indices, basis)
     assert twin.norms[i] == 4 * model.norms[i]
-    assert twin.structure == model.structure
+    assert twin.structure == tuple((p, q, r, 2 * t if i in (p, q, r) else t) for p, q, r, t in model.structure)
+    assert structure_table(twin) == structure_table(model)
+    assert maurer_cartan(twin) == maurer_cartan(model)
     assert q_norms(twin.norms, twin.basis) == q_norms(model.norms, model.basis)
     assert isotropy_weights(twin) == isotropy_weights(model)
 
@@ -1111,7 +1117,7 @@ def integer_bases(draw):
 @given(integer_bases())
 def test_the_pulled_back_build_is_the_call_per_bracket_build(case):
     """On any integer basis over g the pullback of g's three-form gives the
-    tensor and norms, or the first error, of the build with a bracket and a
+    three-form and norms, or the first error, of the build with a bracket and a
     projection call per pair; the grids are held to it by
     ``test_the_one_pass_build_and_classification_match_the_calls_they_replace``."""
     kind, basis = case
@@ -1124,7 +1130,7 @@ def test_a_fresh_sweep_builds_each_kinds_algebra_once():
     """Every model of a kind is a pullback of one three-form: a fresh
     61-model sweep runs the matrix path twice, on g's 9 and 11 elements,
     which make su(2)^3's 3 and su(3) + su(2)'s 10 nonzero sorted triples,
-    and checks the Jacobi identity on those two tables and on no model's.
+    and checks the Jacobi identity on those two forms and on no model's.
     The builds and classifications make no ``Fraction``; the Maurer-Cartan
     forms after them do, so the count is seen to work."""
     child = (
@@ -1138,7 +1144,7 @@ def test_a_fresh_sweep_builds_each_kinds_algebra_once():
         "    return triples, norms\n"
         "h._build_structure = build\n"
         "jacobi, checked = h._check_jacobi, []\n"
-        "h._check_jacobi = lambda structure: checked.append(structure.n) or jacobi(structure)\n"
+        "h._check_jacobi = lambda form, norms: checked.append(len(norms)) or jacobi(form, norms)\n"
         "new, made = fractions.Fraction.__new__, []\n"
         "def counted(cls, *args, **kwargs):\n"
         "    made.append(1)\n"
@@ -1159,35 +1165,34 @@ def test_a_fresh_sweep_builds_each_kinds_algebra_once():
 
 
 @pytest.mark.parametrize(
-    "kind,triple,was,cells",
-    [("M", (0, 1, 6), (1, -3, 3), (-1, -3, 3)), ("Q", (0, 1, 5), None, (2, 0, 0))],
+    "kind,triple,was,t",
+    [("M", (0, 1, 6), 6, -6), ("Q", (0, 1, 5), None, 2)],
     ids=["m-sign", "q-other-block"],
 )
-def test_a_tampered_algebra_table_fails_the_jacobi_check(kind, triple, was, cells, monkeypatch):
-    """The Jacobi identity is checked where g's table is made: one triple's
-    cells of g edited after the matrix path's change of basis (M: c^6_01's
-    sign flipped; Q: a term c^5_01 on another su(2), since a flipped sign in
-    su(2)^3 keeps the identity) makes ``_algebra`` raise."""
-    real, seen = homogeneous._change_of_basis, []
+def test_a_tampered_algebra_table_fails_the_jacobi_check(kind, triple, was, t, monkeypatch):
+    """The Jacobi identity is checked where g's three-form is made: one
+    triple of G edited before the matrix path's Jacobi check (M: G_016's
+    sign flipped; Q: a triple G_015 across two su(2), since a flipped sign
+    in su(2)^3 keeps the identity) makes ``_algebra`` raise."""
+    real, seen = homogeneous._check_jacobi, []
 
-    def tampered(*args):
-        structure, norms = real(*args)
-        triples = {tuple(t[:3]): t[3:] for t in structure.triples}
-        assert triples.get(triple) == was
-        triples[triple] = cells
-        seen.append(StructureTensor(structure.n, structure.scale, tuple((*k, *v) for k, v in sorted(triples.items()))))
-        return seen[-1], norms
+    def tampered(form, norms):
+        edited = {key[:3]: key[3] for key in form}
+        assert edited.get(triple) == was
+        edited[triple] = t
+        seen.append((tuple((*key, v) for key, v in sorted(edited.items())), norms))
+        return real(*seen[-1])
 
     _algebra.cache_clear()
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(homogeneous, "_change_of_basis", tampered)
+            patch.setattr(homogeneous, "_check_jacobi", tampered)
             with pytest.raises(ModelError, match="Jacobi identity failed"):
                 _algebra(kind)
     finally:
         _algebra.cache_clear()
-    assert len(seen) == 1 and not jacobi_per_triple(seen[0])
-    assert jacobi_per_triple(_change_of_basis(*_algebra(kind), unit_basis(len(_ALGEBRA[kind])))[0])
+    assert len(seen) == 1 and not jacobi_per_triple(*seen[0])
+    assert jacobi_per_triple(*_algebra(kind))
 
 
 @pytest.mark.parametrize("kind,pair,extra", [("Q", (0, 1), 3), ("M", (0, 1), 8)], ids=["q", "m"])
@@ -1494,15 +1499,16 @@ def test_integer_weights_and_verdicts_match_the_fraction_table(name):
 
 @pytest.mark.parametrize(
     "edits",
-    [{(0, 1): {6: Fraction(-2, 3)}}, {(0, 1): {2: Fraction(1, 7)}}, {(6, 7): {0: Fraction(1)}}],
+    [{(0, 1, 6): -8}, {(0, 1, 2): 4}, {(0, 6, 7): 4}],
     ids=["scaled", "new-entry", "isotropy-entry"],
 )
 def test_jacobi_check_rejects_a_tampered_table(edits):
-    _check_jacobi(q_model(1, 1, 1).structure)
-    tampered = tampered_q111(edits).structure
-    assert not jacobi_holds_reference(tampered.n, structure_table(tampered))
+    model = q_model(1, 1, 1)
+    _check_jacobi(model.structure, model.norms)
+    edited = tampered_q111(edits)
+    assert not jacobi_holds_reference(edited.n, structure_table(edited))
     with pytest.raises(ModelError, match="Jacobi identity failed"):
-        _check_jacobi(tampered)
+        _check_jacobi(edited.structure, edited.norms)
 
 
 @pytest.mark.parametrize(
@@ -1511,71 +1517,59 @@ def test_jacobi_check_rejects_a_tampered_table(edits):
     ids=["Q111", "M11", "Q321", "M53"],
 )
 def test_integer_jacobi_agrees_with_the_fraction_loop_on_random_edits(kind, indices):
-    rng = random.Random(18)
-    model = get_model(kind, indices)
-    keys = sorted(structure_table(model.structure))
-    for _ in range(60):
-        table = structure_table(model.structure)
-        for _ in range(rng.randint(1, 3)):
-            i, j = sorted(rng.sample(range(model.n), 2)) if rng.random() < 0.3 else rng.choice(keys)
-            k = rng.choice([k for k in range(model.n) if k not in (i, j)])  # c^i_ij is no triple's cell
-            table.setdefault((i, j), {})[k] = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-            table = {key: {k: c for k, c in v.items() if c} for key, v in table.items()}
-        table = {key: v for key, v in table.items() if v}
-        structure = structure_from_table(model.n, table)
-        if jacobi_holds_reference(model.n, table):
-            _check_jacobi(structure)
+    """On seeded edits of one to three triples of a model's three-form, the
+    check on t and N (D = 1) agrees with the Fraction loop on the model's
+    constants, which read its D as well."""
+    for edited in form_edits(get_model(kind, indices), random.Random(18), 60):
+        if jacobi_holds_reference(edited.n, structure_table(edited)):
+            _check_jacobi(edited.structure, edited.norms)
         else:
             with pytest.raises(ModelError, match="Jacobi identity failed"):
-                _check_jacobi(structure)
+                _check_jacobi(edited.structure, edited.norms)
 
 
-def jacobi_verdict(structure):
-    """Whether ``_check_jacobi`` accepts the table; it raises only its one message."""
+def jacobi_verdict(form, norms):
+    """Whether ``_check_jacobi`` accepts the three-form; it raises only its one message."""
     try:
-        _check_jacobi(structure)
+        _check_jacobi(form, norms)
     except ModelError as err:
         assert str(err) == "Jacobi identity failed"
         return False
     return True
 
 
-def tripled(structure):
-    """The table with every constant times 3, over the same scale; the
-    Jacobi identity is quadratic, so this keeps it or its failure."""
-    triples = tuple((p, q, r, 3 * a, 3 * b, 3 * c) for p, q, r, a, b, c in structure.triples)
-    return StructureTensor(structure.n, structure.scale, triples)
+def tripled(form):
+    """The three-form times 3; the Jacobi identity is quadratic, so this
+    keeps it or its failure."""
+    return tuple((p, q, r, 3 * t) for p, q, r, t in form)
 
 
-def antisymmetric_edits(structure, rng, count):
-    """``count`` copies of the table, each with one to three brackets
-    [e_i, e_j], i < j, given a new coefficient on a random e_k, k not i or j
-    (sometimes the one it has), the cell of the triple {i, j, k}."""
-    n, rows = structure.n, structure_rows(structure)
-    upper = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j]]
+def form_edits(model, rng, count):
+    """``count`` copies of the model, each with one to three sorted triples
+    of its three-form, new or stored, given a new t (sometimes the one it
+    has)."""
+    stored = {triple[:3]: triple[3] for triple in model.structure}
     for _ in range(count):
-        edited = [list(row) for row in rows]
+        edits = {}
         for _ in range(rng.randint(1, 3)):
-            i, j = sorted(rng.sample(range(n), 2)) if rng.random() < 0.3 else rng.choice(upper)
-            pairs = dict(edited[i][j])
-            k = rng.choice([k for k in range(n) if k not in (i, j)])
-            pairs[k] = pairs.get(k, 0) if rng.random() < 0.2 else rng.randint(-4, 4)
-            edited[i][j] = tuple((k, v) for k, v in pairs.items() if v)
-        yield structure_of_rows(n, structure.scale, edited)
+            key = tuple(sorted(rng.sample(range(model.n), 3))) if rng.random() < 0.3 else rng.choice(list(stored))
+            edits[key] = stored.get(key, 0) if rng.random() < 0.2 else rng.randint(-4, 4)
+        yield tampered(model, edits)
 
 
 def test_the_upper_cell_jacobi_check_agrees_with_the_per_triple_loop():
-    """On every sweep table, on 50 seeded antisymmetric edits of each, and on
-    each of these times 3, ``_check_jacobi`` accepts exactly the tables that
-    the per-triple loop accepts."""
+    """On every sweep three-form, on 50 seeded edits of each, and on each of
+    these times 3, ``_check_jacobi`` accepts exactly the forms that the
+    per-triple loop accepts."""
     rng = random.Random(37)
     verdicts = []
     for kind, indices in TUPLE_SETS["sweep"]:
-        structure = get_model(kind, indices).structure
-        for table in (structure, *antisymmetric_edits(structure, rng, 50)):
-            verdict = jacobi_per_triple(table)
-            assert jacobi_verdict(table) == verdict, (kind, indices)
-            assert jacobi_verdict(tripled(table)) == jacobi_per_triple(tripled(table)) == verdict, (kind, indices)
+        model = get_model(kind, indices)
+        for form in (model.structure, *(edited.structure for edited in form_edits(model, rng, 50))):
+            verdict = jacobi_per_triple(form, model.norms)
+            assert jacobi_verdict(form, model.norms) == verdict, (kind, indices)
+            assert jacobi_verdict(tripled(form), model.norms) == verdict, (kind, indices)
+            assert jacobi_per_triple(tripled(form), model.norms) == verdict, (kind, indices)
             verdicts.append(verdict)
     assert len(verdicts) == 61 * 51
     assert verdicts.count(True) > 61 and verdicts.count(False) > 2_000
@@ -1583,16 +1577,16 @@ def test_the_upper_cell_jacobi_check_agrees_with_the_per_triple_loop():
 
 @pytest.mark.parametrize("name", TUPLE_SETS)
 def test_every_built_table_is_antisymmetric(name):
-    """Each built structure lists distinct sorted triples p < q < r < n in
-    ascending order with three nonzero cells, so c^k_ji = -c^k_ij and the
-    zero c^k_ij of a repeated index hold by storage, which every reader
-    of the triples needs."""
+    """Each built three-form lists distinct sorted triples p < q < r < n in
+    ascending order with a nonzero t, so t_jik = -t_ijk and the zero t of a
+    repeated index hold by storage, which every reader of the triples
+    needs."""
     for kind, indices in TUPLE_SETS[name]:
-        structure = get_model(kind, indices).structure
-        keys = [t[:3] for t in structure.triples]
+        model = get_model(kind, indices)
+        keys = [triple[:3] for triple in model.structure]
         assert keys == sorted(set(keys)), (kind, indices)
-        for p, q, r, *cells in structure.triples:
-            assert 0 <= p < q < r < structure.n and all(cells), (kind, indices, p, q, r)
+        for p, q, r, t in model.structure:
+            assert 0 <= p < q < r < model.n and t, (kind, indices, p, q, r)
 
 
 # ---------------------------------------------------------------------------
@@ -1670,7 +1664,7 @@ def test_the_weight_pattern_agrees_with_the_su2_matcher_on_every_m_model():
 
 def test_the_isotropy_su2_brackets_do_not_depend_on_the_indices():
     def su2_brackets(model):
-        return [bracket_coeffs(model.structure, x, i) for x in (7, 8, 9) for i in range(model.TANGENT)]
+        return [bracket_coeffs(model, x, i) for x in (7, 8, 9) for i in range(model.TANGENT)]
 
     want = su2_brackets(m_model(1, 1))
     assert any(want)
@@ -1684,7 +1678,8 @@ def test_m_weights_on_the_cartan_e10_e11():
 
 
 # ---------------------------------------------------------------------------
-# the stored triples against the n x n table the build wrote before them
+# the constants read off the stored three-form against the integer cells the
+# build wrote before it stored the three-form
 # ---------------------------------------------------------------------------
 
 # every sorted Q triple in 0..12, every M pair in -12..12, and the huge and
@@ -1706,51 +1701,84 @@ def grid_bases(name):
             yield kind, indices, model, basis
 
 
+def cell_constants(cells, scale):
+    """{(i, j): {k: c^k_ij}} for both orders of i, j, from the integer cells
+    (p, q, r, L c^r_pq, L c^q_pr, L c^p_qr) over L = ``scale``."""
+    out = {}
+    for p, q, r, *vs in cells:
+        for (i, j, k), v in zip(((p, q, r), (p, r, q), (q, r, p)), vs):
+            out.setdefault((i, j), {})[k] = Fraction(v, scale)
+            out.setdefault((j, i), {})[k] = Fraction(-v, scale)
+    return out
+
+
 @pytest.mark.parametrize("name", TABLE_GRID)
 def test_the_rows_view_of_the_triples_is_the_table_the_build_wrote(name):
-    """The rows view of the stored triples is the table the cells-and-table
-    writer makes, cell for cell and in the same order of k, over the same
-    reduced scale, with the same norms or the same first error."""
+    """The constants ``_constants`` reads off the stored three-form are, as
+    Fractions, the cells the cells-and-scale writer made over its reduced
+    scale, triple for triple and in the same order, with the same norms or
+    the same first error.  Every isotropy x acts q-skew on them,
+    c^j_xi q(X_j, X_j) = -c^i_xj q(X_i, X_i), the property the build no
+    longer checks."""
     built = 0
     for kind, indices, _, basis in grid_bases(name):
         got = outcome(_change_of_basis, *_algebra(kind), basis)
-        want = outcome(change_of_basis_rows, *_algebra(kind), basis)
-        if got[0] == "ok":
-            (structure, norms), built = got[1], built + 1
-            got = "ok", ((structure.n, structure.scale, structure_rows(structure)), norms)
-        assert got == want and repr(got) == repr(want), (kind, indices)
-    assert built > len(TABLE_GRID[name])
-
-
-@pytest.mark.parametrize("name", TABLE_GRID)
-def test_maurer_cartan_from_the_triples_is_the_forms_of_the_written_table(name):
-    """The forms built from the triples have the masks, values and term
-    insertion order of the forms written from the table, so ``derive``'s
-    output does not depend on which of the two a model stores."""
-    built = 0
-    for kind, indices, model, basis in grid_bases(name):
-        try:
-            structure, _ = _change_of_basis(*_algebra(kind), basis)
-        except ModelError:
+        want = outcome(change_of_basis_cells, *_algebra(kind), basis)
+        if got[0] == "error":
+            assert got == want, (kind, indices)
             continue
-        (n, scale, rows), _ = change_of_basis_rows(*_algebra(kind), basis)
-        forms = maurer_cartan(replace(model, structure=structure))
-        assert [(de.gens, de.dt_index) for de in forms] == [(group_gens(model), n)] * n
-        want = [repr(list(terms.items())) for terms in maurer_cartan_rows(scale, rows)]
-        assert [repr(list(de.terms.items())) for de in forms] == want, (kind, indices)
+        (form, norms), ((n, scale, cells), want_norms) = got[1], want[1]
+        assert norms == want_norms and [t[:3] for t in form] == [c[:3] for c in cells], (kind, indices)
+        lcm, read = _constants([d for d, _ in basis], norms)
+        constants = cell_constants([(*t[:3], *read(*t)) for t in form], lcm)
+        assert constants == cell_constants(cells, scale), (kind, indices)
+        qn = q_norms(norms, basis)
+        for triple in form:
+            for x in triple[:3]:
+                if x >= CosetModel.TANGENT:
+                    i, j = (y for y in triple[:3] if y != x)
+                    assert constants[(x, i)][j] * qn[j] == -constants[(x, j)][i] * qn[i], (kind, indices, triple)
         built += 1
     assert built > len(TABLE_GRID[name])
 
 
 @pytest.mark.parametrize("name", TABLE_GRID)
-def test_ad_on_the_isotropy_algebra_is_read_off_the_rows_view(name):
+def test_maurer_cartan_from_the_triples_is_the_forms_of_the_written_table(name):
+    """The forms built from the three-form have the masks, values and term
+    insertion order of the forms written from the cells-and-scale writer's
+    table, so ``derive``'s output does not depend on which of the two a
+    model stores."""
+    built = 0
+    for kind, indices, model, basis in grid_bases(name):
+        try:
+            form, norms = _change_of_basis(*_algebra(kind), basis)
+        except ModelError:
+            continue
+        (n, scale, cells), _ = change_of_basis_cells(*_algebra(kind), basis)
+        forms = maurer_cartan(replace(model, basis=basis, structure=form, norms=norms))
+        assert [(de.gens, de.dt_index) for de in forms] == [(group_gens(model), n)] * n
+        want = [repr(list(terms.items())) for terms in maurer_cartan_rows(scale, cells_rows(n, cells))]
+        assert [repr(list(de.terms.items())) for de in forms] == want, (kind, indices)
+        built += 1
+    assert built > len(TABLE_GRID[name])
+
+
+def assert_ad_is_read_off_the_rows(model):
     """``_ad`` of each isotropy generator and each Cartan element, summed
-    from the triples, is ad_x on the tangent space read off the rows view."""
+    from the three-form's constants, is ad_x on the tangent space read off
+    the Fraction rows."""
+    elements = [(1, {y: 1}) for y in model.isotropy_indices] + MODEL_SPECS[model.kind].cartan(model)
+    for den, coords in elements:
+        rows, scale = _ad(model, (den, coords))
+        want = ad_all_rows(model, {y: Fraction(w, den) for y, w in coords.items()})
+        assert [{j: Fraction(c, scale) for j, c in row.items()} for row in rows] == want[: model.TANGENT]
+
+
+@pytest.mark.parametrize("name", TABLE_GRID)
+def test_ad_on_the_isotropy_algebra_is_read_off_the_rows_view(name):
+    """``assert_ad_is_read_off_the_rows`` on every model of the grid; the
+    tampered structures of ``test_isotropy_checks_reject_tampered_structure``
+    also hold it, with brackets a model may not have."""
     models = {(kind, get_model(kind, indices).indices) for kind, indices in TABLE_GRID[name]}
     for model in (get_model(kind, indices) for kind, indices in sorted(models)):
-        elements = [(1, {y: 1}) for y in model.isotropy_indices] + MODEL_SPECS[model.kind].cartan(model)
-        for den, coords in elements:
-            rows, scale = _ad(model, (den, coords))
-            want, want_scale = ad_all_rows(model, {y: Fraction(w, den) for y, w in coords.items()})
-            got = [{j: Fraction(c, scale) for j, c in row.items()} for row in rows]
-            assert got == [{j: Fraction(c, want_scale) for j, c in row.items()} for row in want[: model.TANGENT]]
+        assert_ad_is_read_off_the_rows(model)
