@@ -12,6 +12,11 @@ outputs outnumber their inputs.
 from __future__ import annotations
 
 import math
+import sys
+
+# the module's own name under the stepper's old package path, which
+# ``perfbench/test_recorder.py`` still reads
+_impl = sys.modules[__name__]
 
 # Dormand-Prince 5(4) tableau
 C2, C3, C4, C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0

@@ -10,10 +10,11 @@ orthogonality and positivity checks are sums over g's norms, its structure
 the pullback of G, and no model makes a matrix or a bracket; closure and the
 Jacobi identity are g's, checked once per kind.  A model stores the integer
 norms N = q(S, S) and the three-form t_ijk = q([S_i, S_j], S_k) of S = D X,
-as g does, and ``_constants`` alone reads structure constants off them; the
-Cartan elements are integer coordinates over one denominator, and a model's
-only Fractions are its Maurer-Cartan forms.  What the paper states about
-each model is one ``ModelSpec`` record in ``MODEL_SPECS``.
+as g does, and ``_constants`` alone reads structure constants off them.  The
+isotropy Cartan elements are coordinates over g too, and ``_ad`` reads their
+action on the tangent space straight from G; a model's only Fractions are its
+Maurer-Cartan forms.  What the paper states about each model is one
+``ModelSpec`` record in ``MODEL_SPECS``.
 """
 
 from __future__ import annotations
@@ -115,33 +116,8 @@ def _index(coords: Sequence[Sequence[Tuple[int, int]]], norms: Sequence[int]) ->
     return index
 
 
-def _project(
-    xs: Iterable[Iterable[Tuple[int, int]]],
-    index: Sequence[Sequence[Tuple[int, int]]],
-    dens: Sequence[int],
-    weights: Sequence[int],
-) -> List[List[Tuple[int, int]]]:
-    """For each X = sum_a x_a g_a of ``xs``, given by its pairs (a, x_a)
-    over g, the pairs (k, t_k D_k w_k) of its nonzero t_k = q(X, S_k) in
-    ascending k, with the weights w_k = L / N_k for L = lcm(N), from one
-    pass over its products.  It serves ``_isotropy_coords``, which projects
-    onto less than g and so checks each residual itself."""
-    out = []
-    for x in xs:
-        t = [0] * len(dens)
-        for a, c in x:
-            for k, v in index[a]:
-                t[k] += c * v
-        pairs = []
-        for k, tk in enumerate(t):
-            if tk:
-                pairs.append((k, tk * weights[k] * dens[k]))
-        out.append(pairs)
-    return out
-
-
 def _span_weights(norms: Sequence[int]) -> Tuple[List[int], int]:
-    """([L / N_k], L) for the lcm L of the integer norms N_k, as ``_project`` reads them."""
+    """([L / N_k], L) for the lcm L of the integer norms N_k."""
     scale = math.lcm(*norms)
     return [scale // nk for nk in norms], scale
 
@@ -163,8 +139,8 @@ _ALGEBRA = {
     + [(0, _diag(1, 1, -2)), (0, _diag(1, -1)), (1, _real(0, 1)), (1, _imag(0, 1)), (1, _diag(1, -1))],
 }
 
-# an element X = sum_a P_a b_a / D over a basis b_a as the pair (D, {a: P_a}):
-# a model's basis element over g's basis g_a, a Cartan element over the model's
+# an element X = sum_a P_a g_a / D over g's basis g_a as the pair (D, {a: P_a}):
+# a model's basis element or an isotropy Cartan element
 Coordinates = Tuple[int, Dict[int, int]]
 
 
@@ -210,8 +186,8 @@ class CosetModel:
     the three-form of the S, from which ``_constants`` reads c^k_ij.
 
     Indices 0..6 span the tangent space; the rest span the isotropy algebra.
-    The metric q(X,Y) = -tr(XY) is diagonal on the basis (verified at build
-    time), which is what makes exact projection of brackets possible.
+    The metric q(X,Y) = -tr(XY) is diagonal and positive on the basis
+    (verified at build time), so the basis is a q-orthogonal basis of g.
     """
 
     kind: str
@@ -369,6 +345,17 @@ def _algebra(kind: str) -> Tuple[ThreeForm, Tuple[int, ...]]:
     return _build_structure(tuple((1, _place(b, p)) for b, p in _ALGEBRA[kind]))
 
 
+@lru_cache(maxsize=None)
+def _ad_rows(kind: str) -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
+    """The ad rows of a kind's G: row a holds (b, c, G_abc) for every ordered
+    pair b, c of a nonzero G_abc."""
+    rows: List[List[Tuple[int, int, int]]] = [[] for _ in _ALGEBRA[kind]]
+    for a, b, c, t in _algebra(kind)[0]:
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            rows[x] += ((y, z, t), (z, y, -t))
+    return tuple(map(tuple, rows))
+
+
 def _constants(
     dens: Sequence[int], norms: Sequence[int]
 ) -> Tuple[int, Callable[[int, int, int, int], Tuple[int, int, int]]]:
@@ -470,33 +457,46 @@ def get_model(kind: str, indices: Sequence[int]) -> CosetModel:
 
 
 # L ad_x on the tangent space as sparse integer rows for a denominator L:
-# L [x, e_i] = sum_j rows[i][j] e_j for i < TANGENT
+# L [x, e_i] = sum_j rows[i][j] e_j for i, j < TANGENT
 AdRows = List[Dict[int, int]]
 
 
-def _ad(model: CosetModel, x: Coordinates) -> Tuple[AdRows, int]:
-    """(rows, L) for ad_x on the tangent space, x in the isotropy algebra, from
-    the constants of the triples that hold an index y of x, zeros dropped; the
-    weights and the fixed line read nothing else."""
-    den, coords = x
-    tangent = model.TANGENT
-    scale, cells = _constants([d for d, _ in model.basis], model.norms)
-    rows: AdRows = [{} for _ in range(tangent)]
-    for y, w in coords.items():
-        for p, q, r, t in model.structure:
-            if p >= tangent or y not in (q, r):  # y = p >= TANGENT leaves only isotropy
-                continue
-            a, b, c = cells(p, q, r, t)
-            if y == r:  # L c^q_rp, and L c^p_rq for a tangent q
-                rows[p][q] = rows[p].get(q, 0) - w * b
-                if q < tangent:
-                    rows[q][p] = rows[q].get(p, 0) - w * c
-            else:  # L c^r_qp
-                rows[p][r] = rows[p].get(r, 0) - w * a
-    for i, row in enumerate(rows):
-        if 0 in row.values():
-            rows[i] = {j: c for j, c in row.items() if c}
-    return rows, scale * den
+def _ad(model: CosetModel, xs: Sequence[Coordinates]) -> List[Tuple[AdRows, int]]:
+    """(rows, L) of ad_x on the tangent space for each x = S_x / D_x of ``xs``
+    over g, zeros dropped; raises unless x lies in the isotropy algebra.  The
+    model's basis is a q-orthogonal basis of g, so x does exactly when
+    q(S_x, S_i) = 0 for every tangent i.  Then t_xij = q([S_x, S_i], S_j) =
+    sum G_abc x_a P_ib P_jc over the ad rows of x's indices a gives
+    c^j_xi and c^i_xj, cells of the triple (i, j, x) of ``_constants``."""
+    tangent, (_, g_norms), ad = model.TANGENT, _algebra(model.kind), _ad_rows(model.kind)
+    over = _index([tuple(p.items()) for _, p in model.basis[:tangent]], [1] * len(g_norms))  # (i, P_ia)
+    dens = [d for d, _ in model.basis[:tangent]]
+    out = []
+    for dx, x in xs:
+        dots = [0] * tangent  # q(S_x, S_i)
+        for a, c in x.items():
+            for i, p in over[a]:
+                dots[i] += c * p * g_norms[a]
+        if any(dots):
+            raise ModelError("Cartan element is not in the isotropy algebra")
+        t: Dict[int, int] = {}  # t_xij under i * tangent + j, i < j
+        for a, c in x.items():
+            for b, e, g in ad[a]:
+                for i, p in over[b]:
+                    for j, r in over[e]:
+                        if i < j:
+                            t[i * tangent + j] = t.get(i * tangent + j, 0) + c * g * p * r
+        # N_x = q(S_x, S_x) is 0 only for x = 0, which has no t
+        norm = sum(c * c * g_norms[a] for a, c in x.items()) or 1
+        scale, cells = _constants([*dens, dx], [*model.norms[:tangent], norm])
+        rows: AdRows = [{} for _ in range(tangent)]
+        for key, v in t.items():
+            if v:
+                i, j = divmod(key, tangent)
+                _, b, c = cells(i, j, tangent, v)  # L c^j_ix = -L c^j_xi, L c^i_jx = -L c^i_xj
+                rows[i][j], rows[j][i] = -b, -c
+        out.append((rows, scale))
+    return out
 
 
 def _check_isotropy_action(model: CosetModel) -> None:
@@ -674,40 +674,10 @@ def _plane_speed(model: CosetModel, rows: AdRows, plane: Tuple[int, int]) -> int
     return cji
 
 
-def _isotropy_coords(model: CosetModel, elements: Sequence[Coordinates]) -> List[Coordinates]:
-    """Integer coordinates of each element over g on the (q-orthogonal)
-    isotropy generators, over one denominator each, from one projection of
-    them all; raises unless each lies in their span.  That span is not all
-    of g, so each residual L X - sum_k t_k w_k S_k over the g_a is checked,
-    with t_k w_k = v / D_k for each pair (k, v)."""
-    dens, coords = zip(*((d, tuple(p.items())) for d, p in model.basis[model.TANGENT :]))
-    weights, scale = _span_weights(model.norms[model.TANGENT :])
-    projected = _project([p.items() for _, p in elements], _index(coords, _algebra(model.kind)[1]), dens, weights)
-    out = []
-    for (dx, p), pairs in zip(elements, projected):
-        residual = {a: scale * c for a, c in p.items()}
-        for k, v in pairs:
-            w = v // dens[k]
-            for a, c in coords[k]:
-                residual[a] = residual.get(a, 0) - w * c
-        if any(residual.values()):
-            raise ModelError("Cartan element is not in the isotropy algebra")
-        # S / D_x = sum_k t_k S_k / (D_x N_k) and S_k = D_k X_k, so X_k's
-        # coordinate is t_k D_k w_k / (D_x L)
-        out.append((dx * scale, {model.TANGENT + k: v for k, v in pairs}))
-    return out
-
-
-def _q_cartan(model: CosetModel) -> List[Coordinates]:
-    """The Cartan of U(1)^2 in Q(k,l,m): (x, y, z) sigma_3 on the three
-    blocks, (x, y, z) over the HNF basis of k x + l y + m z = 0."""
-    kernel = _kernel_basis_1x3(*model.indices)
-    return _isotropy_coords(model, [(2, {2: x, 5: y, 8: z}) for x, y, z in kernel])
-
-
 def isotropy_weights(model: CosetModel) -> Tuple[Tuple[int, ...], ...]:
-    """Integer weight vectors of the isotropy Cartan, one per invariant tangent 2-plane."""
-    cartan = [_ad(model, x) for x in MODEL_SPECS[model.kind].cartan(model)]
+    """Integer weight vectors of the isotropy Cartan, one per invariant
+    tangent 2-plane, from ``_ad`` of the spec's Cartan elements over g."""
+    cartan = _ad(model, MODEL_SPECS[model.kind].cartan(model))
     weights = []
     for plane in model.PLANES:
         vec = []
@@ -782,7 +752,7 @@ class ModelSpec:
     catalog: Tuple[CatalogRow, ...]  # the singular orbits
     affine: Tuple[Tuple[str, Fraction, int], ...]  # closed form: (x, m_x, p_x) per affine square
     factor: Fraction  # closed form: the factor k of A
-    cartan: Callable[[CosetModel], List[Coordinates]]  # the isotropy Cartan elements, (D, {index: P}) each
+    cartan: Callable[[CosetModel], List[Coordinates]]  # the isotropy Cartan elements over g
     circle_period: Fraction  # of the vertical circle, in multiples of pi
     circle_lattice: Tuple[Fraction, ...]  # generates its parameters in the isotropy group
     cone_label: str  # the vertical coefficient's cone quantity
@@ -821,7 +791,10 @@ MODEL_SPECS: Dict[str, ModelSpec] = {
                 CatalogRow("SU(2)^3", "not a sphere quotient", "point", note=_NO_SPACE),
             ),
             affine=(("a", Fraction(-1, 3), 1), ("b", Fraction(-1, 3), 1), ("c", Fraction(-1, 3), 1)),
-            factor=Fraction(-6), cartan=_q_cartan, cone_label="|f|/t",
+            factor=Fraction(-6), cone_label="|f|/t",
+            # (x, y, z) sigma_3 on the three blocks for (x, y, z) over the HNF
+            # basis of k x + l y + m z = 0: the Cartan of U(1)^2 in Q(k,l,m)
+            cartan=lambda model: [(2, {2: x, 5: y, 8: z}) for x, y, z in _kernel_basis_1x3(*model.indices)],
             # exp(theta e7), (1, 1, 1) on the three sigma_3, has period 4 pi; the
             # isotropy torus is spanned by (1, -1, 0) and (1, 1, -2)
             circle_period=Fraction(4),
@@ -843,7 +816,7 @@ MODEL_SPECS: Dict[str, ModelSpec] = {
             ),
             affine=(("a", Fraction(3, 4), 2), ("b", Fraction(1, 2), 1)),
             factor=Fraction(16), cone_label="c/t",
-            cartan=lambda model: [(1, {9: 1}), (1, {10: 1})],  # e10, e11: su(2) + u(1)
+            cartan=lambda model: list(model.basis[9:]),  # e10, e11: su(2) + u(1)
             # the central generator (the displayed one, half of e7) has period
             # 4 pi and lies in SU(2) x U(1) at the multiples of pi and 3 pi / 2
             circle_period=Fraction(4), circle_lattice=(Fraction(1), Fraction(3, 2)),

@@ -85,8 +85,15 @@ class IntegratorConfig:
     eps: Optional[float] = None  # series-start offset; default 1e-6 * min value
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
+        # each test fails on NaN; t_end < 0 integrates backward
+        if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
+        if not math.isfinite(self.t_end):
+            raise ValueError("t_end must be finite")
+        if not 0 <= self.initial_step < math.inf:
+            raise ValueError("initial_step must be finite and >= 0")
+        if self.eps is not None and not 0 < self.eps < math.inf:
+            raise ValueError("eps must be finite and > 0")
 
 
 # ---------------------------------------------------------------------------

@@ -779,7 +779,7 @@ print(json.dumps([code, loaded, "numpy" in sys.modules]))
 #: what importing the CLI and each command load besides ``holoflow``
 CLI_MODULES = ["_record", "cli", "errors", "homogeneous"]
 FLOW_MODULES = CLI_MODULES + ["algebra", "flow", "structures"]
-SOLVE_MODULES = FLOW_MODULES + ["_kernel", "_kernel._stepper_py", "integrate"]
+SOLVE_MODULES = FLOW_MODULES + ["_kernel", "integrate"]
 VERIFY_MODULES = SOLVE_MODULES + ["closed_form", "verify"]
 GOLDEN_TRAJ = str(GOLDEN / "traj_m_cp2.csv")
 COMMAND_MODULES = [

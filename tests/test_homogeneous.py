@@ -33,17 +33,13 @@ from holoflow.homogeneous import (
     _check_jacobi,
     _constants,
     _hnf_rows,
-    _index,
-    _isotropy_coords,
     _kernel_basis_1x3,
     _m_basis,
     _model,
     _plane_speed,
-    _project,
     _pullback,
     _q,
     _q_basis,
-    _span_weights,
     classify_invariant_g2,
     get_model,
     group_gens,
@@ -196,38 +192,66 @@ def test_the_structure_constants_of_a_cached_model_cannot_be_changed():
     assert classify_invariant_g2(q_model(1, 1, 1))
 
 
+def permuted(model, order):
+    """``model`` on its basis elements in the given order, with the
+    three-form and norms of that basis: a consistent model whose planes need
+    not be the Cartan's."""
+    basis = tuple(model.basis[i] for i in order)
+    structure, norms = _change_of_basis(*_algebra(model.kind), basis)
+    return replace(model, basis=basis, structure=structure, norms=norms)
+
+
+def swapped_q111(i, j):
+    """Q(1,1,1) with its tangent elements i and j swapped."""
+    order = list(range(9))
+    order[i], order[j] = j, i
+    return permuted(q_model(1, 1, 1), order)
+
+
 # Q(1,1,1) has q-norms 1/2 on e1..e6 and the sorted triples (0, 1, k) and
 # (2, 3, k) for k = 6, 7, 8, (4, 5, 6) and (4, 5, 8); the Cartan element read
-# on the plane (e1, e2) first is (e8 + e9) / 2, of speed -1 there.  A three-form is
-# q-skew, so c^6_x0 != 0 comes with c^0_x6 != 0, and [e7, e8] with a part
-# on e1 fails first as a leak from the plane (e1, e2).
+# on the plane (e1, e2) first is (g2 - g8) / 2 = (e8 + e9) / 2, of speed -1
+# there.  The isotropy checks of the build read the three-form, and are
+# tripped by edits of it; the weights read G and the basis, and are tripped
+# by the norms they read, by a basis whose planes the Cartan does not keep
+# (e3 or e7 in e2's place, and ad_x e1 leaks out of the plane (e1, e2)), or
+# by an expected fixed line put in a plane.  ad_x is q-skew, so on the real
+# planes a moved fixed line is seen first as a leak from the plane it moves
+# into.
 @pytest.mark.parametrize(
-    "edits,norms,check,message",
+    "how,what,check,message",
     [
-        ({(0, 2, 7): 4}, None, _check_isotropy_action, "does not preserve the modules"),
-        ({(0, 7, 8): 4}, None, _check_isotropy_action, "leaves the tangent space"),
-        ({}, (4, 2, 2, 2, 2, 2, 6, 4, 12), isotropy_weights, "not skew on an invariant plane"),
-        ({(0, 2, 7): 4}, None, isotropy_weights, "leaves an invariant plane"),
-        ({(0, 6, 7): 4}, None, isotropy_weights, "leaves an invariant plane"),
-        ({(6, 7, 8): 4}, None, isotropy_weights, "expected fixed line is not fixed"),
-        ({}, (4, 4, 2, 2, 2, 2, 6, 4, 12), isotropy_weights, "non-integer weight"),
+        ("form", {(0, 2, 7): 4}, _check_isotropy_action, "does not preserve the modules"),
+        ("form", {(0, 7, 8): 4}, _check_isotropy_action, "leaves the tangent space"),
+        ("norms", (4, 2, 2, 2, 2, 2, 6, 4, 12), isotropy_weights, "not skew on an invariant plane"),
+        ("swap", (1, 2), isotropy_weights, "leaves an invariant plane"),
+        ("swap", (1, 6), isotropy_weights, "leaves an invariant plane"),
+        ("fixed", (0,), isotropy_weights, "expected fixed line is not fixed"),
+        ("norms", (4, 4, 2, 2, 2, 2, 6, 4, 12), isotropy_weights, "non-integer weight"),
     ],
     ids=["modules", "tangent", "plane-skew", "plane-leak", "fixed-line", "fixed-line-isotropy", "weight"],
 )
-def test_isotropy_checks_reject_tampered_structure(edits, norms, check, message):
+def test_isotropy_checks_reject_tampered_structure(how, what, check, message, monkeypatch):
     check(q_model(1, 1, 1))
-    model = tampered_q111(edits, norms)
+    if how == "fixed":
+        monkeypatch.setattr(CosetModel, "FIXED", what)
+        model = q_model(1, 1, 1)
+    elif how == "swap":
+        model = swapped_q111(*what)
+    else:
+        model = tampered_q111(what) if how == "form" else tampered_q111({}, what)
     with pytest.raises(ModelError, match=re.escape(message)):
         check(model)
-    assert_ad_is_read_off_the_rows(model)
     # the weights read on the Fraction Cartan coordinates, with every row of
     # ad_x, fail first at the same check
     if check is isotropy_weights:
+        assert_ad_is_read_off_the_rows(model)
         with pytest.raises(ModelError, match=re.escape(message)):
             weights_by_fraction_cartan(model)
-        # a t edit moves e7 where the fixed-line check would see it, or not
-        moved = any(_ad(model, x)[0][6] for x in MODEL_SPECS["Q"].cartan(model))
-        assert moved == (6 in {i for key in edits for i in key})
+        # the Cartan moves the expected fixed line where the fixed-line check
+        # would see it, or not
+        moved = any(rows[i] for rows, _ in _ad(model, MODEL_SPECS["Q"].cartan(model)) for i in model.FIXED)
+        assert moved == (how == "fixed" or (how, what) == ("swap", (1, 6)))
 
 
 @pytest.mark.parametrize("kind,indices", [("Q", (1, 1, 1)), ("M", (1, 1)), ("Q", (3, 2, 1)), ("M", (5, 3))])
@@ -420,7 +444,7 @@ def test_m11_su2_irreducible_on_v1_trivial_elsewhere():
     for x in (7, 8, 9):
         for i in (4, 5, 6):
             assert not bracket_coeffs(model, x, i)
-    assert su2_commutant_dim([_ad(model, (1, {x: 1}))[0] for x in (7, 8, 9)]) == 4
+    assert su2_commutant_dim([rows for rows, _ in _ad(model, model.basis[7:10])]) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -1075,8 +1099,8 @@ def test_the_one_pass_build_and_classification_match_the_calls_they_replace(name
         with monkeypatch.context() as patch:
             patch.setattr(homogeneous, "isotropy_weights", weights_by_fraction_cartan)
             assert classify_invariant_g2(model) == verdict, (kind, indices)
-        coords = MODEL_SPECS[kind].cartan(model)
-        assert as_fractions(coords) == fraction_cartan(model)
+        cartan = _ad(model, MODEL_SPECS[kind].cartan(model))
+        assert list(map(ad_fractions, cartan)) == [ad_all_rows(model, x)[: model.TANGENT] for x in fraction_cartan(model)]
 
 
 def orthogonalized(vectors, norms):
@@ -1223,21 +1247,6 @@ def test_a_tampered_three_form_fails_the_antisymmetry_check(kind, pair, extra, m
     assert len(_algebra(kind)[0]) == {"Q": 3, "M": 10}[kind]  # the real matrices pass
 
 
-def coordinate_projector(kind, basis):
-    """``_project`` onto the S_k of a basis over g, with their index and
-    weights built once, as {k: t_k} for a sparse X over g: with every D_k
-    taken as 1 its pairs are (k, t_k w_k).  It checks no residual,
-    so X need not lie in their span."""
-    weights, _ = _span_weights([gq_reference(s, s) for _, s in model_matrices(kind, basis)])
-    index = _index([tuple(p.items()) for _, p in basis], _algebra(kind)[1])
-
-    def project(x):
-        (got,) = _project([x.items()], index, [1] * len(basis), weights)
-        return {k: v // weights[k] for k, v in got}
-
-    return project
-
-
 @functools.lru_cache(maxsize=None)
 def algebra_matrices(kind):
     """The matrices of g's basis, assembled from unit coordinates."""
@@ -1248,10 +1257,10 @@ def algebra_matrices(kind):
 def test_the_pulled_back_three_form_is_the_matrix_bracket_product(name):
     """What the build reads of each bracket: ``_pullback`` of g's three-form
     gives t_ijk = q([S_i, S_j], S_k) of the matrices for every i < j < k,
-    under the key (i n + j) n + k, and no other nonzero key.  ``_project``
-    serves only ``_isotropy_coords``, held here on the same grids: each
-    isotropy element X_k over g has the coordinate 1 on itself alone, and a
-    tangent one is not in their span."""
+    under the key (i n + j) n + k, and no other nonzero key.  ``_ad`` reads
+    the same G, held here on the same grids: every isotropy element over g
+    lies in the isotropy algebra, some of them move the tangent space and a
+    tangent one is rejected."""
     for kind, indices in TUPLE_SETS[name]:
         basis = BASES[kind](*indices)
         mats = [s for _, s in model_matrices(kind, basis)]
@@ -1264,12 +1273,10 @@ def test_the_pulled_back_three_form_is_the_matrix_bracket_product(name):
                 want[(i * n + j) * n + k] = gq_reference(br, mats[k])
         assert {key: v for key, v in t.items() if v} == {key: v for key, v in want.items() if v}, (kind, indices)
         model = get_model(kind, indices)
-        isotropy = model.basis[model.TANGENT :]
-        _, scale = _span_weights(model.norms[model.TANGENT :])
-        got = _isotropy_coords(model, isotropy)
-        assert got == [(d * scale, {model.TANGENT + k: d * scale}) for k, (d, _) in enumerate(isotropy)]
+        got = _ad(model, model.basis[model.TANGENT :])
+        assert len(got) == model.n - model.TANGENT and any(any(rows) for rows, _ in got)
         with pytest.raises(ModelError, match="Cartan element is not in the isotropy algebra"):
-            _isotropy_coords(model, model.basis[:1])
+            _ad(model, model.basis[:1])
 
 
 def test_one_pass_projection_rejects_a_non_real_product():
@@ -1304,7 +1311,7 @@ def sweep_basis_elements(draw):
     part's span or out of it.  Over g's real basis every product is real."""
     kind, indices = draw(st.sampled_from(TUPLE_SETS["sweep"]))
     part = draw(st.sampled_from(sorted(PARTS)))
-    basis, _ = sweep_projector(kind, indices, part)
+    basis = get_model(kind, indices).basis[PARTS[part]]
     x = {}
     mode = draw(st.sampled_from(["span", "span+entries", "entries"]))
     if mode != "entries":
@@ -1318,38 +1325,32 @@ def sweep_basis_elements(draw):
     return kind, indices, part, {a: v for a, v in x.items() if v}
 
 
-@functools.lru_cache(maxsize=None)
-def sweep_projector(kind, indices, part):
-    """A part of a sweep basis over g and ``coordinate_projector`` of it."""
-    basis = get_model(kind, indices).basis[PARTS[part]]
-    return basis, coordinate_projector(kind, basis)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(sweep_basis_elements())
-def test_the_sparse_projection_is_the_per_k_products_or_the_parents_error(case):
-    """The projection gives X's products, in the part's span or not.  Every
-    X lies in the span of a whole basis, the fact that lets the build skip
-    the residual; on the isotropy part ``_isotropy_coords`` checks the
-    residual and raises its error where X is out of the span."""
+def test_ad_accepts_an_element_over_g_iff_it_lies_in_the_isotropy_span(case):
+    """Every X over g lies in the span of a whole basis, the fact that lets
+    the build skip the closure residual, and in the span of a part exactly
+    where its products with the rest of the basis vanish: the test ``_ad``
+    makes of a Cartan element.  On the isotropy part ``_ad`` gives ad_x read
+    off the Fraction rows where X is in the span and raises its error where
+    it is not."""
     kind, indices, part, x = case
-    basis, project = sweep_projector(kind, indices, part)
+    model = get_model(kind, indices)
+    mats = [s for _, s in model_matrices(kind, model.basis)]
+    inside = range(model.n)[PARTS[part]]
     ((_, matrix),) = model_matrices(kind, [(1, x)])
-    t, in_span = in_span_reference(matrix, [s for _, s in model_matrices(kind, basis)])
-    got = project(x)
-    assert got == {k: tk for k, tk in enumerate(t) if tk}
-    assert list(got) == sorted(got)
+    t, in_span = in_span_reference(matrix, [mats[k] for k in inside])
+    assert in_span == (not any(gq_reference(matrix, s) for k, s in enumerate(mats) if k not in inside))
     if part == "all":
         assert in_span
     if part == "isotropy":
-        model = get_model(kind, indices)
         if in_span:
-            weights, scale = _span_weights(model.norms[7:])
-            want = {7 + k: tk * weights[k] * model.basis[7 + k][0] for k, tk in got.items()}
-            assert _isotropy_coords(model, [(1, x)]) == [(scale, want)]
+            coords = {7 + k: Fraction(tk * model.basis[7 + k][0], model.norms[7 + k]) for k, tk in enumerate(t) if tk}
+            (ad,) = _ad(model, [(1, x)])
+            assert ad_fractions(ad) == ad_all_rows(model, coords)[: model.TANGENT]
         else:
             with pytest.raises(ModelError, match="Cartan element is not in the isotropy algebra"):
-                _isotropy_coords(model, [(1, x)])
+                _ad(model, [(1, x)])
 
 
 def kernel_basis_reference(k, l, m):
@@ -1440,53 +1441,52 @@ def test_the_in_place_hnf_is_the_pairwise_hnf(rows):
     assert rank3(rows) == sum(map(any, got)) and not any(map(any, got[rank3(rows):]))
 
 
-def cartan_candidates(indices):
-    """Elements (D, {a: P_a}) of the Q Cartan over g: the kernel basis of
-    k x + l y + m z = 0 at two scales and one integer combination, all in
-    the isotropy algebra, and two elements outside it."""
-    kernel = _kernel_basis_1x3(*indices)
-    combo = tuple(3 * u - 2 * v for u, v in zip(*kernel))
-    inside = [(d, w) for w in (*kernel, combo) for d in (2, 6)]
-    outside = [(2, (1, 0, 0)), (5, tuple(indices))]
-    return [
-        ((d, {2: x, 5: y, 8: z}), member)
-        for group, member in ((inside, True), (outside, False))
-        for d, (x, y, z) in group
-    ]
+def combined(*terms):
+    """sum c X over the product of the denominators, for the terms
+    (c, (D, {a: P_a})) of elements over g."""
+    den, x = math.prod(d for _, (d, _) in terms), {}
+    for c, (d, p) in terms:
+        for a, v in p.items():
+            x[a] = x.get(a, 0) + c * v * (den // d)
+    return den, x
 
 
-def as_fractions(elements):
-    """Integer coordinates (den, {k: c}), each c and den an int, as the
-    ``Fraction`` coordinates {k: c / den} they stand for."""
-    out = []
-    for den, coords in elements:
-        assert type(den) is int and all(type(c) is int for c in coords.values())
-        out.append({k: Fraction(c, den) for k, c in coords.items()})
-    return out
+def cartan_candidates(model):
+    """Elements (D, {a: P_a}) over g: the spec's two Cartan elements and one
+    integer combination, each at two scales, all in the isotropy algebra; a
+    tangent generator, an isotropy generator plus a tangent one and, for Q,
+    two more elements outside it."""
+    u, v = MODEL_SPECS[model.kind].cartan(model)
+    inside = [(d * s, p) for d, p in (u, v, combined((3, u), (-2, v))) for s in (1, 3)]
+    outside = [model.basis[0], combined((1, model.basis[7]), (1, model.basis[0]))]
+    if model.kind == "Q":
+        outside += [(2, {2: 1, 5: 0, 8: 0}), (5, dict(zip((2, 5, 8), model.indices)))]
+    return [(x, True) for x in inside] + [(x, False) for x in outside]
 
 
 @pytest.mark.parametrize("name", TUPLE_SETS)
 def test_integer_cartan_coordinates_match_the_fraction_residual(name):
+    """``_ad`` takes an element over g where the Fraction residual on the
+    matrices puts it in the isotropy algebra, with ad_x read off the Fraction
+    rows at the residual's coordinates, and raises the residual's message
+    where it is not: alone and after an element that is."""
     for kind, indices in TUPLE_SETS[name]:
-        if kind != "Q":
-            continue
-        model = q_model(*indices)
+        model = get_model(kind, indices)
         inside, wants = [], []
-        for element, member in cartan_candidates(model.indices):
+        for element, member in cartan_candidates(model):
             if member:
-                want = isotropy_coords_reference(model, element)
-                assert repr(as_fractions(_isotropy_coords(model, [element]))) == repr([want])
+                want = ad_all_rows(model, isotropy_coords_reference(model, element))[: model.TANGENT]
+                assert list(map(ad_fractions, _ad(model, [element]))) == [want]
                 inside.append(element)
                 wants.append(want)
             else:
                 with pytest.raises(ModelError, match="not in the isotropy algebra"):
                     isotropy_coords_reference(model, element)
-                # alone, and after an element that lies in the algebra
                 for elements in ([element], [inside[0], element]):
-                    with pytest.raises(ModelError, match="not in the isotropy algebra"):
-                        _isotropy_coords(model, elements)
-        # one call projects every element with the data built once
-        assert repr(as_fractions(_isotropy_coords(model, inside))) == repr(wants)
+                    with pytest.raises(ModelError, match="^Cartan element is not in the isotropy algebra$"):
+                        _ad(model, elements)
+        # one call reads every element with the tangent index built once
+        assert list(map(ad_fractions, _ad(model, inside))) == wants
 
 
 @pytest.mark.parametrize("name", TUPLE_SETS)
@@ -1640,12 +1640,12 @@ def matches_u2_weights(model):
     V2 + V3, and u(1) weight magnitudes in the ratio (mu, mu, 2 mu) with
     mu != 0 across (V1-plane, V1-plane, V2).
     """
-    su2 = [_ad(model, (1, {x: 1}))[0] for x in (7, 8, 9)]
+    *su2, (u1, _) = _ad(model, model.basis[7:])
+    su2 = [rows for rows, _ in su2]
     if any(rows[i] for rows in su2 for i in (4, 5, 6)):
         return False
     if su2_commutant_dim(su2) != 4:
         return False
-    u1, _ = _ad(model, (1, {10: 1}))
     s1 = abs(_plane_speed(model, u1, (0, 1)))
     s2 = abs(_plane_speed(model, u1, (2, 3)))
     s3 = abs(_plane_speed(model, u1, (4, 5)))
@@ -1763,22 +1763,34 @@ def test_maurer_cartan_from_the_triples_is_the_forms_of_the_written_table(name):
     assert built > len(TABLE_GRID[name])
 
 
+def ad_fractions(ad):
+    """``_ad``'s (rows, L) of one element as rows of ``Fraction`` c^j_xi."""
+    rows, scale = ad
+    return [{j: Fraction(c, scale) for j, c in row.items()} for row in rows]
+
+
 def assert_ad_is_read_off_the_rows(model):
-    """``_ad`` of each isotropy generator and each Cartan element, summed
-    from the three-form's constants, is ad_x on the tangent space read off
-    the Fraction rows."""
-    elements = [(1, {y: 1}) for y in model.isotropy_indices] + MODEL_SPECS[model.kind].cartan(model)
-    for den, coords in elements:
-        rows, scale = _ad(model, (den, coords))
-        want = ad_all_rows(model, {y: Fraction(w, den) for y, w in coords.items()})
-        assert [{j: Fraction(c, scale) for j, c in row.items()} for row in rows] == want[: model.TANGENT]
+    """``_ad`` of each isotropy generator and each Cartan element over g, in
+    one call, is ad_x on the tangent space read off the Fraction rows at its
+    coordinates over the model's basis, ``fraction_cartan``'s for the Cartan."""
+    isotropy = model.isotropy_indices
+    elements = [model.basis[y] for y in isotropy] + MODEL_SPECS[model.kind].cartan(model)
+    coords = [{y: Fraction(1)} for y in isotropy] + fraction_cartan(model)
+    got = _ad(model, elements)
+    assert len(got) == len(coords)
+    for ad, x in zip(got, coords):
+        assert ad_fractions(ad) == ad_all_rows(model, x)[: model.TANGENT]
 
 
 @pytest.mark.parametrize("name", TABLE_GRID)
 def test_ad_on_the_isotropy_algebra_is_read_off_the_rows_view(name):
-    """``assert_ad_is_read_off_the_rows`` on every model of the grid; the
-    tampered structures of ``test_isotropy_checks_reject_tampered_structure``
-    also hold it, with brackets a model may not have."""
+    """``assert_ad_is_read_off_the_rows`` on every model of the grid and on
+    its tangent basis reversed; the tampered norms and bases of
+    ``test_isotropy_checks_reject_tampered_structure`` also hold it, with
+    brackets a model may not have."""
     models = {(kind, get_model(kind, indices).indices) for kind, indices in TABLE_GRID[name]}
     for model in (get_model(kind, indices) for kind, indices in sorted(models)):
         assert_ad_is_read_off_the_rows(model)
+        # the tangent elements reversed: each t_xij, i < j, is summed from the
+        # other order of each pair of G's ad rows
+        assert_ad_is_read_off_the_rows(permuted(model, [*reversed(range(model.TANGENT)), *model.isotropy_indices]))

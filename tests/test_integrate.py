@@ -57,6 +57,26 @@ def test_orbit_spec_validation():
         OrbitSpec("M", "nope", {"a": 1})
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "name,value,message",
+    [
+        ("rtol", NAN, "tolerances"), ("rtol", 0.0, "tolerances"), ("atol", INF, "tolerances"),
+        ("atol", -1e-12, "tolerances"), ("t_end", NAN, "t_end"), ("t_end", INF, "t_end"),
+        ("t_end", -INF, "t_end"), ("initial_step", NAN, "initial_step"), ("initial_step", INF, "initial_step"),
+        ("initial_step", -1e-3, "initial_step"), ("eps", NAN, "eps"), ("eps", INF, "eps"), ("eps", 0.0, "eps"),
+    ],
+)
+def test_integrator_config_rejects_a_non_finite_or_out_of_range_value(name, value, message):
+    """A NaN passes every order test, so each field is checked finite: a NaN
+    rtol would spin to max_steps, an infinite t_end blow up."""
+    with pytest.raises(ValueError, match=f"^{message} must be finite"):
+        IntegratorConfig(**{name: value})
+    assert IntegratorConfig(t_end=-1.0, initial_step=0.0, eps=1e-6).t_end == -1.0  # backward stays allowed
+
+
 # ---------------------------------------------------------------------------
 # series starts: the five singular orbits, exact
 # ---------------------------------------------------------------------------

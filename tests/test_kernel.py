@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoflow import _kernel
-from holoflow._kernel import _stepper_py
-from holoflow._kernel._stepper_py import (
+from holoflow._kernel import (
     A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64, A65,
     A71, A73, A74, A75, A76, E1, E3, E4, E5, E6, E7,
     MAX_SCALE, MIN_SCALE, SAFETY, _finite_rhs, _initial_step,
@@ -194,7 +193,7 @@ def flat(rows):
 
 
 def run(t_end=50.0, rtol=1e-10):
-    status, ts, ys, *rest = _stepper_py.solve(
+    status, ts, ys, *rest = _kernel.solve(
         (COEFFS, EXPS, OWNER, 5), Y0, 1e-6, t_end, rtol, 1e-12, 0.0, WATCH, 100000,
     )
     return (status, ts, flat(ys), *rest)
@@ -211,7 +210,7 @@ def test_pure_backend_completes():
 
 def test_zero_base_negative_exponent_flags_blowup():
     y0 = [0.0, 1.0, 1.0, 1.0, 0.0]  # a = 0 with a^-1 in the rhs
-    status, *_ = _stepper_py.solve(
+    status, *_ = _kernel.solve(
         (COEFFS, EXPS, OWNER, 5), y0, 0.0, 1.0, 1e-8, 1e-10, 0.0, WATCH, 1000,
     )
     assert status == "blowup"
@@ -221,7 +220,7 @@ def test_power_beyond_float_range_flags_blowup():
     # a^-2 at a = 1e-200 overflows in the first evaluation; f^2 overflows
     # once f passes 1e154 on the way to t = 1e300
     y0 = [1e-200, 1.0, 1.0, 1.0, 0.0]
-    status, *_ = _stepper_py.solve(
+    status, *_ = _kernel.solve(
         (COEFFS, EXPS, OWNER, 5), y0, 0.0, 1.0, 1e-8, 1e-10, 0.0, WATCH, 1000,
     )
     assert status == "blowup"
@@ -248,7 +247,7 @@ def _call(rhs, y, nout):
 
 
 def _assert_same_rhs(coeffs, exps, owner, nin, nout, ys):
-    generated = _stepper_py.make_rhs(coeffs, exps, owner, nin, nout)
+    generated = _kernel.make_rhs(coeffs, exps, owner, nin, nout)
     reference = reference_rhs(coeffs, exps, owner, nin, nout)
     for y in ys:
         ok_gen, out_gen = _call(generated, y, nout)
@@ -292,23 +291,23 @@ def test_generated_rhs_is_bit_identical_to_the_interpreter(case):
 
 def test_generator_accepts_only_numbers():
     with pytest.raises(TypeError):
-        _stepper_py.make_rhs(["__import__('os')"], [1], [0], 1)
+        _kernel.make_rhs(["__import__('os')"], [1], [0], 1)
     with pytest.raises(TypeError):
-        _stepper_py.make_rhs([1], [1], [0], 1)  # an int coefficient
+        _kernel.make_rhs([1], [1], [0], 1)  # an int coefficient
     with pytest.raises(TypeError):
-        _stepper_py.make_rhs([float("inf")], [1], [0], 1)
+        _kernel.make_rhs([float("inf")], [1], [0], 1)
     with pytest.raises(TypeError):
-        _stepper_py.make_rhs([1.0], [1.0], [0], 1)
+        _kernel.make_rhs([1.0], [1.0], [0], 1)
     with pytest.raises(ValueError):
-        _stepper_py.make_rhs([1.0], [1], [1], 1)  # owner out of range
+        _kernel.make_rhs([1.0], [1], [1], 1)  # owner out of range
     with pytest.raises(ValueError):
-        _stepper_py.make_rhs([1.0], [1], [2], 1, 2)
+        _kernel.make_rhs([1.0], [1], [2], 1, 2)
     with pytest.raises(ValueError):
-        _stepper_py.make_rhs([1.0], [1], [0], 1, 0)
+        _kernel.make_rhs([1.0], [1], [0], 1, 0)
     with pytest.raises(ValueError):
-        _stepper_py.make_rhs([1.0], [1, 0], [0], 1)
+        _kernel.make_rhs([1.0], [1, 0], [0], 1)
     with pytest.raises(TypeError):  # the solve loop's generator checks its terms too
-        _stepper_py.solve((["__import__('os')"], [1], [0], 1), [1.0], 0.0, 1.0, 1e-6, 1e-9, 0.0, [True], 10)
+        _kernel.solve((["__import__('os')"], [1], [0], 1), [1.0], 0.0, 1.0, 1e-6, 1e-9, 0.0, [True], 10)
 
 
 UNIT_ORBITS = [
@@ -330,7 +329,7 @@ def test_solve_is_bit_identical_with_the_interpreter(kind, orbit, values):
     watch = [True] * len(sys_.state) + [False]
     args = (y0, start.t, cfg.t_end, cfg.rtol, cfg.atol, cfg.initial_step, watch, MAX_STEPS)
     ref = reference_solve(reference_rhs(coeffs, exps, owner, nstate), nstate, *args)
-    gen = _stepper_py.solve((coeffs, exps, owner, nstate), *args)
+    gen = _kernel.solve((coeffs, exps, owner, nstate), *args)
     gen = (gen[0], gen[1], flat(gen[2]), *gen[3:])
     assert ref[0] == gen[0] == "done"
     for a, b in zip(ref[1:3], gen[1:3]):  # ts, ys
@@ -339,16 +338,16 @@ def test_solve_is_bit_identical_with_the_interpreter(kind, orbit, values):
 
 
 def test_one_generation_per_term_list(monkeypatch):
-    monkeypatch.setattr(_stepper_py, "_LOOP_CACHE", {})
+    monkeypatch.setattr(_kernel, "_LOOP_CACHE", {})
     calls = {"_generate": [], "_generate_loop": []}
     for name, log in calls.items():
-        real = getattr(_stepper_py, name)
+        real = getattr(_kernel, name)
 
         def counted(*args, real=real, log=log):
             log.append(args)
             return real(*args)
 
-        monkeypatch.setattr(_stepper_py, name, counted)
+        monkeypatch.setattr(_kernel, name, counted)
     sys_ = get_model("M", (1, 1)).derivation.sys
     start, _ = series_start(sys_, OrbitSpec("M", "cp2", {"a": 1}))
     cfg = IntegratorConfig(t_end=10.0)
@@ -356,10 +355,8 @@ def test_one_generation_per_term_list(monkeypatch):
     second = integrate(sys_, start, cfg)
     assert len(calls["_generate"]) == 1
     assert len(calls["_generate_loop"]) == 1
-    assert len(_stepper_py._LOOP_CACHE) == 1
+    assert len(_kernel._LOOP_CACHE) == 1
     assert np.array_equal(first.ys, second.ys)
-    assert _kernel.make_rhs is _stepper_py.make_rhs
-    assert _kernel.solve is _stepper_py.solve
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +368,7 @@ def _both_solves(coeffs, exps, owner, nstate, *args):
     """The generated loop and the reference loop on the reference rhs, each
     as its result with ``ys`` flat, or the type of the error it raised."""
     try:
-        gen = _stepper_py.solve((coeffs, exps, owner, nstate), *args)
+        gen = _kernel.solve((coeffs, exps, owner, nstate), *args)
         gen = (gen[0], gen[1], flat(gen[2]), *gen[3:])
     except (OverflowError, ZeroDivisionError) as exc:
         gen = type(exc)
@@ -495,13 +492,13 @@ def test_int_and_float_exponents_give_the_same_power(x):
 def _emitted(monkeypatch, generate, *args):
     """The source lines ``generate(*args)`` compiles."""
     seen = []
-    real = _stepper_py._compile
+    real = _kernel._compile
 
     def capture(lines, *rest):
         seen.append(lines)
         return real(lines, *rest)
 
-    monkeypatch.setattr(_stepper_py, "_compile", capture)
+    monkeypatch.setattr(_kernel, "_compile", capture)
     generate(*args)
     return seen[-1]
 
@@ -545,9 +542,9 @@ def test_emitter_gives_outputs_without_terms_zero():
 def test_exponent_beyond_float_range_keeps_its_int(e, monkeypatch):
     """An exponent no double holds stays an int literal: its power raises
     OverflowError, as ``y ** e`` does for every float y."""
-    lines = _emitted(monkeypatch, _stepper_py._generate, (1.0,), (e,), (0,), 1, 1)
+    lines = _emitted(monkeypatch, _kernel._generate, (1.0,), (e,), (0,), 1, 1)
     assert f"    p0 = y0 ** {e}" in "\n".join(lines)
-    rhs = _stepper_py.make_rhs([1.0], [e], [0], 1)
+    rhs = _kernel.make_rhs([1.0], [e], [0], 1)
     for y in (2.0, 0.5, 0.0, -0.0, -3.0):
         with pytest.raises(OverflowError):
             rhs([y], [0.0])
@@ -565,8 +562,8 @@ def test_each_distinct_power_is_computed_once_per_stage(kind, monkeypatch):
     coeffs, exps, owner, nstate = _compile_terms(sys_)
     powers = {(k % nstate, e) for k, e in enumerate(exps) if e not in (0, 1)}
     assert len(powers) < sum(e not in (0, 1) for e in exps)  # some power repeats
-    rhs = _emitted(monkeypatch, _stepper_py._generate, tuple(coeffs), tuple(exps), tuple(owner), nstate, nstate)
-    loop = _emitted(monkeypatch, _stepper_py._generate_loop, tuple(coeffs), tuple(exps), tuple(owner), nstate)
+    rhs = _emitted(monkeypatch, _kernel._generate, tuple(coeffs), tuple(exps), tuple(owner), nstate, nstate)
+    loop = _emitted(monkeypatch, _kernel._generate_loop, tuple(coeffs), tuple(exps), tuple(owner), nstate)
     assert "\n".join(rhs).count("**") == len(powers)
     # each exponent is a float literal, which pow needs no conversion for
     assert all(line.split(" ** ")[1].endswith(".0") for line in rhs if "**" in line)

@@ -3,7 +3,7 @@ from them against the paper's stated numbers."""
 
 import pytest
 
-from holoflow.homogeneous import MODEL_SPECS, CosetModel, ModelError, get_model, model_spec
+from holoflow.homogeneous import MODEL_SPECS, CosetModel, ModelError, _algebra, get_model, model_spec
 from holoflow.integrate import ORBIT_COLLAPSING, OrbitError, OrbitSpec
 from holoflow.verify import _lattice_gcd
 from paper_tables import FRAME_MAP, ORBIT_CATALOG, PRIMITIVE_NAME
@@ -38,11 +38,14 @@ def test_every_record_is_well_formed(kind):
     # the circle's period is a whole number of lattice steps
     assert (spec.circle_period / _lattice_gcd(*spec.circle_lattice)).denominator == 1
     # the unit model takes one index per index name; its Cartan is a rank-2
-    # subalgebra of the isotropy algebra
+    # subalgebra of the isotropy algebra, so each element over g is
+    # q-orthogonal to the tangent basis
     model = get_model(kind, (1,) * len(spec.index_names))
     assert model.modules == spec.modules and model.symbols.base == names
-    cartan = spec.cartan(model)
-    assert len(cartan) == 2 and all(set(x) <= set(model.isotropy_indices) for _, x in cartan)
+    cartan, g_norms = spec.cartan(model), _algebra(kind)[1]
+    assert len(cartan) == 2
+    for _, x in cartan:
+        assert not any(sum(c * p.get(a, 0) * g_norms[a] for a, c in x.items()) for _, p in model.basis[: model.TANGENT])
 
 
 @pytest.mark.parametrize("kind", sorted(MODEL_SPECS))
