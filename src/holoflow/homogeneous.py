@@ -223,7 +223,9 @@ class CosetModel:
 
     @property
     def modules(self) -> Tuple[Tuple[int, ...], ...]:
-        """Irreducible isotropy submodules of the tangent space."""
+        """The tangent modules of the paper's metric ansatz, one per state
+        name, whose coefficient scales the metric on that module.  They need
+        not be irreducible: on M(0, l) the Cartan fixes e5 and e6."""
         return MODEL_SPECS[self.kind].modules
 
     @cached_property
@@ -662,14 +664,14 @@ def _hnf_rows(rows: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
     return [tuple(r) for r in mat]
 
 
-def _plane_speed(model: CosetModel, rows: AdRows, plane: Tuple[int, int]) -> int:
+def _plane_speed(rows: AdRows, plane: Tuple[int, int]) -> int:
     """Rotation speed of L ad_x (as rows) on one invariant 2-plane (must be skew there)."""
     i, j = plane
     cji = rows[i].get(j, 0)
     if rows[j].get(i, 0) != -cji:
         raise ModelError("isotropy action is not skew on an invariant plane")
     # residual outside the plane would violate invariance
-    if any(k < model.TANGENT and k not in plane for k in (*rows[i], *rows[j])):
+    if any(k not in plane for k in (*rows[i], *rows[j])):
         raise ModelError("isotropy action leaves an invariant plane")
     return cji
 
@@ -682,7 +684,7 @@ def isotropy_weights(model: CosetModel) -> Tuple[Tuple[int, ...], ...]:
     for plane in model.PLANES:
         vec = []
         for rows, den in cartan:
-            s = _plane_speed(model, rows, plane)
+            s = _plane_speed(rows, plane)
             if s % den:
                 raise ModelError("non-integer weight on the chosen Cartan basis")
             vec.append(s // den)
@@ -744,7 +746,7 @@ class ModelSpec:
     kind: str
     state_names: Tuple[str, ...]  # metric coefficients in state order, the vertical one last
     index_names: Tuple[str, ...]  # embedding indices
-    modules: Tuple[Tuple[int, ...], ...]  # isotropy submodules of the tangent space, one per state name
+    modules: Tuple[Tuple[int, ...], ...]  # the metric ansatz's tangent modules, one per state name
     frame_map: Mapping[int, Tuple[int, str]]  # canonical slot -> (generator index, scale symbol)
     rotation_multiples: Tuple[int, ...]  # per plane, of the fundamental angle unit
     fundamental_unit: Fraction

@@ -18,7 +18,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import holoflow
@@ -1250,7 +1250,8 @@ def traj_dir(tmp_path_factory):
     return path
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@seed(16231034769995939374130211679470136468277187134983917993758423407089194504718899237969088422674939666770369147573906)
+@settings(max_examples=60, deadline=None, database=None)
 @given(argv=cli_argv())
 def test_cli_exits_0_1_or_2_and_writes_strict_json(traj_dir, argv):
     with tempfile.TemporaryDirectory() as out_dir:
@@ -1306,7 +1307,8 @@ def _quiet_main(argv):
     return code, stderr.getvalue().splitlines() + [str(w.message) for w in caught]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@seed(2711221044680023075157022218173529755986587899172320203072324134052648246511275703698395417855056069255690822638815)
+@settings(max_examples=150, deadline=None, database=None)
 @given(stored=stored_runs())
 def test_verify_and_cone_on_extreme_stored_runs_end_cleanly(stored):
     model, rows = stored

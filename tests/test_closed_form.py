@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from holoflow._record import replace
@@ -514,7 +514,8 @@ def profile_points(draw):
     return p, s
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@seed(34714898673879551082795478383896745408111261626958006999104251953053677402350087871076961391244706370767536761829916)
+@settings(max_examples=200, deadline=None, database=None)
 @given(profile_points())
 def test_straight_line_profile_is_bit_identical_to_value_squared(case):
     p, s = case

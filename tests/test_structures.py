@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from holoflow import structures
@@ -246,7 +246,8 @@ def test_rotation_identity():
     assert rotate_structure(s, (Fraction(1), Fraction(0))).Omega == s.Omega
 
 
-@settings(max_examples=15, deadline=None)
+@seed(19903656298249881756725223930799227802549080990371397210261387234722118451146069523399347617960584982798258102261771)
+@settings(max_examples=15, deadline=None, database=None)
 @given(st.fractions(-3, 3, max_denominator=7))
 def test_rotation_back_by_the_conjugate_pair_is_the_identity(u):
     # (c, s) on the unit circle from the rational parametrisation

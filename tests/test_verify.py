@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from holoflow._record import replace
@@ -216,7 +216,8 @@ SIGNED = st.builds(lambda m, neg: -m if neg else m, st.floats(1e-8, 1e8), st.boo
 
 
 @pytest.mark.parametrize("kind,indices", [("Q", (1, 1, 1)), ("M", (1, 1))])
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@seed(14386812660297997194485134119621459136812925897895325197388503838079872824879473264441607678129551267257059358111708)
+@settings(max_examples=150, deadline=None, database=None)
 @given(data=st.data())
 def test_compiled_closure_forms_are_bit_identical_to_eval_numeric(kind, indices, data):
     deriv = get_model(kind, indices).derivation
@@ -241,7 +242,8 @@ def test_compiled_closure_forms_are_bit_identical_to_eval_numeric(kind, indices,
 BOUNDED = st.floats(-1e300, 1e300)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@seed(32712876026671449302709289398626783882215229984312814478071720544561774184487069152960634099231642309453030718439298)
+@settings(max_examples=300, deadline=None, database=None)
 @given(t_min=BOUNDED, t_max=BOUNDED, margin=BOUNDED, n=st.integers(0, 60))
 @example(t_min=0.0, t_max=5e-324, margin=0.0, n=4)  # the step underflows to 0
 @example(t_min=-0.0, t_max=-0.0, margin=0.0, n=3)
@@ -254,7 +256,8 @@ def test_sample_points_are_bit_identical_to_linspace(t_min, t_max, margin, n):
 increasing = st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30, unique=True).map(sorted)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@seed(11734764566857735477221069332332003983838264880878686448005886877819330818551842466699979355300991025134349041470364)
+@settings(max_examples=300, deadline=None, database=None)
 @given(ts=increasing, data=st.data())
 def test_bisect_matches_searchsorted_on_increasing_times(ts, data):
     t = data.draw(st.one_of(st.sampled_from(ts), st.floats(-2e6, 2e6)))
@@ -281,7 +284,8 @@ def test_trajectory_sampler_reads_only_sample_times():
 spacing = st.fractions(min_value=Fraction(1, 64), max_value=10, max_denominator=64)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@seed(21080819170384339650496759357877872184020605007982645841485558193875006242764593612546140999377714817587158897446687)
+@settings(max_examples=200, deadline=None, database=None)
 @given(
     gaps=st.lists(spacing, min_size=4, max_size=4),
     start=st.fractions(-10, 10, max_denominator=64),
@@ -302,7 +306,8 @@ def test_fd_weights_differentiate_quartics_exactly(gaps, start, at, coeffs):
     assert sum(w * poly(x) for w, x in zip(weights, nodes)) == slope
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@seed(6904393670056694602065551252021430776526701021220834142536556284491994984390569218775657958169746736652632762635544)
+@settings(max_examples=100, deadline=None, database=None)
 @given(hm=spacing, hp=spacing)
 def test_three_rows_keep_the_three_point_stencil(hm, hp):
     """With three nodes the weights are the classic non-uniform formula."""
