@@ -13,6 +13,7 @@ change that replaces a code path proves, in that change, that the new path
 equals its parent, and leaves no copy of the parent's path here.
 """
 
+import functools
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -109,6 +110,17 @@ def fraction_rows(n, table):
     return rows
 
 
+def structure_rows(model):
+    """``fraction_rows`` of a model's ``structure_table``, made once while
+    the model's three-form, denominators and norms are in use; read only."""
+    return _structure_rows(model.n, model.structure, tuple(d for d, _ in model.basis), model.norms)
+
+
+@functools.lru_cache(maxsize=64)
+def _structure_rows(n, form, dens, norms):
+    return fraction_rows(n, form_table(form, dens, norms))
+
+
 def fraction_cartan(model):
     """The isotropy Cartan elements as ``Fraction`` coordinates {index: c}
     over the model's basis: M's e10 and e11, and for Q each element
@@ -140,7 +152,7 @@ def fraction_cartan(model):
 def ad_all_rows(model, x):
     """ad_x on every basis element as sparse ``Fraction`` rows, for
     ``Fraction`` coordinates x, read off the table; zeros dropped."""
-    table = fraction_rows(model.n, structure_table(model))
+    table = structure_rows(model)
     rows = [{} for _ in range(model.n)]
     for a, xa in x.items():
         for row, coeffs in zip(rows, table[a]):

@@ -58,10 +58,10 @@ from oracles import (
     coefficient,
     form_table,
     fraction_cartan,
-    fraction_rows,
     model_matrices,
     pack,
     q_norms,
+    structure_rows,
     structure_table,
     unpack,
     weights_by_fraction_cartan,
@@ -70,7 +70,7 @@ from oracles import (
 
 def bracket_coeffs(model, i, j):
     """{k: c^k_ij} for either order of i, j, read off the ``Fraction`` rows."""
-    return fraction_rows(model.n, structure_table(model))[i][j]
+    return structure_rows(model)[i][j]
 
 
 def mv(model, indices, coeff=None):
@@ -274,7 +274,7 @@ def isotropy_scan(model):
     """``outcome`` of the isotropy check by its definition on the ``Fraction``
     rows: for each isotropy x, tangent i and c^j_xi != 0 in ascending order,
     the first j off the tangent space or outside i's module fails."""
-    rows, module = fraction_rows(model.n, structure_table(model)), {i: m for m in model.modules for i in m}
+    rows, module = structure_rows(model), {i: m for m in model.modules for i in m}
     for x in model.isotropy_indices:
         for i in range(model.TANGENT):
             for j in sorted(rows[x][i]):
@@ -867,7 +867,7 @@ def isotropy_coords_reference(model, element):
     generators, with a Fraction residual on the matrices of the element and
     the model's basis."""
     ((dx, sx),) = model_matrices(model.kind, [element])
-    mats = model_matrices(model.kind, model.basis)
+    mats = dict(zip(model.isotropy_indices, model_matrices(model.kind, model.basis[model.TANGENT :])))
     norms = q_norms(model.norms, model.basis)
     coords = {}
     residual = {key: (Fraction(re, dx), Fraction(im, dx)) for key, (re, im) in sx.items()}
