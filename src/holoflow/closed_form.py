@@ -62,8 +62,7 @@ class _Profile:
     anti: Tuple[Fraction, ...]  # antiderivative of D, A(0) = 0
     constant: Fraction  # x0^2 * D(0)
     poles: Tuple[Fraction, ...]
-    model_kind: str = ""
-    collapsing_square0: Fraction = Fraction(0)  # f0^2 or c0^2
+    model_kind: str
 
     @cached_property
     def _spec(self) -> ModelSpec:
@@ -95,7 +94,7 @@ class _Profile:
             )
         except OverflowError:
             const = None  # a coefficient beyond float range: only s = 0 has a value
-        square0 = self.collapsing_square0
+        square0 = self.initial[self._spec.state_names[-1]] ** 2  # f0^2 or c0^2
         check = self._check_domain
         below = min((_rounded(p) for p in self.poles if p > 0), default=math.inf)
         above = max((_rounded(p) for p in self.poles if p < 0), default=-math.inf)
@@ -193,7 +192,6 @@ def profile(model: Union[CosetModel, str], init: OrbitSpec) -> Union[ProfileQ, P
         constant=square0 * den[0],
         poles=tuple(sorted(set(roots))),
         model_kind=spec.kind,
-        collapsing_square0=square0,
     )
 
 

@@ -208,15 +208,9 @@ def _solve_linear(
 
 def derive_flow(model: CosetModel) -> ODESystem:
     """Derive the holonomy ODE system from d(Omega) = 0, exactly, with the
-    structure and d(Omega) of ``model.derivation``."""
-    struct, d_Omega = model.derivation.struct, model.derivation.d_Omega
-    table = struct.table
-    iso_mask = 0
-    for i in model.isotropy_indices:
-        iso_mask |= 1 << i
-    for mask in d_Omega.terms:
-        if mask & iso_mask:
-            raise DerivationError("d(Omega) is not basic; bookkeeping error")
+    structure and d(Omega) of ``model.derivation``.  Omega is basic, so
+    i_x d(Omega) = L_x Omega - d(i_x Omega) = 0: no isotropy term is left."""
+    d_Omega, table = model.derivation.d_Omega, model.derivation.struct.table
     spatial, dt_part = split_dt(d_Omega)
     if not spatial.is_zero:
         raise DerivationError(

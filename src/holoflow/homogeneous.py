@@ -7,14 +7,14 @@ finds g's integer three-form G_abc = q([g_a, g_b], g_c) once per kind and
 process.  A model's basis element is the pair (D, {a: P_a}) of its integer
 coordinates over the g_a, X = sum_a P_a g_a / D, so its norms and the
 orthogonality and positivity checks are sums over g's norms, its structure
-the pullback of G, and no model makes a matrix or a bracket; closure and the
-Jacobi identity are g's, checked once per kind.  A model stores the integer
-norms N = q(S, S) and the three-form t_ijk = q([S_i, S_j], S_k) of S = D X,
-as g does, and ``_constants`` alone reads structure constants off them.  The
-isotropy Cartan elements are coordinates over g too, and ``_ad`` reads their
-action on the tangent space straight from G; a model's only Fractions are its
-Maurer-Cartan forms.  What the paper states about each model is one
-``ModelSpec`` record in ``MODEL_SPECS``.
+the pullback of G, and no model makes a matrix or a bracket; closure is g's,
+checked once per kind, and implies G's Jacobi identity.  A model stores the
+integer norms N = q(S, S) and the three-form t_ijk = q([S_i, S_j], S_k) of
+S = D X, as g does, and ``_constants`` alone reads structure constants off
+them.  The isotropy Cartan elements are coordinates over g too, and ``_ad``
+reads their action on the tangent space straight from G; a model's only
+Fractions are its Maurer-Cartan forms.  What the paper states about each
+model is one ``ModelSpec`` record in ``MODEL_SPECS``.
 """
 
 from __future__ import annotations
@@ -217,10 +217,6 @@ class CosetModel:
 
         return SymbolTable(MODEL_SPECS[self.kind].state_names).with_derivatives()
 
-    #: Cartan-invariant two-plane index pairs of the tangent space + fixed line
-    PLANES = ((0, 1), (2, 3), (4, 5))
-    FIXED = (6,)
-
     @property
     def modules(self) -> Tuple[Tuple[int, ...], ...]:
         """The tangent modules of the paper's metric ansatz, one per state
@@ -263,13 +259,14 @@ def _q_diagonal(rows: Iterable[Iterable[int]]) -> List[int]:
 def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[ThreeForm, Tuple[int, ...]]:
     """The three-form, as ``_change_of_basis`` reads it, and the norms
     N_i = q(S_i, S_i) of a basis X_i = S_i / D_i of Gaussian-integer matrices,
-    checked on the entries: [S_i, S_j] = sum_k G_ijk S_k / N_k leaves no residual
-    and G_ijk = q([S_i, S_j], S_k) is totally antisymmetric, as q's ad-invariance
-    makes it; the Jacobi identity is checked on G and N."""
+    checked on the entries: [S_i, S_j] = sum_k G_ijk S_k / N_k leaves no residual.
+    G_ijk = q([S_i, S_j], S_k) is totally antisymmetric, the trace being cyclic,
+    so only i < j < k is read; the basis is q-orthogonal, so independent, and the
+    G_ijk / N_k are coordinates of commutators, which satisfy the Jacobi identity."""
     mats, n = [s for _, s in basis], len(basis)
     norms = _q_diagonal((_q(mats[i], mats[j]) for j in range(i, n)) for i in range(n))
     weights, scale = _span_weights(norms)
-    signed: Dict[int, List[int]] = {}  # each sorted triple's G, signed, from each of its pairs
+    triples: List[Tuple[int, int, int, int]] = []
     for i, j in itertools.combinations(range(n), 2):
         br = _gbracket(mats[i], mats[j])
         if not br:  # zero is real and in the span, with no constants
@@ -282,15 +279,8 @@ def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[ThreeForm, Tuple[int, .
                 residual[key] = (r0 - tk * w * re, i0 - tk * w * im)
         if not {(0, 0)}.issuperset(residual.values()):
             raise ModelError("basis is not closed under brackets")
-        for k, v in enumerate(t):
-            if v:
-                x, y, z = sorted((i, j, k))
-                signed.setdefault((x * n + y) * n + z, []).append(-v if i < k < j else v)
-    if any(len(vs) != 3 or len(set(vs)) != 1 for vs in signed.values()):
-        raise ModelError("three-form q([X_i, X_j], X_k) is not totally antisymmetric")
-    triples = tuple((key // n // n, key // n % n, key % n, vs[0]) for key, vs in sorted(signed.items()))
-    _check_jacobi(triples, norms)
-    return triples, tuple(norms)
+        triples += ((i, j, k, t[k]) for k in range(j + 1, n) if t[k])
+    return tuple(triples), tuple(norms)
 
 
 def _change_of_basis(
@@ -375,40 +365,6 @@ def _constants(
         return t * dw[r] * fp * fq, -t * dw[q] * fp * fr, t * dw[p] * fq * fr
 
     return lcm_dens * lcm_dens * lcm_norms, cells
-
-
-def _check_jacobi(form: ThreeForm, norms: Sequence[int]) -> None:
-    """Jacobi identity on the constants of a three-form over a basis of
-    norms N (D = 1); it guards g's, once per kind.
-
-    Each constant L c^m_ab with a < b gives the terms [[e_a, e_b], e_c] =
-    sum_f c^m_ab c^f_mc e_f; a term goes to the cyclic sum of the sorted
-    triple {a, b, c}, negated when a < c < b, where that sum holds
-    [[e_b, e_a], e_c].  The terms are summed under the one int
-    ((x n + y) n + z) n + f for the triple x < y < z and the coordinate f.
-    """
-    n, upper = len(norms), []  # upper: (a, b, m, L c^m_ab) for a < b
-    _, cells = _constants([1] * n, norms)
-    brackets: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]  # [i]: (j, k, L c^k_ij) for j != i
-    for p, q, r, t in form:
-        for (i, j, k), v in zip(((p, q, r), (p, r, q), (q, r, p)), cells(p, q, r, t)):
-            upper.append((i, j, k, v))
-            brackets[i].append((j, k, v))
-            brackets[j].append((i, k, -v))
-    acc: Dict[int, int] = {}
-    for a, b, mid, cm in upper:
-        for c, fin, cf in brackets[mid]:
-            if c == a or c == b:
-                continue
-            if c < a:
-                key, w = ((c * n + a) * n + b) * n, cm
-            elif c < b:
-                key, w = ((a * n + c) * n + b) * n, -cm
-            else:
-                key, w = ((a * n + b) * n + c) * n, cm
-            acc[key + fin] = acc.get(key + fin, 0) + w * cf
-    if any(acc.values()):
-        raise ModelError("Jacobi identity failed")
 
 
 def _normalized(indices: Sequence[int], message: str) -> Tuple[int, ...]:
@@ -678,10 +634,11 @@ def _plane_speed(rows: AdRows, plane: Tuple[int, int]) -> int:
 
 def isotropy_weights(model: CosetModel) -> Tuple[Tuple[int, ...], ...]:
     """Integer weight vectors of the isotropy Cartan, one per invariant
-    tangent 2-plane, from ``_ad`` of the spec's Cartan elements over g."""
-    cartan = _ad(model, MODEL_SPECS[model.kind].cartan(model))
-    weights = []
-    for plane in model.PLANES:
+    tangent 2-plane, from ``_ad`` of the spec's Cartan elements over g; one that
+    moves the fixed line leaks out of a plane, as ``_ad`` writes both cells."""
+    spec = MODEL_SPECS[model.kind]
+    cartan, weights = _ad(model, spec.cartan(model)), []
+    for plane in spec.planes:
         vec = []
         for rows, den in cartan:
             s = _plane_speed(rows, plane)
@@ -689,10 +646,6 @@ def isotropy_weights(model: CosetModel) -> Tuple[Tuple[int, ...], ...]:
                 raise ModelError("non-integer weight on the chosen Cartan basis")
             vec.append(s // den)
         weights.append(tuple(vec))
-    for idx in model.FIXED:
-        for rows, _ in cartan:
-            if rows[idx]:
-                raise ModelError("expected fixed line is not fixed")
     return tuple(weights)
 
 
@@ -763,6 +716,11 @@ class ModelSpec:
     def primitive_name(self) -> str:
         """The primitive integrates the last state symbol."""
         return self.state_names[-1].upper()
+
+    @property
+    def planes(self) -> Tuple[Tuple[int, int], ...]:
+        """The invariant tangent 2-planes: each even-length module's consecutive pairs."""
+        return tuple(p for m in self.modules if len(m) % 2 == 0 for p in zip(m[::2], m[1::2]))
 
 
 def _circle_step(period: Fraction, w: Sequence[int], u1: Sequence[int], u2: Sequence[int]) -> Fraction:

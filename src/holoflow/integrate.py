@@ -85,7 +85,8 @@ class IntegratorConfig:
     eps: Optional[float] = None  # series-start offset; default 1e-6 * min value
 
     def __post_init__(self):
-        # each test fails on NaN; t_end < 0 integrates backward
+        # each test fails on NaN; t only increases, so a negative t_end
+        # needs a start before it (``integrate`` rejects any other)
         if not (0 < self.rtol < math.inf and 0 < self.atol < math.inf):
             raise ValueError("tolerances must be finite and positive")
         if not math.isfinite(self.t_end):
@@ -483,8 +484,11 @@ def integrate(sys: ODESystem, start: State, cfg: IntegratorConfig) -> Trajectory
 
     Stops early (status ``sign_change``) when a metric coefficient crosses
     zero; that is reported, not fatal.  Step-size underflow raises with the
-    partial trajectory attached.
+    partial trajectory attached.  A t_end at or before the start raises
+    before any loop is generated.
     """
+    if not cfg.t_end > start.t:
+        raise IntegrationError(f"t_end {cfg.t_end!r} is not after the start t = {start.t!r}")
     terms = sys.prepared.terms
     names = sys.state
     y0 = [start.values[n] for n in names] + [start.primitive]

@@ -154,10 +154,10 @@ def _rotation(theta: AngleLike, unit: Fraction, multiples):
     return [_multi_angle(c, s, n) for n in multiples]
 
 
-def _rotate_form(form: Multivector, cs_pairs) -> Multivector:
-    """Pull a form back by simultaneous plane rotations of the coframe."""
+def _rotate_form(form: Multivector, planes, cs_pairs) -> Multivector:
+    """Pull a form back by simultaneous rotations of the coframe's planes."""
     images = {}
-    for (i, j), (c, s) in zip(CosetModel.PLANES, cs_pairs):
+    for (i, j), (c, s) in zip(planes, cs_pairs):
         images[i] = ((i, c), (j, -s))
         images[j] = ((i, s), (j, c))
     return form.substitute(images)
@@ -171,7 +171,7 @@ def rotate_structure(struct: Spin7Structure, theta: AngleLike) -> Spin7Structure
     """
     spec = model_spec(struct.model)
     cs_pairs = _rotation(theta, spec.fundamental_unit, spec.rotation_multiples)
-    return replace(struct, Omega=_rotate_form(struct.Omega, cs_pairs))
+    return replace(struct, Omega=_rotate_form(struct.Omega, spec.planes, cs_pairs))
 
 
 def rotation_generator(struct: Spin7Structure, form: Multivector) -> Multivector:
@@ -183,9 +183,9 @@ def rotation_generator(struct: Spin7Structure, form: Multivector) -> Multivector
     fundamental angle phi is exp(phi L) Omega
     = Omega + (sin k phi / k) V + ((1 - cos k phi) / k^2) W.
     """
-    gens, dt = form.gens, form.dt_index
+    gens, dt, spec = form.gens, form.dt_index, model_spec(struct.model)
     out = Multivector.zero(gens, dt)
-    for (i, j), n in zip(CosetModel.PLANES, model_spec(struct.model).rotation_multiples):
+    for (i, j), n in zip(spec.planes, spec.rotation_multiples):
         out = out + Multivector.basis(gens, [j], Fraction(-n), dt).wedge(form.contract(i))
         out = out + Multivector.basis(gens, [i], Fraction(n), dt).wedge(form.contract(j))
     return out

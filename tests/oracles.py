@@ -166,7 +166,7 @@ def weights_by_fraction_cartan(model):
     every row of ad_x: the same checks in the same order."""
     cartan = [ad_all_rows(model, x) for x in fraction_cartan(model)]
     weights = []
-    for plane in model.PLANES:
+    for plane in MODEL_SPECS[model.kind].planes:
         vec = []
         for rows in cartan:
             s = Fraction(_plane_speed(rows, plane))
@@ -174,10 +174,6 @@ def weights_by_fraction_cartan(model):
                 raise ModelError("non-integer weight on the chosen Cartan basis")
             vec.append(s.numerator)
         weights.append(tuple(vec))
-    for idx in model.FIXED:
-        for rows in cartan:
-            if rows[idx]:
-                raise ModelError("expected fixed line is not fixed")
     return tuple(weights)
 
 
@@ -248,7 +244,7 @@ def exact_value_squared(p, s: Fraction) -> Fraction:
         raise TypeError(f"the exact profile takes a Fraction, got {type(s).__name__}")
     p._check_domain(s)
     if s == 0:
-        return p.collapsing_square0
+        return p.initial[MODEL_SPECS[p.model_kind].state_names[-1]] ** 2
     num = p.constant + MODEL_SPECS[p.model_kind].factor * horner(p.anti, s)
     den = horner(p.denom, s)
     if den == 0:

@@ -389,7 +389,7 @@ def _reference_value_squared(p, s):
         if exact == pole or (pole > 0 and exact > pole) or (pole < 0 and exact < pole):
             raise DomainError("at or beyond a pole")
     if s == 0:
-        return float(p.collapsing_square0)
+        return float(p.initial[MODEL_SPECS[p.model_kind].state_names[-1]] ** 2)
     num = p.constant + MODEL_SPECS[p.model_kind].factor * horner(p.anti, s)
     den = horner(p.denom, s)
     if den == 0:

@@ -30,7 +30,6 @@ from holoflow.homogeneous import (
     _build_structure,
     _change_of_basis,
     _check_isotropy_action,
-    _check_jacobi,
     _constants,
     _gbracket,
     _hnf_rows,
@@ -207,11 +206,11 @@ def swapped_q111(i, j):
 # on the plane (e1, e2) first is (g2 - g8) / 2 = (e8 + e9) / 2, of speed -1
 # there.  The isotropy checks of the build read the three-form, and are
 # tripped by edits of it; the weights read G and the basis, and are tripped
-# by the norms they read, by a basis whose planes the Cartan does not keep
-# (e3 or e7 in e2's place, and ad_x e1 leaks out of the plane (e1, e2)), or
-# by an expected fixed line put in a plane.  ad_x is q-skew, so on the real
-# planes a moved fixed line is seen first as a leak from the plane it moves
-# into.
+# by the norms they read, or by a basis whose planes the Cartan does not keep
+# (e3 or e7 in e2's place, and ad_x e1 leaks out of the plane (e1, e2)).
+# ``_ad`` writes ad_x e_i and ad_x e_j from one t_xij, so a Cartan that moves
+# the fixed line is seen as a leak from the plane it moves into, and nothing
+# checks the line itself.
 @pytest.mark.parametrize(
     "how,what,check,message",
     [
@@ -220,17 +219,13 @@ def swapped_q111(i, j):
         ("norms", (4, 2, 2, 2, 2, 2, 6, 4, 12), isotropy_weights, "not skew on an invariant plane"),
         ("swap", (1, 2), isotropy_weights, "leaves an invariant plane"),
         ("swap", (1, 6), isotropy_weights, "leaves an invariant plane"),
-        ("fixed", (0,), isotropy_weights, "expected fixed line is not fixed"),
         ("norms", (4, 4, 2, 2, 2, 2, 6, 4, 12), isotropy_weights, "non-integer weight"),
     ],
-    ids=["modules", "tangent", "plane-skew", "plane-leak", "fixed-line", "fixed-line-isotropy", "weight"],
+    ids=["modules", "tangent", "plane-skew", "plane-leak", "fixed-line", "weight"],
 )
-def test_isotropy_checks_reject_tampered_structure(how, what, check, message, monkeypatch):
+def test_isotropy_checks_reject_tampered_structure(how, what, check, message):
     check(q_model(1, 1, 1))
-    if how == "fixed":
-        monkeypatch.setattr(CosetModel, "FIXED", what)
-        model = q_model(1, 1, 1)
-    elif how == "swap":
+    if how == "swap":
         model = swapped_q111(*what)
     else:
         model = tampered_q111(what) if how == "form" else tampered_q111({}, what)
@@ -242,10 +237,9 @@ def test_isotropy_checks_reject_tampered_structure(how, what, check, message, mo
         assert_ad_is_read_off_the_rows(model)
         with pytest.raises(ModelError, match=re.escape(message)):
             weights_by_fraction_cartan(model)
-        # the Cartan moves the expected fixed line where the fixed-line check
-        # would see it, or not
-        moved = any(rows[i] for rows, _ in _ad(model, MODEL_SPECS["Q"].cartan(model)) for i in model.FIXED)
-        assert moved == (how == "fixed" or (how, what) == ("swap", (1, 6)))
+        # the Cartan moves the fixed line only where e7 is swapped into a plane
+        moved = any(rows[6] for rows, _ in _ad(model, MODEL_SPECS["Q"].cartan(model)))
+        assert moved == ((how, what) == ("swap", (1, 6)))
 
 
 @pytest.mark.parametrize("kind,indices", [("Q", (1, 1, 1)), ("M", (1, 1)), ("Q", (3, 2, 1)), ("M", (5, 3))])
@@ -674,7 +668,7 @@ def test_structure_and_weights_match_fraction_matrices(kind, indices):
             q_inner(tuple_bracket(x, basis[i]), basis[j]) / norms[j]
             for x in _reference_cartan(model)
         )
-        for i, j in model.PLANES
+        for i, j in MODEL_SPECS[kind].planes
     )
     assert isotropy_weights(model) == want
 
@@ -756,8 +750,8 @@ def test_classification_never_builds_the_fraction_table():
 
 
 # ---------------------------------------------------------------------------
-# the integer build, Jacobi check and Cartan coordinates against the
-# Fraction code they replaced
+# the integer build and Cartan coordinates against the Fraction code they
+# replaced
 # ---------------------------------------------------------------------------
 
 
@@ -898,7 +892,7 @@ def weights_reference(model, cartan):
 
     return tuple(
         tuple(sum(xa * c(a, i, j) for a, xa in x.items()) for x in cartan)
-        for i, j in model.PLANES
+        for i, j in model_spec(model).planes
     )
 
 
@@ -1006,7 +1000,7 @@ def test_integer_build_matches_the_fraction_build(name):
         want_table, want_norms = build_structure_reference(basis)
         assert repr(form_table(form, [d for d, _ in basis], norms)) == repr(want_table), (kind, indices)
         assert q_norms(norms, basis) == want_norms
-        assert _check_jacobi(form, norms) is None
+        assert jacobi_holds(form, norms)
 
 
 # bases taken at their indices as given, not normalized, and the inputs of
@@ -1150,8 +1144,7 @@ def test_the_pulled_back_build_is_the_matrix_build_on_random_bases(case):
 def test_a_fresh_sweep_builds_each_kinds_algebra_once():
     """Every model of a kind is a pullback of one three-form: a fresh
     61-model sweep runs the matrix path twice, on g's 9 and 11 elements,
-    which make su(2)^3's 3 and su(3) + su(2)'s 10 nonzero sorted triples,
-    and checks the Jacobi identity on those two forms and on no model's.
+    which make su(2)^3's 3 and su(3) + su(2)'s 10 nonzero sorted triples.
     The builds and classifications make no ``Fraction``; the Maurer-Cartan
     forms after them do, so the count is seen to work."""
     child = (
@@ -1164,8 +1157,6 @@ def test_a_fresh_sweep_builds_each_kinds_algebra_once():
         "    forms.append(len(triples))\n"
         "    return triples, norms\n"
         "h._build_structure = build\n"
-        "jacobi, checked = h._check_jacobi, []\n"
-        "h._check_jacobi = lambda form, norms: checked.append(len(norms)) or jacobi(form, norms)\n"
         "new, made = fractions.Fraction.__new__, []\n"
         "def counted(cls, *args, **kwargs):\n"
         "    made.append(1)\n"
@@ -1175,73 +1166,34 @@ def test_a_fresh_sweep_builds_each_kinds_algebra_once():
         "    h.classify_invariant_g2(h.get_model(kind, indices))\n"
         "in_sweep = len(made)\n"
         "h.maurer_cartan(h.q_model(1, 1, 1))\n"
-        "print(json.dumps([sizes, forms, checked, in_sweep, len(made) > in_sweep]))\n"
+        "print(json.dumps([sizes, forms, in_sweep, len(made) > in_sweep]))\n"
     )
     src = str(Path(homogeneous.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     argv = [sys.executable, "-c", child, json.dumps(TUPLE_SETS["sweep"])]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[9, 11], [3, 10], [9, 11], 0, True]
+    assert json.loads(proc.stdout) == [[9, 11], [3, 10], 0, True]
 
 
-@pytest.mark.parametrize(
-    "kind,triple,was,t",
-    [("M", (0, 1, 6), 6, -6), ("Q", (0, 1, 5), None, 2)],
-    ids=["m-sign", "q-other-block"],
-)
-def test_a_tampered_algebra_table_fails_the_jacobi_check(kind, triple, was, t, monkeypatch):
-    """The Jacobi identity is checked where g's three-form is made: one
-    triple of G edited before the matrix path's Jacobi check (M: G_016's
-    sign flipped; Q: a triple G_015 across two su(2), since a flipped sign
-    in su(2)^3 keeps the identity) makes ``_algebra`` raise."""
-    real, seen = homogeneous._check_jacobi, []
-
-    def tampered(form, norms):
-        edited = {key[:3]: key[3] for key in form}
-        assert edited.get(triple) == was
-        edited[triple] = t
-        seen.append((tuple((*key, v) for key, v in sorted(edited.items())), norms))
-        return real(*seen[-1])
-
-    _algebra.cache_clear()
-    try:
-        with monkeypatch.context() as patch:
-            patch.setattr(homogeneous, "_check_jacobi", tampered)
-            with pytest.raises(ModelError, match="Jacobi identity failed"):
-                _algebra(kind)
-    finally:
-        _algebra.cache_clear()
-    assert len(seen) == 1 and not jacobi_holds(*seen[0])
-    assert jacobi_holds(*_algebra(kind))
-
-
-@pytest.mark.parametrize("kind,pair,extra", [("Q", (0, 1), 3), ("M", (0, 1), 8)], ids=["q", "m"])
-def test_a_tampered_three_form_fails_the_antisymmetry_check(kind, pair, extra, monkeypatch):
-    """g's three-form is checked where the matrix path reads it: one bracket
-    [g_a, g_b] of g with g_extra of another block added is still in g, so
-    closure holds, but then G_{a b extra} = N_extra while G_{a extra b} = 0,
-    and ``_algebra`` raises before its Jacobi check."""
-    mats, real, met = algebra_matrices(kind), homogeneous._gbracket, []
-
-    def tampered(x, y):
-        out = real(x, y)
-        if (x, y) == (mats[pair[0]], mats[pair[1]]):
-            met.append(pair)
-            assert not set(out) & set(mats[extra])
-            out = {**out, **mats[extra]}
-        return out
-
-    _algebra.cache_clear()
-    try:
-        with monkeypatch.context() as patch:
-            patch.setattr(homogeneous, "_gbracket", tampered)
-            with pytest.raises(ModelError, match=re.escape("q([X_i, X_j], X_k) is not totally antisymmetric")):
-                _algebra(kind)
-    finally:
-        _algebra.cache_clear()
-    assert met == [pair]
-    assert len(_algebra(kind)[0]) == {"Q": 3, "M": 10}[kind]  # the real matrices pass
+@pytest.mark.parametrize("kind", ["Q", "M"])
+def test_g_three_form_is_antisymmetric_and_jacobi_by_construction(kind):
+    """Why ``_algebra`` checks neither antisymmetry nor the Jacobi identity:
+    on g's matrices the full ordered table G_abc = q([g_a, g_b], g_c), every
+    bracket and product by the reference loops, is totally antisymmetric,
+    since the trace is cyclic, its sorted triples are the stored ones, and
+    their constants satisfy the Jacobi identity, which commutators do."""
+    mats = algebra_matrices(kind)
+    n, (form, norms) = len(mats), _algebra(kind)
+    G = {}
+    for a, b in itertools.product(range(n), repeat=2):
+        br = gbracket_reference(mats[a], mats[b])
+        G.update(((a, b, c), gq_reference(br, x)) for c, x in enumerate(mats))
+    for (a, b, c), v in G.items():
+        assert G[(b, c, a)] == v and G[(b, a, c)] == -v and G[(a, c, b)] == -v, (kind, a, b, c)
+    assert tuple((a, b, c, v) for (a, b, c), v in sorted(G.items()) if a < b < c and v) == form
+    assert norms == tuple(gq_reference(x, x) for x in mats)
+    assert jacobi_holds(form, norms)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1528,84 +1480,6 @@ def test_integer_weights_and_verdicts_match_the_fraction_table(name):
         model = get_model(kind, indices)
         assert isotropy_weights(model) == weights_reference(model, cartan_reference(model))
         assert classify_invariant_g2(model) == (set(model.indices) == {1})
-
-
-@pytest.mark.parametrize(
-    "edits",
-    [{(0, 1, 6): -8}, {(0, 1, 2): 4}, {(0, 6, 7): 4}],
-    ids=["scaled", "new-entry", "isotropy-entry"],
-)
-def test_jacobi_check_rejects_a_tampered_table(edits):
-    model = q_model(1, 1, 1)
-    _check_jacobi(model.structure, model.norms)
-    edited = tampered_q111(edits)
-    assert not jacobi_holds_reference(edited.n, structure_table(edited))
-    with pytest.raises(ModelError, match="Jacobi identity failed"):
-        _check_jacobi(edited.structure, edited.norms)
-
-
-@pytest.mark.parametrize(
-    "kind,indices",
-    [("Q", (1, 1, 1)), ("M", (1, 1)), ("Q", (3, 2, 1)), ("M", (5, 3))],
-    ids=["Q111", "M11", "Q321", "M53"],
-)
-def test_integer_jacobi_agrees_with_the_fraction_loop_on_random_edits(kind, indices):
-    """On seeded edits of one to three triples of a model's three-form, the
-    check on t and N (D = 1) agrees with the Fraction loop on the model's
-    constants, which read its D as well."""
-    for edited in form_edits(get_model(kind, indices), random.Random(18), 60):
-        if jacobi_holds_reference(edited.n, structure_table(edited)):
-            _check_jacobi(edited.structure, edited.norms)
-        else:
-            with pytest.raises(ModelError, match="Jacobi identity failed"):
-                _check_jacobi(edited.structure, edited.norms)
-
-
-def jacobi_verdict(form, norms):
-    """Whether ``_check_jacobi`` accepts the three-form; it raises only its one message."""
-    try:
-        _check_jacobi(form, norms)
-    except ModelError as err:
-        assert str(err) == "Jacobi identity failed"
-        return False
-    return True
-
-
-def tripled(form):
-    """The three-form times 3; the Jacobi identity is quadratic, so this
-    keeps it or its failure."""
-    return tuple((p, q, r, 3 * t) for p, q, r, t in form)
-
-
-def form_edits(model, rng, count):
-    """``count`` copies of the model, each with one to three sorted triples
-    of its three-form, new or stored, given a new t (sometimes the one it
-    has)."""
-    stored = {triple[:3]: triple[3] for triple in model.structure}
-    for _ in range(count):
-        edits = {}
-        for _ in range(rng.randint(1, 3)):
-            key = tuple(sorted(rng.sample(range(model.n), 3))) if rng.random() < 0.3 else rng.choice(list(stored))
-            edits[key] = stored.get(key, 0) if rng.random() < 0.2 else rng.randint(-4, 4)
-        yield tampered(model, edits)
-
-
-def test_the_upper_cell_jacobi_check_agrees_with_the_per_triple_loop():
-    """On every sweep three-form, on 50 seeded edits of each, and on each of
-    these times 3, ``_check_jacobi`` accepts exactly the forms whose
-    ``Fraction`` constants the per-triple loop ``jacobi_holds_reference``
-    accepts."""
-    rng = random.Random(37)
-    verdicts = []
-    for kind, indices in TUPLE_SETS["sweep"]:
-        model = get_model(kind, indices)
-        for form in (model.structure, *(edited.structure for edited in form_edits(model, rng, 50))):
-            verdict = jacobi_holds(form, model.norms)
-            assert jacobi_verdict(form, model.norms) == verdict, (kind, indices)
-            assert jacobi_verdict(tripled(form), model.norms) == verdict, (kind, indices)
-            verdicts.append(verdict)
-    assert len(verdicts) == 61 * 51
-    assert verdicts.count(True) > 61 and verdicts.count(False) > 2_000
 
 
 @pytest.mark.parametrize("name", TUPLE_SETS)

@@ -1,6 +1,7 @@
 """Series starts, the adaptive integrator, and trajectory plumbing."""
 
 import math
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from holoflow import _kernel
 from holoflow.algebra import LaurentPoly, SymbolTable
 from holoflow.flow import ODESystem, derive_flow
 from holoflow.homogeneous import ModelError, m_model, q_model
@@ -74,7 +76,28 @@ def test_integrator_config_rejects_a_non_finite_or_out_of_range_value(name, valu
     rtol would spin to max_steps, an infinite t_end blow up."""
     with pytest.raises(ValueError, match=f"^{message} must be finite"):
         IntegratorConfig(**{name: value})
-    assert IntegratorConfig(t_end=-1.0, initial_step=0.0, eps=1e-6).t_end == -1.0  # backward stays allowed
+    assert IntegratorConfig(t_end=-1.0, initial_step=0.0, eps=1e-6).t_end == -1.0  # for a start before it
+
+
+@pytest.mark.parametrize(
+    "orbit,values,t_end,start",
+    [
+        ("principal", {"a": 1, "b": 1, "c": 1, "f": -1}, -5.0, 0.0),
+        ("principal", {"a": 1, "b": 1, "c": 1, "f": -1}, 0.0, 0.0),
+        ("s2xs2", {"b": 1, "c": 1}, 1e-7, 1e-6),
+    ],
+    ids=["principal-negative", "principal-zero", "s2xs2-before-offset"],
+)
+def test_a_t_end_at_or_before_the_start_is_rejected_before_any_loop(sysq, monkeypatch, orbit, values, t_end, start):
+    """t only increases: a t_end at or before the start t raises, naming
+    both, and no solve loop is generated or run."""
+
+    def no_loop(*args):
+        raise AssertionError("the solve loop was reached")
+
+    monkeypatch.setattr(_kernel, "solve", no_loop)
+    with pytest.raises(IntegrationError, match=re.escape(f"t_end {t_end!r} is not after the start t = {start!r}")):
+        solve_orbit(sysq, OrbitSpec("Q", orbit, values), IntegratorConfig(t_end=t_end))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ def test_every_record_is_well_formed(kind):
     assert [x for x, _, _ in spec.affine] == list(names[:-1])
     assert all(m != 0 and p >= 1 for _, m, p in spec.affine)
     assert spec.cone_label in (f"|{names[-1]}|/t", f"{names[-1]}/t")
-    assert len(spec.rotation_multiples) == len(CosetModel.PLANES)
     # catalog rows name state symbols; the vertical one collapses on every
     # singular orbit, and its slope is left to the circle action
     keys = [row.orbit_key for row in spec.catalog if row.orbit_key]
@@ -46,6 +45,19 @@ def test_every_record_is_well_formed(kind):
     assert len(cartan) == 2
     for _, x in cartan:
         assert not any(sum(c * p.get(a, 0) * g_norms[a] for a, c in x.items()) for _, p in model.basis[: model.TANGENT])
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_SPECS))
+def test_the_planes_and_the_one_element_module_partition_the_tangent_space(kind):
+    """The invariant 2-planes, read off the even-length modules, and the one
+    one-element module hold each tangent index 0..6 once; the rotation family
+    turns each plane by its own multiple."""
+    spec = MODEL_SPECS[kind]
+    (fixed,) = [m for m in spec.modules if len(m) == 1]
+    assert all(len(plane) == 2 for plane in spec.planes)
+    assert sorted(i for part in (*spec.planes, fixed) for i in part) == list(range(CosetModel.TANGENT))
+    assert spec.planes == ((0, 1), (2, 3), (4, 5)) and fixed == (6,)
+    assert len(spec.rotation_multiples) == len(spec.planes)
 
 
 @pytest.mark.parametrize("kind", sorted(MODEL_SPECS))

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from holoflow import structures
 from holoflow._record import replace
 from holoflow.algebra import LaurentPoly, Multivector
-from holoflow.flow import split_dt
-from holoflow.homogeneous import MODEL_SPECS, is_basic, m_model, q_model
+from holoflow.flow import exterior_d_time, split_dt
+from holoflow.homogeneous import MODEL_SPECS, is_basic, m_model, model_spec, q_model
 from holoflow.structures import (
     CANON8,
     Spin7Structure,
@@ -195,6 +195,35 @@ def test_Omega_is_basic_exactly_when_omega_and_its_star_are(monkeypatch, kind, e
     assert not is_basic(_with_dt(model, *tampered), model)
 
 
+@pytest.mark.parametrize("kind", ["Q", "M"])
+def test_the_d_of_a_basic_Omega_has_no_isotropy_term(monkeypatch, kind):
+    """Why ``derive_flow`` does not check d(Omega) for isotropy terms: Omega
+    is basic, i_x Omega = 0 and L_x Omega = i_x dOmega + d i_x Omega = 0, so
+    i_x dOmega = 0 for every isotropy x.  Over the real frame, each tampered
+    frame of ``TAMPERED_FRAMES``, their mixed pairs and the rotation family's
+    L(Omega) and L(L(Omega)), every four-form that ``is_basic`` accepts has a
+    d on G/H x I with no isotropy generator; a horizontal one it rejects may
+    have one."""
+    model = q_model(1, 1, 1) if kind == "Q" else m_model(1, 1)
+    iso = sum(1 << x for x in model.isotropy_indices)
+    pairs, spec = [star_omega_and_omega(model)], MODEL_SPECS[kind]
+    for _, edits in (frame for frame in TAMPERED_FRAMES if frame[0] == kind):
+        monkeypatch.setitem(MODEL_SPECS, kind, replace(spec, frame_map={**spec.frame_map, **edits}))
+        pairs.append(star_omega_and_omega(model))
+    monkeypatch.setitem(MODEL_SPECS, kind, spec)
+    forms = [_with_dt(model, *pair) for pair in itertools.product(*zip(*pairs))]
+    struct = build_invariant_structure(model)
+    V = rotation_generator(struct, struct.Omega)
+    forms += [V, rotation_generator(struct, V)]
+    seen = set()
+    for Omega in forms:
+        basic = is_basic(Omega, model)
+        leaks = any(mask & iso for mask in exterior_d_time(Omega, model).terms)
+        assert not (basic and leaks)
+        seen.add((basic, leaks, any(mask & iso for mask in Omega.terms)))
+    assert {(True, False, False), (False, True, False)} <= seen, seen
+
+
 @pytest.fixture
 def fresh_canonical_terms():
     """The canonical four-form's terms are built again, from the table as
@@ -362,7 +391,8 @@ def test_family_periods():
 
 def rotate_structure_reference(struct, theta):
     """Pull back by the reference torus action with unit speeds (1, 1, 1)."""
-    return replace(struct, Omega=_rotate_form(struct.Omega, _rotation(theta, Fraction(1), (1, 1, 1))))
+    planes = model_spec(struct.model).planes
+    return replace(struct, Omega=_rotate_form(struct.Omega, planes, _rotation(theta, Fraction(1), (1, 1, 1))))
 
 
 def test_m_action_generates_reference_family():
