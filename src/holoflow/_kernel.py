@@ -202,7 +202,7 @@ def _generate_loop(coeffs, exps, owner, n):
     operations in the same order, with ``max``/``min`` of two
     floats written as the comparisons CPython makes.
     """
-    _check_terms(coeffs, exps, owner, n, n)
+    rhs = make_rhs(coeffs, exps, owner, n)  # checks the term list before any source is written
     idx = range(n)
 
     def row(prefix):
@@ -329,7 +329,7 @@ def _generate_loop(coeffs, exps, owner, n):
     namespace = {
         "isfinite": math.isfinite,
         "sqrt": math.sqrt,
-        "rhs": make_rhs(coeffs, exps, owner, n),
+        "rhs": rhs,
         "_finite_rhs": _finite_rhs,
         "_initial_step": _initial_step,
     }

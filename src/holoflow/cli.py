@@ -70,10 +70,7 @@ def _orbit_spec(args):
         raw = getattr(args, f"{name}0", None)
         if raw is not None:
             values[name] = raw
-    try:
-        return OrbitSpec(args.model, args.orbit, values, negative_branch=args.negative_branch)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return OrbitSpec(args.model, args.orbit, values, negative_branch=args.negative_branch)
 
 
 def _singular_spec(args):
@@ -355,10 +352,7 @@ def cmd_smoothness(args) -> int:
     from .verify import smoothness_report
 
     model = _model_from_args(args)
-    try:
-        rep = smoothness_report(model, args.orbit)
-    except VerifyError as exc:
-        raise InputError(str(exc)) from exc
+    rep = smoothness_report(model, args.orbit)
     doc = {"model": model.label, "orbit": args.orbit, "smoothness": rep.to_json_dict()}
     _emit(doc, args.out)
     return 0

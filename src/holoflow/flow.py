@@ -15,8 +15,8 @@ from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ._record import record
-from .algebra import AlgebraError, FrozenPoly, LaurentPoly, Multivector, SymbolTable, term_list
-from .homogeneous import CosetModel, invariant_d
+from .algebra import FrozenPoly, LaurentPoly, Multivector, SymbolTable, term_list
+from .homogeneous import CosetModel, invariant_d, model_spec
 from .structures import Spin7Structure, build_invariant_structure
 
 
@@ -69,12 +69,8 @@ def under_system(form: Multivector, sys: ODESystem, table: SymbolTable) -> Multi
 def split_dt(form: Multivector) -> Tuple[Multivector, Multivector]:
     """(spatial part, dt-part with the dt factor removed from the left)."""
     bit = 1 << form.dt_index
-    spatial = Multivector(
-        form.gens, {m: c for m, c in form.terms.items() if not m & bit}, form.dt_index
-    )
-    rest = Multivector(
-        form.gens, {m: c for m, c in form.terms.items() if m & bit}, form.dt_index
-    )
+    spatial = Multivector(form.gens, {m: c for m, c in form.terms.items() if not m & bit}, form.dt_index)
+    rest = Multivector(form.gens, {m: c for m, c in form.terms.items() if m & bit}, form.dt_index)
     return spatial, rest.contract(form.dt_index)
 
 
@@ -136,14 +132,13 @@ class ODESystem:
 def _linear_system(
     dt_part: Multivector, unknowns: Sequence[str]
 ) -> List[Tuple[Dict[str, LaurentPoly], LaurentPoly]]:
-    """Decompose each coefficient as sum(A_x * x') + B, exactly."""
+    """Decompose each coefficient as sum(A_x * x') + B, exactly.  Omega's
+    coefficients hold no x' and ``time_chain`` adds sum(dc/dx * x'), so
+    ``linear_in`` cannot raise on d(Omega)."""
     primes = [x + "'" for x in unknowns]
     eqs = []
     for _, poly in dt_part.sorted_terms():
-        try:
-            a, b = poly.linear_in(primes)
-        except AlgebraError:
-            raise DerivationError("equation is nonlinear in the derivative symbols") from None
+        a, b = poly.linear_in(primes)
         eqs.append(({x[:-1]: c for x, c in a.items()}, b))
     return eqs
 
@@ -213,9 +208,7 @@ def derive_flow(model: CosetModel) -> ODESystem:
     d_Omega, table = model.derivation.d_Omega, model.derivation.struct.table
     spatial, dt_part = split_dt(d_Omega)
     if not spatial.is_zero:
-        raise DerivationError(
-            f"spatial part of d(Omega) does not vanish identically: {spatial!r}"
-        )
+        raise DerivationError(f"spatial part of d(Omega) does not vanish identically: {spatial!r}")
     unknowns = tuple(model.symbols.base)
     eqs = _linear_system(dt_part, unknowns)
     rhs, rank = _solve_linear(eqs, unknowns, table)
@@ -253,15 +246,16 @@ class KaehlerCertificate:
 
 def invariant_two_form_terms(model: CosetModel, struct: Spin7Structure) -> List[Multivector]:
     """Basis of invariant two-forms, one per isotropy module, paired in order
-    with the state symbols: x^2 times the sum of a module's planes, and
-    x e7 ^ dt on the fixed line."""
+    with the state symbols: x^2 times the sum of the module's
+    ``ModelSpec.planes``, and x e7 ^ dt on the fixed line."""
     table, gens, dt = struct.table, struct.gens, struct.dt_index
+    planes = model_spec(model).planes
     out = []
     for x, module in zip(table.base, model.modules):
         if len(module) == 1:
             pieces, power = [(module[0], dt)], 1
         else:
-            pieces, power = list(zip(module[::2], module[1::2])), 2
+            pieces, power = [p for p in planes if p[0] in module], 2
         coeff = LaurentPoly.monomial(table, 1, {x: power})
         forms = [Multivector.basis(gens, list(p), coeff, dt_index=dt) for p in pieces]
         out.append(sum(forms[1:], forms[0]))
@@ -280,7 +274,8 @@ def kaehler_search(model: CosetModel, sys: ODESystem) -> KaehlerCertificate:
 
     d and the substitution of the derivative symbols are linear, so both are
     applied once to each basis two-form and only the 2^k signed sums of the
-    images are tested.
+    images are tested.  Any signed sum's eta^4 is a nonzero volume multiple:
+    its terms are monomials on four disjoint pairs, the planes and (e7, dt).
     """
     struct = model.derivation.struct
     basis = invariant_two_form_terms(model, struct)
@@ -298,12 +293,6 @@ def kaehler_search(model: CosetModel, sys: ODESystem) -> KaehlerCertificate:
         )
     signs = max(winners)  # representative with leading +1
     eta = _signed_sum(signs, basis, zero)
-    # eta^4 must be a nonzero multiple of the volume form
-    power = eta
-    for _ in range(3):
-        power = power.wedge(eta)
-    if len(power.terms) != 1 or next(iter(power.terms.values())).is_zero:
-        raise DerivationError("eta^4 is not a volume multiple")
     d_eta = _signed_sum(signs, d_basis, zero)
     return KaehlerCertificate(signs, eta, d_eta)
 

@@ -51,9 +51,7 @@ class OrbitSpec:
         expected = tuple(s for s in spec.state_names if s not in orbits[self.orbit])
         vals = {k: Fraction(v) for k, v in self.values.items()}
         if set(vals) != set(expected):
-            raise OrbitError(
-                f"orbit {self.orbit!r} needs nonzero values exactly for {expected}"
-            )
+            raise OrbitError(f"orbit {self.orbit!r} needs nonzero values exactly for {expected}")
         if any(v == 0 for v in vals.values()):
             raise OrbitError("initial values must be nonzero")
         object.__setattr__(self, "values", MappingProxyType(vals))
@@ -231,25 +229,24 @@ class _OrbitLimits:
         self.unknowns = ["s_" + x for x in collapsing]
         self.limit_table = SymbolTable(tuple(self.unknowns))
         self.table = SymbolTable(tuple(self.unknowns) + ("t",) + self.surviving)
-        self.images = {
-            x: LaurentPoly.monomial(self.table, 1, {"s_" + x: 1, "t": 1}) for x in collapsing
-        }
+        self.images = {x: LaurentPoly.monomial(self.table, 1, {"s_" + x: 1, "t": 1}) for x in collapsing}
         for y in self.surviving:
             self.images[y] = LaurentPoly.variable(self.table, y)
-        self.parts: Dict[str, Optional[Tuple[LaurentPoly, Optional[LaurentPoly]]]] = {}
+        self.parts: Dict[str, Union[str, Tuple[LaurentPoly, Optional[LaurentPoly]]]] = {}
         # the sorted solutions, or the message the solve raised
         self.solutions: Dict[Tuple[LaurentPoly, ...], Union[List[Dict[str, Fraction]], str]] = {}
 
-    def _split(self, name: str) -> Optional[Tuple[LaurentPoly, Optional[LaurentPoly]]]:
+    def _split(self, name: str) -> Union[str, Tuple[LaurentPoly, Optional[LaurentPoly]]]:
         """``(limit, pole)`` of one right-hand side, minus s_x for a
         collapsing x; the limit is on the slope table unless it holds a
         surviving coefficient, and the pole is None when there is none.
-        None when the right-hand side holds a symbol the slopes cannot
-        carry."""
+        A message instead when the right-hand side holds a symbol outside
+        the state: every state symbol has a monomial image, so only such a
+        symbol makes ``subs`` raise."""
         try:
             poly = self.sys.rhs[name].subs(self.images, self.table)
         except AlgebraError:
-            return None
+            return _outside_state(self.sys, [self.sys.rhs[name]])
         t = len(self.unknowns)
         limit = LaurentPoly(self.table, {v: c for v, c in poly.terms.items() if v[t] == 0})
         pole = LaurentPoly(self.table, {v: c for v, c in poly.terms.items() if v[t] < 0})
@@ -265,8 +262,8 @@ class _OrbitLimits:
         if name not in self.parts:
             self.parts[name] = self._split(name)
         parts = self.parts[name]
-        if parts is None:
-            raise SeriesStartError(_POLE)
+        if isinstance(parts, str):
+            raise SeriesStartError(parts)
         limit, pole = parts
         if pole is not None and not pole.subs(self._at(values, self.table)).is_zero:
             raise SeriesStartError(_POLE)
@@ -339,9 +336,7 @@ def series_start(
     eqs = [limits.limit(x, values) for x in collapsing]
     for y in surviving:
         if not limits.limit(y, values).is_zero:
-            raise SeriesStartError(
-                f"surviving coefficient {y!r} has a nonzero first derivative"
-            )
+            raise SeriesStartError(f"surviving coefficient {y!r} has a nonzero first derivative")
 
     solutions = limits.solve(eqs)
     if not solutions:
@@ -366,12 +361,6 @@ def series_start(
     else:
         primitive = float(spec.values[primitive_source]) * eps
     return State(t=eps, values=state, primitive=primitive), slopes
-
-
-def principal_start(sys: ODESystem, spec: OrbitSpec) -> State:
-    if spec.orbit != "principal":
-        raise OrbitError("principal_start needs a principal-orbit spec")
-    return State(t=0.0, values={k: float(v) for k, v in spec.values.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +455,13 @@ class Trajectory:
         )
 
 
+def _outside_state(sys: ODESystem, polys: List[LaurentPoly]) -> str:
+    """The message for right-hand sides of ``sys`` that hold a non-state symbol."""
+    if any(set(sys.table.derivative).intersection(p.symbols()) for p in polys):
+        return "right-hand side contains derivative symbols"
+    return "right-hand side uses a non-state symbol"
+
+
 def _compile_terms(sys: ODESystem) -> Tuple[List[float], List[int], List[int], int]:
     names = sys.state
     # the primitive' = last state symbol; the primitive never feeds back
@@ -473,9 +469,7 @@ def _compile_terms(sys: ODESystem) -> Tuple[List[float], List[int], List[int], i
     try:
         coeffs, exps, owner = term_list(polys, names + (model_spec(sys.model_kind).primitive_name,))
     except AlgebraError:
-        if any(set(sys.table.derivative).intersection(p.symbols()) for p in polys):
-            raise IntegrationError("right-hand side contains derivative symbols") from None
-        raise IntegrationError("right-hand side uses a non-state symbol") from None
+        raise IntegrationError(_outside_state(sys, polys)) from None
     return coeffs, exps, owner, len(names) + 1
 
 
@@ -531,6 +525,7 @@ def solve_orbit(
 ) -> Tuple[Trajectory, Dict[str, Fraction]]:
     """Series start (if singular) followed by the adaptive integration."""
     if spec.orbit == "principal":
-        return integrate(sys, principal_start(sys, spec), cfg), {}
+        start = State(t=0.0, values={k: float(v) for k, v in spec.values.items()})
+        return integrate(sys, start, cfg), {}
     start, slopes = series_start(sys, spec, cfg.eps)
     return integrate(sys, start, cfg), slopes

@@ -42,7 +42,13 @@ def series_start_oracle(
 
     def limit(name: str) -> LaurentPoly:
         try:
-            return sys.rhs[name].subs(images, slope_table).subs(at_t0, limit_table)
+            poly = sys.rhs[name].subs(images, slope_table)
+        except AlgebraError as exc:  # a symbol with no image and no slot
+            if set(sys.table.derivative).intersection(sys.rhs[name].symbols()):
+                raise SeriesStartError("right-hand side contains derivative symbols") from exc
+            raise SeriesStartError("right-hand side uses a non-state symbol") from exc
+        try:
+            return poly.subs(at_t0, limit_table)
         except AlgebraError as exc:
             raise SeriesStartError("right-hand side has a pole at the singular orbit") from exc
 

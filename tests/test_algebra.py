@@ -493,3 +493,58 @@ def test_contract_antiderivation():
     lhs = uv.contract(0)
     rhs = u.contract(0).wedge(v) + u.wedge(v.contract(0))
     assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# API guards: each misuse raises its own message
+# ---------------------------------------------------------------------------
+
+A = LaurentPoly.variable(TAB, "a")
+OTHER_TAB = SymbolTable(("a",))
+E01 = ("e0", "e1")
+
+MISUSE = {
+    "float scalar": (lambda: LaurentPoly.const(TAB, 0.5), "expected an exact rational scalar, got float"),
+    "duplicate base": (lambda: SymbolTable(("a", "a")), "duplicate base symbols"),
+    "duplicate derivative": (lambda: SymbolTable(("a",), ("a'", "a'")), "duplicate derivative symbols"),
+    "base is a derivative": (
+        lambda: SymbolTable(("a", "a'"), ("a'",)),
+        "base and derivative symbols must be disjoint",
+    ),
+    "derivative without base": (
+        lambda: SymbolTable(("a",), ("b'",)),
+        "derivative symbol \"b'\" has no matching base symbol",
+    ),
+    "negative derivative exponent": (
+        lambda: LaurentPoly.monomial(TAB, 1, {"a'": -1}),
+        "negative exponent on derivative symbol \"a'\"",
+    ),
+    "different tables": (
+        lambda: A + LaurentPoly.variable(OTHER_TAB, "a"),
+        "LaurentPoly operands use different symbol tables",
+    ),
+    "inverted derivative symbol": (
+        lambda: LaurentPoly.variable(TAB, "a'") ** -1,
+        "cannot invert a derivative-symbol monomial",
+    ),
+    "diff by a derivative symbol": (lambda: A.diff("a'"), "diff is defined on base symbols only"),
+    "eval without a value": (lambda: A.eval({"b": 1.0}), "assignment missing symbol 'a'"),
+    "13 generators": (
+        lambda: Multivector(tuple(f"e{i}" for i in range(13)), {}),
+        "at most 12 generators are supported",
+    ),
+    "mask out of range": (lambda: Multivector(E01, {4: 1}), "subset mask out of range"),
+    "repeated basis index": (lambda: Multivector.basis(E01, [1, 1], 1), "basis indices must be distinct"),
+    "different dt": (
+        lambda: Multivector(E01, {1: 1}, dt_index=0) + Multivector(E01, {1: 1}, dt_index=1),
+        "multivectors disagree on the dt generator",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MISUSE))
+def test_each_misuse_raises_its_message(case):
+    call, message = MISUSE[case]
+    with pytest.raises(AlgebraError) as got:
+        call()
+    assert str(got.value) == message

@@ -340,6 +340,10 @@ def test_compare_model_mismatch_rejected(sysq):
         compare(traj, profile("M", OrbitSpec("M", "cp2", {"a": 1})))
 
 
+def test_profile_rejects_the_other_models_spec():
+    with pytest.raises(ProfileError, match="^orbit spec does not match the model$"):
+        profile(q_model(1, 1, 1), OrbitSpec("M", "cp2", {"a": 1}))
+
 
 #: stored M cp2 rows (a, b, c, C) that compare cannot measure: a^2 beyond
 #: float range, the closed form c^2 not finite at s = 1e300, and a deviation

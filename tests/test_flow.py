@@ -101,6 +101,69 @@ def hitchin_residual(model, sys):
     return lhs - rhs
 
 
+@pytest.mark.parametrize("model", [q_model(1, 1, 1), m_model(1, 1)], ids=["Q", "M"])
+def test_every_coefficient_of_d_Omega_is_linear_in_the_derivative_symbols(model):
+    """Why ``_linear_system`` does not guard ``linear_in``: Omega's
+    coefficients hold no derivative symbol, and ``time_chain`` adds
+    sum(dc/dx * x'), so each coefficient of d(Omega) has degree at most 1 in
+    the x', with no negative power."""
+    deriv = model.derivation
+    primes = range(deriv.struct.table.nbase, len(deriv.struct.table.names))
+
+    def prime_exponents(form):
+        return {tuple(vec[i] for i in primes) for poly in form.terms.values() for vec in poly.terms}
+
+    assert prime_exponents(deriv.struct.Omega) == {(0,) * len(primes)}
+    exponents = prime_exponents(deriv.d_Omega)
+    assert all(min(e) >= 0 and sum(e) <= 1 for e in exponents)
+    assert len(exponents) == 1 + len(primes)  # every x' occurs
+
+
+TAMPERED_D_OMEGA = {
+    "spatial": (
+        lambda d, one: d + Multivector.basis(d.gens, [0, 1, 2, 3, 4], one, dt_index=d.dt_index),
+        "spatial part of d(Omega) does not vanish identically: ",
+    ),
+    "inconsistent": (
+        lambda d, one: d + Multivector.basis(d.gens, [0, 1, 2, 4, d.dt_index], one, dt_index=d.dt_index),
+        "inconsistent closure equations",
+    ),
+    "underdetermined": (
+        lambda d, one: Multivector(
+            d.gens, {m: c for m, c in d.terms.items() if "f'" not in c.symbols()}, d.dt_index
+        ),
+        "underdetermined system; no pivot for ['f']",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(TAMPERED_D_OMEGA))
+def test_derive_flow_rejects_a_tampered_d_Omega(case):
+    """A fresh Q(1,1,1) whose cached d(Omega) gains a dt-free term, gains a
+    dt term with no derivative symbol, or loses every term with f'."""
+    edit, message = TAMPERED_D_OMEGA[case]
+    model = replace(q_model(1, 1, 1))
+    deriv = model.derivation
+    vars(deriv)["d_Omega"] = edit(deriv.d_Omega, LaurentPoly.const(deriv.struct.table, 1))
+    with pytest.raises(DerivationError) as got:
+        derive_flow(model)
+    assert str(got.value).startswith(message)
+
+
+def test_derive_flow_rejects_a_system_that_does_not_close_d_Omega(monkeypatch):
+    """The back-substitution check is d(Omega) = 0 under the derived system:
+    an elimination that returned twice each right-hand side fails it."""
+    real = flow._solve_linear
+
+    def doubled(*args):
+        values, rank = real(*args)
+        return {x: 2 * p for x, p in values.items()}, rank
+
+    monkeypatch.setattr(flow, "_solve_linear", doubled)
+    with pytest.raises(DerivationError, match="^back-substitution of the derived system fails$"):
+        derive_flow(q_model(1, 1, 1))
+
+
 def test_cosymplectic_constraints_empty():
     assert cosymplectic_constraints(q_model(1, 1, 1)) == []
     assert cosymplectic_constraints(m_model(1, 1)) == []
@@ -310,16 +373,23 @@ def test_a_tampered_model_used_first_changes_nothing_for_the_real_one():
 
 
 def test_eta_fourth_power_is_volume_multiple():
-    model = q_model(1, 1, 1)
-    cert = kaehler_search(model, derive_flow(model))
-    power = cert.eta
-    for _ in range(3):
-        power = power.wedge(cert.eta)
-    ((mask, poly),) = power.terms.items()
-    ev = poly.eval({"a": 1.0, "b": 1.0, "c": 1.0, "f": 1.0})
-    assert ev != 0.0
-    # the single surviving subset is e1..e7 ^ dt
-    assert bin(mask).count("1") == 8
+    """Why ``kaehler_search`` does not check eta^4: the planes and the fixed
+    line with dt split the coframe into four disjoint pairs, each with a
+    monomial coefficient, so every signed sum's eta^4 is 4! times their
+    product on e1..e7 ^ dt."""
+    for model in (q_model(1, 1, 1), m_model(1, 1)):
+        struct = model.derivation.struct
+        basis = invariant_two_form_terms(model, struct)
+        volume = 0b1111111 | 1 << struct.dt_index  # e1..e7 ^ dt
+        for signs in product((1, -1), repeat=len(basis)):
+            eta = Multivector.zero(struct.gens, struct.dt_index)
+            for sign, term in zip(signs, basis):
+                eta = eta + (term if sign == 1 else -term)
+            power = eta
+            for _ in range(3):
+                power = power.wedge(eta)
+            ((mask, poly),) = power.terms.items()
+            assert mask == volume and len(poly.terms) == 1, (model.kind, signs)
 
 
 def test_ode_parity_symmetries_by_formal_substitution():

@@ -24,7 +24,6 @@ from holoflow.integrate import (
     Trajectory,
     _rational_roots,
     integrate,
-    principal_start,
     series_start,
     solve_orbit,
 )
@@ -463,10 +462,12 @@ def test_from_csv_rejects_an_unknown_kind(kind):
 
 
 def test_principal_orbit_start(sysq):
+    """A principal orbit starts at t = 0 from its values, with a zero
+    primitive and no slopes."""
     spec = OrbitSpec("Q", "principal", {"a": 1, "b": 1, "c": 1, "f": -1})
-    st = principal_start(sysq, spec)
-    traj = integrate(sysq, st, IntegratorConfig(t_end=5.0))
-    assert traj.status == "done"
+    traj, slopes = solve_orbit(sysq, spec, IntegratorConfig(t_end=5.0))
+    assert (traj.status, slopes) == ("done", {})
+    assert (traj.ts[0], traj.ys[0]) == (0.0, [1.0, 1.0, 1.0, -1.0, 0.0])
 
 
 def test_a_prepared_system_and_an_orbit_spec_cannot_be_changed():

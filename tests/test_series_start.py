@@ -10,10 +10,11 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from holoflow import integrate
+from holoflow._record import replace
 from holoflow.algebra import LaurentPoly, SymbolTable
 from holoflow.flow import ODESystem, derive_flow
 from holoflow.homogeneous import m_model, q_model
-from holoflow.integrate import ORBIT_COLLAPSING, OrbitSpec, SeriesStartError, series_start
+from holoflow.integrate import ORBIT_COLLAPSING, OrbitError, OrbitSpec, SeriesStartError, series_start
 from mutations import perturbed_system
 from series_start_oracle import series_start_oracle
 
@@ -40,8 +41,28 @@ VALUE_DEPENDENT = {
 }
 
 
+def with_symbol(sys_: ODESystem, name: str, table: SymbolTable) -> ODESystem:
+    """``sys_`` over ``table`` with the symbol ``name`` added to a's right-hand side."""
+    rhs = {x: p.subs({}, table) for x, p in sys_.rhs.items()}
+    rhs["a"] = rhs["a"] + LaurentPoly.variable(table, name)
+    return replace(sys_, rhs=rhs)
+
+
+M_SYSTEM = m_model(1, 1).derivation.sys
+
+
 #: hand-made systems and specs, one per failure of the series start
 FAILURES = {
+    "derivative symbol": (
+        with_symbol(M_SYSTEM, "b'", M_SYSTEM.table),
+        OrbitSpec("M", "cp2", {"a": 1}),
+        "right-hand side contains derivative symbols",
+    ),
+    "non-state symbol": (
+        with_symbol(M_SYSTEM, "u", SymbolTable(("a", "b", "c", "u"))),
+        OrbitSpec("M", "cp2", {"a": 1}),
+        "right-hand side uses a non-state symbol",
+    ),
     "pole": (
         m_system(C, C, C**-1),
         OrbitSpec("M", "cp2xs2", {"a": 1, "b": 1}),
@@ -119,6 +140,20 @@ def test_a_pole_that_cancels_raises_only_off_the_cancelling_values(case):
 def test_the_branch_picks_the_smaller_positive_slope():
     sys_ = FAILURES["no slope on the branch"][0]
     assert series_start(sys_, OrbitSpec("M", "cp2", {"a": 1}))[1] == {"b": Fraction(1), "c": Fraction(1)}
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        (OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1}), "orbit spec does not match the ODE system"),
+        (OrbitSpec("M", "principal", {"a": 1, "b": 1, "c": 1}), "series_start needs at least one collapsing coefficient"),
+    ],
+    ids=["other-kind", "principal"],
+)
+def test_series_start_rejects_a_spec_it_cannot_start(spec, message):
+    with pytest.raises(OrbitError) as got:
+        series_start(M_SYSTEM, spec)
+    assert str(got.value) == message
 
 
 # ---------------------------------------------------------------------------

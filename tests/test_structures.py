@@ -275,6 +275,12 @@ def test_rotation_identity():
     assert rotate_structure(s, (Fraction(1), Fraction(0))).Omega == s.Omega
 
 
+def test_rotation_rejects_an_exact_pair_off_the_unit_circle():
+    s = build_invariant_structure(q_model(1, 1, 1))
+    with pytest.raises(StructureError, match=r"^exact rotation pair must satisfy c\^2 \+ s\^2 = 1$"):
+        rotate_structure(s, (Fraction(1), Fraction(1)))
+
+
 @seed(19903656298249881756725223930799227802549080990371397210261387234722118451146069523399347617960584982798258102261771)
 @settings(max_examples=15, deadline=None, database=None)
 @given(st.fractions(-3, 3, max_denominator=7))

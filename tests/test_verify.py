@@ -193,6 +193,49 @@ def test_closure_raw_samples(q_setup):
     assert rep.max_residual < 1e-3
 
 
+def test_closure_raw_samples_need_three_samples(q_setup):
+    model, deriv, spec, traj, sampler = q_setup
+    two = Trajectory("Q", traj.state_names, traj.ts[:2], traj.ys[:2], "loaded")
+    with pytest.raises(VerifyError, match="^need at least 3 samples for centered differences$"):
+        check_closure_samples(two, deriv)
+
+
+def test_closure_rejects_a_residual_beyond_float_range(q_setup):
+    model, deriv, spec, traj, sampler = q_setup
+
+    class Steep:
+        """a, b, c of 1e-70 and f of 1e-140 at each whole t, every
+        coefficient -1e300 a step before it and 1e300 a step after: Omega is
+        of order 1e-280, the slopes of order 1e304, and d(Omega), with its
+        term abc f', of order 1e95, so d(Omega) / Omega passes float range."""
+
+        t_min, t_max = 0.0, 10.0
+
+        def __call__(self, t):
+            offset = t - round(t)
+            if offset == 0:
+                return {"a": 1e-70, "b": 1e-70, "c": 1e-70, "f": 1e-140}
+            return dict.fromkeys("abcf", math.copysign(1e300, offset))
+
+    with pytest.raises(VerifyError, match="^closure check: a residual is beyond float range$"):
+        check_closure(Steep(), deriv, t_points=[2.0, 5.0, 9.0])
+
+
+def test_profile_sampler_rejects_anchors_of_the_other_model(q_setup):
+    model, deriv, spec, traj, sampler = q_setup
+    with pytest.raises(VerifyError, match="^profile and anchor trajectory disagree on the model$"):
+        ProfileSampler(profile("M", OrbitSpec("M", "cp2", {"a": 1})), traj)
+
+
+def test_profile_sampler_rejects_anchors_past_the_profiles_zero():
+    """M cp2 at a = 1 has c^2 < 0 for s < 0: an anchor at C = -1 leaves the
+    inversion no speed."""
+    prof = profile("M", OrbitSpec("M", "cp2", {"a": 1}))
+    anchors = Trajectory("M", ("a", "b", "c"), [1.0, 2.0, 3.0], [[1.0, 1.0, 1.0, -1.0]] * 3, "loaded")
+    with pytest.raises(VerifyError, match="^profile speed vanished during inversion$"):
+        ProfileSampler(prof, anchors)(2.0)
+
+
 # ---------------------------------------------------------------------------
 # the compiled closure forms against eval_numeric
 # ---------------------------------------------------------------------------
@@ -591,6 +634,16 @@ def test_su4_certificate_fails_on_mutated_rhs():
                 cert = su4_family_check(model, perturbed_system(sys, name, factor))
                 assert not cert.passed, (model.kind, name, factor)
                 assert not cert.family_parallel, (model.kind, name, factor)
+
+
+def test_su4_certificate_rejects_a_pole_in_the_vertical_rhs():
+    """(4) sets the vertical coefficient to 0, where c' = ... + 1/c has a pole."""
+    model = m_model(1, 1)
+    sys = model.derivation.sys
+    c = LaurentPoly.variable(sys.table, "c")
+    polar = replace(sys, rhs={**sys.rhs, "c": sys.rhs["c"] + c**-1})
+    with pytest.raises(VerifyError, match="^cannot evaluate a pole at the collapsing locus$"):
+        su4_family_check(model, polar)
 
 
 @pytest.mark.parametrize("model", [q_model(1, 1, 1), m_model(1, 1)], ids=["Q", "M"])
