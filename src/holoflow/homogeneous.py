@@ -2,13 +2,14 @@
 
 The Q model lives in g = su(2)^3, the M model in g = su(3) + su(2).  Each
 kind's g has one basis g_a of sparse Gaussian-integer matrices, the entry
-(b, i, j) keyed by the int (3 b + i) 3 + j; ``_build_structure`` checks it and
-finds g's integer three-form G_abc = q([g_a, g_b], g_c) once per kind and
-process.  A model's basis element is the pair (D, {a: P_a}) of its integer
-coordinates over the g_a, X = sum_a P_a g_a / D, so its norms and the
-orthogonality and positivity checks are sums over g's norms, its structure
-the pullback of G, and no model makes a matrix or a bracket; closure is g's,
-checked once per kind, and implies G's Jacobi identity.  A model stores the
+(b, i, j) keyed by the int (3 b + i) 3 + j; ``_build_structure`` takes g's
+matrices, checks them and finds g's integer three-form
+G_abc = q([g_a, g_b], g_c) once per kind and process.  A model's basis
+element is the pair (D, {a: P_a}) of its integer coordinates over the g_a,
+X = sum_a P_a g_a / D, so its norms and the orthogonality and positivity
+checks are sums over g's norms, its structure the pullback of G, and no
+model makes a matrix or a bracket; closure is g's, checked once per kind,
+and implies G's Jacobi identity.  A model stores the
 integer norms N = q(S, S) and the three-form t_ijk = q([S_i, S_j], S_k) of
 S = D X, as g does, and ``_constants`` alone reads structure constants off
 them.  The isotropy Cartan elements are coordinates over g too, and ``_ad``
@@ -49,8 +50,6 @@ _SIDE = 3
 
 # sparse nonzero entries {packed (block, row, col): (re, im)} with int parts
 GaussMatrix = Dict[int, Tuple[int, int]]
-# a Lie-algebra element X = S / D as the pair (D, S)
-Scaled = Tuple[int, GaussMatrix]
 
 # entry patterns {(row, col): (re, im)} within one block
 Pattern = Mapping[Tuple[int, int], Tuple[int, int]]
@@ -256,14 +255,14 @@ def _q_diagonal(rows: Iterable[Iterable[int]]) -> List[int]:
     return norms
 
 
-def _build_structure(basis: Tuple[Scaled, ...]) -> Tuple[ThreeForm, Tuple[int, ...]]:
+def _build_structure(mats: Sequence[GaussMatrix]) -> Tuple[ThreeForm, Tuple[int, ...]]:
     """The three-form, as ``_change_of_basis`` reads it, and the norms
-    N_i = q(S_i, S_i) of a basis X_i = S_i / D_i of Gaussian-integer matrices,
-    checked on the entries: [S_i, S_j] = sum_k G_ijk S_k / N_k leaves no residual.
+    N_i = q(S_i, S_i) of g's basis S_i of Gaussian-integer matrices, checked on
+    the entries: [S_i, S_j] = sum_k G_ijk S_k / N_k leaves no residual.
     G_ijk = q([S_i, S_j], S_k) is totally antisymmetric, the trace being cyclic,
     so only i < j < k is read; the basis is q-orthogonal, so independent, and the
     G_ijk / N_k are coordinates of commutators, which satisfy the Jacobi identity."""
-    mats, n = [s for _, s in basis], len(basis)
+    n = len(mats)
     norms = _q_diagonal((_q(mats[i], mats[j]) for j in range(i, n)) for i in range(n))
     weights, scale = _span_weights(norms)
     triples: List[Tuple[int, int, int, int]] = []
@@ -332,9 +331,9 @@ def _pullback(triples: ThreeForm, coords: Sequence[Sequence[Tuple[int, int]]], n
 
 @lru_cache(maxsize=None)
 def _algebra(kind: str) -> Tuple[ThreeForm, Tuple[int, ...]]:
-    """The checked three-form of a kind's g on its basis g_a (D = 1), as its
-    nonzero sorted triples (a, b, c, G_abc), and the q-norms N_a."""
-    return _build_structure(tuple((1, _place(b, p)) for b, p in _ALGEBRA[kind]))
+    """The checked three-form of a kind's g on its basis g_a, as its nonzero
+    sorted triples (a, b, c, G_abc), and the q-norms N_a."""
+    return _build_structure([_place(b, p) for b, p in _ALGEBRA[kind]])
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,12 @@ evaluates the closed-form profile exactly or fits the cone limits by exact
 least squares; the tests do, and hold the package to these.
 
 Each reference here is independent of the package's algorithm for what it
-checks: the matrix path, ``Fraction`` arithmetic or a defining property.  A
+checks: the matrix path, ``Fraction`` arithmetic or a defining property.
+There is one per quantity: ``model_matrices`` feeds the matrix path that
+holds a basis's three-form and norms; ``form_table`` gives the constants
+and the Maurer-Cartan forms; ``isotropy_coords`` (with ``fraction_cartan``
+for the Cartan elements) the coordinates of an isotropy element;
+``ad_all_rows`` ad_x; and ``weights_by_fraction_cartan`` the weights.  A
 change that replaces a code path proves, in that change, that the new path
 equals its parent, and leaves no copy of the parent's path here.
 """
@@ -65,8 +70,8 @@ def model_matrices(kind, basis):
     """The (D, S) pairs of Gaussian-integer matrices of a basis given by its
     coordinates (D, {a: P_a}) over the Lie-algebra basis g_a of ``kind``:
     S = sum_a P_a g_a, summed entry by entry from the placed patterns of
-    ``_ALGEBRA``, zero entries dropped.  ``_build_structure`` on these is the
-    oracle of a model's change-of-basis build."""
+    ``_ALGEBRA``, zero entries dropped.  The matrix path on these is the
+    reference of a model's change-of-basis build."""
     out = []
     for d, coords in basis:
         s = {}
@@ -121,32 +126,35 @@ def _structure_rows(n, form, dens, norms):
     return fraction_rows(n, form_table(form, dens, norms))
 
 
+def isotropy_coords(model, element):
+    """The ``Fraction`` coordinates {k: c_k} over the model's basis of an
+    element X = (D, {a: P_a}) over g, c_k = q(X, X_k) / q(X_k, X_k) summed
+    over g's norms; raises unless X = sum_k c_k X_k with no tangent k."""
+    g_norms = _algebra(model.kind)[1]
+    den, x = element
+    coords = {}
+    for k, (d, p) in enumerate(model.basis):
+        c = Fraction(sum(x.get(a, 0) * v * g_norms[a] for a, v in p.items()) * d, den * model.norms[k])
+        if c:
+            coords[k] = c
+    residual = {a: Fraction(v, den) for a, v in x.items()}
+    for k, c in coords.items():
+        d, p = model.basis[k]
+        for a, v in p.items():
+            residual[a] = residual.get(a, 0) - c * v / d
+    if any(residual.values()) or min(coords, default=model.TANGENT) < model.TANGENT:
+        raise ModelError("Cartan element is not in the isotropy algebra")
+    return coords
+
+
 def fraction_cartan(model):
     """The isotropy Cartan elements as ``Fraction`` coordinates {index: c}
-    over the model's basis: M's e10 and e11, and for Q each element
-    X = (x g_2 + y g_5 + z g_8) / 2 of the HNF kernel basis at
-    c_k = q(X, X_k) / q(X_k, X_k); raises unless X = sum_k c_k X_k with no
-    tangent k."""
+    over the model's basis: M's e10 and e11, and for Q the
+    ``isotropy_coords`` of each element X = (x g_2 + y g_5 + z g_8) / 2 of
+    the HNF kernel basis."""
     if model.kind == "M":
         return [{9: Fraction(1)}, {10: Fraction(1)}]
-    g_norms = _algebra(model.kind)[1]
-    out = []
-    for x, y, z in _kernel_basis_1x3(*model.indices):
-        element = {2: Fraction(x, 2), 5: Fraction(y, 2), 8: Fraction(z, 2)}
-        coords = {}
-        for k, (d, p) in enumerate(model.basis):
-            c = sum(element.get(a, 0) * v * g_norms[a] for a, v in p.items()) * d / model.norms[k]
-            if c:
-                coords[k] = c
-        residual = dict(element)
-        for k, c in coords.items():
-            d, p = model.basis[k]
-            for a, v in p.items():
-                residual[a] = residual.get(a, 0) - c * v / d
-        if any(residual.values()) or min(coords) < model.TANGENT:
-            raise ModelError("Cartan element is not in the isotropy algebra")
-        out.append(coords)
-    return out
+    return [isotropy_coords(model, (2, {2: x, 5: y, 8: z})) for x, y, z in _kernel_basis_1x3(*model.indices)]
 
 
 def ad_all_rows(model, x):

@@ -37,7 +37,6 @@ from holoflow.homogeneous import (
     _m_basis,
     _model,
     _plane_speed,
-    _pullback,
     _q,
     _q_basis,
     classify_invariant_g2,
@@ -56,7 +55,8 @@ from oracles import (
     canonical_weights,
     coefficient,
     form_table,
-    fraction_cartan,
+    fraction_rows,
+    isotropy_coords,
     model_matrices,
     pack,
     q_norms,
@@ -142,10 +142,6 @@ def test_q_metric_is_diagonal_with_expected_norms():
     norms = q_norms(model.norms, model.basis)
     assert norms[:6] == (Fraction(1, 2),) * 6
     assert norms[6] == Fraction(3, 2)
-    basis = dense_basis(model)
-    for i in range(model.n):
-        for j in range(i + 1, model.n):
-            assert q_inner(basis[i], basis[j]) == 0
 
 
 def test_isotropy_brackets_preserve_modules():
@@ -566,120 +562,16 @@ def test_get_model_names_the_indices_of_a_wrong_count(kind, indices, message):
 
 
 # ---------------------------------------------------------------------------
-# the integer arithmetic against Fraction-matrix reference helpers
+# the checks of the matrix path on small bases
 # ---------------------------------------------------------------------------
 
-# matrix entries are (re, im) pairs of Fractions
-F0, HALF = Fraction(0), Fraction(1, 2)
-S3 = (((F0, HALF), (F0, F0)), ((F0, F0), (F0, -HALF)))
-
-BLOCK_SIZES = {"Q": (2, 2, 2), "M": (3, 2)}
-
-
-def dense(x, sizes):
-    """The basis element x = (D, S) as a tuple of dense Fraction matrix blocks."""
-    d, s = x
-    return tuple(
-        tuple(
-            tuple(tuple(Fraction(v, d) for v in s.get(pack(b, i, j), (0, 0))) for j in range(n))
-            for i in range(n)
-        )
-        for b, n in enumerate(sizes)
-    )
-
-
-def dense_basis(model):
-    return [dense(x, BLOCK_SIZES[model.kind]) for x in model_matrices(model.kind, model.basis)]
-
-
-def _mmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(
-            (
-                sum(a[i][k][0] * b[k][j][0] - a[i][k][1] * b[k][j][1] for k in range(n)),
-                sum(a[i][k][0] * b[k][j][1] + a[i][k][1] * b[k][j][0] for k in range(n)),
-            )
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-def tuple_bracket(x, y):
-    """XY - YX, blockwise."""
-    out = []
-    for a, b in zip(x, y):
-        ab, ba = _mmul(a, b), _mmul(b, a)
-        out.append(
-            tuple(
-                tuple((p[0] - q[0], p[1] - q[1]) for p, q in zip(r1, r2))
-                for r1, r2 in zip(ab, ba)
-            )
-        )
-    return tuple(out)
-
-
-def q_inner(x, y):
-    """Biinvariant metric q(X,Y) = -tr(XY), summed over matrix blocks."""
-    re = im = Fraction(0)
-    for a, b in zip(x, y):
-        ab = _mmul(a, b)
-        re += sum(ab[i][i][0] for i in range(len(ab)))
-        im += sum(ab[i][i][1] for i in range(len(ab)))
-    assert im == 0
-    return -re
-
-
-def _scaled_matrix(a, n):
-    return tuple(tuple((re * n, im * n) for re, im in row) for row in a)
-
-
-def _reference_cartan(model):
-    if model.kind == "Q":
-        return [
-            tuple(_scaled_matrix(S3, v) for v in kernel)
-            for kernel in _kernel_basis_1x3(*model.indices)
-        ]
-    return dense_basis(model)[9:11]
-
-
-@pytest.mark.parametrize(
-    "kind,indices",
-    [("Q", (1, 1, 1)), ("Q", (1, 1, 0)), ("Q", (3, 2, 1)), ("M", (1, 1)), ("M", (2, 1)), ("M", (5, 3))],
-    ids=["Q111", "Q110", "Q321", "M11", "M21", "M53"],
-)
-def test_structure_and_weights_match_fraction_matrices(kind, indices):
-    model = get_model(kind, indices)
-    basis = dense_basis(model)
-    norms = tuple(q_inner(e, e) for e in basis)
-    assert q_norms(model.norms, model.basis) == norms
-    table = {}
-    for i in range(model.n):
-        for j in range(i + 1, model.n):
-            br = tuple_bracket(basis[i], basis[j])
-            coeffs = {k: q_inner(br, e) / norms[k] for k, e in enumerate(basis)}
-            coeffs = {k: c for k, c in coeffs.items() if c}
-            if coeffs:
-                table[(i, j)] = coeffs
-    assert structure_table(model) == table
-    want = tuple(
-        tuple(
-            q_inner(tuple_bracket(x, basis[i]), basis[j]) / norms[j]
-            for x in _reference_cartan(model)
-        )
-        for i, j in MODEL_SPECS[kind].planes
-    )
-    assert isotropy_weights(model) == want
-
-
-# one-block (D, S) pairs {packed (block, row, col): (re, im)}
-S1 = (2, {pack(0, 0, 1): (0, 1), pack(0, 1, 0): (0, 1)})
-S2 = (2, {pack(0, 0, 1): (1, 0), pack(0, 1, 0): (-1, 0)})
-SIGMA_X = (1, {pack(0, 0, 1): (1, 0), pack(0, 1, 0): (1, 0)})  # hermitian
-S1_PLUS_S2 = (2, {pack(0, 0, 1): (1, 1), pack(0, 1, 0): (-1, 1)})
-S3_PAIR = (2, {pack(0, 0, 0): (0, 1), pack(0, 1, 1): (0, -1)})
-S2_PLUS_S3 = (2, {pack(0, 0, 1): (1, 0), pack(0, 1, 0): (-1, 0), pack(0, 0, 0): (0, 1), pack(0, 1, 1): (0, -1)})
+# one-block matrices {packed (block, row, col): (re, im)}
+S1 = {pack(0, 0, 1): (0, 1), pack(0, 1, 0): (0, 1)}
+S2 = {pack(0, 0, 1): (1, 0), pack(0, 1, 0): (-1, 0)}
+SIGMA_X = {pack(0, 0, 1): (1, 0), pack(0, 1, 0): (1, 0)}  # hermitian
+S1_PLUS_S2 = {pack(0, 0, 1): (1, 1), pack(0, 1, 0): (-1, 1)}
+S3_PAIR = {pack(0, 0, 0): (0, 1), pack(0, 1, 1): (0, -1)}
+S2_PLUS_S3 = {pack(0, 0, 1): (1, 0), pack(0, 1, 0): (-1, 0), pack(0, 0, 0): (0, 1), pack(0, 1, 1): (0, -1)}
 
 
 @pytest.mark.parametrize(
@@ -710,9 +602,8 @@ def test_build_structure_exact_checks(basis, message):
     ids=["two-rows", "orthogonal-before-real", "real-before-orthogonal"],
 )
 def test_gram_scan_reports_the_row_major_first_failure(basis, message):
-    for build in (_build_structure, build_structure_reference):
-        with pytest.raises(ModelError, match=re.escape(message)):
-            build(basis)
+    with pytest.raises(ModelError, match=re.escape(message)):
+        _build_structure(basis)
 
 
 def test_the_stored_table_view_keeps_the_golden_order():
@@ -721,21 +612,6 @@ def test_the_stored_table_view_keeps_the_golden_order():
         table = structure_table(get_model(kind, indices))
         in_order = [[i, j, [[k, str(c)] for k, c in coeffs.items()]] for (i, j), coeffs in table.items()]
         assert in_order == record["structure"]
-
-
-def test_maurer_cartan_matches_the_fraction_table_term_by_term():
-    """de^i = -sum_{j<k} c^i_jk e^j ^ e^k on every sweep model: the same
-    masks and Fraction coefficients as the forms built from the Fraction
-    table, inserted in the row-major order of the pairs (j, k)."""
-    for kind, indices in sweep_tuples():
-        model = get_model(kind, indices)
-        table = structure_table(model)
-        des = maurer_cartan(model)
-        assert len(des) == model.n
-        for i, de in enumerate(des):
-            want = [((1 << j) | (1 << k), -coeffs[i]) for (j, k), coeffs in table.items() if coeffs.get(i)]
-            assert (de.gens, de.dt_index) == (group_gens(model), model.n)
-            assert repr(list(de.terms.items())) == repr(want), (kind, indices, i)
 
 
 def test_classification_never_builds_the_fraction_table():
@@ -750,8 +626,8 @@ def test_classification_never_builds_the_fraction_table():
 
 
 # ---------------------------------------------------------------------------
-# the integer build and Cartan coordinates against the Fraction code they
-# replaced
+# each model's three-form, norms, constants, Maurer-Cartan forms, ad_x and
+# weights against the matrix path and the Fraction views, on one grid
 # ---------------------------------------------------------------------------
 
 
@@ -787,113 +663,19 @@ def gbracket_reference(x, y):
 
 
 def jacobi_holds(form, norms):
-    """``jacobi_holds_reference`` on the constants of a three-form over a
-    basis of norms N (D = 1)."""
-    return jacobi_holds_reference(len(norms), form_table(form, [1] * len(norms), norms))
-
-
-def jacobi_holds_reference(n, table):
-    """The Jacobi identity on every triple of {(i, j): {k: c^k_ij}}, in Fraction arithmetic."""
-    both = dict(table)
-    for (i, j), coeffs in table.items():
-        both[(j, i)] = {k: -v for k, v in coeffs.items()}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                acc = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for mid, cm in both.get((a, b), {}).items():
-                        for fin, cf in both.get((mid, c), {}).items():
-                            acc[fin] = acc.get(fin, Fraction(0)) + cm * cf
-                if any(acc.values()):
-                    return False
+    """The Jacobi identity, in Fraction arithmetic, on every triple of the
+    constants of a three-form over a basis of norms N (D = 1)."""
+    n = len(norms)
+    rows = fraction_rows(n, form_table(form, [1] * n, norms))
+    for i, j, k in itertools.combinations(range(n), 3):
+        acc = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for mid, cm in rows[a][b].items():
+                for fin, cf in rows[mid][c].items():
+                    acc[fin] = acc.get(fin, 0) + cm * cf
+        if any(acc.values()):
+            return False
     return True
-
-
-def build_structure_reference(basis):
-    """Structure constants {(i, j): {k: c^k_ij}} and q-norms with one
-    q-product per pair of basis vectors and per bracket and basis vector, and
-    the Jacobi identity in Fraction arithmetic."""
-    n = len(basis)
-    mats = [s for _, s in basis]
-    norms_int = []
-    for i in range(n):
-        for j in range(i, n):
-            v = gq_reference(mats[i], mats[j])
-            if i == j:
-                if v <= 0:
-                    raise ModelError("basis vector with non-positive q-norm")
-                norms_int.append(v)
-            elif v != 0:
-                raise ModelError(f"basis is not q-orthogonal at pair {(i + 1, j + 1)}")
-    norms = tuple(Fraction(v, d * d) for v, (d, _) in zip(norms_int, basis))
-    lcm_norms = math.lcm(*norms_int)
-    table = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = gbracket_reference(mats[i], mats[j])
-            t = [gq_reference(br, s) for s in mats]
-            residual = {key: (lcm_norms * re, lcm_norms * im) for key, (re, im) in br.items()}
-            for k, tk in enumerate(t):
-                if not tk:
-                    continue
-                w = tk * (lcm_norms // norms_int[k])
-                for key, (re, im) in mats[k].items():
-                    r0, i0 = residual.get(key, (0, 0))
-                    residual[key] = (r0 - w * re, i0 - w * im)
-            if any(v != (0, 0) for v in residual.values()):
-                raise ModelError("basis is not closed under brackets")
-            dij = basis[i][0] * basis[j][0]
-            coeffs = {
-                k: Fraction(tk * basis[k][0], dij * norms_int[k])
-                for k, tk in enumerate(t)
-                if tk
-            }
-            if coeffs:
-                table[(i, j)] = coeffs
-    if not jacobi_holds_reference(n, table):
-        raise ModelError("Jacobi identity failed")
-    return table, norms
-
-
-def isotropy_coords_reference(model, element):
-    """Coordinates of an element (D, {a: P_a}) over g on the isotropy
-    generators, with a Fraction residual on the matrices of the element and
-    the model's basis."""
-    ((dx, sx),) = model_matrices(model.kind, [element])
-    mats = dict(zip(model.isotropy_indices, model_matrices(model.kind, model.basis[model.TANGENT :])))
-    norms = q_norms(model.norms, model.basis)
-    coords = {}
-    residual = {key: (Fraction(re, dx), Fraction(im, dx)) for key, (re, im) in sx.items()}
-    for a in model.isotropy_indices:
-        da, sa = mats[a]
-        c = Fraction(gq_reference(sx, sa), dx * da) / norms[a]
-        if not c:
-            continue
-        coords[a] = c
-        w = c / da
-        for key, (re, im) in sa.items():
-            r0, i0 = residual.get(key, (0, 0))
-            residual[key] = (r0 - w * re, i0 - w * im)
-    if any(re or im for re, im in residual.values()):
-        raise ModelError("Cartan element is not in the isotropy algebra")
-    return coords
-
-
-def weights_reference(model, cartan):
-    """Weights of the Cartan elements on the planes, read off the Fraction table."""
-
-    def c(a, i, j):  # the e_j-coefficient of [e_a, e_i]
-        if a < i:
-            return table.get((a, i), {}).get(j, 0)
-        return -table.get((i, a), {}).get(j, 0)
-
-    table = structure_table(model)
-
-    return tuple(
-        tuple(sum(xa * c(a, i, j) for a, xa in x.items()) for x in cartan)
-        for i, j in model_spec(model).planes
-    )
 
 
 def index_tuples(top):
@@ -916,12 +698,30 @@ TUPLE_SETS = {
     "up-to-12": [t for t in index_tuples(12) if max(t[1]) > 5],
     "huge": [("Q", (HUGE, 1, 1)), ("M", (HUGE, 1))],
 }
+# bases taken at their indices as given, not normalized, and the inputs of
+# models that normalize them
+NEGATIVE = [("Q", (-3, 2, 1)), ("Q", (2, -1, -1)), ("M", (-1, 1)), ("M", (-2, 4)), ("M", (3, -7))]
+# every sorted Q triple in 0..12, every M pair in -12..12, and the huge and
+# negative indices, each read as given: the one grid of the model-layer tests
+TABLE_GRID = {
+    "q-up-to-12": [("Q", t[::-1]) for t in itertools.combinations_with_replacement(range(13), 3) if any(t)],
+    "m-within-12": [("M", t) for t in itertools.product(range(-12, 13), repeat=2) if any(t)],
+    "huge-negative": TUPLE_SETS["huge"] + NEGATIVE,
+}
 
 
 def test_the_tuple_sets_cover_every_index_tuple_up_to_12():
+    """The sets partition the coprime tuples up to 12, and the grid holds
+    every tuple of them and of the negative inputs, so a test moved onto the
+    grid keeps every tuple it had."""
     sweep, rest = TUPLE_SETS["sweep"], TUPLE_SETS["up-to-12"]
     assert len(sweep) == 61 and len(rest) == 334 + 93 - 61
     assert set(sweep) | set(rest) == set(index_tuples(12))
+    grid = {t for tuples in TABLE_GRID.values() for t in tuples}
+    assert grid.issuperset(itertools.chain(*TUPLE_SETS.values(), NEGATIVE))
+
+
+BLOCK_SIZES = {"Q": (2, 2, 2), "M": (3, 2)}
 
 
 def tuple_assembled(kind, basis):
@@ -938,16 +738,6 @@ def tuple_assembled(kind, basis):
     return out
 
 
-def matrix_basis(kind, indices):
-    """The basis of ``kind`` at ``indices`` as the matrices ``model_matrices`` assembles."""
-    return model_matrices(kind, BASES[kind](*indices))
-
-
-def unit_basis(n):
-    """The coordinates (1, {i: 1}) of a basis over itself."""
-    return tuple((1, {i: 1}) for i in range(n))
-
-
 def matrix_build(kind, basis):
     """``outcome`` of the matrix path on the basis's matrices, made once per
     basis (many bases are met more than once).  A q-orthogonal basis of
@@ -960,16 +750,148 @@ def matrix_build(kind, basis):
 
 @functools.lru_cache(maxsize=None)
 def _matrix_build(kind, basis):
-    matrices = model_matrices(kind, tuple((d, dict(p)) for d, p in basis))
-    mats, n = [s for _, s in matrices], len(matrices)
+    mats = [s for _, s in model_matrices(kind, tuple((d, dict(p)) for d, p in basis))]
+    n = len(mats)
     gram = [[_q(x, y) for y in mats[i:]] for i, x in enumerate(mats)]  # row i from column i on
     if n < len(_ALGEBRA[kind]) or any(any(row[1:]) or row[0] <= 0 for row in gram):
-        return outcome(_build_structure, matrices)
+        return outcome(_build_structure, mats)
     form = []
     for i, j in itertools.combinations(range(n), 2):
         br = _gbracket(mats[i], mats[j])
         form += [(i, j, k, t) for k in range(j + 1, n) for t in [_q(br, mats[k])] if t]
     return "ok", (tuple(form), tuple(row[0] for row in gram))
+
+
+def grid_bases(name):
+    """(kind, indices, model, basis) for each grid tuple's basis as given,
+    zero coordinates dropped, then its model's normalized basis where that
+    is another basis."""
+    for kind, indices in TABLE_GRID[name]:
+        model = get_model(kind, indices)
+        given = tuple((d, {a: c for a, c in p.items() if c}) for d, p in BASES[kind](*indices))
+        yield kind, indices, model, given
+        if model.basis != given:
+            yield kind, indices, model, model.basis
+
+
+@pytest.mark.parametrize("name", TABLE_GRID)
+def test_the_rows_view_of_the_triples_is_the_table_the_build_wrote(name):
+    """Every grid basis builds, and its three-form and norms are the matrix
+    build's, triple for triple and in the same order; the constants
+    ``_constants`` reads off them over its scale L are the matrix build's
+    c^k_ij = t_ijk D_k / (D_i D_j N_k), compared across the fraction bars.
+    Every isotropy x acts q-skew on them, c^j_xi q(X_j, X_j) =
+    -c^i_xj q(X_i, X_i) with q(X_i, X_i) = N_i / D_i^2, the property the
+    build does not check.  The matrix build lists distinct sorted triples
+    i < j < k with a nonzero t, so t_jik = -t_ijk and the zero t of a
+    repeated index hold by storage, as every reader of the triples needs;
+    the model stores the form and norms of its normalized basis."""
+    for kind, indices, model, basis in grid_bases(name):
+        got, want = outcome(_change_of_basis, *_algebra(kind), basis), matrix_build(kind, basis)
+        assert got[0] == "ok" and got == want and repr(got) == repr(want), (kind, indices)
+        if basis == model.basis:
+            assert got[1] == (model.structure, model.norms), (kind, indices)
+        (form, norms), dens = got[1], [d for d, _ in basis]
+        scale, read = _constants(dens, norms)
+        cells = {}  # L c^k_ij under (i, j, k), for both orders of i, j
+        for p, q, r, t in form:
+            for (i, j, k), v, tk in zip(((p, q, r), (p, r, q), (q, r, p)), read(p, q, r, t), (t, -t, t)):
+                assert v * dens[i] * dens[j] * norms[k] == tk * dens[k] * scale, (kind, indices, (i, j, k))
+                cells[(i, j, k)], cells[(j, i, k)] = v, -v
+        for p, q, r, _ in form:
+            for x, i, j in ((p, q, r), (q, p, r), (r, p, q)):
+                if x >= CosetModel.TANGENT:
+                    skew = cells[(x, i, j)] * norms[j] * dens[i] ** 2 + cells[(x, j, i)] * norms[i] * dens[j] ** 2
+                    assert skew == 0, (kind, indices, (x, i, j))
+
+
+@pytest.mark.parametrize("name", TABLE_GRID)
+def test_maurer_cartan_from_the_triples_is_the_forms_of_the_written_table(name):
+    """The forms ``maurer_cartan`` builds from each grid basis's three-form
+    have the masks, values and term insertion order of the forms written from
+    the matrix build's table, de^i = -sum_{j<k} c^i_jk e^j ^ e^k with the
+    pairs (j, k) in row-major order, so ``derive``'s output does not depend
+    on how the constants are read."""
+    for kind, indices, model, basis in grid_bases(name):
+        form, norms = matrix_build(kind, basis)[1]
+        forms = maurer_cartan(replace(model, basis=basis, structure=form, norms=norms))
+        n = len(basis)
+        assert [(de.gens, de.dt_index) for de in forms] == [(group_gens(model), n)] * n
+        table = form_table(form, [d for d, _ in basis], norms)
+        want = [[((1 << j) | (1 << k), -coeffs[i]) for (j, k), coeffs in table.items() if i in coeffs] for i in range(n)]
+        assert [repr(list(de.terms.items())) for de in forms] == list(map(repr, want)), (kind, indices)
+
+
+def combined(*terms):
+    """sum c X over the product of the denominators, for the terms
+    (c, (D, {a: P_a})) of elements over g."""
+    den, x = math.prod(d for _, (d, _) in terms), {}
+    for c, (d, p) in terms:
+        for a, v in p.items():
+            x[a] = x.get(a, 0) + c * v * (den // d)
+    return den, x
+
+
+def cartan_candidates(model):
+    """Elements (D, {a: P_a}) over g: the spec's two Cartan elements and one
+    integer combination, each at two scales, all in the isotropy algebra; a
+    tangent generator, an isotropy generator plus a tangent one and, for Q,
+    two more elements outside it."""
+    u, v = MODEL_SPECS[model.kind].cartan(model)
+    inside = [(d * s, p) for d, p in (u, v, combined((3, u), (-2, v))) for s in (1, 3)]
+    outside = [model.basis[0], combined((1, model.basis[7]), (1, model.basis[0]))]
+    if model.kind == "Q":
+        outside += [(2, {2: 1, 5: 0, 8: 0}), (5, dict(zip((2, 5, 8), model.indices)))]
+    return [(x, True) for x in inside] + [(x, False) for x in outside]
+
+
+def ad_fractions(ad):
+    """``_ad``'s (rows, L) of one element as rows of ``Fraction`` c^j_xi."""
+    rows, scale = ad
+    return [{j: Fraction(c, scale) for j, c in row.items()} for row in rows]
+
+
+def assert_ad_is_read_off_the_rows(model):
+    """``_ad`` of each isotropy generator and each ``cartan_candidates``
+    element in the isotropy algebra, in one call, is ad_x on the tangent
+    space read off the Fraction rows at its coordinates over the model's
+    basis, ``isotropy_coords``'s; an element outside it, where
+    ``isotropy_coords`` raises, raises ``_ad``'s error, alone and after one
+    inside."""
+    isotropy = model.isotropy_indices
+    elements, coords = [model.basis[y] for y in isotropy], [{y: Fraction(1)} for y in isotropy]
+    for element, member in cartan_candidates(model):
+        if member:
+            elements.append(element)
+            coords.append(isotropy_coords(model, element))
+            continue
+        with pytest.raises(ModelError, match="not in the isotropy algebra"):
+            isotropy_coords(model, element)
+        for xs in ([element], [elements[0], element]):
+            with pytest.raises(ModelError, match="^Cartan element is not in the isotropy algebra$"):
+                _ad(model, xs)
+    got = _ad(model, elements)
+    assert len(got) == len(coords)
+    for ad, x in zip(got, coords):
+        assert ad_fractions(ad) == ad_all_rows(model, x)[: model.TANGENT]
+
+
+@pytest.mark.parametrize("name", TABLE_GRID)
+def test_ad_on_the_isotropy_algebra_is_read_off_the_rows_view(name):
+    """``assert_ad_is_read_off_the_rows`` on every model of the grid and on
+    its tangent basis reversed, and each model's weights and verdict: the
+    weights on the ``Fraction`` Cartan coordinates, and G2 exactly at the
+    unit indices.  The tampered norms and bases of
+    ``test_isotropy_checks_reject_tampered_structure`` also hold it, with
+    brackets a model may not have."""
+    models = {(kind, get_model(kind, indices).indices) for kind, indices in TABLE_GRID[name]}
+    for model in (get_model(kind, indices) for kind, indices in sorted(models)):
+        assert_ad_is_read_off_the_rows(model)
+        assert isotropy_weights(model) == weights_by_fraction_cartan(model), model.indices
+        assert classify_invariant_g2(model) == (set(model.indices) == {1}), model.indices
+        # the tangent elements reversed: each t_xij, i < j, is summed from the
+        # other order of each pair of G's ad rows
+        assert_ad_is_read_off_the_rows(permuted(model, [*reversed(range(model.TANGENT)), *model.isotropy_indices]))
 
 
 @pytest.mark.parametrize("name", ["sweep", "up-to-12"])
@@ -983,52 +905,13 @@ def test_each_packed_key_decodes_to_the_placed_position(name):
         assert len(set(keys)) == len(where), kind
         assert [unpack(key) for key in keys] == where, kind
     for kind, indices in TUPLE_SETS[name]:
-        packed = matrix_basis(kind, indices)
+        packed = model_matrices(kind, BASES[kind](*indices))
         placed = tuple_assembled(kind, BASES[kind](*indices))
         assert len(packed) == len(placed)
         for (d, s), (d0, s0) in zip(packed, placed):
             assert d == d0
             assert len(s) == len(s0) and {unpack(key): v for key, v in s.items()} == s0, (kind, indices)
             assert set(s0) <= set(positions[kind])
-
-
-@pytest.mark.parametrize("name", TUPLE_SETS)
-def test_integer_build_matches_the_fraction_build(name):
-    for kind, indices in TUPLE_SETS[name]:
-        basis = matrix_basis(kind, indices)
-        form, norms = _build_structure(basis)
-        want_table, want_norms = build_structure_reference(basis)
-        assert repr(form_table(form, [d for d, _ in basis], norms)) == repr(want_table), (kind, indices)
-        assert q_norms(norms, basis) == want_norms
-        assert jacobi_holds(form, norms)
-
-
-# bases taken at their indices as given, not normalized, and the inputs of
-# models that normalize them
-NEGATIVE = [("Q", (-3, 2, 1)), ("Q", (2, -1, -1)), ("M", (-1, 1)), ("M", (-2, 4)), ("M", (3, -7))]
-
-
-def cartan_reference(model):
-    """The Cartan coordinates of ``model``, Q's from the Fraction residual on matrices."""
-    if model.kind == "M":
-        return [{9: Fraction(1)}, {10: Fraction(1)}]
-    return [isotropy_coords_reference(model, (2, {2: x, 5: y, 8: z})) for x, y, z in _kernel_basis_1x3(*model.indices)]
-
-
-@pytest.mark.parametrize("name", [*TUPLE_SETS, "negative"])
-def test_the_change_of_basis_matches_the_matrix_build(name):
-    """A model's three-form, q-norms and weights are those of the matrix path
-    on the matrices assembled from its basis over g."""
-    for kind, indices in TUPLE_SETS.get(name, NEGATIVE):
-        model = get_model(kind, indices)
-        for given in (indices, model.indices):  # as given, then normalized
-            basis = BASES[kind](*given)
-            got, want = outcome(_change_of_basis, *_algebra(kind), basis), matrix_build(kind, basis)
-            assert got[0] == "ok" and got == want and repr(got) == repr(want), (kind, given)
-        form, norms = want[1]
-        assert (model.structure, model.norms) == (form, norms)
-        oracle = replace(model, structure=form, norms=norms)
-        assert isotropy_weights(model) == weights_reference(oracle, cartan_reference(oracle))
 
 
 @pytest.mark.parametrize("kind,i", [("Q", 0), ("Q", 6), ("M", 4), ("M", 10)])
@@ -1079,7 +962,7 @@ def test_a_tampered_coordinate_basis_fails_as_its_matrices_do(kind, edits, messa
     is rejected as not closed only after the q-Gram scan has passed."""
     basis = edited(kind, edits)
     with pytest.raises(ModelError) as matrix_error:
-        _build_structure(model_matrices(kind, basis))
+        _build_structure([s for _, s in model_matrices(kind, basis)])
     with pytest.raises(ModelError, match=re.escape(message)) as coordinate_error:
         _change_of_basis(*_algebra(kind), basis)
     assert str(coordinate_error.value) == str(matrix_error.value)
@@ -1151,9 +1034,9 @@ def test_a_fresh_sweep_builds_each_kinds_algebra_once():
         "import fractions, json, sys\n"
         "import holoflow.homogeneous as h\n"
         "real, sizes, forms = h._build_structure, [], []\n"
-        "def build(basis):\n"
-        "    triples, norms = real(basis)\n"
-        "    sizes.append(len(basis))\n"
+        "def build(mats):\n"
+        "    triples, norms = real(mats)\n"
+        "    sizes.append(len(mats))\n"
         "    forms.append(len(triples))\n"
         "    return triples, norms\n"
         "h._build_structure = build\n"
@@ -1182,13 +1065,18 @@ def test_g_three_form_is_antisymmetric_and_jacobi_by_construction(kind):
     on g's matrices the full ordered table G_abc = q([g_a, g_b], g_c), every
     bracket and product by the reference loops, is totally antisymmetric,
     since the trace is cyclic, its sorted triples are the stored ones, and
-    their constants satisfy the Jacobi identity, which commutators do."""
-    mats = algebra_matrices(kind)
-    n, (form, norms) = len(mats), _algebra(kind)
+    their constants satisfy the Jacobi identity, which commutators do.  The
+    loops also hold the primitives of the matrix path, ``_gbracket`` and
+    ``_q``, on every ordered pair."""
+    n, (form, norms) = len(_ALGEBRA[kind]), _algebra(kind)
+    mats = [s for _, s in model_matrices(kind, [(1, {a: 1}) for a in range(n)])]
     G = {}
     for a, b in itertools.product(range(n), repeat=2):
         br = gbracket_reference(mats[a], mats[b])
-        G.update(((a, b, c), gq_reference(br, x)) for c, x in enumerate(mats))
+        assert _gbracket(mats[a], mats[b]) == br, (kind, a, b)
+        for c, x in enumerate(mats):
+            G[(a, b, c)] = gq_reference(br, x)
+            assert _q(br, x) == G[(a, b, c)], (kind, a, b, c)
     for (a, b, c), v in G.items():
         assert G[(b, c, a)] == v and G[(b, a, c)] == -v and G[(a, c, b)] == -v, (kind, a, b, c)
     assert tuple((a, b, c, v) for (a, b, c), v in sorted(G.items()) if a < b < c and v) == form
@@ -1196,44 +1084,12 @@ def test_g_three_form_is_antisymmetric_and_jacobi_by_construction(kind):
     assert jacobi_holds(form, norms)
 
 
-@functools.lru_cache(maxsize=None)
-def algebra_matrices(kind):
-    """The matrices of g's basis, assembled from unit coordinates."""
-    return [s for _, s in model_matrices(kind, unit_basis(len(_ALGEBRA[kind])))]
-
-
-@pytest.mark.parametrize("name", TUPLE_SETS)
-def test_the_pulled_back_three_form_is_the_matrix_bracket_product(name):
-    """What the build reads of each bracket: ``_pullback`` of g's three-form
-    gives t_ijk = q([S_i, S_j], S_k) of the matrices for every i < j < k,
-    under the key (i n + j) n + k, and no other nonzero key.  ``_ad`` reads
-    the same G, held here on the same grids: every isotropy element over g
-    lies in the isotropy algebra, some of them move the tangent space and a
-    tangent one is rejected."""
-    for kind, indices in TUPLE_SETS[name]:
-        basis = BASES[kind](*indices)
-        mats = [s for _, s in model_matrices(kind, basis)]
-        n = len(mats)
-        t = _pullback(_algebra(kind)[0], [tuple(p.items()) for _, p in basis], len(_ALGEBRA[kind]))
-        want = {}
-        for i, j in itertools.combinations(range(n), 2):
-            br = gbracket_reference(mats[i], mats[j])
-            for k in range(j + 1, n):
-                want[(i * n + j) * n + k] = gq_reference(br, mats[k])
-        assert {key: v for key, v in t.items() if v} == {key: v for key, v in want.items() if v}, (kind, indices)
-        model = get_model(kind, indices)
-        got = _ad(model, model.basis[model.TANGENT :])
-        assert len(got) == model.n - model.TANGENT and any(any(rows) for rows, _ in got)
-        with pytest.raises(ModelError, match="Cartan element is not in the isotropy algebra"):
-            _ad(model, model.basis[:1])
-
-
 def test_one_pass_projection_rejects_a_non_real_product():
     for x, y in ((S1, SIGMA_X), (SIGMA_X, S1_PLUS_S2)):
         with pytest.raises(ModelError, match="not real"):
-            gq_reference(x[1], y[1])
+            gq_reference(x, y)
         with pytest.raises(ModelError, match="not real"):
-            _q(x[1], y[1])
+            _q(x, y)
 
 
 def in_span_reference(x, mats):
@@ -1426,76 +1282,6 @@ def test_the_hnf_is_the_reduced_echelon_basis_of_the_row_lattice(rows):
     assert minors_gcd(echelon, rank) == minors_gcd(rows, rank)
 
 
-def combined(*terms):
-    """sum c X over the product of the denominators, for the terms
-    (c, (D, {a: P_a})) of elements over g."""
-    den, x = math.prod(d for _, (d, _) in terms), {}
-    for c, (d, p) in terms:
-        for a, v in p.items():
-            x[a] = x.get(a, 0) + c * v * (den // d)
-    return den, x
-
-
-def cartan_candidates(model):
-    """Elements (D, {a: P_a}) over g: the spec's two Cartan elements and one
-    integer combination, each at two scales, all in the isotropy algebra; a
-    tangent generator, an isotropy generator plus a tangent one and, for Q,
-    two more elements outside it."""
-    u, v = MODEL_SPECS[model.kind].cartan(model)
-    inside = [(d * s, p) for d, p in (u, v, combined((3, u), (-2, v))) for s in (1, 3)]
-    outside = [model.basis[0], combined((1, model.basis[7]), (1, model.basis[0]))]
-    if model.kind == "Q":
-        outside += [(2, {2: 1, 5: 0, 8: 0}), (5, dict(zip((2, 5, 8), model.indices)))]
-    return [(x, True) for x in inside] + [(x, False) for x in outside]
-
-
-@pytest.mark.parametrize("name", TUPLE_SETS)
-def test_integer_cartan_coordinates_match_the_fraction_residual(name):
-    """``_ad`` takes an element over g where the Fraction residual on the
-    matrices puts it in the isotropy algebra, with ad_x read off the Fraction
-    rows at the residual's coordinates, and raises the residual's message
-    where it is not: alone and after an element that is."""
-    for kind, indices in TUPLE_SETS[name]:
-        model = get_model(kind, indices)
-        inside, wants = [], []
-        for element, member in cartan_candidates(model):
-            if member:
-                want = ad_all_rows(model, isotropy_coords_reference(model, element))[: model.TANGENT]
-                assert list(map(ad_fractions, _ad(model, [element]))) == [want]
-                inside.append(element)
-                wants.append(want)
-            else:
-                with pytest.raises(ModelError, match="not in the isotropy algebra"):
-                    isotropy_coords_reference(model, element)
-                for elements in ([element], [inside[0], element]):
-                    with pytest.raises(ModelError, match="^Cartan element is not in the isotropy algebra$"):
-                        _ad(model, elements)
-        # one call reads every element with the tangent index built once
-        assert list(map(ad_fractions, _ad(model, inside))) == wants
-
-
-@pytest.mark.parametrize("name", TUPLE_SETS)
-def test_integer_weights_and_verdicts_match_the_fraction_table(name):
-    for kind, indices in TUPLE_SETS[name]:
-        model = get_model(kind, indices)
-        assert isotropy_weights(model) == weights_reference(model, cartan_reference(model))
-        assert classify_invariant_g2(model) == (set(model.indices) == {1})
-
-
-@pytest.mark.parametrize("name", TUPLE_SETS)
-def test_every_built_table_is_antisymmetric(name):
-    """Each built three-form lists distinct sorted triples p < q < r < n in
-    ascending order with a nonzero t, so t_jik = -t_ijk and the zero t of a
-    repeated index hold by storage, which every reader of the triples
-    needs."""
-    for kind, indices in TUPLE_SETS[name]:
-        model = get_model(kind, indices)
-        keys = [triple[:3] for triple in model.structure]
-        assert keys == sorted(set(keys)), (kind, indices)
-        for p, q, r, t in model.structure:
-            assert 0 <= p < q < r < model.n and t, (kind, indices, p, q, r)
-
-
 # ---------------------------------------------------------------------------
 # the M model's su(2) + u(1) matcher, kept as the oracle of the weight test
 # ---------------------------------------------------------------------------
@@ -1582,115 +1368,3 @@ def test_the_isotropy_su2_brackets_do_not_depend_on_the_indices():
 def test_m_weights_on_the_cartan_e10_e11():
     for k, l in M_MODELS:
         assert isotropy_weights(m_model(k, l)) == ((1, l), (-1, l), (0, 2 * k))
-
-
-# ---------------------------------------------------------------------------
-# the constants read off the stored three-form against the matrix build
-# ---------------------------------------------------------------------------
-
-# every sorted Q triple in 0..12, every M pair in -12..12, and the huge and
-# negative indices, each read as given
-TABLE_GRID = {
-    "q-up-to-12": [("Q", t[::-1]) for t in itertools.combinations_with_replacement(range(13), 3) if any(t)],
-    "m-within-12": [("M", t) for t in itertools.product(range(-12, 13), repeat=2) if any(t)],
-    "huge-negative": TUPLE_SETS["huge"] + NEGATIVE,
-}
-
-
-def grid_bases(name):
-    """(kind, indices, model, basis) for each grid tuple's basis as given,
-    zero coordinates dropped, then its model's normalized basis where that
-    is another basis."""
-    for kind, indices in TABLE_GRID[name]:
-        model = get_model(kind, indices)
-        given = tuple((d, {a: c for a, c in p.items() if c}) for d, p in BASES[kind](*indices))
-        yield kind, indices, model, given
-        if model.basis != given:
-            yield kind, indices, model, model.basis
-
-
-@pytest.mark.parametrize("name", TABLE_GRID)
-def test_the_rows_view_of_the_triples_is_the_table_the_build_wrote(name):
-    """The stored three-form and norms are the matrix build's, or its first
-    error, triple for triple and in the same order; the constants
-    ``_constants`` reads off them over its scale L are the matrix build's
-    c^k_ij = t_ijk D_k / (D_i D_j N_k), compared across the fraction bars.
-    Every isotropy x acts q-skew on them, c^j_xi q(X_j, X_j) =
-    -c^i_xj q(X_i, X_i) with q(X_i, X_i) = N_i / D_i^2, the property the
-    build does not check."""
-    built = 0
-    for kind, indices, _, basis in grid_bases(name):
-        got, want = outcome(_change_of_basis, *_algebra(kind), basis), matrix_build(kind, basis)
-        assert got == want and repr(got) == repr(want), (kind, indices)
-        if got[0] == "error":
-            continue
-        (form, norms), dens = got[1], [d for d, _ in basis]
-        scale, read = _constants(dens, norms)
-        cells = {}  # L c^k_ij under (i, j, k), for both orders of i, j
-        for p, q, r, t in form:
-            for (i, j, k), v, tk in zip(((p, q, r), (p, r, q), (q, r, p)), read(p, q, r, t), (t, -t, t)):
-                assert v * dens[i] * dens[j] * norms[k] == tk * dens[k] * scale, (kind, indices, (i, j, k))
-                cells[(i, j, k)], cells[(j, i, k)] = v, -v
-        for p, q, r, _ in form:
-            for x, i, j in ((p, q, r), (q, p, r), (r, p, q)):
-                if x >= CosetModel.TANGENT:
-                    skew = cells[(x, i, j)] * norms[j] * dens[i] ** 2 + cells[(x, j, i)] * norms[i] * dens[j] ** 2
-                    assert skew == 0, (kind, indices, (x, i, j))
-        built += 1
-    assert built > len(TABLE_GRID[name])
-
-
-@pytest.mark.parametrize("name", TABLE_GRID)
-def test_maurer_cartan_from_the_triples_is_the_forms_of_the_written_table(name):
-    """The forms ``maurer_cartan`` builds from each grid basis's three-form
-    have the masks, values and term insertion order of the forms written from
-    the matrix build's table, de^i = -sum_{j<k} c^i_jk e^j ^ e^k with the
-    pairs (j, k) in row-major order, so ``derive``'s output does not depend
-    on how the constants are read."""
-    built = 0
-    for kind, indices, model, basis in grid_bases(name):
-        result = matrix_build(kind, basis)
-        if result[0] == "error":
-            continue
-        form, norms = result[1]
-        forms = maurer_cartan(replace(model, basis=basis, structure=form, norms=norms))
-        n = len(basis)
-        assert [(de.gens, de.dt_index) for de in forms] == [(group_gens(model), n)] * n
-        table = form_table(form, [d for d, _ in basis], norms)
-        want = [[((1 << j) | (1 << k), -coeffs[i]) for (j, k), coeffs in table.items() if i in coeffs] for i in range(n)]
-        assert [repr(list(de.terms.items())) for de in forms] == list(map(repr, want)), (kind, indices)
-        built += 1
-    assert built > len(TABLE_GRID[name])
-
-
-def ad_fractions(ad):
-    """``_ad``'s (rows, L) of one element as rows of ``Fraction`` c^j_xi."""
-    rows, scale = ad
-    return [{j: Fraction(c, scale) for j, c in row.items()} for row in rows]
-
-
-def assert_ad_is_read_off_the_rows(model):
-    """``_ad`` of each isotropy generator and each Cartan element over g, in
-    one call, is ad_x on the tangent space read off the Fraction rows at its
-    coordinates over the model's basis, ``fraction_cartan``'s for the Cartan."""
-    isotropy = model.isotropy_indices
-    elements = [model.basis[y] for y in isotropy] + MODEL_SPECS[model.kind].cartan(model)
-    coords = [{y: Fraction(1)} for y in isotropy] + fraction_cartan(model)
-    got = _ad(model, elements)
-    assert len(got) == len(coords)
-    for ad, x in zip(got, coords):
-        assert ad_fractions(ad) == ad_all_rows(model, x)[: model.TANGENT]
-
-
-@pytest.mark.parametrize("name", TABLE_GRID)
-def test_ad_on_the_isotropy_algebra_is_read_off_the_rows_view(name):
-    """``assert_ad_is_read_off_the_rows`` on every model of the grid and on
-    its tangent basis reversed; the tampered norms and bases of
-    ``test_isotropy_checks_reject_tampered_structure`` also hold it, with
-    brackets a model may not have."""
-    models = {(kind, get_model(kind, indices).indices) for kind, indices in TABLE_GRID[name]}
-    for model in (get_model(kind, indices) for kind, indices in sorted(models)):
-        assert_ad_is_read_off_the_rows(model)
-        # the tangent elements reversed: each t_xij, i < j, is summed from the
-        # other order of each pair of G's ad rows
-        assert_ad_is_read_off_the_rows(permuted(model, [*reversed(range(model.TANGENT)), *model.isotropy_indices]))
