@@ -4,8 +4,9 @@ No command packs or decodes a matrix position, assembles a model's basis
 matrices, reads one coefficient of a form, reads the structure constants,
 the q-norms or the Cartan elements as ``Fraction`` values, substitutes the
 frame into omega and *omega apart from Omega, sorts isotropy weights,
-evaluates the closed-form profile exactly or fits the cone limits by exact
-least squares; the tests do, and hold the package to these.
+evaluates the closed-form profile exactly, writes out the cone quantities
+or fits the cone limits by exact least squares; the tests do, and hold the
+package to these.
 
 Each reference here is independent of the package's algorithm for what it
 checks: the matrix path, ``Fraction`` arithmetic or a defining property.
@@ -263,6 +264,24 @@ def exact_value_squared(p, s: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 # the cone fit, exactly
 # ---------------------------------------------------------------------------
+
+
+def cone_quantities(kind, t, ys):
+    """The cone quantities of each model, written out column by column."""
+    if kind == "Q":
+        return {
+            "a^2/t^2": ys[:, 0] ** 2 / t**2,
+            "b^2/t^2": ys[:, 1] ** 2 / t**2,
+            "c^2/t^2": ys[:, 2] ** 2 / t**2,
+            "|f|/t": abs(ys[:, 3]) / t,
+        }
+    return {
+        "a^2/t^2": ys[:, 0] ** 2 / t**2,
+        "b^2/t^2": ys[:, 1] ** 2 / t**2,
+        "c/t": abs(ys[:, 2]) / t,
+    }
+
+
 
 
 def exact_cone_fit(traj):

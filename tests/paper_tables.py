@@ -1,5 +1,11 @@
 """The paper's stated numbers for each model, written out as literal tables.
 
+Each expected value of the paper's claims is written here once: the derived
+systems, the admissible indices, the smoothness verdicts and slopes, the
+Kaehler signs, the parity sign sets, the closed form's affine slopes and
+the cone limits.  ``tests/test_acceptance.py`` holds each claim against
+them, and every other test reads them from here.
+
 The package states each fact once, in ``homogeneous.MODEL_SPECS``, and
 computes the rest (the vertical smoothness slopes, the cone limits, the
 primitive's name); these tables are the oracles the tests check both
@@ -44,6 +50,63 @@ ORBIT_CATALOG = {
         ),
         CatalogRow("SU(3) x SU(2)", "not a sphere quotient", "point", note=_NO_SPACE),
     ),
+}
+
+#: the derived systems of Q(1,1,1) and M(1,1): each right-hand side as its
+#: terms (coefficient, exponents), and the rank of the closure equations
+DERIVED_RHS = {
+    "Q": {
+        "a": ((Fraction(-1, 6), {"f": 1, "a": -1}),),
+        "b": ((Fraction(-1, 6), {"f": 1, "b": -1}),),
+        "c": ((Fraction(-1, 6), {"f": 1, "c": -1}),),
+        "f": (
+            (Fraction(1, 6), {"f": 2, "a": -2}),
+            (Fraction(1, 6), {"f": 2, "b": -2}),
+            (Fraction(1, 6), {"f": 2, "c": -2}),
+            (Fraction(-3), {}),
+        ),
+    },
+    "M": {
+        "a": ((Fraction(3, 8), {"c": 1, "a": -1}),),
+        "b": ((Fraction(1, 4), {"c": 1, "b": -1}),),
+        "c": (
+            (Fraction(8), {}),
+            (Fraction(-1, 4), {"c": 2, "b": -2}),
+            (Fraction(-3, 4), {"c": 2, "a": -2}),
+        ),
+    },
+}
+DERIVED_RANK = {"Q": 4, "M": 3}
+
+#: the normalized index tuples up to 5 that carry an invariant G2 structure
+ADMISSIBLE = {"Q": [(1, 1, 1)], "M": [(1, 1)]}
+
+#: the unit models' verdict and limiting slopes at each singular orbit; the
+#: slopes smoothness requires are the catalog's
+SMOOTHNESS = {
+    ("Q", "s2xs2xs2"): ("non-smooth", {"f": Fraction(-3)}),
+    ("Q", "s2xs2"): ("smooth", {"a": Fraction(1, 2), "f": Fraction(-3, 2)}),
+    ("M", "cp2xs2"): ("non-smooth", {"c": Fraction(8)}),
+    ("M", "cp2"): ("smooth", {"b": Fraction(1), "c": Fraction(4)}),
+    ("M", "s2"): ("non-smooth", {"a": Fraction(1), "c": Fraction(8, 3)}),
+}
+
+#: the signs of the closed invariant two-form on the planes, unique up to
+#: overall sign
+KAEHLER_SIGNS = {"Q": (1, 1, 1, 1), "M": (1, -1, 1)}
+
+#: the flips x -> e_x x under which each derived system maps solutions
+#: x(t) to e_x x(-t): rhs_x(e x) = -e_x rhs_x(x)
+PARITY_SIGNS = {
+    "Q": ({"a": 1, "b": 1, "c": 1, "f": -1}, {"a": -1, "b": 1, "c": 1, "f": -1}),
+    "M": ({"a": 1, "b": 1, "c": -1}, {"a": 1, "b": -1, "c": -1}, {"a": -1, "b": 1, "c": -1}),
+}
+
+#: the closed form's squared coefficients affine in the primitive s:
+#: x^2 = x0^2 + m_x s
+AFFINE_SLOPES = {
+    "Q": {"a": Fraction(-1, 3), "b": Fraction(-1, 3), "c": Fraction(-1, 3)},
+    "M": {"a": Fraction(3, 4), "b": Fraction(1, 2)},
 }
 
 #: the cone limits of x^2/t^2 and of the vertical coefficient over t

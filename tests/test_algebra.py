@@ -96,15 +96,6 @@ def test_star_dx123_is_dx4567():
     assert mv7([1, 2, 3]).hodge_star() == mv7([4, 5, 6, 7])
 
 
-def test_star_involution_dim7_all_grades():
-    import itertools
-
-    for k in range(8):
-        for idx in itertools.combinations(range(1, 8), k):
-            u = mv7(idx)
-            assert u.hodge_star().hodge_star() == u
-
-
 def test_star_square_sign_dim8():
     import itertools
 

@@ -28,6 +28,7 @@ from holoflow.integrate import IntegratorConfig, OrbitSpec, Trajectory, solve_or
 from holoflow.verify import DEFAULT_BARS, verify_trajectory
 from mutations import perturbed_system
 from oracles import exact_value_squared, horner
+from paper_tables import AFFINE_SLOPES
 
 UNIT_MODELS = {"Q": q_model(1, 1, 1), "M": m_model(1, 1)}
 
@@ -49,21 +50,6 @@ def test_profile_at_zero_returns_initial_square():
     assert exact_value_squared(m, Fraction(0)) == Fraction(49)
     s = profile("Q", OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1}))
     assert exact_value_squared(s, Fraction(0)) == 0
-
-
-def test_profile_spot_value_s2xs2():
-    """Independent oracle: the quartic antiderivative of s(s-3)^2 is
-    s^4/4 - 2 s^3 + 9 s^2 / 2, equal to 459/4 at s = -3, and the
-    denominator product is -108; variation of constants multiplies the
-    integral by -6."""
-    anti = lambda s: s**4 / 4 - 2 * s**3 + Fraction(9, 2) * s**2
-    assert anti(Fraction(-3)) == Fraction(459, 4)
-    den = (-3 - 0) * (-3 - 3) * (-3 - 3)
-    assert den == -108
-    expected = Fraction(-6) * Fraction(459, 4) / den
-    assert expected == Fraction(51, 8)
-    p = profile("Q", OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1}))
-    assert exact_value_squared(p, Fraction(-3)) == Fraction(51, 8)
 
 
 def test_profile_asymptotic_cone_ratio():
@@ -301,16 +287,6 @@ def test_compare_on_closed_form_sampled_trajectory():
     assert compare(traj, p) < 1e-13
 
 
-def test_compare_numerical_agreement(sysq, sysm):
-    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_end=50.0)
-    spec = OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1})
-    traj, _ = solve_orbit(sysq, spec, cfg)
-    assert compare(traj, profile("Q", spec)) <= 1e-8
-    specm = OrbitSpec("M", "cp2", {"a": 1})
-    trajm, _ = solve_orbit(sysm, specm, cfg)
-    assert compare(trajm, profile("M", specm)) <= 1e-8
-
-
 def test_compare_symmetric_under_sign_branch(sysq):
     cfg = IntegratorConfig(t_end=20.0)
     spec = OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1})
@@ -410,24 +386,6 @@ def _float_points(p, rng):
     return pts
 
 
-@pytest.mark.parametrize("kind,orbit,values", FLOAT_CASES)
-@pytest.mark.parametrize("as_type", [float, np.float64])
-def test_float_value_squared_matches_fraction_coefficients(kind, orbit, values, as_type):
-    p = profile(kind, OrbitSpec(kind, orbit, values))
-    rng = random.Random(5)
-    for x in _float_points(p, rng):
-        s = as_type(x)
-        try:
-            want = _reference_value_squared(p, float(x))
-        except DomainError:
-            with pytest.raises(DomainError):
-                p.value_squared(s)
-            continue
-        got = p.value_squared(s)
-        assert type(got) is float
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (s, got, want)
-
-
 def test_a_coefficient_beyond_float_range_is_a_profile_error():
     # a0 = 1e120: D(s) = (s + 4 a0^2 / 3)^2 (s + 2) has coefficients near 1e480
     p = profile("M", OrbitSpec("M", "principal", {"a": 10**120, "b": 1, "c": 1}))
@@ -473,15 +431,9 @@ def test_float_domain_errors_at_and_beyond_poles(as_type):
 # the straight-line float profile against the Fraction coefficients
 # ---------------------------------------------------------------------------
 
-#: the squared coefficients affine in s, as the float branch of
-#: coefficient_squares wrote them before it rounded its constants once
-AFFINE_SLOPES = {
-    "Q": {"a": Fraction(-1, 3), "b": Fraction(-1, 3), "c": Fraction(-1, 3)},
-    "M": {"a": Fraction(3, 4), "b": Fraction(1, 2)},
-}
-
-
 def _reference_float_squares(p, s):
+    """The squared coefficients, the affine ones as the float branch of
+    ``coefficient_squares`` wrote them before it rounded its constants once."""
     out = {
         x: float(p.initial[x] ** 2) + float(m) * s for x, m in AFFINE_SLOPES[p.model_kind].items()
     }
@@ -490,14 +442,14 @@ def _reference_float_squares(p, s):
 
 
 def _outcome(fn, s):
-    """The bits of ``fn(s)``, or the type of the error it raises."""
+    """The type and bits of ``fn(s)``, or the type of the error it raises."""
     try:
         result = fn(s)
     except DomainError:
         return DomainError
     if isinstance(result, dict):
-        return [(k, struct.pack("<d", v)) for k, v in result.items()]
-    return struct.pack("<d", result)
+        return [(k, type(v), struct.pack("<d", v)) for k, v in result.items()]
+    return type(result), struct.pack("<d", result)
 
 
 VALUE = st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool)
@@ -518,14 +470,29 @@ def profile_points(draw):
     return p, s
 
 
+def _assert_bit_identical(p, s):
+    """Each float evaluator of ``p`` at a float s, and ``value_squared`` at
+    the same s as an ``np.float64``, against the reference: a float with the
+    reference's bits, or s refused as the reference refuses it."""
+    want = _outcome(lambda x: _reference_value_squared(p, x), s)
+    assert _outcome(p.float_value_squared, s) == want, s
+    assert _outcome(p.value_squared, np.float64(s)) == want, s
+    assert _outcome(p.coefficient_squares, s) == _outcome(lambda x: _reference_float_squares(p, x), s), s
+
+
 @seed(34714898673879551082795478383896745408111261626958006999104251953053677402350087871076961391244706370767536761829916)
 @settings(max_examples=200, deadline=None, database=None)
 @given(profile_points())
-def test_straight_line_profile_is_bit_identical_to_value_squared(case):
-    p, s = case
-    assert _outcome(p.float_value_squared, s) == _outcome(
-        lambda x: _reference_value_squared(p, x), s
-    )
-    assert _outcome(p.coefficient_squares, s) == _outcome(
-        lambda x: _reference_float_squares(p, x), s
-    )
+def _drawn_points_are_bit_identical(case):
+    _assert_bit_identical(*case)
+
+
+def test_straight_line_profile_is_bit_identical_to_value_squared():
+    """Every ``FLOAT_CASES`` profile at the float extremes, at 200 seeded
+    uniform points and at each pole and its neighbours; then the seeded
+    draws of random initial data with s near a pole, at an edge or anywhere."""
+    for kind, orbit, values in FLOAT_CASES:
+        p = profile(kind, OrbitSpec(kind, orbit, values))
+        for x in _float_points(p, random.Random(5)):
+            _assert_bit_identical(p, float(x))
+    _drawn_points_are_bit_identical()

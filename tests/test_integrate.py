@@ -27,6 +27,7 @@ from holoflow.integrate import (
     series_start,
     solve_orbit,
 )
+from paper_tables import AFFINE_SLOPES, SMOOTHNESS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -106,30 +107,31 @@ def test_a_t_end_at_or_before_the_start_is_rejected_before_any_loop(sysq, monkey
 
 def test_series_start_q_s2xs2xs2(sysq):
     _, slopes = series_start(sysq, OrbitSpec("Q", "s2xs2xs2", {"a": 1, "b": 2, "c": 3}))
-    assert slopes == {"f": Fraction(-3)}
+    assert slopes == SMOOTHNESS["Q", "s2xs2xs2"][1]
 
 
 def test_series_start_q_s2xs2(sysq):
+    _, want = SMOOTHNESS["Q", "s2xs2"]
     _, slopes = series_start(sysq, OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1}))
-    assert slopes == {"a": Fraction(1, 2), "f": Fraction(-3, 2)}
+    assert slopes == want
     _, slopes = series_start(
         sysq, OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1}, negative_branch=True)
     )
-    assert slopes == {"a": Fraction(-1, 2), "f": Fraction(-3, 2)}
+    assert slopes == {**want, "a": -want["a"]}
     # independent of the surviving values
     _, slopes = series_start(sysq, OrbitSpec("Q", "s2xs2", {"b": 5, "c": Fraction(1, 3)}))
-    assert slopes["a"] == Fraction(1, 2)
+    assert slopes == want
 
 
 def test_series_start_m_all_orbits(sysm):
     _, s1 = series_start(sysm, OrbitSpec("M", "cp2xs2", {"a": 1, "b": 1}))
-    assert s1 == {"c": Fraction(8)}
+    assert s1 == SMOOTHNESS["M", "cp2xs2"][1]
     _, s2 = series_start(sysm, OrbitSpec("M", "cp2", {"a": 2}))
-    assert s2 == {"b": Fraction(1), "c": Fraction(4)}
+    assert s2 == SMOOTHNESS["M", "cp2"][1]
     _, s3 = series_start(sysm, OrbitSpec("M", "s2", {"b": 3}))
-    assert s3 == {"a": Fraction(1), "c": Fraction(8, 3)}
+    assert s3 == SMOOTHNESS["M", "s2"][1]
     _, s3n = series_start(sysm, OrbitSpec("M", "s2", {"b": 3}, negative_branch=True))
-    assert s3n == {"a": Fraction(-1), "c": Fraction(8, 3)}
+    assert s3n == {**s3, "a": -s3["a"]}
 
 
 def test_series_start_state_and_primitive(sysq):
@@ -301,30 +303,11 @@ def test_rational_roots_of_a_linear_polynomial_with_a_large_prime():
 
 
 def _relative_drift_q(traj, a0sq):
+    """The largest relative defect of a^2 = a0^2 + m_a F along the run."""
     a2 = np.asarray(traj.ys)[:, 0] ** 2
     F = np.asarray(traj.ys)[:, -1]
     scale = np.maximum(np.abs(a2), 1.0)
-    return float(np.max(np.abs(a2 + F / 3 - a0sq) / scale))
-
-
-def test_first_integral_drift_q(sysq):
-    cfg = IntegratorConfig(t_end=200.0)
-    traj, _ = solve_orbit(sysq, OrbitSpec("Q", "s2xs2", {"b": 1, "c": 1}), cfg)
-    assert _relative_drift_q(traj, 0.0) <= 10 * cfg.rtol
-    b2 = np.asarray(traj.ys)[:, 1] ** 2
-    F = np.asarray(traj.ys)[:, -1]
-    assert np.max(np.abs(b2 - 1 + F / 3) / np.maximum(b2, 1)) <= 10 * cfg.rtol
-
-
-def test_first_integral_drift_m(sysm):
-    cfg = IntegratorConfig(t_end=200.0)
-    traj, _ = solve_orbit(sysm, OrbitSpec("M", "cp2", {"a": 1}), cfg)
-    a2 = np.asarray(traj.ys)[:, 0] ** 2
-    b2 = np.asarray(traj.ys)[:, 1] ** 2
-    C = np.asarray(traj.ys)[:, -1]
-    scale = np.maximum(a2, 1.0)
-    assert np.max(np.abs(a2 - 0.75 * C - 1.0) / scale) <= 10 * cfg.rtol
-    assert np.max(np.abs(b2 - 0.5 * C) / scale) <= 10 * cfg.rtol
+    return float(np.max(np.abs(a2 - a0sq - float(AFFINE_SLOPES["Q"]["a"]) * F) / scale))
 
 
 def test_monotone_directions(sysq, sysm):

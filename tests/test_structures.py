@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 from holoflow import structures
 from holoflow._record import replace
 from holoflow.algebra import LaurentPoly, Multivector
-from holoflow.flow import exterior_d_time, split_dt
+from holoflow.flow import exterior_d_time
 from holoflow.homogeneous import MODEL_SPECS, is_basic, m_model, model_spec, q_model
 from holoflow.structures import (
     CANON8,
-    Spin7Structure,
     StructureError,
     build_invariant_structure,
     canonical_forms,
@@ -64,12 +63,6 @@ def test_omega_wedge_star_is_seven_volumes():
     assert list(vol.terms.keys()) == [(1 << 7) - 1]
 
 
-def test_Omega_wedge_Omega_is_fourteen_volumes():
-    can = canonical_forms()
-    sq = can.Omega.wedge(can.Omega)
-    assert list(sq.terms.values()) == [Fraction(14)]
-
-
 def test_invariant_coefficients_q():
     s = build_invariant_structure(q_model(1, 1, 1))
     tab = s.table
@@ -103,16 +96,6 @@ def test_unit_frame_reproduces_canonical_coefficients():
             inverse[target - 1] = ((slot, 1),)
         back = ev.substitute(inverse, CANON8, dt_index=0)
         assert back.terms == {m: float(c) for m, c in can.Omega.terms.items()}
-
-
-def test_structure_identity_omega_star_dt():
-    """Omega = *omega + dt ^ omega: its dt-free part and dt-part are the
-    canonical *omega and omega, each substituted on its own.  The structure
-    stores Omega alone."""
-    assert [name for name, _ in Spin7Structure.__record_fields__] == ["model", "table", "Omega"]
-    for model in (q_model(1, 1, 1), m_model(1, 1)):
-        s = build_invariant_structure(model)
-        assert split_dt(s.Omega) == star_omega_and_omega(model)
 
 
 def test_a_build_substitutes_once_and_checks_basic_once(monkeypatch):
