@@ -470,29 +470,31 @@ def profile_points(draw):
     return p, s
 
 
-def _assert_bit_identical(p, s):
+def _assert_bit_identical(p, s, as_type=np.float64):
     """Each float evaluator of ``p`` at a float s, and ``value_squared`` at
-    the same s as an ``np.float64``, against the reference: a float with the
+    the same s as an ``as_type``, against the reference: a float with the
     reference's bits, or s refused as the reference refuses it."""
     want = _outcome(lambda x: _reference_value_squared(p, x), s)
     assert _outcome(p.float_value_squared, s) == want, s
-    assert _outcome(p.value_squared, np.float64(s)) == want, s
+    assert _outcome(p.value_squared, as_type(s)) == want, s
     assert _outcome(p.coefficient_squares, s) == _outcome(lambda x: _reference_float_squares(p, x), s), s
+
+
+@pytest.mark.parametrize("kind,orbit,values", FLOAT_CASES)
+@pytest.mark.parametrize("as_type", [float, np.float64])
+def test_float_value_squared_matches_fraction_coefficients(kind, orbit, values, as_type):
+    """One ``FLOAT_CASES`` profile at the float extremes, at 200 seeded
+    uniform points and at each pole and its neighbours, ``value_squared``
+    given s as an ``as_type``."""
+    p = profile(kind, OrbitSpec(kind, orbit, values))
+    for x in _float_points(p, random.Random(5)):
+        _assert_bit_identical(p, float(x), as_type)
 
 
 @seed(34714898673879551082795478383896745408111261626958006999104251953053677402350087871076961391244706370767536761829916)
 @settings(max_examples=200, deadline=None, database=None)
 @given(profile_points())
-def _drawn_points_are_bit_identical(case):
+def test_straight_line_profile_is_bit_identical_to_value_squared(case):
+    """The seeded draws of random initial data with s near a pole, at an
+    edge or anywhere."""
     _assert_bit_identical(*case)
-
-
-def test_straight_line_profile_is_bit_identical_to_value_squared():
-    """Every ``FLOAT_CASES`` profile at the float extremes, at 200 seeded
-    uniform points and at each pole and its neighbours; then the seeded
-    draws of random initial data with s near a pole, at an edge or anywhere."""
-    for kind, orbit, values in FLOAT_CASES:
-        p = profile(kind, OrbitSpec(kind, orbit, values))
-        for x in _float_points(p, random.Random(5)):
-            _assert_bit_identical(p, float(x))
-    _drawn_points_are_bit_identical()
