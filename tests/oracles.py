@@ -35,7 +35,6 @@ from holoflow.homogeneous import (
     _algebra,
     _kernel_basis_1x3,
     _place,
-    _plane_speed,
     group_gens,
     model_spec,
 )
@@ -171,19 +170,11 @@ def ad_all_rows(model, x):
 
 
 def weights_by_fraction_cartan(model):
-    """``isotropy_weights`` on the ``Fraction`` Cartan coordinates with
-    every row of ad_x: the same checks in the same order."""
+    """The isotropy weights read on the ``Fraction`` Cartan coordinates from
+    every row of ad_x: the speed c^j_xi of each Cartan element x on each
+    invariant plane (i, j), as a ``Fraction``."""
     cartan = [ad_all_rows(model, x) for x in fraction_cartan(model)]
-    weights = []
-    for plane in MODEL_SPECS[model.kind].planes:
-        vec = []
-        for rows in cartan:
-            s = Fraction(_plane_speed(rows, plane))
-            if s.denominator != 1:
-                raise ModelError("non-integer weight on the chosen Cartan basis")
-            vec.append(s.numerator)
-        weights.append(tuple(vec))
-    return tuple(weights)
+    return tuple(tuple(rows[i].get(j, Fraction(0)) for rows in cartan) for i, j in MODEL_SPECS[model.kind].planes)
 
 
 def coefficient(form, indices):

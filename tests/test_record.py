@@ -200,3 +200,23 @@ def test_read_only_mapping_fields_hash_as_their_items():
     same = OrbitSpec("q", "s2xs2", {"c": "1", "b": 1})
     assert spec == same and hash(spec) == hash(same)
     assert len({spec, same, OrbitSpec("Q", "s2xs2", {"b": 1, "c": 2})}) == 2
+
+
+def test_a_public_record_rejects_wrong_arguments_and_assignment():
+    """The record errors, met on a class of ``holoflow.__all__``: the four
+    argument errors of ``__init__`` and the frozen assignment and deletion."""
+    from holoflow import SymbolTable
+
+    for args, kwargs, message in (
+        ((("a",), (), 3), {}, r"takes 3 positional arguments but 4 were given"),
+        ((("a",),), {"base": ("b",)}, r"got multiple values for argument 'base'"),
+        ((), {}, r"missing required argument: 'base'"),
+        ((("a",),), {"bogus": 1}, r"got an unexpected keyword argument 'bogus'"),
+    ):
+        with pytest.raises(TypeError, match=message):
+            SymbolTable(*args, **kwargs)
+    table = SymbolTable(("a",))
+    with pytest.raises(_record.FrozenInstanceError, match="cannot assign to field 'base'"):
+        table.base = ("b",)
+    with pytest.raises(_record.FrozenInstanceError, match="cannot delete field 'base'"):
+        del table.base

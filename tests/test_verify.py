@@ -518,22 +518,6 @@ def test_cone_quantities_match_the_hand_written_formulas(kind, name):
 # ---------------------------------------------------------------------------
 
 
-def test_s_action_circle_q():
-    data = s_action_circle("Q")
-    assert data["period_over_pi"] == Fraction(4)
-    assert data["intersection_order"] == 3
-    assert data["circle_step_over_pi"] == Fraction(4, 3)
-    assert data["required_slope"] == Fraction(3, 2)
-
-
-def test_s_action_circle_m():
-    data = s_action_circle("M")
-    assert data["period_over_pi"] == Fraction(4)
-    assert data["intersection_order"] == 8
-    assert data["required_slope"] == Fraction(4)
-    assert data["circle_step_over_pi"] == Fraction(1, 2)
-
-
 @pytest.mark.parametrize("kind", ["Q", "M"])
 def test_s_action_circle_is_the_papers(kind):
     assert s_action_circle(kind) == CIRCLE[kind]
