@@ -203,10 +203,6 @@ class CosetModel:
         return len(self.basis)
 
     @property
-    def isotropy_indices(self) -> Tuple[int, ...]:
-        return tuple(range(self.TANGENT, self.n))
-
-    @property
     def label(self) -> str:
         return f"{self.kind}{self.indices}"
 
@@ -406,7 +402,7 @@ def _ad(model: CosetModel, xs: Sequence[Coordinates]) -> List[Tuple[AdRows, int]
 
 
 # ---------------------------------------------------------------------------
-# invariant exterior derivative and basic forms
+# invariant exterior derivative
 # ---------------------------------------------------------------------------
 
 
@@ -480,27 +476,6 @@ def invariant_d(form: Multivector, model: CosetModel) -> Multivector:
     return Multivector(form.gens, out, form.dt_index)
 
 
-def is_basic(form: Multivector, model: CosetModel) -> bool:
-    """True iff the form is horizontal and isotropy-invariant.
-
-    Horizontality: no isotropy generator occurs in any stored subset.
-    Invariance: the Cartan-formula Lie derivative along every isotropy
-    generator vanishes.
-    """
-    iso_mask = 0
-    for i in model.isotropy_indices:
-        iso_mask |= 1 << i
-    for mask in form.terms:
-        if mask & iso_mask:
-            return False
-    d_form = invariant_d(form, model)
-    for x in model.isotropy_indices:
-        lie = d_form.contract(x) + invariant_d(form.contract(x), model)
-        if not lie.is_zero:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # isotropy weights and the admissibility classification
 # ---------------------------------------------------------------------------
@@ -568,10 +543,13 @@ def classify_invariant_g2(model: CosetModel) -> bool:
     a vanishing +-1 combination.  A model's weights always have rank 2 (a
     test proves it for every index tuple), so with a vanishing combination
     they are pairwise independent, and only the combination is read.  On
-    M(k,l) the weights of e10, e11 are (1, l), (-1, l), (0, 2k), which match
-    iff k = l = 1.  Computed from the isotropy weights, not from the
-    closed-form index criterion; acceptance criterion 3 compares the
-    verdicts of the sweep with ``paper_tables.ADMISSIBLE``.
+    Q(k,l,m) a vanishing combination (1, s, t) is normal to the Cartan
+    span, so parallel to (k, l, m), which forces |k| = |l| = |m|; on M(k,l)
+    the weights of e10, e11 are (1, l), (-1, l), (0, 2k), which match iff
+    k = l = 1.  So Q(1,1,1) and M(1,1) are the only admissible models at any
+    indices (proven in the tests).  Computed from the isotropy weights, not
+    from the closed-form index criterion; acceptance criterion 3 compares
+    the verdicts of the sweep with ``paper_tables.ADMISSIBLE``.
     """
     w = isotropy_weights(model)
     return any(all(a + s * b + t * c == 0 for a, b, c in zip(*w)) for s in (1, -1) for t in (1, -1))

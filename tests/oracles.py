@@ -3,10 +3,10 @@
 No command packs or decodes a matrix position, assembles a model's basis
 matrices, reads one coefficient of a form, reads the structure constants,
 the q-norms or the Cartan elements as ``Fraction`` values, substitutes the
-frame into omega and *omega apart from Omega, sorts isotropy weights,
-evaluates the closed-form profile exactly, writes out the cone quantities
-or fits the cone limits by exact least squares; the tests do, and hold the
-package to these.
+frame into omega and *omega apart from Omega, checks that a form is basic,
+sorts isotropy weights, evaluates the closed-form profile exactly, writes
+out the cone quantities or fits the cone limits by exact least squares; the
+tests do, and hold the package to these.
 
 Each reference here is independent of the package's algorithm for what it
 checks: the matrix path, ``Fraction`` arithmetic or a defining property.
@@ -36,6 +36,7 @@ from holoflow.homogeneous import (
     _kernel_basis_1x3,
     _place,
     group_gens,
+    invariant_d,
     model_spec,
 )
 from holoflow.structures import canonical_forms
@@ -211,6 +212,24 @@ def star_omega_and_omega(model):
         for slot, (target, sym) in model_spec(model).frame_map.items()
     }
     return tuple(form.substitute(images, gens, len(gens) - 1) for form in (can.omega.hodge_star(), can.omega))
+
+
+def isotropy_indices(model):
+    """The indices of the isotropy generators, the basis elements after the
+    tangent space."""
+    return tuple(range(model.TANGENT, model.n))
+
+
+def is_basic(form, model) -> bool:
+    """True iff the form is horizontal and isotropy-invariant, by the
+    definition: no isotropy generator occurs in any stored subset, and the
+    Cartan-formula Lie derivative i_x d(form) + d(i_x form) along every
+    isotropy generator x vanishes."""
+    isotropy = isotropy_indices(model)
+    if any(mask >> x & 1 for mask in form.terms for x in isotropy):
+        return False
+    d_form = invariant_d(form, model)
+    return all((d_form.contract(x) + invariant_d(form.contract(x), model)).is_zero for x in isotropy)
 
 
 def canonical_weights(weights):

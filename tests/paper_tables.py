@@ -4,7 +4,8 @@ Each expected value of the paper's claims is written here once: the derived
 systems, the admissible indices, the smoothness verdicts and slopes, the
 Kaehler signs, the parity sign sets, the closed form's affine slopes and
 the cone limits.  ``tests/test_acceptance.py`` holds each claim against
-them, and every other test reads them from here.
+them, and every other test reads them from here.  The five singular orbits
+at unit data, which the command-level tests run, are written here once too.
 
 The package states each fact once, in ``homogeneous.MODEL_SPECS``, and
 computes the rest (the vertical smoothness slopes, the cone limits, the
@@ -117,6 +118,21 @@ CONE_REFS = {
 
 #: the integrated primitive's column name
 PRIMITIVE_NAME = {"Q": "F", "M": "C"}
+
+#: the five singular orbits at unit data: (kind, orbit, the names of the
+#: initial values given, each 1)
+UNIT_ORBITS = (
+    ("Q", "s2xs2", "bc"),
+    ("Q", "s2xs2xs2", "abc"),
+    ("M", "cp2", "a"),
+    ("M", "cp2xs2", "ab"),
+    ("M", "s2", "b"),
+)
+
+#: the same orbits as command-line arguments: (model, orbit, ``--x0 1`` per name)
+UNIT_ORBIT_ARGS = [
+    (kind.lower(), orbit, [arg for x in names for arg in (f"--{x}0", "1")]) for kind, orbit, names in UNIT_ORBITS
+]
 
 #: the vertical circle action: Q's exp(theta e7) meets the isotropy torus
 #: iff 3 theta is a multiple of 4 pi; M's central circle meets SU(2) x U(1)

@@ -15,9 +15,15 @@ deselected, the run fails on:
 - a raise site that no test reached and that is not in ``ALLOWED``;
 - an ``ALLOWED`` site that is reached, or that names no site;
 - a site reached only through functions other than ``cli.main`` and the
-  names of ``holoflow.__all__`` (and their methods), when its enclosing
-  function has no entry in ``PRIVATE``, and an entry of ``PRIVATE`` whose
-  function has no such site.
+  names of ``holoflow.__all__`` (and their methods), when ``INTERNAL`` gives
+  its enclosing function no reason that allows it (``PRIVATE_KINDS``), and
+  an ``INTERNAL`` entry of a kind that names such a site
+  (``GUARD``, ``IMPLIED``) whose function has none.
+
+``INTERNAL`` is the one table of the package's internal paths, keyed by
+function: ``tests/test_reach.py`` reads it too, for the functions that no
+command runs.  Both checks walk the same files with the same walker,
+``functions``.
 
 A ``-k`` or single-file run prints the counts and does not fail.  Sites
 reached only in a child process do not count.
@@ -38,28 +44,64 @@ from typing import Dict, List, Set, Tuple
 #: the one-line reason; an entry that a test reaches fails the run too
 ALLOWED: Dict[str, str] = {}
 
-#: the functions, ``"<module>.<qualname>"``, whose raise sites tests reach
-#: only by calling something other than ``cli.main`` or a public name, each
-#: with its one-line reason: an internal API guard, named with its public
-#: caller, or an implied check, named with its proof
-PRIVATE: Dict[str, str] = {
-    "__init__.__getattr__": "guard: ``holoflow.<name>`` for a name outside ``__all__``, the package's own lookup",
-    "cli.__getattr__": "guard: ``holoflow.cli.<name>`` besides ``derive_flow``; ``cli.main`` reads no module attribute",
-    "_kernel._check_terms": "guard of ``make_rhs``; public callers ``solve_orbit`` and ``run_report``",
-    "algebra.term_list": "guard; public callers ``solve_orbit`` and ``run_report``, through ``make_rhs``'s callers",
-    "closed_form._Profile._check_domain": "guard of ``profile``'s evaluators; public callers ``compare``, ``run_report``",
-    "closed_form._Profile.float_value_squared.value_squared": "guard, as ``_check_domain``; public caller ``run_report``",
-    "closed_form.s_form": "implied check: test_closed_form.py::test_s_form_of_the_derived_system_is_the_profile_table",
-    "flow._solve_linear": "implied check: ``derive_flow`` on both models, acceptance criteria 1 and 2",
-    "homogeneous.invariant_d": "guard; its public caller ``derive_flow`` passes only forms on ``group_gens(model)``",
-    "integrate._compile_terms": "guard of ``integrate``; public caller ``solve_orbit``",
-    "verify.TrajectorySampler.__call__": "guard of a perfbench target that no command uses",
-    "verify.ProfileSampler.__init__": "guard; public caller ``run_report``, which pairs one model's profile and run",
-    "verify.ProfileSampler._speed": "guard of the t(s) inversion; public caller ``run_report``",
-    "verify._residuals": "guard of the closure checks; public caller ``run_report``",
-    "verify.check_closure": "guard of explicit sample times; public caller ``run_report``, which passes none",
-    "verify.check_closure_samples": "guard; public caller ``run_report``, on runs ``Trajectory.from_csv`` gives 3 rows",
-    "verify.verify_trajectory": "implied check: test_closed_form.py::test_s_form_of_the_derived_system_is_the_profile_table",
+#: the kinds of reason in ``INTERNAL``, each with what its evidence is: the
+#: perfbench recorder Target's (owner, attr); the tier-1 test,
+#: ``"<file>::<name>"``, that reaches the error path; the special method the
+#: protocol method is; the guard's public caller, in one line; the tier-1
+#: test that proves the check cannot fire
+PERFBENCH = "a perfbench target or a helper of one"
+ERROR_PATH = "an error path"
+PROTOCOL = "a protocol method"
+GUARD = "a guard of internal input"
+IMPLIED = "an implied check"
+
+#: the kinds of a function that no command runs (``tests/test_reach.py``)
+UNRUN_KINDS = (PERFBENCH, ERROR_PATH, PROTOCOL)
+#: the kinds that allow raise sites reached only outside the public interface;
+#: an entry of the last two must name such a site
+PRIVATE_KINDS = (PERFBENCH, GUARD, IMPLIED)
+
+#: the package's internal paths, ``"<module>.<qualname>"`` mapped to
+#: (kind, evidence): a function that no command runs, or whose raise sites
+#: tests reach only by calling something other than ``cli.main`` or a
+#: public name
+INTERNAL: Dict[str, Tuple[str, object]] = {
+    "__init__.__dir__": (PROTOCOL, "__dir__"),
+    "__init__.__getattr__": (GUARD, "``holoflow.<name>`` for a name outside ``__all__``, the package's own lookup"),
+    "_kernel._check_terms": (GUARD, "of ``make_rhs``; public callers ``solve_orbit`` and ``run_report``"),
+    "_record._frozen_delattr": (PROTOCOL, "__delattr__"),
+    "_record._frozen_setattr": (PROTOCOL, "__setattr__"),
+    "_record._repr": (PROTOCOL, "__repr__"),
+    "algebra.LaurentPoly.__rsub__": (PROTOCOL, "__rsub__"),  # 1 + p works, so 1 - p must too
+    "algebra.LaurentPoly.eval": (PERFBENCH, ("holoflow.algebra:Multivector", "eval_numeric")),
+    "algebra.Multivector.__hash__": (PROTOCOL, "__hash__"),
+    "algebra.Multivector.__repr__": (PROTOCOL, "__repr__"),
+    "algebra.Multivector.eval_numeric": (PERFBENCH, ("holoflow.algebra:Multivector", "eval_numeric")),
+    "cli.__getattr__": (GUARD, "``holoflow.cli.<name>`` besides ``derive_flow``; ``cli.main`` reads no module attribute"),
+    "closed_form._Profile._check_domain": (
+        ERROR_PATH, "test_closed_form.py::test_compare_refuses_a_primitive_at_or_past_a_pole"
+    ),
+    "closed_form.s_form": (IMPLIED, "test_closed_form.py::test_s_form_of_the_derived_system_is_the_profile_table"),
+    "flow._solve_linear": (IMPLIED, "test_flow.py::test_back_substitution_annihilates_closure"),
+    "homogeneous.invariant_d": (GUARD, "its public caller ``derive_flow`` passes only forms on ``group_gens(model)``"),
+    "integrate._OrbitLimits._at": (ERROR_PATH, "test_series_start.py::test_every_failure_raises_its_message"),
+    "integrate._outside_state": (ERROR_PATH, "test_series_start.py::test_every_failure_raises_its_message"),
+    "structures._multi_angle": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
+    "structures._rotate_form": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
+    "structures._rotation": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
+    "structures.rotate_structure": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
+    "verify.ProfileSampler.__init__": (GUARD, "public caller ``run_report``, which pairs one model's profile and run"),
+    "verify.ProfileSampler._speed": (GUARD, "of the t(s) inversion; public caller ``run_report``"),
+    "verify.TrajectorySampler.__call__": (PERFBENCH, ("holoflow.verify:TrajectorySampler", "__call__")),
+    "verify.TrajectorySampler.__init__": (PERFBENCH, ("holoflow.verify:TrajectorySampler", "__call__")),
+    "verify._residuals": (GUARD, "of the closure checks; public caller ``run_report``"),
+    "verify.check_closure": (GUARD, "of explicit sample times; public caller ``run_report``, which passes none"),
+    "verify.check_closure_samples": (
+        GUARD, "public caller ``run_report``, on runs ``Trajectory.from_csv`` gives 3 rows"
+    ),
+    "verify.verify_trajectory": (
+        IMPLIED, "test_closed_form.py::test_s_form_of_the_derived_system_is_the_profile_table"
+    ),
 }
 
 #: the site (file, line) of each reached raise mapped to the outermost
@@ -67,20 +109,29 @@ PRIVATE: Dict[str, str] = {
 HITS: Dict[Tuple[str, int], Set[str]] = {}
 
 
-def raise_sites(package: Path) -> Dict[str, Set[int]]:
+def source_files(package: Path) -> Dict[str, str]:
+    """{real path: module name} of every source file of the package, its
+    subpackages' too; the name is the dotted path inside the package."""
+    return {
+        os.path.realpath(path): ".".join(path.relative_to(package).with_suffix("").parts)
+        for path in sorted(package.rglob("*.py"))
+    }
+
+
+def raise_sites(paths) -> Dict[str, Set[int]]:
     """The first line of every ``raise`` statement, per source file."""
     sites = {}
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        sites[str(path)] = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)}
+    for path in paths:
+        tree = ast.parse(Path(path).read_text(encoding="utf-8"), path)
+        sites[path] = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)}
     return sites
 
 
-def functions(path: str) -> Tuple[Dict[int, str], List[Tuple[int, int, str]]]:
-    """The functions of one source file: {first line: qualified name}, the
-    first line being the first decorator's, as in the code object, and the
-    (start, end, name) spans of their bodies, innermost last."""
-    module = Path(path).stem
+def functions(path: str, module: str) -> Tuple[Dict[int, str], List[Tuple[int, int, str]]]:
+    """The functions of one source file of the named module: {first line:
+    qualified name}, the first line being the first decorator's, as in the
+    code object, and the (start, end, name) spans of their bodies,
+    innermost last."""
     first, spans = {}, []
 
     def visit(node, prefix):
@@ -140,11 +191,14 @@ class RaiseReach:
 
     def __init__(self, package: Path, preloaded: Set[str]):
         self.package, self.preloaded = package, preloaded
-        self.sites = raise_sites(package)
+        self.modules = source_files(package)
+        self.sites = raise_sites(self.modules)
+        # the imported module's dotted name -> its name here
+        self.dotted = {f"{package.name}.{m}".removesuffix(".__init__"): m for m in self.modules.values()}
         self.first: Dict[Tuple[str, int], str] = {}
         self.spans: Dict[str, List[Tuple[int, int, str]]] = {}
-        for path in self.sites:
-            first, self.spans[path] = functions(path)
+        for path, module in self.modules.items():
+            first, self.spans[path] = functions(path, module)
             self.first.update(((path, line), name) for line, name in first.items())
         self.partial = False
         self.problems: List[str] = []
@@ -161,25 +215,29 @@ class RaiseReach:
             frame = frame.f_back
         code, cls = outer.f_code, type(outer.f_locals.get("self"))
         if cls.__module__.partition(".")[0] == "holoflow":
-            return f"{cls.__module__.rpartition('.')[2]}.{cls.__qualname__}.{code.co_name}"
-        return self.first.get((code.co_filename, code.co_firstlineno), f"{Path(code.co_filename).stem}.{code.co_name}")
+            return f"{self.dotted[cls.__module__]}.{cls.__qualname__}.{code.co_name}"
+        return self.first.get(
+            (code.co_filename, code.co_firstlineno), f"{self.modules[code.co_filename]}.{code.co_name}"
+        )
 
     def enclosing(self, path: str, line: int) -> str:
         inside = [name for start, end, name in self.spans[path] if start <= line <= end]
-        return inside[-1] if inside else f"{Path(path).stem}.<module>"
+        return inside[-1] if inside else f"{self.modules[path]}.<module>"
+
+    def site(self, path: str, line: int) -> str:
+        """``"<file>:<line>"``, the file's path inside the package."""
+        return f"{Path(path).relative_to(self.package)}:{line}"
 
     def public(self) -> Set[str]:
         """``cli.main`` and the qualified name of each public name."""
         import holoflow
 
-        exported = {f"{getattr(holoflow, name).__module__.rpartition('.')[2]}.{name}" for name in holoflow.__all__}
+        exported = {f"{self.dotted[getattr(holoflow, name).__module__]}.{name}" for name in holoflow.__all__}
         return {"cli.main", *exported}
 
     def unreached(self) -> List[str]:
         """``"<module>.py:<line>"`` of each site no test reached."""
-        return [
-            f"{Path(f).name}:{line}" for f, lines in self.sites.items() for line in sorted(lines) if (f, line) not in HITS
-        ]
+        return [self.site(f, line) for f, lines in self.sites.items() for line in sorted(lines) if (f, line) not in HITS]
 
     def private(self) -> Dict[str, List[str]]:
         """{enclosing function: ``"<module>.py:<line>"``} of the sites
@@ -187,7 +245,7 @@ class RaiseReach:
         public, out = self.public(), {}
         for (path, line), outers in sorted(HITS.items()):
             if not any(o in public or o.rpartition(".")[0] in public for o in outers):
-                out.setdefault(self.enclosing(path, line), []).append(f"{Path(path).name}:{line}")
+                out.setdefault(self.enclosing(path, line), []).append(self.site(path, line))
         return out
 
     def pytest_deselected(self, items):
@@ -202,7 +260,7 @@ class RaiseReach:
         if self.preloaded:
             self.problems.append(f"holoflow was imported before the marks were set: {sorted(self.preloaded)}")
         unreached = self.unreached()
-        reached = {f"{Path(f).name}:{line}" for f, line in HITS}
+        reached = {self.site(f, line) for f, line in HITS}
         self.problems += [f"unreached raise site {site}" for site in unreached if site not in ALLOWED]
         self.problems += [f"allowed raise site {site} is reached" for site in ALLOWED if site in reached]
         self.problems += [
@@ -211,12 +269,14 @@ class RaiseReach:
         self.privately = self.private()
         self.problems += [
             f"raise site {', '.join(sites)} in {name} is reached only outside the public interface, and"
-            " PRIVATE gives no reason"
+            " INTERNAL gives no reason that allows it"
             for name, sites in self.privately.items()
-            if name not in PRIVATE
+            if INTERNAL.get(name, ("",))[0] not in PRIVATE_KINDS
         ]
         self.problems += [
-            f"PRIVATE entry {name} names no privately reached site" for name in PRIVATE if name not in self.privately
+            f"INTERNAL entry {name} ({kind}) names no privately reached site"
+            for name, (kind, _) in INTERNAL.items()
+            if kind in (GUARD, IMPLIED) and name not in self.privately
         ]
         if self.problems and not self.partial and session.exitstatus == 0:
             session.exitstatus = 1

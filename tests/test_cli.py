@@ -27,7 +27,7 @@ from holoflow.cli import VALUE_FLAGS, _exact, build_parser, main
 from holoflow.homogeneous import MODEL_SPECS, m_model
 from holoflow.integrate import ORBIT_COLLAPSING, IntegratorConfig, OrbitSpec, solve_orbit
 from mutations import perturbed_system
-from paper_tables import CONE_REFS, PRIMITIVE_NAME, SMOOTHNESS
+from paper_tables import CONE_REFS, PRIMITIVE_NAME, SMOOTHNESS, UNIT_ORBIT_ARGS
 from test_reach import INPUTS, INVOCATIONS
 
 
@@ -351,14 +351,6 @@ def test_missing_or_unreadable_traj_rejected(capsys, tmp_path, command):
         assert "--traj" in err
 
 
-UNIT_ORBITS = [
-    ("q", "s2xs2", ["--b0", "1", "--c0", "1"]),
-    ("q", "s2xs2xs2", ["--a0", "1", "--b0", "1", "--c0", "1"]),
-    ("m", "cp2", ["--a0", "1"]),
-    ("m", "cp2xs2", ["--a0", "1", "--b0", "1"]),
-    ("m", "s2", ["--b0", "1"]),
-]
-
 GOLDEN = Path(__file__).parent / "golden"
 
 #: exact outputs, pinned byte for byte; no libm or LAPACK float enters them
@@ -368,7 +360,7 @@ GOLDEN_RUNS = [
     for ext, flags in (("json", ["--json"]), ("txt", []))
 ] + [
     (f"smoothness_{model}_{orbit}.json", ["smoothness", "--model", model, "--orbit", orbit])
-    for model, orbit, _ in UNIT_ORBITS
+    for model, orbit, _ in UNIT_ORBIT_ARGS
 ]
 
 
@@ -393,7 +385,7 @@ A0_3_7_ORBITS = [
 ]
 
 
-@pytest.mark.parametrize("model,orbit,values", UNIT_ORBITS + A0_3_7_ORBITS)
+@pytest.mark.parametrize("model,orbit,values", UNIT_ORBIT_ARGS + A0_3_7_ORBITS)
 def test_closure_residuals_match_the_golden_file(capsys, tmp_path, model, orbit, values):
     traj = tmp_path / "traj.csv"
     common = ["--model", model, "--orbit", orbit, *values]
@@ -418,7 +410,7 @@ def test_closure_residuals_match_the_golden_file(capsys, tmp_path, model, orbit,
 #: whose pow rounds as glibc's does
 GOLDEN_TRAJ_RUNS = [
     (f"traj_{model}_{orbit}.csv", ["report", "--model", model, "--orbit", orbit, *values], "--traj-out")
-    for model, orbit, values in UNIT_ORBITS
+    for model, orbit, values in UNIT_ORBIT_ARGS
 ] + [
     (
         "traj_m_cp2xs2_scan.csv",
@@ -449,7 +441,7 @@ def test_trajectories_match_the_golden_files(capsys, tmp_path, name, argv, flag)
 #: cone bar
 GOLDEN_REPORT_RUNS = [
     (f"report_{model}_{orbit}.json", ["report", "--model", model, "--orbit", orbit, *values])
-    for model, orbit, values in UNIT_ORBITS
+    for model, orbit, values in UNIT_ORBIT_ARGS
 ]
 FITTED = "fitted by LAPACK"
 
@@ -503,7 +495,7 @@ DIFFERS_BY_CLOSURE_CHECK = (
 )
 
 
-@pytest.mark.parametrize("model,orbit,values", UNIT_ORBITS)
+@pytest.mark.parametrize("model,orbit,values", UNIT_ORBIT_ARGS)
 def test_verify_passes_each_unit_orbit_at_the_default_bars(capsys, tmp_path, model, orbit, values):
     traj = tmp_path / "traj.csv"
     argv = ["--model", model, "--orbit", orbit, *values]
@@ -845,7 +837,7 @@ def test_only_the_commands_that_verify_build_the_kaehler_certificate(tmp_path):
     out = str(tmp_path / "out")
     cold = [["derive", "--model", model] for model in ("q", "m")]
     report = []
-    for model, orbit, values in UNIT_ORBITS:
+    for model, orbit, values in UNIT_ORBIT_ARGS:
         common = ["--model", model, "--orbit", orbit]
         cold.append(["solve", *common, *values, "--out", out])
         cold.append(["smoothness", *common, "--out", out])
@@ -1004,7 +996,7 @@ OVERFLOW_ROWS = [
     "5.0,0.0,-1.0,1e-300,-1.0",
     "6.0,0.5,1e-300,-1.0,-1.0",
 ]
-M_ORBIT_ARGV = [orbit_argv for model, *orbit_argv in UNIT_ORBITS if model == "m"]
+M_ORBIT_ARGV = [orbit_argv for model, *orbit_argv in UNIT_ORBIT_ARGS if model == "m"]
 
 
 @pytest.mark.parametrize(
@@ -1058,7 +1050,7 @@ def test_one_process_builds_each_structure_once(capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(homogeneous, name, lru_cache(maxsize=None)(getattr(homogeneous, name).__wrapped__))
     monkeypatch.setattr(flow, "build_invariant_structure", counted)
     monkeypatch.setattr(structures, "build_invariant_structure", counted)
-    for model, orbit, values in UNIT_ORBITS:
+    for model, orbit, values in UNIT_ORBIT_ARGS:
         traj = tmp_path / f"{orbit}.csv"
         common = ["--model", model, "--orbit", orbit, *values]
         assert main(["report", *common, "--out", str(tmp_path / "r.json"), "--traj-out", str(traj)]) in (0, 1)
@@ -1235,7 +1227,7 @@ def cli_argv(draw):
 def traj_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("traj")
     with contextlib.redirect_stdout(io.StringIO()):
-        for model, orbit, values in (UNIT_ORBITS[0], UNIT_ORBITS[2]):
+        for model, orbit, values in (UNIT_ORBIT_ARGS[0], UNIT_ORBIT_ARGS[2]):
             argv = ["solve", "--model", model, "--orbit", orbit, *values]
             assert main(argv + ["--t-end", "50", "--out", str(path / f"{model}.csv")]) == 0
     return path

@@ -427,6 +427,30 @@ def test_float_domain_errors_at_and_beyond_poles(as_type):
             p.value_squared(as_type(fp))
 
 
+#: (kind, orbit, initial values, a primitive s on or past a pole, the refusal)
+POLE_RUNS = {
+    "at-the-pole": ("Q", "s2xs2xs2", {"a": 1, "b": 1, "c": 1}, 3.0, "evaluation at the pole s = 3"),
+    "past-the-pole": ("Q", "s2xs2xs2", {"a": 1, "b": 1, "c": 1}, 6.0, "s = 6.0 beyond the pole 3"),
+    "past-a-negative-pole": ("M", "cp2xs2", {"a": Fraction(1, 3), "b": Fraction(1, 7)}, -1.0,
+                             "s = -1.0 beyond the pole -4/27"),
+    "rounded-pole": ("Q", "s2xs2xs2", {"a": Fraction(1, 3), "b": 1, "c": 2}, float(Fraction(1, 3)),
+                     f"denominator vanishes at s = {float(Fraction(1, 3))}"),
+}
+
+
+@pytest.mark.parametrize("case", POLE_RUNS)
+def test_compare_refuses_a_primitive_at_or_past_a_pole(case):
+    """``compare`` on a trajectory whose primitive reaches a pole of the
+    closed form, after a first sample at s = 0: the public path to the
+    domain guard and to the float denominator's refusal where float(p)
+    rounds inward."""
+    kind, orbit, values, s, message = POLE_RUNS[case]
+    names = MODEL_SPECS[kind].state_names
+    traj = Trajectory(kind, names, [0.0, 1.0], [[1.0] * len(names) + [0.0], [1.0] * len(names) + [s]])
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        compare(traj, profile(kind, OrbitSpec(kind, orbit, values)))
+
+
 # ---------------------------------------------------------------------------
 # the straight-line float profile against the Fraction coefficients
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from holoflow.homogeneous import (
     get_model,
     group_gens,
     invariant_d,
-    is_basic,
     isotropy_weights,
     m_model,
     maurer_cartan,
@@ -56,7 +55,9 @@ from oracles import (
     coefficient,
     form_table,
     fraction_rows,
+    is_basic,
     isotropy_coords,
+    isotropy_indices,
     model_matrices,
     pack,
     q_norms,
@@ -65,6 +66,7 @@ from oracles import (
     unpack,
     weights_by_fraction_cartan,
 )
+from paper_tables import ADMISSIBLE
 
 
 def bracket_coeffs(model, i, j):
@@ -142,15 +144,6 @@ def test_q_metric_is_diagonal_with_expected_norms():
     norms = q_norms(model.norms, model.basis)
     assert norms[:6] == (Fraction(1, 2),) * 6
     assert norms[6] == Fraction(3, 2)
-
-
-def test_isotropy_brackets_preserve_modules():
-    for model in (q_model(1, 1, 1), m_model(1, 1)):
-        blocks = [set(b) for b in model.modules]
-        for x in model.isotropy_indices:
-            for i in range(model.TANGENT):
-                for k, c in bracket_coeffs(model, x, i).items():
-                    assert c == 0 or any(i in b and k in b for b in blocks)
 
 
 def tampered(model, edits, norms=None):
@@ -426,7 +419,7 @@ def test_the_triple_isotropy_check_fails_first_where_the_row_scan_does(kind, ind
     for _ in range(300):
         edits = {}
         for _ in range(rng.randint(1, 3)):
-            x, i = rng.choice(model.isotropy_indices), rng.randrange(model.TANGENT)
+            x, i = rng.choice(isotropy_indices(model)), rng.randrange(model.TANGENT)
             others = [j for j in (modules[i] if rng.random() < 0.6 else range(model.n)) if j not in (i, x)]
             if others:
                 edits[tuple(sorted((x, i, rng.choice(others))))] = rng.choice([-2, -1, 1, 2])
@@ -444,7 +437,7 @@ def isotropy_scan(model):
     ``Fraction`` rows: for each isotropy x, tangent i and c^j_xi != 0, a j
     off the tangent space or outside i's module."""
     rows, module, failures = structure_rows(model), {i: m for m in model.modules for i in m}, set()
-    for x in model.isotropy_indices:
+    for x in isotropy_indices(model):
         for i in range(model.TANGENT):
             for j in rows[x][i]:
                 if j >= model.TANGENT:
@@ -649,6 +642,48 @@ def test_the_weight_pattern_needs_pairwise_independent_weights(monkeypatch):
         else:
             (x1, y1, z1), (x2, y2, z2) = ([SYMBOL[f"{c}{n}"] for c in "xyz"] for n in (1, 2))
             assert minors == (y1 * z2 - z1 * y2) ** 2 + (z1 * x2 - x1 * z2) ** 2 + (x1 * y2 - y1 * x2) ** 2
+
+
+def cross(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+def test_only_q111_and_m11_admit_an_invariant_g2_structure(monkeypatch):
+    """At any indices Q(1,1,1) and M(1,1) are the only admissible models, so
+    what the tests prove of their structures holds for every structure a
+    build gives.  ``classify_invariant_g2`` asks for signs s, t with
+    w_1 + s w_2 + t w_3 = 0 on the weights, here the symbolic ones.  On Q
+    the weights are minus the Cartan vectors' x, y and z, so entry n of the
+    combination is -(u_n . v) for v = (1, s, t), and the identity
+    (u_1 x u_2) x v = u_2 (u_1 . v) - u_1 (u_2 . v) holds: a vanishing
+    combination puts v normal to the Cartan span, parallel to
+    u_1 x u_2 = +-(k, l, m) (``test_kernel_basis_matches_the_gcd_sweep``),
+    so |k| = |l| = |m| and the model is Q(1,1,1).  On M the combination is
+    (1 - s, (1 + s) l + 2 t k): s = 1, and (k, l) spans the kernel of the
+    linear form 2 t k + 2 l, so k = l = 1."""
+    admissible = {"Q": set(), "M": set()}
+    for kind in admissible:
+        basis = symbolic_basis(kind)
+        norms = [row[0] for row in gram(kind, basis)]
+        _, (w1, w2, w3) = cartan_weights(kind, basis, norms, symbolic_cartan(kind, basis, monkeypatch))
+        for s, t in itertools.product((1, -1), repeat=2):
+            combination = [a + s * b + t * c for a, b, c in zip(w1, w2, w3)]
+            if kind == "Q":
+                u1, u2 = ([SYMBOL[f"{c}{n}"] for c in "xyz"] for n in (1, 2))
+                v = [constant(1), constant(s), constant(t)]
+                assert cross(cross(u1, u2), v) == [a * combination[1] - b * combination[0] for a, b in zip(u1, u2)]
+                admissible[kind].add(q_model(1, s, t).indices)
+            else:
+                first, second = combination
+                assert first == constant(1 - s)
+                if first.is_zero:
+                    terms = second.named_terms()
+                    assert all(len(exps) == 1 and set(exps.values()) == {1} for _, exps in terms)
+                    form = {name: int(c) for c, exps in terms for name in exps}  # a linear form in k, l
+                    admissible[kind].add(m_model(form.get("l", 0), -form.get("k", 0)).indices)
+    assert admissible == {kind: set(tuples) for kind, tuples in ADMISSIBLE.items()}
+    monkeypatch.undo()  # the real Cartan vectors
+    assert all(classify_invariant_g2(get_model(kind, indices)) for kind, (indices,) in admissible.items())
 
 
 # ---------------------------------------------------------------------------
@@ -1010,7 +1045,7 @@ def assert_ad_is_read_off_the_rows(model):
     """``_ad`` of each isotropy generator and each ``cartan_candidates``
     element, in one call, is ad_x on the tangent space read off the Fraction
     rows at its coordinates over the model's basis, ``isotropy_coords``'s."""
-    isotropy, candidates = model.isotropy_indices, cartan_candidates(model)
+    isotropy, candidates = isotropy_indices(model), cartan_candidates(model)
     elements = [model.basis[y] for y in isotropy] + candidates
     coords = [{y: Fraction(1)} for y in isotropy] + [isotropy_coords(model, x) for x in candidates]
     got = _ad(model, elements)
@@ -1032,7 +1067,7 @@ def test_ad_on_the_isotropy_algebra_is_read_off_the_rows_view(name):
         assert classify_invariant_g2(model) == (set(model.indices) == {1}), model.indices
         # the tangent elements reversed: each t_xij, i < j, is summed from the
         # other order of each pair of G's ad rows
-        assert_ad_is_read_off_the_rows(permuted(model, [*reversed(range(model.TANGENT)), *model.isotropy_indices]))
+        assert_ad_is_read_off_the_rows(permuted(model, [*reversed(range(model.TANGENT)), *isotropy_indices(model)]))
 
 
 @pytest.mark.parametrize("name", ["sweep", "up-to-12"])

@@ -409,11 +409,14 @@ def _hand_made_system(table, rhs_c):
     [("a'", "contains derivative symbols"), ("u", "uses a non-state symbol")],
 )
 def test_rhs_outside_the_state_is_rejected(symbol, message):
+    """``solve_orbit`` on the principal orbit refuses an ``ODESystem`` whose
+    right-hand side holds a derivative or non-state symbol: the public path
+    to ``_compile_terms``'s guard and to ``term_list``'s, under it."""
     table = SymbolTable(("a", "b", "c", "u"), ("a'",))
     sys_ = _hand_made_system(table, LaurentPoly.monomial(table, 2, {symbol: 1}))
-    start = State(t=0.0, values={"a": 1.0, "b": 1.0, "c": 1.0})
-    with pytest.raises(IntegrationError, match=message):
-        integrate(sys_, start, IntegratorConfig(t_end=1.0))
+    spec = OrbitSpec("M", "principal", {"a": 1, "b": 1, "c": 1})
+    with pytest.raises(IntegrationError, match=f"^right-hand side {message}$"):
+        solve_orbit(sys_, spec, IntegratorConfig(t_end=1.0))
 
 
 def test_csv_round_trip(tmp_path, sysm):

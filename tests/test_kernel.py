@@ -23,6 +23,7 @@ from holoflow.integrate import (
     integrate,
     series_start,
 )
+from paper_tables import UNIT_ORBITS
 
 # Q holonomy system as flat term lists: state (a, b, c, f, F)
 COEFFS = [-1 / 6, -1 / 6, -1 / 6, 1 / 6, 1 / 6, 1 / 6, -3.0, 1.0]
@@ -311,16 +312,9 @@ def test_generator_accepts_only_numbers():
         _kernel.solve((["__import__('os')"], [1], [0], 1), [1.0], 0.0, 1.0, 1e-6, 1e-9, 0.0, [True], 10)
 
 
-UNIT_ORBITS = [
-    ("Q", "s2xs2", {"b": 1, "c": 1}),
-    ("Q", "s2xs2xs2", {"a": 1, "b": 1, "c": 1}),
-    ("M", "cp2", {"a": 1}),
-    ("M", "cp2xs2", {"a": 1, "b": 1}),
-    ("M", "s2", {"b": 1}),
-]
-
-
-@pytest.mark.parametrize("kind,orbit,values", UNIT_ORBITS)
+@pytest.mark.parametrize(
+    "kind,orbit,values", [(kind, orbit, dict.fromkeys(names, 1)) for kind, orbit, names in UNIT_ORBITS]
+)
 def test_solve_is_bit_identical_with_the_interpreter(kind, orbit, values):
     sys_ = get_model(kind, (1, 1, 1) if kind == "Q" else (1, 1)).derivation.sys
     start, _ = series_start(sys_, OrbitSpec(kind, orbit, values))

@@ -1,14 +1,16 @@
-"""Every function in ``src/holoflow`` is run by a command, or listed here
-with the reason it stays.
+"""Every function in ``src/holoflow`` is run by a command, or listed with
+the reason it stays.
 
 One fresh interpreter, so that no cache filled by an earlier test hides a
 call, runs ``cli.main`` under ``sys.setprofile`` for each command on the unit
 data of each singular orbit and for the CI smoke test's error cases.  The
-``def``s that no invocation calls must be exactly ``UNREACHED``: a new
-function that no command runs is deleted, or listed with its reason.
+``def``s that no invocation calls must be exactly the entries of
+``raise_reach.INTERNAL`` whose kind is in ``UNRUN_KINDS``: a new function
+that no command runs is deleted, or listed there with its reason.  The
+table and the walker over the package's files are the raise-reach
+plugin's, so both checks read one list of internal paths.
 """
 
-import ast
 import importlib.util
 import json
 import os
@@ -17,19 +19,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+from paper_tables import UNIT_ORBIT_ARGS
+from raise_reach import (
+    ERROR_PATH, GUARD, IMPLIED, INTERNAL, PERFBENCH, PROTOCOL, UNRUN_KINDS, functions, source_files
+)
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "holoflow"
 TESTS = ROOT / "tests"
 RECORDER = ROOT / "perfbench" / "recorder.py"
-
-UNIT_ORBITS = [
-    ("q", "s2xs2", ["--b0", "1", "--c0", "1"]),
-    ("q", "s2xs2xs2", ["--a0", "1", "--b0", "1", "--c0", "1"]),
-    ("m", "cp2", ["--a0", "1"]),
-    ("m", "cp2xs2", ["--a0", "1", "--b0", "1"]),
-    ("m", "s2", ["--b0", "1"]),
-]
 
 #: the files the error cases read, written into the working directory
 INPUTS = {
@@ -51,7 +50,7 @@ INVOCATIONS = [
     ),
     *(
         (argv, 0)
-        for model, orbit, values in UNIT_ORBITS
+        for model, orbit, values in UNIT_ORBIT_ARGS
         for argv in (
             ["smoothness", "--model", model, "--orbit", orbit, "--out", "smooth.json"],
             ["solve", "--model", model, "--orbit", orbit, *values, "--out", f"{orbit}.csv"],
@@ -104,65 +103,14 @@ sys.setprofile(None)
 json.dump({"codes": codes, "reached": sorted(reached)}, sys.stdout)
 """
 
-PERFBENCH = "a perfbench target or a helper of one"
-ERROR_PATH = "an error path"
-PROTOCOL = "a protocol method"
-
-#: each unreached def with its reason and the evidence for it: the recorder
-#: Target's (owner, attr); the tier-1 test that reaches the error path; the
-#: special method the protocol method is
-UNREACHED = {
-    "algebra.Multivector.eval_numeric": (PERFBENCH, ("holoflow.algebra:Multivector", "eval_numeric")),
-    "algebra.LaurentPoly.eval": (PERFBENCH, ("holoflow.algebra:Multivector", "eval_numeric")),
-    "structures.rotate_structure": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
-    "structures._rotate_form": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
-    "structures._rotation": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
-    "structures._multi_angle": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
-    "verify.TrajectorySampler.__init__": (PERFBENCH, ("holoflow.verify:TrajectorySampler", "__call__")),
-    "verify.TrajectorySampler.__call__": (PERFBENCH, ("holoflow.verify:TrajectorySampler", "__call__")),
-    "closed_form._Profile._check_domain": (
-        ERROR_PATH,
-        "test_closed_form.py::test_float_domain_errors_at_and_beyond_poles",
-    ),
-    "integrate._OrbitLimits._at": (
-        ERROR_PATH,
-        "test_series_start.py::test_every_failure_raises_its_message",
-    ),
-    "integrate._outside_state": (
-        ERROR_PATH,
-        "test_series_start.py::test_every_failure_raises_its_message",
-    ),
-    "_record._repr": (PROTOCOL, "__repr__"),
-    "_record._frozen_setattr": (PROTOCOL, "__setattr__"),
-    "_record._frozen_delattr": (PROTOCOL, "__delattr__"),
-    "algebra.Multivector.__hash__": (PROTOCOL, "__hash__"),
-    "algebra.Multivector.__repr__": (PROTOCOL, "__repr__"),
-    # 1 + p works, so 1 - p must too
-    "algebra.LaurentPoly.__rsub__": (PROTOCOL, "__rsub__"),
-    "__init__.__dir__": (PROTOCOL, "__dir__"),
-}
-
-
 def _defs():
     """(qualified name, (file, first line)) of every def in the package; the
     first line is the first decorator's, as in the def's code object."""
-    out = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
-
-        def visit(node, prefix):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                    out.append((prefix + child.name, (str(path), first)))
-                    visit(child, f"{prefix}{child.name}.")
-                elif isinstance(child, ast.ClassDef):
-                    visit(child, f"{prefix}{child.name}.")
-                else:
-                    visit(child, prefix)
-
-        visit(ast.parse(path.read_text()), module + ".")
-    return out
+    return [
+        (name, (path, line))
+        for path, module in source_files(PACKAGE).items()
+        for line, name in functions(path, module)[0].items()
+    ]
 
 
 def _reached(workdir):
@@ -189,9 +137,10 @@ def test_every_def_is_reached_by_a_command_or_listed(tmp_path):
     unreached = sorted(
         name for name, (path, line) in _defs() if (os.path.realpath(path), line) not in reached
     )
-    assert unreached == sorted(UNREACHED), (
-        f"run by no command and not listed: {sorted(set(unreached) - set(UNREACHED))}; "
-        f"listed but run or gone: {sorted(set(UNREACHED) - set(unreached))}"
+    listed = sorted(name for name, (kind, _) in INTERNAL.items() if kind in UNRUN_KINDS)
+    assert unreached == listed, (
+        f"run by no command and not listed: {sorted(set(unreached) - set(listed))}; "
+        f"listed but run or gone: {sorted(set(listed) - set(unreached))}"
     )
 
 
@@ -206,15 +155,17 @@ def _recorder_targets():
 def test_every_listed_reason_holds():
     targets = _recorder_targets()
     defs = dict(_defs())
-    for name, (reason, evidence) in UNREACHED.items():
+    for name, (kind, evidence) in INTERNAL.items():
         assert name in defs, f"{name} is listed but no longer defined"
-        if reason == PERFBENCH:
+        if kind == PERFBENCH:
             assert evidence in targets, f"{name}: {evidence} is not a perfbench target"
-        elif reason == ERROR_PATH:
+        elif kind in (ERROR_PATH, IMPLIED):
             file, test = evidence.split("::")
             assert re.search(rf"^def {test}\(", (TESTS / file).read_text(), re.M), (name, evidence)
+        elif kind == GUARD:
+            assert evidence, name
         else:
-            assert reason == PROTOCOL, name
+            assert kind == PROTOCOL, name
             attr = name.rsplit(".", 1)[-1]
             source = Path(defs[name][0]).read_text()
             assert attr == evidence or re.search(

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from holoflow import structures
+from holoflow import homogeneous, structures
 from holoflow._record import replace
 from holoflow.algebra import LaurentPoly, Multivector
 from holoflow.flow import exterior_d_time
-from holoflow.homogeneous import MODEL_SPECS, is_basic, m_model, model_spec, q_model
+from holoflow.homogeneous import MODEL_SPECS, get_model, m_model, model_spec, q_model
 from holoflow.structures import (
     CANON8,
     StructureError,
@@ -24,7 +24,7 @@ from holoflow.structures import (
     rotate_structure,
     rotation_generator,
 )
-from oracles import coefficient, star_omega_and_omega
+from oracles import coefficient, is_basic, isotropy_indices, star_omega_and_omega
 from paper_tables import FRAME_MAP, OMEGA4_TERMS
 
 UNIT_Q = {"a": 1.0, "b": 1.0, "c": 1.0, "f": 1.0}
@@ -54,6 +54,23 @@ def test_Omega_is_the_textbook_four_form():
     assert Omega == want
     assert list(Omega.terms.items()) == list(want.terms.items())
     assert all(type(c) is Fraction for c in Omega.terms.values())
+
+
+def b_phi(omega):
+    """The rows of B(x, y) = i_x omega ^ i_y omega ^ omega, the multiple of
+    the volume form dx1..dx7, for a three-form on dx1..dx7."""
+    iota = [omega.contract(x) for x in range(7)]
+    top = [ix.wedge(omega) for ix in iota]  # i_x omega ^ omega; two-forms commute
+    return [[sum(iy.wedge(t).terms.values()) for iy in iota] for t in top]
+
+
+MINUS_SIX = [[-6 if x == y else 0 for y in range(7)] for x in range(7)]
+
+
+def test_the_canonical_three_form_is_definite():
+    """Why no build checks the table: B_phi of the shipped three-form is
+    -6 I in the table's convention, so it is definite and defines a metric."""
+    assert b_phi(canonical_forms().omega) == MINUS_SIX
 
 
 def test_omega_wedge_star_is_seven_volumes():
@@ -98,27 +115,28 @@ def test_unit_frame_reproduces_canonical_coefficients():
         assert back.terms == {m: float(c) for m, c in can.Omega.terms.items()}
 
 
-def test_a_build_substitutes_once_and_checks_basic_once(monkeypatch):
-    """One substitution into the canonical four-form and one is_basic."""
+def test_a_build_substitutes_once(monkeypatch):
+    """One substitution into the canonical four-form, and nothing else on
+    forms: no build computes d."""
     can = canonical_forms()
     monkeypatch.setattr(structures, "canonical_forms", lambda: can)
     calls = []
-    substitute, basic = Multivector.substitute, structures.is_basic
+    substitute, invariant_d = Multivector.substitute, homogeneous.invariant_d
 
     def counted_substitute(self, *args, **kwargs):
         calls.append("substitute")
         return substitute(self, *args, **kwargs)
 
-    def counted_is_basic(form, model):
-        calls.append("is_basic")
-        return basic(form, model)
+    def counted_invariant_d(form, model):
+        calls.append("invariant_d")
+        return invariant_d(form, model)
 
     monkeypatch.setattr(Multivector, "substitute", counted_substitute)
-    monkeypatch.setattr(structures, "is_basic", counted_is_basic)
+    monkeypatch.setattr(homogeneous, "invariant_d", counted_invariant_d)
     for model in (q_model(1, 1, 1), m_model(1, 1)):
         calls.clear()
         build_invariant_structure(model)
-        assert calls == ["substitute", "is_basic"]
+        assert calls == ["substitute"]
 
 
 def test_the_canonical_four_form_is_built_once_and_each_build_owns_its_form(monkeypatch):
@@ -149,6 +167,16 @@ def _with_dt(model, star_omega, omega):
     return star_omega + Multivector.basis(star_omega.gens, [dt], one, dt_index=dt).wedge(omega)
 
 
+@pytest.mark.parametrize("kind", ["Q", "M"])
+def test_Omega_is_basic_on_both_admissible_structures(kind):
+    """Why no build checks that Omega is basic: it is on Q(1,1,1) and
+    M(1,1), and no other model admits a structure
+    (``test_homogeneous.py::test_only_q111_and_m11_admit_an_invariant_g2_structure``).
+    Each edit of a frame map in ``TAMPERED_FRAMES`` fails it."""
+    model = get_model(kind, (1,) * len(model_spec(kind).index_names))
+    assert is_basic(build_invariant_structure(model).Omega, model)
+
+
 #: frame-map edits per model kind: one slot sent to an isotropy generator,
 #: two slots of different modules swapped
 TAMPERED_FRAMES = [
@@ -161,16 +189,15 @@ TAMPERED_FRAMES = [
 
 @pytest.mark.parametrize("kind,edits", TAMPERED_FRAMES, ids=["Q-iso", "Q-swap", "M-iso", "M-swap"])
 def test_Omega_is_basic_exactly_when_omega_and_its_star_are(monkeypatch, kind, edits):
-    """The dropped checks on omega and *omega were implied by the one on
-    Omega, on the real frame and on a tampered one; the tampered frame trips
-    the structure's basic check, and so does each mixed pair."""
+    """Omega is basic exactly when omega and *omega are, on the real frame
+    and on a tampered one; the tampered frame builds a structure whose
+    Omega is not basic, and so does each mixed pair."""
     model = q_model(1, 1, 1) if kind == "Q" else m_model(1, 1)
     real = star_omega_and_omega(model)
     spec = MODEL_SPECS[kind]
     monkeypatch.setitem(MODEL_SPECS, kind, replace(spec, frame_map={**spec.frame_map, **edits}))
     tampered = star_omega_and_omega(model)
-    with pytest.raises(StructureError, match="invariant structure is not basic"):
-        build_invariant_structure(model)
+    assert not is_basic(build_invariant_structure(model).Omega, model)
     for star_omega, omega in itertools.product((real[0], tampered[0]), (real[1], tampered[1])):
         Omega = _with_dt(model, star_omega, omega)
         assert is_basic(Omega, model) == (is_basic(star_omega, model) and is_basic(omega, model))
@@ -188,7 +215,7 @@ def test_the_d_of_a_basic_Omega_has_no_isotropy_term(monkeypatch, kind):
     d on G/H x I with no isotropy generator; a horizontal one it rejects may
     have one."""
     model = q_model(1, 1, 1) if kind == "Q" else m_model(1, 1)
-    iso = sum(1 << x for x in model.isotropy_indices)
+    iso = sum(1 << x for x in isotropy_indices(model))
     pairs, spec = [star_omega_and_omega(model)], MODEL_SPECS[kind]
     for _, edits in (frame for frame in TAMPERED_FRAMES if frame[0] == kind):
         monkeypatch.setitem(MODEL_SPECS, kind, replace(spec, frame_map={**spec.frame_map, **edits}))
@@ -207,31 +234,18 @@ def test_the_d_of_a_basic_Omega_has_no_isotropy_term(monkeypatch, kind):
     assert {(True, False, False), (False, True, False)} <= seen, seen
 
 
-@pytest.fixture
-def fresh_canonical_terms():
-    """The canonical four-form's terms are built again, from the table as
-    the test leaves it."""
-    structures._canonical_Omega_terms.cache_clear()
-    yield
-    structures._canonical_Omega_terms.cache_clear()
-
-
 @pytest.mark.parametrize("flip", range(len(structures.OMEGA3_TERMS)))
-def test_a_split_three_form_is_rejected_as_not_definite(monkeypatch, fresh_canonical_terms, flip):
-    """One flipped sign of the three-form table gives a split form (B_phi
-    with three +6 on its diagonal), which defines no metric.  Flips 0-2 on
-    Q(1,1,1) and flip 0 on M(1,1) pass every other exact gate; the
-    definiteness check rejects all seven, before any structure is built."""
+def test_a_split_three_form_is_rejected_as_not_definite(monkeypatch, flip):
+    """One flipped sign of the three-form table gives a split form, which
+    defines no metric: ``test_the_canonical_three_form_is_definite``'s check
+    finds B_phi diagonal with three +6 on its diagonal, not -6 I."""
     terms = list(structures.OMEGA3_TERMS)
     idx, sign = terms[flip]
     terms[flip] = (idx, -sign)
     monkeypatch.setattr(structures, "OMEGA3_TERMS", tuple(terms))
-    not_definite = "^the canonical three-form is not definite: B_phi is not -6 I$"
-    with pytest.raises(StructureError, match=not_definite):
-        canonical_forms()
-    for model in (q_model(1, 1, 1), m_model(1, 1)):
-        with pytest.raises(StructureError, match=not_definite):
-            build_invariant_structure(model)
+    B = b_phi(canonical_forms().omega)
+    assert sorted(B[x][x] for x in range(7)) == [-6] * 4 + [6] * 3
+    assert all(B[x][y] == 0 for x in range(7) for y in range(7) if x != y)
 
 
 def test_inadmissible_model_rejected():

@@ -45,7 +45,7 @@ from holoflow.verify import (
 )
 from mutations import perturbed_system
 from oracles import cone_quantities, exact_cone_fit, exact_value_squared, max_abs_coefficient
-from paper_tables import CIRCLE, ORBIT_CATALOG
+from paper_tables import CIRCLE, ORBIT_CATALOG, UNIT_ORBITS
 from paper_tables import CONE_REFS as PAPER_CONE_REFS
 
 
@@ -424,16 +424,6 @@ def test_exact_cone_fit_is_within_ulps_of_lapack(name):
     for q, exact in limits.items():
         assert abs(fit.limits[q] - exact) <= 4 * math.ulp(exact), q
         assert abs(fit.corrections[q] - corrections[q]) <= 1e-11 * abs(corrections[q]), q
-
-
-#: the five singular orbits at unit data: (kind, orbit, names of the given values)
-UNIT_ORBITS = [
-    ("Q", "s2xs2", "bc"),
-    ("Q", "s2xs2xs2", "abc"),
-    ("M", "cp2", "a"),
-    ("M", "cp2xs2", "ab"),
-    ("M", "s2", "b"),
-]
 
 
 def test_closed_form_fails_every_perturbed_stored_run(tmp_path, capsys):
