@@ -10,10 +10,12 @@ so its norms are sums over g's norms, its structure the pullback of G, and
 no model makes a matrix or a bracket.  A model stores the integer norms
 N = q(S, S) and the three-form t_ijk = q([S_i, S_j], S_k) of S = D X, as g
 does, and ``_constants`` alone reads structure constants off them.  The
-isotropy Cartan elements are coordinates over g too, and ``_ad`` reads their
-action on the tangent space straight from G; a model's only Fractions are
-its Maurer-Cartan forms.  What the paper states about each model is one
-``ModelSpec`` record in ``MODEL_SPECS``.
+isotropy Cartan elements are coordinates over g too: ``isotropy_weights``
+projects each onto the model's isotropy basis and reads its speed on each
+invariant plane off the model's stored triples t_ijr, so the three-form is
+pulled back once per model; a model's only Fractions are its Maurer-Cartan
+forms.  What the paper states about each model is one ``ModelSpec`` record
+in ``MODEL_SPECS``.
 
 Nothing here checks g or a model basis at run time.  g's data are fixed, and
 a model's coordinates are polynomials in its indices, so the facts the build
@@ -216,7 +218,8 @@ class CosetModel:
     def modules(self) -> Tuple[Tuple[int, ...], ...]:
         """The tangent modules of the paper's metric ansatz, one per state
         name, whose coefficient scales the metric on that module.  They need
-        not be irreducible: on M(0, l) the Cartan fixes e5 and e6."""
+        not be irreducible: on M(0, l) the Cartan fixes e5 and e6, and on
+        Q(k, 0, 0) it fixes e1 and e2."""
         return MODEL_SPECS[self.kind].modules
 
     @cached_property
@@ -288,17 +291,6 @@ def _algebra(kind: str) -> Tuple[ThreeForm, Tuple[int, ...]]:
     return _build_structure([_place(b, p) for b, p in _ALGEBRA[kind]])
 
 
-@lru_cache(maxsize=None)
-def _ad_rows(kind: str) -> Tuple[Tuple[Tuple[int, int, int], ...], ...]:
-    """The ad rows of a kind's G: row a holds (b, c, G_abc) for every ordered
-    pair b, c of a nonzero G_abc."""
-    rows: List[List[Tuple[int, int, int]]] = [[] for _ in _ALGEBRA[kind]]
-    for a, b, c, t in _algebra(kind)[0]:
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            rows[x] += ((y, z, t), (z, y, -t))
-    return tuple(map(tuple, rows))
-
-
 def _constants(
     dens: Sequence[int], norms: Sequence[int]
 ) -> Tuple[int, Callable[[int, int, int, int], Tuple[int, int, int]]]:
@@ -362,43 +354,6 @@ def get_model(kind: str, indices: Sequence[int]) -> CosetModel:
         raise ModelError(f"{spec.kind} takes the indices ({', '.join(spec.index_names)}), got {len(indices)}")
     # the constructors are looked up per call, so wrappers installed on them are used
     return {"Q": q_model, "M": m_model}[spec.kind](*indices)
-
-
-# L ad_x on the tangent space as sparse integer rows for a denominator L:
-# L [x, e_i] = sum_j rows[i][j] e_j for i, j < TANGENT
-AdRows = List[Dict[int, int]]
-
-
-def _ad(model: CosetModel, xs: Sequence[Coordinates]) -> List[Tuple[AdRows, int]]:
-    """(rows, L) of ad_x on the tangent space for each x = S_x / D_x of ``xs``
-    over g in the isotropy algebra, zeros dropped: t_xij = q([S_x, S_i], S_j) =
-    sum G_abc x_a P_ib P_jc over the ad rows of x's indices a gives
-    c^j_xi and c^i_xj, cells of the triple (i, j, x) of ``_constants``.  The
-    spec's Cartan elements are q-orthogonal to the tangent space, so in the
-    isotropy algebra, at every index tuple (proven in the tests)."""
-    tangent, (_, g_norms), ad = model.TANGENT, _algebra(model.kind), _ad_rows(model.kind)
-    over = _index([tuple(p.items()) for _, p in model.basis[:tangent]], len(g_norms))  # (i, P_ia)
-    dens = [d for d, _ in model.basis[:tangent]]
-    out = []
-    for dx, x in xs:
-        t: Dict[int, int] = {}  # t_xij under i * tangent + j, i < j
-        for a, c in x.items():
-            for b, e, g in ad[a]:
-                for i, p in over[b]:
-                    for j, r in over[e]:
-                        if i < j:
-                            t[i * tangent + j] = t.get(i * tangent + j, 0) + c * g * p * r
-        # N_x = q(S_x, S_x) is 0 only for x = 0, which has no t
-        norm = sum(c * c * g_norms[a] for a, c in x.items()) or 1
-        scale, cells = _constants([*dens, dx], [*model.norms[:tangent], norm])
-        rows: AdRows = [{} for _ in range(tangent)]
-        for key, v in t.items():
-            if v:
-                i, j = divmod(key, tangent)
-                _, b, c = cells(i, j, tangent, v)  # L c^j_ix = -L c^j_xi, L c^i_jx = -L c^i_xj
-                rows[i][j], rows[j][i] = -b, -c
-        out.append((rows, scale))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +481,30 @@ def _hnf_rows(rows: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
 
 def isotropy_weights(model: CosetModel) -> Tuple[Tuple[int, ...], ...]:
     """Integer weight vectors of the isotropy Cartan, one per invariant
-    tangent 2-plane (i, j): the speed c^j_xi of each of the spec's Cartan
-    elements x over g, from ``_ad``.  Each x turns the plane into itself,
-    skew, at an integer speed, at every index tuple (proven in the tests)."""
-    spec = MODEL_SPECS[model.kind]
-    cartan = _ad(model, spec.cartan(model))
-    return tuple(tuple(rows[i].get(j, 0) // den for rows, den in cartan) for i, j in spec.planes)
+    tangent 2-plane (i, j) of ``ModelSpec.planes``: the speed c^j_xi of each
+    of the spec's Cartan elements X = sum_a x_a g_a / D_x, read off the
+    model's own three-form.  X lies in the isotropy algebra, whose basis is
+    q-orthogonal, so X = sum_r n_r S_r / (D_x N_r) with n_r = q(S_r, D_x X)
+    = sum_a x_a P_ra N_a, and [S_r, S_i] = sum_j t_ijr S_j / N_j gives
+    c^j_xi = D_j sum_r n_r t_ijr / N_r / (D_x N_j D_i), summed in integers
+    over L = lcm(N_r) and divided once.  Each X turns the plane into itself,
+    skew, at an integer speed, at every index tuple (proven in the tests),
+    so the division is exact."""
+    spec, tangent, basis, norms = MODEL_SPECS[model.kind], model.TANGENT, model.basis, model.norms
+    g_norms, isotropy = _algebra(model.kind)[1], range(tangent, model.n)
+    scale = math.lcm(*(norms[r] for r in isotropy))
+    rows: Dict[Tuple[int, int], List[Tuple[int, int]]] = {plane: [] for plane in spec.planes}
+    for i, j, r, t in model.structure:  # i < j < r: a plane's triples end in an isotropy r
+        if r >= tangent and (i, j) in rows:
+            rows[i, j].append((r, t * (scale // norms[r])))
+    cartan = [
+        (dx, {r: sum(c * basis[r][1].get(a, 0) * g_norms[a] for a, c in x.items()) for r in isotropy})
+        for dx, x in spec.cartan(model)
+    ]
+    return tuple(
+        tuple(basis[j][0] * sum(n[r] * v for r, v in row) // (scale * dx * norms[j] * basis[i][0]) for dx, n in cartan)
+        for (i, j), row in rows.items()
+    )
 
 
 def classify_invariant_g2(model: CosetModel) -> bool:

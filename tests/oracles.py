@@ -14,9 +14,10 @@ There is one per quantity: ``model_matrices`` feeds the matrix path that
 holds a basis's three-form and norms; ``form_table`` gives the constants
 and the Maurer-Cartan forms; ``isotropy_coords`` (with ``fraction_cartan``
 for the Cartan elements) the coordinates of an isotropy element;
-``ad_all_rows`` ad_x; and ``weights_by_fraction_cartan`` the weights.  A
-change that replaces a code path proves, in that change, that the new path
-equals its parent, and leaves no copy of the parent's path here.
+``ad_all_rows`` ad_x; and ``plane_speeds`` an element's speeds on the
+invariant planes, ``weights_by_fraction_cartan`` the weights.  A change
+that replaces a code path proves, in that change, that the new path equals
+its parent, and leaves no copy of the parent's path here.
 """
 
 import functools
@@ -170,12 +171,18 @@ def ad_all_rows(model, x):
     return [{j: c for j, c in row.items() if c} for row in rows]
 
 
+def plane_speeds(model, elements):
+    """The speed c^j_xi, as a ``Fraction``, of each element x given by its
+    ``Fraction`` coordinates on each invariant plane (i, j), read from every
+    row of ad_x."""
+    ads = [ad_all_rows(model, x) for x in elements]
+    return tuple(tuple(rows[i].get(j, Fraction(0)) for rows in ads) for i, j in MODEL_SPECS[model.kind].planes)
+
+
 def weights_by_fraction_cartan(model):
-    """The isotropy weights read on the ``Fraction`` Cartan coordinates from
-    every row of ad_x: the speed c^j_xi of each Cartan element x on each
-    invariant plane (i, j), as a ``Fraction``."""
-    cartan = [ad_all_rows(model, x) for x in fraction_cartan(model)]
-    return tuple(tuple(rows[i].get(j, Fraction(0)) for rows in cartan) for i, j in MODEL_SPECS[model.kind].planes)
+    """The isotropy weights: the ``plane_speeds`` of the ``Fraction`` Cartan
+    coordinates."""
+    return plane_speeds(model, fraction_cartan(model))
 
 
 def coefficient(form, indices):

@@ -47,8 +47,9 @@ ALLOWED: Dict[str, str] = {}
 #: the kinds of reason in ``INTERNAL``, each with what its evidence is: the
 #: perfbench recorder Target's (owner, attr); the tier-1 test,
 #: ``"<file>::<name>"``, that reaches the error path; the special method the
-#: protocol method is; the guard's public caller, in one line; the tier-1
-#: test that proves the check cannot fire
+#: protocol method is; the guard's public callers, a tuple of ``"cli.main"``
+#: and names of ``holoflow.__all__``; the tier-1 test that proves the check
+#: cannot fire
 PERFBENCH = "a perfbench target or a helper of one"
 ERROR_PATH = "an error path"
 PROTOCOL = "a protocol method"
@@ -67,8 +68,10 @@ PRIVATE_KINDS = (PERFBENCH, GUARD, IMPLIED)
 #: public name
 INTERNAL: Dict[str, Tuple[str, object]] = {
     "__init__.__dir__": (PROTOCOL, "__dir__"),
-    "__init__.__getattr__": (GUARD, "``holoflow.<name>`` for a name outside ``__all__``, the package's own lookup"),
-    "_kernel._check_terms": (GUARD, "of ``make_rhs``; public callers ``solve_orbit`` and ``run_report``"),
+    # ``holoflow.<name>`` for a name outside ``__all__``; the package's own
+    # ``from . import _kernel``, run by ``cli.main``, asks it first
+    "__init__.__getattr__": (GUARD, ("cli.main",)),
+    "_kernel._check_terms": (GUARD, ("solve_orbit", "run_report")),  # of ``make_rhs``
     "_record._frozen_delattr": (PROTOCOL, "__delattr__"),
     "_record._frozen_setattr": (PROTOCOL, "__setattr__"),
     "_record._repr": (PROTOCOL, "__repr__"),
@@ -77,28 +80,31 @@ INTERNAL: Dict[str, Tuple[str, object]] = {
     "algebra.Multivector.__hash__": (PROTOCOL, "__hash__"),
     "algebra.Multivector.__repr__": (PROTOCOL, "__repr__"),
     "algebra.Multivector.eval_numeric": (PERFBENCH, ("holoflow.algebra:Multivector", "eval_numeric")),
-    "cli.__getattr__": (GUARD, "``holoflow.cli.<name>`` besides ``derive_flow``; ``cli.main`` reads no module attribute"),
+    # ``holoflow.cli.<name>`` besides ``derive_flow``, met on the way to
+    # ``cli.main``: the console script's ``from holoflow.cli import main``
+    # asks it for ``__path__``; ``cli.main`` itself reads no module attribute
+    "cli.__getattr__": (GUARD, ("cli.main",)),
     "closed_form._Profile._check_domain": (
         ERROR_PATH, "test_closed_form.py::test_compare_refuses_a_primitive_at_or_past_a_pole"
     ),
     "closed_form.s_form": (IMPLIED, "test_closed_form.py::test_s_form_of_the_derived_system_is_the_profile_table"),
     "flow._solve_linear": (IMPLIED, "test_flow.py::test_back_substitution_annihilates_closure"),
-    "homogeneous.invariant_d": (GUARD, "its public caller ``derive_flow`` passes only forms on ``group_gens(model)``"),
+    # ``derive_flow`` passes only forms on ``group_gens(model)``
+    "homogeneous.invariant_d": (GUARD, ("derive_flow",)),
     "integrate._OrbitLimits._at": (ERROR_PATH, "test_series_start.py::test_every_failure_raises_its_message"),
     "integrate._outside_state": (ERROR_PATH, "test_series_start.py::test_every_failure_raises_its_message"),
     "structures._multi_angle": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
     "structures._rotate_form": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
     "structures._rotation": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
     "structures.rotate_structure": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
-    "verify.ProfileSampler.__init__": (GUARD, "public caller ``run_report``, which pairs one model's profile and run"),
-    "verify.ProfileSampler._speed": (GUARD, "of the t(s) inversion; public caller ``run_report``"),
+    "verify.ProfileSampler.__init__": (GUARD, ("run_report",)),  # which pairs one model's profile and run
+    "verify.ProfileSampler._speed": (GUARD, ("run_report",)),  # of the t(s) inversion
     "verify.TrajectorySampler.__call__": (PERFBENCH, ("holoflow.verify:TrajectorySampler", "__call__")),
     "verify.TrajectorySampler.__init__": (PERFBENCH, ("holoflow.verify:TrajectorySampler", "__call__")),
-    "verify._residuals": (GUARD, "of the closure checks; public caller ``run_report``"),
-    "verify.check_closure": (GUARD, "of explicit sample times; public caller ``run_report``, which passes none"),
-    "verify.check_closure_samples": (
-        GUARD, "public caller ``run_report``, on runs ``Trajectory.from_csv`` gives 3 rows"
-    ),
+    "verify._residuals": (GUARD, ("run_report",)),  # of the closure checks
+    "verify.check_closure": (GUARD, ("run_report",)),  # of explicit sample times; ``run_report`` passes none
+    # ``run_report`` checks runs that ``Trajectory.from_csv`` gives 3 rows
+    "verify.check_closure_samples": (GUARD, ("run_report",)),
     "verify.verify_trajectory": (
         IMPLIED, "test_closed_form.py::test_s_form_of_the_derived_system_is_the_profile_table"
     ),

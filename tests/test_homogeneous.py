@@ -26,7 +26,6 @@ from holoflow.homogeneous import (
     MODEL_SPECS,
     CosetModel,
     ModelError,
-    _ad,
     _algebra,
     _build_structure,
     _change_of_basis,
@@ -60,6 +59,7 @@ from oracles import (
     isotropy_indices,
     model_matrices,
     pack,
+    plane_speeds,
     q_norms,
     structure_rows,
     structure_table,
@@ -351,8 +351,8 @@ def test_every_cartan_element_turns_each_invariant_plane_at_an_integer_speed(kin
     """At every index tuple the spec's Cartan elements lie in the isotropy
     algebra (Q's by k x + l y + m z = 0) and turn each invariant plane into
     itself, skew, at a speed polynomial in the indices and the kernel
-    vectors with integer coefficients: ``_ad`` and ``isotropy_weights`` need
-    no membership, leak, skew or integer check.  On Q the weights on the
+    vectors with integer coefficients: ``isotropy_weights`` needs no
+    membership, leak, skew or integer check.  On Q the weights on the
     three planes are minus the kernel vectors' x, y and z; on M they are
     (1, l), (-1, l), (0, 2k)."""
     basis = symbolic_basis(kind)
@@ -608,7 +608,7 @@ def test_m11_su2_irreducible_on_v1_trivial_elsewhere():
     for x in (7, 8, 9):
         for i in (4, 5, 6):
             assert not bracket_coeffs(model, x, i)
-    assert su2_commutant_dim([rows for rows, _ in _ad(model, model.basis[7:10])]) == 4
+    assert su2_commutant_dim([generator_ad(model, x) for x in (7, 8, 9)]) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -1030,44 +1030,40 @@ def combined(*terms):
 
 def cartan_candidates(model):
     """Elements (D, {a: P_a}) over g in the isotropy algebra: the spec's two
-    Cartan elements and one integer combination, each at two scales."""
+    Cartan elements and one integer combination, each also written over
+    three times its denominator."""
     u, v = MODEL_SPECS[model.kind].cartan(model)
-    return [(d * s, p) for d, p in (u, v, combined((3, u), (-2, v))) for s in (1, 3)]
+    return [(d * s, {a: c * s for a, c in p.items()}) for d, p in (u, v, combined((3, u), (-2, v))) for s in (1, 3)]
 
 
-def ad_fractions(ad):
-    """``_ad``'s (rows, L) of one element as rows of ``Fraction`` c^j_xi."""
-    rows, scale = ad
-    return [{j: Fraction(c, scale) for j, c in row.items()} for row in rows]
-
-
-def assert_ad_is_read_off_the_rows(model):
-    """``_ad`` of each isotropy generator and each ``cartan_candidates``
-    element, in one call, is ad_x on the tangent space read off the Fraction
-    rows at its coordinates over the model's basis, ``isotropy_coords``'s."""
-    isotropy, candidates = isotropy_indices(model), cartan_candidates(model)
-    elements = [model.basis[y] for y in isotropy] + candidates
-    coords = [{y: Fraction(1)} for y in isotropy] + [isotropy_coords(model, x) for x in candidates]
-    got = _ad(model, elements)
-    assert len(got) == len(coords)
-    for ad, x in zip(got, coords):
-        assert ad_fractions(ad) == ad_all_rows(model, x)[: model.TANGENT]
+def assert_weights_are_the_speeds(model, monkeypatch):
+    """``isotropy_weights`` is the ``Fraction`` speeds of the spec's Cartan
+    elements, and with ``cartan_candidates`` put in their place, the
+    ``plane_speeds`` of those at ``isotropy_coords``'s coordinates: the read
+    projects any isotropy element X over any D_x."""
+    assert isotropy_weights(model) == weights_by_fraction_cartan(model), model.indices
+    candidates = cartan_candidates(model)
+    with monkeypatch.context() as patch:
+        patch.setitem(MODEL_SPECS, model.kind, replace(MODEL_SPECS[model.kind], cartan=lambda _: candidates))
+        assert isotropy_weights(model) == plane_speeds(model, [isotropy_coords(model, x) for x in candidates])
 
 
 @pytest.mark.parametrize("name", TABLE_GRID)
-def test_ad_on_the_isotropy_algebra_is_read_off_the_rows_view(name):
-    """``assert_ad_is_read_off_the_rows`` on every model of the grid and on
-    its tangent basis reversed, and each model's weights and verdict: the
-    weights on the ``Fraction`` Cartan coordinates, and G2 exactly at the
-    unit indices."""
+def test_isotropy_weights_are_the_speeds_read_off_the_rows_view(name, monkeypatch):
+    """``assert_weights_are_the_speeds`` on every model of the grid, on its
+    tangent basis reversed and on each plane's pair swapped, and each
+    model's verdict, G2 exactly at the unit indices.  The swap turns each
+    plane backwards, so it negates every weight: the read takes each plane's
+    orientation from the stored triple's sign."""
     models = {(kind, get_model(kind, indices).indices) for kind, indices in TABLE_GRID[name]}
     for model in (get_model(kind, indices) for kind, indices in sorted(models)):
-        assert_ad_is_read_off_the_rows(model)
-        assert isotropy_weights(model) == weights_by_fraction_cartan(model), model.indices
+        assert_weights_are_the_speeds(model, monkeypatch)
         assert classify_invariant_g2(model) == (set(model.indices) == {1}), model.indices
-        # the tangent elements reversed: each t_xij, i < j, is summed from the
-        # other order of each pair of G's ad rows
-        assert_ad_is_read_off_the_rows(permuted(model, [*reversed(range(model.TANGENT)), *isotropy_indices(model)]))
+        isotropy = isotropy_indices(model)
+        assert_weights_are_the_speeds(permuted(model, [*reversed(range(model.TANGENT)), *isotropy]), monkeypatch)
+        swapped = permuted(model, [1, 0, 3, 2, 5, 4, 6, *isotropy])
+        assert_weights_are_the_speeds(swapped, monkeypatch)
+        assert isotropy_weights(swapped) == tuple(tuple(-w for w in ws) for ws in isotropy_weights(model))
 
 
 @pytest.mark.parametrize("name", ["sweep", "up-to-12"])
@@ -1090,7 +1086,7 @@ def test_each_packed_key_decodes_to_the_placed_position(name):
             assert set(s0) <= set(positions[kind])
 
 
-@pytest.mark.parametrize("kind,i", [("Q", 0), ("Q", 6), ("M", 4), ("M", 10)])
+@pytest.mark.parametrize("kind,i", [("Q", 0), ("Q", 6), ("Q", 8), ("M", 4), ("M", 10)])
 def test_a_basis_element_over_a_doubled_denominator_gives_the_same_model(kind, i):
     """X = S / D = 2S / 2D: its integer norm N = q(S, S) quadruples, the
     triples that hold i double, and q(X, X) = N / D^2 stays, so the
@@ -1286,8 +1282,10 @@ def test_an_element_over_g_is_in_the_isotropy_span_iff_it_is_q_orthogonal_to_the
     """Every X over g lies in the span of a whole basis, a basis of g, and
     in the span of a part exactly where its products with the rest of the
     basis vanish: why a Cartan element q-orthogonal to the tangent space
-    lies in the isotropy algebra.  On the isotropy part ``_ad`` gives ad_x
-    read off the Fraction rows where X is in the span."""
+    lies in the isotropy algebra.  On the isotropy part, where X is in the
+    span, its coordinates over the model's basis are the products with the
+    basis summed over g's norms, ``isotropy_coords``'s, as
+    ``isotropy_weights`` projects a Cartan element."""
     kind, indices, part, x = case
     model = get_model(kind, indices)
     mats = [s for _, s in model_matrices(kind, model.basis)]
@@ -1299,8 +1297,7 @@ def test_an_element_over_g_is_in_the_isotropy_span_iff_it_is_q_orthogonal_to_the
         assert in_span
     if part == "isotropy" and in_span:
         coords = {7 + k: Fraction(tk * model.basis[7 + k][0], model.norms[7 + k]) for k, tk in enumerate(t) if tk}
-        (ad,) = _ad(model, [(1, x)])
-        assert ad_fractions(ad) == ad_all_rows(model, coords)[: model.TANGENT]
+        assert isotropy_coords(model, (1, x)) == coords
 
 
 def kernel_basis_reference(k, l, m):
@@ -1431,15 +1428,22 @@ def test_the_hnf_is_the_reduced_echelon_basis_of_the_row_lattice(rows):
 # ---------------------------------------------------------------------------
 
 
+def generator_ad(model, x):
+    """ad of the basis element x as ``Fraction`` rows."""
+    return ad_all_rows(model, {x: Fraction(1)})
+
+
 def su2_commutant_dim(ads):
     """Dimension of the commutant on V1 = span(e1..e4) of the isotropy su(2),
-    given the ad rows of its three generators (M model)."""
+    given the ``Fraction`` ad rows of its three generators (M model)."""
     # [X, A] = 0 for the 4 x 4 matrix A of 16 unknowns, A[r][q] in column
     # 4r + q, one integer row per entry of the commutator and generator X
-    # (X e_v = sum_u X[u][v] e_u, the integer rows of L ad; scaling X keeps [X, A] = 0)
+    # (X e_v = sum_u X[u][v] e_u, the rows of L ad over the lcm L of their
+    # denominators; scaling X keeps [X, A] = 0)
     system = []
     for rows in ads:
-        entries = [(u, v, c) for v in range(4) for u, c in rows[v].items() if u < 4]
+        scale = math.lcm(*(c.denominator for row in rows[:4] for c in row.values()))
+        entries = [(u, v, int(c * scale)) for v in range(4) for u, c in rows[v].items() if u < 4]
         block = [[0] * 16 for _ in range(16)]  # the row of commutator entry (p, q) is 4p + q
         for u, v, k in entries:
             for w in range(4):
@@ -1477,8 +1481,7 @@ def matches_u2_weights(model):
     V2 + V3, and u(1) weight magnitudes in the ratio (mu, mu, 2 mu) with
     mu != 0 across (V1-plane, V1-plane, V2).
     """
-    *su2, (u1, _) = _ad(model, model.basis[7:])
-    su2 = [rows for rows, _ in su2]
+    *su2, u1 = (generator_ad(model, x) for x in isotropy_indices(model))
     if any(rows[i] for rows in su2 for i in (4, 5, 6)):
         return False
     if su2_commutant_dim(su2) != 4:

@@ -19,6 +19,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import holoflow
 from paper_tables import UNIT_ORBIT_ARGS
 from raise_reach import (
     ERROR_PATH, GUARD, IMPLIED, INTERNAL, PERFBENCH, PROTOCOL, UNRUN_KINDS, functions, source_files
@@ -163,7 +164,8 @@ def test_every_listed_reason_holds():
             file, test = evidence.split("::")
             assert re.search(rf"^def {test}\(", (TESTS / file).read_text(), re.M), (name, evidence)
         elif kind == GUARD:
-            assert evidence, name
+            assert isinstance(evidence, tuple) and evidence, name
+            assert all(caller == "cli.main" or caller in holoflow.__all__ for caller in evidence), (name, evidence)
         else:
             assert kind == PROTOCOL, name
             attr = name.rsplit(".", 1)[-1]
