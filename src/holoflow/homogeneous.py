@@ -112,16 +112,6 @@ def _gbracket(x: GaussMatrix, y: GaussMatrix) -> GaussMatrix:
     return {key: v for key, v in out.items() if v != (0, 0)}
 
 
-def _index(coords: Sequence[Sequence[Tuple[int, int]]], ng: int) -> List[List[Tuple[int, int]]]:
-    """The pairs (k, P_ka) of the S_k = sum_a P_ka g_a, each given by its
-    (a, P_ka) pairs, listed under a, for every a < ng."""
-    index: List[List[Tuple[int, int]]] = [[] for _ in range(ng)]
-    for k, p in enumerate(coords):
-        for a, c in p:
-            index[a].append((k, c))
-    return index
-
-
 # ---------------------------------------------------------------------------
 # model bases
 # ---------------------------------------------------------------------------
@@ -144,13 +134,19 @@ _ALGEBRA = {
 Coordinates = Tuple[int, Dict[int, int]]
 
 
+def _coords(d: int, *pairs: Tuple[int, int]) -> Coordinates:
+    """(D, {a: P_a}) of the pairs (a, P_a) whose P_a is not zero: the form
+    of an element whose coordinates depend on the indices."""
+    return d, {a: c for a, c in pairs if c}
+
+
 def _q_basis(k: int, l: int, m: int) -> Tuple[Coordinates, ...]:
     # g_{3b}, g_{3b+1}, g_{3b+2} are 2 sigma_1, 2 sigma_2, 2 sigma_3 on block b
     return (
         *((2, {a: 1}) for a in (0, 1, 3, 4, 6, 7)),
-        (2, {2: k, 5: l, 8: m}),
-        (2, {2: l, 5: -k}),
-        (2, {2: m * k, 5: m * l, 8: -(k * k + l * l)}),
+        _coords(2, (2, k), (5, l), (8, m)),
+        _coords(2, (2, l), (5, -k)),
+        _coords(2, (2, m * k), (5, m * l), (8, -(k * k + l * l))),
     )
 
 
@@ -161,9 +157,9 @@ def _m_basis(k: int, l: int) -> Tuple[Coordinates, ...]:
     # matches the normalization of the holonomy ODE system and its solutions
     return (
         *((1, {a: 1}) for a in (0, 1, 2, 3, 8, 9)),
-        (1, {6: k, 10: -l}),
+        _coords(1, (6, k), (10, -l)),
         *((1, {a: 1}) for a in (4, 5, 7)),
-        (3, {6: l, 10: 3 * k}),
+        _coords(3, (6, l), (10, 3 * k)),
     )
 
 
@@ -250,6 +246,23 @@ def _build_structure(mats: Sequence[GaussMatrix]) -> Tuple[ThreeForm, Tuple[int,
     return tuple(triples), tuple(_q(s, s) for s in mats)
 
 
+def _index(
+    basis: Sequence[Coordinates], g_norms: Sequence[int]
+) -> Tuple[List[List[Tuple[int, int]]], Tuple[int, ...]]:
+    """The pairs (k, P_ka) of the S_k = sum_a P_ka g_a listed under a, for
+    every a of g, and the norms N_k = sum_a P_ka^2 N_a of the S_k over g's
+    q-orthogonal basis of norms N_a, in one pass over the coordinates."""
+    over: List[List[Tuple[int, int]]] = [[] for _ in g_norms]
+    norms = []
+    for k, (_, p) in enumerate(basis):
+        nk = 0
+        for a, c in p.items():
+            over[a].append((k, c))
+            nk += c * c * g_norms[a]
+        norms.append(nk)
+    return over, tuple(norms)
+
+
 def _change_of_basis(
     triples: ThreeForm, g_norms: Sequence[int], basis: Sequence[Coordinates]
 ) -> Tuple[ThreeForm, Tuple[int, ...]]:
@@ -259,19 +272,19 @@ def _change_of_basis(
     q-orthogonal, of positive norms and dim g elements (proven in the tests),
     so it is a basis of g and its structure is g's in another basis."""
     n = len(basis)
-    coords = [tuple(p.items()) for _, p in basis]
-    t = _pullback(triples, coords, len(g_norms))
-    norms = tuple(sum(c * c * g_norms[a] for a, c in p) for p in coords)
+    over, norms = _index(basis, g_norms)
+    t = _pullback(triples, over, n)
     return tuple((key // n // n, key // n % n, key % n, v) for key, v in sorted(t.items()) if v), norms
 
 
-def _pullback(triples: ThreeForm, coords: Sequence[Sequence[Tuple[int, int]]], ng: int) -> Dict[int, int]:
-    """t_ijk = q([S_i, S_j], S_k) = sum G_abc P_ia P_jb P_kc of the S_i given by
-    their pairs (a, P_ia) over g, from g's sorted triples.  t is totally
-    antisymmetric, as G is, so each term of distinct (i, j, k) is summed
-    under the key (p n + q) n + r of its sorted p < q < r, with the sign of
-    (i, j, k); the terms with a repeated index are left out, as they cancel."""
-    n, over, t = len(coords), _index(coords, ng), {}  # over[a]: the pairs (i, P_ia)
+def _pullback(triples: ThreeForm, over: Sequence[Sequence[Tuple[int, int]]], n: int) -> Dict[int, int]:
+    """t_ijk = q([S_i, S_j], S_k) = sum G_abc P_ia P_jb P_kc of n elements S_i,
+    given by the pairs (i, P_ia) listed under each a of g (``_index``), from
+    g's sorted triples.  t is totally antisymmetric, as G is, so each term of
+    distinct (i, j, k) is summed under the key (p n + q) n + r of its sorted
+    p < q < r, with the sign of (i, j, k); the terms with a repeated index are
+    left out, as they cancel."""
+    t: Dict[int, int] = {}
     for a, b, c, gabc in triples:
         for i, x in over[a]:
             for j, y in over[b]:
@@ -320,15 +333,20 @@ def _normalized(indices: Sequence[int], message: str) -> Tuple[int, ...]:
     return tuple(x // g for x in t)
 
 
+# e1, e2, ...: the generator names of a basis, as many as it has elements
+_GEN_NAMES = tuple(f"e{i}" for i in range(1, max(map(len, _ALGEBRA.values())) + 1))
+
+
 def _model(kind: str, indices: Tuple[int, ...], basis: Tuple[Coordinates, ...]) -> CosetModel:
-    """The model of ``kind`` on the basis of its normalized indices."""
-    basis = tuple((d, {a: c for a, c in p.items() if c}) for d, p in basis)
+    """The model of ``kind`` on the basis of its normalized indices, whose
+    coordinates hold no zero (``_coords``).  Only the three-form and norms
+    are computed per model; the generator names are sliced from one tuple."""
     structure, norms = _change_of_basis(*_algebra(kind), basis)
     return CosetModel(
         kind=kind,
         indices=indices,
         basis=basis,
-        gen_names=tuple(f"e{i}" for i in range(1, len(basis) + 1)),
+        gen_names=_GEN_NAMES[: len(basis)],
         norms=norms,
         structure=structure,
     )
@@ -437,46 +455,24 @@ def invariant_d(form: Multivector, model: CosetModel) -> Multivector:
 
 
 def _kernel_basis_1x3(k: int, l: int, m: int) -> List[Tuple[int, int, int]]:
-    """HNF basis of the integer solution lattice of k*x + l*y + m*z = 0.
+    """HNF basis of the integer solution lattice of k*x + l*y + m*z = 0, for
+    primitive (k, l, m) >= 0, in closed form.
 
-    For primitive (k, l, m) the lattice is spanned by the cross products of
-    (k, l, m) with the unit vectors; their HNF has one zero row, dropped.
+    With g = gcd(l, m) > 0, g divides k x, so g divides x, as gcd(g, k) = 1,
+    and x = g is reached; the solutions with x = 0 are the multiples of
+    (0, m/g, -l/g).  So for m > 0 the rows are (g, y, z) and (0, m/g, -l/g)
+    with 0 <= y < m/g, the y of l y = -k g mod m, and for m = 0 they are
+    (l, -k, 0) and (0, 0, 1).  At l = m = 0 the lattice is x = 0.  The HNF
+    of a lattice is unique, so these are the rows any reduction gives.
     """
-    return [row for row in _hnf_rows([(l, -k, 0), (m, 0, -k), (0, m, -l)]) if any(row)]
-
-
-def _hnf_rows(rows: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
-    """Row Hermite normal form of an integer row set of any rank, its zero
-    rows last.  The HNF of a lattice is unique, so any order of the
-    reductions gives these rows: each column's live rows are reduced in
-    place by the one of least |entry| until one is left."""
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0])
-    pivot_row = 0
-    for col in range(ncols):
-        live = [r for r in range(pivot_row, len(mat)) if mat[r][col]]
-        if not live:
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(mat[r][col]))
-            top = mat[live[0]]
-            for r in live[1:]:
-                row = mat[r]
-                qt = row[col] // top[col]
-                for c in range(col, ncols):
-                    row[c] -= qt * top[c]
-            live = [r for r in live if mat[r][col]]
-        r0 = live[0]
-        mat[pivot_row], mat[r0] = mat[r0], mat[pivot_row]
-        top = mat[pivot_row]
-        if top[col] < 0:
-            top[:] = [-x for x in top]
-        for row in mat[:pivot_row]:
-            qt = row[col] // top[col]
-            for c in range(col, ncols):
-                row[c] -= qt * top[c]
-        pivot_row += 1
-    return [tuple(r) for r in mat]
+    g = math.gcd(l, m)
+    if g == 0:
+        return [(0, 1, 0), (0, 0, 1)]
+    if m == 0:
+        return [(l, -k, 0), (0, 0, 1)]
+    d = m // g
+    y = -k * pow(l // g, -1, d) % d
+    return [(g, y, -(k * g + l * y) // m), (0, d, -(l // g))]
 
 
 def isotropy_weights(model: CosetModel) -> Tuple[Tuple[int, ...], ...]:
@@ -485,26 +481,39 @@ def isotropy_weights(model: CosetModel) -> Tuple[Tuple[int, ...], ...]:
     of the spec's Cartan elements X = sum_a x_a g_a / D_x, read off the
     model's own three-form.  X lies in the isotropy algebra, whose basis is
     q-orthogonal, so X = sum_r n_r S_r / (D_x N_r) with n_r = q(S_r, D_x X)
-    = sum_a x_a P_ra N_a, and [S_r, S_i] = sum_j t_ijr S_j / N_j gives
+    = sum_a x_a P_ra N_a, summed over the g-coordinates a that X shares with
+    S_r, and [S_r, S_i] = sum_j t_ijr S_j / N_j gives
     c^j_xi = D_j sum_r n_r t_ijr / N_r / (D_x N_j D_i), summed in integers
     over L = lcm(N_r) and divided once.  Each X turns the plane into itself,
     skew, at an integer speed, at every index tuple (proven in the tests),
     so the division is exact."""
     spec, tangent, basis, norms = MODEL_SPECS[model.kind], model.TANGENT, model.basis, model.norms
-    g_norms, isotropy = _algebra(model.kind)[1], range(tangent, model.n)
-    scale = math.lcm(*(norms[r] for r in isotropy))
+    g_norms = _algebra(model.kind)[1]
+    scale = math.lcm(*norms[tangent:])
     rows: Dict[Tuple[int, int], List[Tuple[int, int]]] = {plane: [] for plane in spec.planes}
     for i, j, r, t in model.structure:  # i < j < r: a plane's triples end in an isotropy r
         if r >= tangent and (i, j) in rows:
             rows[i, j].append((r, t * (scale // norms[r])))
-    cartan = [
-        (dx, {r: sum(c * basis[r][1].get(a, 0) * g_norms[a] for a, c in x.items()) for r in isotropy})
-        for dx, x in spec.cartan(model)
-    ]
-    return tuple(
-        tuple(basis[j][0] * sum(n[r] * v for r, v in row) // (scale * dx * norms[j] * basis[i][0]) for dx, n in cartan)
-        for (i, j), row in rows.items()
-    )
+    cartan = []
+    for dx, x in spec.cartan(model):
+        n = {}
+        for r in range(tangent, model.n):
+            nr = 0
+            for a, p in basis[r][1].items():
+                if a in x:
+                    nr += x[a] * p * g_norms[a]
+            n[r] = nr
+        cartan.append((dx, n))
+    weights = []
+    for (i, j), row in rows.items():
+        w, denominator = [], scale * norms[j] * basis[i][0]
+        for dx, n in cartan:
+            s = 0
+            for r, v in row:
+                s += n[r] * v
+            w.append(basis[j][0] * s // (dx * denominator))
+        weights.append(tuple(w))
+    return tuple(weights)
 
 
 def classify_invariant_g2(model: CosetModel) -> bool:
@@ -524,8 +533,8 @@ def classify_invariant_g2(model: CosetModel) -> bool:
     from the closed-form index criterion; acceptance criterion 3 compares
     the verdicts of the sweep with ``paper_tables.ADMISSIBLE``.
     """
-    w = isotropy_weights(model)
-    return any(all(a + s * b + t * c == 0 for a, b, c in zip(*w)) for s in (1, -1) for t in (1, -1))
+    (u1, u2), (v1, v2), (w1, w2) = isotropy_weights(model)  # per plane, one weight per Cartan element
+    return any(u1 + s * v1 + t * w1 == 0 == u2 + s * v2 + t * w2 for s in (1, -1) for t in (1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -579,9 +588,10 @@ class ModelSpec:
         """The primitive integrates the last state symbol."""
         return self.state_names[-1].upper()
 
-    @property
+    @cached_property
     def planes(self) -> Tuple[Tuple[int, int], ...]:
-        """The invariant tangent 2-planes: each even-length module's consecutive pairs."""
+        """The invariant tangent 2-planes: each even-length module's
+        consecutive pairs, read once per spec."""
         return tuple(p for m in self.modules if len(m) % 2 == 0 for p in zip(m[::2], m[1::2]))
 
 
