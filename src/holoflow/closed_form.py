@@ -11,7 +11,7 @@ with r_x = -x0^2 / m_x the zero of x^2 and A the antiderivative of D
 vanishing at 0.  The table of slopes m_x, powers p_x and k is each model's
 record's (``homogeneous.MODEL_SPECS``); G is the square of the last state
 symbol.  The coefficients of D and A are exact and the profile evaluates
-them in float; :func:`s_form` reads the table from a system.
+them in float.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple, Union
 
 from ._record import record
-from .algebra import AlgebraError, LaurentPoly
 from .errors import ProfileError
-from .flow import DerivationError, ODESystem
 from .homogeneous import CosetModel, ModelSpec, model_spec
 from .integrate import OrbitSpec, Trajectory
 
@@ -145,30 +143,6 @@ class ProfileM(_Profile):
 
 #: the profile class of each model kind K is ProfileK
 _PROFILE_CLASSES = {cls.__name__[-1]: cls for cls in (ProfileQ, ProfileM)}
-
-
-def s_form(sys: ODESystem) -> Tuple[Tuple[Tuple[str, Fraction, int], ...], Fraction]:
-    """``(((x, m_x, p_x), ...), k)``, the profile table read exactly from ``sys``: with
-    x_coll its last symbol, m_x = 2 x x'/x_coll is constant, 2 x_coll' = k + sum(c_x
-    x_coll^2/x^2) and p_x = -c_x/m_x is a positive integer, or DerivationError."""
-    *affine, last = sys.state
-    try:
-        slopes = {
-            x: (LaurentPoly.monomial(sys.table, 2, {x: 1, last: -1}) * sys.rhs[x]).constant_value()
-            for x in affine
-        }
-    except AlgebraError:
-        raise DerivationError(f"some 2 x x'/{last} is not constant") from None
-    weights = {}
-    for coeff, exps in (2 * sys.rhs[last]).named_terms():
-        x = next((y for y in affine if exps == {y: -2, last: 2}), None)
-        if x is None and exps:
-            raise DerivationError(f"2 {last}' has a term {exps} besides k and c_x {last}^2/x^2")
-        weights[x] = coeff  # x is None for the constant k
-    powers = {x: -weights.get(x, 0) / m if m else Fraction(0) for x, m in slopes.items()}
-    if any(p <= 0 or p.denominator != 1 for p in powers.values()):
-        raise DerivationError(f"the powers of the zeros in D are not positive integers: {powers}")
-    return tuple((x, m, int(powers[x])) for x, m in slopes.items()), weights.get(None, Fraction(0))
 
 
 def profile(model: Union[CosetModel, str], init: OrbitSpec) -> Union[ProfileQ, ProfileM]:

@@ -150,8 +150,10 @@ def _solve_linear(
 ) -> Tuple[Dict[str, LaurentPoly], int]:
     """Exact Gaussian elimination in the Laurent ring.
 
-    Pivots are chosen by smallest support and must be monomials, the units
-    of the ring, so every row stays a Laurent polynomial.
+    Pivots are chosen by smallest support.  On the closure equations of both
+    admissible models every pivot is a monomial, a unit of the ring, so each
+    row stays a Laurent polynomial (``tests/test_flow.py`` derives both); the
+    pivot's ``** -1`` raises ``AlgebraError`` on any other.
     """
     work = [(dict(a), b) for a, b in eqs]
     solved: Dict[str, Tuple[Dict[str, LaurentPoly], LaurentPoly]] = {}
@@ -165,10 +167,7 @@ def _solve_linear(
                     best = (key, i)
         if best is None:
             continue
-        support, _, i = best[0]
-        if support != 1:
-            raise DerivationError(f"no monomial pivot for {x}'")
-        a, b = work.pop(i)
+        a, b = work.pop(best[1])
         inv = a.pop(x) ** -1
         row = {y: c * inv for y, c in a.items()}
         const = b * inv

@@ -26,8 +26,8 @@ q-orthogonal with norms that vanish at no normalized index tuple, and has
 dim g elements; its isotropy algebra keeps the tangent space and each
 module; the spec's Cartan elements lie in the isotropy algebra and turn each
 invariant plane into itself, skew, with integer weights.  What is checked at
-run time is outside input: the indices (``_normalized``, ``get_model``), a
-form's coframe (``invariant_d``) and a model kind (``model_spec``).
+run time is outside input: the indices (``_normalized``, ``get_model``) and
+a model kind (``model_spec``).
 """
 
 from __future__ import annotations
@@ -427,16 +427,14 @@ def invariant_d(form: Multivector, model: CosetModel) -> Multivector:
     """Exterior derivative of an invariant form with constant coefficients.
 
     d is linear over the coefficients: d(form) = sum of c_I d(e^I), with
-    each image d(e^I) computed once per model.  The form must lie on
-    ``group_gens(model)`` with dt last, the coframe of the cached images.
-    Coefficients are treated as constants; any time dependence (chain rule
-    in dt) is the flow module's business.
+    each image d(e^I) computed once per model.  Every caller passes forms on
+    ``group_gens(model)`` with dt last, the coframe of the cached images, as
+    tier-1 asserts.  Coefficients are treated as constants; any time
+    dependence (chain rule in dt) is the flow module's business.
     """
     from .algebra import Multivector
 
     des, images = model.d_tables
-    if (form.gens, form.dt_index) != (des[0].gens, des[0].dt_index):
-        raise ModelError(f"invariant_d takes forms on {des[0].gens} with dt last, got {form.gens}")
     out: Dict[int, object] = {}
     for mask, coeff in form.terms.items():
         image = images.get(mask)

@@ -4,6 +4,18 @@ the SU(4) evidence certificate and the singular-orbit catalog.
 Closure checks recompute time derivatives by centered finite differences of
 a coefficient sampler, never from the ODE right-hand sides, so they probe
 the derived systems rather than restating them.
+
+Nothing here checks at run time what the package itself decides.  The tests
+prove those facts once: each derived system's profile table is its
+``ModelSpec``'s (``tests/test_closed_form.py``), a report's profile and
+run come from one model, the profile-backed check always takes
+``CLOSURE_POINTS`` samples and a stored run has at least three rows
+(``Trajectory.from_csv``).  What is checked at run time is outside input:
+a run too short for the closure margin, stored rows too close together for
+finite differences, forms, residuals or cone quantities that vanish or
+leave float range at the given data, a t(s) inversion that leaves the
+closed form's positive range, a system with a pole at the collapsing
+locus, and an orbit that is not one of the model's.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ._record import record, replace
 from .algebra import AlgebraError, LaurentPoly
-from .closed_form import ProfileM, ProfileQ, compare, profile, s_form
+from .closed_form import ProfileM, ProfileQ, compare, profile
 from .errors import VerifyError
 from .flow import (
     Derivation,
@@ -87,8 +99,6 @@ class ProfileSampler:
     )
 
     def __init__(self, prof: Union[ProfileQ, ProfileM], anchors: Trajectory):
-        if model_spec(anchors.model_kind, VerifyError) is not model_spec(prof.model_kind):
-            raise VerifyError("profile and anchor trajectory disagree on the model")
         self.prof = prof
         self.anchors = anchors
         self.names = anchors.state_names
@@ -159,7 +169,6 @@ class ClosureReport:
     d_omega_residual: float
     d_eta_residual: float
     n_samples: int
-    fd_step: float
 
     @property
     def max_residual(self) -> float:
@@ -203,7 +212,6 @@ def _residuals(deriv: Derivation, assign: Dict[str, float]) -> Tuple[float, floa
 def _closure_report(
     deriv: Derivation,
     samples: Iterable[Tuple[float, Dict[str, float]]],
-    fd_step: float,
     where: Optional[Dict[str, str]] = None,
 ) -> ClosureReport:
     """The worst d(Omega) and d(eta) residuals over the ``samples``, each a
@@ -225,44 +233,40 @@ def _closure_report(
         form, at = ("d_omega", at_omega) if worst_omega >= worst_eta else ("d_eta", at_eta)
         if at is not None:
             where["closure"] = f"t={at:.3g} ({form})"
-    return ClosureReport(worst_omega, worst_eta, count, fd_step)
+    return ClosureReport(worst_omega, worst_eta, count)
 
 
 #: points of the profile-backed closure check
 CLOSURE_POINTS = 40
+#: the profile-backed closure check's centered-difference step, relative to
+#: max(1, |t|)
+FD_STEP = 1e-5
 #: most rows the raw-sample closure check reads
 CLOSURE_MAX_ROWS = 200
 
 
-def check_closure(
-    sampler,
-    deriv: Derivation,
-    t_points: Optional[Sequence[float]] = None,
-    fd_step: float = 1e-5,
-    where: Optional[Dict[str, str]] = None,
-) -> ClosureReport:
+def check_closure(sampler, deriv: Derivation, where: Optional[Dict[str, str]] = None) -> ClosureReport:
     """Finite-difference closure residuals of Omega and eta along a run.
 
     The residual of each form is the largest coefficient of its exterior
     derivative (with chain-rule slopes replaced by centered differences of
-    the sampler), normalized by the largest coefficient of the form itself.
-    ``where["closure"]``, if given, names the t and the form of the worst.
+    the sampler, step ``FD_STEP`` relative to max(1, |t|)), normalized by
+    the largest coefficient of the form itself, at ``CLOSURE_POINTS``
+    evenly spaced t inside the run.  ``where["closure"]``, if given, names
+    the t and the form of the worst.
     """
     names = tuple(deriv.model.symbols.base)
-    if t_points is None:
-        margin = 2 * fd_step * (1 + abs(sampler.t_max))
-        span = sampler.t_max - sampler.t_min
-        if span <= 2 * margin:  # the sample points would leave the run
-            raise VerifyError(
-                f"closure check: the run spans {span:.3g} in t, at most twice its margin {margin:.3g}"
-            )
-        t_points = _linspace(sampler.t_min + margin, sampler.t_max - margin, CLOSURE_POINTS)
-    if len(t_points) < 3:
-        raise VerifyError("need at least 3 samples for centered differences")
+    margin = 2 * FD_STEP * (1 + abs(sampler.t_max))
+    span = sampler.t_max - sampler.t_min
+    if span <= 2 * margin:  # the sample points would leave the run
+        raise VerifyError(
+            f"closure check: the run spans {span:.3g} in t, at most twice its margin {margin:.3g}"
+        )
+    t_points = _linspace(sampler.t_min + margin, sampler.t_max - margin, CLOSURE_POINTS)
 
     def assigns():
         for t in t_points:
-            h = fd_step * max(1.0, abs(t))
+            h = FD_STEP * max(1.0, abs(t))
             lo = sampler(t - h)
             hi = sampler(t + h)
             assign = dict(sampler(t))
@@ -270,7 +274,7 @@ def check_closure(
                 assign[n + "'"] = (hi[n] - lo[n]) / (2 * h)
             yield t, assign
 
-    return _closure_report(deriv, assigns(), fd_step, where)
+    return _closure_report(deriv, assigns(), where)
 
 
 def fd_weights(x0: float, xs: Sequence[float]) -> List[float]:
@@ -316,8 +320,6 @@ def check_closure_samples(
     """
     names = tuple(deriv.model.symbols.base)
     n = traj.n_samples
-    if n < 3:
-        raise VerifyError("need at least 3 samples for centered differences")
     width = min(5, n)
     stride = max(1, (n - 2) // CLOSURE_MAX_ROWS)
     ts, ys = traj.ts, traj.ys
@@ -337,7 +339,7 @@ def check_closure_samples(
                 assign[name + "'"] = sum(w * row[j] for w, row in zip(weights, window))
             yield ts[i], assign
 
-    return _closure_report(deriv, assigns(), 0.0, where)
+    return _closure_report(deriv, assigns(), where)
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +660,6 @@ def verify_trajectory(
     deriv = model.derivation
     kaehler = {"signs": list(deriv.cert.signs)}  # the whole derivation, built in order
     prof = profile(model, spec)
-    stated = model_spec(model)
-    if s_form(deriv.sys) != (stated.affine, stated.factor):
-        raise DerivationError("the derived system's s-form differs from the closed form's table")
     where: Dict[str, str] = {}  # each check's worst sample, for the missed-bar line
     if loaded:
         closure = check_closure_samples(traj, deriv, where)
@@ -679,7 +678,7 @@ def verify_trajectory(
     if loaded:
         residual["mode"] = "raw-samples"
     else:
-        residual["fd_step"] = closure.fd_step
+        residual["fd_step"] = FD_STEP
         kaehler["residual"] = 0.0
     doc = {
         "model": model.label,
@@ -720,6 +719,6 @@ def run_report(
         "atol": cfg.atol,
         "t_end": cfg.t_end,
         "eps": start_offset(spec, cfg.eps),
-        "fd_step": doc["closure_residual"]["fd_step"],
+        "fd_step": FD_STEP,
     }
     return doc, code, traj

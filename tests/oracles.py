@@ -4,9 +4,10 @@ No command packs or decodes a matrix position, assembles a model's basis
 matrices, reads one coefficient of a form, reads the structure constants,
 the q-norms or the Cartan elements as ``Fraction`` values, substitutes the
 frame into omega and *omega apart from Omega, checks that a form is basic,
-sorts isotropy weights, evaluates the closed-form profile exactly, writes
-out the cone quantities or fits the cone limits by exact least squares; the
-tests do, and hold the package to these.
+sorts isotropy weights, evaluates the closed-form profile exactly, reads
+the profile table off a derived system (``s_form``), writes out the cone
+quantities or fits the cone limits by exact least squares; the tests do,
+and hold the package to these.
 
 Each reference here is independent of the package's algorithm for what it
 checks: the matrix path, ``Fraction`` arithmetic or a defining property.
@@ -28,6 +29,7 @@ import numpy as np
 
 from holoflow.algebra import AlgebraError, LaurentPoly
 from holoflow.closed_form import DomainError
+from holoflow.flow import DerivationError
 from holoflow.homogeneous import (
     _ALGEBRA,
     _SIDE,
@@ -276,6 +278,33 @@ def exact_value_squared(p, s: Fraction) -> Fraction:
     if den == 0:
         raise DomainError(f"denominator vanishes at s = {s}")
     return num / den
+
+
+def s_form(sys):
+    """``(((x, m_x, p_x), ...), k)``, the profile table read exactly from ``sys``: with
+    x_coll its last symbol, m_x = 2 x x'/x_coll is constant, 2 x_coll' = k + sum(c_x
+    x_coll^2/x^2) and p_x = -c_x/m_x is a positive integer, or DerivationError.
+
+    The package states the table once, in each ``ModelSpec``; the tests hold
+    the derived systems to it through this read."""
+    *affine, last = sys.state
+    try:
+        slopes = {
+            x: (LaurentPoly.monomial(sys.table, 2, {x: 1, last: -1}) * sys.rhs[x]).constant_value()
+            for x in affine
+        }
+    except AlgebraError:
+        raise DerivationError(f"some 2 x x'/{last} is not constant") from None
+    weights = {}
+    for coeff, exps in (2 * sys.rhs[last]).named_terms():
+        x = next((y for y in affine if exps == {y: -2, last: 2}), None)
+        if x is None and exps:
+            raise DerivationError(f"2 {last}' has a term {exps} besides k and c_x {last}^2/x^2")
+        weights[x] = coeff  # x is None for the constant k
+    powers = {x: -weights.get(x, 0) / m if m else Fraction(0) for x, m in slopes.items()}
+    if any(p <= 0 or p.denominator != 1 for p in powers.values()):
+        raise DerivationError(f"the powers of the zeros in D are not positive integers: {powers}")
+    return tuple((x, m, int(powers[x])) for x, m in slopes.items()), weights.get(None, Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,17 @@ deselected, the run fails on:
 - a site reached only through functions other than ``cli.main`` and the
   names of ``holoflow.__all__`` (and their methods), when ``INTERNAL`` gives
   its enclosing function no reason that allows it (``PRIVATE_KINDS``), and
-  an ``INTERNAL`` entry of a kind that names such a site
-  (``GUARD``, ``IMPLIED``) whose function has none.
+  a ``GUARD`` entry whose function has no such site.
 
 ``INTERNAL`` is the one table of the package's internal paths, keyed by
 function: ``tests/test_reach.py`` reads it too, for the functions that no
 command runs.  Both checks walk the same files with the same walker,
 ``functions``.
 
-A ``-k`` or single-file run prints the counts and does not fail.  Sites
-reached only in a child process do not count.
+The terminal summary lists the sites reached only outside the public
+interface under their functions.  A ``-k`` or single-file run prints the
+counts and the list and does not fail.  Sites reached only in a child
+process do not count.
 """
 
 from __future__ import annotations
@@ -48,19 +49,18 @@ ALLOWED: Dict[str, str] = {}
 #: perfbench recorder Target's (owner, attr); the tier-1 test,
 #: ``"<file>::<name>"``, that reaches the error path; the special method the
 #: protocol method is; the guard's public callers, a tuple of ``"cli.main"``
-#: and names of ``holoflow.__all__``; the tier-1 test that proves the check
-#: cannot fire
+#: and names of ``holoflow.__all__``.  A check that a test proves cannot fire
+#: is deleted, not listed
 PERFBENCH = "a perfbench target or a helper of one"
 ERROR_PATH = "an error path"
 PROTOCOL = "a protocol method"
 GUARD = "a guard of internal input"
-IMPLIED = "an implied check"
 
 #: the kinds of a function that no command runs (``tests/test_reach.py``)
 UNRUN_KINDS = (PERFBENCH, ERROR_PATH, PROTOCOL)
 #: the kinds that allow raise sites reached only outside the public interface;
-#: an entry of the last two must name such a site
-PRIVATE_KINDS = (PERFBENCH, GUARD, IMPLIED)
+#: a ``GUARD`` entry must name such a site
+PRIVATE_KINDS = (PERFBENCH, GUARD)
 
 #: the package's internal paths, ``"<module>.<qualname>"`` mapped to
 #: (kind, evidence): a function that no command runs, or whose raise sites
@@ -87,27 +87,16 @@ INTERNAL: Dict[str, Tuple[str, object]] = {
     "closed_form._Profile._check_domain": (
         ERROR_PATH, "test_closed_form.py::test_compare_refuses_a_primitive_at_or_past_a_pole"
     ),
-    "closed_form.s_form": (IMPLIED, "test_closed_form.py::test_s_form_of_the_derived_system_is_the_profile_table"),
-    "flow._solve_linear": (IMPLIED, "test_flow.py::test_back_substitution_annihilates_closure"),
-    # ``derive_flow`` passes only forms on ``group_gens(model)``
-    "homogeneous.invariant_d": (GUARD, ("derive_flow",)),
     "integrate._OrbitLimits._at": (ERROR_PATH, "test_series_start.py::test_every_failure_raises_its_message"),
     "integrate._outside_state": (ERROR_PATH, "test_series_start.py::test_every_failure_raises_its_message"),
     "structures._multi_angle": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
     "structures._rotate_form": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
     "structures._rotation": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
     "structures.rotate_structure": (PERFBENCH, ("holoflow.structures", "rotate_structure")),
-    "verify.ProfileSampler.__init__": (GUARD, ("run_report",)),  # which pairs one model's profile and run
-    "verify.ProfileSampler._speed": (GUARD, ("run_report",)),  # of the t(s) inversion
+    # of the t(s) inversion; no report trips it, as Newton from the nearest anchor stays in the run's s range
+    "verify.ProfileSampler._speed": (GUARD, ("run_report",)),
     "verify.TrajectorySampler.__call__": (PERFBENCH, ("holoflow.verify:TrajectorySampler", "__call__")),
     "verify.TrajectorySampler.__init__": (PERFBENCH, ("holoflow.verify:TrajectorySampler", "__call__")),
-    "verify._residuals": (GUARD, ("run_report",)),  # of the closure checks
-    "verify.check_closure": (GUARD, ("run_report",)),  # of explicit sample times; ``run_report`` passes none
-    # ``run_report`` checks runs that ``Trajectory.from_csv`` gives 3 rows
-    "verify.check_closure_samples": (GUARD, ("run_report",)),
-    "verify.verify_trajectory": (
-        IMPLIED, "test_closed_form.py::test_s_form_of_the_derived_system_is_the_profile_table"
-    ),
 }
 
 #: the site (file, line) of each reached raise mapped to the outermost
@@ -282,7 +271,7 @@ class RaiseReach:
         self.problems += [
             f"INTERNAL entry {name} ({kind}) names no privately reached site"
             for name, (kind, _) in INTERNAL.items()
-            if kind in (GUARD, IMPLIED) and name not in self.privately
+            if kind == GUARD and name not in self.privately
         ]
         if self.problems and not self.partial and session.exitstatus == 0:
             session.exitstatus = 1
@@ -294,6 +283,10 @@ class RaiseReach:
             f"{total - len(self.unreached())} of {total} raise sites in {self.package} reached,"
             f" {sum(map(len, self.privately.values()))} only outside the public interface"
         )
+        for name, sites in self.privately.items():
+            terminalreporter.write_line(f"  {name}")
+            for site in sites:
+                terminalreporter.write_line(f"    {site}")
         if self.partial:
             terminalreporter.write_line("not the whole suite: nothing below fails the run")
         for line in self.problems:

@@ -480,18 +480,54 @@ def test_d_squared_on_random_invariant_forms():
         assert invariant_d(invariant_d(form, model), model).is_zero
 
 
-def test_invariant_d_takes_only_the_group_coframe():
-    """The images d(e^I) are cached for ``group_gens(model)`` with dt last;
-    once they are, a form on any other coframe, of the same length or not,
-    is refused."""
-    model = q_model(1, 1, 1)
-    gens = group_gens(model)
-    one = LaurentPoly.const(model.symbols, 1)
-    assert not invariant_d(mv(model, [7]), model).is_zero
-    renamed = tuple(f"x{i}" for i in range(len(gens)))
-    for other, dt in ((renamed, len(gens) - 1), (gens, 0), (gens[:8], 7)):
-        with pytest.raises(ModelError, match="invariant_d takes forms on"):
-            invariant_d(Multivector.basis(other, [6], one, dt_index=dt), model)
+def test_every_form_passed_to_invariant_d_is_on_the_group_coframe(monkeypatch, capsys, tmp_path):
+    """Why ``invariant_d`` checks no coframe: its images d(e^I) are cached
+    for ``group_gens(model)`` with dt last, and every form the package
+    passes it is on that coframe.  Over fresh model caches per command,
+    ``derive`` and ``report`` on Q(1,1,1) and M(1,1), and the SU(4)
+    certificate of the derived and of a perturbed system, call it on
+    nothing else."""
+    from holoflow.verify import su4_family_check
+    from mutations import perturbed_system
+
+    real, seen = homogeneous.invariant_d, []
+
+    def recorded(form, model):
+        seen.append((form.gens, form.dt_index, model))
+        return real(form, model)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "holoflow" and getattr(module, "invariant_d", None) is real:
+            monkeypatch.setattr(module, "invariant_d", recorded)
+
+    constructors = {name: getattr(homogeneous, name).__wrapped__ for name in ("q_model", "m_model")}
+
+    def fresh_models():
+        for name, build in constructors.items():
+            monkeypatch.setattr(homogeneous, name, functools.lru_cache(maxsize=None)(build))
+
+    commands = [
+        ["derive", "--model", "q"],
+        ["derive", "--model", "m"],
+        ["report", "--model", "q", "--orbit", "s2xs2", "--b0", "1", "--c0", "1", "--out", str(tmp_path / "q.json")],
+        ["report", "--model", "m", "--orbit", "cp2", "--a0", "1", "--out", str(tmp_path / "m.json")],
+    ]
+    for argv in commands:
+        fresh_models()
+        before = len(seen)
+        assert main(argv) == 0, argv
+        assert len(seen) > before, argv
+    capsys.readouterr()
+    for kind, indices in (("Q", (1, 1, 1)), ("M", (1, 1))):
+        fresh_models()
+        model = get_model(kind, indices)
+        before = len(seen)
+        derived = model.derivation.sys
+        assert su4_family_check(model, derived).passed
+        assert not su4_family_check(model, perturbed_system(derived, derived.state[0])).passed
+        assert len(seen) > before, kind
+    for gens, dt_index, model in seen:
+        assert gens == group_gens(model) and dt_index == len(gens) - 1, (model.label, gens, dt_index)
 
 
 def _invariant_d_by_wedges(form, model):

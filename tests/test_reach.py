@@ -22,7 +22,7 @@ from pathlib import Path
 import holoflow
 from paper_tables import UNIT_ORBIT_ARGS
 from raise_reach import (
-    ERROR_PATH, GUARD, IMPLIED, INTERNAL, PERFBENCH, PROTOCOL, UNRUN_KINDS, functions, source_files
+    ERROR_PATH, GUARD, INTERNAL, PERFBENCH, PROTOCOL, UNRUN_KINDS, functions, source_files
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -160,7 +160,7 @@ def test_every_listed_reason_holds():
         assert name in defs, f"{name} is listed but no longer defined"
         if kind == PERFBENCH:
             assert evidence in targets, f"{name}: {evidence} is not a perfbench target"
-        elif kind in (ERROR_PATH, IMPLIED):
+        elif kind == ERROR_PATH:
             file, test = evidence.split("::")
             assert re.search(rf"^def {test}\(", (TESTS / file).read_text(), re.M), (name, evidence)
         elif kind == GUARD:

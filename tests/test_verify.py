@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from holoflow._record import replace
 from holoflow.algebra import LaurentPoly, Multivector
+from holoflow.cli import main
 from holoflow import verify
-from holoflow.closed_form import ProfileM, ProfileQ, compare, profile, s_form
+from holoflow.closed_form import ProfileM, ProfileQ, compare, profile
 from holoflow.flow import derive_flow, exterior_d_time
 from holoflow.homogeneous import MODEL_SPECS, get_model, invariant_d, m_model, q_model
 from holoflow.integrate import IntegratorConfig, OrbitSpec, SeriesStartError, Trajectory, solve_orbit
@@ -44,7 +45,7 @@ from holoflow.verify import (
     verify_trajectory,
 )
 from mutations import perturbed_system
-from oracles import cone_quantities, exact_cone_fit, exact_value_squared, max_abs_coefficient
+from oracles import cone_quantities, exact_cone_fit, exact_value_squared, max_abs_coefficient, s_form
 from paper_tables import CIRCLE, ORBIT_CATALOG, UNIT_ORBITS
 from paper_tables import CONE_REFS as PAPER_CONE_REFS
 
@@ -71,13 +72,15 @@ def test_closure_residual_meets_bar(q_setup):
     assert rep.d_eta_residual <= 1e-9
 
 
-def test_closure_refinement_order(q_setup):
+def test_closure_refinement_order(q_setup, monkeypatch):
     """Centered differences: halving the step divides the residual by ~4."""
     model, deriv, spec, traj, sampler = q_setup
-    pts = [2.0, 5.0, 11.0]
-    r1 = check_closure(sampler, deriv, t_points=pts, fd_step=2e-2)
-    r2 = check_closure(sampler, deriv, t_points=pts, fd_step=1e-2)
-    r4 = check_closure(sampler, deriv, t_points=pts, fd_step=5e-3)
+    monkeypatch.setattr(verify, "CLOSURE_POINTS", 3)
+    reports = []
+    for step in (2e-2, 1e-2, 5e-3):
+        monkeypatch.setattr(verify, "FD_STEP", step)
+        reports.append(check_closure(sampler, deriv))
+    r1, r2, r4 = reports
     ratio1 = r1.max_residual / r2.max_residual
     ratio2 = r2.max_residual / r4.max_residual
     assert 3.0 < ratio1 < 5.0
@@ -97,19 +100,13 @@ def test_closure_detects_sign_tampering(q_setup):
             vals["f"] = -vals["f"]
             return vals
 
-    rep = check_closure(Tampered(), deriv, t_points=[2.0, 5.0, 9.0])
+    rep = check_closure(Tampered(), deriv)
     assert rep.d_eta_residual > 0.05
 
 
-def test_closure_requires_three_samples(q_setup):
-    model, deriv, spec, traj, sampler = q_setup
-    with pytest.raises(VerifyError):
-        check_closure(sampler, deriv, t_points=[1.0, 2.0])
-
-
 @pytest.mark.parametrize("t_max", [2e-6, 1e-5, 3e-5, 1.5e-4])
-def test_closure_refuses_a_span_within_twice_the_margin_before_sampling(q_setup, t_max):
-    # margin = 2 * fd_step * (1 + t_max); a span of at most twice it leaves no
+def test_closure_refuses_a_span_within_twice_the_margin_before_sampling(q_setup, monkeypatch, t_max):
+    # margin = 2 * FD_STEP * (1 + t_max); a span of at most twice it leaves no
     # point inside the run, so no sampler method may be reached
     model, deriv, spec, traj, sampler = q_setup
 
@@ -125,10 +122,11 @@ def test_closure_refuses_a_span_within_twice_the_margin_before_sampling(q_setup,
     short = Untouchable()
     short.t_max = t_max
     fd_step = 1e-5 if t_max < 1e-4 else 4e-5
+    monkeypatch.setattr(verify, "FD_STEP", fd_step)
     margin = 2 * fd_step * (1 + t_max)
     message = f"spans {t_max - 1e-6:.3g} in t, at most twice its margin {margin:.3g}"
     with pytest.raises(VerifyError, match=message):
-        check_closure(short, deriv, fd_step=fd_step)
+        check_closure(short, deriv)
 
 
 def test_closure_checks_reuse_the_derived_forms(q_setup, monkeypatch):
@@ -138,7 +136,7 @@ def test_closure_checks_reuse_the_derived_forms(q_setup, monkeypatch):
         raise AssertionError("d recomputed")
 
     monkeypatch.setattr("holoflow.flow.exterior_d_time", no_derivative)
-    assert check_closure(sampler, deriv, t_points=[2.0, 5.0, 9.0]).max_residual < 1e-6
+    assert check_closure(sampler, deriv).max_residual < 1e-6
     assert check_closure_samples(traj, deriv).max_residual < 1e-3
 
 
@@ -164,10 +162,12 @@ def test_each_check_names_its_worst_sample(q_setup, monkeypatch):
     # each closure check's residuals, sample by sample, at its sample t
     real, seen = verify._residuals, []
     monkeypatch.setattr(verify, "_residuals", lambda d, assign: seen.append(real(d, assign)) or seen[-1])
-    points = _linspace(1.0, 40.0, 9)
+    monkeypatch.setattr(verify, "CLOSURE_POINTS", 9)
+    margin = 2 * verify.FD_STEP * (1 + abs(sampler.t_max))
+    points = _linspace(sampler.t_min + margin, sampler.t_max - margin, 9)
     n = traj.n_samples
     runs = [
-        (lambda w: check_closure(sampler, deriv, t_points=points, where=w), points),
+        (lambda w: check_closure(sampler, deriv, where=w), points),
         (lambda w: check_closure_samples(traj, deriv, w), traj.ts[1 : n - 1 : max(1, (n - 2) // CLOSURE_MAX_ROWS)]),
     ]
     for check, ts in runs:
@@ -193,38 +193,21 @@ def test_closure_raw_samples(q_setup):
     assert rep.max_residual < 1e-3
 
 
-def test_closure_raw_samples_need_three_samples(q_setup):
-    model, deriv, spec, traj, sampler = q_setup
-    two = Trajectory("Q", traj.state_names, traj.ts[:2], traj.ys[:2], "loaded")
-    with pytest.raises(VerifyError, match="^need at least 3 samples for centered differences$"):
-        check_closure_samples(two, deriv)
-
-
-def test_closure_rejects_a_residual_beyond_float_range(q_setup):
-    model, deriv, spec, traj, sampler = q_setup
-
-    class Steep:
-        """a, b, c of 1e-70 and f of 1e-140 at each whole t, every
-        coefficient -1e300 a step before it and 1e300 a step after: Omega is
-        of order 1e-280, the slopes of order 1e304, and d(Omega), with its
-        term abc f', of order 1e95, so d(Omega) / Omega passes float range."""
-
-        t_min, t_max = 0.0, 10.0
-
-        def __call__(self, t):
-            offset = t - round(t)
-            if offset == 0:
-                return {"a": 1e-70, "b": 1e-70, "c": 1e-70, "f": 1e-140}
-            return dict.fromkeys("abcf", math.copysign(1e300, offset))
-
-    with pytest.raises(VerifyError, match="^closure check: a residual is beyond float range$"):
-        check_closure(Steep(), deriv, t_points=[2.0, 5.0, 9.0])
-
-
-def test_profile_sampler_rejects_anchors_of_the_other_model(q_setup):
-    model, deriv, spec, traj, sampler = q_setup
-    with pytest.raises(VerifyError, match="^profile and anchor trajectory disagree on the model$"):
-        ProfileSampler(profile("M", OrbitSpec("M", "cp2", {"a": 1})), traj)
+def test_closure_rejects_a_residual_beyond_float_range(capsys, tmp_path):
+    """A stored run through ``holoflow verify``: a, b of 1e-70 and c of
+    1e-140 on its second row, every coefficient 1e300 on the others.  The
+    raw-sample check reads that row first, with slopes of order 1e300 from
+    the rows around it: the forms are finite, Omega of order 1e-280 and
+    d(Omega) of order 1e90, so d(Omega) / Omega passes float range."""
+    huge = "1e300,1e300,1e300,1e300"
+    rows = ["t,a,b,c,C", f"0,{huge}", "1,1e-70,1e-70,1e-140,1e-70", f"2,{huge}", f"3,{huge}", f"4,{huge}"]
+    path = tmp_path / "steep.csv"
+    path.write_text("".join(row + "\n" for row in rows))
+    out = tmp_path / "v.json"
+    argv = ["verify", "--model", "m", "--orbit", "cp2", "--a0", "1", "--traj", str(path), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: closure check: a residual is beyond float range\n"
+    assert not out.exists()
 
 
 def test_profile_sampler_rejects_anchors_past_the_profiles_zero():
